@@ -3,7 +3,7 @@
 //! fragmentation round trips and NIC ring bursts.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use minos_kv::{Store, StoreConfig};
+use minos_kv::{CapacityConfig, EvictionPolicy, Store, StoreConfig};
 use minos_nic::{NicConfig, RssHasher, VirtualNic};
 use minos_stats::SizeHistogram;
 use minos_wire::frag::fragment_with_id;
@@ -35,6 +35,46 @@ fn bench_kv(c: &mut Criterion) {
         })
     });
     g.finish();
+}
+
+/// One housekeeping eviction pass (`tick_victims` = 64 victims) over a
+/// single partition of `slots` item slots holding `live` 1 KiB items,
+/// in the state a read-heavy store keeps it in: every item referenced
+/// except the 64 the last pass made room for.
+fn bench_evict_pass(c: &mut Criterion, name: &str, slots: usize, live: u64) {
+    let store = Store::new(StoreConfig {
+        items_per_partition: slots,
+        capacity: CapacityConfig {
+            policy: EvictionPolicy::SizeAwareClock,
+            ..CapacityConfig::default()
+        },
+        ..StoreConfig::for_items(1, live as usize, live as usize * 1024)
+    });
+    let value = [0x55u8; 1024];
+    let mut g = c.benchmark_group("kv");
+    g.bench_function(name, |b| {
+        b.iter_batched(
+            || {
+                // Touch every key, writing back the evicted ones: the
+                // pool is exactly full again, over its high watermark.
+                for key in 0..live {
+                    if store.get(key).is_none() {
+                        store.put(key, &value).unwrap();
+                    }
+                }
+            },
+            |()| store.capacity_tick(0, 1, 1),
+            BatchSize::PerIteration,
+        )
+    });
+    g.finish();
+    assert_eq!(store.stats().evict_passes_reserve, 0, "only ticks evict");
+    assert_eq!(store.stats().evictions % 64, 0, "every pass is 64 victims");
+}
+
+fn bench_kv_evict(c: &mut Criterion) {
+    bench_evict_pass(c, "evict_pass_sparse", 200_000, 10_000);
+    bench_evict_pass(c, "evict_pass_dense", 10_000, 10_000);
 }
 
 fn bench_rss(c: &mut Criterion) {
@@ -114,4 +154,11 @@ criterion_group!(
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
     targets = bench_kv, bench_rss, bench_zipf, bench_hist, bench_wire, bench_nic
 );
-criterion_main!(micro);
+// Only the routine is timed, and the eviction benches' untimed setup is
+// a hundred times their routine: 20 ms of passes is ~2 s of wall time.
+criterion_group!(
+    name = evict;
+    config = Criterion::default().measurement_time(std::time::Duration::from_millis(20)).warm_up_time(std::time::Duration::from_millis(200));
+    targets = bench_kv_evict
+);
+criterion_main!(micro, evict);

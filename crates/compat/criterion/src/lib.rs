@@ -16,8 +16,10 @@ pub fn black_box<T>(x: T) -> T {
     std::hint::black_box(x)
 }
 
-/// How `iter_batched` amortizes setup. Ignored by this shim.
-#[derive(Clone, Copy, Debug)]
+/// How `iter_batched` amortizes setup: `PerIteration` runs each setup
+/// right before its routine call (for setups that restore state the
+/// routine consumed); the others run 64 setups, then 64 routine calls.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchSize {
     /// Small per-iteration inputs.
     SmallInput,
@@ -55,7 +57,7 @@ impl Bencher<'_> {
 
     /// Times `routine` on inputs produced by `setup`; setup time is
     /// excluded from the measurement.
-    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, size: BatchSize)
     where
         S: FnMut() -> I,
         R: FnMut(I) -> O,
@@ -65,11 +67,16 @@ impl Bencher<'_> {
             let input = setup();
             black_box(routine(input));
         }
+        let batch = if size == BatchSize::PerIteration {
+            1
+        } else {
+            64
+        };
         let mut iters = 0u64;
         let mut spent = Duration::ZERO;
         while spent < self.config.measurement_time {
-            let mut inputs = Vec::with_capacity(64);
-            for _ in 0..64 {
+            let mut inputs = Vec::with_capacity(batch);
+            for _ in 0..batch {
                 inputs.push(setup());
             }
             let t = Instant::now();
@@ -77,7 +84,7 @@ impl Bencher<'_> {
                 black_box(routine(input));
             }
             spent += t.elapsed();
-            iters += 64;
+            iters += batch as u64;
         }
         report(&self.name, spent, iters);
     }

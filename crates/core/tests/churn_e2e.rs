@@ -161,14 +161,19 @@ fn churn_run(batch: usize, policy: EvictionPolicy, ttl_ms: u64) {
         0,
         "batch {batch}: watermark enforcement never claimed an undrainable pool"
     );
-    // The accounting invariant, cross-checked against the live store.
+    // The accounting invariant, cross-checked against the store once
+    // its cores have stopped: a TTL sweep still running between the two
+    // reads would free an item the audit had already counted.
+    server.shutdown();
+    let store = server.store();
     assert_eq!(
-        server.store().audit_charged_bytes(),
-        server.store().mempool().used_bytes(),
+        store.audit_charged_bytes(),
+        store.mempool().used_bytes(),
         "batch {batch}: bytes charged to live items == pool used bytes"
     );
+    assert_eq!(store.audit_item_bitmaps(), Ok(store.len()), "batch {batch}");
     assert!(
-        server.store().mempool().used_bytes() <= MEMPOOL_BYTES,
+        store.mempool().used_bytes() <= MEMPOOL_BYTES,
         "batch {batch}: the pool never overcommits"
     );
 
@@ -191,7 +196,6 @@ fn churn_run(batch: usize, policy: EvictionPolicy, ttl_ms: u64) {
         io.pool_outstanding, 0,
         "batch {batch}: every RX slot is home after the drain"
     );
-    server.shutdown();
 }
 
 /// Batched syscall path (`recvmmsg`/`sendmmsg`), size-aware CLOCK, no

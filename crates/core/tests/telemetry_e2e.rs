@@ -1,13 +1,14 @@
 //! End-to-end tests of the unified telemetry: snapshots taken against a
-//! live threaded server, and the paper's Figure 5/6 decomposition —
-//! size-aware sharding keeps the *queue wait* of small requests flat
-//! while a size-oblivious configuration lets them wait behind large
-//! work on the same core.
+//! live threaded server, and the mechanism behind the paper's Figure
+//! 5/6 decomposition — size-aware sharding moves every fragment of a
+//! large PUT off the RX core, a size-oblivious configuration runs it
+//! inline ahead of the small requests behind it.
 
 use minos_core::client::Client;
 use minos_core::config::ThresholdMode;
 use minos_core::server::{MinosServer, ServerConfig};
 use minos_obs::Snapshot;
+use minos_wire::message::MSG_HEADER_LEN;
 use std::time::Duration;
 
 const SMALL_VALUE: usize = 64;
@@ -91,82 +92,93 @@ fn snapshots_populate_per_core_class_telemetry() {
     server.shutdown();
 }
 
-/// Large value used for the sharding comparison: ~724 fragments, so the
-/// inline-vs-handoff cost difference per fragment accumulates into an
-/// unambiguous queue-wait gap.
+/// Large value used for the sharding comparison: a PUT of it is several
+/// hundred fragments, each one a unit of large-class work.
 const HUGE_VALUE: usize = 1024 * 1024;
+const HUGE_PUTS: u64 = 16;
 
-/// Worst small-class *median* queue wait (ns) across cores. The median,
-/// not the p99: on a loaded single-CPU CI box the p99 of both modes is
-/// dominated by the scheduler preempting the busy-poll threads (hundreds
-/// of microseconds either way), while the median reflects the structural
-/// intra-burst wait this test is about. The release-mode perf smoke
-/// exercises the p99 view on real parallel hardware.
-fn small_queue_wait_p50(snap: &Snapshot, n_cores: usize) -> u64 {
-    (0..n_cores)
-        .filter_map(|c| snap.hist(&format!("core.{c}.small.queue_wait_ns")))
-        .map(|h| h.p50)
-        .max()
-        .unwrap_or(0)
+/// What one mixed run left in the server's telemetry.
+struct MixedRun {
+    /// Queue-wait samples per execution class, summed over cores.
+    small_samples: u64,
+    large_samples: u64,
+    /// Requests and fragments pushed to another core's software queue.
+    handoffs: u64,
+    soft_queue_drops: u64,
 }
 
-/// One mixed run at a fixed threshold; returns the worst per-core
-/// small-class median queue wait. All traffic targets queue 0 and the
-/// RX batch is raised so each huge-PUT fragment train and the GET behind
-/// it drain in one stamped burst: the GET's measured wait is then the
-/// time the RX core spends on the fragments ahead of it — inline
-/// ingest when size-oblivious, a cheap handoff push when sharded.
-fn run_mixed(threshold: u64) -> u64 {
+/// One mixed run at a fixed threshold: [`HUGE_PUTS`] huge PUTs, each
+/// followed by a small GET, all sent to queue 0.
+fn run_mixed(threshold: u64) -> MixedRun {
     let mut config = ServerConfig::for_test(2, 10_000);
     config.minos.threshold_mode = ThresholdMode::Static(threshold);
-    config.minos.batch_size = 1024;
     let mut server = MinosServer::start(config);
     let mut client = Client::new(&server, 1, 53).with_target_queues(0..1);
 
-    // Teach the controller the size mix (the threshold is pinned, but
-    // the cost share that sizes the large-core pool is measured), then
-    // lock in the resulting plan.
     for i in 0..20u64 {
         client.send_put(i, &[1u8; SMALL_VALUE], false);
     }
-    client.send_put(9_000, &vec![2u8; HUGE_VALUE], true);
     assert!(client.drain(Duration::from_secs(60)), "warmup");
-    server.force_epoch();
 
-    if threshold < HUGE_VALUE as u64 {
-        assert!(
-            server.plan().allocation.n_large >= 1,
-            "sharded run allocates a large core: {:?}",
-            server.plan().allocation
-        );
-    }
-
-    for round in 0..40u64 {
+    for round in 0..HUGE_PUTS {
         client.send_put(9_100 + round, &vec![2u8; HUGE_VALUE], true);
         client.send_get(round % 20, false);
         assert!(client.drain(Duration::from_secs(60)), "round {round}");
     }
 
     let snap = server.registry().snapshot();
-    let p50 = small_queue_wait_p50(&snap, 2);
+    let samples = |class: &str| -> u64 {
+        (0..2)
+            .filter_map(|c| snap.hist(&format!("core.{c}.{class}.queue_wait_ns")))
+            .map(|h| h.count)
+            .sum()
+    };
+    let run = MixedRun {
+        small_samples: samples("small"),
+        large_samples: samples("large"),
+        handoffs: (0..2)
+            .filter_map(|c| snap.counter(&format!("core.{c}.handoffs")))
+            .sum(),
+        soft_queue_drops: snap.counter("engine.soft_queue_drops").unwrap_or(0),
+    };
     server.shutdown();
-    p50
+    run
 }
 
-/// The paper's core claim (Figures 5/6), observed through the server's
-/// own telemetry: with sharding on (threshold below the large size, so
-/// large work is handed off), small requests' queue wait stays flat;
-/// with sharding effectively off (threshold above every size, so
-/// everything runs inline on the RX core), small requests queue behind
-/// large-PUT fragments and their wait inflates several-fold.
+/// The mechanism behind the paper's Figures 5/6, as properties of the
+/// server's own telemetry: with sharding on (threshold below the large
+/// size) every fragment of every large PUT leaves the RX core through a
+/// software-queue handoff, so the small requests behind it never wait
+/// for its ingest; with sharding effectively off (threshold above every
+/// size) nothing is handed off and everything runs inline on the RX
+/// core. Both runs record both execution classes. How much queue wait
+/// the handoff saves is a timing, and depends on the host: it is
+/// measured by the benchmark (`large_heavy`'s small-class latency and
+/// `core.small_queue_wait_*`), not asserted here.
 #[test]
-fn sharding_keeps_small_queue_wait_flat() {
+fn sharding_hands_off_every_large_fragment() {
+    let fragments_per_put = u64::from(minos_wire::packets_for_payload(MSG_HEADER_LEN + HUGE_VALUE));
+    assert!(fragments_per_put > 700);
+
     let sharded = run_mixed(4_096);
-    let unsharded = run_mixed(1 << 30);
-    assert!(sharded > 0, "sharded run recorded small queue waits");
-    assert!(
-        unsharded >= sharded * 2,
-        "small queue-wait p50 without sharding ({unsharded} ns) should be \
-         at least 2x the sharded p50 ({sharded} ns)"
+    assert_eq!(sharded.soft_queue_drops, 0);
+    assert_eq!(
+        sharded.handoffs,
+        HUGE_PUTS * fragments_per_put,
+        "one handoff per large-PUT fragment, none for the small requests"
     );
+    assert_eq!(
+        sharded.large_samples, sharded.handoffs,
+        "every handed-off fragment ran as large-class work"
+    );
+    assert!(sharded.small_samples >= 20 + HUGE_PUTS);
+
+    let unsharded = run_mixed(1 << 30);
+    assert_eq!(unsharded.handoffs, 0, "threshold above every size");
+    assert_eq!(
+        unsharded.large_samples,
+        HUGE_PUTS * fragments_per_put,
+        "fragments still count as large-class work, run inline"
+    );
+    assert!(unsharded.small_samples >= 20 + HUGE_PUTS);
 }

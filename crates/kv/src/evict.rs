@@ -45,6 +45,14 @@
 //! the eviction work per reclaimed byte drops by orders of magnitude —
 //! which is exactly what keeps the small-request tail flat while the
 //! store runs pinned at the high watermark.
+//!
+//! The window is not free: the hand keeps going until it holds a full
+//! window of unreferenced items, where plain CLOCK stops at the first.
+//! What bounds that walk is the item table's bitmaps (`items.rs`): the
+//! hand crosses 64 slots per load, locks only candidates, and wraps at
+//! the allocation high-water mark, so a scan costs the *live* words it
+//! crosses — `store.evict_scan_words` counts them, and the churn gate
+//! holds them to 64 per victim.
 
 /// Which eviction scheme reclaims mempool capacity under pressure.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -113,8 +121,12 @@ pub struct CapacityConfig {
     /// at the target, so the window's small items survive (ignored by
     /// plain CLOCK, which takes candidates in hand order). Wider
     /// windows find large blocks the hand would otherwise take many
-    /// small victims to reach; the scan itself costs the same as plain
-    /// CLOCK either way — each slot is passed once per sweep.
+    /// small victims to reach. A scan costs one load per 64-slot bitmap
+    /// word the hand crosses plus one slot lock per candidate, so a
+    /// wider window locks more slots per scan. A partition with fewer
+    /// unreferenced items than the window yields what it has after at
+    /// most two sweeps of its *live* words — the hand wraps at the
+    /// table's allocation high-water mark, not at its end.
     pub candidate_window: usize,
     /// Item slots each TTL sweep scans per partition per capacity tick.
     pub sweep_budget: usize,

@@ -1,0 +1,332 @@
+//! A partition's item table: mutex-guarded item slots behind a LIFO
+//! freelist, plus one-bit-per-slot `occupied` and `referenced` bitmaps
+//! so the CLOCK eviction hand and the TTL sweep move 64 slots per load
+//! and lock only the slots they act on.
+
+use crate::mem::PoolBytes;
+use crate::ttl::is_expired;
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+#[derive(Debug)]
+pub(crate) struct ItemEntry {
+    pub(crate) key: u64,
+    pub(crate) value: PoolBytes,
+    /// Store-clock deadline in ns; [`crate::NO_EXPIRY`] when the key
+    /// never expires.
+    pub(crate) expires_at: u64,
+}
+
+/// What a keyed item-table read found.
+pub(crate) enum ItemRead {
+    /// Live value (the reference bit was set).
+    Hit(PoolBytes),
+    /// The key is present but its TTL deadline has passed: report a
+    /// miss and let the caller reclaim it lazily.
+    Expired,
+    /// Slot empty or holding a different key.
+    Absent,
+}
+
+/// A partition's CLOCK eviction hand: where the next victim scan
+/// starts, and the window the last one found. Reused across passes, so
+/// a pass allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct ClockHand {
+    next: usize,
+    /// The last scan's candidate keys with their charges.
+    pub(crate) candidates: Vec<(u64, usize)>,
+}
+
+/// Item slots per bitmap word.
+const WORD_BITS: usize = u64::BITS as usize;
+
+/// The bitmap word holding slot `idx`'s bit, and that bit.
+fn word_bit(idx: u32) -> (usize, u64) {
+    (idx as usize / WORD_BITS, 1 << (idx as usize % WORD_BITS))
+}
+
+/// The set bits of `word`, lowest first.
+fn bits(mut word: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros();
+            word &= word - 1;
+            bit
+        })
+    })
+}
+
+#[derive(Debug)]
+pub(crate) struct ItemTable {
+    slots: Vec<Mutex<Option<ItemEntry>>>,
+    freelist: Mutex<Vec<u32>>,
+    /// Bit `i` is set while slot `i` holds an item. Both bitmaps are
+    /// written under the slot's mutex and read `Relaxed` by the CLOCK
+    /// hand and the TTL sweep, which take that mutex before trusting a
+    /// bit — the bits select slots, they publish nothing.
+    occupied: Box<[AtomicU64]>,
+    /// CLOCK reference bits: set on every GET hit and on replacement,
+    /// cleared by the eviction hand's first pass over the slot. New
+    /// items start *unreferenced* (scan resistance): a churned key that
+    /// is written once and never read again holds no second chance, so
+    /// one-touch traffic cannot flush the actually-hot set. `None` with
+    /// eviction off, so a GET then touches no bitmap at all.
+    referenced: Option<Box<[AtomicU64]>>,
+    /// One past the highest slot ever allocated. The freelist is LIFO,
+    /// so live items sit below it and the walks wrap here instead of
+    /// crossing the never-used tail of the table.
+    high_water: AtomicUsize,
+}
+
+impl ItemTable {
+    pub(crate) fn new(capacity: usize, track_references: bool) -> Self {
+        let bitmap = || (0..capacity.div_ceil(WORD_BITS)).map(|_| AtomicU64::new(0));
+        ItemTable {
+            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
+            freelist: Mutex::new((0..capacity as u32).rev().collect()),
+            occupied: bitmap().collect(),
+            referenced: track_references.then(|| bitmap().collect()),
+            high_water: AtomicUsize::new(0),
+        }
+    }
+
+    /// Sets slot `idx`'s reference bit. Load first: a hot key's bit is
+    /// already set, and a plain load keeps its cache line shared.
+    fn reference(&self, idx: u32) {
+        if let Some(referenced) = &self.referenced {
+            let (w, bit) = word_bit(idx);
+            if referenced[w].load(Ordering::Relaxed) & bit == 0 {
+                referenced[w].fetch_or(bit, Ordering::Relaxed);
+            }
+        }
+    }
+
+    pub(crate) fn alloc(&self, key: u64, value: PoolBytes, expires_at: u64) -> Option<u32> {
+        let idx = self.freelist.lock().pop()?;
+        let mut slot = self.slots[idx as usize].lock();
+        *slot = Some(ItemEntry {
+            key,
+            value,
+            expires_at,
+        });
+        let (w, bit) = word_bit(idx);
+        self.occupied[w].fetch_or(bit, Ordering::Relaxed);
+        // Rarely moves: check with a load before paying for the RMW.
+        if self.high_water.load(Ordering::Relaxed) <= idx as usize {
+            self.high_water
+                .fetch_max(idx as usize + 1, Ordering::Relaxed);
+        }
+        Some(idx)
+    }
+
+    pub(crate) fn replace(&self, idx: u32, value: PoolBytes, expires_at: u64) {
+        let mut slot = self.slots[idx as usize].lock();
+        let entry = slot.as_mut().expect("replace of a live item");
+        entry.value = value;
+        entry.expires_at = expires_at;
+        self.reference(idx);
+    }
+
+    /// Frees the slot, returning the entry it held (the value's pool
+    /// charge releases when the returned entry drops).
+    pub(crate) fn free(&self, idx: u32) -> Option<ItemEntry> {
+        let entry = {
+            let mut slot = self.slots[idx as usize].lock();
+            let (w, bit) = word_bit(idx);
+            self.occupied[w].fetch_and(!bit, Ordering::Relaxed);
+            if let Some(referenced) = &self.referenced {
+                // Victims are unreferenced: usually nothing to clear.
+                if referenced[w].load(Ordering::Relaxed) & bit != 0 {
+                    referenced[w].fetch_and(!bit, Ordering::Relaxed);
+                }
+            }
+            slot.take()
+        };
+        self.freelist.lock().push(idx);
+        entry
+    }
+
+    /// Reads the item at `idx` if it currently holds `key`, checking
+    /// its TTL deadline against the store clock and setting the CLOCK
+    /// reference bit on a hit.
+    pub(crate) fn read(&self, idx: u32, key: u64, now_ns: u64) -> ItemRead {
+        let slot = self.slots[idx as usize].lock();
+        match &*slot {
+            Some(e) if e.key == key => {
+                if is_expired(e.expires_at, now_ns) {
+                    ItemRead::Expired
+                } else {
+                    self.reference(idx);
+                    ItemRead::Hit(e.value.clone())
+                }
+            }
+            _ => ItemRead::Absent,
+        }
+    }
+
+    /// The key stored at `idx`, if any (writer-side use only).
+    pub(crate) fn key_at(&self, idx: u32) -> Option<u64> {
+        self.slots[idx as usize].lock().as_ref().map(|e| e.key)
+    }
+
+    /// The TTL deadline of the item at `idx`, if live (writer-side).
+    pub(crate) fn expires_at(&self, idx: u32) -> Option<u64> {
+        self.slots[idx as usize]
+            .lock()
+            .as_ref()
+            .map(|e| e.expires_at)
+    }
+
+    /// Walks the slots from `from` for up to `sweeps` turns of the
+    /// allocated part of the table, one bitmap word (or the in-range
+    /// part of one) per step: `visit(word, mask)` gets the word index
+    /// and the mask of the bits in range, and returning `Some(bit)`
+    /// ends the walk just past that bit. Returns the slot the next walk
+    /// starts from and the number of words visited.
+    fn walk(
+        &self,
+        from: usize,
+        sweeps: usize,
+        mut visit: impl FnMut(usize, u64) -> Option<u32>,
+    ) -> (usize, u64) {
+        let end = self.high_water.load(Ordering::Relaxed);
+        let (mut idx, mut left, mut words) = (from, end * sweeps, 0);
+        while left > 0 {
+            // Wrap only when moving on: a walk that stopped at the mark
+            // resumes there once the table has grown past it.
+            if idx == end {
+                idx = 0;
+            }
+            let first = idx % WORD_BITS;
+            let span = (WORD_BITS - first).min(end - idx).min(left);
+            words += 1;
+            if let Some(stop) = visit(idx / WORD_BITS, (u64::MAX >> (WORD_BITS - span)) << first) {
+                return (idx - first + stop as usize + 1, words);
+            }
+            left -= span;
+            idx += span;
+        }
+        // Whole turns end where they began.
+        (from, words)
+    }
+
+    /// Advances the CLOCK hand until `window` unreferenced items are in
+    /// `hand.candidates` (in hand order) or it has swept the table
+    /// twice; returns the bitmap words it visited. In each word
+    /// `occupied & !referenced` are the candidates, and only a
+    /// candidate's slot is locked (for its key and charge, and to check
+    /// it is still there); referenced slots lose their bit as the hand
+    /// passes (second chance), so the second sweep finds every live
+    /// item a candidate — some of them, then, twice.
+    pub(crate) fn find_cold(&self, hand: &mut ClockHand, window: usize) -> u64 {
+        let ClockHand { next, candidates } = hand;
+        candidates.clear();
+        let Some(referenced) = self.referenced.as_deref() else {
+            return 0;
+        };
+        let (resume, words) = self.walk(*next, 2, |w, mask| {
+            let occupied = self.occupied[w].load(Ordering::Relaxed) & mask;
+            if occupied == 0 {
+                return None;
+            }
+            let warm = referenced[w].load(Ordering::Relaxed) & occupied;
+            let mut passed = u64::MAX;
+            let mut stop = None;
+            for bit in bits(occupied & !warm) {
+                if let Some(e) = &*self.slots[w * WORD_BITS + bit as usize].lock() {
+                    candidates.push((e.key, e.value.charged_bytes()));
+                    if candidates.len() == window {
+                        // The hand rests here: later slots keep their bits.
+                        passed >>= WORD_BITS - 1 - bit as usize;
+                        stop = Some(bit);
+                        break;
+                    }
+                }
+            }
+            if warm & passed != 0 {
+                referenced[w].fetch_and(!(warm & passed), Ordering::Relaxed);
+            }
+            stop
+        });
+        *next = resume;
+        words
+    }
+
+    /// Calls `visit(key, expires_at)` for the next `budget` live items
+    /// from slot `from` (at most one turn of the table), with no slot
+    /// locked during the call; returns where the next sweep starts.
+    pub(crate) fn sweep_live(
+        &self,
+        from: usize,
+        mut budget: usize,
+        mut visit: impl FnMut(u64, u64),
+    ) -> usize {
+        if budget == 0 {
+            return from;
+        }
+        let (resume, _) = self.walk(from, 1, |w, mask| {
+            for bit in bits(self.occupied[w].load(Ordering::Relaxed) & mask) {
+                let item = self.slots[w * WORD_BITS + bit as usize]
+                    .lock()
+                    .as_ref()
+                    .map(|e| (e.key, e.expires_at));
+                if let Some((key, expires_at)) = item {
+                    visit(key, expires_at);
+                }
+                budget -= 1;
+                if budget == 0 {
+                    return Some(bit);
+                }
+            }
+            None
+        });
+        resume
+    }
+
+    /// Sums the capacity charge of every live item (a lock per slot).
+    pub(crate) fn audit_charged_bytes(&self) -> usize {
+        self.slots
+            .iter()
+            .map(|s| s.lock().as_ref().map_or(0, |e| e.value.charged_bytes()))
+            .sum()
+    }
+
+    /// `(occupied, referenced)` as the bitmaps have slot `idx`.
+    fn slot_bits(&self, idx: usize) -> (bool, bool) {
+        let (w, bit) = word_bit(idx as u32);
+        let set = |bitmap: &[AtomicU64]| bitmap[w].load(Ordering::Relaxed) & bit != 0;
+        (
+            set(&self.occupied),
+            self.referenced.as_deref().is_some_and(set),
+        )
+    }
+
+    /// Cross-checks the bitmaps against the slots: an `occupied` bit
+    /// must say whether its slot holds an item (and lie below the
+    /// high-water mark), and only an occupied slot may be referenced.
+    /// Returns the number of occupied slots, or the first slot that
+    /// disagrees.
+    pub(crate) fn audit_bitmaps(&self) -> Result<u64, usize> {
+        let high_water = self.high_water.load(Ordering::Relaxed);
+        let mut live = 0;
+        for (i, slot) in self.slots.iter().enumerate() {
+            let (occupied, referenced) = self.slot_bits(i);
+            if occupied != slot.lock().is_some()
+                || (occupied && i >= high_water)
+                || (referenced && !occupied)
+            {
+                return Err(i);
+            }
+            live += u64::from(occupied);
+        }
+        Ok(live)
+    }
+
+    /// The reference bit of every slot (`None` with eviction off).
+    #[cfg(test)]
+    pub(crate) fn reference_bits(&self) -> Option<Vec<bool>> {
+        self.referenced.as_ref()?;
+        Some((0..self.slots.len()).map(|i| self.slot_bits(i).1).collect())
+    }
+}

@@ -18,6 +18,9 @@
 //!   reference-counted value buffers that return to the pool on drop.
 //! * [`bucket`] — the cache-line bucket: packed tag+index slots, the
 //!   64-bit epoch, and the overflow chain link.
+//! * `items` — a partition's item slots with their `occupied` /
+//!   `referenced` bitmaps, which the CLOCK hand and the TTL sweep walk
+//!   a word at a time.
 //! * [`store`] — the partitioned table with the optimistic-GET /
 //!   locked-PUT protocol and statistics.
 //! * [`crew`] — Concurrent Read Exclusive Write core-ownership helpers.
@@ -30,6 +33,7 @@
 pub mod bucket;
 pub mod crew;
 pub mod evict;
+mod items;
 pub mod keyhash;
 pub mod mem;
 pub mod store;

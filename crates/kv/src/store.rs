@@ -16,6 +16,7 @@
 
 use crate::bucket::{Bucket, Slot, NO_OVERFLOW, SLOTS_PER_BUCKET};
 use crate::evict::{CapacityConfig, EvictionPolicy, Watermarks};
+use crate::items::{ClockHand, ItemRead, ItemTable};
 use crate::keyhash::{keyhash, split};
 use crate::mem::{Mempool, PoolBytes};
 use crate::ttl::{expires_at, is_expired, NO_EXPIRY};
@@ -105,32 +106,13 @@ pub struct StoreStats {
     /// still over the high watermark — the accounting cross-check
     /// alarm, expected to stay 0.
     pub accounting_warnings: u64,
-}
-
-#[derive(Debug)]
-struct ItemEntry {
-    key: u64,
-    value: PoolBytes,
-    /// Store-clock deadline in ns; [`NO_EXPIRY`] when the key never
-    /// expires.
-    expires_at: u64,
-    /// CLOCK reference bit: set on every GET hit and on replacement,
-    /// cleared by the eviction hand's first pass over the slot. New
-    /// items start *unreferenced* (scan resistance): a churned key that
-    /// is written once and never read again holds no second chance, so
-    /// one-touch traffic cannot flush the actually-hot set.
-    referenced: bool,
-}
-
-/// What a keyed item-table read found.
-enum ItemRead {
-    /// Live value (the reference bit was set).
-    Hit(PoolBytes),
-    /// The key is present but its TTL deadline has passed: report a
-    /// miss and let the caller reclaim it lazily.
-    Expired,
-    /// Slot empty or holding a different key.
-    Absent,
+    /// Bitmap words (64 item slots each) the CLOCK hand visited;
+    /// `evict_scan_words / evictions` is the hand's work per victim.
+    pub evict_scan_words: u64,
+    /// Housekeeping ticks whose eviction pass evicted at least one item.
+    pub evict_passes_tick: u64,
+    /// Failed reservations whose eviction pass evicted at least one item.
+    pub evict_passes_reserve: u64,
 }
 
 /// Why the capacity subsystem is removing an item (selects the counter
@@ -146,79 +128,6 @@ enum RemoveCause {
 }
 
 #[derive(Debug)]
-struct ItemTable {
-    slots: Vec<Mutex<Option<ItemEntry>>>,
-    freelist: Mutex<Vec<u32>>,
-}
-
-impl ItemTable {
-    fn new(capacity: usize) -> Self {
-        ItemTable {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            freelist: Mutex::new((0..capacity as u32).rev().collect()),
-        }
-    }
-
-    fn alloc(&self, key: u64, value: PoolBytes, expires_at: u64) -> Option<u32> {
-        let idx = self.freelist.lock().pop()?;
-        *self.slots[idx as usize].lock() = Some(ItemEntry {
-            key,
-            value,
-            expires_at,
-            referenced: false,
-        });
-        Some(idx)
-    }
-
-    fn replace(&self, idx: u32, value: PoolBytes, expires_at: u64) {
-        let mut slot = self.slots[idx as usize].lock();
-        let entry = slot.as_mut().expect("replace of a live item");
-        entry.value = value;
-        entry.expires_at = expires_at;
-        entry.referenced = true;
-    }
-
-    /// Frees the slot, returning the entry it held (the value's pool
-    /// charge releases when the returned entry drops).
-    fn free(&self, idx: u32) -> Option<ItemEntry> {
-        let entry = self.slots[idx as usize].lock().take();
-        self.freelist.lock().push(idx);
-        entry
-    }
-
-    /// Reads the item at `idx` if it currently holds `key`, checking
-    /// its TTL deadline against the store clock and setting the CLOCK
-    /// reference bit on a hit.
-    fn read(&self, idx: u32, key: u64, now_ns: u64) -> ItemRead {
-        let mut slot = self.slots[idx as usize].lock();
-        match &mut *slot {
-            Some(e) if e.key == key => {
-                if is_expired(e.expires_at, now_ns) {
-                    ItemRead::Expired
-                } else {
-                    e.referenced = true;
-                    ItemRead::Hit(e.value.clone())
-                }
-            }
-            _ => ItemRead::Absent,
-        }
-    }
-
-    /// The key stored at `idx`, if any (writer-side use only).
-    fn key_at(&self, idx: u32) -> Option<u64> {
-        self.slots[idx as usize].lock().as_ref().map(|e| e.key)
-    }
-
-    /// The TTL deadline of the item at `idx`, if live (writer-side).
-    fn expires_at(&self, idx: u32) -> Option<u64> {
-        self.slots[idx as usize]
-            .lock()
-            .as_ref()
-            .map(|e| e.expires_at)
-    }
-}
-
-#[derive(Debug)]
 struct Partition {
     buckets: Box<[Bucket]>,
     /// Per-primary-bucket writer locks. One lock guards a primary bucket
@@ -227,8 +136,9 @@ struct Partition {
     overflow: Box<[Bucket]>,
     overflow_freelist: Mutex<Vec<u32>>,
     items: ItemTable,
-    /// The CLOCK eviction hand: next item slot the victim scan visits.
-    clock_hand: AtomicUsize,
+    /// The CLOCK eviction hand. Its mutex admits one evicting core per
+    /// partition at a time.
+    clock_hand: Mutex<ClockHand>,
     /// The active TTL sweep's rotating cursor over item slots.
     sweep_cursor: AtomicUsize,
 }
@@ -245,8 +155,11 @@ impl Partition {
             overflow_freelist: Mutex::new(
                 (0..config.overflow_per_partition as u32).rev().collect(),
             ),
-            items: ItemTable::new(config.items_per_partition),
-            clock_hand: AtomicUsize::new(0),
+            items: ItemTable::new(
+                config.items_per_partition,
+                config.capacity.policy != EvictionPolicy::None,
+            ),
+            clock_hand: Mutex::default(),
             sweep_cursor: AtomicUsize::new(0),
         }
     }
@@ -322,6 +235,9 @@ pub struct Store {
     expired_keys: AtomicU64,
     admission_rejects: AtomicU64,
     accounting_warnings: AtomicU64,
+    evict_scan_words: AtomicU64,
+    evict_passes_tick: AtomicU64,
+    evict_passes_reserve: AtomicU64,
 }
 
 impl Store {
@@ -354,6 +270,9 @@ impl Store {
             expired_keys: AtomicU64::new(0),
             admission_rejects: AtomicU64::new(0),
             accounting_warnings: AtomicU64::new(0),
+            evict_scan_words: AtomicU64::new(0),
+            evict_passes_tick: AtomicU64::new(0),
+            evict_passes_reserve: AtomicU64::new(0),
         }
     }
 
@@ -484,7 +403,7 @@ impl Store {
                     .watermarks
                     .low_bytes
                     .min(capacity.saturating_sub(charge));
-                self.evict_until(target, None, u64::MAX);
+                self.evict_until(target, None, u64::MAX, &self.evict_passes_reserve);
                 self.mempool.reserve(len)
             }
         };
@@ -666,12 +585,13 @@ impl Store {
             return;
         }
         let budget = self.capacity.tick_victims.max(1) as u64;
-        let mut evicted =
-            self.evict_until(self.watermarks.low_bytes, Some((core, n_cores)), budget);
+        let low = self.watermarks.low_bytes;
+        let passes = &self.evict_passes_tick;
+        let mut evicted = self.evict_until(low, Some((core, n_cores)), budget, passes);
         if evicted == 0 {
             // This core's partitions had nothing evictable; re-measure
             // and widen to the whole store before crying foul.
-            evicted = self.evict_until(self.watermarks.low_bytes, None, budget);
+            evicted = self.evict_until(low, None, budget, passes);
             if evicted == 0 && self.mempool.used_bytes() > self.watermarks.high_bytes {
                 self.accounting_warnings.fetch_add(1, Ordering::Relaxed);
             }
@@ -681,31 +601,42 @@ impl Store {
     /// Evicts until mempool occupancy is at or under `target_used`, no
     /// victims remain, or `max_victims` were reclaimed. `owned` narrows
     /// the scan to one core's partitions (`p % n_cores == core`); `None`
-    /// scans all. Returns the number of items evicted.
+    /// scans all. Returns the number of items evicted, and counts the
+    /// call in `passes` if that is not zero.
     fn evict_until(
         &self,
         target_used: usize,
         owned: Option<(usize, usize)>,
         max_victims: u64,
+        passes: &AtomicU64,
     ) -> u64 {
         let n_parts = self.partitions.len();
-        let start = self.evict_rotor.fetch_add(1, Ordering::Relaxed);
-        let parts: Vec<usize> = match owned {
-            Some((core, n_cores)) => (core % n_cores..n_parts).step_by(n_cores).collect(),
-            None => (0..n_parts).map(|i| (start + i) % n_parts).collect(),
-        };
-        let mut evicted = 0u64;
-        'pass: while evicted < max_victims {
-            if self.mempool.used_bytes() <= target_used {
-                break;
+        let rotor = self.evict_rotor.fetch_add(1, Ordering::Relaxed);
+        // The pass visits partitions `first`, `first + stride`, ...
+        let (first, stride, count) = match owned {
+            Some((core, n_cores)) => {
+                let first = core % n_cores;
+                (
+                    first,
+                    n_cores,
+                    n_parts.saturating_sub(first).div_ceil(n_cores),
+                )
             }
+            None => (rotor % n_parts, 1, n_parts),
+        };
+        let done = |evicted| evicted >= max_victims || self.mempool.used_bytes() <= target_used;
+        let mut evicted = 0u64;
+        'pass: while !done(evicted) {
             let mut progressed = false;
-            for &p in &parts {
-                if self.mempool.used_bytes() <= target_used || evicted >= max_victims {
+            for i in 0..count {
+                if done(evicted) {
                     break 'pass;
                 }
-                for (key, _) in self.find_victims(p) {
-                    if self.mempool.used_bytes() <= target_used || evicted >= max_victims {
+                let partition = &self.partitions[(first + i * stride) % n_parts];
+                let mut hand = partition.clock_hand.lock();
+                self.find_victims(&partition.items, &mut hand);
+                for &(key, _) in &hand.candidates {
+                    if done(evicted) {
                         break;
                     }
                     if self.remove_victim(key, RemoveCause::Evict) {
@@ -718,83 +649,46 @@ impl Store {
                 break;
             }
         }
+        if evicted > 0 {
+            passes.fetch_add(1, Ordering::Relaxed);
+        }
         evicted
     }
 
-    /// Advances partition `p`'s CLOCK hand past the next victim window.
-    /// Plain CLOCK yields the first unreferenced item; size-aware CLOCK
-    /// collects a window of unreferenced candidates and yields them
-    /// largest-block-first, so the caller reclaims the big blocks and
-    /// stops before touching the small ones — the hand traffic per pass
-    /// is the same as plain CLOCK's (each slot is passed once either
-    /// way), but fewer, bigger victims satisfy the target and the
-    /// window's small items survive. Reference bits are cleared as the
-    /// hand passes (second chance), so a fully-hot partition yields a
-    /// victim on the wrap-around at the latest. Returns the candidate
-    /// keys with their charges, best victim first; empty when the
-    /// partition holds nothing evictable.
-    fn find_victims(&self, p: usize) -> Vec<(u64, usize)> {
-        let partition = &self.partitions[p];
-        let slots = &partition.items.slots;
-        let cap = slots.len();
-        if cap == 0 {
-            return Vec::new();
-        }
+    /// Advances a partition's CLOCK hand past the next victim window
+    /// (see [`ItemTable::find_cold`]), leaving the candidate keys with
+    /// their charges in `hand.candidates`, best victim first (empty
+    /// when the partition holds nothing evictable). Plain CLOCK yields
+    /// the first unreferenced item; size-aware CLOCK collects a window
+    /// of unreferenced candidates and yields them largest-block-first,
+    /// so the caller reclaims the big blocks and stops before touching
+    /// the small ones.
+    fn find_victims(&self, items: &ItemTable, hand: &mut ClockHand) {
         let window = match self.capacity.policy {
             EvictionPolicy::SizeAwareClock => self.capacity.candidate_window.max(1),
             _ => 1,
         };
-        let start = partition.clock_hand.load(Ordering::Relaxed);
-        let mut candidates: Vec<(u64, usize)> = Vec::with_capacity(window);
-        let mut steps = 0usize;
-        // Up to two sweeps: the first may only clear reference bits.
-        while steps < cap * 2 && candidates.len() < window {
-            let idx = (start + steps) % cap;
-            steps += 1;
-            let mut slot = slots[idx].lock();
-            if let Some(e) = slot.as_mut() {
-                if e.referenced {
-                    e.referenced = false;
-                } else {
-                    candidates.push((e.key, e.value.charged_bytes()));
-                }
-            }
-        }
-        partition
-            .clock_hand
-            .store((start + steps) % cap, Ordering::Relaxed);
-        candidates.sort_unstable_by_key(|&(_, charge)| std::cmp::Reverse(charge));
-        candidates
+        let words = items.find_cold(hand, window);
+        self.evict_scan_words.fetch_add(words, Ordering::Relaxed);
+        hand.candidates
+            .sort_unstable_by_key(|&(_, charge)| std::cmp::Reverse(charge));
     }
 
-    /// Scans a [`CapacityConfig::sweep_budget`]-sized window of
-    /// partition `p`'s item slots behind its rotating cursor, reclaiming
-    /// every expired item found (the active half of TTL expiry).
+    /// Visits the next [`CapacityConfig::sweep_budget`] live items
+    /// behind partition `p`'s rotating cursor, reclaiming every expired
+    /// one (the active half of TTL expiry).
     fn sweep_expired(&self, p: usize, now_ns: u64) {
         let partition = &self.partitions[p];
-        let slots = &partition.items.slots;
-        let cap = slots.len();
-        if cap == 0 {
-            return;
-        }
-        let budget = self.capacity.sweep_budget.min(cap);
         let start = partition.sweep_cursor.load(Ordering::Relaxed);
-        for step in 0..budget {
-            let idx = (start + step) % cap;
-            let expired_key = {
-                let slot = slots[idx].lock();
-                match &*slot {
-                    Some(e) if is_expired(e.expires_at, now_ns) => Some(e.key),
-                    _ => None,
+        let budget = self.capacity.sweep_budget;
+        let resume = partition
+            .items
+            .sweep_live(start, budget, |key, expires_at| {
+                if is_expired(expires_at, now_ns) {
+                    self.remove_victim(key, RemoveCause::Expire { now: now_ns });
                 }
-            };
-            if let Some(key) = expired_key {
-                self.remove_victim(key, RemoveCause::Expire { now: now_ns });
-            }
-        }
-        partition
-            .sweep_cursor
-            .store((start + budget) % cap, Ordering::Relaxed);
+            });
+        partition.sweep_cursor.store(resume, Ordering::Relaxed);
     }
 
     /// Removes `key` for the capacity subsystem — eviction or expiry —
@@ -851,9 +745,22 @@ impl Store {
     pub fn audit_charged_bytes(&self) -> usize {
         self.partitions
             .iter()
-            .flat_map(|p| p.items.slots.iter())
-            .map(|s| s.lock().as_ref().map_or(0, |e| e.value.charged_bytes()))
+            .map(|p| p.items.audit_charged_bytes())
             .sum()
+    }
+
+    /// Cross-checks the item bitmaps against the slots: an `occupied`
+    /// bit must say whether its slot holds an item, and only an
+    /// occupied slot may be referenced. Returns the number of occupied
+    /// slots, or the first `(partition, slot)` that disagrees. An audit
+    /// for a quiescent store, like [`Store::audit_charged_bytes`].
+    pub fn audit_item_bitmaps(&self) -> Result<u64, (usize, usize)> {
+        self.partitions
+            .iter()
+            .enumerate()
+            .try_fold(0, |live, (p, partition)| {
+                Ok(live + partition.items.audit_bitmaps().map_err(|slot| (p, slot))?)
+            })
     }
 
     /// Scans the chain under the writer lock for the slot holding `key`.
@@ -920,6 +827,9 @@ impl Store {
             expired_keys: self.expired_keys.load(Ordering::Relaxed),
             admission_rejects: self.admission_rejects.load(Ordering::Relaxed),
             accounting_warnings: self.accounting_warnings.load(Ordering::Relaxed),
+            evict_scan_words: self.evict_scan_words.load(Ordering::Relaxed),
+            evict_passes_tick: self.evict_passes_tick.load(Ordering::Relaxed),
+            evict_passes_reserve: self.evict_passes_reserve.load(Ordering::Relaxed),
         }
     }
 
@@ -962,6 +872,18 @@ impl minos_obs::Collector for Store {
         out.push((
             "store.accounting_warnings".to_string(),
             Counter(s.accounting_warnings),
+        ));
+        out.push((
+            "store.evict_scan_words".to_string(),
+            Counter(s.evict_scan_words),
+        ));
+        out.push((
+            "store.evict_passes.tick".to_string(),
+            Counter(s.evict_passes_tick),
+        ));
+        out.push((
+            "store.evict_passes.reserve".to_string(),
+            Counter(s.evict_passes_reserve),
         ));
         let m = self.mempool.stats();
         out.push(("mempool.allocs".to_string(), Counter(m.allocs)));
@@ -1504,5 +1426,235 @@ mod tests {
         assert!(oom > 0, "no eviction: pool exhaustion surfaces");
         assert_eq!(s.stats().evictions, 0);
         assert_eq!(s.stats().admission_rejects, 0);
+    }
+
+    // ---- The bitmap CLOCK hand against the scan it replaced ----
+
+    /// The slot-by-slot CLOCK scan the store ran before the bitmap
+    /// hand, over a plain `Vec` with the same LIFO freelist: the
+    /// reference `find_victims` is held to, victim for victim.
+    struct ScanModel {
+        /// `(key, charge, referenced)` per item slot.
+        slots: Vec<Option<(u64, usize, bool)>>,
+        freelist: Vec<u32>,
+        hand: usize,
+        /// Slots the scan visited, one lock each.
+        steps: u64,
+    }
+
+    impl ScanModel {
+        fn new(cap: usize) -> Self {
+            ScanModel {
+                slots: vec![None; cap],
+                freelist: (0..cap as u32).rev().collect(),
+                hand: 0,
+                steps: 0,
+            }
+        }
+
+        fn slot_of(&self, key: u64) -> Option<usize> {
+            self.slots
+                .iter()
+                .position(|s| s.is_some_and(|(k, ..)| k == key))
+        }
+
+        fn put(&mut self, key: u64, charge: usize) {
+            let (idx, referenced) = match self.slot_of(key) {
+                Some(idx) => (idx, true),
+                None => (
+                    self.freelist.pop().expect("model table full") as usize,
+                    false,
+                ),
+            };
+            self.slots[idx] = Some((key, charge, referenced));
+        }
+
+        fn get(&mut self, key: u64) {
+            if let Some(idx) = self.slot_of(key) {
+                self.slots[idx].as_mut().unwrap().2 = true;
+            }
+        }
+
+        fn delete(&mut self, key: u64) {
+            if let Some(idx) = self.slot_of(key) {
+                self.slots[idx] = None;
+                self.freelist.push(idx as u32);
+            }
+        }
+
+        fn find_victims(&mut self, window: usize) -> Vec<(u64, usize)> {
+            let cap = self.slots.len();
+            let start = self.hand;
+            let mut candidates: Vec<(u64, usize)> = Vec::with_capacity(window);
+            let mut steps = 0usize;
+            // Up to two sweeps: the first may only clear reference bits.
+            while steps < cap * 2 && candidates.len() < window {
+                let idx = (start + steps) % cap;
+                steps += 1;
+                if let Some((key, charge, referenced)) = self.slots[idx].as_mut() {
+                    if *referenced {
+                        *referenced = false;
+                    } else {
+                        candidates.push((*key, *charge));
+                    }
+                }
+            }
+            self.hand = (start + steps) % cap;
+            self.steps += steps as u64;
+            candidates.sort_unstable_by_key(|&(_, charge)| std::cmp::Reverse(charge));
+            candidates
+        }
+    }
+
+    /// A one-partition store whose pool never fills, so the hand moves
+    /// only when a test moves it.
+    fn hand_store(policy: EvictionPolicy, slots: usize, candidate_window: usize) -> Store {
+        Store::new(StoreConfig {
+            partitions: 1,
+            buckets_per_partition: 256,
+            overflow_per_partition: 64,
+            items_per_partition: slots,
+            mempool_bytes: 16 << 20,
+            max_value_bytes: 1 << 16,
+            capacity: CapacityConfig {
+                policy,
+                candidate_window,
+                ..CapacityConfig::default()
+            },
+        })
+    }
+
+    /// One scan of partition 0's hand, as `evict_until` runs it.
+    fn scan(s: &Store) -> Vec<(u64, usize)> {
+        let partition = &s.partitions[0];
+        let mut hand = partition.clock_hand.lock();
+        s.find_victims(&partition.items, &mut hand);
+        hand.candidates.clone()
+    }
+
+    fn assert_bits_match(s: &Store, model: &ScanModel, context: &str) {
+        // The occupied bits are held to the slots by the audit; the
+        // model says which slots those are through the reference bits.
+        assert_eq!(s.audit_item_bitmaps(), Ok(s.len()), "{context}");
+        let wanted: Vec<bool> = model
+            .slots
+            .iter()
+            .map(|slot| slot.is_some_and(|(.., r)| r))
+            .collect();
+        let referenced = s.partitions[0].items.reference_bits();
+        assert_eq!(referenced, Some(wanted), "{context}: reference bits");
+    }
+
+    fn hand_conforms(policy: EvictionPolicy, candidate_window: usize, seed: u64) {
+        // 200 slots: three full bitmap words and a partial fourth.
+        let s = hand_store(policy, 200, candidate_window);
+        let mut model = ScanModel::new(200);
+        let window = match policy {
+            EvictionPolicy::SizeAwareClock => candidate_window,
+            _ => 1,
+        };
+        let mut rng = seed;
+        let mut next = |bound: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % bound
+        };
+        for step in 0..3_000 {
+            let key = next(180);
+            let context = format!("{policy:?} window {candidate_window} seed {seed} step {step}");
+            match next(10) {
+                0..=3 => {
+                    let len = 1 + next(5_000) as usize;
+                    s.put(key, &vec![0u8; len]).unwrap();
+                    model.put(key, s.mempool().charged_bytes(len).unwrap());
+                }
+                4..=6 => {
+                    s.get(key);
+                    model.get(key);
+                }
+                7 => {
+                    s.delete(key);
+                    model.delete(key);
+                }
+                _ => {
+                    let victims = scan(&s);
+                    assert_eq!(victims, model.find_victims(window), "{context}");
+                    // Evict a prefix, as a pass that reaches its target does.
+                    let take = next(window as u64 + 1) as usize;
+                    for &(key, _) in victims.iter().take(take) {
+                        // The second sweep may name a key twice.
+                        s.remove_victim(key, RemoveCause::Evict);
+                        model.delete(key);
+                    }
+                }
+            }
+            assert_bits_match(&s, &model, &context);
+        }
+        assert!(s.stats().evictions > 0, "the hand evicted");
+    }
+
+    #[test]
+    fn bitmap_hand_names_the_old_scans_victims() {
+        for seed in 1..=8 {
+            hand_conforms(EvictionPolicy::Clock, 1, seed);
+            hand_conforms(EvictionPolicy::SizeAwareClock, 5, seed);
+            hand_conforms(EvictionPolicy::SizeAwareClock, 32, seed);
+        }
+    }
+
+    #[test]
+    fn sparse_table_scan_cost_follows_live_items() {
+        // 1 000 live items in a 100 000-slot partition, every one of
+        // them referenced: the worst case for the old scan, whose first
+        // call crossed the whole table to clear the bits.
+        let s = hand_store(EvictionPolicy::SizeAwareClock, 100_000, 32);
+        let mut model = ScanModel::new(100_000);
+        for key in 0..1_000u64 {
+            s.put(key, &[0u8; 1024]).unwrap();
+            s.get(key);
+            model.put(key, 1024);
+            model.get(key);
+        }
+        let target = s.mempool().used_bytes() - 500 * 1024;
+        let evicted = s.evict_until(target, None, u64::MAX, &s.evict_passes_reserve);
+        assert_eq!(evicted, 500);
+        let mut model_evicted = 0;
+        while model_evicted < 500 {
+            for (key, _) in model.find_victims(32) {
+                if model_evicted < 500 {
+                    model.delete(key);
+                    model_evicted += 1;
+                }
+            }
+        }
+        let stats = s.stats();
+        assert_eq!(stats.evict_passes_reserve, 1);
+        // Two turns of the 16 live words, then a word or two per call.
+        assert!(
+            stats.evict_scan_words <= 64,
+            "{} words for 500 victims",
+            stats.evict_scan_words
+        );
+        assert!(
+            model.steps >= 100 * 64,
+            "the slot-by-slot scan took {} steps",
+            model.steps
+        );
+        for key in 0..1_000u64 {
+            assert_eq!(s.get(key).is_some(), model.slot_of(key).is_some(), "{key}");
+        }
+    }
+
+    #[test]
+    fn eviction_off_keeps_no_reference_bits() {
+        let s = small_store();
+        s.put(1, b"v").unwrap();
+        s.get(1);
+        assert!(s
+            .partitions
+            .iter()
+            .all(|p| p.items.reference_bits().is_none()));
+        assert_eq!(s.audit_item_bitmaps(), Ok(1));
     }
 }

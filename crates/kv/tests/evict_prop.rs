@@ -7,6 +7,8 @@
 //!   whole reservation, every expiry too);
 //! * an expired key is never served;
 //! * a served value is always the last value written for that key;
+//! * the item bitmaps agree with the slots — one `occupied` bit per
+//!   live item, and no reference bit on an empty slot;
 //! * draining the store returns the pool to zero.
 
 use minos_kv::{CapacityConfig, EvictionPolicy, Store, StoreConfig};
@@ -150,6 +152,8 @@ fn run_interleaving(policy: EvictionPolicy, ops: &[Op]) -> Result<(), TestCaseEr
         // The accounting invariant, cross-checked after *every* op:
         // bytes charged to live items == bytes the pool thinks are out.
         prop_assert_eq!(store.audit_charged_bytes(), store.mempool().used_bytes());
+        // popcount(occupied) == live items, and referenced ⊆ occupied.
+        prop_assert_eq!(store.audit_item_bitmaps(), Ok(store.len()));
     }
 
     prop_assert_eq!(

@@ -638,49 +638,19 @@ fn preload(args: &Args, dataset: &Dataset) {
     let (_preload_transport, _no_faults, mut preload_client) =
         make_client(args, 99 + args.clients, false);
     let t0 = Instant::now();
-    let no_replies = |client: &Client| -> ! {
+    if let Err(stalled) = minos::preload::preload(&mut preload_client, dataset, args.keys) {
         eprintln!(
             "error: preload lost {} replies after {}s — is the server running with --cores={} at the target address?",
-            client.totals().outstanding(),
+            stalled.outstanding,
             t0.elapsed().as_secs(),
             args.queues,
         );
         std::process::exit(1);
-    };
-    let mut preloaded = 0u64;
-    // A stall deadline keyed to *progress*, not wall time: a large
-    // --keys preload against a healthy server may legitimately take
-    // minutes, while a dead target should be diagnosed in seconds.
-    let mut last_completed = 0u64;
-    let mut last_progress = t0;
-    for key in 0..args.keys {
-        let size = dataset.size_of(key) as usize;
-        let value = vec![(key % 251) as u8; size];
-        preload_client.send_put(key, &value, size > minos::wire::MAX_FRAG_CHUNK);
-        preloaded += 1;
-        // Keep the pipe shallow: replies are drained as we go, so
-        // the preload can't overrun server rings. Bail out instead
-        // of spinning forever when replies stop coming back.
-        if preloaded.is_multiple_of(64) {
-            while preload_client.totals().outstanding() > 256 {
-                preload_client.poll();
-                let completed = preload_client.totals().completed;
-                if completed > last_completed {
-                    last_completed = completed;
-                    last_progress = Instant::now();
-                } else if last_progress.elapsed() > Duration::from_secs(5) {
-                    no_replies(&preload_client);
-                }
-            }
-        }
-    }
-    if !preload_client.drain(Duration::from_secs(30)) {
-        no_replies(&preload_client);
     }
     human!(
         args,
         "preload: {} PUTs in {:.2}s ({} errors)",
-        preloaded,
+        args.keys,
         t0.elapsed().as_secs_f64(),
         preload_client.totals().errors,
     );

@@ -646,21 +646,12 @@ fn bind_client(
 /// PUTs every dataset key at its profiled size so measured GETs hit.
 fn preload(cfg: &SweepConfig, policy: Policy, server_port: u16, dataset: &Dataset) {
     let (_transport, mut client) = bind_client(cfg, policy, server_port, 99, false);
-    for key in 0..cfg.keys {
-        let size = dataset.size_of(key) as usize;
-        let value = vec![(key % 251) as u8; size];
-        client.send_put(key, &value, size > crate::wire::MAX_FRAG_CHUNK);
-        // Keep the pipe shallow so the preload never overruns sockets.
-        if key % 64 == 63 {
-            while client.totals().outstanding() > 256 {
-                client.poll();
-            }
-        }
+    if let Err(stalled) = crate::preload::preload(&mut client, dataset, cfg.keys) {
+        panic!(
+            "preload lost {} replies — server not draining?",
+            stalled.outstanding
+        );
     }
-    assert!(
-        client.drain(Duration::from_secs(30)),
-        "preload lost replies — server not draining?"
-    );
     // An error reply still drains, so a preload whose PUTs bounce (e.g.
     // values past the store's per-value cap) would otherwise silently
     // yield a dataset with no large keys — and a meaningless sweep.

@@ -53,6 +53,7 @@
 //! harnesses that regenerate every table and figure of the evaluation.
 
 pub mod figures;
+pub mod preload;
 pub mod report;
 
 pub use minos_baselines as baselines;

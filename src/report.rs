@@ -182,6 +182,15 @@ pub fn server_exit_report(drained: bool, snap: &Snapshot) -> String {
             "accounting_warnings",
             counter(snap, "store.accounting_warnings"),
         )
+        .u64("evict_scan_words", counter(snap, "store.evict_scan_words"))
+        .u64(
+            "evict_passes_tick",
+            counter(snap, "store.evict_passes.tick"),
+        )
+        .u64(
+            "evict_passes_reserve",
+            counter(snap, "store.evict_passes.reserve"),
+        )
         .u64("used_bytes", gauge(snap, "mempool.used_bytes") as u64)
         .f64("occupancy", gauge(snap, "mempool.occupancy"), 6)
         .u64(

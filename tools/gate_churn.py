@@ -12,6 +12,9 @@ asserts the capacity-tiering contract:
   reservation time, so not even the fill phase may bounce a write
   (``ingest.put_failures == 0``);
 * the eviction machinery demonstrably ran (``capacity.evictions > 0``);
+* the CLOCK hand's work followed its victims, not the table
+  (``capacity.evict_scan_words / capacity.evictions <= 64`` bitmap
+  words per victim — a count, so it holds on any host);
 * the accounting cross-check never fired
   (``capacity.accounting_warnings == 0``) and occupancy ended at or
   under the pool's capacity;
@@ -54,6 +57,12 @@ def main() -> int:
     oom = srv["ingest"]["put_failures"]
     gate(oom == 0, f"OOM gate: {oom} PUTs failed at the reservation")
     gate(cap["evictions"] > 0, "eviction gate: the store never evicted")
+    words = cap["evict_scan_words"]
+    gate(
+        words <= 64 * cap["evictions"],
+        f"work-bound gate: {words} bitmap words scanned for "
+        f"{cap['evictions']} victims (> 64 per victim)",
+    )
     warnings = cap["accounting_warnings"]
     gate(warnings == 0, f"accounting gate: {warnings} cross-check warnings")
     gate(
@@ -74,7 +83,8 @@ def main() -> int:
         return 1
     print(
         f"churn gates passed: 0 OOM PUTs, {cap['evictions']} evictions "
-        f"({cap['evicted_bytes']} B), {cap['expired_keys']} expiries, "
+        f"({cap['evicted_bytes']} B, {words / max(cap['evictions'], 1):.2f} "
+        f"words scanned per victim), {cap['expired_keys']} expiries, "
         f"0 accounting warnings, occupancy {cap['occupancy']:.3f}, "
         f"{hr:.4f} pool hit rate, 0 tx bytes copied"
     )
