@@ -1,13 +1,17 @@
 //! Criterion microbenchmarks of the substrates on the datapath:
 //! KV GET/PUT, RSS hashing, zipfian sampling, histogram updates,
-//! fragmentation round trips and NIC ring bursts.
+//! fragmentation round trips, NIC ring bursts and real-UDP loopback
+//! sends and receives (one datagram; a 500 KB reply's 344 fragments).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use minos_kv::{CapacityConfig, EvictionPolicy, Store, StoreConfig};
+use minos_net::{Transport, UdpConfig, UdpTransport};
 use minos_nic::{NicConfig, RssHasher, VirtualNic};
 use minos_stats::SizeHistogram;
-use minos_wire::frag::fragment_with_id;
-use minos_wire::packet::{build_frame, parse_frame, Endpoint};
+use minos_wire::frag::{fragment_frame_with_id, fragment_with_id};
+use minos_wire::message::{Body, Message, ReplyStatus};
+use minos_wire::packet::{build_frame, parse_frame, synthesize_frame, Endpoint, Packet, TxPacket};
+use minos_wire::TxFrame;
 use minos_workload::{Rng, Zipf};
 use std::hint::black_box;
 
@@ -129,6 +133,88 @@ fn bench_wire(c: &mut Criterion) {
     c.bench_function("wire/fragment_100kb", |b| {
         b.iter(|| black_box(fragment_with_id(black_box(1), black_box(&big))))
     });
+    // Every request and every reply fragment starts from one of these.
+    c.bench_function("wire/txframe_new", |b| b.iter(|| black_box(TxFrame::new())));
+}
+
+/// Polls `t` until `want` datagrams arrived. Loopback loses nothing
+/// that fits the receive buffer, so a stall is a bug, not noise.
+fn rx_exactly(t: &UdpTransport, want: usize) -> Vec<Packet> {
+    let mut out = Vec::with_capacity(want);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while out.len() < want {
+        let room = want - out.len();
+        t.rx_burst(0, &mut out, room);
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{} of {want}",
+            out.len()
+        );
+    }
+    out
+}
+
+/// Real kernel UDP over loopback, the path every request and reply
+/// takes: one small datagram there (send + receive together), and the
+/// 344 fragments of a 500 KB GET reply with the send and the receive
+/// half timed separately.
+fn bench_net_loopback(c: &mut Criterion) {
+    static PORTS: minos_net::testport::TestPorts =
+        minos_net::testport::TestPorts::new(40_000, 41_600);
+    let server = UdpTransport::bind(UdpConfig::loopback(PORTS.alloc(8), 1)).expect("bind");
+    let client = UdpTransport::bind_client(std::net::Ipv4Addr::LOCALHOST).expect("bind");
+    let (src, dst) = (client.local_endpoint(0), server.local_endpoint(0));
+    let fragments = |value_len: usize| -> Vec<TxPacket> {
+        let reply = Message {
+            client_id: 1,
+            request_id: 1,
+            client_ts_ns: 0,
+            body: Body::GetReply {
+                status: ReplyStatus::Ok,
+                key: 1,
+                value: vec![0x5Au8; value_len].into(),
+            },
+        };
+        fragment_frame_with_id(1, &reply.encode_frame())
+            .into_iter()
+            .map(|frag| synthesize_frame(src, dst, frag))
+            .collect()
+    };
+
+    let single = fragments(64);
+    assert_eq!(single.len(), 1);
+    c.bench_function("net/loopback_single", |b| {
+        b.iter(|| {
+            assert_eq!(client.tx_frames(0, &mut single.clone()), 1);
+            black_box(rx_exactly(&server, 1))
+        })
+    });
+
+    let message = fragments(500_000);
+    let n = message.len();
+    assert_eq!(n, 344);
+    c.bench_function("net/loopback_msg_500k/tx", |b| {
+        b.iter_batched(
+            || {
+                // The previous message must be out of the receive
+                // buffer, or this one is (cheaply) dropped into it.
+                let mut sink = Vec::new();
+                while server.rx_burst(0, &mut sink, 512) > 0 {
+                    sink.clear();
+                }
+                message.clone()
+            },
+            |mut burst| assert_eq!(client.tx_frames(0, &mut burst), n),
+            BatchSize::PerIteration,
+        );
+    });
+    c.bench_function("net/loopback_msg_500k/rx", |b| {
+        b.iter_batched(
+            || assert_eq!(client.tx_frames(0, &mut message.clone()), n),
+            |()| black_box(rx_exactly(&server, n)),
+            BatchSize::PerIteration,
+        )
+    });
 }
 
 fn bench_nic(c: &mut Criterion) {
@@ -152,7 +238,7 @@ fn bench_nic(c: &mut Criterion) {
 criterion_group!(
     name = micro;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_kv, bench_rss, bench_zipf, bench_hist, bench_wire, bench_nic
+    targets = bench_kv, bench_rss, bench_zipf, bench_hist, bench_wire, bench_nic, bench_net_loopback
 );
 // Only the routine is timed, and the eviction benches' untimed setup is
 // a hundred times their routine: 20 ms of passes is ~2 s of wall time.

@@ -23,11 +23,14 @@ impl<T: AsRef<[u8]> + Send + Sync> ByteOwner for T {
     }
 }
 
-/// Storage behind a [`Bytes`] window: either a plain shared slice or a
+/// Storage behind a [`Bytes`] window: a borrowed `'static` slice (no
+/// allocation, no refcount — what [`Bytes::new`] and
+/// [`Bytes::from_static`] build), a plain shared slice, or a
 /// caller-supplied owner whose `Drop` reclaims the buffer (buffer
 /// pools use this to return slots when the last clone drops).
 #[derive(Clone)]
 enum Repr {
+    Static(&'static [u8]),
     Shared(Arc<[u8]>),
     Owned(Arc<dyn ByteOwner>),
 }
@@ -44,17 +47,16 @@ pub struct Bytes {
 }
 
 impl Bytes {
-    /// An empty buffer.
-    pub fn new() -> Self {
+    /// An empty buffer. Allocation-free.
+    pub const fn new() -> Self {
         Bytes::from_static(&[])
     }
 
-    /// Builds a buffer from a static slice. Unlike the real `bytes`
-    /// crate this copies the data into the shared allocation (one-time
-    /// cost at construction; clones and slices stay O(1)).
-    pub fn from_static(s: &'static [u8]) -> Self {
+    /// Builds a buffer that borrows a static slice: no allocation and
+    /// no copy, like the real `bytes` crate.
+    pub const fn from_static(s: &'static [u8]) -> Self {
         Bytes {
-            data: Repr::Shared(Arc::from(s)),
+            data: Repr::Static(s),
             start: 0,
             end: s.len(),
         }
@@ -125,6 +127,7 @@ impl Bytes {
     /// The window as a slice.
     pub fn as_slice(&self) -> &[u8] {
         let full: &[u8] = match &self.data {
+            Repr::Static(data) => data,
             Repr::Shared(data) => data,
             Repr::Owned(owner) => owner.as_bytes(),
         };
@@ -504,6 +507,20 @@ mod tests {
         let a = Bytes::from(vec![1, 2, 3]);
         let b = Bytes::copy_from_slice(&[0, 1, 2, 3]).slice(1..);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn static_buffers_borrow_instead_of_allocating() {
+        static DATA: [u8; 5] = *b"hello";
+        let b = Bytes::from_static(&DATA);
+        // The window points at the static itself: nothing was copied
+        // into a shared allocation, for the buffer or for its slices.
+        assert_eq!(b.as_ptr(), DATA.as_ptr());
+        assert_eq!(b.clone().slice(1..4).as_ptr(), DATA[1..].as_ptr());
+        assert_eq!(&b.slice(1..4)[..], b"ell");
+        assert!(matches!(Bytes::new().data, Repr::Static(_)));
+        assert!(Bytes::new().is_empty());
+        assert_eq!(Bytes::default(), Bytes::from_static(b""));
     }
 
     #[test]

@@ -31,7 +31,7 @@ use minos_net::{Transport, VirtualClientTransport};
 use minos_stats::LatencyHistogram;
 use minos_wire::frag::{FragHeader, FragmentWriter, Fragmenter, Streamed, StreamingReassembler};
 use minos_wire::message::{Body, Message, OpKind, ReplyStatus, MSG_HEADER_LEN};
-use minos_wire::packet::{synthesize_frame, Endpoint, TxPacket};
+use minos_wire::packet::{synthesize_frame, Endpoint, Packet, TxPacket};
 use minos_wire::TxFrame;
 use minos_workload::{OpSpec, Operation, Rng};
 use std::collections::HashMap;
@@ -302,6 +302,10 @@ pub struct Client {
     /// of polluting `unmatched`. Bounded FIFO ring.
     dup_ring: std::collections::VecDeque<u64>,
     dup_set: std::collections::HashSet<u64>,
+    /// Receive scratch of [`Client::poll`], empty between polls: kept
+    /// for its capacity, so a poll that finds packets allocates nothing
+    /// to hold them.
+    rx_scratch: Vec<Packet>,
 }
 
 /// Capacity of the duplicate-reply recognition ring.
@@ -384,6 +388,7 @@ impl Client {
             backoff_until_ns: 0,
             dup_ring: std::collections::VecDeque::new(),
             dup_set: std::collections::HashSet::new(),
+            rx_scratch: Vec::new(),
         }
     }
 
@@ -835,7 +840,7 @@ impl Client {
     /// them; returns completions observed in this poll.
     pub fn poll(&mut self) -> Vec<Completion> {
         let mut out = Vec::new();
-        let mut pkts = Vec::new();
+        let mut pkts = std::mem::take(&mut self.rx_scratch);
         self.transport.rx_burst(0, &mut pkts, 4096);
         for pkt in pkts.drain(..) {
             // Filter by destination port: over UDP the kernel already
@@ -886,6 +891,7 @@ impl Client {
                 _ => self.totals.unmatched += 1,
             }
         }
+        self.rx_scratch = pkts;
         self.advance_reassembly_round();
         self.scan_pending();
         out

@@ -1430,14 +1430,17 @@ pub fn transmit_message<T: Transport + ?Sized>(
         .into_iter()
         .map(|frag| synthesize_frame(src, dst, frag))
         .collect();
-    if let [only] = burst.as_slice() {
-        // Single-fragment replies (the overwhelming majority): no
-        // per-fragment bookkeeping allocation on the latency path.
-        let wire = only.wire_len() as u64;
-        let sent = transport.tx_frames(tx_queue, &mut burst);
-        return (sent as u64, if sent == 1 { wire } else { 0 });
-    }
-    let wire_lens: Vec<u64> = burst.iter().map(|p| p.wire_len() as u64).collect();
+    // Every fragment but the last carries a full chunk, so the bytes of
+    // any accepted prefix follow from two lengths — no per-fragment
+    // bookkeeping on the latency path, whatever the reply's size.
+    let n = burst.len();
+    let full = burst[0].wire_len() as u64;
+    let last = burst[n - 1].wire_len() as u64;
     let sent = transport.tx_frames(tx_queue, &mut burst);
-    (sent as u64, wire_lens[..sent].iter().sum())
+    let bytes = if sent == n {
+        (n as u64 - 1) * full + last
+    } else {
+        sent as u64 * full
+    };
+    (sent as u64, bytes)
 }

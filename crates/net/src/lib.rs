@@ -19,8 +19,10 @@
 //!   clients still address a specific RX queue by destination port,
 //!   preserving the paper's client-addresses-queue model. Bursts move
 //!   through batched `recvmmsg`/`sendmmsg` syscalls ([`batch`]) — the
-//!   kernel-sockets analog of the paper's §4.1 DPDK bursts — with a
-//!   runtime-detected one-datagram fallback.
+//!   kernel-sockets analog of the paper's §4.1 DPDK bursts — and runs
+//!   of equal-length fragments cross the stack as single
+//!   `UDP_SEGMENT`/`UDP_GRO` trains, each with a runtime-detected
+//!   fallback (one datagram per message, one datagram per syscall).
 //! * [`pool`] — the slab-backed RX buffer pool: `recvmmsg`/`recv_from`
 //!   land datagrams directly in pooled, refcounted buffers that return
 //!   to the slab when the engine drops the payload, making the
@@ -58,6 +60,8 @@ mod virt;
 
 pub use fault::{DirectionFaults, FaultProfile, FaultStats, FaultTransport};
 pub use pool::{BufferPool, PoolStats, PooledBuf};
+#[doc(hidden)]
+pub use sys::set_offload_available;
 pub use transport::{Transport, TransportStats};
 pub use udp::{endpoint_for, UdpConfig, UdpIoStats, UdpTransport, DEFAULT_SYSCALL_BATCH};
 pub use virt::{VirtualClientTransport, VirtualTransport};

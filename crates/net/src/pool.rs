@@ -13,10 +13,10 @@
 //! Design:
 //!
 //! * [`BufferPool::new`] / [`BufferPool::sharded`] allocate `slots`
-//!   fixed-size boxed buffers up front (the slab) and distribute them
-//!   over per-shard freelists — one shard per RX queue on the UDP
-//!   backend, so concurrently polling cores stop bouncing one shared
-//!   mutex cache line on every take.
+//!   fixed-size buffers up front (the slab: one zeroed allocation,
+//!   carved) and distribute them over per-shard freelists — one shard
+//!   per RX queue on the UDP backend, so concurrently polling cores
+//!   stop bouncing one shared mutex cache line on every take.
 //! * [`BufferPool::take_on`] pops a slot from the caller's shard
 //!   ([`PooledBuf`], mutably accessible — the syscall target). An empty
 //!   shard *steals* from its neighbors (counted in
@@ -39,6 +39,7 @@
 //! so the pool cannot shrink either.
 
 use bytes::Bytes;
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -47,7 +48,9 @@ use std::sync::{Arc, Mutex};
 /// `outstanding` counts *delivered* payloads (frozen buffers) whose
 /// last reference has not dropped yet — it returns to zero once the
 /// application has released every received datagram, so a non-zero
-/// steady-state value is a payload leak. Writable slots staged inside
+/// steady-state value is a payload leak. Payloads that share one
+/// buffer (the datagrams of a train, [`PooledBuf::freeze_shared`]) all
+/// count until that buffer is released. Writable slots staged inside
 /// syscall arenas (checked out but not yet filled by the kernel) are
 /// deliberately excluded.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -61,7 +64,8 @@ pub struct PoolStats {
     /// distribution across queues has shifted; the pool rebalances
     /// itself because slots recycle to the shard that took them.
     pub steals: u64,
-    /// Delivered (frozen) buffers not yet returned by drop.
+    /// Delivered payloads whose (frozen) buffer has not yet been
+    /// returned by drop.
     pub outstanding: u64,
     /// Slab capacity the pool was created with.
     pub capacity: u64,
@@ -72,6 +76,18 @@ impl PoolStats {
     /// the pool has never been used.
     pub fn hit_rate(&self) -> f64 {
         hit_rate(self.hits, self.misses)
+    }
+
+    /// Field-wise sum: the one set of `pool.*` gauges a transport with
+    /// two slabs (MTU slots and train spill buffers) reports.
+    pub fn merged(self, other: PoolStats) -> PoolStats {
+        PoolStats {
+            hits: self.hits + other.hits,
+            misses: self.misses + other.misses,
+            steals: self.steals + other.steals,
+            outstanding: self.outstanding + other.outstanding,
+            capacity: self.capacity + other.capacity,
+        }
     }
 }
 
@@ -86,8 +102,88 @@ pub fn hit_rate(hits: u64, misses: u64) -> f64 {
     }
 }
 
+/// The slab: one zero-initialised allocation carved into equal slots.
+/// One allocation rather than one per slot because a multi-megabyte
+/// zeroed request is served by fresh zero pages that become resident
+/// only once written — so a pool sized for the worst burst (the train
+/// spill buffers above all: 64 KiB each, most never filled past their
+/// first pages) costs address space, not memory.
+struct Slab {
+    base: *mut [u8],
+}
+
+impl Slab {
+    fn new(len: usize) -> Slab {
+        Slab {
+            base: Box::into_raw(vec![0u8; len].into_boxed_slice()),
+        }
+    }
+}
+
+// SAFETY: the slab is only an owner: nothing reads or writes through
+// `base` (all access goes through the carved `Buf::Slot`s), and the
+// one use of it — freeing, in `Drop` — may happen on any thread.
+unsafe impl Send for Slab {}
+// SAFETY: as above; `&Slab` offers no access to the bytes.
+unsafe impl Sync for Slab {}
+
+impl Drop for Slab {
+    fn drop(&mut self) {
+        // SAFETY: `base` came from `Box::into_raw` and is freed only here.
+        drop(unsafe { Box::from_raw(self.base) });
+    }
+}
+
+/// One pool buffer: a slot of the [`Slab`], or a heap allocation made
+/// when every freelist was empty. Exclusively owned by its holder
+/// either way.
+enum Buf {
+    /// `len` bytes at `ptr`, inside the slab of the [`Shared`] this
+    /// buffer circulates in. Valid while that `Shared` lives — which
+    /// every holder guarantees: the freelists are fields of it, and
+    /// [`PooledBuf`] / [`PooledBytes`] each hold an `Arc` to it.
+    Slot {
+        ptr: NonNull<u8>,
+        len: usize,
+    },
+    Heap(Box<[u8]>),
+}
+
+// SAFETY: slab slots are disjoint and each is handed out exactly once
+// (carved in `BufferPool::sharded`, then only ever moved), so a `Buf`
+// owns its bytes like a `Box` does and may cross threads like one.
+unsafe impl Send for Buf {}
+// SAFETY: as above; `&Buf` only gives `&[u8]`.
+unsafe impl Sync for Buf {}
+
+impl Buf {
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            // SAFETY: the slot is live (see `Buf::Slot`) and ours alone.
+            Buf::Slot { ptr, len } => unsafe { std::slice::from_raw_parts(ptr.as_ptr(), *len) },
+            Buf::Heap(buf) => buf,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [u8] {
+        match self {
+            // SAFETY: as in `as_slice`, and `&mut self` makes it unique.
+            Buf::Slot { ptr, len } => unsafe { std::slice::from_raw_parts_mut(ptr.as_ptr(), *len) },
+            Buf::Heap(buf) => buf,
+        }
+    }
+}
+
+impl Default for Buf {
+    /// An empty buffer (what `mem::take` leaves behind); allocates
+    /// nothing.
+    fn default() -> Self {
+        Buf::Heap(Box::default())
+    }
+}
+
 struct Shard {
-    free: Mutex<Vec<Box<[u8]>>>,
+    free: Mutex<Vec<Buf>>,
     /// Buffers this shard's freelist may hold; the caps sum to the
     /// pool's slab size, so the pool as a whole stays bounded without
     /// any cross-shard counter (a global atomic would either race with
@@ -100,6 +196,8 @@ struct Shared {
     slot_len: usize,
     capacity: usize,
     shards: Vec<Shard>,
+    /// Backs every `Buf::Slot`; never read directly.
+    _slab: Slab,
     hits: AtomicU64,
     misses: AtomicU64,
     steals: AtomicU64,
@@ -111,7 +209,7 @@ impl Shared {
     /// shards when it is at capacity — only a buffer no shard has room
     /// for (a fallback allocation from a burst) goes back to the
     /// allocator, so the pool never shrinks below its slab.
-    fn recycle(&self, home: usize, buf: Box<[u8]>) {
+    fn recycle(&self, home: usize, buf: Buf) {
         let n = self.shards.len();
         for i in 0..n {
             let shard = &self.shards[(home + i) % n];
@@ -123,7 +221,7 @@ impl Shared {
         }
     }
 
-    fn pop(&self, shard: usize) -> Option<Box<[u8]>> {
+    fn pop(&self, shard: usize) -> Option<Buf> {
         self.shards[shard]
             .free
             .lock()
@@ -178,6 +276,13 @@ impl BufferPool {
         let slots = slots.max(1);
         let shards = shards.clamp(1, slots);
         assert!(slot_len > 0, "slots must hold at least one byte");
+        let slab = Slab::new(slots * slot_len);
+        let mut carved = (0..slots).map(|i| Buf::Slot {
+            // SAFETY: slot `i` lies inside the `slots * slot_len`-byte
+            // slab, whose base is non-null (it came from a `Box`).
+            ptr: unsafe { NonNull::new_unchecked((slab.base as *mut u8).add(i * slot_len)) },
+            len: slot_len,
+        });
         let lists: Vec<Shard> = (0..shards)
             .map(|s| {
                 // Distribute the slab evenly: shard s gets the base
@@ -185,11 +290,7 @@ impl BufferPool {
                 // cap equals its share so the caps sum to `slots`.
                 let share = slots / shards + usize::from(s < slots % shards);
                 Shard {
-                    free: Mutex::new(
-                        (0..share)
-                            .map(|_| vec![0u8; slot_len].into_boxed_slice())
-                            .collect(),
-                    ),
+                    free: Mutex::new(carved.by_ref().take(share).collect()),
                     cap: share,
                 }
             })
@@ -199,6 +300,7 @@ impl BufferPool {
                 slot_len,
                 capacity: slots,
                 shards: lists,
+                _slab: slab,
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 steals: AtomicU64::new(0),
@@ -240,7 +342,7 @@ impl BufferPool {
             }
             None => {
                 self.shared.misses.fetch_add(1, Ordering::Relaxed);
-                vec![0u8; self.shared.slot_len].into_boxed_slice()
+                Buf::Heap(vec![0u8; self.shared.slot_len].into_boxed_slice())
             }
         };
         PooledBuf {
@@ -277,7 +379,7 @@ impl BufferPool {
 /// [`Bytes`] or drop it unused — both return the slot eventually.
 pub struct PooledBuf {
     /// Always `Some` until `freeze`/`Drop` takes it.
-    buf: Option<Box<[u8]>>,
+    buf: Option<Buf>,
     /// Shard the slot recycles to.
     home: usize,
     shared: Arc<Shared>,
@@ -292,7 +394,10 @@ impl std::fmt::Debug for PooledBuf {
 impl PooledBuf {
     /// The whole writable slot.
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        self.buf.as_mut().expect("buffer present until consumed")
+        self.buf
+            .as_mut()
+            .expect("buffer present until consumed")
+            .as_mut_slice()
     }
 
     /// Base pointer of the slot (for iovec construction). Stable for
@@ -307,6 +412,7 @@ impl PooledBuf {
         self.buf
             .as_ref()
             .expect("buffer present until consumed")
+            .as_slice()
             .len()
     }
 
@@ -319,13 +425,26 @@ impl PooledBuf {
     /// its first `len` bytes — no copy. The slot returns to the pool
     /// (and leaves the `outstanding` gauge) when the last clone/slice
     /// of the returned `Bytes` drops.
-    pub fn freeze(mut self, len: usize) -> Bytes {
+    pub fn freeze(self, len: usize) -> Bytes {
+        self.freeze_shared(len, 1)
+    }
+
+    /// [`PooledBuf::freeze`] for a buffer the kernel filled with a
+    /// whole train: the returned `Bytes` is about to be sliced into
+    /// `payloads` delivered datagrams, and the `outstanding` gauge
+    /// counts every one of them until the buffer they share comes
+    /// home — so the gauge keeps meaning "delivered payloads not yet
+    /// released" however the datagrams were packed on arrival.
+    pub fn freeze_shared(mut self, len: usize, payloads: u64) -> Bytes {
         let buf = self.buf.take().expect("buffer present until consumed");
-        let len = len.min(buf.len());
-        self.shared.outstanding.fetch_add(1, Ordering::Relaxed);
+        let len = len.min(buf.as_slice().len());
+        self.shared
+            .outstanding
+            .fetch_add(payloads, Ordering::Relaxed);
         Bytes::from_owner(PooledBytes {
             buf,
             len,
+            payloads,
             home: self.home,
             shared: Arc::clone(&self.shared),
         })
@@ -345,21 +464,26 @@ impl Drop for PooledBuf {
 /// The owner behind a frozen pooled [`Bytes`]: keeps the slot alive
 /// while any clone/slice exists, returns it to its shard on drop.
 struct PooledBytes {
-    buf: Box<[u8]>,
+    buf: Buf,
     len: usize,
+    /// Delivered payloads sharing this buffer (what `outstanding`
+    /// was charged at freeze time).
+    payloads: u64,
     home: usize,
     shared: Arc<Shared>,
 }
 
 impl AsRef<[u8]> for PooledBytes {
     fn as_ref(&self) -> &[u8] {
-        &self.buf[..self.len]
+        &self.buf.as_slice()[..self.len]
     }
 }
 
 impl Drop for PooledBytes {
     fn drop(&mut self) {
-        self.shared.outstanding.fetch_sub(1, Ordering::Relaxed);
+        self.shared
+            .outstanding
+            .fetch_sub(self.payloads, Ordering::Relaxed);
         self.shared
             .recycle(self.home, std::mem::take(&mut self.buf));
     }
@@ -389,6 +513,24 @@ mod tests {
         assert_eq!(s.outstanding, 0);
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 0);
+    }
+
+    #[test]
+    fn shared_freeze_counts_every_payload_until_the_buffer_returns() {
+        let pool = BufferPool::new(1, 16);
+        let train = pool.take().freeze_shared(12, 3);
+        assert_eq!(pool.stats().outstanding, 3);
+        let parts: Vec<Bytes> = (0..3).map(|i| train.slice(i * 4..(i + 1) * 4)).collect();
+        drop(train);
+        drop(parts[0].clone());
+        assert_eq!(
+            pool.stats().outstanding,
+            3,
+            "the buffer is out as long as any of its payloads is"
+        );
+        drop(parts);
+        assert_eq!(pool.stats().outstanding, 0);
+        assert_eq!(pool.shared.free_len(), 1);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Raw kernel plumbing for the UDP backend: socket creation with
-//! `SO_REUSEPORT` (which `std` cannot express) and the batched
+//! `SO_REUSEPORT` (which `std` cannot express), the batched
 //! `recvmmsg`/`sendmmsg` syscalls (the kernel-sockets analog of DPDK RX/TX
 //! bursts, paper §4.1 "requests are moved in batches to further limit
-//! overhead").
+//! overhead"), and UDP segmentation offload (`UDP_SEGMENT` / `UDP_GRO`,
+//! the analog of the NIC sending a large reply as one multi-packet
+//! train).
 //!
 //! Everything speaks to the C library directly — the toolchain links libc
 //! anyway, so no external crate is needed in this offline build
@@ -31,11 +33,17 @@ mod linux {
     const SO_SNDBUF: i32 = 7;
     const SO_RCVBUF: i32 = 8;
     const SO_REUSEPORT: i32 = 15;
+    const SOL_UDP: i32 = 17;
+    const UDP_SEGMENT: i32 = 103;
+    const UDP_GRO: i32 = 104;
 
     /// Non-blocking flag for one `recvmmsg`/`sendmmsg` call.
     pub const MSG_DONTWAIT: i32 = 0x40;
 
+    const EIO: i32 = 5;
+    const EINVAL: i32 = 22;
     const ENOSYS: i32 = 38;
+    const ENOPROTOOPT: i32 = 92;
     const EOPNOTSUPP: i32 = 95;
 
     /// IPv4 socket address in kernel layout (`struct sockaddr_in`).
@@ -89,6 +97,14 @@ mod linux {
         pub iov_len: usize,
     }
 
+    impl IoVec {
+        /// A null entry (arenas pre-fill their tables with it).
+        pub const EMPTY: IoVec = IoVec {
+            iov_base: std::ptr::null_mut(),
+            iov_len: 0,
+        };
+    }
+
     /// `struct msghdr`.
     #[derive(Clone, Copy)]
     #[repr(C)]
@@ -101,12 +117,69 @@ mod linux {
         pub msg_iov: *mut IoVec,
         /// Number of iovec entries.
         pub msg_iovlen: usize,
-        /// Ancillary data (unused: null).
-        pub msg_control: *mut u8,
+        /// Ancillary data: null, or one [`Cmsg`].
+        pub msg_control: *mut Cmsg,
         /// Ancillary data length.
         pub msg_controllen: usize,
         /// Flags on the received message.
         pub msg_flags: i32,
+    }
+
+    /// One ancillary-data record carrying a single integer: `struct
+    /// cmsghdr` plus its payload, padded to `CMSG_SPACE`. Sends use it
+    /// for `UDP_SEGMENT` (a `u16` segment size), receives get
+    /// `UDP_GRO` back in it (an `int` segment size).
+    #[derive(Clone, Copy)]
+    #[repr(C)]
+    pub struct Cmsg {
+        cmsg_len: usize,
+        cmsg_level: i32,
+        cmsg_type: i32,
+        data: [u8; 8],
+    }
+
+    impl Cmsg {
+        /// An empty record (receive slots start from this).
+        pub const ZERO: Cmsg = Cmsg {
+            cmsg_len: 0,
+            cmsg_level: 0,
+            cmsg_type: 0,
+            data: [0; 8],
+        };
+
+        /// `CMSG_LEN(0)`: the header alone.
+        const HDR_LEN: usize = std::mem::size_of::<usize>() + 2 * std::mem::size_of::<i32>();
+
+        /// The `UDP_SEGMENT` record asking the kernel to cut this
+        /// message's payload into datagrams of `segment` bytes (the
+        /// last may be shorter).
+        pub fn udp_segment(segment: u16) -> Cmsg {
+            let mut data = [0u8; 8];
+            data[..2].copy_from_slice(&segment.to_ne_bytes());
+            Cmsg {
+                cmsg_len: Self::HDR_LEN + 2,
+                cmsg_level: SOL_UDP,
+                cmsg_type: UDP_SEGMENT,
+                data,
+            }
+        }
+
+        /// The segment size a `UDP_GRO` receive reported, if the kernel
+        /// wrote one (`controllen` is the header's `msg_controllen`
+        /// after the call): the payload is then a train of datagrams
+        /// of that many bytes each, the last possibly shorter.
+        pub fn udp_gro_segment(&self, controllen: usize) -> Option<usize> {
+            let int = std::mem::size_of::<i32>();
+            if controllen < Self::HDR_LEN + int
+                || self.cmsg_len < Self::HDR_LEN + int
+                || self.cmsg_level != SOL_UDP
+                || self.cmsg_type != UDP_GRO
+            {
+                return None;
+            }
+            let size = i32::from_ne_bytes(self.data[..int].try_into().expect("4 bytes"));
+            usize::try_from(size).ok()
+        }
     }
 
     /// `struct mmsghdr`: one slot of a `recvmmsg`/`sendmmsg` vector.
@@ -117,6 +190,22 @@ mod linux {
         pub msg_hdr: MsgHdr,
         /// Bytes received/sent for this slot (kernel out-param).
         pub msg_len: u32,
+    }
+
+    impl MMsgHdr {
+        /// An all-null slot (arenas pre-fill their tables with it).
+        pub const EMPTY: MMsgHdr = MMsgHdr {
+            msg_hdr: MsgHdr {
+                msg_name: std::ptr::null_mut(),
+                msg_namelen: 0,
+                msg_iov: std::ptr::null_mut(),
+                msg_iovlen: 0,
+                msg_control: std::ptr::null_mut(),
+                msg_controllen: 0,
+                msg_flags: 0,
+            },
+            msg_len: 0,
+        };
     }
 
     extern "C" {
@@ -197,6 +286,51 @@ mod linux {
         }
     }
 
+    /// Set once the kernel refuses a `UDP_SEGMENT` send (pre-4.18
+    /// kernels, devices without checksum offload, some sandboxes):
+    /// every transport then sends one datagram per `mmsghdr` again and
+    /// stops asking receive sockets to coalesce.
+    static OFFLOAD_UNAVAILABLE: AtomicBool = AtomicBool::new(false);
+
+    /// Whether UDP segmentation offload is believed available.
+    /// Optimistic until proven otherwise at runtime, like
+    /// [`mmsg_available`].
+    pub fn offload_available() -> bool {
+        !OFFLOAD_UNAVAILABLE.load(Ordering::Relaxed)
+    }
+
+    /// Classifies the error of a `sendmmsg` whose head message carried
+    /// `UDP_SEGMENT`: `true` means segmentation offload is refused here
+    /// (now remembered globally) and the run must go out as plain
+    /// datagrams, not that this particular send failed.
+    pub fn note_offload_error(err: &io::Error) -> bool {
+        let refused = matches!(
+            err.raw_os_error(),
+            Some(EINVAL) | Some(EIO) | Some(ENOPROTOOPT) | Some(EOPNOTSUPP)
+        );
+        if refused {
+            OFFLOAD_UNAVAILABLE.store(true, Ordering::Relaxed);
+        }
+        refused
+    }
+
+    /// Test hook on the same latch: `false` is what a refusing kernel
+    /// leaves behind, `true` re-arms the probe. Not an option — tests
+    /// use it to run the per-datagram `sendmmsg` path on kernels that
+    /// do support offload.
+    #[doc(hidden)]
+    pub fn set_offload_available(available: bool) {
+        OFFLOAD_UNAVAILABLE.store(!available, Ordering::Relaxed);
+    }
+
+    /// Asks the kernel to hand `fd` whole trains (`UDP_GRO`): one
+    /// receive may then return several coalesced datagrams plus their
+    /// segment size in a [`Cmsg`]. Only sockets read with a buffer big
+    /// enough for a train may set this.
+    pub fn enable_udp_gro(fd: i32) -> io::Result<()> {
+        set_opt(fd, SOL_UDP, UDP_GRO, 1)
+    }
+
     /// Set once plain `sendmsg` comes back `ENOSYS`/`EOPNOTSUPP`
     /// (exotic sandboxes only — the syscall predates Linux itself):
     /// single-datagram sends then fall back to gather + `send_to`.
@@ -256,16 +390,8 @@ mod linux {
         }
     }
 
-    fn set_opt(fd: i32, opt: i32, value: i32) -> io::Result<()> {
-        let rc = unsafe {
-            setsockopt(
-                fd,
-                SOL_SOCKET,
-                opt,
-                &value,
-                std::mem::size_of::<i32>() as u32,
-            )
-        };
+    fn set_opt(fd: i32, level: i32, opt: i32, value: i32) -> io::Result<()> {
+        let rc = unsafe { setsockopt(fd, level, opt, &value, std::mem::size_of::<i32>() as u32) };
         if rc == 0 {
             Ok(())
         } else {
@@ -280,12 +406,13 @@ mod linux {
             return Err(io::Error::last_os_error());
         }
         let result = (|| {
-            set_opt(fd, SO_REUSEADDR, 1)?;
-            set_opt(fd, SO_REUSEPORT, 1)?;
+            set_opt(fd, SOL_SOCKET, SO_REUSEADDR, 1)?;
+            set_opt(fd, SOL_SOCKET, SO_REUSEPORT, 1)?;
             // Best-effort buffer sizing: the kernel clamps to
             // net.core.{r,w}mem_max, which is fine.
-            let _ = set_opt(fd, SO_SNDBUF, buffer_bytes.min(i32::MAX as usize) as i32);
-            let _ = set_opt(fd, SO_RCVBUF, buffer_bytes.min(i32::MAX as usize) as i32);
+            let bytes = buffer_bytes.min(i32::MAX as usize) as i32;
+            let _ = set_opt(fd, SOL_SOCKET, SO_SNDBUF, bytes);
+            let _ = set_opt(fd, SOL_SOCKET, SO_RCVBUF, bytes);
             let raw = SockaddrIn::from_v4(addr);
             let rc = unsafe { bind(fd, &raw, std::mem::size_of::<SockaddrIn>() as u32) };
             if rc != 0 {
@@ -325,6 +452,15 @@ mod portable {
     pub fn note_mmsg_error(_err: &io::Error) -> bool {
         true
     }
+
+    /// Segmentation offload is never available off Linux.
+    pub fn offload_available() -> bool {
+        false
+    }
+
+    /// See the Linux hook; there is no latch to move off Linux.
+    #[doc(hidden)]
+    pub fn set_offload_available(_available: bool) {}
 
     /// Scatter-gather `sendmsg` is never available off Linux; senders
     /// gather into a contiguous buffer and use `send_to`.

@@ -13,20 +13,41 @@
 //! On the wire each datagram carries exactly the UDP payload of the
 //! virtual world (fragment header + message chunk); Ethernet/IP framing
 //! is the kernel's business here. Received datagrams are re-synthesized
-//! into [`Packet`]s (real peer address → [`Endpoint`]) so everything
-//! above the transport — reassembly, classification, handoff — is
-//! byte-identical across backends.
+//! into [`Packet`]s (real peer address → [`Endpoint`]; the checksum
+//! recorded as verified by the kernel rather than recomputed) so
+//! everything above the transport — reassembly, classification,
+//! handoff — sees the same payloads on every backend.
 //!
-//! # Syscall batching
+//! # Syscall batching and segmentation offload
 //!
-//! The paper's prototype moves requests in DPDK bursts (§4.1); the
-//! kernel-sockets analog is `recvmmsg`/`sendmmsg`, which move up to
-//! [`UdpConfig::batch`] datagrams per syscall through preallocated
-//! per-queue arenas ([`crate::batch`]). Batching is on by default, falls
-//! back to one-datagram syscalls at runtime where the batched calls are
-//! unavailable (non-Linux, seccomp), and can be disabled with
-//! `batch <= 1`. [`UdpTransport::io_stats`] reports syscall counts so
-//! the savings are observable.
+//! The paper's prototype moves requests in DPDK bursts and sends a
+//! large reply as a multi-packet train the NIC takes in one go (§3,
+//! §4.1). The kernel-sockets analog has two layers, both on by default
+//! and both chosen by what the code can observe, never by a setting:
+//!
+//! * `recvmmsg`/`sendmmsg` move up to [`UdpConfig::batch`] messages per
+//!   syscall through preallocated per-queue arenas ([`crate::batch`]).
+//!   Where the batched calls are unavailable (non-Linux, seccomp) or
+//!   `batch <= 1`, every datagram pays its own syscall.
+//! * On top of that, a *message* need not be one datagram. On send,
+//!   every run of same-destination, equal-length frames (the last may
+//!   be shorter; at most 44 frames / 65 507 bytes) is one `mmsghdr`
+//!   with a `UDP_SEGMENT` record: the kernel walks its stack once per
+//!   train and cuts it into datagrams at the bottom. On receive, a
+//!   socket drained by `recvmmsg` sets `UDP_GRO`, takes a whole train
+//!   per slot, and splits it back into the per-datagram [`Packet`]s
+//!   the engine sees on every backend. A single frame goes out exactly
+//!   as before, and a peer that never asked for trains receives each
+//!   fragment as its own datagram (the kernel segments on its behalf).
+//!   Availability is probed: the first train the kernel refuses is
+//!   re-sent as plain datagrams and offload stays off for the process
+//!   ([`UdpIoStats::offload`]).
+//!
+//! A 500 KB reply (344 fragments) thus costs 1 `sendmmsg` and 8 stack
+//! traversals instead of 11 and 344. [`UdpTransport::io_stats`]
+//! reports syscall, datagram and train counts so the savings are
+//! observable; `rx_packets`/`tx_packets` keep counting datagrams on
+//! the wire.
 //!
 //! # Scatter-gather TX
 //!
@@ -34,17 +55,19 @@
 //! [`TxPacket`] reaches the kernel as a multi-iovec gather list (inline
 //! header iovec + one iovec per refcounted value segment), through
 //! `sendmmsg` on the batched path and `sendmsg` on the one-datagram
-//! path — so value bytes flow from the store's mempool to the wire with
-//! zero copies in this layer, an invariant the
+//! path; a train is the gather lists of its frames back to back. So
+//! value bytes flow from the store's mempool to the wire with zero
+//! copies in this layer, an invariant the
 //! [`UdpIoStats::tx_copied_bytes`] gauge asserts (it moves only on the
 //! no-scatter-gather fallback, i.e. off Linux).
 
-use crate::batch::{RxArena, TxArena, RX_SLOT_LEN};
+use crate::batch::{RxArena, TxArena, RX_SLOT_LEN, RX_SPILL_LEN};
 use crate::pool::{BufferPool, PoolStats, PooledBuf};
 use crate::sys;
 use crate::transport::{Transport, TransportStats};
 use minos_wire::frame::MacAddr;
-use minos_wire::packet::{synthesize, Endpoint, Packet, TxPacket};
+use minos_wire::packet::{synthesize_rx_verified, Endpoint, Packet, TxPacket};
+use std::collections::VecDeque;
 use std::io::ErrorKind;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
 use std::os::fd::AsRawFd;
@@ -139,12 +162,29 @@ pub struct UdpIoStats {
     pub tx_packets: u64,
     /// Whether the batched syscall path is in use.
     pub batched: bool,
+    /// Whether segmentation offload is in use on top of it: runs of
+    /// equal-length frames leave as one `UDP_SEGMENT` train per
+    /// `mmsghdr`, and receive sockets coalesce (`UDP_GRO`). False once
+    /// the kernel has refused a train.
+    pub offload: bool,
+    /// Trains sent (messages of two or more datagrams).
+    pub tx_trains: u64,
+    /// Datagrams that left inside those trains (a subset of
+    /// `tx_packets`).
+    pub tx_train_packets: u64,
+    /// Trains received (coalesced receives of two or more datagrams).
+    pub rx_trains: u64,
+    /// Datagrams that arrived inside those trains (a subset of
+    /// `rx_packets`).
+    pub rx_train_packets: u64,
     /// RX buffer-pool takes served from the preallocated slab.
     pub pool_hits: u64,
     /// RX buffer-pool takes that fell back to a heap allocation.
     pub pool_misses: u64,
-    /// Pooled RX buffers currently checked out (returns to zero once
-    /// every received payload has been dropped).
+    /// Received payloads whose pooled buffer is still checked out
+    /// (returns to zero once every received payload has been dropped;
+    /// the datagrams of a train share a buffer and each counts until
+    /// it is home).
     pub pool_outstanding: u64,
     /// Payload *segment* bytes the TX path had to copy to reach the
     /// wire. Both syscall paths hand segment iovecs straight to the
@@ -167,11 +207,15 @@ impl UdpIoStats {
 #[derive(Debug)]
 pub struct UdpTransport {
     sockets: Vec<UdpSocket>,
-    rx_arenas: Vec<Mutex<RxArena>>,
+    rx_queues: Vec<Mutex<RxQueue>>,
     tx_arenas: Vec<Mutex<TxArena>>,
     /// Slab of RX payload buffers shared by all queues; both receive
     /// paths draw from it, so the hot path allocates nothing.
     pool: BufferPool,
+    /// Slab of train spill buffers ([`RX_SPILL_LEN`] bytes each): the
+    /// second buffer of every `recvmmsg` slot on a coalescing socket.
+    /// Its counters are reported summed into the `pool.*` gauges.
+    spill_pool: BufferPool,
     /// The per-datagram path's staged slot, one per queue: kept across
     /// calls (like the batched arena's slots) so an idle poll neither
     /// touches the pool freelist nor inflates the hit gauge.
@@ -188,11 +232,24 @@ pub struct UdpTransport {
     rx_syscalls: AtomicU64,
     tx_syscalls: AtomicU64,
     tx_copied_bytes: AtomicU64,
+    tx_trains: AtomicU64,
+    tx_train_packets: AtomicU64,
+    rx_trains: AtomicU64,
+    rx_train_packets: AtomicU64,
 }
 
-impl std::fmt::Debug for RxArena {
+/// The batched receive state of one queue.
+struct RxQueue {
+    arena: RxArena,
+    /// Datagrams of a train that did not fit the caller's `max`: a
+    /// `recvmmsg` slot can deliver a whole train, so a burst may
+    /// receive more than it may return. They lead the next burst.
+    pending: VecDeque<Packet>,
+}
+
+impl std::fmt::Debug for RxQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("RxArena")
+        write!(f, "RxQueue({} pending)", self.pending.len())
     }
 }
 
@@ -274,11 +331,19 @@ impl UdpTransport {
         // One freelist shard per queue: concurrently polling cores take
         // from (and recycle to) their own shard, stealing on empty.
         let pool = BufferPool::sharded(config.effective_pool_slots(), RX_SLOT_LEN, sockets.len());
+        // Every slot of every arena stages one spill buffer, and as many
+        // again may be out with the engine. (The slab is address space
+        // until a train is written into it; see `pool::Slab`.)
+        let spill_pool =
+            BufferPool::sharded(sockets.len() * batch * 2, RX_SPILL_LEN, sockets.len());
         UdpTransport {
-            rx_arenas: sockets
-                .iter()
-                .enumerate()
-                .map(|(q, _)| Mutex::new(RxArena::new(batch, pool.clone(), q)))
+            rx_queues: (0..sockets.len())
+                .map(|q| {
+                    Mutex::new(RxQueue {
+                        arena: RxArena::new(batch, pool.clone(), spill_pool.clone(), q),
+                        pending: VecDeque::new(),
+                    })
+                })
                 .collect(),
             tx_arenas: sockets
                 .iter()
@@ -286,6 +351,7 @@ impl UdpTransport {
                 .collect(),
             singly_staged: sockets.iter().map(|_| Mutex::new(None)).collect(),
             pool,
+            spill_pool,
             sockets,
             batch,
             ip,
@@ -299,6 +365,10 @@ impl UdpTransport {
             rx_syscalls: AtomicU64::new(0),
             tx_syscalls: AtomicU64::new(0),
             tx_copied_bytes: AtomicU64::new(0),
+            tx_trains: AtomicU64::new(0),
+            tx_train_packets: AtomicU64::new(0),
+            rx_trains: AtomicU64::new(0),
+            rx_train_packets: AtomicU64::new(0),
         }
     }
 
@@ -314,13 +384,19 @@ impl UdpTransport {
 
     /// Syscall-level I/O statistics.
     pub fn io_stats(&self) -> UdpIoStats {
-        let pool = self.pool.stats();
+        let pool = self.pool_stats();
+        let batched = self.batch > 1 && sys::mmsg_available();
         UdpIoStats {
             rx_syscalls: self.rx_syscalls.load(Ordering::Relaxed),
             tx_syscalls: self.tx_syscalls.load(Ordering::Relaxed),
             rx_packets: self.rx_packets.load(Ordering::Relaxed),
             tx_packets: self.tx_packets.load(Ordering::Relaxed),
-            batched: self.batch > 1 && sys::mmsg_available(),
+            batched,
+            offload: batched && sys::offload_available(),
+            tx_trains: self.tx_trains.load(Ordering::Relaxed),
+            tx_train_packets: self.tx_train_packets.load(Ordering::Relaxed),
+            rx_trains: self.rx_trains.load(Ordering::Relaxed),
+            rx_train_packets: self.rx_train_packets.load(Ordering::Relaxed),
             pool_hits: pool.hits,
             pool_misses: pool.misses,
             pool_outstanding: pool.outstanding,
@@ -329,41 +405,55 @@ impl UdpTransport {
     }
 
     /// RX buffer-pool counters (the gauge source behind
-    /// [`UdpIoStats::pool_hits`] and friends).
+    /// [`UdpIoStats::pool_hits`] and friends): the MTU-slot slab and
+    /// the train spill slab, summed.
     pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
+        self.pool.stats().merged(self.spill_pool.stats())
     }
 
-    /// Batched receive: one `recvmmsg` per up-to-`batch` datagrams.
+    /// Batched receive: one `recvmmsg` per up-to-`batch` slots, each
+    /// slot a datagram or (on a coalescing socket) a whole train.
     /// `None` means the syscall is unsupported here and nothing was
     /// moved — the caller falls back to the one-datagram path.
     fn rx_burst_mmsg(&self, queue: u16, out: &mut Vec<Packet>, max: usize) -> Option<usize> {
         let fd = self.sockets[queue as usize].as_raw_fd();
         let local = self.local_endpoint(queue);
-        let mut arena = self.rx_arenas[queue as usize]
+        let mut guard = self.rx_queues[queue as usize]
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        let mut moved = 0usize;
+        let RxQueue { arena, pending } = &mut *guard;
+        // What an earlier burst received beyond its `max` goes first.
+        let mut moved = pending.len().min(max);
+        out.extend(pending.drain(..moved));
+        let mut received = 0u64;
         let mut bytes = 0u64;
+        let mut trains = 0u64;
+        let mut train_packets = 0u64;
         // Bound non-datagram outcomes so a persistently erroring socket
         // cannot wedge the polling core inside one burst.
         let mut error_rounds = 0usize;
         while moved < max {
             let want = (max - moved).min(self.batch);
-            let before = out.len();
             self.rx_syscalls.fetch_add(1, Ordering::Relaxed);
             let result = arena.recv_batch(fd, want, |peer, payload| {
-                // `payload` is the pooled buffer the kernel filled,
-                // frozen — no copy, no allocation on this path.
+                // `payload` is a window into the pooled buffer the
+                // kernel filled — no copy, no allocation on this path.
                 let src = endpoint_for(*peer.ip(), peer.port());
-                let pkt = synthesize(src, local, payload);
+                let pkt = synthesize_rx_verified(src, local, payload);
+                received += 1;
                 bytes += pkt.wire_len() as u64;
-                out.push(pkt);
+                if moved < max {
+                    out.push(pkt);
+                    moved += 1;
+                } else {
+                    pending.push_back(pkt);
+                }
             });
             match result {
-                Ok(got) => {
-                    moved += out.len() - before;
-                    if got < want {
+                Ok(batch) => {
+                    trains += batch.trains as u64;
+                    train_packets += batch.train_packets as u64;
+                    if batch.slots < want {
                         break; // socket drained
                     }
                 }
@@ -385,9 +475,14 @@ impl UdpTransport {
                 }
             }
         }
-        if moved > 0 {
-            self.rx_packets.fetch_add(moved as u64, Ordering::Relaxed);
+        if received > 0 {
+            self.rx_packets.fetch_add(received, Ordering::Relaxed);
             self.rx_bytes.fetch_add(bytes, Ordering::Relaxed);
+        }
+        if trains > 0 {
+            self.rx_trains.fetch_add(trains, Ordering::Relaxed);
+            self.rx_train_packets
+                .fetch_add(train_packets, Ordering::Relaxed);
         }
         Some(moved)
     }
@@ -416,7 +511,7 @@ impl UdpTransport {
                 Ok((len, SocketAddr::V4(peer))) => {
                     let payload = staged.take().expect("staged above").freeze(len);
                     let src = endpoint_for(*peer.ip(), peer.port());
-                    let pkt = synthesize(src, local, payload);
+                    let pkt = synthesize_rx_verified(src, local, payload);
                     bytes += pkt.wire_len() as u64;
                     out.push(pkt);
                     moved += 1;
@@ -438,11 +533,12 @@ impl UdpTransport {
     }
 
     /// Batched transmit of `frames[..]`: one `sendmmsg` per
-    /// up-to-`batch` datagrams, each carried as a multi-iovec gather
-    /// list (header iovec + value iovecs; zero segment-byte copies),
-    /// with a brief full-buffer backoff. Returns `None` (nothing sent)
-    /// when the syscall is unsupported here; accounting is then left to
-    /// the caller's fallback.
+    /// up-to-`batch` messages — each a datagram or, with segmentation
+    /// offload, a train of up to 44 — every frame carried as a
+    /// multi-iovec gather list (header iovec + value iovecs; zero
+    /// segment-byte copies), with a brief full-buffer backoff. Returns
+    /// `None` (nothing sent) when the syscall is unsupported here;
+    /// accounting is then left to the caller's fallback.
     fn tx_frames_mmsg(&self, queue: u16, frames: &[TxPacket]) -> Option<usize> {
         let fd = self.sockets[queue as usize].as_raw_fd();
         let mut arena = self.tx_arenas[queue as usize]
@@ -451,17 +547,20 @@ impl UdpTransport {
         let total = frames.len();
         let mut sent = 0usize;
         let mut bytes = 0u64;
+        let mut trains = 0u64;
+        let mut train_packets = 0u64;
         let deadline = Instant::now() + self.tx_backoff;
         while sent < total {
-            let want = (total - sent).min(self.batch);
             self.tx_syscalls.fetch_add(1, Ordering::Relaxed);
-            match arena.send_frames(fd, &frames[sent..sent + want]) {
-                Ok(n) => {
-                    for pkt in &frames[sent..sent + n] {
+            match arena.send_frames(fd, &frames[sent..]) {
+                Ok(batch) => {
+                    for pkt in &frames[sent..sent + batch.frames] {
                         bytes += pkt.wire_len() as u64;
                     }
-                    sent += n;
-                    if n < want {
+                    sent += batch.frames;
+                    trains += batch.trains as u64;
+                    train_packets += batch.train_packets as u64;
+                    if batch.short {
                         // Full socket buffer: the kernel-side analog of a
                         // full TX ring. Back off briefly, then tail-drop.
                         if Instant::now() >= deadline {
@@ -490,6 +589,11 @@ impl UdpTransport {
         if sent > 0 {
             self.tx_packets.fetch_add(sent as u64, Ordering::Relaxed);
             self.tx_bytes.fetch_add(bytes, Ordering::Relaxed);
+        }
+        if trains > 0 {
+            self.tx_trains.fetch_add(trains, Ordering::Relaxed);
+            self.tx_train_packets
+                .fetch_add(train_packets, Ordering::Relaxed);
         }
         if sent < total {
             self.tx_dropped
@@ -627,20 +731,21 @@ impl Transport for UdpTransport {
 
     fn collect_metrics(&self, out: &mut Vec<(String, minos_obs::MetricValue)>) {
         crate::metrics::push_transport_stats(out, &self.stats());
-        crate::metrics::push_pool_stats(out, &self.pool.stats());
+        crate::metrics::push_pool_stats(out, &self.pool_stats());
         let io = self.io_stats();
-        out.push((
-            "transport.rx_syscalls".to_string(),
-            minos_obs::MetricValue::Counter(io.rx_syscalls),
-        ));
-        out.push((
-            "transport.tx_syscalls".to_string(),
-            minos_obs::MetricValue::Counter(io.tx_syscalls),
-        ));
-        out.push((
-            "transport.batched".to_string(),
-            minos_obs::MetricValue::Gauge(if io.batched { 1.0 } else { 0.0 }),
-        ));
+        let counter = |name: &str, v: u64| (name.to_string(), minos_obs::MetricValue::Counter(v));
+        let flag = |name: &str, on: bool| {
+            let v = if on { 1.0 } else { 0.0 };
+            (name.to_string(), minos_obs::MetricValue::Gauge(v))
+        };
+        out.push(counter("transport.rx_syscalls", io.rx_syscalls));
+        out.push(counter("transport.tx_syscalls", io.tx_syscalls));
+        out.push(flag("transport.batched", io.batched));
+        out.push(flag("transport.offload", io.offload));
+        out.push(counter("transport.tx_trains", io.tx_trains));
+        out.push(counter("transport.tx_train_packets", io.tx_train_packets));
+        out.push(counter("transport.rx_trains", io.rx_trains));
+        out.push(counter("transport.rx_train_packets", io.rx_train_packets));
     }
 }
 
@@ -648,6 +753,7 @@ impl Transport for UdpTransport {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use minos_wire::packet::synthesize;
 
     /// Disjoint, PID-salted port ranges per bound server: these are
     /// `SO_REUSEPORT` sockets, so a bind over another live test server

@@ -1,7 +1,8 @@
 //! Property tests for the batched `sendmmsg` → `recvmmsg` path:
 //! arbitrary payload sizes and counts move through [`UdpTransport`]
 //! bursts with bytes preserved, per-queue FIFO order intact, and no
-//! cross-queue leakage.
+//! cross-queue leakage — whether or not runs of equal-length frames
+//! travel as segmentation-offload trains.
 
 use bytes::Bytes;
 use minos_net::{Transport, UdpConfig, UdpTransport};
@@ -97,6 +98,82 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// Bursts made of runs — the shape that coalesces into trains —
+    /// deliver each destination exactly the sequence it was sent, with
+    /// segmentation offload and with it latched off, through receive
+    /// bursts small enough to cut every train.
+    #[test]
+    fn runs_arrive_as_sent_with_and_without_offload(
+        runs in prop::collection::vec(
+            (prop::sample::select(vec![1usize, 60, 700, 1471, 1472]), 0u16..QUEUES, 1usize..50),
+            1..10,
+        ),
+    ) {
+        static LATCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _latch = LATCH.lock().unwrap_or_else(|e| e.into_inner());
+        let frames: Vec<(usize, u16)> = runs
+            .iter()
+            .flat_map(|&(size, q, n)| std::iter::repeat_n((size, q), n))
+            .collect();
+        let body = |i: usize, size: usize| Bytes::from(vec![(i % 251) as u8; size]);
+        // One pair for both legs (the port range is finite). Offload
+        // first, so the receive sockets are coalescing when it matters.
+        minos_net::set_offload_available(true);
+        let (server, client) = bind_pair(32);
+        let src = client.local_endpoint(0);
+        for q in 0..QUEUES {
+            // The idle poll a running engine has long made: a socket
+            // coalesces once recvmmsg has worked on it.
+            prop_assert_eq!(server.rx_burst(q, &mut Vec::new(), 8), 0);
+        }
+        for offload in [true, false] {
+            minos_net::set_offload_available(offload);
+            let (tx0, rx0) = (client.io_stats(), server.io_stats());
+            let mut burst: Vec<Packet> = frames
+                .iter()
+                .enumerate()
+                .map(|(i, &(size, q))| synthesize(src, server.local_endpoint(q), body(i, size)))
+                .collect();
+            prop_assert_eq!(client.tx_burst(0, &mut burst), frames.len());
+
+            let deadline = Instant::now() + Duration::from_secs(10);
+            for q in 0..QUEUES {
+                let expected: Vec<Bytes> = frames
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &(_, fq))| fq == q)
+                    .map(|(i, &(size, _))| body(i, size))
+                    .collect();
+                let mut got = Vec::new();
+                while got.len() < expected.len() {
+                    prop_assert!(
+                        Instant::now() < deadline,
+                        "offload {}: queue {} got {} of {}", offload, q, got.len(), expected.len()
+                    );
+                    prop_assert!(server.rx_burst(q, &mut got, 5) <= 5);
+                }
+                let got: Vec<Bytes> = got.into_iter().map(|p| p.payload).collect();
+                prop_assert_eq!(got, expected, "offload {}: queue {}", offload, q);
+            }
+            let (tx, rx) = (client.io_stats(), server.io_stats());
+            prop_assert_eq!(tx.tx_packets - tx0.tx_packets, frames.len() as u64);
+            prop_assert_eq!(rx.rx_packets - rx0.rx_packets, frames.len() as u64);
+            // What left in trains arrived in trains, datagram for
+            // datagram (loopback neither splits nor merges them) — and
+            // with the latch off nothing did.
+            prop_assert_eq!(tx.tx_trains - tx0.tx_trains, rx.rx_trains - rx0.rx_trains);
+            prop_assert_eq!(
+                tx.tx_train_packets - tx0.tx_train_packets,
+                rx.rx_train_packets - rx0.rx_train_packets
+            );
+            if !offload {
+                prop_assert_eq!(tx.tx_trains, tx0.tx_trains);
+            }
+            prop_assert_eq!(rx.pool_outstanding, 0);
+        }
+        minos_net::set_offload_available(true);
     }
 
     /// The batched and one-datagram paths are observably equivalent:

@@ -6,7 +6,9 @@
 //!
 //! Covered: rx/tx burst semantics, `max` truncation, empty-burst
 //! behavior, per-queue isolation and FIFO order, stats monotonicity,
-//! and large-message fragmentation round-trips.
+//! and large-message fragmentation round-trips — the last also with
+//! segmentation offload on and latched off, which must be invisible
+//! above the transport.
 
 use bytes::Bytes;
 use minos_net::{
@@ -20,7 +22,7 @@ use minos_wire::message::{Body, Message, ReplyStatus};
 use minos_wire::packet::{synthesize, synthesize_frame, Endpoint, Packet, TxPacket};
 use minos_wire::MAX_FRAG_CHUNK;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One backend under test: a server-side transport plus a single-queue
@@ -58,33 +60,37 @@ fn bind_udp_server(num_queues: u16, batch: usize) -> UdpTransport {
     }
 }
 
-fn backends(num_queues: u16) -> Vec<Backend> {
-    let mut out = Vec::new();
-
+fn virtual_backend(num_queues: u16) -> Backend {
     let nic = Arc::new(VirtualNic::new(NicConfig::new(num_queues)));
     let client_ep = Endpoint::host(100, 20_000);
-    out.push(Backend {
+    Backend {
         name: "virtual",
         server: Arc::new(VirtualTransport::new(Arc::clone(&nic))),
         client: Arc::new(VirtualClientTransport::new(nic, client_ep)),
         asynchronous: false,
-    });
-
-    for (name, batch) in [("udp-batched", 32usize), ("udp-singly", 1usize)] {
-        let server = bind_udp_server(num_queues, batch);
-        let client = UdpTransport::bind_client_with(UdpConfig {
-            batch,
-            ..UdpConfig::client(Ipv4Addr::LOCALHOST)
-        })
-        .expect("bind client");
-        out.push(Backend {
-            name,
-            server: Arc::new(server),
-            client: Arc::new(client),
-            asynchronous: true,
-        });
     }
-    out
+}
+
+fn udp_backend(name: &'static str, num_queues: u16, batch: usize) -> Backend {
+    let client = UdpTransport::bind_client_with(UdpConfig {
+        batch,
+        ..UdpConfig::client(Ipv4Addr::LOCALHOST)
+    })
+    .expect("bind client");
+    Backend {
+        name,
+        server: Arc::new(bind_udp_server(num_queues, batch)),
+        client: Arc::new(client),
+        asynchronous: true,
+    }
+}
+
+fn backends(num_queues: u16) -> Vec<Backend> {
+    vec![
+        virtual_backend(num_queues),
+        udp_backend("udp-batched", num_queues, 32),
+        udp_backend("udp-singly", num_queues, 1),
+    ]
 }
 
 /// Receives until `want` packets arrived (or a deadline), asserting the
@@ -531,5 +537,296 @@ fn coalesced_multi_request_burst_fans_out_across_queues() {
                 );
             }
         }
+    }
+}
+
+/// The four send/receive paths a fragment burst can take. Built one at
+/// a time by [`for_each_path`], because the third needs the
+/// process-wide offload latch off while it runs.
+const PATHS: [&str; 4] = ["virtual", "udp-singly", "udp-mmsg", "udp-offload"];
+
+/// Serializes the tests that move the offload latch (the others pass
+/// whichever way it points).
+static OFFLOAD_LATCH: Mutex<()> = Mutex::new(());
+
+/// Runs `scenario` once per entry of [`PATHS`]: the virtual NIC, UDP one
+/// datagram per syscall, UDP `sendmmsg`/`recvmmsg` with segmentation
+/// offload latched off (the parent's wire behaviour), and UDP with
+/// offload.
+fn for_each_path(num_queues: u16, scenario: impl Fn(&Backend)) {
+    let _latch = OFFLOAD_LATCH.lock().unwrap_or_else(|e| e.into_inner());
+    for path in PATHS {
+        minos_net::set_offload_available(path != "udp-mmsg");
+        scenario(&match path {
+            "virtual" => virtual_backend(num_queues),
+            "udp-singly" => udp_backend(path, num_queues, 1),
+            _ => udp_backend(path, num_queues, 32),
+        });
+    }
+    minos_net::set_offload_available(true);
+}
+
+/// A `transport.*` counter or gauge of `t`, 0 where the backend has no
+/// such metric.
+fn transport_metric(t: &dyn Transport, name: &str) -> u64 {
+    let mut metrics = Vec::new();
+    t.collect_metrics(&mut metrics);
+    metrics
+        .iter()
+        .find(|(n, _)| n == &format!("transport.{name}"))
+        .map_or(0, |(_, v)| match v {
+            minos_obs::MetricValue::Counter(c) => *c,
+            minos_obs::MetricValue::Gauge(g) => *g as u64,
+            minos_obs::MetricValue::Hist(_) => 0,
+        })
+}
+
+/// What `sender` must have counted after one `tx_frames` of `frames`
+/// frames that form `trains` trains holding `train_packets` of them:
+/// with offload exactly those trains, without it (any other path, or a
+/// kernel that refused) none.
+fn assert_train_counters(backend: &Backend, sender: &dyn Transport, trains: u64, packets: u64) {
+    let offload = transport_metric(sender, "offload") == 1;
+    assert_eq!(
+        offload,
+        backend.name == "udp-offload" && transport_metric(sender, "batched") == 1,
+        "{}: the offload gauge follows the latch",
+        backend.name
+    );
+    let (trains, packets) = if offload { (trains, packets) } else { (0, 0) };
+    assert_eq!(
+        transport_metric(sender, "tx_trains"),
+        trains,
+        "{}: trains sent",
+        backend.name
+    );
+    assert_eq!(
+        transport_metric(sender, "tx_train_packets"),
+        packets,
+        "{}: datagrams sent inside trains",
+        backend.name
+    );
+}
+
+#[test]
+fn a_344_fragment_message_arrives_intact_on_every_path() {
+    let msg = Message {
+        client_id: 3,
+        request_id: 99,
+        client_ts_ns: 7,
+        body: Body::GetReply {
+            status: ReplyStatus::Ok,
+            key: 1,
+            value: Bytes::from(
+                (0..500_000u32)
+                    .map(|b| (b % 251) as u8)
+                    .collect::<Vec<u8>>(),
+            ),
+        },
+    };
+    let expected = fragment_with_id(0xB16, &msg.encode());
+    assert_eq!(expected.len(), 344);
+    for_each_path(1, |backend| {
+        let src = backend.server.local_endpoint(0);
+        let dst = backend.client.local_endpoint(0);
+        let mut burst: Vec<TxPacket> = fragment_frame_with_id(0xB16, &msg.encode_frame())
+            .into_iter()
+            .map(|frag| synthesize_frame(src, dst, frag))
+            .collect();
+        // One idle poll first, as a polling engine would have made: a
+        // socket starts coalescing once recvmmsg has worked on it.
+        assert_eq!(backend.client.rx_burst(0, &mut Vec::new(), 32), 0);
+        // Drained while it is being sent: 500 KB need not fit the
+        // receive buffer this host grants.
+        let got = std::thread::scope(|scope| {
+            let rx = scope.spawn(|| rx_collect(&*backend.client, 0, 344, 32, backend.name));
+            assert_eq!(
+                backend.server.tx_frames(0, &mut burst),
+                344,
+                "{}: the whole reply must be accepted",
+                backend.name
+            );
+            rx.join().expect("receiver")
+        });
+        for (i, (pkt, want)) in got.iter().zip(&expected).enumerate() {
+            assert_eq!(
+                &pkt.payload[..],
+                &want[..],
+                "{}: fragment {i} must arrive in place and byte-identical",
+                backend.name
+            );
+        }
+        // 343 full fragments and a short last one: 7 trains of 44 and
+        // one of 36, all in the one sendmmsg.
+        assert_train_counters(backend, &*backend.server, 8, 344);
+        if transport_metric(&*backend.server, "offload") == 1 {
+            assert_eq!(
+                transport_metric(&*backend.server, "tx_syscalls"),
+                1,
+                "{}: 8 trains fit one sendmmsg",
+                backend.name
+            );
+            assert_eq!(transport_metric(&*backend.client, "rx_train_packets"), 344);
+        }
+        if backend.name != "virtual" {
+            // Datagrams on the wire, however they were packed; and no
+            // gathering (the virtual wire does gather: its stand-in
+            // for DMA).
+            assert_eq!(transport_metric(&*backend.server, "tx_packets"), 344);
+            assert_eq!(transport_metric(&*backend.client, "rx_packets"), 344);
+            assert_eq!(transport_metric(&*backend.server, "tx_copied_bytes"), 0);
+        }
+        let mut reassembler = Reassembler::new(4);
+        let complete = got
+            .into_iter()
+            .find_map(
+                |pkt| match reassembler.push(pkt.source_endpoint(), pkt.payload) {
+                    Reassembly::Complete(bytes) => Some(bytes),
+                    _ => None,
+                },
+            )
+            .expect("reply reassembles");
+        assert_eq!(Message::decode(complete).expect("decodes"), msg);
+    });
+}
+
+#[test]
+fn mixed_bursts_of_singles_and_trains_keep_per_queue_order() {
+    // One client burst: singles to three queues around three trains
+    // (five full-size fragments; a full one and its short tail; two
+    // 60-byte datagrams and a last one of 1 byte), and at the end eight
+    // equal 60-byte datagrams — a train whose segment size is not a
+    // fragment's.
+    const QUEUES: u16 = 3;
+    let plan: Vec<(u16, usize)> = [
+        vec![(0, 40), (2, 40)],
+        vec![(1, 1472); 5],
+        vec![(0, 41), (2, 1472), (2, 900)],
+        vec![(1, 60), (1, 60), (1, 1)],
+        vec![(0, 42), (1, 33)],
+        vec![(2, 60); 8],
+    ]
+    .concat();
+    let payload = |i: usize, len: usize| Bytes::from(vec![i as u8; len]);
+    for_each_path(QUEUES, |backend| {
+        let src = backend.client.local_endpoint(0);
+        let mut burst: Vec<Packet> = plan
+            .iter()
+            .enumerate()
+            .map(|(i, &(q, len))| {
+                synthesize(src, backend.server.local_endpoint(q), payload(i, len))
+            })
+            .collect();
+        assert_eq!(
+            backend.client.tx_burst(0, &mut burst),
+            plan.len(),
+            "{}",
+            backend.name
+        );
+        for q in 0..QUEUES {
+            let want: Vec<Bytes> = plan
+                .iter()
+                .enumerate()
+                .filter(|(_, &(pq, _))| pq == q)
+                .map(|(i, &(_, len))| payload(i, len))
+                .collect();
+            // A max of 3 cuts every train: the rest must wait its turn.
+            let got = rx_collect(&*backend.server, q, want.len(), 3, backend.name);
+            let got: Vec<Bytes> = got.into_iter().map(|p| p.payload).collect();
+            assert_eq!(
+                got, want,
+                "{}: queue {q} sees its datagrams, whole and in order",
+                backend.name
+            );
+            let mut extra = Vec::new();
+            assert_eq!(
+                backend.server.rx_burst(q, &mut extra, 32),
+                0,
+                "{}",
+                backend.name
+            );
+        }
+        // Trains: 5 x 1472 to q1; (1472, 900) to q2; (60, 60, 1) to q1;
+        // 8 x 60 to q2. Everything else travels alone.
+        assert_train_counters(backend, &*backend.client, 4, 5 + 2 + 3 + 8);
+        if backend.name != "virtual" {
+            assert_eq!(
+                transport_metric(&*backend.client, "tx_packets"),
+                plan.len() as u64
+            );
+            assert_eq!(
+                transport_metric(&*backend.server, "rx_packets"),
+                plan.len() as u64,
+                "{}: rx_packets counts datagrams, not trains",
+                backend.name
+            );
+        }
+    });
+}
+
+#[test]
+fn trains_reach_receivers_that_never_asked_for_them() {
+    // Offload is the sender's business: a peer that never enabled
+    // UDP_GRO — a plain std socket, a batch = 1 transport — still gets
+    // every fragment as its own datagram.
+    let _latch = OFFLOAD_LATCH.lock().unwrap_or_else(|e| e.into_inner());
+    minos_net::set_offload_available(true);
+    let message: Vec<u8> = (0..100_000u32).map(|i| (i % 241) as u8).collect();
+    let frags = fragment_with_id(5, &message);
+    let sender = UdpTransport::bind_client(Ipv4Addr::LOCALHOST).expect("bind sender");
+    let src = sender.local_endpoint(0);
+
+    let plain = std::net::UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind std socket");
+    plain
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let plain_ep = minos_net::endpoint_for(Ipv4Addr::LOCALHOST, plain.local_addr().unwrap().port());
+    let singly = UdpTransport::bind_client_with(UdpConfig {
+        batch: 1,
+        ..UdpConfig::client(Ipv4Addr::LOCALHOST)
+    })
+    .expect("bind singly");
+
+    let burst_to = |dst: Endpoint| -> Vec<Packet> {
+        frags
+            .iter()
+            .map(|f| synthesize(src, dst, f.clone()))
+            .collect()
+    };
+    std::thread::scope(|scope| {
+        let rx = scope.spawn(|| {
+            let mut buf = vec![0u8; 65_536];
+            let mut reassembler = Reassembler::new(4);
+            loop {
+                let (len, _) = plain.recv_from(&mut buf).expect("std socket receives");
+                assert!(
+                    len <= minos_wire::MAX_UDP_PAYLOAD,
+                    "one fragment per datagram"
+                );
+                if let Reassembly::Complete(bytes) =
+                    reassembler.push(1, Bytes::copy_from_slice(&buf[..len]))
+                {
+                    break bytes;
+                }
+            }
+        });
+        assert_eq!(sender.tx_burst(0, &mut burst_to(plain_ep)), frags.len());
+        assert_eq!(&rx.join().expect("std receiver")[..], &message[..]);
+    });
+
+    assert_eq!(
+        sender.tx_burst(0, &mut burst_to(singly.local_endpoint(0))),
+        frags.len()
+    );
+    let got = rx_collect(&singly, 0, frags.len(), 32, "udp-singly receiver");
+    for (pkt, want) in got.iter().zip(&frags) {
+        assert_eq!(&pkt.payload[..], &want[..]);
+    }
+    assert_eq!(singly.io_stats().rx_trains, 0);
+    if sender.io_stats().offload {
+        assert!(
+            sender.io_stats().tx_trains >= 4,
+            "both bursts left as trains"
+        );
     }
 }

@@ -112,14 +112,35 @@ impl Endpoint {
 /// copying. Equivalent to `parse_frame(build_frame(src, dst, payload))`.
 pub fn synthesize(src: Endpoint, dst: Endpoint, payload: Bytes) -> Packet {
     let udp = UdpHeader::for_payload(src.port, dst.port, &payload);
-    let ip = Ipv4Header::udp(src.ip, dst.ip, UdpHeader::LEN + payload.len());
-    let eth = EthernetHeader {
-        dst: dst.mac,
-        src: src.mac,
-        ethertype: EtherType::Ipv4,
-    };
     Packet {
-        meta: PacketMeta { eth, ip, udp },
+        meta: synthesized_meta(src, dst, udp),
+        payload,
+    }
+}
+
+/// The headers a frame from `src` to `dst` carrying `udp` parses to.
+fn synthesized_meta(src: Endpoint, dst: Endpoint, udp: UdpHeader) -> PacketMeta {
+    PacketMeta {
+        eth: EthernetHeader {
+            dst: dst.mac,
+            src: src.mac,
+            ethertype: EtherType::Ipv4,
+        },
+        ip: Ipv4Header::udp(src.ip, dst.ip, udp.length as usize),
+        udp,
+    }
+}
+
+/// [`synthesize`] for a payload that arrived through a NIC which
+/// already verified its checksum — the kernel-UDP backend, where the
+/// kernel checked the real datagram before handing it over. Identical
+/// metadata except that the UDP checksum is recorded as offloaded
+/// ([`UdpHeader::checksum_offloaded`]) instead of recomputed over the
+/// whole payload, which nothing downstream would ever check.
+pub fn synthesize_rx_verified(src: Endpoint, dst: Endpoint, payload: Bytes) -> Packet {
+    let udp = UdpHeader::checksum_offloaded(src.port, dst.port, payload.len());
+    Packet {
+        meta: synthesized_meta(src, dst, udp),
         payload,
     }
 }
@@ -168,14 +189,8 @@ impl TxPacket {
 /// gather(f)).meta` for every frame (tested).
 pub fn synthesize_frame(src: Endpoint, dst: Endpoint, frame: TxFrame) -> TxPacket {
     let udp = UdpHeader::for_frame(src.port, dst.port, &frame);
-    let ip = Ipv4Header::udp(src.ip, dst.ip, UdpHeader::LEN + frame.len());
-    let eth = EthernetHeader {
-        dst: dst.mac,
-        src: src.mac,
-        ethertype: EtherType::Ipv4,
-    };
     TxPacket {
-        meta: PacketMeta { eth, ip, udp },
+        meta: synthesized_meta(src, dst, udp),
         frame,
     }
 }
@@ -392,6 +407,22 @@ mod tests {
         assert_eq!(direct.meta, parsed.meta);
         assert_eq!(direct.payload, parsed.payload);
         assert_eq!(direct.wire_len(), parsed.wire_len());
+    }
+
+    #[test]
+    fn rx_verified_skips_only_the_checksum() {
+        let src = Endpoint::host(3, 1111);
+        let dst = Endpoint::host(4, 9002);
+        let payload = Bytes::from_static(b"the kernel checked this one");
+        let full = synthesize(src, dst, payload.clone());
+        let verified = synthesize_rx_verified(src, dst, payload);
+        assert_eq!(verified.meta.udp.checksum, 0);
+        assert_eq!(verified.meta.eth, full.meta.eth);
+        assert_eq!(verified.meta.ip, full.meta.ip);
+        assert_eq!(verified.meta.udp.length, full.meta.udp.length);
+        assert_eq!(verified.payload, full.payload);
+        assert_eq!(verified.wire_len(), full.wire_len());
+        assert_eq!(verified.source_endpoint(), full.source_endpoint());
     }
 
     #[test]

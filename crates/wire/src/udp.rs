@@ -42,6 +42,23 @@ impl UdpHeader {
         }
     }
 
+    /// Builds a header for a payload of `payload_len` bytes whose
+    /// checksum the NIC (here: the kernel's UDP stack) already verified
+    /// and stripped — receive checksum offload. The field carries 0,
+    /// RFC 768's "no checksum carried", and no pass over the payload
+    /// is made. Only [`crate::packet::parse_frame`] ever verifies a
+    /// checksum, and it only sees wire images, never these.
+    pub fn checksum_offloaded(src_port: u16, dst_port: u16, payload_len: usize) -> Self {
+        let length = Self::LEN + payload_len;
+        assert!(length <= u16::MAX as usize, "UDP datagram too large");
+        UdpHeader {
+            src_port,
+            dst_port,
+            length: length as u16,
+            checksum: 0,
+        }
+    }
+
     /// Builds a header for a scatter-gather [`crate::TxFrame`] payload,
     /// checksumming its logical byte stream without materializing it.
     /// Byte-identical to [`UdpHeader::for_payload`] over the gathered
@@ -123,6 +140,21 @@ mod tests {
         assert_eq!(h.target_queue(4), None); // out of range for 4 queues
         let other = UdpHeader::for_payload(1, 80, b"");
         assert_eq!(other.target_queue(8), None); // below the base port
+    }
+
+    #[test]
+    fn offloaded_header_differs_only_in_the_checksum() {
+        let payload = [7u8; 300];
+        let full = UdpHeader::for_payload(5, UdpHeader::port_for_queue(1), &payload);
+        let offloaded = UdpHeader::checksum_offloaded(5, UdpHeader::port_for_queue(1), 300);
+        assert_eq!(offloaded.checksum, 0);
+        assert_eq!(
+            UdpHeader {
+                checksum: full.checksum,
+                ..offloaded
+            },
+            full
+        );
     }
 
     #[test]

@@ -766,6 +766,11 @@ fn main() {
     let mut rx_syscalls = 0u64;
     let mut tx_syscalls = 0u64;
     let mut batched = false;
+    let mut offload = false;
+    let mut tx_trains = 0u64;
+    let mut tx_train_packets = 0u64;
+    let mut rx_trains = 0u64;
+    let mut rx_train_packets = 0u64;
     let mut all_drained = true;
     let mut flushes = 0u64;
     let mut coalesced_max = 0u64;
@@ -820,6 +825,11 @@ fn main() {
         rx_syscalls += r.io.rx_syscalls;
         tx_syscalls += r.io.tx_syscalls;
         batched |= r.io.batched;
+        offload |= r.io.offload;
+        tx_trains += r.io.tx_trains;
+        tx_train_packets += r.io.tx_train_packets;
+        rx_trains += r.io.rx_trains;
+        rx_train_packets += r.io.rx_train_packets;
         all_drained &= r.drained;
         flushes += r.flushes;
         coalesced_max = coalesced_max.max(r.coalesced_max);
@@ -1020,6 +1030,11 @@ fn main() {
                     rx_syscalls,
                     tx_syscalls,
                     batched,
+                    offload,
+                    tx_trains,
+                    tx_train_packets,
+                    rx_trains,
+                    rx_train_packets,
                     flushes,
                     coalesced_max,
                     pool_hits,
@@ -1066,6 +1081,11 @@ struct JsonTotals {
     rx_syscalls: u64,
     tx_syscalls: u64,
     batched: bool,
+    offload: bool,
+    tx_trains: u64,
+    tx_train_packets: u64,
+    rx_trains: u64,
+    rx_train_packets: u64,
     flushes: u64,
     coalesced_max: u64,
     pool_hits: u64,
@@ -1144,6 +1164,14 @@ fn metrics_json(t: &JsonTotals, pool_hit_rate: f64) -> String {
         .add(t.tx_copied_bytes);
     reg.gauge("transport.batched")
         .set(if t.batched { 1.0 } else { 0.0 });
+    reg.gauge("transport.offload")
+        .set(if t.offload { 1.0 } else { 0.0 });
+    reg.counter("transport.tx_trains").add(t.tx_trains);
+    reg.counter("transport.tx_train_packets")
+        .add(t.tx_train_packets);
+    reg.counter("transport.rx_trains").add(t.rx_trains);
+    reg.counter("transport.rx_train_packets")
+        .add(t.rx_train_packets);
     reg.counter("pool.hits").add(t.pool_hits);
     reg.counter("pool.misses").add(t.pool_misses);
     reg.gauge("pool.outstanding").set(t.pool_outstanding as f64);
@@ -1171,6 +1199,11 @@ fn json_report(args: &Args, reports: &[ClientReport], t: JsonTotals, server_stat
         .collect();
     let transport = JsonObj::new()
         .bool("batched", t.batched)
+        .bool("offload", t.offload)
+        .u64("tx_trains", t.tx_trains)
+        .u64("tx_train_packets", t.tx_train_packets)
+        .u64("rx_trains", t.rx_trains)
+        .u64("rx_train_packets", t.rx_train_packets)
         .u64("tx_packets", t.tx_packets)
         .u64("rx_packets", t.rx_packets)
         .u64("tx_dropped", t.tx_dropped)

@@ -555,6 +555,15 @@ fn main() {
     );
     human!(
         args,
+        "segmentation offload: {} — {} packets received in {} trains, {} sent in {}",
+        if io.offload { "on" } else { "off" },
+        io.rx_train_packets,
+        io.rx_trains,
+        io.tx_train_packets,
+        io.tx_trains,
+    );
+    human!(
+        args,
         "rx buffer pool: {} hits / {} misses ({:.2}% hit rate), {} outstanding",
         io.pool_hits,
         io.pool_misses,

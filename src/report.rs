@@ -145,6 +145,17 @@ fn gauge(snap: &Snapshot, name: &str) -> f64 {
 pub fn server_exit_report(drained: bool, snap: &Snapshot) -> String {
     let transport = JsonObj::new()
         .bool("batched", gauge(snap, "transport.batched") != 0.0)
+        .bool("offload", gauge(snap, "transport.offload") != 0.0)
+        .u64("tx_trains", counter(snap, "transport.tx_trains"))
+        .u64(
+            "tx_train_packets",
+            counter(snap, "transport.tx_train_packets"),
+        )
+        .u64("rx_trains", counter(snap, "transport.rx_trains"))
+        .u64(
+            "rx_train_packets",
+            counter(snap, "transport.rx_train_packets"),
+        )
         .u64("rx_packets", counter(snap, "transport.rx_packets"))
         .u64("tx_packets", counter(snap, "transport.tx_packets"))
         .u64("tx_dropped", counter(snap, "transport.tx_dropped"))
