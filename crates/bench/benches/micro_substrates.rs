@@ -1,9 +1,11 @@
 //! Criterion microbenchmarks of the substrates on the datapath:
 //! KV GET/PUT, RSS hashing, zipfian sampling, histogram updates,
 //! fragmentation round trips, NIC ring bursts and real-UDP loopback
-//! sends and receives (one datagram; a 500 KB reply's 344 fragments).
+//! sends and receives (one datagram; eight small replies sent one by
+//! one and as one burst; a 500 KB reply's 344 fragments).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use minos_core::server::{transmit_message, TxBurst};
 use minos_kv::{CapacityConfig, EvictionPolicy, Store, StoreConfig};
 use minos_net::{Transport, UdpConfig, UdpTransport};
 use minos_nic::{NicConfig, RssHasher, VirtualNic};
@@ -187,6 +189,43 @@ fn bench_net_loopback(c: &mut Criterion) {
         b.iter(|| {
             assert_eq!(client.tx_frames(0, &mut single.clone()), 1);
             black_box(rx_exactly(&server, 1))
+        })
+    });
+
+    // Eight small GET replies of unequal lengths to one peer, encoded,
+    // sent and received: a `tx_frames` call (so a `sendmmsg`) per reply,
+    // against a core's reply burst — stage all eight, flush once. With
+    // offload the burst's runs (300, 120, 120, 64), (300, 300, 90) and
+    // the lone 512 are three stack traversals instead of eight.
+    let replies: Vec<Message> = [300usize, 120, 120, 64, 300, 300, 90, 512]
+        .iter()
+        .map(|&len| Message {
+            client_id: 1,
+            request_id: 1,
+            client_ts_ns: 0,
+            body: Body::GetReply {
+                status: ReplyStatus::Ok,
+                key: 1,
+                value: vec![0x5Au8; len].into(),
+            },
+        })
+        .collect();
+    c.bench_function("net/loopback_burst8/per_reply", |b| {
+        b.iter(|| {
+            for (id, reply) in replies.iter().enumerate() {
+                transmit_message(&client, 0, src, dst, reply, id as u64);
+            }
+            black_box(rx_exactly(&server, replies.len()))
+        })
+    });
+    let mut burst = TxBurst::with_capacity(replies.len());
+    c.bench_function("net/loopback_burst8/one_burst", |b| {
+        b.iter(|| {
+            for (id, reply) in replies.iter().enumerate() {
+                burst.stage(src, dst, reply, id as u64);
+            }
+            assert_eq!(burst.flush(&client, 0).0, replies.len() as u64);
+            black_box(rx_exactly(&server, replies.len()))
         })
     });
 

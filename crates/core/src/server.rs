@@ -3,7 +3,16 @@
 //! One busy-polling OS thread per simulated core, run-to-completion, no
 //! async runtime (DPDK style — the Rust networking guides' advice is
 //! that cooperative async schedulers and CPU-bound polling loops don't
-//! mix). Responsibilities per the paper (§3):
+//! mix). Each poll round is the paper's loop (§4.1): read a batch of
+//! `B` from the RX queues, execute it, transmit the batch — the replies
+//! are *staged* in the core's [`TxBurst`] as they are built and leave
+//! in one [`Transport::tx_frames`] call once the RX burst has been
+//! processed (so before any queued large request executes), once more
+//! after the software-queue batch, and at once when a multi-fragment
+//! reply has been staged or the burst has reached `B` datagrams. A
+//! round that received one request flushes a burst of one, so the
+//! unloaded path pays nothing for it. Responsibilities per the paper
+//! (§3):
 //!
 //! * **Small cores** drain their own RX queue in batches of `B`, then
 //!   `B/n_s` from each large core's RX queue; they execute small
@@ -19,7 +28,14 @@
 //!   instead of O(message size / MTU).
 //! * **Core 0** additionally runs the epoch control loop: aggregate the
 //!   per-core size histograms, update the threshold, re-allocate cores,
-//!   rebuild the size ranges, publish the new [`ShardingPlan`].
+//!   rebuild the size ranges, publish the new [`ShardingPlan`]. Cores
+//!   notice a publication by a version counter and keep their own copy
+//!   of the plan (and the RX drain schedule it implies) in between.
+//!
+//! Lifecycle telemetry follows the same split: a request's `service_ns`
+//! ends when its reply is staged, and the send is the burst's
+//! (`core.N.tx_flush_ns`, `core.N.tx_flushes`); `core.N.packets_tx` /
+//! `bytes_tx` count what the transport accepted.
 //!
 //! The server is generic over [`Transport`]: the same engine code runs
 //! over the in-process [`VirtualNic`] (by default through
@@ -46,7 +62,7 @@ use minos_obs::{
     Collector, CoreClock, CoreTelemetry, Counter, MetricValue, MetricsRegistry, ReqClass,
 };
 use minos_stats::{AtomicSizeHistogram, CoreStats, SharedCoreStats, SizeHistogram};
-use minos_wire::frag::{fragment_frame_with_id, FragHeader, Streamed, StreamingReassembler};
+use minos_wire::frag::{fragment_frame_each, FragHeader, Streamed, StreamingReassembler};
 use minos_wire::message::{Body, Message, ReplyStatus, MSG_HEADER_LEN};
 use minos_wire::packet::{synthesize_frame, Endpoint, Packet, TxPacket};
 use parking_lot::{Mutex, RwLock};
@@ -214,6 +230,10 @@ struct Shared<T: Transport> {
     transport: Arc<T>,
     store: Arc<Store>,
     plan: RwLock<Arc<ShardingPlan>>,
+    /// Bumped by [`run_epoch`] after it publishes a plan. Cores poll
+    /// this one word per round and touch `plan` (its lock, its
+    /// reference count) only when it moved ([`PlanCache`]).
+    plan_version: AtomicU64,
     /// The queue discipline placing decoded requests onto cores
     /// (size-aware sharding unless configured otherwise).
     discipline: Box<dyn Discipline>,
@@ -267,10 +287,6 @@ struct Shared<T: Transport> {
 impl<T: Transport> Shared<T> {
     fn now_ns(&self) -> u64 {
         self.start.elapsed().as_nanos() as u64
-    }
-
-    fn endpoint(&self, core: usize) -> Endpoint {
-        self.transport.local_endpoint(core as u16)
     }
 }
 
@@ -406,6 +422,7 @@ impl<T: Transport + 'static> MinosServer<T> {
         let shared = Arc::new(Shared {
             store: Arc::clone(&store),
             plan: RwLock::new(Arc::new(initial)),
+            plan_version: AtomicU64::new(0),
             discipline: config.minos.discipline.build(),
             soft_queues: (0..n)
                 .map(|_| ArrayQueue::new(config.minos.soft_queue_capacity))
@@ -602,178 +619,747 @@ impl<T: Transport> Drop for MinosServer<T> {
     }
 }
 
-fn core_loop<T: Transport>(shared: &Shared<T>, core: usize) {
-    // Lifecycle clock, zeroed at the registry's start so queue-wait /
-    // service stamps are directly comparable across cores and with
-    // snapshot `elapsed_ms`. One monotonic read per event, no syscalls
-    // beyond `clock_gettime` (vDSO), no allocation.
-    let clock = CoreClock::starting_at(shared.start);
-    let mut rx_buf: Vec<Packet> = Vec::with_capacity(shared.config.batch_size * 2);
-    // Streaming large-PUT ingest: fragments are copied straight into
-    // their value's reserved mempool block and released; no contiguous
-    // reassembly buffer exists anywhere in the server.
-    let mut reassembler: StreamingReassembler<PutIngest> = StreamingReassembler::new(1024);
-    let mut idle_rounds = 0u32;
-    let mut loop_count = 0u32;
-    let mut next_reassembly_round = shared.config.reassembly_round_ns;
-    // Evictions already folded into the shared gauge; the reassembler's
-    // own counter covers *every* eviction cause (stale round, capacity,
-    // geometry mismatch), all of which drop a live reservation and must
-    // be visible.
-    let mut reported_evictions = 0u64;
+/// The sharding plan as one core last saw it, with the RX drain
+/// schedule it implies for that core — re-derived only when
+/// [`run_epoch`] publishes (see [`Shared::plan_version`]), so a poll
+/// round takes no lock, touches no shared reference count and allocates
+/// no schedule.
+struct PlanCache {
+    version: u64,
+    plan: Arc<ShardingPlan>,
+    /// The RX queues this core drains, `None` for a dedicated large
+    /// core. Under the size-aware discipline's plan drain, small cores
+    /// drain RX queues (their own plus the large cores') and large
+    /// cores never touch RX. Every other discipline has each core drain
+    /// only its own RX queue at the full batch — the symmetric
+    /// hardware-dispatch model the baselines assume.
+    schedule: Option<DrainSchedule>,
+}
 
-    while !shared.shutdown.load(Ordering::Relaxed) {
+impl PlanCache {
+    fn load<T: Transport>(shared: &Shared<T>, core: usize) -> Self {
+        // Version before plan: a publication racing this load leaves a
+        // stale version beside a fresh plan, and the next round reloads.
+        let version = shared.plan_version.load(Ordering::Acquire);
         let plan = shared.plan.read().clone();
-        let mut did_work = false;
-
-        // Advance the stale-partial eviction clock (checked only every
-        // few iterations to keep the hot loop free of timestamp reads):
-        // a partial untouched for two completed rounds lost a fragment,
-        // and holding its reservation any longer just starves the
-        // mempool — §4.1 leaves the retry to the client anyway.
-        loop_count = loop_count.wrapping_add(1);
-        if loop_count & 0x3F == 0 {
-            let now = shared.now_ns();
-            // Capacity housekeeping rides the same cadence: advance the
-            // store clock, sweep this core's share of the partitions for
-            // expired keys, and run an eviction pass if occupancy sits
-            // above the high watermark. No-ops entirely when TTLs were
-            // never used and no eviction policy is configured.
-            shared.store.capacity_tick(core, shared.config.n_cores, now);
-            if reassembler.pending() == 0 {
-                // Nothing can go stale; keep the clock re-armed so the
-                // first partial after an idle stretch still gets its
-                // full two-round grace period rather than hitting a
-                // long-expired deadline immediately.
-                next_reassembly_round = now + shared.config.reassembly_round_ns;
-            } else if now >= next_reassembly_round {
-                next_reassembly_round = now + shared.config.reassembly_round_ns;
-                reassembler.advance_round();
-            }
-        }
-        if reassembler.evicted != reported_evictions {
-            shared
-                .reassembly_evictions
-                .add(reassembler.evicted - reported_evictions);
-            reported_evictions = reassembler.evicted;
-        }
-
-        // Core 0 drives the epoch control loop — in static mode too:
-        // the threshold stays pinned but the cost share (and with it the
-        // small/large core split) still tracks the observed size mix.
-        if core == 0 {
-            let now = shared.now_ns();
-            let deadline = shared.epoch_deadline_ns.load(Ordering::Relaxed);
-            if now >= deadline
-                && shared
-                    .epoch_deadline_ns
-                    .compare_exchange(
-                        deadline,
-                        now + shared.config.epoch_ns,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-            {
-                run_epoch(shared);
-            }
-        }
-
-        // RX draining. Under the size-aware discipline's plan drain,
-        // small cores drain RX queues (their own plus the large cores')
-        // and large cores never touch RX. Every other discipline has
-        // each core drain only its own RX queue at the full batch — the
-        // symmetric hardware-dispatch model the baselines assume.
+        let batch = shared.config.batch_size;
         let schedule = if shared.discipline.plan_drain() {
             plan.allocation.is_small_core(core).then(|| {
                 drain_schedule(
                     core,
-                    shared.config.batch_size,
+                    batch,
                     plan.allocation.n_small,
                     plan.allocation.handoff_cores(),
                 )
             })
         } else {
             Some(DrainSchedule {
-                own: (core, shared.config.batch_size),
+                own: (core, batch),
                 others: Vec::new(),
             })
         };
-        if let Some(schedule) = schedule {
-            rx_buf.clear();
-            let own = shared
-                .transport
-                .rx_burst(schedule.own.0 as u16, &mut rx_buf, schedule.own.1);
-            let mut total = own;
-            for &(q, quota) in &schedule.others {
-                total += shared.transport.rx_burst(q as u16, &mut rx_buf, quota);
+        PlanCache {
+            version,
+            plan,
+            schedule,
+        }
+    }
+}
+
+/// One polling core: the state its thread owns outright and the request
+/// path mutates without synchronization.
+struct Core<'a, T: Transport> {
+    shared: &'a Shared<T>,
+    /// This core's index: its RX/TX queue pair, its software queue, its
+    /// stats and telemetry slots.
+    id: usize,
+    /// Lifecycle clock, zeroed at the registry's start so queue-wait /
+    /// service stamps are directly comparable across cores and with
+    /// snapshot `elapsed_ms`. One monotonic read per event, no syscalls
+    /// beyond `clock_gettime` (vDSO), no allocation.
+    clock: CoreClock,
+    /// The source address of this core's replies.
+    local: Endpoint,
+    /// Streaming large-PUT ingest: fragments are copied straight into
+    /// their value's reserved mempool block and released; no contiguous
+    /// reassembly buffer exists anywhere in the server.
+    reassembler: StreamingReassembler<PutIngest>,
+    /// Replies staged since the last flush. Empty between poll rounds.
+    tx: TxBurst,
+}
+
+fn core_loop<T: Transport>(shared: &Shared<T>, core: usize) {
+    Core {
+        shared,
+        id: core,
+        clock: CoreClock::starting_at(shared.start),
+        local: shared.transport.local_endpoint(core as u16),
+        reassembler: StreamingReassembler::new(1024),
+        tx: TxBurst::with_capacity(shared.config.batch_size),
+    }
+    .run()
+}
+
+impl<T: Transport> Core<'_, T> {
+    /// The run-to-completion loop: read a burst, execute it, transmit
+    /// the burst of replies (paper §4.1), then serve the software
+    /// queues the same way.
+    fn run(mut self) {
+        let (shared, core) = (self.shared, self.id);
+        let mut rx_buf: Vec<Packet> = Vec::with_capacity(shared.config.batch_size * 2);
+        let mut cached = PlanCache::load(shared, core);
+        let mut idle_rounds = 0u32;
+        let mut loop_count = 0u32;
+        let mut next_reassembly_round = shared.config.reassembly_round_ns;
+        // Evictions already folded into the shared gauge; the
+        // reassembler's own counter covers *every* eviction cause (stale
+        // round, capacity, geometry mismatch), all of which drop a live
+        // reservation and must be visible.
+        let mut reported_evictions = 0u64;
+
+        while !shared.shutdown.load(Ordering::Relaxed) {
+            if shared.plan_version.load(Ordering::Acquire) != cached.version {
+                cached = PlanCache::load(shared, core);
             }
-            if total > 0 {
-                did_work = true;
-                // One rx-dequeue stamp per burst: the packets left the
-                // NIC ring together, and per-packet clock reads would
-                // only smear the same instant across a few hundred ns.
-                let arrival_ns = clock.now_ns();
-                for pkt in rx_buf.drain(..) {
-                    process_rx_packet(
-                        shared,
-                        core,
-                        &plan,
-                        &mut reassembler,
-                        clock,
-                        arrival_ns,
-                        pkt,
-                    );
+            let mut did_work = false;
+
+            // Everything that needs the time of day rides one cadence
+            // (checked only every few iterations to keep the hot loop
+            // free of timestamp reads).
+            loop_count = loop_count.wrapping_add(1);
+            if loop_count & 0x3F == 0 {
+                let now = shared.now_ns();
+                // Capacity housekeeping: advance the store clock, sweep
+                // this core's share of the partitions for expired keys,
+                // and run an eviction pass if occupancy sits above the
+                // high watermark. No-ops entirely when TTLs were never
+                // used and no eviction policy is configured.
+                shared.store.capacity_tick(core, shared.config.n_cores, now);
+                // The stale-partial eviction clock: a partial untouched
+                // for two completed rounds lost a fragment, and holding
+                // its reservation any longer just starves the mempool —
+                // §4.1 leaves the retry to the client anyway.
+                if self.reassembler.pending() == 0 {
+                    // Nothing can go stale; keep the clock re-armed so
+                    // the first partial after an idle stretch still gets
+                    // its full two-round grace period rather than
+                    // hitting a long-expired deadline immediately.
+                    next_reassembly_round = now + shared.config.reassembly_round_ns;
+                } else if now >= next_reassembly_round {
+                    next_reassembly_round = now + shared.config.reassembly_round_ns;
+                    self.reassembler.advance_round();
+                }
+                // Core 0 drives the epoch control loop — in static mode
+                // too: the threshold stays pinned but the cost share
+                // (and with it the small/large core split) still tracks
+                // the observed size mix.
+                if core == 0 {
+                    let deadline = shared.epoch_deadline_ns.load(Ordering::Relaxed);
+                    if now >= deadline
+                        && shared
+                            .epoch_deadline_ns
+                            .compare_exchange(
+                                deadline,
+                                now + shared.config.epoch_ns,
+                                Ordering::Relaxed,
+                                Ordering::Relaxed,
+                            )
+                            .is_ok()
+                    {
+                        run_epoch(shared);
+                    }
                 }
             }
-        }
+            if self.reassembler.evicted != reported_evictions {
+                shared
+                    .reassembly_evictions
+                    .add(self.reassembler.evicted - reported_evictions);
+                reported_evictions = self.reassembler.evicted;
+            }
 
-        // Every core drains its own software queue: dedicated large
-        // cores live off it, the standby core serves it alongside small
-        // work, and a core that just flipped large -> small still
-        // flushes stragglers.
-        for _ in 0..shared.config.batch_size {
-            match shared.soft_queues[core].pop() {
-                Some(item) => {
+            if let Some(schedule) = &cached.schedule {
+                rx_buf.clear();
+                let mut total =
+                    shared
+                        .transport
+                        .rx_burst(schedule.own.0 as u16, &mut rx_buf, schedule.own.1);
+                for &(q, quota) in &schedule.others {
+                    total += shared.transport.rx_burst(q as u16, &mut rx_buf, quota);
+                }
+                if total > 0 {
                     did_work = true;
-                    execute_queued(shared, core, &mut reassembler, clock, item);
+                    // One rx-dequeue stamp per burst: the packets left
+                    // the NIC ring together, and per-packet clock reads
+                    // would only smear the same instant across a few
+                    // hundred ns.
+                    let arrival_ns = self.clock.now_ns();
+                    for pkt in rx_buf.drain(..) {
+                        self.process_rx_packet(&cached.plan, arrival_ns, pkt);
+                    }
+                    // The burst's replies leave together, and before
+                    // the software queue is served: a small reply never
+                    // waits behind a large request's execution.
+                    self.flush_tx();
                 }
-                None => break,
             }
-        }
 
-        // Under cFCFS every core also pulls from the single shared
-        // queue — the M/G/k system the paper argues against.
-        if shared.discipline.uses_shared_queue() {
+            // Every core drains its own software queue: dedicated large
+            // cores live off it, the standby core serves it alongside
+            // small work, and a core that just flipped large -> small
+            // still flushes stragglers.
             for _ in 0..shared.config.batch_size {
-                match shared.shared_queue.pop() {
+                match shared.soft_queues[core].pop() {
                     Some(item) => {
                         did_work = true;
-                        execute_queued(shared, core, &mut reassembler, clock, item);
+                        self.execute_queued(item);
                     }
                     None => break,
                 }
             }
-        }
 
-        // Work stealing (opt-in): an idle core takes one request from
-        // the longest peer software queue before spinning.
-        if !did_work && shared.config.steal {
-            did_work = try_steal(shared, core, clock);
-        }
+            // Under cFCFS every core also pulls from the single shared
+            // queue — the M/G/k system the paper argues against.
+            if shared.discipline.uses_shared_queue() {
+                for _ in 0..shared.config.batch_size {
+                    match shared.shared_queue.pop() {
+                        Some(item) => {
+                            did_work = true;
+                            self.execute_queued(item);
+                        }
+                        None => break,
+                    }
+                }
+            }
 
-        if did_work {
-            idle_rounds = 0;
-        } else {
-            idle_rounds = idle_rounds.saturating_add(1);
-            if idle_rounds > 64 {
-                // Be a polite busy-poller on shared test machines: the
-                // real deployment would pin cores and spin.
-                std::thread::yield_now();
+            // Work stealing (opt-in): an idle core takes one request
+            // from the longest peer software queue before spinning.
+            if !did_work && shared.config.steal {
+                did_work = self.try_steal();
+            }
+
+            // What the queued work staged leaves now, so every round
+            // ends with the burst empty — shutdown, observed only at the
+            // top of a round, can never strand a staged reply.
+            self.flush_tx();
+
+            if did_work {
+                idle_rounds = 0;
             } else {
-                std::hint::spin_loop();
+                idle_rounds = idle_rounds.saturating_add(1);
+                if idle_rounds > 64 {
+                    // Be a polite busy-poller on shared test machines:
+                    // the real deployment would pin cores and spin.
+                    std::thread::yield_now();
+                } else {
+                    std::hint::spin_loop();
+                }
             }
         }
+        debug_assert!(self.tx.is_empty(), "every round ends flushed");
+    }
+
+    /// Hands the staged burst to the transport in one
+    /// [`Transport::tx_frames`] call — one `sendmmsg` on the kernel-UDP
+    /// backend, its same-destination runs as `UDP_SEGMENT` trains — and
+    /// records what the transport accepted. A full ring or socket
+    /// buffer tail-drops the rest of the burst FIFO, like hardware
+    /// (`transport.tx_dropped`); the client's loss accounting notices.
+    fn flush_tx(&mut self) {
+        if self.tx.is_empty() {
+            return;
+        }
+        let t0 = self.clock.now_ns();
+        let (packets, bytes) = self.tx.flush(&*self.shared.transport, self.id as u16);
+        self.shared.stats[self.id].record_tx(packets, bytes);
+        self.shared.telemetry[self.id].record_tx_flush(self.clock.now_ns().saturating_sub(t0));
+    }
+
+    /// Stages one reply message in this core's transmit burst, drawing
+    /// the core's next reply message id — the single place the per-core
+    /// `(core << 48) | counter` id scheme lives on the server. The
+    /// burst leaves at the end of the poll round's RX or queue phase
+    /// ([`Core::run`]), or right here when waiting would cost more than
+    /// it saves: a multi-fragment reply is already a burst of its own
+    /// (and is fragmented exactly once, into the burst), and a burst
+    /// that has reached the RX batch size `B` has its syscall's worth.
+    /// Either way the replies staged ahead of it leave first, in order.
+    fn send_reply(&mut self, reply_to: Endpoint, reply: &Message) {
+        let msg_id = ((self.id as u64) << 48)
+            | (self.shared.msg_ids[self.id].fetch_add(1, Ordering::Relaxed) & 0xFFFF_FFFF_FFFF);
+        let fragments = self.tx.stage(self.local, reply_to, reply, msg_id);
+        if fragments > 1 || self.tx.len() >= self.shared.config.batch_size {
+            self.flush_tx();
+        }
+    }
+
+    /// Executes one complete request popped off a software queue (own,
+    /// shared, or a steal victim's), recording its queue-wait/service
+    /// telemetry.
+    fn execute_queued_request(&mut self, req: ServerRequest) {
+        let t0 = self.clock.now_ns();
+        let wait = t0.saturating_sub(req.arrival_ns);
+        let large = self.execute_and_reply(req);
+        self.shared.telemetry[self.id].record(
+            queued_class(self.shared, large),
+            wait,
+            self.clock.now_ns().saturating_sub(t0),
+        );
+    }
+
+    /// Executes one item popped off a software queue. Fragments are
+    /// always large-class (only large PUTs fragment) and are recorded
+    /// per *fragment*, not per message: each fragment is one unit of
+    /// queue work, and its wait is exactly the software-queue delay the
+    /// paper decomposes — a k-fragment PUT contributes k large-class
+    /// samples.
+    fn execute_queued(&mut self, item: Handoff) {
+        match item {
+            Handoff::Request(req) => self.execute_queued_request(req),
+            Handoff::Fragment(pkt, arrival_ns) => {
+                let t0 = self.clock.now_ns();
+                let wait = t0.saturating_sub(arrival_ns);
+                self.stream_put_fragment(pkt);
+                self.shared.telemetry[self.id].record(
+                    ReqClass::Large,
+                    wait,
+                    self.clock.now_ns().saturating_sub(t0),
+                );
+            }
+        }
+    }
+
+    /// One steal attempt by an idle core: pop a request from the
+    /// longest peer software queue and execute it here. Fragments are
+    /// never stolen — all fragments of one message are pinned to a
+    /// single core's reassembler — so one found at the head is pushed
+    /// straight back and the attempt abandoned.
+    fn try_steal(&mut self) -> bool {
+        let (shared, core) = (self.shared, self.id);
+        let mut victim = None;
+        let mut longest = 0;
+        for (i, q) in shared.soft_queues.iter().enumerate() {
+            if i != core && q.len() > longest {
+                longest = q.len();
+                victim = Some(i);
+            }
+        }
+        let Some(victim) = victim else {
+            return false;
+        };
+        match shared.soft_queues[victim].pop() {
+            Some(Handoff::Request(req)) => {
+                shared.stats[core].record_steal();
+                shared.steal_picks.inc();
+                self.execute_queued_request(req);
+                true
+            }
+            Some(frag @ Handoff::Fragment(..)) => {
+                // Returning the fragment can only fail if the queue
+                // refilled between the pop and this push; that loss is
+                // still a drop.
+                if shared.soft_queues[victim].push(frag).is_err() {
+                    shared.soft_drops.inc();
+                }
+                false
+            }
+            None => false,
+        }
+    }
+
+    /// Streams one large-PUT fragment into this core's ingest
+    /// reassembler: the chunk is copied straight into the message's
+    /// reserved mempool block (opened on the first-seen fragment) and
+    /// the fragment's pooled RX buffer is released immediately. On
+    /// completion the reservation is committed under the bucket lock
+    /// and the reply staged.
+    fn stream_put_fragment(&mut self, pkt: Packet) {
+        let shared = self.shared;
+        let src = pkt.source_endpoint();
+        let reply_to = endpoint_of(&pkt);
+        // Cheap refcount clone: keeps the chunk reachable for the
+        // over-quota reply below after `push` consumes the payload.
+        let payload = pkt.payload.clone();
+        let mut over_quota = false;
+        let streamed =
+            self.reassembler.push(src, pkt.payload, |fh| {
+                match PutIngest::open_bounded(&shared.store, fh, src, &shared.discard_quota) {
+                    OpenOutcome::Open(ingest) => Some(ingest),
+                    OpenOutcome::Malformed => None,
+                    OpenOutcome::OverQuota => {
+                        over_quota = true;
+                        None
+                    }
+                }
+            });
+        match streamed {
+            Streamed::Complete(ingest) => self.finish_streamed_put(ingest, reply_to),
+            Streamed::Incomplete | Streamed::Duplicate => {}
+            Streamed::Rejected if over_quota => {
+                // The source is hogging discard slots: no ingest state
+                // was opened, but the paper's contract (every request
+                // gets a reply) still holds when this fragment is the
+                // one carrying the application header — answer
+                // `OutOfMemory` right here. Header-less fragments of the
+                // rejected message are simply dropped.
+                let mut rd = payload;
+                if let Some(fh) = FragHeader::decode(&mut rd) {
+                    if fh.index == 0 {
+                        if let Some(reply) = rejected_put_reply(&rd, ReplyStatus::OutOfMemory) {
+                            self.send_reply(reply_to, &reply);
+                        }
+                    }
+                }
+            }
+            Streamed::Rejected => {
+                shared.malformed.inc();
+            }
+        }
+    }
+
+    /// Commits a fully streamed PUT and stages its reply.
+    fn finish_streamed_put(&mut self, ingest: PutIngest, reply_to: Endpoint) {
+        let Some(done) = ingest.commit(&self.shared.store) else {
+            self.shared.malformed.inc();
+            return;
+        };
+        self.shared.stats[self.id].record_put(done.is_large());
+        self.send_reply(reply_to, &done.reply());
+    }
+
+    /// Handles one packet drained from an RX queue by a small core.
+    /// `arrival_ns` is the rx-dequeue stamp of the burst the packet
+    /// arrived in — the zero point of its queue-wait measurement.
+    fn process_rx_packet(&mut self, plan: &ShardingPlan, arrival_ns: u64, pkt: Packet) {
+        let (shared, core) = (self.shared, self.id);
+        shared.stats[core].record_rx(1, pkt.wire_len() as u64);
+        let mut rd = pkt.payload.clone();
+        let Some(fh) = FragHeader::decode(&mut rd) else {
+            shared.malformed.inc();
+            return;
+        };
+
+        if fh.count > 1 {
+            // A multi-fragment message: necessarily a large PUT request.
+            // The item size is knowable from the fragment header alone,
+            // so classify without reassembling ("the size is known to
+            // the client and present in the request. There is therefore
+            // no need to do a lookup").
+            let item_size = u64::from(fh.msg_len).saturating_sub(MSG_HEADER_LEN as u64);
+            if fh.index == 0 {
+                shared.size_hists[core].record(item_size);
+            }
+            // All fragments of one message must reach the same
+            // reassembler, across plan changes and across the multiple
+            // small cores that drain one RX queue — so the target core
+            // is pinned on the message's first-seen fragment. The
+            // discipline picks the owner; under size-aware sharding that
+            // is the plan's range core (or this core itself when the
+            // threshold sits above the size — a heavily large-skewed
+            // workload).
+            let src = pkt.source_endpoint();
+            let watermark = shared.config.shed_watermark;
+            let target = shared.flow_pins.pin(src, fh.msg_id, fh.count, || {
+                let depths = SoftQueueDepths(&shared.soft_queues);
+                let t = shared.discipline.place_fragment(&PlaceCtx {
+                    rx_core: core,
+                    n_cores: shared.config.n_cores,
+                    key: fragment_key(src, fh.msg_id),
+                    size: Some(item_size),
+                    plan,
+                    depths: &depths,
+                });
+                // The shed valve, decided once per message at pin time
+                // so every fragment of a shed PUT is dropped
+                // consistently: a multi-fragment message is by
+                // construction large, exactly what degrades first under
+                // overload.
+                if watermark > 0 && t != core && shared.soft_queues[t].len() >= watermark {
+                    SHED_TARGET
+                } else {
+                    t
+                }
+            });
+            if target == SHED_TARGET {
+                // Every fragment of the shed message lands here via the
+                // pin; the one carrying the application header answers
+                // `Overloaded` (the client backs off), the rest just
+                // drop.
+                if fh.index == 0 {
+                    shared.sheds.inc();
+                    if let Some(reply) = rejected_put_reply(&rd, ReplyStatus::Overloaded) {
+                        self.send_reply(endpoint_of(&pkt), &reply);
+                    }
+                }
+                return;
+            }
+            if target == core {
+                // Large work executing on the RX-draining core itself
+                // (standby mode, or a large-skewed threshold): still
+                // large-class — the class records the execution route.
+                let t0 = self.clock.now_ns();
+                let wait = t0.saturating_sub(arrival_ns);
+                self.stream_put_fragment(pkt);
+                shared.telemetry[core].record(
+                    ReqClass::Large,
+                    wait,
+                    self.clock.now_ns().saturating_sub(t0),
+                );
+            } else if shared.soft_queues[target]
+                .push(Handoff::Fragment(pkt, arrival_ns))
+                .is_err()
+            {
+                shared.soft_drops.inc();
+            } else {
+                shared.stats[core].record_handoff();
+            }
+            return;
+        }
+
+        // Single-fragment packet: a complete (small-sized) message.
+        let Some(msg) = Message::decode(rd) else {
+            shared.malformed.inc();
+            return;
+        };
+        let reply_to = endpoint_of(&pkt);
+        self.handle_message(
+            plan,
+            ServerRequest {
+                msg,
+                reply_to,
+                arrival_ns,
+            },
+        );
+    }
+
+    /// Places one complete request per the configured discipline:
+    /// executes it inline, pushes it to a peer core's software queue, or
+    /// pushes it to the shared cFCFS queue. Locally executed work
+    /// records small-class lifecycle telemetry (queue wait = service
+    /// start − rx dequeue); queued work is recorded by the core that
+    /// executes it.
+    fn handle_message(&mut self, plan: &ShardingPlan, req: ServerRequest) {
+        let t0 = self.clock.now_ns();
+        let wait = t0.saturating_sub(req.arrival_ns);
+        if self.shared.discipline.needs_size() {
+            self.handle_message_size_aware(plan, t0, wait, req);
+        } else {
+            self.handle_message_by_key(plan, t0, wait, req);
+        }
+    }
+
+    /// Places where the discipline needs the item's size (size-aware
+    /// sharding, paper §3): for GETs, one lookup on the RX core decides
+    /// — reply directly if the item is small, hand the *request* off if
+    /// large (the executing core re-reads).
+    fn handle_message_size_aware(
+        &mut self,
+        plan: &ShardingPlan,
+        t0: u64,
+        wait: u64,
+        req: ServerRequest,
+    ) {
+        let (shared, core, clock) = (self.shared, self.id, self.clock);
+        let record_small = || {
+            shared.telemetry[core].record(ReqClass::Small, wait, clock.now_ns().saturating_sub(t0));
+        };
+        let place = |key: u64, size: u64| {
+            let depths = SoftQueueDepths(&shared.soft_queues);
+            shared.discipline.place(&PlaceCtx {
+                rx_core: core,
+                n_cores: shared.config.n_cores,
+                key,
+                size: Some(size),
+                plan,
+                depths: &depths,
+            })
+        };
+        match &req.msg.body {
+            Body::Get { key } => match shared.store.get(*key) {
+                None => {
+                    shared.size_hists[core].record(0);
+                    shared.stats[core].record_get(false);
+                    self.reply_direct(&req, ReplyStatus::NotFound, None);
+                    record_small();
+                }
+                Some(value) => {
+                    let size = value.len() as u64;
+                    shared.size_hists[core].record(size);
+                    match place(*key, size) {
+                        Placement::Local => {
+                            shared.stats[core].record_get(false);
+                            self.reply_direct(&req, ReplyStatus::Ok, Some(value));
+                            record_small();
+                        }
+                        placement => {
+                            drop(value);
+                            // A handed-off request is large by
+                            // definition under size-aware sharding:
+                            // sheddable.
+                            self.enqueue_placed(placement, req, true);
+                        }
+                    }
+                }
+            },
+            Body::Put { key, value, .. } => {
+                let size = value.len() as u64;
+                shared.size_hists[core].record(size);
+                match place(*key, size) {
+                    Placement::Local => {
+                        self.execute_and_reply(req);
+                        record_small();
+                    }
+                    placement => self.enqueue_placed(placement, req, true),
+                }
+            }
+            Body::Delete { .. } => {
+                // Deletes carry no payload and free memory; they execute
+                // locally (create/delete are PUT variants in the paper
+                // and are not discussed further — this is the obvious
+                // policy).
+                self.execute_and_reply(req);
+                record_small();
+            }
+            _ => {
+                // Replies arriving at a server are protocol violations.
+                shared.malformed.inc();
+            }
+        }
+    }
+
+    /// Places where the discipline works from the key and queue state
+    /// alone (every non-size-aware discipline): no classification lookup
+    /// on the RX core — the executing core performs the only store
+    /// access, and telemetry classes by what the request turned out to
+    /// be.
+    fn handle_message_by_key(
+        &mut self,
+        plan: &ShardingPlan,
+        t0: u64,
+        wait: u64,
+        req: ServerRequest,
+    ) {
+        let (shared, core) = (self.shared, self.id);
+        let (key, size) = match &req.msg.body {
+            Body::Get { key } | Body::Delete { key } => (*key, None),
+            Body::Put { key, value, .. } => (*key, Some(value.len() as u64)),
+            _ => {
+                // Replies arriving at a server are protocol violations.
+                shared.malformed.inc();
+                return;
+            }
+        };
+        // Keep the size statistics (and with them the epoch controller
+        // and the `plan.*` telemetry) flowing where the size is knowable
+        // without a lookup. The plan these feed is advisory here — no
+        // placement consults it.
+        if let Some(size) = size {
+            shared.size_hists[core].record(size);
+        }
+        let placement = {
+            let depths = SoftQueueDepths(&shared.soft_queues);
+            shared.discipline.place(&PlaceCtx {
+                rx_core: core,
+                n_cores: shared.config.n_cores,
+                key,
+                size,
+                plan,
+                depths: &depths,
+            })
+        };
+        match placement {
+            Placement::Local => {
+                let large = self.execute_and_reply(req);
+                let class = if large.unwrap_or(false) {
+                    ReqClass::Large
+                } else {
+                    ReqClass::Small
+                };
+                shared.telemetry[core].record(class, wait, self.clock.now_ns().saturating_sub(t0));
+            }
+            placement => {
+                // Non-size-aware disciplines don't classify to place,
+                // but the shed valve still needs to know large from
+                // small: consult the advisory plan's threshold where the
+                // size is knowable without a lookup (PUTs;
+                // GETs/DELETEs pass).
+                let sheddable = size.is_some_and(|s| s >= plan.decision.threshold);
+                self.enqueue_placed(placement, req, sheddable);
+            }
+        }
+    }
+
+    /// Pushes a placed request onto its target queue — a peer core's
+    /// software queue or the shared cFCFS queue — with the pick
+    /// counters and tail-drop accounting. `Placement::Local` is the
+    /// caller's job (the two paths reply with different state in hand).
+    ///
+    /// `sheddable` marks requests the overload valve may refuse: large
+    /// ones, per the size-aware insight inverted — under overload the
+    /// small-class tail is protected first, so a queue sitting past
+    /// [`MinosConfig::shed_watermark`] sheds the large request with an
+    /// immediate [`ReplyStatus::Overloaded`] reply (an error, not an
+    /// ack: nothing executes, nothing is stored) instead of deepening
+    /// the backlog until tail-drop loses it silently.
+    fn enqueue_placed(&mut self, placement: Placement, req: ServerRequest, sheddable: bool) {
+        let shared = self.shared;
+        let (queue, pick) = match placement {
+            Placement::Core(target) => (&shared.soft_queues[target], &shared.queue_picks),
+            Placement::Shared => (&shared.shared_queue, &shared.shared_picks),
+            Placement::Local => unreachable!("local placement executes inline"),
+        };
+        let watermark = shared.config.shed_watermark;
+        if sheddable && watermark > 0 {
+            // The shared queue serves all cores and is sized n× a
+            // software queue; its watermark scales the same way.
+            let limit = match placement {
+                Placement::Shared => watermark * shared.config.n_cores,
+                _ => watermark,
+            };
+            if queue.len() >= limit {
+                shared.sheds.inc();
+                self.reply_direct(&req, ReplyStatus::Overloaded, None);
+                return;
+            }
+        }
+        pick.inc();
+        if queue.push(Handoff::Request(req)).is_err() {
+            shared.soft_drops.inc();
+        } else {
+            shared.stats[self.id].record_handoff();
+        }
+    }
+
+    /// Stages a reply for a request whose outcome is already known
+    /// (small-core fast path: the lookup already happened during
+    /// classification).
+    fn reply_direct(
+        &mut self,
+        req: &ServerRequest,
+        status: ReplyStatus,
+        value: Option<minos_kv::PoolBytes>,
+    ) {
+        let reply = req.msg.reply(status, value.map(bytes::Bytes::from_owner));
+        self.send_reply(req.reply_to, &reply);
+    }
+
+    /// Executes a request on this core (small or large) and stages the
+    /// reply on this core's TX queue. Returns whether the item was large
+    /// (`None` for malformed requests) so queued-work telemetry can
+    /// class by outcome under the non-size-aware disciplines.
+    fn execute_and_reply(&mut self, req: ServerRequest) -> Option<bool> {
+        let shared = self.shared;
+        let Some((status, value, was_get, large)) = execute(&shared.store, &req.msg) else {
+            shared.malformed.inc();
+            return None;
+        };
+        if was_get {
+            shared.stats[self.id].record_get(large);
+        } else {
+            shared.stats[self.id].record_put(large);
+        }
+        let reply = req.msg.reply(status, value.map(bytes::Bytes::from_owner));
+        self.send_reply(req.reply_to, &reply);
+        Some(large)
     }
 }
 
@@ -788,84 +1374,6 @@ fn queued_class<T: Transport>(shared: &Shared<T>, large: Option<bool>) -> ReqCla
         ReqClass::Large
     } else {
         ReqClass::Small
-    }
-}
-
-/// Executes one complete request popped off a software queue (own,
-/// shared, or a steal victim's), recording its queue-wait/service
-/// telemetry.
-fn execute_queued_request<T: Transport>(
-    shared: &Shared<T>,
-    core: usize,
-    clock: CoreClock,
-    req: ServerRequest,
-) {
-    let t0 = clock.now_ns();
-    let wait = t0.saturating_sub(req.arrival_ns);
-    let large = execute_and_reply(shared, core, req);
-    shared.telemetry[core].record(
-        queued_class(shared, large),
-        wait,
-        clock.now_ns().saturating_sub(t0),
-    );
-}
-
-/// Executes one item popped off a software queue. Fragments are always
-/// large-class (only large PUTs fragment) and are recorded per
-/// *fragment*, not per message: each fragment is one unit of queue
-/// work, and its wait is exactly the software-queue delay the paper
-/// decomposes — a k-fragment PUT contributes k large-class samples.
-fn execute_queued<T: Transport>(
-    shared: &Shared<T>,
-    core: usize,
-    reassembler: &mut StreamingReassembler<PutIngest>,
-    clock: CoreClock,
-    item: Handoff,
-) {
-    match item {
-        Handoff::Request(req) => execute_queued_request(shared, core, clock, req),
-        Handoff::Fragment(pkt, arrival_ns) => {
-            let t0 = clock.now_ns();
-            let wait = t0.saturating_sub(arrival_ns);
-            stream_put_fragment(shared, core, reassembler, pkt);
-            shared.telemetry[core].record(ReqClass::Large, wait, clock.now_ns().saturating_sub(t0));
-        }
-    }
-}
-
-/// One steal attempt by an idle core: pop a request from the longest
-/// peer software queue and execute it here. Fragments are never stolen
-/// — all fragments of one message are pinned to a single core's
-/// reassembler — so one found at the head is pushed straight back and
-/// the attempt abandoned.
-fn try_steal<T: Transport>(shared: &Shared<T>, core: usize, clock: CoreClock) -> bool {
-    let mut victim = None;
-    let mut longest = 0;
-    for (i, q) in shared.soft_queues.iter().enumerate() {
-        if i != core && q.len() > longest {
-            longest = q.len();
-            victim = Some(i);
-        }
-    }
-    let Some(victim) = victim else {
-        return false;
-    };
-    match shared.soft_queues[victim].pop() {
-        Some(Handoff::Request(req)) => {
-            shared.stats[core].record_steal();
-            shared.steal_picks.inc();
-            execute_queued_request(shared, core, clock, req);
-            true
-        }
-        Some(frag @ Handoff::Fragment(..)) => {
-            // Returning the fragment can only fail if the queue refilled
-            // between the pop and this push; that loss is still a drop.
-            if shared.soft_queues[victim].push(frag).is_err() {
-                shared.soft_drops.inc();
-            }
-            false
-        }
-        None => false,
     }
 }
 
@@ -890,6 +1398,9 @@ fn run_epoch<T: Transport>(shared: &Shared<T>) {
         shared.config.cost_fn,
     );
     *shared.plan.write() = Arc::new(plan);
+    // Release: a core that sees the new version re-reads the plan
+    // (`PlanCache::load`) and must find this one.
+    shared.plan_version.fetch_add(1, Ordering::Release);
     shared.epochs.set(epoch_id);
 }
 
@@ -901,445 +1412,10 @@ fn endpoint_of(pkt: &Packet) -> Endpoint {
     }
 }
 
-/// Streams one large-PUT fragment into this core's ingest reassembler:
-/// the chunk is copied straight into the message's reserved mempool
-/// block (opened on the first-seen fragment) and the fragment's pooled
-/// RX buffer is released immediately. On completion the reservation is
-/// committed under the bucket lock and the reply transmitted.
-fn stream_put_fragment<T: Transport>(
-    shared: &Shared<T>,
-    core: usize,
-    reassembler: &mut StreamingReassembler<PutIngest>,
-    pkt: Packet,
-) {
-    let src = pkt.source_endpoint();
-    let reply_to = endpoint_of(&pkt);
-    // Cheap refcount clone: keeps the chunk reachable for the
-    // over-quota reply below after `push` consumes the payload.
-    let payload = pkt.payload.clone();
-    let mut over_quota = false;
-    let streamed = reassembler.push(src, pkt.payload, |fh| {
-        match PutIngest::open_bounded(&shared.store, fh, src, &shared.discard_quota) {
-            OpenOutcome::Open(ingest) => Some(ingest),
-            OpenOutcome::Malformed => None,
-            OpenOutcome::OverQuota => {
-                over_quota = true;
-                None
-            }
-        }
-    });
-    match streamed {
-        Streamed::Complete(ingest) => finish_streamed_put(shared, core, ingest, reply_to),
-        Streamed::Incomplete | Streamed::Duplicate => {}
-        Streamed::Rejected if over_quota => {
-            // The source is hogging discard slots: no ingest state was
-            // opened, but the paper's contract (every request gets a
-            // reply) still holds when this fragment is the one carrying
-            // the application header — answer `OutOfMemory` right here.
-            // Header-less fragments of the rejected message are simply
-            // dropped.
-            let mut rd = payload;
-            if let Some(fh) = FragHeader::decode(&mut rd) {
-                if fh.index == 0 {
-                    if let Some(reply) = rejected_put_reply(&rd, ReplyStatus::OutOfMemory) {
-                        send_reply(shared, core, reply_to, &reply);
-                    }
-                }
-            }
-        }
-        Streamed::Rejected => {
-            shared.malformed.inc();
-        }
-    }
-}
-
-/// Commits a fully streamed PUT and transmits its reply.
-fn finish_streamed_put<T: Transport>(
-    shared: &Shared<T>,
-    core: usize,
-    ingest: PutIngest,
-    reply_to: Endpoint,
-) {
-    let Some(done) = ingest.commit(&shared.store) else {
-        shared.malformed.inc();
-        return;
-    };
-    shared.stats[core].record_put(done.is_large());
-    send_reply(shared, core, reply_to, &done.reply());
-}
-
-/// Transmits one reply message from `core`, drawing the core's next
-/// reply message id and recording the TX stats — the single place the
-/// per-core `(core << 48) | counter` id scheme lives on the server.
-fn send_reply<T: Transport>(shared: &Shared<T>, core: usize, reply_to: Endpoint, reply: &Message) {
-    let msg_id = ((core as u64) << 48)
-        | (shared.msg_ids[core].fetch_add(1, Ordering::Relaxed) & 0xFFFF_FFFF_FFFF);
-    let (packets, bytes_out) = transmit_message(
-        &*shared.transport,
-        core as u16,
-        shared.endpoint(core),
-        reply_to,
-        reply,
-        msg_id,
-    );
-    shared.stats[core].record_tx(packets, bytes_out);
-}
-
-/// Handles one packet drained from an RX queue by a small core.
-/// `arrival_ns` is the rx-dequeue stamp of the burst the packet arrived
-/// in — the zero point of its queue-wait measurement.
-fn process_rx_packet<T: Transport>(
-    shared: &Shared<T>,
-    core: usize,
-    plan: &ShardingPlan,
-    reassembler: &mut StreamingReassembler<PutIngest>,
-    clock: CoreClock,
-    arrival_ns: u64,
-    pkt: Packet,
-) {
-    shared.stats[core].record_rx(1, pkt.wire_len() as u64);
-    let mut rd = pkt.payload.clone();
-    let Some(fh) = FragHeader::decode(&mut rd) else {
-        shared.malformed.inc();
-        return;
-    };
-
-    if fh.count > 1 {
-        // A multi-fragment message: necessarily a large PUT request.
-        // The item size is knowable from the fragment header alone, so
-        // classify without reassembling ("the size is known to the
-        // client and present in the request. There is therefore no need
-        // to do a lookup").
-        let item_size = u64::from(fh.msg_len).saturating_sub(MSG_HEADER_LEN as u64);
-        if fh.index == 0 {
-            shared.size_hists[core].record(item_size);
-        }
-        // All fragments of one message must reach the same reassembler,
-        // across plan changes and across the multiple small cores that
-        // drain one RX queue — so the target core is pinned on the
-        // message's first-seen fragment. The discipline picks the
-        // owner; under size-aware sharding that is the plan's range
-        // core (or this core itself when the threshold sits above the
-        // size — a heavily large-skewed workload).
-        let src = pkt.source_endpoint();
-        let watermark = shared.config.shed_watermark;
-        let target = shared.flow_pins.pin(src, fh.msg_id, fh.count, || {
-            let depths = SoftQueueDepths(&shared.soft_queues);
-            let t = shared.discipline.place_fragment(&PlaceCtx {
-                rx_core: core,
-                n_cores: shared.config.n_cores,
-                key: fragment_key(src, fh.msg_id),
-                size: Some(item_size),
-                plan,
-                depths: &depths,
-            });
-            // The shed valve, decided once per message at pin time so
-            // every fragment of a shed PUT is dropped consistently: a
-            // multi-fragment message is by construction large, exactly
-            // what degrades first under overload.
-            if watermark > 0 && t != core && shared.soft_queues[t].len() >= watermark {
-                SHED_TARGET
-            } else {
-                t
-            }
-        });
-        if target == SHED_TARGET {
-            // Every fragment of the shed message lands here via the pin;
-            // the one carrying the application header answers
-            // `Overloaded` (the client backs off), the rest just drop.
-            if fh.index == 0 {
-                shared.sheds.inc();
-                if let Some(reply) = rejected_put_reply(&rd, ReplyStatus::Overloaded) {
-                    send_reply(shared, core, endpoint_of(&pkt), &reply);
-                }
-            }
-            return;
-        }
-        if target == core {
-            // Large work executing on the RX-draining core itself
-            // (standby mode, or a large-skewed threshold): still
-            // large-class — the class records the execution route.
-            let t0 = clock.now_ns();
-            let wait = t0.saturating_sub(arrival_ns);
-            stream_put_fragment(shared, core, reassembler, pkt);
-            shared.telemetry[core].record(ReqClass::Large, wait, clock.now_ns().saturating_sub(t0));
-        } else if shared.soft_queues[target]
-            .push(Handoff::Fragment(pkt, arrival_ns))
-            .is_err()
-        {
-            shared.soft_drops.inc();
-        } else {
-            shared.stats[core].record_handoff();
-        }
-        return;
-    }
-
-    // Single-fragment packet: a complete (small-sized) message.
-    let Some(msg) = Message::decode(rd) else {
-        shared.malformed.inc();
-        return;
-    };
-    let reply_to = endpoint_of(&pkt);
-    handle_message(
-        shared,
-        core,
-        plan,
-        clock,
-        ServerRequest {
-            msg,
-            reply_to,
-            arrival_ns,
-        },
-    );
-}
-
-/// Places one complete request per the configured discipline: executes
-/// it inline, pushes it to a peer core's software queue, or pushes it
-/// to the shared cFCFS queue. Locally executed work records small-class
-/// lifecycle telemetry (queue wait = service start − rx dequeue);
-/// queued work is recorded by the core that executes it.
-fn handle_message<T: Transport>(
-    shared: &Shared<T>,
-    core: usize,
-    plan: &ShardingPlan,
-    clock: CoreClock,
-    req: ServerRequest,
-) {
-    let t0 = clock.now_ns();
-    let wait = t0.saturating_sub(req.arrival_ns);
-    if shared.discipline.needs_size() {
-        handle_message_size_aware(shared, core, plan, clock, t0, wait, req);
-    } else {
-        handle_message_by_key(shared, core, plan, clock, t0, wait, req);
-    }
-}
-
-/// Places where the discipline needs the item's size (size-aware
-/// sharding, paper §3): for GETs, one lookup on the RX core decides —
-/// reply directly if the item is small, hand the *request* off if large
-/// (the executing core re-reads).
-fn handle_message_size_aware<T: Transport>(
-    shared: &Shared<T>,
-    core: usize,
-    plan: &ShardingPlan,
-    clock: CoreClock,
-    t0: u64,
-    wait: u64,
-    req: ServerRequest,
-) {
-    let record_small = |shared: &Shared<T>| {
-        shared.telemetry[core].record(ReqClass::Small, wait, clock.now_ns().saturating_sub(t0));
-    };
-    let place = |key: u64, size: u64| {
-        let depths = SoftQueueDepths(&shared.soft_queues);
-        shared.discipline.place(&PlaceCtx {
-            rx_core: core,
-            n_cores: shared.config.n_cores,
-            key,
-            size: Some(size),
-            plan,
-            depths: &depths,
-        })
-    };
-    match &req.msg.body {
-        Body::Get { key } => match shared.store.get(*key) {
-            None => {
-                shared.size_hists[core].record(0);
-                shared.stats[core].record_get(false);
-                reply_direct(shared, core, &req, ReplyStatus::NotFound, None);
-                record_small(shared);
-            }
-            Some(value) => {
-                let size = value.len() as u64;
-                shared.size_hists[core].record(size);
-                match place(*key, size) {
-                    Placement::Local => {
-                        shared.stats[core].record_get(false);
-                        reply_direct(shared, core, &req, ReplyStatus::Ok, Some(value));
-                        record_small(shared);
-                    }
-                    placement => {
-                        drop(value);
-                        // A handed-off request is large by definition
-                        // under size-aware sharding: sheddable.
-                        enqueue_placed(shared, core, placement, req, true);
-                    }
-                }
-            }
-        },
-        Body::Put { key, value, .. } => {
-            let size = value.len() as u64;
-            shared.size_hists[core].record(size);
-            match place(*key, size) {
-                Placement::Local => {
-                    execute_and_reply(shared, core, req);
-                    record_small(shared);
-                }
-                placement => enqueue_placed(shared, core, placement, req, true),
-            }
-        }
-        Body::Delete { .. } => {
-            // Deletes carry no payload and free memory; they execute
-            // locally (create/delete are PUT variants in the paper and
-            // are not discussed further — this is the obvious policy).
-            execute_and_reply(shared, core, req);
-            record_small(shared);
-        }
-        _ => {
-            // Replies arriving at a server are protocol violations.
-            shared.malformed.inc();
-        }
-    }
-}
-
-/// Places where the discipline works from the key and queue state alone
-/// (every non-size-aware discipline): no classification lookup on the
-/// RX core — the executing core performs the only store access, and
-/// telemetry classes by what the request turned out to be.
-fn handle_message_by_key<T: Transport>(
-    shared: &Shared<T>,
-    core: usize,
-    plan: &ShardingPlan,
-    clock: CoreClock,
-    t0: u64,
-    wait: u64,
-    req: ServerRequest,
-) {
-    let (key, size) = match &req.msg.body {
-        Body::Get { key } | Body::Delete { key } => (*key, None),
-        Body::Put { key, value, .. } => (*key, Some(value.len() as u64)),
-        _ => {
-            // Replies arriving at a server are protocol violations.
-            shared.malformed.inc();
-            return;
-        }
-    };
-    // Keep the size statistics (and with them the epoch controller and
-    // the `plan.*` telemetry) flowing where the size is knowable
-    // without a lookup. The plan these feed is advisory here — no
-    // placement consults it.
-    if let Some(size) = size {
-        shared.size_hists[core].record(size);
-    }
-    let placement = {
-        let depths = SoftQueueDepths(&shared.soft_queues);
-        shared.discipline.place(&PlaceCtx {
-            rx_core: core,
-            n_cores: shared.config.n_cores,
-            key,
-            size,
-            plan,
-            depths: &depths,
-        })
-    };
-    match placement {
-        Placement::Local => {
-            let large = execute_and_reply(shared, core, req);
-            let class = if large.unwrap_or(false) {
-                ReqClass::Large
-            } else {
-                ReqClass::Small
-            };
-            shared.telemetry[core].record(class, wait, clock.now_ns().saturating_sub(t0));
-        }
-        placement => {
-            // Non-size-aware disciplines don't classify to place, but
-            // the shed valve still needs to know large from small:
-            // consult the advisory plan's threshold where the size is
-            // knowable without a lookup (PUTs; GETs/DELETEs pass).
-            let sheddable = size.is_some_and(|s| s >= plan.decision.threshold);
-            enqueue_placed(shared, core, placement, req, sheddable);
-        }
-    }
-}
-
 /// The [`FlowPins`] target marking a multi-fragment message shed by the
 /// overload valve: every fragment observing it is dropped, fragment 0
 /// answers `Overloaded`.
 const SHED_TARGET: usize = usize::MAX;
-
-/// Pushes a placed request onto its target queue — a peer core's
-/// software queue or the shared cFCFS queue — with the pick counters
-/// and tail-drop accounting. `Placement::Local` is the caller's job
-/// (the two paths reply with different state in hand).
-///
-/// `sheddable` marks requests the overload valve may refuse: large
-/// ones, per the size-aware insight inverted — under overload the
-/// small-class tail is protected first, so a queue sitting past
-/// [`MinosConfig::shed_watermark`] sheds the large request with an
-/// immediate [`ReplyStatus::Overloaded`] reply (an error, not an ack:
-/// nothing executes, nothing is stored) instead of deepening the
-/// backlog until tail-drop loses it silently.
-fn enqueue_placed<T: Transport>(
-    shared: &Shared<T>,
-    core: usize,
-    placement: Placement,
-    req: ServerRequest,
-    sheddable: bool,
-) {
-    let (queue, pick) = match placement {
-        Placement::Core(target) => (&shared.soft_queues[target], &shared.queue_picks),
-        Placement::Shared => (&shared.shared_queue, &shared.shared_picks),
-        Placement::Local => unreachable!("local placement executes inline"),
-    };
-    let watermark = shared.config.shed_watermark;
-    if sheddable && watermark > 0 {
-        // The shared queue serves all cores and is sized n× a software
-        // queue; its watermark scales the same way.
-        let limit = match placement {
-            Placement::Shared => watermark * shared.config.n_cores,
-            _ => watermark,
-        };
-        if queue.len() >= limit {
-            shared.sheds.inc();
-            reply_direct(shared, core, &req, ReplyStatus::Overloaded, None);
-            return;
-        }
-    }
-    pick.inc();
-    if queue.push(Handoff::Request(req)).is_err() {
-        shared.soft_drops.inc();
-    } else {
-        shared.stats[core].record_handoff();
-    }
-}
-
-/// Transmits a reply for a request whose outcome is already known
-/// (small-core fast path: the lookup already happened during
-/// classification).
-fn reply_direct<T: Transport>(
-    shared: &Shared<T>,
-    core: usize,
-    req: &ServerRequest,
-    status: ReplyStatus,
-    value: Option<minos_kv::PoolBytes>,
-) {
-    let reply = req.msg.reply(status, value.map(bytes::Bytes::from_owner));
-    send_reply(shared, core, req.reply_to, &reply);
-}
-
-/// Executes a request on this core (small or large) and transmits the
-/// reply on this core's TX queue. Returns whether the item was large
-/// (`None` for malformed requests) so queued-work telemetry can class
-/// by outcome under the non-size-aware disciplines.
-fn execute_and_reply<T: Transport>(
-    shared: &Shared<T>,
-    core: usize,
-    req: ServerRequest,
-) -> Option<bool> {
-    let Some((status, value, was_get, large)) = execute(&shared.store, &req.msg) else {
-        shared.malformed.inc();
-        return None;
-    };
-    if was_get {
-        shared.stats[core].record_get(large);
-    } else {
-        shared.stats[core].record_put(large);
-    }
-    let reply = req.msg.reply(status, value.map(bytes::Bytes::from_owner));
-    send_reply(shared, core, req.reply_to, &reply);
-    Some(large)
-}
 
 /// Executes `msg` against `store`, returning `(status, reply value,
 /// was_get, item_was_large)`; `None` for protocol violations (a reply
@@ -1382,20 +1458,105 @@ pub fn execute(
     }
 }
 
-/// Encodes, fragments and transmits a reply on `tx_queue` of
-/// `transport`. Returns the `(packets, bytes)` accepted by the
-/// transport (a full ring/socket buffer tail-drops the rest, like
-/// hardware; the client's loss accounting notices). Shared by every
-/// engine.
+/// The replies one core has built but not yet sent: the transmit half
+/// of the paper's run-to-completion loop (read a batch of `B`, execute,
+/// *transmit the batch* — §4.1). Every reply staged while one poll
+/// round's requests execute leaves in a single [`Transport::tx_frames`]
+/// call, so `k` replies cost one `sendmmsg` instead of `k`, and —
+/// because the kernel-UDP backend coalesces every run of
+/// same-destination, equal-length frames (the last may be shorter) into
+/// a `UDP_SEGMENT` train — consecutive replies to one client mostly
+/// cross the network stack once, together.
 ///
-/// The whole reply is scatter-gather end to end: the value leaves the
-/// store as refcounted mempool memory (`PoolBytes` →
-/// `Bytes::from_owner`), [`Message::encode_frame`] appends it to the
-/// reply frame as a segment, fragmentation slices it per datagram
-/// ([`fragment_frame_with_id`]), and one [`Transport::tx_frames`] burst
-/// hands header-iovec + value-iovec pairs to the transport — the value
-/// bytes are never copied on this path, an invariant the transport's
-/// `tx_copied_bytes` gauge asserts.
+/// The one reply encoder: every engine stages with [`TxBurst::stage`]
+/// and sends with [`TxBurst::flush`] ([`transmit_message`] is exactly
+/// that pair on a burst of its own). The buffers keep their capacity
+/// across flushes, so a long-lived burst allocates nothing in steady
+/// state.
+#[derive(Debug, Default)]
+pub struct TxBurst {
+    frames: Vec<TxPacket>,
+    /// On-wire length of each staged frame, in step with `frames`
+    /// (which the transport drains): the bytes of whatever prefix it
+    /// accepts.
+    wire_lens: Vec<u32>,
+}
+
+impl TxBurst {
+    /// An empty burst.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty burst with room for `frames` datagrams.
+    pub fn with_capacity(frames: usize) -> Self {
+        TxBurst {
+            frames: Vec::with_capacity(frames),
+            wire_lens: Vec::with_capacity(frames),
+        }
+    }
+
+    /// Datagrams staged and not yet flushed.
+    pub fn len(&self) -> usize {
+        self.frames.len()
+    }
+
+    /// True when nothing is staged.
+    pub fn is_empty(&self) -> bool {
+        self.frames.is_empty()
+    }
+
+    /// Encodes and fragments `msg` from `src` to `dst` behind whatever
+    /// is already staged; returns how many datagrams it became.
+    ///
+    /// The whole reply is scatter-gather end to end: the value leaves
+    /// the store as refcounted mempool memory (`PoolBytes` →
+    /// `Bytes::from_owner`), [`Message::encode_frame`] appends it to the
+    /// reply frame as a segment, fragmentation slices it per datagram
+    /// ([`fragment_frame_each`]) straight into the burst, and the flush
+    /// hands header-iovec + value-iovec pairs to the transport — the
+    /// value bytes are never copied (nor, since the datagram's checksum
+    /// is its serializer's job, even read) on this path, an invariant
+    /// the transport's `tx_copied_bytes` gauge asserts.
+    pub fn stage(&mut self, src: Endpoint, dst: Endpoint, msg: &Message, msg_id: u64) -> usize {
+        let frames = &mut self.frames;
+        let first = frames.len();
+        let fragments = fragment_frame_each(msg_id, &msg.encode_frame(), |frag| {
+            frames.push(synthesize_frame(src, dst, frag))
+        });
+        // Every fragment but the last carries a full chunk, so two
+        // lengths describe the message — no per-fragment measuring on
+        // the latency path, whatever the reply's size.
+        let full = frames[first].wire_len() as u32;
+        let last = frames[first + fragments - 1].wire_len() as u32;
+        self.wire_lens
+            .extend(std::iter::repeat_n(full, fragments - 1));
+        self.wire_lens.push(last);
+        fragments
+    }
+
+    /// Sends everything staged on `tx_queue` of `transport` in one
+    /// [`Transport::tx_frames`] call and empties the burst. Returns the
+    /// `(packets, bytes)` the transport accepted: a full ring or socket
+    /// buffer tail-drops the rest FIFO, like hardware, and the client's
+    /// loss accounting notices.
+    pub fn flush<T: Transport + ?Sized>(&mut self, transport: &T, tx_queue: u16) -> (u64, u64) {
+        let sent = transport.tx_frames(tx_queue, &mut self.frames);
+        // `tx_frames` drains by contract; a backend that left refused
+        // frames behind must not see them lead the next burst.
+        self.frames.clear();
+        let bytes = self.wire_lens[..sent]
+            .iter()
+            .map(|&len| u64::from(len))
+            .sum();
+        self.wire_lens.clear();
+        (sent as u64, bytes)
+    }
+}
+
+/// Encodes, fragments and transmits a reply on `tx_queue` of
+/// `transport`: [`transmit_message`] of `req`'s reply. Shared by the
+/// baseline engines.
 pub fn transmit_reply<T: Transport + ?Sized>(
     transport: &T,
     tx_queue: u16,
@@ -1414,9 +1575,9 @@ pub fn transmit_reply<T: Transport + ?Sized>(
 }
 
 /// Encodes, fragments and transmits one message to `dst` on `tx_queue`
-/// — [`transmit_reply`] without needing the request `Message` in hand,
-/// which the streamed-PUT path never materializes. Same scatter-gather
-/// path, same `(packets, bytes)` accounting.
+/// at once: [`TxBurst::stage`] then [`TxBurst::flush`] on a burst of
+/// its own, for callers with no poll round to amortize over. Returns
+/// the `(packets, bytes)` the transport accepted.
 pub fn transmit_message<T: Transport + ?Sized>(
     transport: &T,
     tx_queue: u16,
@@ -1425,22 +1586,7 @@ pub fn transmit_message<T: Transport + ?Sized>(
     msg: &Message,
     msg_id: u64,
 ) -> (u64, u64) {
-    let frame = msg.encode_frame();
-    let mut burst: Vec<TxPacket> = fragment_frame_with_id(msg_id, &frame)
-        .into_iter()
-        .map(|frag| synthesize_frame(src, dst, frag))
-        .collect();
-    // Every fragment but the last carries a full chunk, so the bytes of
-    // any accepted prefix follow from two lengths — no per-fragment
-    // bookkeeping on the latency path, whatever the reply's size.
-    let n = burst.len();
-    let full = burst[0].wire_len() as u64;
-    let last = burst[n - 1].wire_len() as u64;
-    let sent = transport.tx_frames(tx_queue, &mut burst);
-    let bytes = if sent == n {
-        (n as u64 - 1) * full + last
-    } else {
-        sent as u64 * full
-    };
-    (sent as u64, bytes)
+    let mut burst = TxBurst::new();
+    burst.stage(src, dst, msg, msg_id);
+    burst.flush(transport, tx_queue)
 }

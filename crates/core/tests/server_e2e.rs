@@ -337,3 +337,494 @@ fn latency_is_recorded() {
     assert!(q.mean_us <= q.p99_us * 1.001);
     server.shutdown();
 }
+
+// ---------------------------------------------------------------------
+// Reply bursts: everything one poll round's requests stage leaves in one
+// `tx_frames` call. Properties and counts only — no wall-clock claims.
+// ---------------------------------------------------------------------
+
+mod burst {
+    use super::*;
+    use minos_core::config::ThresholdMode;
+    use minos_core::dispatch::DisciplineKind;
+    use minos_net::{
+        FaultProfile, FaultTransport, Transport, TransportStats, UdpConfig, UdpTransport,
+        VirtualClientTransport, VirtualTransport,
+    };
+    use minos_nic::{NicConfig, VirtualNic};
+    use minos_wire::frag::FragHeader;
+    use minos_wire::message::{Body, Message};
+    use minos_wire::packet::{Endpoint, Packet, TxPacket};
+    use std::net::Ipv4Addr;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex};
+    use std::time::Instant;
+
+    static PORTS: minos_net::testport::TestPorts =
+        minos_net::testport::TestPorts::new(32_000, 32_900);
+
+    /// One datagram the server handed to its transport.
+    #[derive(Clone, Debug)]
+    struct SentFrame {
+        frag: FragHeader,
+        /// The datagram behind the fragment header.
+        chunk: bytes::Bytes,
+    }
+
+    impl SentFrame {
+        /// The reply this single-fragment datagram carries.
+        fn reply(&self) -> Message {
+            assert_eq!(self.frag.count, 1);
+            Message::decode(self.chunk.clone()).expect("a reply")
+        }
+    }
+
+    /// A server-side transport that makes poll rounds deterministic and
+    /// observable: [`Scripted::hold`] withholds arriving requests until
+    /// `n` are queued and then delivers them in *one* `rx_burst`, and
+    /// every `tx_frames` call is logged, datagram by datagram.
+    struct Scripted<T> {
+        inner: Arc<T>,
+        hold: AtomicUsize,
+        held: Mutex<Vec<Packet>>,
+        tx_calls: Mutex<Vec<Vec<SentFrame>>>,
+    }
+
+    impl<T: Transport> Scripted<T> {
+        fn new(inner: T) -> Arc<Self> {
+            Arc::new(Scripted {
+                inner: Arc::new(inner),
+                hold: AtomicUsize::new(0),
+                held: Mutex::new(Vec::new()),
+                tx_calls: Mutex::new(Vec::new()),
+            })
+        }
+
+        /// The next `n` datagrams to arrive are delivered together.
+        fn hold(&self, n: usize) {
+            self.hold.store(n, Ordering::SeqCst);
+        }
+
+        fn tx_calls(&self) -> Vec<Vec<SentFrame>> {
+            self.tx_calls.lock().unwrap().clone()
+        }
+
+        fn frames_sent(&self) -> usize {
+            self.tx_calls.lock().unwrap().iter().map(Vec::len).sum()
+        }
+
+        /// Waits until the server has handed `n` datagrams to the
+        /// transport in total.
+        fn await_frames_sent(&self, n: usize) {
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while self.frames_sent() < n {
+                assert!(
+                    Instant::now() < deadline,
+                    "server sent {} of {n} datagrams",
+                    self.frames_sent()
+                );
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    impl<T: Transport> Transport for Scripted<T> {
+        fn num_queues(&self) -> u16 {
+            self.inner.num_queues()
+        }
+
+        fn rx_burst(&self, queue: u16, out: &mut Vec<Packet>, max: usize) -> usize {
+            let want = self.hold.load(Ordering::SeqCst);
+            if want == 0 {
+                return self.inner.rx_burst(queue, out, max);
+            }
+            assert!(want <= max, "a held burst must fit one rx_burst");
+            let mut held = self.held.lock().unwrap();
+            let room = want - held.len();
+            self.inner.rx_burst(queue, &mut held, room);
+            if held.len() < want {
+                return 0;
+            }
+            self.hold.store(0, Ordering::SeqCst);
+            out.append(&mut held);
+            want
+        }
+
+        fn tx_frames(&self, queue: u16, frames: &mut Vec<TxPacket>) -> usize {
+            let call = frames
+                .iter()
+                .map(|pkt| {
+                    let mut chunk = pkt.frame.to_contiguous().0;
+                    let frag = FragHeader::decode(&mut chunk).expect("fragment header");
+                    SentFrame { frag, chunk }
+                })
+                .collect();
+            self.tx_calls.lock().unwrap().push(call);
+            self.inner.tx_frames(queue, frames)
+        }
+
+        fn local_endpoint(&self, queue: u16) -> Endpoint {
+            self.inner.local_endpoint(queue)
+        }
+
+        fn stats(&self) -> TransportStats {
+            self.inner.stats()
+        }
+
+        fn collect_metrics(&self, out: &mut Vec<(String, minos_obs::MetricValue)>) {
+            self.inner.collect_metrics(out);
+        }
+    }
+
+    /// A one-core server (one RX queue, so one poll round sees every
+    /// request) over `transport`.
+    fn start_one_core<T: Transport + 'static>(
+        transport: &Arc<Scripted<T>>,
+        edit: impl FnOnce(&mut ServerConfig),
+    ) -> MinosServer<Scripted<T>> {
+        let mut config = ServerConfig::for_test(1, 10_000);
+        // No epoch may move the threshold under a test's feet.
+        config.minos.epoch_ns = u64::MAX;
+        edit(&mut config);
+        MinosServer::start_with_transport(config, Arc::clone(transport))
+    }
+
+    fn virtual_server() -> (Arc<VirtualNic>, Arc<Scripted<VirtualTransport>>) {
+        let nic = Arc::new(VirtualNic::new(
+            NicConfig::new(1).with_queue_capacity(65_536),
+        ));
+        let transport = Scripted::new(VirtualTransport::new(Arc::clone(&nic)));
+        (nic, transport)
+    }
+
+    fn virtual_client(nic: &Arc<VirtualNic>, id: u16) -> Client {
+        let endpoint = Endpoint::host(100 + u32::from(id), 20_000 + id);
+        let server = Transport::local_endpoint(&**nic, 0);
+        let transport = Arc::new(VirtualClientTransport::new(Arc::clone(nic), endpoint));
+        Client::with_transport(transport, endpoint, server, 1, id, 7)
+    }
+
+    fn udp_server() -> Arc<Scripted<UdpTransport>> {
+        loop {
+            if let Ok(t) = UdpTransport::bind(UdpConfig::loopback(PORTS.alloc(1), 1)) {
+                return Scripted::new(t);
+            }
+        }
+    }
+
+    fn udp_client(server: &dyn Transport, id: u16) -> Client {
+        let transport =
+            Arc::new(UdpTransport::bind_client(Ipv4Addr::LOCALHOST).expect("bind client"));
+        let endpoint = transport.local_endpoint(0);
+        Client::with_transport(transport, endpoint, server.local_endpoint(0), 1, id, 7)
+    }
+
+    /// Polls `client` until `n` requests completed; the completions, in
+    /// arrival order.
+    fn collect(client: &mut Client, n: usize) -> Vec<minos_core::client::Completion> {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut done = Vec::new();
+        while done.len() < n {
+            assert!(
+                Instant::now() < deadline,
+                "{} of {n} replies arrived",
+                done.len()
+            );
+            done.extend(client.poll());
+        }
+        done
+    }
+
+    /// The clients take turns sending `K` GETs of unequal-length values,
+    /// all delivered to the server in one RX burst. Checks that every
+    /// request is executed and answered exactly once, and that each
+    /// client sees its replies in request order.
+    fn interleaved_burst<T: Transport + 'static>(
+        transport: &Arc<Scripted<T>>,
+        clients: &mut [Client],
+    ) {
+        let mut server = start_one_core(transport, |_| {});
+        for key in 0..K as u64 {
+            // Lengths fall and rise, so some neighbours may share a
+            // train and some may not.
+            let len = 20 + 37 * ((key * 5) % 7) as usize;
+            server.store().put(key, &vec![key as u8; len]).unwrap();
+        }
+        let n = clients.len();
+        transport.hold(K);
+        for key in 0..K {
+            clients[key % n].send_get(key as u64, false);
+        }
+        for (c, client) in clients.iter_mut().enumerate() {
+            let want: Vec<u64> = (0..K)
+                .filter(|key| key % n == c)
+                .map(|k| k as u64)
+                .collect();
+            let done = collect(client, want.len());
+            assert!(done.iter().all(|d| d.status == ReplyStatus::Ok));
+            let got: Vec<u64> = done.iter().map(|d| d.key).collect();
+            assert_eq!(got, want, "client {c} sees its replies in request order");
+        }
+        // Nothing more is on its way: every request was answered once.
+        std::thread::sleep(Duration::from_millis(20));
+        for client in clients.iter_mut() {
+            assert!(client.poll().is_empty());
+            let totals = client.totals();
+            assert_eq!(totals.outstanding(), 0);
+            assert_eq!(totals.unmatched + totals.wasted_replies, 0, "no duplicates");
+        }
+        server.shutdown();
+        let ops: u64 = server.core_stats().iter().map(|s| s.ops).sum();
+        assert_eq!(ops, K as u64, "each request executed once");
+        let calls = transport.tx_calls();
+        assert_eq!(calls.len(), 1, "K replies, one tx_frames call");
+        let keys: Vec<u64> = calls[0].iter().map(|f| f.reply().body.key()).collect();
+        assert_eq!(keys, (0..K as u64).collect::<Vec<_>>(), "staged in order");
+    }
+
+    const K: usize = 9;
+
+    #[test]
+    fn one_rx_burst_is_answered_in_one_tx_burst_on_the_virtual_nic() {
+        // One client: the in-process wire hands a client whatever it
+        // drains, whoever it was addressed to.
+        let (nic, transport) = virtual_server();
+        interleaved_burst(&transport, &mut [virtual_client(&nic, 1)]);
+    }
+
+    #[test]
+    fn one_rx_burst_is_answered_in_one_sendmmsg_over_udp() {
+        let transport = udp_server();
+        let mut clients = [udp_client(&*transport, 1), udp_client(&*transport, 2)];
+        let before = transport.inner.io_stats();
+        interleaved_burst(&transport, &mut clients);
+        let after = transport.inner.io_stats();
+        assert_eq!(after.tx_packets - before.tx_packets, K as u64);
+        if after.batched {
+            assert_eq!(
+                after.tx_syscalls - before.tx_syscalls,
+                1,
+                "K replies to two clients leave in one sendmmsg"
+            );
+        }
+        assert_eq!(after.tx_copied_bytes, 0);
+    }
+
+    /// The unloaded path: a reply never waits for the next burst to
+    /// push it out.
+    #[test]
+    fn a_lone_request_is_answered_without_further_traffic() {
+        let (nic, transport) = virtual_server();
+        let mut server = start_one_core(&transport, |_| {});
+        let mut client = virtual_client(&nic, 1);
+        client.send_get(404, false);
+        let done = collect(&mut client, 1);
+        assert_eq!(done[0].status, ReplyStatus::NotFound);
+        let calls = transport.tx_calls();
+        assert_eq!(calls.len(), 1);
+        assert_eq!(calls[0].len(), 1, "a burst of one flushes at once");
+        server.shutdown();
+        let snap = server.registry().snapshot();
+        assert_eq!(snap.counter("core.0.tx_flushes"), Some(1));
+        assert_eq!(snap.hist("core.0.tx_flush_ns").unwrap().count, 1);
+        assert_eq!(snap.counter("core.0.packets_tx"), Some(1));
+    }
+
+    /// A 500 KB value amid small GETs, under the paper's discipline
+    /// (the large GET goes through the software queue, after the RX
+    /// burst's replies left) and under dFCFS (it executes inline, so
+    /// its fragments flush at once behind the singles already staged).
+    #[test]
+    fn a_large_reply_follows_the_singles_staged_before_it_fragmented_once() {
+        const LARGE: u64 = 1_000;
+        let value: Vec<u8> = (0..500_000u32).map(|b| (b % 251) as u8).collect();
+        for (discipline, want_calls) in [
+            (DisciplineKind::SizeAware, vec![3, 344]),
+            (DisciplineKind::Dfcfs, vec![2 + 344, 1]),
+        ] {
+            let (nic, transport) = virtual_server();
+            let mut server = start_one_core(&transport, |c| c.minos.discipline = discipline);
+            let mut client = virtual_client(&nic, 1);
+            for key in 0..3u64 {
+                let small = vec![key as u8; 50 + 100 * key as usize];
+                server.store().put(key, &small).unwrap();
+            }
+            server.store().put(LARGE, &value).unwrap();
+
+            transport.hold(4);
+            client.send_get(0, false);
+            client.send_get(1, false);
+            client.send_get(LARGE, true);
+            client.send_get(2, false);
+            let done = collect(&mut client, 4);
+            assert!(done.iter().all(|d| d.status == ReplyStatus::Ok));
+            assert_eq!(client.reply_copied_bytes(), value.len() as u64);
+
+            let calls = transport.tx_calls();
+            let sizes: Vec<usize> = calls.iter().map(Vec::len).collect();
+            assert_eq!(
+                sizes, want_calls,
+                "{discipline:?}: datagrams per tx_frames call"
+            );
+            let sent: Vec<SentFrame> = calls.concat();
+            let first = sent.iter().position(|f| f.frag.count > 1).unwrap();
+            // Fragmented once: 344 datagrams, back to back, in index
+            // order, one message id.
+            let large = &sent[first..first + 344];
+            for (i, f) in large.iter().enumerate() {
+                assert_eq!((f.frag.index, f.frag.count), (i as u16, 344));
+                assert_eq!(f.frag.msg_id, large[0].frag.msg_id);
+            }
+            assert_eq!(sent.iter().filter(|f| f.frag.count > 1).count(), 344);
+            // The singles requested ahead of it left ahead of it.
+            let before: Vec<u64> = sent[..first].iter().map(|f| f.reply().body.key()).collect();
+            assert!(before.starts_with(&[0, 1]), "{discipline:?}: {before:?}");
+            // Byte-identical.
+            let whole: Vec<u8> = large.iter().flat_map(|f| f.chunk.to_vec()).collect();
+            let reply = Message::decode(bytes::Bytes::from(whole)).expect("reassembles");
+            match reply.body {
+                Body::GetReply {
+                    key, value: got, ..
+                } => {
+                    assert_eq!(key, LARGE);
+                    assert_eq!(&got[..], &value[..]);
+                }
+                other => panic!("expected the large GET's reply, got {other:?}"),
+            }
+            server.shutdown();
+            let stats = server.core_stats();
+            assert_eq!(stats[0].packets_tx, 3 + 344);
+            let snap = server.registry().snapshot();
+            assert_eq!(snap.counter("core.0.tx_flushes"), Some(2));
+        }
+    }
+
+    /// Error replies are replies: `NotFound`, `OutOfMemory` and the
+    /// overload valve's `Overloaded` ride the RX burst's flush.
+    #[test]
+    fn shed_not_found_and_out_of_memory_replies_ride_the_burst() {
+        const LARGE_A: u64 = 500;
+        const LARGE_B: u64 = 501;
+        let (nic, transport) = virtual_server();
+        let mut server = start_one_core(&transport, |c| {
+            c.minos.threshold_mode = ThresholdMode::Static(1_000);
+            c.minos.shed_watermark = 1;
+            c.store.mempool_bytes = 1 << 20;
+        });
+        let mut client = virtual_client(&nic, 1);
+        for key in [LARGE_A, LARGE_B] {
+            server.store().put(key, &[9u8; 1_200]).unwrap();
+        }
+        // Exhaust the value pool, so the small PUT below cannot be stored.
+        let store = server.store();
+        let mut hog = Vec::new();
+        for size in [64 << 10, 1 << 10, 64] {
+            while let Some(block) = store.mempool().reserve(size) {
+                hog.push(block);
+            }
+        }
+
+        transport.hold(5);
+        client.send_get(1, false); // NotFound
+        client.send_put(2, &[1u8; 100], false); // OutOfMemory
+        client.send_get(LARGE_A, true); // queued (the queue was empty)
+        client.send_get(LARGE_B, true); // shed: the queue holds one
+        client.send_get(3, false); // NotFound
+        let done = collect(&mut client, 5);
+        assert_eq!(
+            done.iter().filter(|d| d.status == ReplyStatus::Ok).count(),
+            1
+        );
+
+        let calls = transport.tx_calls();
+        let statuses: Vec<(u64, ReplyStatus)> = calls[0]
+            .iter()
+            .map(|f| match f.reply().body {
+                Body::GetReply { key, status, .. } | Body::PutReply { key, status } => {
+                    (key, status)
+                }
+                other => panic!("not a reply: {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            statuses,
+            vec![
+                (1, ReplyStatus::NotFound),
+                (2, ReplyStatus::OutOfMemory),
+                (LARGE_B, ReplyStatus::Overloaded),
+                (3, ReplyStatus::NotFound),
+            ],
+            "the RX burst's four error replies leave together, in order"
+        );
+        assert_eq!(calls.len(), 2, "then the queued large GET's reply");
+        assert_eq!(calls[1][0].reply().body.key(), LARGE_A);
+        drop(hog);
+        server.shutdown();
+        assert_eq!(
+            server.registry().snapshot().counter("dispatch.sheds"),
+            Some(1)
+        );
+    }
+
+    /// Shutdown is observed between poll rounds, and every round ends
+    /// flushed: a request that was executed was also answered.
+    #[test]
+    fn shutdown_strands_no_staged_reply() {
+        let (nic, transport) = virtual_server();
+        let mut server = start_one_core(&transport, |_| {});
+        let mut client = virtual_client(&nic, 1);
+        for key in 0..200u64 {
+            client.send_get(key, false);
+        }
+        server.shutdown();
+        let stats = server.core_stats();
+        assert_eq!(transport.frames_sent() as u64, stats[0].ops);
+        assert_eq!(stats[0].packets_tx, stats[0].ops);
+        let answered = client.poll().len() as u64;
+        assert_eq!(
+            answered, stats[0].ops,
+            "every executed request was answered"
+        );
+    }
+
+    /// A seeded fault schedule is a function of the datagram sequence,
+    /// not of how the datagrams were batched: the same requests lose
+    /// the same replies whether they arrive as one burst or one by one.
+    #[test]
+    fn fault_seeds_reproduce_across_burst_shapes() {
+        const N: usize = 24;
+        let run = |burst: bool| -> Vec<u64> {
+            let nic = Arc::new(VirtualNic::new(NicConfig::new(1)));
+            let profile = FaultProfile::parse("tx.drop=0.3,seed=1234").unwrap();
+            let transport = Scripted::new(FaultTransport::new(
+                Arc::new(VirtualTransport::new(Arc::clone(&nic))),
+                profile,
+            ));
+            let mut server = start_one_core(&transport, |_| {});
+            let mut client = virtual_client(&nic, 1);
+            if burst {
+                transport.hold(N);
+            }
+            for key in 0..N as u64 {
+                client.send_get(key, false);
+                if !burst {
+                    transport.await_frames_sent(key as usize + 1);
+                }
+            }
+            transport.await_frames_sent(N);
+            server.shutdown();
+            let calls = transport.tx_calls().len();
+            assert_eq!(calls, if burst { 1 } else { N });
+            let mut survivors: Vec<u64> = client.poll().iter().map(|d| d.key).collect();
+            survivors.sort_unstable();
+            survivors
+        };
+        let as_burst = run(true);
+        assert!(
+            !as_burst.is_empty() && as_burst.len() < N,
+            "the profile must bite: {as_burst:?}"
+        );
+        assert_eq!(run(true), as_burst, "same seed, same schedule");
+        assert_eq!(run(false), as_burst, "whatever the burst shape");
+    }
+}

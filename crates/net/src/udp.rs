@@ -238,6 +238,35 @@ pub struct UdpTransport {
     rx_train_packets: AtomicU64,
 }
 
+/// The full-socket-buffer backoff of one `tx_frames` call: up to
+/// [`UdpConfig::tx_backoff`] of 50 µs sleeps, counted from the first
+/// time the kernel pushes back — a send that never meets back-pressure
+/// never reads the clock.
+struct TxBackoff {
+    budget: Duration,
+    deadline: Option<Instant>,
+}
+
+impl TxBackoff {
+    fn new(budget: Duration) -> Self {
+        TxBackoff {
+            budget,
+            deadline: None,
+        }
+    }
+
+    /// Sleeps one backoff step; `false` once the budget is spent (the
+    /// caller tail-drops).
+    fn wait(&mut self) -> bool {
+        let now = Instant::now();
+        if now >= *self.deadline.get_or_insert(now + self.budget) {
+            return false;
+        }
+        std::thread::sleep(Duration::from_micros(50));
+        true
+    }
+}
+
 /// The batched receive state of one queue.
 struct RxQueue {
     arena: RxArena,
@@ -549,7 +578,7 @@ impl UdpTransport {
         let mut bytes = 0u64;
         let mut trains = 0u64;
         let mut train_packets = 0u64;
-        let deadline = Instant::now() + self.tx_backoff;
+        let mut backoff = TxBackoff::new(self.tx_backoff);
         while sent < total {
             self.tx_syscalls.fetch_add(1, Ordering::Relaxed);
             match arena.send_frames(fd, &frames[sent..]) {
@@ -560,20 +589,16 @@ impl UdpTransport {
                     sent += batch.frames;
                     trains += batch.trains as u64;
                     train_packets += batch.train_packets as u64;
-                    if batch.short {
-                        // Full socket buffer: the kernel-side analog of a
-                        // full TX ring. Back off briefly, then tail-drop.
-                        if Instant::now() >= deadline {
-                            break;
-                        }
-                        std::thread::sleep(Duration::from_micros(50));
+                    // Full socket buffer: the kernel-side analog of a
+                    // full TX ring. Back off briefly, then tail-drop.
+                    if batch.short && !backoff.wait() {
+                        break;
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
+                    if !backoff.wait() {
                         break;
                     }
-                    std::thread::sleep(Duration::from_micros(50));
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => {
@@ -613,7 +638,7 @@ impl UdpTransport {
         let total = frames.len();
         let mut sent = 0usize;
         let mut bytes = 0u64;
-        let deadline = Instant::now() + self.tx_backoff;
+        let mut backoff = TxBackoff::new(self.tx_backoff);
         'frames: while sent < total {
             let pkt = &frames[sent];
             let dst = SocketAddrV4::new(Ipv4Addr::from(pkt.meta.ip.dst), pkt.meta.udp.dst_port);
@@ -639,10 +664,9 @@ impl UdpTransport {
                     Err(e) if e.kind() == ErrorKind::WouldBlock => {
                         // Full socket buffer: back off briefly, then
                         // tail-drop the rest of the burst.
-                        if Instant::now() >= deadline {
+                        if !backoff.wait() {
                             break 'frames;
                         }
-                        std::thread::sleep(Duration::from_micros(50));
                     }
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                     Err(e) => {

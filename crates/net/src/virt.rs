@@ -380,6 +380,33 @@ mod tests {
     }
 
     #[test]
+    fn offloaded_tx_checksums_are_filled_in_on_the_wire_image() {
+        // `synthesize_frame` leaves the UDP checksum to the serializer;
+        // the wire image the client transport builds must carry a real
+        // one, or the NIC's `parse_frame` would drop the frame here.
+        let nic = Arc::new(VirtualNic::new(NicConfig::new(1)));
+        let client_ep = Endpoint::host(103, 23_000);
+        let client = VirtualClientTransport::new(Arc::clone(&nic), client_ep);
+        let server = VirtualTransport::new(Arc::clone(&nic));
+
+        let mut frame = TxFrame::new();
+        bytes::BufMut::put_slice(&mut frame, b"hdr:");
+        frame.push_segment(Bytes::from_static(b"checksummed where it is serialized"));
+        let request = synthesize_frame(client_ep, Transport::local_endpoint(&server, 0), frame);
+        assert_eq!(request.meta.udp.checksum, 0, "recorded as offloaded");
+        assert_eq!(Transport::tx_frames(&client, 0, &mut vec![request]), 1);
+
+        let mut out = Vec::new();
+        assert_eq!(Transport::rx_burst(&server, 0, &mut out, 32), 1);
+        assert_eq!(
+            &out[0].payload[..],
+            b"hdr:checksummed where it is serialized"
+        );
+        assert!(out[0].meta.udp.verify_payload(&out[0].payload));
+        assert_eq!(VirtualNic::stats(&nic).rx_malformed, 0);
+    }
+
+    #[test]
     fn single_segment_shim_frames_gather_nothing() {
         let nic = Arc::new(VirtualNic::new(NicConfig::new(1)));
         let server = VirtualTransport::new(Arc::clone(&nic));

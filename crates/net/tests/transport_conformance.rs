@@ -765,6 +765,89 @@ fn mixed_bursts_of_singles_and_trains_keep_per_queue_order() {
 }
 
 #[test]
+fn a_mixed_destination_burst_of_unequal_singles_arrives_intact() {
+    // The shape of a server core's reply burst: single datagrams of
+    // whatever lengths the values have, to whichever peers asked. A
+    // destination is an (address, port) pair, so three server queues
+    // stand in for three peers. With offload, every run of neighbours
+    // bound for one destination where none is longer than the one
+    // before, up to the first that is shorter, shares a train:
+    // (120, 90) to q0; (90, 90, 33) to q0; (50, 50) to q1. A longer
+    // neighbour (200 then 201; 50 then 70) or another destination
+    // starts anew.
+    const QUEUES: u16 = 3;
+    let plan: [(u16, usize); 12] = [
+        (0, 120),
+        (0, 90),
+        (1, 64),
+        (0, 90),
+        (0, 90),
+        (0, 33),
+        (2, 200),
+        (2, 201),
+        (1, 50),
+        (1, 50),
+        (1, 70),
+        (2, 1),
+    ];
+    let payload = |i: usize, len: usize| Bytes::from(vec![0x40 + i as u8; len]);
+    for_each_path(QUEUES, |backend| {
+        let src = backend.client.local_endpoint(0);
+        let mut burst: Vec<Packet> = plan
+            .iter()
+            .enumerate()
+            .map(|(i, &(q, len))| {
+                synthesize(src, backend.server.local_endpoint(q), payload(i, len))
+            })
+            .collect();
+        assert_eq!(
+            backend.client.tx_burst(0, &mut burst),
+            plan.len(),
+            "{}",
+            backend.name
+        );
+        for q in 0..QUEUES {
+            let want: Vec<Bytes> = plan
+                .iter()
+                .enumerate()
+                .filter(|(_, &(pq, _))| pq == q)
+                .map(|(i, &(_, len))| payload(i, len))
+                .collect();
+            let got = rx_collect(&*backend.server, q, want.len(), 32, backend.name);
+            let got: Vec<Bytes> = got.into_iter().map(|p| p.payload).collect();
+            assert_eq!(
+                got, want,
+                "{}: queue {q} sees its datagrams, whole and in order",
+                backend.name
+            );
+            assert_eq!(
+                backend.server.rx_burst(q, &mut Vec::new(), 32),
+                0,
+                "{}: and nothing else",
+                backend.name
+            );
+        }
+        // `tx_trains == 0` everywhere but on the offload path.
+        assert_train_counters(backend, &*backend.client, 3, 2 + 3 + 2);
+        if backend.name != "virtual" {
+            assert_eq!(
+                transport_metric(&*backend.client, "tx_packets"),
+                plan.len() as u64
+            );
+            assert_eq!(transport_metric(&*backend.client, "tx_copied_bytes"), 0);
+            if transport_metric(&*backend.client, "batched") == 1 {
+                assert_eq!(
+                    transport_metric(&*backend.client, "tx_syscalls"),
+                    1,
+                    "{}: the whole burst is one sendmmsg",
+                    backend.name
+                );
+            }
+        }
+    });
+}
+
+#[test]
 fn trains_reach_receivers_that_never_asked_for_them() {
     // Offload is the sender's business: a peer that never enabled
     // UDP_GRO — a plain std socket, a batch = 1 transport — still gets

@@ -1,7 +1,7 @@
 //! Per-core, per-class request-lifecycle histograms (the paper's
 //! Fig. 5/6 decomposition).
 
-use crate::registry::{Histogram, MetricsRegistry};
+use crate::registry::{Counter, Histogram, MetricsRegistry};
 
 /// Which side of the size threshold a work item landed on — i.e. which
 /// execution route it took, not a guess from its byte size.
@@ -20,25 +20,37 @@ pub enum ReqClass {
 pub struct ClassTelemetry {
     /// Nanoseconds between rx-dequeue (arrival stamp) and service start.
     pub queue_wait_ns: Histogram,
-    /// Nanoseconds between service start and tx-handoff (reply handed
-    /// to the transport, or fragment absorbed).
+    /// Nanoseconds between service start and the reply being *staged*
+    /// in the core's transmit burst (or the fragment absorbed). The
+    /// send itself is the burst's, timed once per flush in
+    /// [`CoreTelemetry::tx_flush_ns`]; only a reply that forces the
+    /// flush — a multi-fragment one, or the one that fills the burst —
+    /// has it inside its own service time.
     pub service_ns: Histogram,
 }
 
-/// The four lifecycle histograms of one server core: queue wait and
-/// service time, each split small/large.
+/// The lifecycle histograms of one server core: queue wait and service
+/// time, each split small/large, plus the transmit-burst flush that
+/// sends what those requests staged.
 ///
 /// Registered under stable dotted names:
-/// `core.{i}.{small|large}.queue_wait_ns` and
-/// `core.{i}.{small|large}.service_ns`. Recording is two relaxed
-/// atomic adds — no locks, no allocation — so it stays on the
-/// datagram hot path unconditionally.
+/// `core.{i}.{small|large}.queue_wait_ns`,
+/// `core.{i}.{small|large}.service_ns`, `core.{i}.tx_flush_ns` and
+/// `core.{i}.tx_flushes`. Recording is two relaxed atomic adds — no
+/// locks, no allocation — so it stays on the datagram hot path
+/// unconditionally.
 #[derive(Clone, Debug)]
 pub struct CoreTelemetry {
     /// Inline-executed (small-class) work.
     pub small: ClassTelemetry,
     /// Handed-off (large-class) work.
     pub large: ClassTelemetry,
+    /// Nanoseconds one flush of the core's transmit burst spent in the
+    /// transport, however many replies it carried.
+    pub tx_flush_ns: Histogram,
+    /// Flushes of a non-empty transmit burst; `core.{i}.packets_tx /
+    /// core.{i}.tx_flushes` is the packets one flush carried.
+    pub tx_flushes: Counter,
 }
 
 impl CoreTelemetry {
@@ -52,6 +64,8 @@ impl CoreTelemetry {
         CoreTelemetry {
             small: class("small"),
             large: class("large"),
+            tx_flush_ns: registry.histogram_ns(&format!("core.{core}.tx_flush_ns")),
+            tx_flushes: registry.counter(&format!("core.{core}.tx_flushes")),
         }
     }
 
@@ -64,6 +78,13 @@ impl CoreTelemetry {
         };
         c.queue_wait_ns.record(queue_wait_ns);
         c.service_ns.record(service_ns);
+    }
+
+    /// Records one flush of a non-empty transmit burst.
+    #[inline]
+    pub fn record_tx_flush(&self, flush_ns: u64) {
+        self.tx_flush_ns.record(flush_ns);
+        self.tx_flushes.inc();
     }
 }
 
@@ -85,5 +106,9 @@ mod tests {
         let svc = snap.hist("core.3.large.service_ns").unwrap();
         assert_eq!(svc.count, 2);
         assert!(svc.p99 >= 80_000);
+        t.record_tx_flush(4_000);
+        let snap = reg.snapshot();
+        assert_eq!(snap.hist("core.3.tx_flush_ns").unwrap().count, 1);
+        assert_eq!(snap.counter("core.3.tx_flushes"), Some(1));
     }
 }

@@ -136,6 +136,16 @@ pub fn fragment_with_id(msg_id: u64, message: &[u8]) -> Vec<Bytes> {
 /// [`crate::TX_INLINE_CAP`]` - `[`FRAG_HEADER_LEN`] bytes), or if the
 /// message needs more than `u16::MAX` fragments.
 pub fn fragment_frame_with_id(msg_id: u64, message: &TxFrame) -> Vec<TxFrame> {
+    let mut out = Vec::with_capacity(crate::packets_for_payload(message.len()) as usize);
+    fragment_frame_each(msg_id, message, |frag| out.push(frag));
+    out
+}
+
+/// [`fragment_frame_with_id`] handing each fragment to `sink` in index
+/// order instead of collecting them, so a caller staging fragments into
+/// a buffer it already owns allocates nothing per message. Returns the
+/// fragment count. Same panics.
+pub fn fragment_frame_each(msg_id: u64, message: &TxFrame, mut sink: impl FnMut(TxFrame)) -> usize {
     let total = message.len();
     let count = crate::packets_for_payload(total) as usize;
     assert!(count <= u16::MAX as usize, "message too large to fragment");
@@ -144,7 +154,6 @@ pub fn fragment_frame_with_id(msg_id: u64, message: &TxFrame) -> Vec<TxFrame> {
         FRAG_HEADER_LEN + inline.len() <= crate::TX_INLINE_CAP,
         "message inline header too deep to fragment"
     );
-    let mut out = Vec::with_capacity(count);
     for index in 0..count {
         let start = index * MAX_FRAG_CHUNK;
         let end = ((index + 1) * MAX_FRAG_CHUNK).min(total);
@@ -180,9 +189,9 @@ pub fn fragment_frame_with_id(msg_id: u64, message: &TxFrame) -> Vec<TxFrame> {
         }
         debug_assert_eq!(frag.len(), FRAG_HEADER_LEN + (end - start));
         debug_assert!(frag.len() <= crate::MAX_UDP_PAYLOAD);
-        out.push(frag);
+        sink(frag);
     }
-    out
+    count
 }
 
 /// A partially reassembled message.

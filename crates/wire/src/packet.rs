@@ -153,8 +153,8 @@ pub fn synthesize_rx_verified(src: Endpoint, dst: Endpoint, payload: Bytes) -> P
 /// regions to `sendmsg`/`sendmmsg` as iovecs).
 #[derive(Clone, Debug)]
 pub struct TxPacket {
-    /// Parsed headers (addressing; the UDP checksum covers the frame's
-    /// logical byte stream).
+    /// Parsed headers (addressing; the UDP checksum is left to whoever
+    /// serializes the frame — see [`synthesize_frame`]).
     pub meta: PacketMeta,
     /// Scatter-gather UDP payload.
     pub frame: TxFrame,
@@ -183,12 +183,17 @@ impl TxPacket {
 }
 
 /// Builds a parsed [`TxPacket`] from endpoints and a scatter-gather
-/// payload — the frame analog of [`synthesize`]: the UDP checksum is
-/// computed over the frame's logical byte stream without gathering it,
-/// so `synthesize_frame(src, dst, f).meta == synthesize(src, dst,
-/// gather(f)).meta` for every frame (tested).
+/// payload — the frame analog of [`synthesize`], except that the UDP
+/// checksum is recorded as offloaded
+/// ([`UdpHeader::checksum_offloaded`]), the transmit half of
+/// [`synthesize_rx_verified`]: whoever puts the frame on a wire
+/// checksums it there — the kernel for a real datagram,
+/// [`build_frame_into_frame`] while it gathers for the virtual NIC — so
+/// a pass over the payload here (500 KB per large GET reply) would be
+/// computed and never read. Every other header field equals
+/// `synthesize(src, dst, gather(f))`'s (tested).
 pub fn synthesize_frame(src: Endpoint, dst: Endpoint, frame: TxFrame) -> TxPacket {
-    let udp = UdpHeader::for_frame(src.port, dst.port, &frame);
+    let udp = UdpHeader::checksum_offloaded(src.port, dst.port, frame.len());
     TxPacket {
         meta: synthesized_meta(src, dst, udp),
         frame,

@@ -43,11 +43,13 @@ impl UdpHeader {
     }
 
     /// Builds a header for a payload of `payload_len` bytes whose
-    /// checksum the NIC (here: the kernel's UDP stack) already verified
-    /// and stripped — receive checksum offload. The field carries 0,
-    /// RFC 768's "no checksum carried", and no pass over the payload
-    /// is made. Only [`crate::packet::parse_frame`] ever verifies a
-    /// checksum, and it only sees wire images, never these.
+    /// checksum is the NIC's business (here: the kernel's UDP stack) —
+    /// checksum offload in both directions: on receive the kernel
+    /// already verified and stripped it, on transmit whoever serializes
+    /// the datagram computes it. The field carries 0, RFC 768's "no
+    /// checksum carried", and no pass over the payload is made. Only
+    /// [`crate::packet::parse_frame`] ever verifies a checksum, and it
+    /// only sees wire images, never these.
     pub fn checksum_offloaded(src_port: u16, dst_port: u16, payload_len: usize) -> Self {
         let length = Self::LEN + payload_len;
         assert!(length <= u16::MAX as usize, "UDP datagram too large");

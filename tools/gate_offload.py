@@ -17,7 +17,23 @@ Reads the ``minos-loadgen --json`` report and the ``minos-server
   both sides: ``transport.tx_copied_bytes == 0`` (a train is still a
   pure iovec gather), ``pool.hit_rate >= 0.95`` and
   ``pool.outstanding == 0`` (train spill buffers are pooled and come
-  home).
+  home);
+* the server's replies leave in bursts, not one syscall each (all
+  counts from the server's own report, so no clock is involved):
+  - ``tx_packets / tx_syscalls >= 1.5`` wherever the batched syscalls
+    are in use;
+  - the per-core accounting matches the transport's: ``sum
+    core.N.packets_tx == transport.tx_packets`` (a core counts only
+    what ``tx_frames`` accepted, whatever the burst held);
+  - where ``transport.offload`` and the load did make poll rounds of
+    several requests (``sum core.N.ops / sum core.N.tx_flushes >=
+    1.5``; two clients against two busy-polling cores do on a small
+    host, and a host with a core to spare per thread may not — then
+    this one is reported as skipped): reply bursts left as trains,
+    ``tx_trains`` above what the fragmented replies alone can explain.
+    A fragmented reply's trains are all full (44 datagrams) but its
+    last, so those number at most ``tx_train_packets / 44`` plus one
+    per large request the loadgen completed.
 
 Exit codes: 0 — all gates hold; 1 — a gate failed or a report is
 malformed.
@@ -51,6 +67,37 @@ def main() -> int:
     if st["offload"]:
         gate(st["rx_trains"] > 0, "train gate: the server received no trains")
 
+    def core_sum(leaf):
+        return sum(
+            m["value"]
+            for name, m in srv["metrics"].items()
+            if name.startswith("core.") and name.endswith("." + leaf)
+        )
+
+    per_syscall = st["tx_packets"] / max(st["tx_syscalls"], 1)
+    if st["batched"]:
+        gate(
+            per_syscall >= 1.5,
+            f"burst gate: server sent {st['tx_packets']} packets in "
+            f"{st['tx_syscalls']} syscalls ({per_syscall:.2f} per syscall < 1.5)",
+        )
+    counted = core_sum("packets_tx")
+    gate(
+        counted == st["tx_packets"],
+        f"accounting gate: cores counted {counted} packets sent, "
+        f"the transport {st['tx_packets']}",
+    )
+    per_flush = core_sum("ops") / max(core_sum("tx_flushes"), 1)
+    burst_trains = "skipped"
+    if st["offload"] and per_flush >= 1.5:
+        fragmented = st["tx_train_packets"] / 44 + lg["latency_large_us"]["count"]
+        gate(
+            st["tx_trains"] > fragmented,
+            f"burst gate: server sent {st['tx_trains']} trains, no more than its "
+            f"fragmented replies explain (<= {fragmented:.0f})",
+        )
+        burst_trains = f"{st['tx_trains']} trains > {fragmented:.0f} from fragmentation"
+
     for side, report in (("loadgen", lg), ("server", srv)):
         copied = report["transport"]["tx_copied_bytes"]
         gate(copied == 0, f"zero-copy gate: {side} copied {copied} tx bytes")
@@ -63,6 +110,10 @@ def main() -> int:
         for f in failures:
             print(f"FAIL: {f}")
         return 1
+    print(
+        f"burst gates passed: server {per_syscall:.2f} packets per tx syscall, "
+        f"{per_flush:.2f} replies per flush, reply trains: {burst_trains}"
+    )
     if lt["offload"] or st["offload"]:
         print(
             f"offload gates passed: loadgen {per_train:.1f} packets per train "
