@@ -142,7 +142,7 @@ impl<T: Transport> BaseShared<T> {
         }
         let msg_id = ((core as u64) << 48)
             | (self.msg_ids[core].fetch_add(1, Ordering::Relaxed) & 0xFFFF_FFFF_FFFF);
-        let (packets, bytes) = transmit_reply(
+        let sent = transmit_reply(
             &*self.transport,
             core as u16,
             self.endpoint(core),
@@ -151,7 +151,7 @@ impl<T: Transport> BaseShared<T> {
             value,
             msg_id,
         );
-        self.stats[core].record_tx(packets, bytes);
+        self.stats[core].record_tx(sent.packets, sent.frames, sent.bytes);
     }
 
     /// Parses one RX packet into a complete request if possible, feeding
@@ -164,13 +164,14 @@ impl<T: Transport> BaseShared<T> {
         pkt: Packet,
     ) -> Option<ServerRequest> {
         use minos_wire::frag::Reassembly;
-        self.stats[core].record_rx(1, pkt.wire_len() as u64);
+        self.stats[core].record_rx(1, 1, pkt.wire_len() as u64);
         let reply_to = Self::endpoint_of(&pkt);
         match reassembler.push(pkt.source_endpoint(), pkt.payload) {
             Reassembly::Complete(bytes) => match Message::decode(bytes) {
                 Some(msg) => Some(ServerRequest {
                     msg,
                     reply_to,
+                    accepts_bundles: false,
                     arrival_ns: 0,
                 }),
                 None => {
@@ -198,7 +199,7 @@ impl<T: Transport> BaseShared<T> {
         pkt: Packet,
     ) -> Option<ServerRequest> {
         use minos_wire::frag::{FragHeader, Reassembly};
-        self.stats[core].record_rx(1, pkt.wire_len() as u64);
+        self.stats[core].record_rx(1, 1, pkt.wire_len() as u64);
         let reply_to = Self::endpoint_of(&pkt);
         let mut rd = pkt.payload.clone();
         let Some(fh) = FragHeader::decode(&mut rd) else {
@@ -211,6 +212,7 @@ impl<T: Transport> BaseShared<T> {
                 Some(msg) => Some(ServerRequest {
                     msg,
                     reply_to,
+                    accepts_bundles: false,
                     arrival_ns: 0,
                 }),
                 None => {
@@ -224,6 +226,7 @@ impl<T: Transport> BaseShared<T> {
                 Some(msg) => Some(ServerRequest {
                     msg,
                     reply_to,
+                    accepts_bundles: false,
                     arrival_ns: 0,
                 }),
                 None => {

@@ -2,7 +2,8 @@
 //! KV GET/PUT, RSS hashing, zipfian sampling, histogram updates,
 //! fragmentation round trips, NIC ring bursts and real-UDP loopback
 //! sends and receives (one datagram; eight small replies sent one by
-//! one and as one burst; a 500 KB reply's 344 fragments).
+//! one, as one burst and as one burst of bundles; a 500 KB reply's 344
+//! fragments).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use minos_core::server::{transmit_message, TxBurst};
@@ -196,7 +197,8 @@ fn bench_net_loopback(c: &mut Criterion) {
     // sent and received: a `tx_frames` call (so a `sendmmsg`) per reply,
     // against a core's reply burst — stage all eight, flush once. With
     // offload the burst's runs (300, 120, 120, 64), (300, 300, 90) and
-    // the lone 512 are three stack traversals instead of eight.
+    // the lone 512 are three stack traversals to send instead of eight
+    // (and still eight datagrams to receive) ...
     let replies: Vec<Message> = [300usize, 120, 120, 64, 300, 300, 90, 512]
         .iter()
         .map(|&len| Message {
@@ -218,16 +220,23 @@ fn bench_net_loopback(c: &mut Criterion) {
             black_box(rx_exactly(&server, replies.len()))
         })
     });
+    // ... and to a peer that accepts bundles, where the eight replies
+    // share datagrams (four frames each at most, so two of them): what
+    // is sent and what is received both shrink from eight stack
+    // traversals to two, whatever the lengths.
     let mut burst = TxBurst::with_capacity(replies.len());
-    c.bench_function("net/loopback_burst8/one_burst", |b| {
-        b.iter(|| {
-            for (id, reply) in replies.iter().enumerate() {
-                burst.stage(src, dst, reply, id as u64);
-            }
-            assert_eq!(burst.flush(&client, 0).0, replies.len() as u64);
-            black_box(rx_exactly(&server, replies.len()))
-        })
-    });
+    for (name, accepts_bundles, datagrams) in [("one_burst", false, 8), ("bundled", true, 2)] {
+        c.bench_function(&format!("net/loopback_burst8/{name}"), |b| {
+            b.iter(|| {
+                for (id, reply) in replies.iter().enumerate() {
+                    burst.stage(src, dst, reply, id as u64, accepts_bundles);
+                }
+                let sent = burst.flush(&client, 0);
+                assert_eq!((sent.packets, sent.frames), (datagrams, 8));
+                black_box(rx_exactly(&server, datagrams as usize))
+            })
+        });
+    }
 
     let message = fragments(500_000);
     let n = message.len();

@@ -24,14 +24,35 @@
 //! the in-process virtual NIC (via [`VirtualClientTransport`], the
 //! default [`Client::new`] wires up) or real UDP sockets (the
 //! `minos-loadgen` binary passes a `UdpTransport`).
+//!
+//! # When a request leaves
+//!
+//! Every request is *staged* — encoded and fragmented into one
+//! reusable buffer — and the stage is released in a single
+//! [`Transport::tx_frames`] call. [`Client::send`] and
+//! [`Client::send_at`] only stage: what a driver sends between two
+//! polls leaves together at the next [`Client::poll`] (so also
+//! [`Client::drain`]), [`Client::send_batch`] /
+//! [`Client::send_batch_at`] or explicit [`Client::flush`]. The
+//! one-request conveniences ([`Client::send_get`], [`Client::send_put`],
+//! [`Client::send_delete`]) release at once. Staging is where request
+//! bundles form: once a reply has shown that the server walks datagrams
+//! frame by frame ([`FragHeader::accepts_bundles`]), a single-fragment
+//! request joins the datagram already staged for the same RX queue
+//! while it has room, so the `k` requests of one driver-loop iteration
+//! cross the kernel in about `k / 4` datagrams per queue. The client's
+//! own frames always carry the flag: its receive path ([`frames`])
+//! takes bundled replies.
 
 use crate::engine::KvEngine;
 use bytes::Bytes;
 use minos_net::{Transport, VirtualClientTransport};
 use minos_stats::LatencyHistogram;
-use minos_wire::frag::{FragHeader, FragmentWriter, Fragmenter, Streamed, StreamingReassembler};
+use minos_wire::frag::{
+    frames, stage_message, FragHeader, FragmentWriter, Streamed, StreamingReassembler,
+};
 use minos_wire::message::{Body, Message, OpKind, ReplyStatus, MSG_HEADER_LEN};
-use minos_wire::packet::{synthesize_frame, Endpoint, Packet, TxPacket};
+use minos_wire::packet::{Endpoint, Packet, TxPacket};
 use minos_wire::TxFrame;
 use minos_workload::{OpSpec, Operation, Rng};
 use std::collections::HashMap;
@@ -135,7 +156,9 @@ struct Pending {
     /// Callers that don't schedule pass the send instant, collapsing
     /// the two clocks.
     sched_ns: u64,
-    /// First transmission time (service latency is measured from here).
+    /// When the request was first staged for transmission (service
+    /// latency is measured from here, so a staged request's wait for
+    /// its release counts).
     first_tx_ns: u64,
     /// Most recent (re)transmission time.
     last_tx_ns: u64,
@@ -182,6 +205,12 @@ pub struct ClientTotals {
     /// time; the client backs off hedges and stretches retry timeouts
     /// for a short window after each one.
     pub overloaded: u64,
+    /// Wire frames staged for transmission: one per request fragment,
+    /// retries and hedges included. Against the transport's
+    /// `tx_packets` this is how many frames shared a datagram.
+    pub frames_tx: u64,
+    /// Wire frames walked in received datagrams.
+    pub frames_rx: u64,
 }
 
 impl ClientTotals {
@@ -263,7 +292,20 @@ pub struct Client {
     /// and known a priori by the clients, which only send requests to
     /// the corresponding RX queues", §5.2).
     target_queues: std::ops::Range<u16>,
-    fragmenter: Fragmenter,
+    /// Next message id (the reassembly key of a request's fragments).
+    next_msg_id: u64,
+    /// Requests staged and not yet released, in send order; empty
+    /// between releases and kept for its capacity, so a steady-state
+    /// send allocates nothing.
+    stage: Vec<TxPacket>,
+    /// Per server RX queue: the staged datagram the queue's next
+    /// single-fragment request may join.
+    open: Vec<Option<usize>>,
+    /// A reply frame carried [`FragHeader::accepts_bundles`]: the
+    /// server walks datagrams, so requests may share them. Latched by
+    /// the first such reply; a server that never says so (the baseline
+    /// engines) is sent one request per datagram for good.
+    server_bundles: bool,
     /// Streams multi-fragment reply chunks straight into their final
     /// contiguous buffer; stale partials (a lost reply fragment) are
     /// evicted by the round clock below instead of lingering until the
@@ -367,7 +409,10 @@ impl Client {
             server,
             server_queues,
             target_queues: 0..server_queues,
-            fragmenter: Fragmenter::new(u64::from(client_id) << 32),
+            next_msg_id: u64::from(client_id) << 32,
+            stage: Vec::new(),
+            open: vec![None; usize::from(server_queues)],
+            server_bundles: false,
             reassembler: StreamingReassembler::new(1024),
             reassembly_round_ns: CLIENT_REASSEMBLY_ROUND_NS,
             next_round_ns: CLIENT_REASSEMBLY_ROUND_NS,
@@ -465,8 +510,9 @@ impl Client {
         self.target_queues.start + (minos_kv::keyhash(key) % span) as u16
     }
 
-    /// Sends one operation from the workload generator. Values for PUTs
-    /// are synthesized at the spec's item size. Latency is measured from
+    /// Stages one operation from the workload generator; it leaves with
+    /// the next release (see the module docs). Values for PUTs are
+    /// synthesized at the spec's item size. Latency is measured from
     /// now — use [`Client::send_at`] when the op had an earlier
     /// scheduled arrival.
     pub fn send(&mut self, spec: &OpSpec) {
@@ -474,42 +520,32 @@ impl Client {
         self.send_at(spec, sched_ns);
     }
 
-    /// Sends one operation whose scheduled arrival on the open-loop
+    /// Stages one operation whose scheduled arrival on the open-loop
     /// injection schedule was `sched_ns` (in [`Client::now_ns`]'s time
     /// domain). Latency is measured from `sched_ns`, so a sender that
     /// fell behind schedule still reports the queueing delay its
-    /// lateness inflicted — the coordinated-omission fix.
+    /// lateness inflicted — the coordinated-omission fix — and service
+    /// latency from now, so the wait for the release counts too.
     pub fn send_at(&mut self, spec: &OpSpec, sched_ns: u64) {
         let (frame, queue) = self.prepare_spec(spec, sched_ns);
-        self.transmit(&frame, queue);
+        self.stage_request(&frame, queue);
     }
 
     /// Sends a batch of operations as one coalesced transmit: every
-    /// fragment of every request goes out through a single
-    /// [`Transport::tx_frames`] (one `sendmmsg` on the UDP backend for
-    /// bursts up to the syscall batch size), instead of one
-    /// send per request. This is how an open-loop load generator that
-    /// has fallen behind its schedule catches up without paying a
-    /// syscall per overdue arrival. PUT values ride the burst as
-    /// refcounted frame segments — uncopied all the way into the
-    /// kernel's gather list.
+    /// fragment of every request — and whatever [`Client::send`] staged
+    /// before — goes out through a single [`Transport::tx_frames`] (one
+    /// `sendmmsg` on the UDP backend for bursts up to the syscall batch
+    /// size), instead of one send per request. This is how an open-loop
+    /// load generator that has fallen behind its schedule catches up
+    /// without paying a syscall per overdue arrival. PUT values ride
+    /// the burst as refcounted frame segments — uncopied all the way
+    /// into the kernel's gather list.
     pub fn send_batch(&mut self, specs: &[OpSpec]) {
-        match specs {
-            [] => {}
-            [one] => self.send(one),
-            many => {
-                let sched_ns = self.now_ns();
-                let mut burst: Vec<TxPacket> = Vec::with_capacity(many.len());
-                for spec in many {
-                    let (frame, queue) = self.prepare_spec(spec, sched_ns);
-                    let dst = self.queue_endpoint(queue);
-                    for frag in self.fragmenter.fragment_frame(&frame) {
-                        burst.push(synthesize_frame(self.endpoint, dst, frag));
-                    }
-                }
-                let _ = self.transport.tx_frames(0, &mut burst);
-            }
+        let sched_ns = self.now_ns();
+        for spec in specs {
+            self.send_at(spec, sched_ns);
         }
+        self.flush();
     }
 
     /// [`Client::send_batch`] with a per-op scheduled arrival time:
@@ -520,21 +556,10 @@ impl Client {
     /// deadlines, so the latency histogram charges the backlog to the
     /// requests that sat in it.
     pub fn send_batch_at(&mut self, specs: &[(OpSpec, u64)]) {
-        match specs {
-            [] => {}
-            [(one, sched_ns)] => self.send_at(one, *sched_ns),
-            many => {
-                let mut burst: Vec<TxPacket> = Vec::with_capacity(many.len());
-                for (spec, sched_ns) in many {
-                    let (frame, queue) = self.prepare_spec(spec, *sched_ns);
-                    let dst = self.queue_endpoint(queue);
-                    for frag in self.fragmenter.fragment_frame(&frame) {
-                        burst.push(synthesize_frame(self.endpoint, dst, frag));
-                    }
-                }
-                let _ = self.transport.tx_frames(0, &mut burst);
-            }
+        for (spec, sched_ns) in specs {
+            self.send_at(spec, *sched_ns);
         }
+        self.flush();
     }
 
     /// Encodes one workload op and registers it as pending (latency
@@ -602,7 +627,8 @@ impl Client {
     fn send_message(&mut self, body: Body, key: u64, queue: u16, large: bool) {
         let sched_ns = self.now_ns();
         let (frame, queue) = self.prepare_message(body, key, queue, large, sched_ns);
-        self.transmit(&frame, queue);
+        self.stage_request(&frame, queue);
+        self.flush();
     }
 
     /// Encodes a request as a scatter-gather frame and registers it as
@@ -659,20 +685,47 @@ impl Client {
         }
     }
 
-    /// Fragments the request `frame` and transmits it as one
-    /// [`Transport::tx_frames`] burst (one `sendmmsg` on the UDP
-    /// backend instead of a syscall per fragment); each fragment's
-    /// payload segments are slices of the original frame's segments, so
-    /// nothing is copied here regardless of size.
-    fn transmit(&mut self, frame: &TxFrame, queue: u16) {
+    /// Stages the request `frame` for RX queue `queue` behind whatever
+    /// is staged already: fragmented into datagrams of its own — each
+    /// fragment's payload segments slices of the frame's, so nothing is
+    /// copied whatever the size — or, for a single fragment bound for a
+    /// server that walks bundles, appended to the queue's open datagram
+    /// ([`stage_message`]). The stage is never sorted: every queue has
+    /// at most one open datagram, wherever in the stage it sits, so a
+    /// lone request costs one push.
+    fn stage_request(&mut self, frame: &TxFrame, queue: u16) {
         let dst = self.queue_endpoint(queue);
-        let mut burst: Vec<TxPacket> = self
-            .fragmenter
-            .fragment_frame(frame)
-            .into_iter()
-            .map(|frag| synthesize_frame(self.endpoint, dst, frag))
-            .collect();
-        let _ = self.transport.tx_frames(0, &mut burst);
+        let msg_id = self.next_msg_id;
+        self.next_msg_id = msg_id.wrapping_add(1);
+        let slot = &mut self.open[usize::from(queue)];
+        let (datagrams, carrier) = stage_message(
+            &mut self.stage,
+            slot.filter(|_| self.server_bundles),
+            self.endpoint,
+            dst,
+            msg_id,
+            true,
+            frame,
+        );
+        // A fragmented request closes the queue's datagram: what is
+        // staged for one queue leaves in the order it was sent.
+        *slot = carrier;
+        // A frame that joined a datagram added none.
+        self.totals.frames_tx += datagrams.max(1) as u64;
+    }
+
+    /// Releases everything staged in one [`Transport::tx_frames`] call
+    /// (one `sendmmsg` on the UDP backend instead of a syscall per
+    /// datagram). A no-op when nothing is staged.
+    pub fn flush(&mut self) {
+        if self.stage.is_empty() {
+            return;
+        }
+        let _ = self.transport.tx_frames(0, &mut self.stage);
+        // `tx_frames` drains by contract; what a backend refused is
+        // dropped like any other tail drop, not re-sent out of order.
+        self.stage.clear();
+        self.open.fill(None);
     }
 
     /// The jittered, backed-off timeout for attempt number `retries` of
@@ -784,7 +837,7 @@ impl Client {
                 // stale fragments of the original transmission can never
                 // merge with the retry in the server's reassembler.
                 let frame = msg.encode_frame();
-                self.transmit(&frame, queue);
+                self.stage_request(&frame, queue);
                 let sent_at = self.now_ns();
                 let p = self.pending.get_mut(&id).expect("still pending");
                 p.retries += 1;
@@ -827,7 +880,7 @@ impl Client {
                     let mut hedge_msg = msg;
                     hedge_msg.client_ts_ns |= 1;
                     let frame = hedge_msg.encode_frame();
-                    self.transmit(&frame, hq);
+                    self.stage_request(&frame, hq);
                     let p = self.pending.get_mut(&id).expect("still pending");
                     p.hedge_queue = Some(hq);
                     self.totals.hedges_sent += 1;
@@ -836,9 +889,12 @@ impl Client {
         }
     }
 
-    /// Drains reply packets from the transport, reassembles and matches
-    /// them; returns completions observed in this poll.
+    /// Releases what [`Client::send`] staged, then drains reply packets
+    /// from the transport, walks their frames, reassembles and matches
+    /// them; returns completions observed in this poll. Retries and
+    /// hedges that fall due leave before it returns.
     pub fn poll(&mut self) -> Vec<Completion> {
+        self.flush();
         let mut out = Vec::new();
         let mut pkts = std::mem::take(&mut self.rx_scratch);
         self.transport.rx_burst(0, &mut pkts, 4096);
@@ -853,47 +909,41 @@ impl Client {
                 continue;
             }
             let src = pkt.source_endpoint();
-            // Single-fragment replies (the overwhelming majority)
-            // decode straight from the datagram payload — no reassembly
-            // state, no buffer allocation, no extra copy.
-            let mut rd = pkt.payload.clone();
-            match FragHeader::decode(&mut rd) {
-                None => {
+            for frame in frames(pkt.payload) {
+                let Ok(frame) = frame else {
                     self.totals.unmatched += 1;
-                    continue;
-                }
-                Some(fh) if fh.count == 1 => {
-                    if let Some(msg) = Message::decode(rd) {
-                        if let Some(c) = self.complete(msg) {
-                            out.push(c);
-                        }
-                    } else {
-                        self.totals.unmatched += 1;
-                    }
-                    continue;
-                }
-                Some(_) => {}
-            }
-            match self.reassembler.push(src, pkt.payload, ReplySink::open) {
-                Streamed::Complete(sink) => {
-                    self.reply_copied_bytes += sink.copied;
-                    if let Some(msg) =
-                        Message::decode_streamed(&sink.header, Bytes::from(sink.value))
+                    break;
+                };
+                self.totals.frames_rx += 1;
+                self.server_bundles |= frame.header.accepts_bundles;
+                // Single-fragment replies (the overwhelming majority)
+                // decode straight from the datagram payload — no
+                // reassembly state, no buffer allocation, no extra copy.
+                let reply = if frame.header.count == 1 {
+                    Message::decode(frame.into_chunk())
+                } else {
+                    match self
+                        .reassembler
+                        .push(src, frame.into_bytes(), ReplySink::open)
                     {
-                        if let Some(c) = self.complete(msg) {
-                            out.push(c);
+                        Streamed::Complete(sink) => {
+                            self.reply_copied_bytes += sink.copied;
+                            Message::decode_streamed(&sink.header, Bytes::from(sink.value))
                         }
-                    } else {
-                        self.totals.unmatched += 1;
+                        Streamed::Incomplete => continue,
+                        _ => None,
                     }
+                };
+                match reply {
+                    Some(msg) => out.extend(self.complete(msg)),
+                    None => self.totals.unmatched += 1,
                 }
-                Streamed::Incomplete => {}
-                _ => self.totals.unmatched += 1,
             }
         }
         self.rx_scratch = pkts;
         self.advance_reassembly_round();
         self.scan_pending();
+        self.flush();
         out
     }
 

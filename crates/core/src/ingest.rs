@@ -544,6 +544,7 @@ mod tests {
             index: 0,
             count: 15,
             msg_len: (MSG_HEADER_LEN + 20_000) as u32,
+            accepts_bundles: false,
         }
     }
 

@@ -11,7 +11,12 @@
 //! after the software-queue batch, and at once when a multi-fragment
 //! reply has been staged or the burst has reached `B` datagrams. A
 //! round that received one request flushes a burst of one, so the
-//! unloaded path pays nothing for it. Responsibilities per the paper
+//! unloaded path pays nothing for it. A datagram is a sequence of
+//! frames (`minos_wire::frag`): a core walks every frame of what it
+//! received, and the single-fragment replies it stages back to back
+//! for one peer share datagrams when that peer's requests said it
+//! accepts bundles — `k` small replies then cross the kernel in
+//! `⌈k/4⌉` datagrams instead of `k`. Responsibilities per the paper
 //! (§3):
 //!
 //! * **Small cores** drain their own RX queue in batches of `B`, then
@@ -35,7 +40,8 @@
 //! Lifecycle telemetry follows the same split: a request's `service_ns`
 //! ends when its reply is staged, and the send is the burst's
 //! (`core.N.tx_flush_ns`, `core.N.tx_flushes`); `core.N.packets_tx` /
-//! `bytes_tx` count what the transport accepted.
+//! `frames_tx` / `bytes_tx` count what the transport accepted, datagrams
+//! and the frames inside them.
 //!
 //! The server is generic over [`Transport`]: the same engine code runs
 //! over the in-process [`VirtualNic`] (by default through
@@ -62,9 +68,11 @@ use minos_obs::{
     Collector, CoreClock, CoreTelemetry, Counter, MetricValue, MetricsRegistry, ReqClass,
 };
 use minos_stats::{AtomicSizeHistogram, CoreStats, SharedCoreStats, SizeHistogram};
-use minos_wire::frag::{fragment_frame_each, FragHeader, Streamed, StreamingReassembler};
+use minos_wire::frag::{
+    frames, stage_message, FragHeader, Streamed, StreamingReassembler, FRAG_HEADER_LEN,
+};
 use minos_wire::message::{Body, Message, ReplyStatus, MSG_HEADER_LEN};
-use minos_wire::packet::{synthesize_frame, Endpoint, Packet, TxPacket};
+use minos_wire::packet::{Endpoint, Packet, TxPacket};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -116,6 +124,11 @@ pub struct ServerRequest {
     pub msg: Message,
     /// Where the reply goes.
     pub reply_to: Endpoint,
+    /// The request's frame said its sender walks datagrams frame by
+    /// frame ([`FragHeader::accepts_bundles`]): the reply may share a
+    /// datagram with its neighbours in the burst, whichever core ends
+    /// up executing the request.
+    pub accepts_bundles: bool,
     /// When the packet left the NIC ring (rx-dequeue, nanoseconds on
     /// the server's shared clock). Queue-wait telemetry measures from
     /// here; engines without lifecycle telemetry (the baselines) pass 0.
@@ -325,6 +338,8 @@ impl<T: Transport + 'static> Collector for EngineCollector<T> {
             out.push(counter("steals", c.steals));
             out.push(counter("packets_rx", c.packets_rx));
             out.push(counter("packets_tx", c.packets_tx));
+            out.push(counter("frames_rx", c.frames_rx));
+            out.push(counter("frames_tx", c.frames_tx));
             out.push(counter("bytes_rx", c.bytes_rx));
             out.push(counter("bytes_tx", c.bytes_tx));
         }
@@ -869,8 +884,8 @@ impl<T: Transport> Core<'_, T> {
             return;
         }
         let t0 = self.clock.now_ns();
-        let (packets, bytes) = self.tx.flush(&*self.shared.transport, self.id as u16);
-        self.shared.stats[self.id].record_tx(packets, bytes);
+        let sent = self.tx.flush(&*self.shared.transport, self.id as u16);
+        self.shared.stats[self.id].record_tx(sent.packets, sent.frames, sent.bytes);
         self.shared.telemetry[self.id].record_tx_flush(self.clock.now_ns().saturating_sub(t0));
     }
 
@@ -883,11 +898,15 @@ impl<T: Transport> Core<'_, T> {
     /// (and is fragmented exactly once, into the burst), and a burst
     /// that has reached the RX batch size `B` has its syscall's worth.
     /// Either way the replies staged ahead of it leave first, in order.
-    fn send_reply(&mut self, reply_to: Endpoint, reply: &Message) {
+    /// `accepts_bundles` is what the request said of its sender
+    /// ([`ServerRequest::accepts_bundles`]).
+    fn send_reply(&mut self, reply_to: Endpoint, reply: &Message, accepts_bundles: bool) {
         let msg_id = ((self.id as u64) << 48)
             | (self.shared.msg_ids[self.id].fetch_add(1, Ordering::Relaxed) & 0xFFFF_FFFF_FFFF);
-        let fragments = self.tx.stage(self.local, reply_to, reply, msg_id);
-        if fragments > 1 || self.tx.len() >= self.shared.config.batch_size {
+        let datagrams = self
+            .tx
+            .stage(self.local, reply_to, reply, msg_id, accepts_bundles);
+        if datagrams > 1 || self.tx.len() >= self.shared.config.batch_size {
             self.flush_tx();
         }
     }
@@ -992,7 +1011,13 @@ impl<T: Transport> Core<'_, T> {
                 }
             });
         match streamed {
-            Streamed::Complete(ingest) => self.finish_streamed_put(ingest, reply_to),
+            Streamed::Complete(ingest) => {
+                // The reply goes by what the completing fragment says
+                // of the sender; every fragment says the same.
+                let accepts_bundles = FragHeader::decode(&mut payload.as_slice())
+                    .is_some_and(|fh| fh.accepts_bundles);
+                self.finish_streamed_put(ingest, reply_to, accepts_bundles)
+            }
             Streamed::Incomplete | Streamed::Duplicate => {}
             Streamed::Rejected if over_quota => {
                 // The source is hogging discard slots: no ingest state
@@ -1005,7 +1030,7 @@ impl<T: Transport> Core<'_, T> {
                 if let Some(fh) = FragHeader::decode(&mut rd) {
                     if fh.index == 0 {
                         if let Some(reply) = rejected_put_reply(&rd, ReplyStatus::OutOfMemory) {
-                            self.send_reply(reply_to, &reply);
+                            self.send_reply(reply_to, &reply, fh.accepts_bundles);
                         }
                     }
                 }
@@ -1017,118 +1042,146 @@ impl<T: Transport> Core<'_, T> {
     }
 
     /// Commits a fully streamed PUT and stages its reply.
-    fn finish_streamed_put(&mut self, ingest: PutIngest, reply_to: Endpoint) {
+    fn finish_streamed_put(
+        &mut self,
+        ingest: PutIngest,
+        reply_to: Endpoint,
+        accepts_bundles: bool,
+    ) {
         let Some(done) = ingest.commit(&self.shared.store) else {
             self.shared.malformed.inc();
             return;
         };
         self.shared.stats[self.id].record_put(done.is_large());
-        self.send_reply(reply_to, &done.reply());
+        self.send_reply(reply_to, &done.reply(), accepts_bundles);
     }
 
-    /// Handles one packet drained from an RX queue by a small core.
-    /// `arrival_ns` is the rx-dequeue stamp of the burst the packet
+    /// Handles one datagram drained from an RX queue by a small core,
+    /// frame by frame ([`frames`]): a bundle's requests are placed one
+    /// after the other, exactly as if each had arrived alone.
+    /// `arrival_ns` is the rx-dequeue stamp of the burst the datagram
     /// arrived in — the zero point of its queue-wait measurement.
     fn process_rx_packet(&mut self, plan: &ShardingPlan, arrival_ns: u64, pkt: Packet) {
-        let (shared, core) = (self.shared, self.id);
-        shared.stats[core].record_rx(1, pkt.wire_len() as u64);
-        let mut rd = pkt.payload.clone();
-        let Some(fh) = FragHeader::decode(&mut rd) else {
-            shared.malformed.inc();
-            return;
-        };
+        let shared = self.shared;
+        let wire_len = pkt.wire_len() as u64;
+        let reply_to = endpoint_of(&pkt);
+        let meta = pkt.meta;
+        let mut walked = 0;
+        for frame in frames(pkt.payload) {
+            let Ok(frame) = frame else {
+                shared.malformed.inc();
+                break;
+            };
+            walked += 1;
+            let fh = frame.header;
+            if fh.count > 1 {
+                // A fragment has its datagram to itself; downstream it
+                // is the packet it always was.
+                let payload = frame.into_bytes();
+                self.route_fragment(plan, arrival_ns, fh, Packet { meta, payload });
+                continue;
+            }
+            // Single-fragment frame: a complete (small-sized) message.
+            let Some(msg) = Message::decode(frame.into_chunk()) else {
+                shared.malformed.inc();
+                continue;
+            };
+            self.handle_message(
+                plan,
+                ServerRequest {
+                    msg,
+                    reply_to,
+                    accepts_bundles: fh.accepts_bundles,
+                    arrival_ns,
+                },
+            );
+        }
+        shared.stats[self.id].record_rx(1, walked, wire_len);
+    }
 
-        if fh.count > 1 {
-            // A multi-fragment message: necessarily a large PUT request.
-            // The item size is knowable from the fragment header alone,
-            // so classify without reassembling ("the size is known to
-            // the client and present in the request. There is therefore
-            // no need to do a lookup").
-            let item_size = u64::from(fh.msg_len).saturating_sub(MSG_HEADER_LEN as u64);
-            if fh.index == 0 {
-                shared.size_hists[core].record(item_size);
-            }
-            // All fragments of one message must reach the same
-            // reassembler, across plan changes and across the multiple
-            // small cores that drain one RX queue — so the target core
-            // is pinned on the message's first-seen fragment. The
-            // discipline picks the owner; under size-aware sharding that
-            // is the plan's range core (or this core itself when the
-            // threshold sits above the size — a heavily large-skewed
-            // workload).
-            let src = pkt.source_endpoint();
-            let watermark = shared.config.shed_watermark;
-            let target = shared.flow_pins.pin(src, fh.msg_id, fh.count, || {
-                let depths = SoftQueueDepths(&shared.soft_queues);
-                let t = shared.discipline.place_fragment(&PlaceCtx {
-                    rx_core: core,
-                    n_cores: shared.config.n_cores,
-                    key: fragment_key(src, fh.msg_id),
-                    size: Some(item_size),
-                    plan,
-                    depths: &depths,
-                });
-                // The shed valve, decided once per message at pin time
-                // so every fragment of a shed PUT is dropped
-                // consistently: a multi-fragment message is by
-                // construction large, exactly what degrades first under
-                // overload.
-                if watermark > 0 && t != core && shared.soft_queues[t].len() >= watermark {
-                    SHED_TARGET
-                } else {
-                    t
-                }
+    /// Routes one fragment of a multi-fragment message — necessarily a
+    /// large PUT request — to the core that owns its reassembly. The
+    /// item size is knowable from the fragment header alone, so it is
+    /// classified without reassembling ("the size is known to the
+    /// client and present in the request. There is therefore no need to
+    /// do a lookup").
+    fn route_fragment(
+        &mut self,
+        plan: &ShardingPlan,
+        arrival_ns: u64,
+        fh: FragHeader,
+        pkt: Packet,
+    ) {
+        let (shared, core) = (self.shared, self.id);
+        let item_size = u64::from(fh.msg_len).saturating_sub(MSG_HEADER_LEN as u64);
+        if fh.index == 0 {
+            shared.size_hists[core].record(item_size);
+        }
+        // All fragments of one message must reach the same
+        // reassembler, across plan changes and across the multiple
+        // small cores that drain one RX queue — so the target core
+        // is pinned on the message's first-seen fragment. The
+        // discipline picks the owner; under size-aware sharding that
+        // is the plan's range core (or this core itself when the
+        // threshold sits above the size — a heavily large-skewed
+        // workload).
+        let src = pkt.source_endpoint();
+        let watermark = shared.config.shed_watermark;
+        let target = shared.flow_pins.pin(src, fh.msg_id, fh.count, || {
+            let depths = SoftQueueDepths(&shared.soft_queues);
+            let t = shared.discipline.place_fragment(&PlaceCtx {
+                rx_core: core,
+                n_cores: shared.config.n_cores,
+                key: fragment_key(src, fh.msg_id),
+                size: Some(item_size),
+                plan,
+                depths: &depths,
             });
-            if target == SHED_TARGET {
-                // Every fragment of the shed message lands here via the
-                // pin; the one carrying the application header answers
-                // `Overloaded` (the client backs off), the rest just
-                // drop.
-                if fh.index == 0 {
-                    shared.sheds.inc();
-                    if let Some(reply) = rejected_put_reply(&rd, ReplyStatus::Overloaded) {
-                        self.send_reply(endpoint_of(&pkt), &reply);
-                    }
-                }
-                return;
-            }
-            if target == core {
-                // Large work executing on the RX-draining core itself
-                // (standby mode, or a large-skewed threshold): still
-                // large-class — the class records the execution route.
-                let t0 = self.clock.now_ns();
-                let wait = t0.saturating_sub(arrival_ns);
-                self.stream_put_fragment(pkt);
-                shared.telemetry[core].record(
-                    ReqClass::Large,
-                    wait,
-                    self.clock.now_ns().saturating_sub(t0),
-                );
-            } else if shared.soft_queues[target]
-                .push(Handoff::Fragment(pkt, arrival_ns))
-                .is_err()
-            {
-                shared.soft_drops.inc();
+            // The shed valve, decided once per message at pin time
+            // so every fragment of a shed PUT is dropped
+            // consistently: a multi-fragment message is by
+            // construction large, exactly what degrades first under
+            // overload.
+            if watermark > 0 && t != core && shared.soft_queues[t].len() >= watermark {
+                SHED_TARGET
             } else {
-                shared.stats[core].record_handoff();
+                t
+            }
+        });
+        if target == SHED_TARGET {
+            // Every fragment of the shed message lands here via the
+            // pin; the one carrying the application header answers
+            // `Overloaded` (the client backs off), the rest just
+            // drop.
+            if fh.index == 0 {
+                shared.sheds.inc();
+                let chunk = &pkt.payload[FRAG_HEADER_LEN..];
+                if let Some(reply) = rejected_put_reply(chunk, ReplyStatus::Overloaded) {
+                    self.send_reply(endpoint_of(&pkt), &reply, fh.accepts_bundles);
+                }
             }
             return;
         }
-
-        // Single-fragment packet: a complete (small-sized) message.
-        let Some(msg) = Message::decode(rd) else {
-            shared.malformed.inc();
-            return;
-        };
-        let reply_to = endpoint_of(&pkt);
-        self.handle_message(
-            plan,
-            ServerRequest {
-                msg,
-                reply_to,
-                arrival_ns,
-            },
-        );
+        if target == core {
+            // Large work executing on the RX-draining core itself
+            // (standby mode, or a large-skewed threshold): still
+            // large-class — the class records the execution route.
+            let t0 = self.clock.now_ns();
+            let wait = t0.saturating_sub(arrival_ns);
+            self.stream_put_fragment(pkt);
+            shared.telemetry[core].record(
+                ReqClass::Large,
+                wait,
+                self.clock.now_ns().saturating_sub(t0),
+            );
+        } else if shared.soft_queues[target]
+            .push(Handoff::Fragment(pkt, arrival_ns))
+            .is_err()
+        {
+            shared.soft_drops.inc();
+        } else {
+            shared.stats[core].record_handoff();
+        }
     }
 
     /// Places one complete request per the configured discipline:
@@ -1339,7 +1392,7 @@ impl<T: Transport> Core<'_, T> {
         value: Option<minos_kv::PoolBytes>,
     ) {
         let reply = req.msg.reply(status, value.map(bytes::Bytes::from_owner));
-        self.send_reply(req.reply_to, &reply);
+        self.send_reply(req.reply_to, &reply, req.accepts_bundles);
     }
 
     /// Executes a request on this core (small or large) and stages the
@@ -1358,7 +1411,7 @@ impl<T: Transport> Core<'_, T> {
             shared.stats[self.id].record_put(large);
         }
         let reply = req.msg.reply(status, value.map(bytes::Bytes::from_owner));
-        self.send_reply(req.reply_to, &reply);
+        self.send_reply(req.reply_to, &reply, req.accepts_bundles);
         Some(large)
     }
 }
@@ -1462,11 +1515,18 @@ pub fn execute(
 /// of the paper's run-to-completion loop (read a batch of `B`, execute,
 /// *transmit the batch* — §4.1). Every reply staged while one poll
 /// round's requests execute leaves in a single [`Transport::tx_frames`]
-/// call, so `k` replies cost one `sendmmsg` instead of `k`, and —
-/// because the kernel-UDP backend coalesces every run of
-/// same-destination, equal-length frames (the last may be shorter) into
-/// a `UDP_SEGMENT` train — consecutive replies to one client mostly
-/// cross the network stack once, together.
+/// call, so `k` replies cost one `sendmmsg` instead of `k`.
+///
+/// This is also where bundles form. A single-fragment reply to a peer
+/// that accepts them ([`ServerRequest::accepts_bundles`]) joins the
+/// datagram staged just before it when that one is bound for the same
+/// peer, holds only such replies and has room ([`stage_message`]): up
+/// to four frames within one MTU, so the replies to one client's
+/// pipelined requests cross the network stack — the dominant per-reply
+/// cost on the kernel-UDP backend — together. Replies to anyone else
+/// keep a datagram each, where the backend still coalesces runs of
+/// same-destination, equal-length frames into `UDP_SEGMENT` trains.
+/// Fragments of a multi-fragment reply never share.
 ///
 /// The one reply encoder: every engine stages with [`TxBurst::stage`]
 /// and sends with [`TxBurst::flush`] ([`transmit_message`] is exactly
@@ -1476,10 +1536,30 @@ pub fn execute(
 #[derive(Debug, Default)]
 pub struct TxBurst {
     frames: Vec<TxPacket>,
-    /// On-wire length of each staged frame, in step with `frames`
-    /// (which the transport drains): the bytes of whatever prefix it
-    /// accepts.
-    wire_lens: Vec<u32>,
+    /// On-wire length and frame count of each staged datagram, in step
+    /// with `frames` (which the transport drains): the totals of
+    /// whatever prefix it accepts.
+    staged: Vec<StagedDatagram>,
+    /// The last staged datagram, while the next bundle-able reply may
+    /// still join it.
+    open: Option<usize>,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct StagedDatagram {
+    wire_len: u32,
+    frames: u32,
+}
+
+/// What one [`TxBurst::flush`] handed the transport and it accepted.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TxFlushed {
+    /// Datagrams.
+    pub packets: u64,
+    /// Wire frames inside those datagrams (at least one each).
+    pub frames: u64,
+    /// On-wire bytes.
+    pub bytes: u64,
 }
 
 impl TxBurst {
@@ -1492,7 +1572,8 @@ impl TxBurst {
     pub fn with_capacity(frames: usize) -> Self {
         TxBurst {
             frames: Vec::with_capacity(frames),
-            wire_lens: Vec::with_capacity(frames),
+            staged: Vec::with_capacity(frames),
+            open: None,
         }
     }
 
@@ -1507,50 +1588,83 @@ impl TxBurst {
     }
 
     /// Encodes and fragments `msg` from `src` to `dst` behind whatever
-    /// is already staged; returns how many datagrams it became.
+    /// is already staged; returns how many datagrams it became — none
+    /// when `accepts_bundles` (the receiver walks datagrams frame by
+    /// frame) let it join the datagram staged before it.
     ///
     /// The whole reply is scatter-gather end to end: the value leaves
     /// the store as refcounted mempool memory (`PoolBytes` →
     /// `Bytes::from_owner`), [`Message::encode_frame`] appends it to the
     /// reply frame as a segment, fragmentation slices it per datagram
-    /// ([`fragment_frame_each`]) straight into the burst, and the flush
-    /// hands header-iovec + value-iovec pairs to the transport — the
-    /// value bytes are never copied (nor, since the datagram's checksum
-    /// is its serializer's job, even read) on this path, an invariant
-    /// the transport's `tx_copied_bytes` gauge asserts.
-    pub fn stage(&mut self, src: Endpoint, dst: Endpoint, msg: &Message, msg_id: u64) -> usize {
-        let frames = &mut self.frames;
-        let first = frames.len();
-        let fragments = fragment_frame_each(msg_id, &msg.encode_frame(), |frag| {
-            frames.push(synthesize_frame(src, dst, frag))
-        });
+    /// straight into the burst (a bundle takes the segment as it is),
+    /// and the flush hands header-iovec + value-iovec pairs to the
+    /// transport — the value bytes are never copied (nor, since the
+    /// datagram's checksum is its serializer's job, even read) on this
+    /// path, an invariant the transport's `tx_copied_bytes` gauge
+    /// asserts.
+    pub fn stage(
+        &mut self,
+        src: Endpoint,
+        dst: Endpoint,
+        msg: &Message,
+        msg_id: u64,
+        accepts_bundles: bool,
+    ) -> usize {
+        let first = self.frames.len();
+        // The flag on the reply echoes the request's: a peer that never
+        // set it is answered byte for byte as before the flag existed,
+        // one that did learns this server walks bundles too.
+        let (datagrams, carrier) = stage_message(
+            &mut self.frames,
+            self.open.filter(|_| accepts_bundles),
+            src,
+            dst,
+            msg_id,
+            accepts_bundles,
+            &msg.encode_frame(),
+        );
+        self.open = carrier.filter(|_| accepts_bundles);
+        if datagrams == 0 {
+            let joined = carrier.expect("a frame that added no datagram joined one");
+            self.staged[joined].wire_len = self.frames[joined].wire_len() as u32;
+            self.staged[joined].frames += 1;
+            return 0;
+        }
         // Every fragment but the last carries a full chunk, so two
         // lengths describe the message — no per-fragment measuring on
         // the latency path, whatever the reply's size.
-        let full = frames[first].wire_len() as u32;
-        let last = frames[first + fragments - 1].wire_len() as u32;
-        self.wire_lens
-            .extend(std::iter::repeat_n(full, fragments - 1));
-        self.wire_lens.push(last);
-        fragments
+        let datagram = |pkt: &TxPacket| StagedDatagram {
+            wire_len: pkt.wire_len() as u32,
+            frames: 1,
+        };
+        let full = datagram(&self.frames[first]);
+        let last = datagram(&self.frames[first + datagrams - 1]);
+        self.staged.extend(std::iter::repeat_n(full, datagrams - 1));
+        self.staged.push(last);
+        datagrams
     }
 
     /// Sends everything staged on `tx_queue` of `transport` in one
-    /// [`Transport::tx_frames`] call and empties the burst. Returns the
-    /// `(packets, bytes)` the transport accepted: a full ring or socket
-    /// buffer tail-drops the rest FIFO, like hardware, and the client's
-    /// loss accounting notices.
-    pub fn flush<T: Transport + ?Sized>(&mut self, transport: &T, tx_queue: u16) -> (u64, u64) {
+    /// [`Transport::tx_frames`] call and empties the burst. Returns
+    /// what the transport accepted: a full ring or socket buffer
+    /// tail-drops the rest FIFO, like hardware, and the client's loss
+    /// accounting notices.
+    pub fn flush<T: Transport + ?Sized>(&mut self, transport: &T, tx_queue: u16) -> TxFlushed {
         let sent = transport.tx_frames(tx_queue, &mut self.frames);
         // `tx_frames` drains by contract; a backend that left refused
         // frames behind must not see them lead the next burst.
         self.frames.clear();
-        let bytes = self.wire_lens[..sent]
-            .iter()
-            .map(|&len| u64::from(len))
-            .sum();
-        self.wire_lens.clear();
-        (sent as u64, bytes)
+        self.open = None;
+        let mut flushed = TxFlushed {
+            packets: sent as u64,
+            ..TxFlushed::default()
+        };
+        for datagram in &self.staged[..sent] {
+            flushed.frames += u64::from(datagram.frames);
+            flushed.bytes += u64::from(datagram.wire_len);
+        }
+        self.staged.clear();
+        flushed
     }
 }
 
@@ -1565,7 +1679,7 @@ pub fn transmit_reply<T: Transport + ?Sized>(
     status: ReplyStatus,
     value: Option<minos_kv::PoolBytes>,
     msg_id: u64,
-) -> (u64, u64) {
+) -> TxFlushed {
     // `PoolBytes` is already refcounted mempool storage; wrapping it as
     // an owner-backed `Bytes` hands it to the wire layer without the
     // copy (and allocation) this path used to pay per GET reply.
@@ -1576,8 +1690,8 @@ pub fn transmit_reply<T: Transport + ?Sized>(
 
 /// Encodes, fragments and transmits one message to `dst` on `tx_queue`
 /// at once: [`TxBurst::stage`] then [`TxBurst::flush`] on a burst of
-/// its own, for callers with no poll round to amortize over. Returns
-/// the `(packets, bytes)` the transport accepted.
+/// its own, for callers with no poll round to amortize over (so
+/// nothing to bundle with). Returns what the transport accepted.
 pub fn transmit_message<T: Transport + ?Sized>(
     transport: &T,
     tx_queue: u16,
@@ -1585,8 +1699,8 @@ pub fn transmit_message<T: Transport + ?Sized>(
     dst: Endpoint,
     msg: &Message,
     msg_id: u64,
-) -> (u64, u64) {
+) -> TxFlushed {
     let mut burst = TxBurst::new();
-    burst.stage(src, dst, msg, msg_id);
+    burst.stage(src, dst, msg, msg_id, false);
     burst.flush(transport, tx_queue)
 }

@@ -340,7 +340,8 @@ fn latency_is_recorded() {
 
 // ---------------------------------------------------------------------
 // Reply bursts: everything one poll round's requests stage leaves in one
-// `tx_frames` call. Properties and counts only — no wall-clock claims.
+// `tx_frames` call, and replies to a peer that accepts bundles share
+// datagrams. Properties and counts only — no wall-clock claims.
 // ---------------------------------------------------------------------
 
 mod burst {
@@ -352,9 +353,10 @@ mod burst {
         VirtualClientTransport, VirtualTransport,
     };
     use minos_nic::{NicConfig, VirtualNic};
-    use minos_wire::frag::FragHeader;
+    use minos_wire::frag::{fragment_frame_each, frames, FragHeader};
     use minos_wire::message::{Body, Message};
-    use minos_wire::packet::{Endpoint, Packet, TxPacket};
+    use minos_wire::packet::{synthesize_frame, Endpoint, Packet, TxPacket};
+    use minos_wire::TxFrame;
     use std::net::Ipv4Addr;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex};
@@ -363,31 +365,60 @@ mod burst {
     static PORTS: minos_net::testport::TestPorts =
         minos_net::testport::TestPorts::new(32_000, 32_900);
 
-    /// One datagram the server handed to its transport.
+    /// One frame of a datagram on the wire.
     #[derive(Clone, Debug)]
     struct SentFrame {
         frag: FragHeader,
-        /// The datagram behind the fragment header.
+        /// The frame behind its fragment header.
         chunk: bytes::Bytes,
     }
 
     impl SentFrame {
-        /// The reply this single-fragment datagram carries.
+        /// The message this single-fragment frame carries.
         fn reply(&self) -> Message {
             assert_eq!(self.frag.count, 1);
             Message::decode(self.chunk.clone()).expect("a reply")
         }
     }
 
+    /// One datagram: the frames it carried, in order.
+    type SentDatagram = Vec<SentFrame>;
+
+    fn walk(payload: bytes::Bytes) -> SentDatagram {
+        frames(payload)
+            .map(|frame| {
+                let frame = frame.expect("a well-formed datagram");
+                SentFrame {
+                    frag: frame.header,
+                    chunk: frame.into_chunk(),
+                }
+            })
+            .collect()
+    }
+
+    /// The keys of the single-fragment replies in `datagrams`, in order.
+    fn reply_keys(datagrams: &[SentDatagram]) -> Vec<u64> {
+        datagrams
+            .iter()
+            .flatten()
+            .map(|f| f.reply().body.key())
+            .collect()
+    }
+
+    fn frames_per_datagram(datagrams: &[SentDatagram]) -> Vec<usize> {
+        datagrams.iter().map(Vec::len).collect()
+    }
+
     /// A server-side transport that makes poll rounds deterministic and
     /// observable: [`Scripted::hold`] withholds arriving requests until
     /// `n` are queued and then delivers them in *one* `rx_burst`, and
-    /// every `tx_frames` call is logged, datagram by datagram.
+    /// every `tx_frames` call is logged, datagram by datagram, frame by
+    /// frame.
     struct Scripted<T> {
         inner: Arc<T>,
         hold: AtomicUsize,
         held: Mutex<Vec<Packet>>,
-        tx_calls: Mutex<Vec<Vec<SentFrame>>>,
+        tx_calls: Mutex<Vec<Vec<SentDatagram>>>,
     }
 
     impl<T: Transport> Scripted<T> {
@@ -405,22 +436,28 @@ mod burst {
             self.hold.store(n, Ordering::SeqCst);
         }
 
-        fn tx_calls(&self) -> Vec<Vec<SentFrame>> {
+        fn tx_calls(&self) -> Vec<Vec<SentDatagram>> {
             self.tx_calls.lock().unwrap().clone()
         }
 
-        fn frames_sent(&self) -> usize {
+        fn datagrams_sent(&self) -> usize {
             self.tx_calls.lock().unwrap().iter().map(Vec::len).sum()
         }
 
-        /// Waits until the server has handed `n` datagrams to the
+        /// Frames inside those datagrams: one per reply or fragment.
+        fn frames_sent(&self) -> usize {
+            let calls = self.tx_calls.lock().unwrap();
+            calls.iter().flatten().map(Vec::len).sum()
+        }
+
+        /// Waits until the server has handed `n` frames to the
         /// transport in total.
         fn await_frames_sent(&self, n: usize) {
             let deadline = Instant::now() + Duration::from_secs(20);
             while self.frames_sent() < n {
                 assert!(
                     Instant::now() < deadline,
-                    "server sent {} of {n} datagrams",
+                    "server sent {} of {n} frames",
                     self.frames_sent()
                 );
                 std::thread::yield_now();
@@ -453,11 +490,7 @@ mod burst {
         fn tx_frames(&self, queue: u16, frames: &mut Vec<TxPacket>) -> usize {
             let call = frames
                 .iter()
-                .map(|pkt| {
-                    let mut chunk = pkt.frame.to_contiguous().0;
-                    let frag = FragHeader::decode(&mut chunk).expect("fragment header");
-                    SentFrame { frag, chunk }
-                })
+                .map(|pkt| walk(pkt.frame.to_contiguous().0))
                 .collect();
             self.tx_calls.lock().unwrap().push(call);
             self.inner.tx_frames(queue, frames)
@@ -476,25 +509,38 @@ mod burst {
         }
     }
 
-    /// A one-core server (one RX queue, so one poll round sees every
-    /// request) over `transport`.
-    fn start_one_core<T: Transport + 'static>(
+    /// A server with one core per queue of `transport`.
+    fn start_cores<T: Transport + 'static>(
         transport: &Arc<Scripted<T>>,
         edit: impl FnOnce(&mut ServerConfig),
     ) -> MinosServer<Scripted<T>> {
-        let mut config = ServerConfig::for_test(1, 10_000);
+        let mut config = ServerConfig::for_test(usize::from(transport.num_queues()), 10_000);
         // No epoch may move the threshold under a test's feet.
         config.minos.epoch_ns = u64::MAX;
         edit(&mut config);
         MinosServer::start_with_transport(config, Arc::clone(transport))
     }
 
-    fn virtual_server() -> (Arc<VirtualNic>, Arc<Scripted<VirtualTransport>>) {
+    /// A one-core server (one RX queue, so one poll round sees every
+    /// request) over `transport`.
+    fn start_one_core<T: Transport + 'static>(
+        transport: &Arc<Scripted<T>>,
+        edit: impl FnOnce(&mut ServerConfig),
+    ) -> MinosServer<Scripted<T>> {
+        assert_eq!(transport.num_queues(), 1);
+        start_cores(transport, edit)
+    }
+
+    fn virtual_server_with(queues: u16) -> (Arc<VirtualNic>, Arc<Scripted<VirtualTransport>>) {
         let nic = Arc::new(VirtualNic::new(
-            NicConfig::new(1).with_queue_capacity(65_536),
+            NicConfig::new(queues).with_queue_capacity(65_536),
         ));
         let transport = Scripted::new(VirtualTransport::new(Arc::clone(&nic)));
         (nic, transport)
+    }
+
+    fn virtual_server() -> (Arc<VirtualNic>, Arc<Scripted<VirtualTransport>>) {
+        virtual_server_with(1)
     }
 
     fn virtual_client(nic: &Arc<VirtualNic>, id: u16) -> Client {
@@ -578,8 +624,13 @@ mod burst {
         assert_eq!(ops, K as u64, "each request executed once");
         let calls = transport.tx_calls();
         assert_eq!(calls.len(), 1, "K replies, one tx_frames call");
-        let keys: Vec<u64> = calls[0].iter().map(|f| f.reply().body.key()).collect();
+        let keys = reply_keys(&calls[0]);
         assert_eq!(keys, (0..K as u64).collect::<Vec<_>>(), "staged in order");
+        // `Client` says it accepts bundles: replies staged back to back
+        // for one client share datagrams, four at most; the other
+        // client's reply in between ends a bundle.
+        let want = if n == 1 { vec![4, 4, 1] } else { vec![1; K] };
+        assert_eq!(frames_per_datagram(&calls[0]), want);
     }
 
     const K: usize = 9;
@@ -610,6 +661,298 @@ mod burst {
         assert_eq!(after.tx_copied_bytes, 0);
     }
 
+    /// One GET for `key` as a wire frame, the way a sender that does
+    /// (or does not) accept bundles writes it.
+    fn get_frame(key: u64, accepts_bundles: bool) -> TxFrame {
+        let msg = Message {
+            client_id: 9,
+            request_id: key,
+            client_ts_ns: 0,
+            body: Body::Get { key },
+        };
+        let mut frame = None;
+        fragment_frame_each(key, accepts_bundles, &msg.encode_frame(), |f| {
+            frame = Some(f)
+        });
+        frame.expect("a GET is one fragment")
+    }
+
+    /// A peer that writes datagrams by hand and reads whatever comes
+    /// back, over the client half of either wire.
+    struct RawPeer {
+        transport: Arc<dyn Transport>,
+        server: Endpoint,
+    }
+
+    impl RawPeer {
+        fn on_virtual_nic(nic: &Arc<VirtualNic>) -> RawPeer {
+            let endpoint = Endpoint::host(109, 20_009);
+            RawPeer {
+                transport: Arc::new(VirtualClientTransport::new(Arc::clone(nic), endpoint)),
+                server: Transport::local_endpoint(&**nic, 0),
+            }
+        }
+
+        fn over_udp(server: &dyn Transport) -> RawPeer {
+            RawPeer {
+                transport: Arc::new(
+                    UdpTransport::bind_client(Ipv4Addr::LOCALHOST).expect("bind client"),
+                ),
+                server: server.local_endpoint(0),
+            }
+        }
+
+        /// Sends `frames` to RX queue 0 as one datagram.
+        fn send(&self, frames: &[TxFrame]) {
+            let payload: Vec<u8> = frames
+                .iter()
+                .flat_map(|f| f.to_contiguous().0.to_vec())
+                .collect();
+            let datagram = synthesize_frame(
+                self.transport.local_endpoint(0),
+                self.server,
+                TxFrame::from_payload(payload.into()),
+            );
+            assert_eq!(self.transport.tx_frames(0, &mut vec![datagram]), 1);
+        }
+
+        /// The datagrams that arrive until they hold `want` frames.
+        fn recv(&self, want: usize) -> Vec<SentDatagram> {
+            let deadline = Instant::now() + Duration::from_secs(20);
+            let mut datagrams: Vec<SentDatagram> = Vec::new();
+            let mut pkts = Vec::new();
+            while datagrams.iter().map(Vec::len).sum::<usize>() < want {
+                assert!(Instant::now() < deadline, "{datagrams:?} of {want} frames");
+                self.transport.rx_burst(0, &mut pkts, 64);
+                datagrams.extend(pkts.drain(..).map(|pkt| walk(pkt.payload)));
+            }
+            datagrams
+        }
+    }
+
+    /// `K` GETs in *one* datagram: the server walks it frame by frame,
+    /// executes each once, and answers a sender that accepts bundles in
+    /// bundles — one that never said so with a datagram per reply.
+    fn one_datagram_of_gets<T: Transport + 'static>(transport: &Arc<Scripted<T>>, peer: RawPeer) {
+        let mut server = start_one_core(transport, |_| {});
+        for key in 0..K as u64 {
+            let len = 20 + 37 * ((key * 5) % 7) as usize;
+            server.store().put(key, &vec![key as u8; len]).unwrap();
+        }
+        let ask = |accepts_bundles: bool| -> Vec<SentDatagram> {
+            let gets: Vec<TxFrame> = (0..K as u64)
+                .map(|key| get_frame(key, accepts_bundles))
+                .collect();
+            peer.send(&gets);
+            let replies = peer.recv(K);
+            assert_eq!(reply_keys(&replies), (0..K as u64).collect::<Vec<_>>());
+            for frame in replies.iter().flatten() {
+                assert_eq!(frame.frag.accepts_bundles, accepts_bundles, "echoed");
+                assert!(matches!(
+                    frame.reply().body,
+                    Body::GetReply {
+                        status: ReplyStatus::Ok,
+                        ..
+                    }
+                ));
+            }
+            replies
+        };
+        assert_eq!(frames_per_datagram(&ask(true)), vec![4, 4, 1]);
+        assert_eq!(frames_per_datagram(&ask(false)), vec![1; K]);
+        server.shutdown();
+
+        let stats = server.core_stats();
+        assert_eq!(stats[0].ops, 2 * K as u64, "each request executed once");
+        assert_eq!((stats[0].packets_rx, stats[0].frames_rx), (2, 2 * K as u64));
+        assert_eq!(
+            (stats[0].packets_tx, stats[0].frames_tx),
+            (3 + K as u64, 2 * K as u64)
+        );
+        assert_eq!(server.counters().malformed, 0);
+        let calls = transport.tx_calls();
+        assert_eq!(calls.len(), 2, "a datagram of requests, a burst of replies");
+        let snap = server.registry().snapshot();
+        assert_eq!(snap.counter("core.0.frames_tx"), Some(2 * K as u64));
+        assert_eq!(snap.counter("core.0.frames_rx"), Some(2 * K as u64));
+    }
+
+    #[test]
+    fn a_datagram_of_gets_is_answered_in_bundles_on_the_virtual_nic() {
+        let (nic, transport) = virtual_server();
+        one_datagram_of_gets(&transport, RawPeer::on_virtual_nic(&nic));
+    }
+
+    #[test]
+    fn a_datagram_of_gets_is_answered_in_bundles_over_udp() {
+        let transport = udp_server();
+        let peer = RawPeer::over_udp(&*transport);
+        let before = transport.inner.io_stats();
+        one_datagram_of_gets(&transport, peer);
+        let after = transport.inner.io_stats();
+        assert_eq!(after.rx_packets - before.rx_packets, 2);
+        assert_eq!(after.tx_packets - before.tx_packets, 3 + K as u64);
+        assert_eq!(after.tx_copied_bytes, 0, "bundled values stay uncopied");
+    }
+
+    /// The probe's contract (`benchmark/src/probe.rs`), pinned here: a
+    /// plain socket that pipelines two GETs without the flag and
+    /// decodes "header, then the rest is the message" gets a datagram
+    /// per reply, even when both replies are staged back to back.
+    #[test]
+    fn a_flagless_socket_pipelining_two_gets_receives_two_datagrams() {
+        let transport = udp_server();
+        let mut server = start_one_core(&transport, |_| {});
+        server.store().put(1, b"one").unwrap();
+        server.store().put(2, b"two!").unwrap();
+        let socket = std::net::UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        socket
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        let to = transport.local_endpoint(0);
+        transport.hold(2);
+        for key in [1u64, 2] {
+            let request = get_frame(key, false).to_contiguous().0;
+            socket
+                .send_to(&request, (Ipv4Addr::LOCALHOST, to.port))
+                .unwrap();
+        }
+        let mut values = Vec::new();
+        for _ in 0..2 {
+            let mut buf = [0u8; 2048];
+            let (len, _) = socket.recv_from(&mut buf).expect("a datagram per reply");
+            let mut rest = bytes::Bytes::copy_from_slice(&buf[..len]);
+            let fh = FragHeader::decode(&mut rest).expect("header");
+            assert_eq!((fh.count, fh.accepts_bundles), (1, false));
+            match Message::decode(rest).expect("the rest is the message").body {
+                Body::GetReply { key, value, .. } => values.push((key, value.to_vec())),
+                other => panic!("not a GET reply: {other:?}"),
+            }
+        }
+        assert_eq!(values, vec![(1, b"one".to_vec()), (2, b"two!".to_vec())]);
+        server.shutdown();
+        let calls = transport.tx_calls();
+        assert_eq!(calls.len(), 1, "both replies rode one burst");
+        assert_eq!(frames_per_datagram(&calls[0]), vec![1, 1]);
+    }
+
+    /// What a request said of its sender travels with it across a
+    /// hand-off: under dFCFS a core that does not own a key pushes the
+    /// request to the owner's software queue, and the owner's replies
+    /// still echo the flag (and so may share datagrams).
+    #[test]
+    fn a_hand_off_keeps_the_bundle_flag() {
+        use minos_core::dispatch::Dfcfs;
+        let (nic, transport) = virtual_server_with(2);
+        let mut server = start_cores(&transport, |c| c.minos.discipline = DisciplineKind::Dfcfs);
+        // Keys core 1 owns, sent to core 0's RX queue.
+        let keys: Vec<u64> = (0..64)
+            .filter(|&k| Dfcfs::owner(k, 2) == 1)
+            .take(4)
+            .collect();
+        for &key in &keys {
+            server.store().put(key, &[key as u8; 40]).unwrap();
+        }
+        let peer = RawPeer::on_virtual_nic(&nic);
+        for accepts_bundles in [true, false] {
+            let gets: Vec<TxFrame> = keys
+                .iter()
+                .map(|&key| get_frame(key, accepts_bundles))
+                .collect();
+            peer.send(&gets);
+            let replies = peer.recv(keys.len());
+            assert_eq!(reply_keys(&replies), keys);
+            for frame in replies.iter().flatten() {
+                assert_eq!(frame.frag.accepts_bundles, accepts_bundles);
+            }
+            if !accepts_bundles {
+                assert_eq!(frames_per_datagram(&replies), vec![1; keys.len()]);
+            }
+        }
+        server.shutdown();
+        let stats = server.core_stats();
+        assert_eq!(stats[0].handoffs, 2 * keys.len() as u64);
+        assert_eq!((stats[0].ops, stats[1].ops), (0, 2 * keys.len() as u64));
+        assert_eq!(stats[1].frames_tx, 2 * keys.len() as u64);
+    }
+
+    /// A bundle is one datagram: losing it loses every request inside,
+    /// each times out on its own, and the retries complete each exactly
+    /// once.
+    #[test]
+    fn a_dropped_bundle_times_out_every_request_in_it_and_retries_complete_each_once() {
+        use minos_core::client::RetryPolicy;
+        // The one tx datagram this seed drops out of the first eight.
+        const DROPPED: usize = 1;
+        let lossy = |nic: &Arc<VirtualNic>, endpoint: Endpoint, seed: u64| {
+            let profile = FaultProfile::parse(&format!("tx.drop=0.5,seed={seed}")).unwrap();
+            FaultTransport::new(
+                Arc::new(VirtualClientTransport::new(Arc::clone(nic), endpoint)),
+                profile,
+            )
+        };
+        let endpoint = Endpoint::host(101, 20_001);
+        // Fault decisions are a function of (seed, lane, sequence
+        // number): probe seeds on a scratch wire for one that drops
+        // exactly the second datagram.
+        let seed = (0..100_000u64)
+            .find(|&seed| {
+                let nic = Arc::new(VirtualNic::new(NicConfig::new(1)));
+                let t = lossy(&nic, endpoint, seed);
+                let to = Transport::local_endpoint(&*nic, 0);
+                (0..8).all(|i| {
+                    let before = VirtualNic::stats(&nic).rx_delivered;
+                    let pkt = synthesize_frame(endpoint, to, get_frame(0, true));
+                    t.tx_frames(0, &mut vec![pkt]);
+                    (VirtualNic::stats(&nic).rx_delivered > before) == (i != DROPPED)
+                })
+            })
+            .expect("a seed that drops only that datagram");
+
+        let (nic, transport) = virtual_server();
+        let mut server = start_one_core(&transport, |_| {});
+        let faulty = Arc::new(lossy(&nic, endpoint, seed));
+        let server_ep = Transport::local_endpoint(&*nic, 0);
+        let mut client =
+            Client::with_transport(Arc::clone(&faulty) as _, endpoint, server_ep, 1, 1, 7)
+                // Long enough that only the drop ever times a request
+                // out, however busy the host.
+                .with_retry(RetryPolicy::new(Duration::from_millis(250), 8));
+        // Datagram 0: the first reply tells the client the server
+        // walks bundles.
+        client.send_get(100, false);
+        assert_eq!(collect(&mut client, 1).len(), 1);
+        // Datagram 1: four requests, one bundle, dropped.
+        for key in 0..4u64 {
+            client.send(&minos_workload::OpSpec {
+                op: minos_workload::Operation::Get,
+                key,
+                item_size: 0,
+                is_large: false,
+                ttl_ms: 0,
+            });
+        }
+        let mut done: Vec<u64> = collect(&mut client, 4).iter().map(|d| d.key).collect();
+        done.sort_unstable();
+        assert_eq!(done, vec![0, 1, 2, 3]);
+        assert_eq!(faulty.fault_stats().tx_dropped, 1);
+        let totals = client.totals();
+        assert_eq!(
+            totals.retransmits, 4,
+            "every request in the bundle timed out"
+        );
+        assert_eq!((totals.completed, totals.timed_out), (5, 0));
+        assert_eq!(totals.unmatched + totals.wasted_replies, 0);
+        server.shutdown();
+        let stats = server.core_stats();
+        assert_eq!(stats[0].ops, 5, "nothing executed twice");
+        assert_eq!(stats[0].frames_rx, 5);
+        assert!(
+            stats[0].packets_rx < 5,
+            "the retries left bundled again or alone"
+        );
+    }
+
     /// The unloaded path: a reply never waits for the next burst to
     /// push it out.
     #[test]
@@ -638,9 +981,12 @@ mod burst {
     fn a_large_reply_follows_the_singles_staged_before_it_fragmented_once() {
         const LARGE: u64 = 1_000;
         let value: Vec<u8> = (0..500_000u32).map(|b| (b % 251) as u8).collect();
+        // Datagrams per `tx_frames` call: the singles staged back to
+        // back share one (the client accepts bundles), the fragments
+        // never share.
         for (discipline, want_calls) in [
-            (DisciplineKind::SizeAware, vec![3, 344]),
-            (DisciplineKind::Dfcfs, vec![2 + 344, 1]),
+            (DisciplineKind::SizeAware, vec![1, 344]),
+            (DisciplineKind::Dfcfs, vec![1 + 344, 1]),
         ] {
             let (nic, transport) = virtual_server();
             let mut server = start_one_core(&transport, |c| c.minos.discipline = discipline);
@@ -666,7 +1012,18 @@ mod burst {
                 sizes, want_calls,
                 "{discipline:?}: datagrams per tx_frames call"
             );
-            let sent: Vec<SentFrame> = calls.concat();
+            let datagrams: Vec<SentDatagram> = calls.concat();
+            assert!(
+                datagrams
+                    .iter()
+                    .all(|d| d.len() == 1 || d.iter().all(|f| f.frag.count == 1)),
+                "{discipline:?}: a fragment shares its datagram with nothing"
+            );
+            let sent: Vec<SentFrame> = datagrams.concat();
+            assert!(
+                sent.iter().all(|f| f.frag.accepts_bundles),
+                "echoed on every frame"
+            );
             let first = sent.iter().position(|f| f.frag.count > 1).unwrap();
             // Fragmented once: 344 datagrams, back to back, in index
             // order, one message id.
@@ -693,7 +1050,8 @@ mod burst {
             }
             server.shutdown();
             let stats = server.core_stats();
-            assert_eq!(stats[0].packets_tx, 3 + 344);
+            assert_eq!(stats[0].frames_tx, 3 + 344);
+            assert_eq!(stats[0].packets_tx, want_calls.iter().sum::<usize>() as u64);
             let snap = server.registry().snapshot();
             assert_eq!(snap.counter("core.0.tx_flushes"), Some(2));
         }
@@ -737,7 +1095,12 @@ mod burst {
         );
 
         let calls = transport.tx_calls();
-        let statuses: Vec<(u64, ReplyStatus)> = calls[0]
+        assert_eq!(
+            frames_per_datagram(&calls[0]),
+            vec![4],
+            "error replies bundle like any other"
+        );
+        let statuses: Vec<(u64, ReplyStatus)> = calls[0][0]
             .iter()
             .map(|f| match f.reply().body {
                 Body::GetReply { key, status, .. } | Body::PutReply { key, status } => {
@@ -757,7 +1120,7 @@ mod burst {
             "the RX burst's four error replies leave together, in order"
         );
         assert_eq!(calls.len(), 2, "then the queued large GET's reply");
-        assert_eq!(calls[1][0].reply().body.key(), LARGE_A);
+        assert_eq!(reply_keys(&calls[1]), vec![LARGE_A]);
         drop(hog);
         server.shutdown();
         assert_eq!(
@@ -779,7 +1142,8 @@ mod burst {
         server.shutdown();
         let stats = server.core_stats();
         assert_eq!(transport.frames_sent() as u64, stats[0].ops);
-        assert_eq!(stats[0].packets_tx, stats[0].ops);
+        assert_eq!(stats[0].frames_tx, stats[0].ops);
+        assert_eq!(stats[0].packets_tx, transport.datagrams_sent() as u64);
         let answered = client.poll().len() as u64;
         assert_eq!(
             answered, stats[0].ops,
@@ -790,6 +1154,8 @@ mod burst {
     /// A seeded fault schedule is a function of the datagram sequence,
     /// not of how the datagrams were batched: the same requests lose
     /// the same replies whether they arrive as one burst or one by one.
+    /// (From a sender that takes a datagram per reply: bundles *are*
+    /// the datagram sequence, and follow the burst shape.)
     #[test]
     fn fault_seeds_reproduce_across_burst_shapes() {
         const N: usize = 24;
@@ -801,12 +1167,12 @@ mod burst {
                 profile,
             ));
             let mut server = start_one_core(&transport, |_| {});
-            let mut client = virtual_client(&nic, 1);
+            let peer = RawPeer::on_virtual_nic(&nic);
             if burst {
                 transport.hold(N);
             }
             for key in 0..N as u64 {
-                client.send_get(key, false);
+                peer.send(&[get_frame(key, false)]);
                 if !burst {
                     transport.await_frames_sent(key as usize + 1);
                 }
@@ -815,7 +1181,14 @@ mod burst {
             server.shutdown();
             let calls = transport.tx_calls().len();
             assert_eq!(calls, if burst { 1 } else { N });
-            let mut survivors: Vec<u64> = client.poll().iter().map(|d| d.key).collect();
+            let mut arrived = Vec::new();
+            peer.transport.rx_burst(0, &mut arrived, 4096);
+            let mut survivors = reply_keys(
+                &arrived
+                    .into_iter()
+                    .map(|pkt| walk(pkt.payload))
+                    .collect::<Vec<_>>(),
+            );
             survivors.sort_unstable();
             survivors
         };

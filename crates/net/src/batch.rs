@@ -56,9 +56,10 @@ pub const MAX_TRAIN_SEGMENTS: usize = 44;
 /// Most payload bytes in one train: the largest UDP datagram.
 pub const MAX_TRAIN_BYTES: usize = 65_507;
 
-/// iovec slots reserved per transmitted frame: one for the inline
-/// header region plus one per payload segment.
-pub const TX_IOVECS_PER_FRAME: usize = 1 + minos_wire::MAX_TX_SEGMENTS;
+/// iovec slots reserved per transmitted frame: one per region — every
+/// payload segment, the header bytes ahead of each, and those behind
+/// the last.
+pub const TX_IOVECS_PER_FRAME: usize = minos_wire::MAX_TX_REGIONS;
 
 /// What one [`RxArena::recv_batch`] call moved.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -334,9 +335,9 @@ mod linux {
     }
 
     /// Transmit-side arena: `cap` reusable header slots for one
-    /// `sendmmsg` call. Payloads are *not* copied — each frame's inline
-    /// header region and refcounted value segments become one iovec
-    /// each (at most [`TX_IOVECS_PER_FRAME`] per frame), pointing
+    /// `sendmmsg` call. Payloads are *not* copied — each frame's runs of
+    /// inline header bytes and refcounted value segments become one
+    /// iovec each (at most [`TX_IOVECS_PER_FRAME`] per frame), pointing
     /// straight at the caller's storage for the duration of the call.
     /// With segmentation offload a message is a whole train: the iovecs
     /// of up to [`MAX_TRAIN_SEGMENTS`] consecutive frames back to back
@@ -490,19 +491,17 @@ mod linux {
         run
     }
 
-    /// One iovec per non-empty region of `frame`, in wire order.
+    /// One iovec per region of `frame`, in wire order.
     fn frame_iovecs(frame: &minos_wire::TxFrame) -> impl Iterator<Item = IoVec> + '_ {
-        // The kernel only reads through send iovecs; the *mut is an
-        // FFI-signature artifact.
-        let iovec = |region: &[u8]| IoVec {
-            iov_base: region.as_ptr() as *mut u8,
-            iov_len: region.len(),
-        };
-        let inline = frame.inline();
-        (!inline.is_empty())
-            .then(|| iovec(inline))
-            .into_iter()
-            .chain(frame.segments().iter().map(move |seg| iovec(seg)))
+        frame.regions().map(|region| {
+            let bytes = region.as_slice();
+            // The kernel only reads through send iovecs; the *mut is an
+            // FFI-signature artifact.
+            IoVec {
+                iov_base: bytes.as_ptr() as *mut u8,
+                iov_len: bytes.len(),
+            }
+        })
     }
 
     /// One non-blocking `sendmsg` carrying a single frame as a gather

@@ -41,8 +41,9 @@ fn gather_payload(pool: &BufferPool, shard: usize, pkt: &TxPacket) -> (bytes::By
     // A frame that is already one contiguous segment needs no gather at
     // all — the compatibility shims (`tx_push`/`tx_burst`) stay
     // zero-copy on the virtual backend too.
-    if pkt.frame.inline().is_empty() && pkt.frame.segments().len() == 1 {
-        return (pkt.frame.segments()[0].clone(), 0);
+    let mut regions = pkt.frame.regions();
+    if let (Some(minos_wire::Region::Segment(only)), None) = (regions.next(), regions.next()) {
+        return (only.clone(), 0);
     }
     let copied = pkt.frame.segment_len() as u64;
     let mut slot = pool.take_on(shard);

@@ -180,9 +180,16 @@ fn mixed_burst_completes_with_zero_loss() {
     assert_eq!(totals.outstanding(), 0, "zero loss across the whole run");
     assert!(client.latency().quantiles().is_some());
 
-    // The server observed real datagrams, not virtual ones.
+    // The server observed real datagrams, not virtual ones: one per
+    // request at least, and — replies to this client may share them —
+    // a frame per reply at least.
     let stats = transport.stats();
     assert!(stats.rx_packets >= 2 * n_keys);
-    assert!(stats.tx_packets >= 2 * n_keys);
     server.shutdown();
+    let cores = server.core_stats();
+    assert!(cores.iter().map(|c| c.frames_tx).sum::<u64>() >= 2 * n_keys);
+    assert_eq!(
+        cores.iter().map(|c| c.packets_tx).sum::<u64>(),
+        transport.stats().tx_packets
+    );
 }

@@ -54,8 +54,8 @@ impl RunConfig {
 
     /// Shrinks durations for smoke tests / quick sweeps.
     pub fn quick(mut self) -> Self {
-        self.duration_s = 0.6;
-        self.warmup_s = 0.15;
+        self.duration_s = 0.24;
+        self.warmup_s = 0.06;
         self
     }
 }
@@ -333,18 +333,20 @@ mod tests {
 
     #[test]
     fn minos_allocates_one_large_core_on_default_workload() {
-        let r = run(&RunConfig::new(System::Minos, DEFAULT_PROFILE, 3.0));
         // Paper §6.1: "For this particular workload, it allocates only
-        // one core to the large requests."
-        let w: Vec<usize> = r.windows.iter().map(|w| w.n_large_cores).collect();
-        // Windows are only recorded when window_s > 0; rerun with them.
-        let mut cfg = RunConfig::new(System::Minos, DEFAULT_PROFILE, 3.0);
-        cfg.window_s = 0.5;
+        // one core to the large requests." The split follows the size
+        // mix, not the load, so a sixth of the paper's rate shows it
+        // (and keeps this test out of tier-1's top ten; windows are
+        // only recorded when window_s > 0).
+        let mut cfg = RunConfig::new(System::Minos, DEFAULT_PROFILE, 0.5);
+        cfg.window_s = 0.25;
         let r = run(&cfg);
         let counts: Vec<usize> = r.windows.iter().map(|w| w.n_large_cores).collect();
+        // The measured second past the warm-up, in quarters.
+        assert_eq!(counts.len(), 4, "{counts:?}");
         assert!(
-            counts.iter().skip(2).all(|&c| c == 1),
-            "late windows should settle on one large core: {counts:?} {w:?}"
+            counts.iter().skip(1).all(|&c| c == 1),
+            "late windows should settle on one large core: {counts:?}"
         );
     }
 }

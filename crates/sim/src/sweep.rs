@@ -48,8 +48,8 @@ impl SloSearch {
 
     /// Shrinks per-point runs for smoke tests.
     pub fn quick(mut self) -> Self {
-        self.duration_s = 0.4;
-        self.warmup_s = 0.1;
+        self.duration_s = 0.12;
+        self.warmup_s = 0.03;
         self.refine_iters = 2;
         self.step_mops = 0.75;
         self

@@ -19,10 +19,17 @@ pub struct CoreStats {
     pub put_ops: u64,
     /// Operations on large items completed.
     pub large_ops: u64,
-    /// Network packets received by this core (from any RX queue).
+    /// Network packets (datagrams) received by this core (from any RX
+    /// queue).
     pub packets_rx: u64,
-    /// Network packets transmitted by this core.
+    /// Network packets (datagrams) transmitted by this core.
     pub packets_tx: u64,
+    /// Wire frames those received datagrams carried: a datagram is a
+    /// sequence of frames, so `frames_rx / packets_rx` is how many
+    /// requests shared one.
+    pub frames_rx: u64,
+    /// Wire frames the transmitted datagrams carried.
+    pub frames_tx: u64,
     /// Payload bytes received.
     pub bytes_rx: u64,
     /// Payload bytes transmitted.
@@ -48,6 +55,8 @@ impl CoreStats {
         self.large_ops += other.large_ops;
         self.packets_rx += other.packets_rx;
         self.packets_tx += other.packets_tx;
+        self.frames_rx += other.frames_rx;
+        self.frames_tx += other.frames_tx;
         self.bytes_rx += other.bytes_rx;
         self.bytes_tx += other.bytes_tx;
         self.handoffs += other.handoffs;
@@ -64,6 +73,8 @@ impl CoreStats {
             large_ops: self.large_ops - earlier.large_ops,
             packets_rx: self.packets_rx - earlier.packets_rx,
             packets_tx: self.packets_tx - earlier.packets_tx,
+            frames_rx: self.frames_rx - earlier.frames_rx,
+            frames_tx: self.frames_tx - earlier.frames_tx,
             bytes_rx: self.bytes_rx - earlier.bytes_rx,
             bytes_tx: self.bytes_tx - earlier.bytes_tx,
             handoffs: self.handoffs - earlier.handoffs,
@@ -84,6 +95,8 @@ pub struct SharedCoreStats {
     large_ops: AtomicU64,
     packets_rx: AtomicU64,
     packets_tx: AtomicU64,
+    frames_rx: AtomicU64,
+    frames_tx: AtomicU64,
     bytes_rx: AtomicU64,
     bytes_tx: AtomicU64,
     handoffs: AtomicU64,
@@ -116,17 +129,21 @@ impl SharedCoreStats {
         }
     }
 
-    /// Records packets/bytes received.
+    /// Records packets received, the frames they carried and their
+    /// bytes.
     #[inline]
-    pub fn record_rx(&self, packets: u64, bytes: u64) {
+    pub fn record_rx(&self, packets: u64, frames: u64, bytes: u64) {
         self.packets_rx.fetch_add(packets, Ordering::Relaxed);
+        self.frames_rx.fetch_add(frames, Ordering::Relaxed);
         self.bytes_rx.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Records packets/bytes transmitted.
+    /// Records packets transmitted, the frames they carried and their
+    /// bytes.
     #[inline]
-    pub fn record_tx(&self, packets: u64, bytes: u64) {
+    pub fn record_tx(&self, packets: u64, frames: u64, bytes: u64) {
         self.packets_tx.fetch_add(packets, Ordering::Relaxed);
+        self.frames_tx.fetch_add(frames, Ordering::Relaxed);
         self.bytes_tx.fetch_add(bytes, Ordering::Relaxed);
     }
 
@@ -151,6 +168,8 @@ impl SharedCoreStats {
             large_ops: self.large_ops.load(Ordering::Relaxed),
             packets_rx: self.packets_rx.load(Ordering::Relaxed),
             packets_tx: self.packets_tx.load(Ordering::Relaxed),
+            frames_rx: self.frames_rx.load(Ordering::Relaxed),
+            frames_tx: self.frames_tx.load(Ordering::Relaxed),
             bytes_rx: self.bytes_rx.load(Ordering::Relaxed),
             bytes_tx: self.bytes_tx.load(Ordering::Relaxed),
             handoffs: self.handoffs.load(Ordering::Relaxed),
@@ -169,8 +188,8 @@ mod tests {
         s.record_get(false);
         s.record_get(true);
         s.record_put(false);
-        s.record_rx(3, 4096);
-        s.record_tx(2, 1500);
+        s.record_rx(3, 7, 4096);
+        s.record_tx(2, 5, 1500);
         s.record_handoff();
         s.record_steal();
         let snap = s.snapshot();
@@ -180,6 +199,7 @@ mod tests {
         assert_eq!(snap.large_ops, 1);
         assert_eq!(snap.packets_rx, 3);
         assert_eq!(snap.packets_tx, 2);
+        assert_eq!((snap.frames_rx, snap.frames_tx), (7, 5));
         assert_eq!(snap.bytes_rx, 4096);
         assert_eq!(snap.bytes_tx, 1500);
         assert_eq!(snap.handoffs, 1);

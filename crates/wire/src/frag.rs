@@ -2,17 +2,32 @@
 //!
 //! "Requests that span multiple frames (large PUT requests and large GET
 //! replies) are fragmented and defragmented at the UDP level" (paper
-//! §4.1). Every UDP payload in this stack starts with a 16-byte
-//! [`FragHeader`]; messages that fit one MTU are sent as a single
-//! fragment (`count == 1`), larger messages are split into
-//! [`crate::MAX_FRAG_CHUNK`]-byte chunks.
+//! §4.1). A UDP payload in this stack is a sequence of *frames*, each a
+//! 16-byte [`FragHeader`] and a chunk. A message that fits one MTU is a
+//! single frame (`count == 1`) whose chunk is the whole message, so the
+//! header's `msg_len` delimits it and further frames may follow in the
+//! same datagram — the requests or replies of one poll round that share
+//! a destination cross the kernel together. A larger message is split
+//! into [`crate::MAX_FRAG_CHUNK`]-byte chunks, one datagram each: a
+//! fragment's chunk runs to the end of its datagram and nothing ever
+//! follows it. [`frames`] walks a received datagram; [`stage_message`]
+//! is the one packer both senders use.
+//!
+//! Bundling is opt-in per peer and stateless: a sender sets
+//! [`FragHeader::accepts_bundles`] on what it sends when its receive
+//! path walks datagrams with [`frames`], and a frame may join a
+//! datagram only when its receiver has said so. A peer that never sets
+//! the bit — anything decoding "header, then the rest is the chunk" —
+//! is sent one frame per datagram, byte for byte as before the bit
+//! existed.
 //!
 //! The [`Reassembler`] tolerates out-of-order and duplicated fragments and
 //! bounds its memory: at most `max_partial` in-flight messages are kept,
 //! evicting the stalest entry when full (datagram loss is the client's
 //! problem — §4.1: "Retransmission is handled by the client").
 
-use crate::txframe::TxFrame;
+use crate::packet::{synthesize_frame, Endpoint, TxPacket};
+use crate::txframe::{Region, TxFrame};
 use crate::{MAX_FRAG_CHUNK, MTU};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::HashMap;
@@ -20,7 +35,12 @@ use std::collections::HashMap;
 /// Encoded size of [`FragHeader`].
 pub const FRAG_HEADER_LEN: usize = 16;
 
-/// Per-fragment header prefixed to every UDP payload.
+/// The top bit of the header's length word: [`FragHeader::accepts_bundles`].
+/// A message is at most `u16::MAX` fragments (under 2^27 bytes), so no
+/// length ever reaches it.
+const ACCEPTS_BUNDLES_BIT: u32 = 1 << 31;
+
+/// Per-frame header prefixed to every chunk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FragHeader {
     /// Message identifier, unique per sender.
@@ -31,15 +51,25 @@ pub struct FragHeader {
     pub count: u16,
     /// Total message length in bytes (all chunks concatenated).
     pub msg_len: u32,
+    /// The sender walks received datagrams frame by frame ([`frames`]),
+    /// so what is sent back to it may share datagrams. Travels as the
+    /// top bit of the length word, which was always zero before.
+    pub accepts_bundles: bool,
 }
 
 impl FragHeader {
     /// Appends the encoded header to `buf`.
     pub fn encode<B: BufMut>(&self, buf: &mut B) {
+        debug_assert_eq!(self.msg_len & ACCEPTS_BUNDLES_BIT, 0);
         buf.put_u64(self.msg_id);
         buf.put_u16(self.index);
         buf.put_u16(self.count);
-        buf.put_u32(self.msg_len);
+        let flag = if self.accepts_bundles {
+            ACCEPTS_BUNDLES_BIT
+        } else {
+            0
+        };
+        buf.put_u32(self.msg_len | flag);
     }
 
     /// Decodes a header from the front of `buf`.
@@ -47,11 +77,14 @@ impl FragHeader {
         if buf.remaining() < FRAG_HEADER_LEN {
             return None;
         }
+        let (msg_id, index, count, len_word) =
+            (buf.get_u64(), buf.get_u16(), buf.get_u16(), buf.get_u32());
         let h = FragHeader {
-            msg_id: buf.get_u64(),
-            index: buf.get_u16(),
-            count: buf.get_u16(),
-            msg_len: buf.get_u32(),
+            msg_id,
+            index,
+            count,
+            msg_len: len_word & !ACCEPTS_BUNDLES_BIT,
+            accepts_bundles: len_word & ACCEPTS_BUNDLES_BIT != 0,
         };
         (h.count > 0 && h.index < h.count).then_some(h)
     }
@@ -80,15 +113,6 @@ impl Fragmenter {
         fragment_with_id(msg_id, message)
     }
 
-    /// Splits a scatter-gather `message` frame into per-datagram
-    /// [`TxFrame`]s without copying any segment bytes; see
-    /// [`fragment_frame_with_id`].
-    pub fn fragment_frame(&mut self, message: &TxFrame) -> Vec<TxFrame> {
-        let msg_id = self.next_msg_id;
-        self.next_msg_id = self.next_msg_id.wrapping_add(1);
-        fragment_frame_with_id(msg_id, message)
-    }
-
     /// Number of fragments `len` message bytes will produce.
     pub fn fragment_count(len: usize) -> u32 {
         crate::packets_for_payload(len)
@@ -110,6 +134,7 @@ pub fn fragment_with_id(msg_id: u64, message: &[u8]) -> Vec<Bytes> {
             index: index as u16,
             count: count as u16,
             msg_len: message.len() as u32,
+            accepts_bundles: false,
         }
         .encode(&mut buf);
         buf.put_slice(chunk);
@@ -122,38 +147,39 @@ pub fn fragment_with_id(msg_id: u64, message: &[u8]) -> Vec<Bytes> {
 /// Splits a scatter-gather `message` frame into per-datagram
 /// [`TxFrame`]s with an explicit message id — the zero-copy analog of
 /// [`fragment_with_id`]: every fragment carries its 16-byte
-/// [`FragHeader`] plus the overlapping slice of the message's inline
-/// header region in *its* inline region, while the overlapping portions
-/// of the message's payload segments are attached as `O(1)`
-/// [`Bytes::slice`] views. Gathering each output frame yields exactly
-/// the datagrams `fragment_with_id` would produce from the gathered
-/// message (property-tested), with zero segment-byte copies.
+/// [`FragHeader`] plus the overlapping slices of the message's inline
+/// bytes in *its* inline region, while the overlapping portions of the
+/// message's payload segments are attached as `O(1)` [`Bytes::slice`]
+/// views. Gathering each output frame yields exactly the datagrams
+/// `fragment_with_id` would produce from the gathered message
+/// (property-tested), with zero segment-byte copies — and, like them,
+/// never says the sender accepts bundles.
 ///
 /// # Panics
 ///
-/// Panics if the message's inline region cannot fit in a fragment's
-/// inline region behind the fragment header (headers deeper than
-/// [`crate::TX_INLINE_CAP`]` - `[`FRAG_HEADER_LEN`] bytes), or if the
-/// message needs more than `u16::MAX` fragments.
+/// Panics if a fragment's share of the message's inline bytes cannot
+/// fit its inline region behind the fragment header, or if the message
+/// needs more than `u16::MAX` fragments.
 pub fn fragment_frame_with_id(msg_id: u64, message: &TxFrame) -> Vec<TxFrame> {
     let mut out = Vec::with_capacity(crate::packets_for_payload(message.len()) as usize);
-    fragment_frame_each(msg_id, message, |frag| out.push(frag));
+    fragment_frame_each(msg_id, false, message, |frag| out.push(frag));
     out
 }
 
 /// [`fragment_frame_with_id`] handing each fragment to `sink` in index
 /// order instead of collecting them, so a caller staging fragments into
-/// a buffer it already owns allocates nothing per message. Returns the
-/// fragment count. Same panics.
-pub fn fragment_frame_each(msg_id: u64, message: &TxFrame, mut sink: impl FnMut(TxFrame)) -> usize {
+/// a buffer it already owns allocates nothing per message; every
+/// fragment's header says `accepts_bundles`. Returns the fragment
+/// count. Same panics.
+pub fn fragment_frame_each(
+    msg_id: u64,
+    accepts_bundles: bool,
+    message: &TxFrame,
+    mut sink: impl FnMut(TxFrame),
+) -> usize {
     let total = message.len();
     let count = crate::packets_for_payload(total) as usize;
     assert!(count <= u16::MAX as usize, "message too large to fragment");
-    let inline = message.inline();
-    assert!(
-        FRAG_HEADER_LEN + inline.len() <= crate::TX_INLINE_CAP,
-        "message inline header too deep to fragment"
-    );
     for index in 0..count {
         let start = index * MAX_FRAG_CHUNK;
         let end = ((index + 1) * MAX_FRAG_CHUNK).min(total);
@@ -163,35 +189,155 @@ pub fn fragment_frame_each(msg_id: u64, message: &TxFrame, mut sink: impl FnMut(
             index: index as u16,
             count: count as u16,
             msg_len: total as u32,
+            accepts_bundles,
         }
         .encode(&mut frag);
-        // Walk the message's regions in logical order, taking each
-        // region's overlap with this chunk's [start, end) window. The
-        // inline region sits at the logical front, so its overlap (if
-        // any) always lands before any segment slice.
+        // Walk the message's regions in wire order, taking each
+        // region's overlap with this chunk's [start, end) window.
         let mut at = 0usize;
-        let overlap = |at: usize, len: usize| {
-            let lo = start.max(at).min(at + len);
-            let hi = end.max(at).min(at + len);
-            (lo - at, hi - at)
-        };
-        let (lo, hi) = overlap(at, inline.len());
-        if lo < hi {
-            frag.put_slice(&inline[lo..hi]);
-        }
-        at += inline.len();
-        for seg in message.segments() {
-            let (lo, hi) = overlap(at, seg.len());
+        for region in message.regions() {
+            let len = region.as_slice().len();
+            let lo = start.max(at).min(at + len) - at;
+            let hi = end.max(at).min(at + len) - at;
             if lo < hi {
-                frag.push_segment(seg.slice(lo..hi));
+                match region {
+                    Region::Inline(bytes) => frag.put_slice(&bytes[lo..hi]),
+                    Region::Segment(segment) => frag.push_segment(segment.slice(lo..hi)),
+                }
             }
-            at += seg.len();
+            at += len;
         }
         debug_assert_eq!(frag.len(), FRAG_HEADER_LEN + (end - start));
         debug_assert!(frag.len() <= crate::MAX_UDP_PAYLOAD);
         sink(frag);
     }
     count
+}
+
+/// Stages `message` from `src` to `dst` in the burst `out`, the way
+/// both senders pack: fragmented into datagrams of its own behind
+/// whatever `out` holds ([`fragment_frame_each`]) — or, when it is a
+/// single fragment and `open` names a datagram of `out` bound for the
+/// same `dst` with room left, appended to that datagram as one more
+/// frame. `open` is the caller's word that the receiver accepts
+/// bundles and that the datagram holds nothing but whole
+/// single-fragment frames; `accepts_bundles` goes into the headers
+/// written here and speaks for the sender.
+///
+/// Returns how many datagrams `out` grew by (zero for a frame that
+/// joined one) and, for a single-fragment message, the index of the
+/// datagram now carrying it — the `open` to pass with the next message
+/// for `dst`, should its receiver accept bundles.
+pub fn stage_message(
+    out: &mut Vec<TxPacket>,
+    open: Option<usize>,
+    src: Endpoint,
+    dst: Endpoint,
+    msg_id: u64,
+    accepts_bundles: bool,
+    message: &TxFrame,
+) -> (usize, Option<usize>) {
+    let single = crate::packets_for_payload(message.len()) == 1;
+    let mut candidate = open.filter(|&i| {
+        let meta = &out[i].meta;
+        single && (meta.ip.dst, meta.udp.dst_port) == (dst.ip, dst.port)
+    });
+    let mut joined = None;
+    let before = out.len();
+    fragment_frame_each(msg_id, accepts_bundles, message, |frag| {
+        if let Some(i) = candidate.take() {
+            if out[i].try_append(&frag) {
+                joined = Some(i);
+                return;
+            }
+        }
+        out.push(synthesize_frame(src, dst, frag));
+    });
+    let carrier = single.then(|| joined.unwrap_or(out.len() - 1));
+    (out.len() - before, carrier)
+}
+
+/// One frame of a received datagram; see [`frames`].
+#[derive(Clone, Debug)]
+pub struct Frame {
+    /// The frame's decoded header.
+    pub header: FragHeader,
+    /// Header and chunk, as they sat in the datagram.
+    bytes: Bytes,
+}
+
+impl Frame {
+    /// The frame's chunk: the whole message for a single-fragment
+    /// frame, ready for `Message::decode`.
+    pub fn into_chunk(self) -> Bytes {
+        let mut chunk = self.bytes;
+        chunk.advance(FRAG_HEADER_LEN);
+        chunk
+    }
+
+    /// Header and chunk together: the payload form the reassemblers
+    /// take.
+    pub fn into_bytes(self) -> Bytes {
+        self.bytes
+    }
+}
+
+/// The tail of a datagram that is not a whole frame: too short for a
+/// header, an invalid header, or a single-fragment frame whose
+/// `msg_len` runs past the end of the datagram.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MalformedTail;
+
+/// Walks the frames of one received UDP payload in order. A
+/// single-fragment frame is `FRAG_HEADER_LEN + msg_len` bytes and the
+/// next frame starts right behind it; a fragment of a longer message
+/// takes the rest of the datagram (the reassembler checks its length).
+/// Whatever cannot be a frame — an empty payload included — ends the
+/// walk with exactly one [`MalformedTail`], after every intact frame
+/// ahead of it. Walking a lone frame touches no reference count.
+pub fn frames(payload: Bytes) -> Frames {
+    Frames {
+        rest: payload,
+        started: false,
+    }
+}
+
+/// Iterator over a datagram's frames; see [`frames`].
+#[derive(Clone, Debug)]
+pub struct Frames {
+    rest: Bytes,
+    started: bool,
+}
+
+impl Iterator for Frames {
+    type Item = Result<Frame, MalformedTail>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.rest.is_empty() && self.started {
+            return None;
+        }
+        self.started = true;
+        let frame_len = FragHeader::decode(&mut self.rest.as_slice()).and_then(|header| {
+            let len = if header.count == 1 {
+                FRAG_HEADER_LEN + header.msg_len as usize
+            } else {
+                self.rest.len()
+            };
+            (len <= self.rest.len()).then_some((header, len))
+        });
+        let Some((header, len)) = frame_len else {
+            self.rest = Bytes::new();
+            return Some(Err(MalformedTail));
+        };
+        let bytes = if len == self.rest.len() {
+            std::mem::take(&mut self.rest)
+        } else {
+            let bytes = self.rest.slice(..len);
+            self.rest.advance(len);
+            bytes
+        };
+        Some(Ok(Frame { header, bytes }))
+    }
 }
 
 /// A partially reassembled message.
@@ -649,6 +795,7 @@ mod tests {
             index: 0,
             count: 1,
             msg_len: 4,
+            accepts_bundles: false,
         }
         .encode(&mut buf);
         buf.put_slice(b"toolong!");
@@ -693,6 +840,7 @@ mod tests {
             index: 1,
             count: 2,
             msg_len: (MAX_FRAG_CHUNK * 2) as u32,
+            accepts_bundles: false,
         }
         .encode(&mut buf);
         buf.put_slice(&msg[MAX_FRAG_CHUNK..2 * MAX_FRAG_CHUNK]);
@@ -812,6 +960,7 @@ mod tests {
             index: 0,
             count: 2,
             msg_len: 100,
+            accepts_bundles: false,
         }
         .encode(&mut buf);
         buf.put_slice(&[0u8; MAX_FRAG_CHUNK]);
@@ -871,6 +1020,7 @@ mod tests {
             index: 1,
             count: 2,
             msg_len: (MAX_FRAG_CHUNK * 2) as u32,
+            accepts_bundles: false,
         }
         .encode(&mut buf);
         buf.put_slice(&msg[MAX_FRAG_CHUNK..2 * MAX_FRAG_CHUNK]);

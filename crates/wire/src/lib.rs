@@ -12,8 +12,9 @@
 //! * [`ip`] — a minimal IPv4 header with internet checksum.
 //! * [`udp`] — UDP header; the destination port doubles as the RX-queue
 //!   selector (Flow-Director style steering; see `minos-nic`).
-//! * [`frag`] — fragmentation of application messages into MTU-sized
-//!   datagrams and a reassembler with bounded memory.
+//! * [`frag`] — a datagram as a sequence of frames: fragmentation of
+//!   application messages into MTU-sized datagrams, small messages
+//!   sharing one, and a reassembler with bounded memory.
 //! * [`message`] — the KV application protocol: GET/PUT/DELETE requests
 //!   and replies, with the client send-timestamp piggybacked on replies
 //!   exactly as the paper's measurement methodology requires (§5.4).
@@ -48,7 +49,7 @@ pub use frame::{EtherType, EthernetHeader, MacAddr};
 pub use ip::Ipv4Header;
 pub use message::{Message, OpKind, ReplyStatus};
 pub use packet::{Packet, PacketMeta, TxPacket};
-pub use txframe::{TxFrame, MAX_TX_SEGMENTS, TX_INLINE_CAP};
+pub use txframe::{Region, TxFrame, MAX_TX_REGIONS, MAX_TX_SEGMENTS, TX_INLINE_CAP};
 pub use udp::UdpHeader;
 
 /// Ethernet MTU in bytes: the largest IP packet carried by one frame.

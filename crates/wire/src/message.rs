@@ -261,8 +261,8 @@ impl Message {
             frame.push_segment(value.clone());
         }
         if let Some(tail) = self.ttl_tail() {
-            // 8 bytes; a copy here is cheaper than a segment descriptor.
-            frame.push_segment(Bytes::copy_from_slice(&tail));
+            // Header bytes like the rest: inline, behind the value.
+            frame.put_slice(&tail);
         }
         debug_assert_eq!(frame.len(), self.encoded_len());
         frame

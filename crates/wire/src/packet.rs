@@ -180,6 +180,22 @@ impl TxPacket {
             + self.frame.len()
             + crate::ETH_FCS_LEN
     }
+
+    /// Appends `frame` behind this datagram's payload, keeping the
+    /// length fields of the headers in step, and says so — `false`,
+    /// with nothing changed, when the payload would outgrow
+    /// [`crate::MAX_UDP_PAYLOAD`] or the [`TxFrame`]'s own capacity
+    /// ([`TxFrame::try_append`]).
+    pub fn try_append(&mut self, frame: &TxFrame) -> bool {
+        let added = frame.len();
+        if self.frame.len() + added > crate::MAX_UDP_PAYLOAD || !self.frame.try_append(frame) {
+            return false;
+        }
+        // At most MAX_UDP_PAYLOAD in all: far inside the u16 fields.
+        self.meta.udp.length += added as u16;
+        self.meta.ip.total_len += added as u16;
+        true
+    }
 }
 
 /// Builds a parsed [`TxPacket`] from endpoints and a scatter-gather
@@ -286,7 +302,9 @@ pub fn build_frame_into_frame(
     eth.encode(&mut cursor);
     ip.encode(&mut cursor);
     udp.encode(&mut cursor);
-    payload.for_each_chunk(|chunk| cursor.put_slice(chunk));
+    for region in payload.regions() {
+        cursor.put_slice(region.as_slice());
+    }
     debug_assert!(cursor.is_empty(), "body length accounts for every field");
     let fcs = crate::checksum::crc32(&out[..body_len]);
     out[body_len..total].copy_from_slice(&fcs.to_be_bytes());

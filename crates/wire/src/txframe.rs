@@ -15,35 +15,74 @@
 //! wire image (the in-process virtual NIC) gather — and they count
 //! every gathered segment byte so the zero-copy invariant stays an
 //! asserted number, not a claim.
+//!
+//! A datagram is a *sequence* of wire frames (see [`crate::frag`]), so
+//! the regions interleave: every segment remembers how many inline
+//! bytes were written ahead of it, and header bytes written after a
+//! segment follow it on the wire. [`TxFrame::try_append`] is how a
+//! second message's header and value join a datagram already holding a
+//! first.
 
 use bytes::{BufMut, Bytes};
 
-/// Capacity of the inline header region of a [`TxFrame`], in bytes.
-///
-/// Sized for the deepest header stack a fragment carries: the 16-byte
-/// fragment header plus the 32-byte application-message header, with
-/// slack for future protocol growth.
-pub const TX_INLINE_CAP: usize = 96;
+/// Capacity of the inline header region of a [`TxFrame`], in bytes:
+/// the header stacks (16-byte fragment header + 32-byte message header)
+/// of the four frames a bundled datagram may carry. Measured while
+/// sizing it: four frames per datagram keep ~95 % of the throughput
+/// unbounded packing gives, and every transmitted fragment moves one of
+/// these, so 480 bytes (ten frames) cost a small reply +45 ns and a
+/// 344-fragment reply +13 µs where 192 cost +15 ns and nothing.
+pub const TX_INLINE_CAP: usize = 192;
 
 /// Maximum refcounted payload segments per [`TxFrame`].
 pub const MAX_TX_SEGMENTS: usize = 4;
 
+/// Most regions a [`TxFrame`] hands a gathering sender: every segment
+/// with inline bytes ahead of it, plus inline bytes behind the last.
+pub const MAX_TX_REGIONS: usize = 2 * MAX_TX_SEGMENTS + 1;
+
+/// One contiguous run of a [`TxFrame`]'s byte stream.
+#[derive(Clone, Copy, Debug)]
+pub enum Region<'a> {
+    /// Header bytes held in the frame itself.
+    Inline(&'a [u8]),
+    /// A refcounted payload segment.
+    Segment(&'a Bytes),
+}
+
+impl<'a> Region<'a> {
+    /// The region's bytes.
+    pub fn as_slice(self) -> &'a [u8] {
+        match self {
+            Region::Inline(bytes) => bytes,
+            Region::Segment(segment) => segment.as_slice(),
+        }
+    }
+}
+
 /// A scatter-gather transmit frame: one UDP payload described as an
 /// inline header region plus refcounted payload segments.
 ///
-/// The logical byte stream of the frame is the inline region followed
-/// by every segment in order; [`TxFrame::to_contiguous`] materializes
-/// exactly that stream, and all encoders are tested byte-identical to
-/// their contiguous counterparts. Writing headers goes through the
-/// [`BufMut`] impl (appends to the inline region); values are attached
-/// with [`TxFrame::push_segment`], which never copies.
+/// The logical byte stream of the frame is what was written into it,
+/// in the order it was written: header bytes go through the [`BufMut`]
+/// impl (they land in the inline region), values are attached with
+/// [`TxFrame::push_segment`], which never copies, and
+/// [`TxFrame::regions`] walks the two interleaved.
+/// [`TxFrame::to_contiguous`] materializes exactly that stream, and all
+/// encoders are tested byte-identical to their contiguous counterparts.
 #[derive(Clone)]
 pub struct TxFrame {
     inline: [u8; TX_INLINE_CAP],
     inline_len: usize,
     segments: [Bytes; MAX_TX_SEGMENTS],
+    /// Inline bytes written ahead of each segment: where in the inline
+    /// region the segment is spliced into the byte stream.
+    segment_at: [u8; MAX_TX_SEGMENTS],
     n_segments: usize,
 }
+
+// `segment_at` holds inline offsets.
+const _: () = assert!(TX_INLINE_CAP <= u8::MAX as usize);
 
 impl Default for TxFrame {
     fn default() -> Self {
@@ -58,6 +97,7 @@ impl TxFrame {
             inline: [0u8; TX_INLINE_CAP],
             inline_len: 0,
             segments: std::array::from_fn(|_| Bytes::new()),
+            segment_at: [0; MAX_TX_SEGMENTS],
             n_segments: 0,
         }
     }
@@ -71,14 +111,14 @@ impl TxFrame {
         f
     }
 
-    /// The inline header region written so far.
-    pub fn inline(&self) -> &[u8] {
-        &self.inline[..self.inline_len]
-    }
-
-    /// The attached payload segments, in order.
-    pub fn segments(&self) -> &[Bytes] {
-        &self.segments[..self.n_segments]
+    /// The frame's regions in wire order; their concatenation is the
+    /// frame's byte stream. At most [`MAX_TX_REGIONS`], none empty.
+    pub fn regions(&self) -> Regions<'_> {
+        Regions {
+            frame: self,
+            inline_at: 0,
+            segment: 0,
+        }
     }
 
     /// Total frame length: inline bytes plus every segment.
@@ -94,11 +134,14 @@ impl TxFrame {
     /// Bytes carried by refcounted segments (the portion a gathering
     /// backend must copy — and what the `tx_copied_bytes` gauges count).
     pub fn segment_len(&self) -> usize {
-        self.segments().iter().map(Bytes::len).sum()
+        self.segments[..self.n_segments]
+            .iter()
+            .map(Bytes::len)
+            .sum()
     }
 
-    /// Attaches a refcounted payload segment without copying. Empty
-    /// segments are dropped.
+    /// Attaches a refcounted payload segment without copying, behind
+    /// everything written so far. Empty segments are dropped.
     ///
     /// # Panics
     ///
@@ -112,19 +155,28 @@ impl TxFrame {
             "TxFrame segment overflow (> {MAX_TX_SEGMENTS})"
         );
         self.segments[self.n_segments] = segment;
+        self.segment_at[self.n_segments] = self.inline_len as u8;
         self.n_segments += 1;
     }
 
-    /// Invokes `f` for each non-empty region of the frame, in logical
-    /// order (inline region first, then segments). The concatenation of
-    /// the visited slices is the frame's wire image.
-    pub fn for_each_chunk(&self, mut f: impl FnMut(&[u8])) {
-        if self.inline_len > 0 {
-            f(self.inline());
+    /// Appends `other`'s byte stream behind this frame's — its inline
+    /// bytes copied, its segments shared (a refcount bump each) — and
+    /// says so; `false`, with nothing changed, when the two exceed
+    /// [`TX_INLINE_CAP`] inline bytes or [`MAX_TX_SEGMENTS`] segments
+    /// together.
+    pub fn try_append(&mut self, other: &TxFrame) -> bool {
+        if self.inline_len + other.inline_len > TX_INLINE_CAP
+            || self.n_segments + other.n_segments > MAX_TX_SEGMENTS
+        {
+            return false;
         }
-        for seg in self.segments() {
-            f(seg.as_slice());
+        for i in 0..other.n_segments {
+            self.segments[self.n_segments + i] = other.segments[i].clone();
+            self.segment_at[self.n_segments + i] = other.segment_at[i] + self.inline_len as u8;
         }
+        self.n_segments += other.n_segments;
+        self.put_slice(&other.inline[..other.inline_len]);
+        true
     }
 
     /// Materializes the frame as one contiguous [`Bytes`], returning it
@@ -136,7 +188,9 @@ impl TxFrame {
             return (self.segments[0].clone(), 0);
         }
         let mut out = Vec::with_capacity(self.len());
-        self.for_each_chunk(|chunk| out.extend_from_slice(chunk));
+        for region in self.regions() {
+            out.extend_from_slice(region.as_slice());
+        }
         (Bytes::from(out), self.segment_len())
     }
 
@@ -149,11 +203,48 @@ impl TxFrame {
             return None;
         }
         let mut at = 0;
-        self.for_each_chunk(|chunk| {
+        for region in self.regions() {
+            let chunk = region.as_slice();
             out[at..at + chunk.len()].copy_from_slice(chunk);
             at += chunk.len();
-        });
+        }
         Some(total)
+    }
+}
+
+/// Iterator over a [`TxFrame`]'s regions; see [`TxFrame::regions`].
+#[derive(Clone, Debug)]
+pub struct Regions<'a> {
+    frame: &'a TxFrame,
+    /// Inline bytes already yielded.
+    inline_at: usize,
+    /// Segments already yielded.
+    segment: usize,
+}
+
+impl<'a> Iterator for Regions<'a> {
+    type Item = Region<'a>;
+
+    fn next(&mut self) -> Option<Region<'a>> {
+        let frame = self.frame;
+        let more_segments = self.segment < frame.n_segments;
+        // Inline bytes run up to the next segment's splice point, or to
+        // the end of the region behind the last segment.
+        let until = if more_segments {
+            usize::from(frame.segment_at[self.segment])
+        } else {
+            frame.inline_len
+        };
+        if self.inline_at < until {
+            let bytes = &frame.inline[self.inline_at..until];
+            self.inline_at = until;
+            return Some(Region::Inline(bytes));
+        }
+        if more_segments {
+            self.segment += 1;
+            return Some(Region::Segment(&frame.segments[self.segment - 1]));
+        }
+        None
     }
 }
 
@@ -205,10 +296,53 @@ mod tests {
         f.push_segment(Bytes::from_static(b" world"));
         assert_eq!(f.len(), 2 + 11);
         assert_eq!(f.segment_len(), 11);
-        assert_eq!(f.segments().len(), 2);
+        assert_eq!(f.regions().count(), 3);
         let (bytes, copied) = f.to_contiguous();
         assert_eq!(&bytes[..], b"\xab\xcdhello world");
         assert_eq!(copied, 11);
+    }
+
+    #[test]
+    fn regions_interleave_in_write_order() {
+        let mut f = TxFrame::new();
+        f.put_slice(b"h1:");
+        f.push_segment(Bytes::from_static(b"first"));
+        f.put_slice(b"|h2:");
+        f.push_segment(Bytes::from_static(b"second"));
+        f.put_slice(b"|tail");
+        assert_eq!(&f.to_contiguous().0[..], b"h1:first|h2:second|tail");
+        assert_eq!(f.regions().count(), 5);
+        // Two segments back to back leave no empty inline region between.
+        let mut g = TxFrame::new();
+        g.push_segment(Bytes::from_static(b"a"));
+        g.push_segment(Bytes::from_static(b"b"));
+        assert_eq!(g.regions().count(), 2);
+        assert_eq!(&g.to_contiguous().0[..], b"ab");
+    }
+
+    #[test]
+    fn try_append_concatenates_or_refuses() {
+        let part = |hdr: &[u8], value: &'static [u8]| {
+            let mut f = TxFrame::new();
+            f.put_slice(hdr);
+            f.push_segment(Bytes::from_static(value));
+            f
+        };
+        let mut f = part(b"A", b"one");
+        assert!(f.try_append(&part(b"B", b"two")));
+        assert!(f.try_append(&part(b"C", b"")));
+        assert_eq!(&f.to_contiguous().0[..], b"AoneBtwoC");
+        assert_eq!(f.segment_len(), 6);
+        // Out of segments: refused, the frame untouched.
+        assert!(f.try_append(&part(b"D", b"x")));
+        assert!(f.try_append(&part(b"E", b"y")));
+        assert!(!f.try_append(&part(b"F", b"z")));
+        assert_eq!(&f.to_contiguous().0[..], b"AoneBtwoCDxEy");
+        // Out of inline room.
+        let mut wide = TxFrame::new();
+        wide.put_slice(&[0u8; TX_INLINE_CAP - 1]);
+        assert!(!wide.try_append(&part(b"GG", b"")));
+        assert_eq!(wide.len(), TX_INLINE_CAP - 1);
     }
 
     #[test]

@@ -68,8 +68,7 @@ impl UdpHeader {
     pub fn for_frame(src_port: u16, dst_port: u16, frame: &crate::TxFrame) -> Self {
         let length = Self::LEN + frame.len();
         assert!(length <= u16::MAX as usize, "UDP datagram too large");
-        let chunks =
-            std::iter::once(frame.inline()).chain(frame.segments().iter().map(|s| s.as_ref()));
+        let chunks = frame.regions().map(|region| region.as_slice());
         UdpHeader {
             src_port,
             dst_port,

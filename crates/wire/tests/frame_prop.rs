@@ -35,6 +35,12 @@ fn bodies(len: usize, salt: u64, key: u64) -> Vec<Body> {
             value: value(len, salt),
             ttl_ms: 0,
         },
+        // The TTL tail is header bytes written *behind* the value.
+        Body::Put {
+            key,
+            value: value(len, salt),
+            ttl_ms: 1 + salt % 100_000,
+        },
         Body::GetReply {
             status: ReplyStatus::Ok,
             key,
@@ -95,15 +101,27 @@ proptest! {
         salt in any::<u64>(),
         msg_id in any::<u64>(),
     ) {
+        // A reply (header, value) on even salts, a TTL PUT (header,
+        // value, tail) on odd ones: the tail crosses fragment boundaries
+        // like any other byte.
+        let body = if salt.is_multiple_of(2) {
+            Body::GetReply {
+                status: ReplyStatus::Ok,
+                key: 5,
+                value: value(len, salt),
+            }
+        } else {
+            Body::Put {
+                key: 5,
+                value: value(len, salt),
+                ttl_ms: salt,
+            }
+        };
         let msg = Message {
             client_id: 3,
             request_id: 9,
             client_ts_ns: 77,
-            body: Body::GetReply {
-                status: ReplyStatus::Ok,
-                key: 5,
-                value: value(len, salt),
-            },
+            body,
         };
         let contiguous = msg.encode();
         let byte_frags = fragment_with_id(msg_id, &contiguous);

@@ -762,6 +762,8 @@ fn main() {
     let mut elapsed = Duration::ZERO;
     let mut tx_packets = 0u64;
     let mut rx_packets = 0u64;
+    let mut frames_tx = 0u64;
+    let mut frames_rx = 0u64;
     let mut tx_dropped = 0u64;
     let mut rx_syscalls = 0u64;
     let mut tx_syscalls = 0u64;
@@ -821,6 +823,8 @@ fn main() {
         elapsed = elapsed.max(r.elapsed);
         tx_packets += r.stats.tx_packets;
         rx_packets += r.stats.rx_packets;
+        frames_tx += r.totals.frames_tx;
+        frames_rx += r.totals.frames_rx;
         tx_dropped += r.stats.tx_dropped;
         rx_syscalls += r.io.rx_syscalls;
         tx_syscalls += r.io.tx_syscalls;
@@ -949,7 +953,7 @@ fn main() {
     }
     human!(
         args,
-        "client transport: tx {tx_packets} rx {rx_packets} packets ({tx_dropped} tx drops); {} — {rx_syscalls} rx / {tx_syscalls} tx syscalls",
+        "client transport: tx {tx_packets} rx {rx_packets} packets carrying {frames_tx} / {frames_rx} frames ({tx_dropped} tx drops); {} — {rx_syscalls} rx / {tx_syscalls} tx syscalls",
         if batched {
             "recvmmsg/sendmmsg"
         } else {
@@ -1026,6 +1030,8 @@ fn main() {
                     behind_max,
                     tx_packets,
                     rx_packets,
+                    frames_tx,
+                    frames_rx,
                     tx_dropped,
                     rx_syscalls,
                     tx_syscalls,
@@ -1077,6 +1083,8 @@ struct JsonTotals {
     behind_max: Duration,
     tx_packets: u64,
     rx_packets: u64,
+    frames_tx: u64,
+    frames_rx: u64,
     tx_dropped: u64,
     rx_syscalls: u64,
     tx_syscalls: u64,
@@ -1157,6 +1165,8 @@ fn metrics_json(t: &JsonTotals, pool_hit_rate: f64) -> String {
     reg.counter("client.flushes").add(t.flushes);
     reg.counter("transport.tx_packets").add(t.tx_packets);
     reg.counter("transport.rx_packets").add(t.rx_packets);
+    reg.counter("transport.frames_tx").add(t.frames_tx);
+    reg.counter("transport.frames_rx").add(t.frames_rx);
     reg.counter("transport.tx_dropped").add(t.tx_dropped);
     reg.counter("transport.rx_syscalls").add(t.rx_syscalls);
     reg.counter("transport.tx_syscalls").add(t.tx_syscalls);
@@ -1206,6 +1216,8 @@ fn json_report(args: &Args, reports: &[ClientReport], t: JsonTotals, server_stat
         .u64("rx_train_packets", t.rx_train_packets)
         .u64("tx_packets", t.tx_packets)
         .u64("rx_packets", t.rx_packets)
+        .u64("frames_tx", t.frames_tx)
+        .u64("frames_rx", t.frames_rx)
         .u64("tx_dropped", t.tx_dropped)
         .u64("tx_syscalls", t.tx_syscalls)
         .u64("rx_syscalls", t.rx_syscalls)

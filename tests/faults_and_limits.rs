@@ -225,6 +225,7 @@ fn forged_fragments_are_rejected_and_server_stays_up() {
                     index: 9,
                     count: 3,
                     msg_len: 4_000,
+                    accepts_bundles: false,
                 },
                 100,
             ),
@@ -239,6 +240,7 @@ fn forged_fragments_are_rejected_and_server_stays_up() {
                     index: 0,
                     count: 7,
                     msg_len: 64,
+                    accepts_bundles: false,
                 },
                 64,
             ),
@@ -253,6 +255,7 @@ fn forged_fragments_are_rejected_and_server_stays_up() {
                     index: 0,
                     count: 3,
                     msg_len: 4_000,
+                    accepts_bundles: false,
                 },
                 32,
             ),
