@@ -44,9 +44,9 @@
 //! own frames always carry the flag: its receive path ([`frames`])
 //! takes bundled replies.
 
-use crate::engine::KvEngine;
+use crate::server::MinosServer;
 use bytes::Bytes;
-use minos_net::{Transport, VirtualClientTransport};
+use minos_net::{Transport, VirtualClientTransport, VirtualTransport};
 use minos_stats::LatencyHistogram;
 use minos_wire::frag::{
     frames, stage_message, FragHeader, FragmentWriter, Streamed, StreamingReassembler,
@@ -287,10 +287,8 @@ pub struct Client {
     /// at `port + q` (the paper's port-addresses-queue convention).
     server: Endpoint,
     server_queues: u16,
-    /// Queues requests may target. Defaults to all; SHO restricts it to
-    /// the handoff cores' queues ("The number of handoff cores is fixed
-    /// and known a priori by the clients, which only send requests to
-    /// the corresponding RX queues", §5.2).
+    /// Queues requests may target. Defaults to all; tests restrict it
+    /// to skew delivery onto a few RX queues.
     target_queues: std::ops::Range<u16>,
     /// Next message id (the reassembly key of a request's fragments).
     next_msg_id: u64,
@@ -303,8 +301,8 @@ pub struct Client {
     open: Vec<Option<usize>>,
     /// A reply frame carried [`FragHeader::accepts_bundles`]: the
     /// server walks datagrams, so requests may share them. Latched by
-    /// the first such reply; a server that never says so (the baseline
-    /// engines) is sent one request per datagram for good.
+    /// the first such reply; a server that never says so is sent one
+    /// request per datagram for good.
     server_bundles: bool,
     /// Streams multi-fragment reply chunks straight into their final
     /// contiguous buffer; stale partials (a lost reply fragment) are
@@ -369,10 +367,10 @@ fn mix64(mut z: u64) -> u64 {
 }
 
 impl Client {
-    /// Creates a client with the given id talking to `engine` through
-    /// its virtual NIC.
-    pub fn new(engine: &dyn KvEngine, client_id: u16, seed: u64) -> Self {
-        let nic = engine.nic();
+    /// Creates a client with the given id talking to an in-process
+    /// `server` through its virtual NIC.
+    pub fn new(server: &MinosServer<VirtualTransport>, client_id: u16, seed: u64) -> Self {
+        let nic = server.nic();
         // Client host ids start at 100 to stay clear of the server.
         let endpoint = Endpoint::host(100 + u32::from(client_id), 20_000 + client_id);
         let server = Transport::local_endpoint(&*nic, 0);
@@ -437,7 +435,7 @@ impl Client {
         }
     }
 
-    /// Restricts the RX queues this client targets (SHO's contract).
+    /// Restricts the RX queues this client targets.
     pub fn with_target_queues(mut self, queues: std::ops::Range<u16>) -> Self {
         assert!(!queues.is_empty());
         assert!(queues.end <= self.server_queues);

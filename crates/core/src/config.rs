@@ -16,7 +16,10 @@ pub enum ThresholdMode {
     Static(u64),
 }
 
-/// How cores are allocated between small and large requests.
+/// How cores are allocated between small and large requests. Only the
+/// discrete-event simulator models the alternative (`minos-sim`'s
+/// `SystemConfig::allocation_policy`); the live server allocates the
+/// paper's standard way.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AllocationPolicy {
     /// The paper's default: `n_small = ceil(small-cost share × n)`;
@@ -35,7 +38,7 @@ pub enum AllocationPolicy {
 pub struct MinosConfig {
     /// Server cores (and NIC queue pairs). The paper's testbed has 8.
     pub n_cores: usize,
-    /// RX batch size `B` (32 in the paper; also used by the baselines).
+    /// RX batch size `B` (32 in the paper).
     pub batch_size: usize,
     /// Statistics epoch in nanoseconds (1 s in the paper).
     pub epoch_ns: u64,
@@ -49,8 +52,6 @@ pub struct MinosConfig {
     pub threshold_mode: ThresholdMode,
     /// The per-request cost function.
     pub cost_fn: CostFn,
-    /// Core allocation policy.
-    pub allocation_policy: AllocationPolicy,
     /// Capacity of each large core's software queue, in requests.
     pub soft_queue_capacity: usize,
     /// Length of one reassembly round in nanoseconds. A partially
@@ -69,13 +70,17 @@ pub struct MinosConfig {
     pub discard_quota_per_source: u32,
     /// The queue discipline placing decoded requests onto cores. The
     /// default is the paper's size-aware sharding; the alternatives
-    /// (cfcfs, dfcfs, jsq, round-robin, random) exist so the shoot-out
-    /// figure can compare against them on identical plumbing.
+    /// (the paper's hkh and sho baselines, cfcfs, dfcfs, jsq,
+    /// round-robin, random) exist so the figures can compare against
+    /// them on identical plumbing.
     pub discipline: DisciplineKind,
     /// ZygOS-style work stealing: an idle core pops one request from
-    /// the longest peer software queue. Off by default — enabling it on
-    /// the size-aware discipline deliberately violates the paper's
-    /// small/large isolation (that is the experiment).
+    /// the longest peer software queue, and — under a discipline where
+    /// every core drains only its own RX queue, such as `hkh` (HKH+WS) —
+    /// takes one RX burst from a peer when every peer software queue is
+    /// empty. Off by default — enabling it on the size-aware discipline
+    /// deliberately violates the paper's small/large isolation (that is
+    /// the experiment).
     pub steal: bool,
     /// Overload shed watermark, in queued requests. When a placement
     /// targets a software queue already holding at least this many
@@ -99,7 +104,6 @@ impl Default for MinosConfig {
             threshold_percentile: 99.0,
             threshold_mode: ThresholdMode::Dynamic,
             cost_fn: CostFn::Packets,
-            allocation_policy: AllocationPolicy::Standard,
             soft_queue_capacity: 4096,
             reassembly_round_ns: 1_000_000_000,
             discard_quota_per_source: 8,
@@ -139,6 +143,11 @@ impl MinosConfig {
         }
         if self.shed_watermark > self.soft_queue_capacity {
             return Err("shed_watermark above soft_queue_capacity would never fire".into());
+        }
+        if let DisciplineKind::Sho { handoff } = self.discipline {
+            if handoff == 0 || handoff >= self.n_cores {
+                return Err("sho needs at least one handoff core and one worker".into());
+            }
         }
         Ok(())
     }
@@ -181,5 +190,19 @@ mod tests {
             ..MinosConfig::default()
         };
         assert!(c.validate().is_err());
+        for handoff in [0, 2] {
+            let c = MinosConfig {
+                n_cores: 2,
+                discipline: DisciplineKind::Sho { handoff },
+                ..MinosConfig::default()
+            };
+            assert!(c.validate().is_err(), "sho handoff {handoff} of 2 cores");
+        }
+        let c = MinosConfig {
+            n_cores: 2,
+            discipline: DisciplineKind::Sho { handoff: 1 },
+            ..MinosConfig::default()
+        };
+        assert!(c.validate().is_ok());
     }
 }

@@ -13,29 +13,35 @@
 //! behind large requests."
 //!
 //! The second half is the [`Discipline`] trait: the *placement* decision
-//! — which core executes a decoded request — extracted behind a trait so
-//! the same server core loop can run the paper's size-aware sharding or
-//! any of the classical alternatives it is compared against (cFCFS,
-//! dFCFS, JSQ, round-robin, random). This makes the paper's headline
-//! claim falsifiable inside the reproduction itself: `minos-figures
-//! --disciplines size-aware,cfcfs,...` sweeps the same workload over
-//! every policy and the committed shoot-out figure shows where
-//! size-aware wins.
+//! — which core executes a decoded request — and the per-core *drain*
+//! decision — which RX queues a core reads and whether it pulls the
+//! shared queue — extracted behind a trait so the same server core loop
+//! can run the paper's size-aware sharding, the designs it is evaluated
+//! against (HKH, HKH+WS, SHO; §5.2), or the classical alternatives
+//! (cFCFS, dFCFS, JSQ, round-robin, random). Every placement and drain
+//! rule is written here once, and every design shares one KV store and
+//! one network stack, as the paper's comparison requires. `minos-figures
+//! --disciplines size-aware,hkh,sho,...` sweeps the same workload over
+//! every policy and the committed figures show where size-aware wins.
 //!
 //! | kind         | placement rule                          | queue shape |
 //! |--------------|------------------------------------------|-------------|
-//! | `size-aware` | small → RX core, large → plan's range core | per-core soft queues (paper §3) |
+//! | `size-aware` | small → RX core, large → plan's range core | per-core soft queues, asymmetric RX drain (paper §3) |
+//! | `hkh`        | everything → the RX core (`--steal`: HKH+WS) | nxM/G/1, no software hop |
+//! | `sho`        | everything → one shared queue only workers pull | `handoff` dispatch cores drain RX, M/G/n workers |
 //! | `cfcfs`      | everything → one shared queue, any core pulls | single M/G/k queue |
 //! | `dfcfs`      | key-hash → fixed owner core              | partitioned nxM/G/1 |
 //! | `jsq`        | shortest soft queue at decision time     | per-core soft queues |
 //! | `round-robin`| strict rotation over cores               | per-core soft queues |
 //! | `random`     | uniform random core                      | per-core soft queues |
 //!
-//! Only `size-aware` consults the [`ShardingPlan`] (and therefore needs
-//! the item's size, [`Discipline::needs_size`]); only it drains RX
-//! queues asymmetrically ([`Discipline::plan_drain`]). Every other
-//! discipline has each core drain its own RX queue at the full batch —
-//! the hardware-dispatch model the baselines assume.
+//! Only `size-aware` consults the [`ShardingPlan`] to place (and
+//! therefore needs the item's size, [`Discipline::needs_size`]). Only
+//! `size-aware` and `sho` drain RX queues asymmetrically
+//! ([`Discipline::rx_drain`]); every other discipline has each core
+//! drain its own RX queue at the full batch — the hardware-dispatch
+//! model, in which an idle core may also steal a peer's RX burst
+//! ([`Discipline::own_rx_only`]).
 
 use crate::plan::{Destination, ShardingPlan};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -59,6 +65,16 @@ pub struct DrainSchedule {
     pub own: (usize, usize),
     /// `(queue, quota)` for each large/standby core's RX queue.
     pub others: Vec<(usize, usize)>,
+}
+
+impl DrainSchedule {
+    /// Only `core`'s own RX queue, at the full batch.
+    pub fn own(core: usize, batch: usize) -> Self {
+        DrainSchedule {
+            own: (core, batch),
+            others: Vec::new(),
+        }
+    }
 }
 
 /// Builds the drain schedule for small core `core` under the allocation
@@ -97,17 +113,30 @@ pub enum DisciplineKind {
     RoundRobin,
     /// Uniform random core.
     Random,
+    /// Hardware keyhash sharding (HKH, nxM/G/1, as MICA): every request
+    /// executes on the core whose RX queue it arrived on.
+    Hkh,
+    /// Software handoff (SHO, M/G/n, as RAMCloud): dispatch cores feed
+    /// one shared queue that only the worker cores pull.
+    Sho {
+        /// Dispatch cores (`0..handoff`): at least one, and fewer than
+        /// the server's cores.
+        handoff: usize,
+    },
 }
 
 impl DisciplineKind {
-    /// Every kind, in the order the shoot-out figure sweeps them.
-    pub const ALL: [DisciplineKind; 6] = [
+    /// Every kind, in the order the shoot-out figure sweeps them; `sho`
+    /// with the one dispatch core its name parses to.
+    pub const ALL: [DisciplineKind; 8] = [
         DisciplineKind::SizeAware,
         DisciplineKind::Cfcfs,
         DisciplineKind::Dfcfs,
         DisciplineKind::Jsq,
         DisciplineKind::RoundRobin,
         DisciplineKind::Random,
+        DisciplineKind::Hkh,
+        DisciplineKind::Sho { handoff: 1 },
     ];
 
     /// The CLI/JSON name.
@@ -119,10 +148,13 @@ impl DisciplineKind {
             DisciplineKind::Jsq => "jsq",
             DisciplineKind::RoundRobin => "round-robin",
             DisciplineKind::Random => "random",
+            DisciplineKind::Hkh => "hkh",
+            DisciplineKind::Sho { .. } => "sho",
         }
     }
 
-    /// Inverse of [`DisciplineKind::name`].
+    /// Inverse of [`DisciplineKind::name`] (`sho` parses to one
+    /// dispatch core).
     pub fn from_name(name: &str) -> Option<DisciplineKind> {
         DisciplineKind::ALL.into_iter().find(|k| k.name() == name)
     }
@@ -136,6 +168,8 @@ impl DisciplineKind {
             DisciplineKind::Jsq => Box::new(Jsq),
             DisciplineKind::RoundRobin => Box::new(RoundRobin::new()),
             DisciplineKind::Random => Box::new(Random::seeded(0x9E37_79B9_7F4A_7C15)),
+            DisciplineKind::Hkh => Box::new(Hkh),
+            DisciplineKind::Sho { handoff } => Box::new(Sho { handoff }),
         }
     }
 }
@@ -149,7 +183,8 @@ pub enum Placement {
     /// legal and meaningful: the standby core under size-aware sharding
     /// serves its own large handoffs FIFO behind earlier ones).
     Core(usize),
-    /// Push to the single shared queue — any core pulls (cFCFS).
+    /// Push to the single shared queue, which the cores named by
+    /// [`Discipline::pulls_shared`] pull (cFCFS: all; SHO: the workers).
     Shared,
 }
 
@@ -212,9 +247,11 @@ impl PlaceCtx<'_> {
 
 /// A pluggable queue discipline: given a decoded request (its key, its
 /// size class when known, the live queue depths), decide which core
-/// executes it. Implementations must be cheap — `place` runs once per
+/// executes it; and given a core and the plan in force, decide what that
+/// core polls. Implementations must be cheap — `place` runs once per
 /// request on the RX drain path — and lock-free (shared across all core
-/// threads).
+/// threads). The per-core drain answers change only with the plan, so
+/// the server caches them per plan publication.
 pub trait Discipline: Send + Sync {
     /// The kind this implementation was built from.
     fn kind(&self) -> DisciplineKind;
@@ -232,18 +269,27 @@ pub trait Discipline: Send + Sync {
         false
     }
 
-    /// Whether cores must also poll the shared queue
-    /// ([`Placement::Shared`] is only legal when this is true).
-    fn uses_shared_queue(&self) -> bool {
+    /// The RX queues `core` drains each round under `plan`, with batch
+    /// size `batch`; `None` for a core that never touches RX. The
+    /// default is the hardware-dispatch model: every core drains its own
+    /// RX queue at the full batch.
+    fn rx_drain(&self, core: usize, _plan: &ShardingPlan, batch: usize) -> Option<DrainSchedule> {
+        Some(DrainSchedule::own(core, batch))
+    }
+
+    /// Whether `core` pulls the shared queue each round
+    /// ([`Placement::Shared`] is only legal when some core does).
+    fn pulls_shared(&self, _core: usize) -> bool {
         false
     }
 
-    /// Whether RX draining follows the sharding plan (small cores drain
-    /// the large cores' RX queues per [`drain_schedule`]; large cores
-    /// never touch RX). When false, every core drains only its own RX
-    /// queue at the full batch.
-    fn plan_drain(&self) -> bool {
-        false
+    /// Whether every core drains exactly its own RX queue under `plan`.
+    /// Only then may an idle core steal a burst from a peer's RX queue
+    /// (the second level of work stealing): under size-aware sharding a
+    /// large core must never read RX (§3), and SHO's workers never do.
+    fn own_rx_only(&self, plan: &ShardingPlan, batch: usize) -> bool {
+        (0..plan.allocation.n_cores)
+            .all(|core| self.rx_drain(core, plan, batch) == Some(DrainSchedule::own(core, batch)))
     }
 
     /// Picks where the request executes.
@@ -276,8 +322,13 @@ impl Discipline for SizeAware {
         true
     }
 
-    fn plan_drain(&self) -> bool {
-        true
+    /// Small cores drain their own RX queue plus their quota of the
+    /// handoff cores' queues; dedicated large cores never touch RX.
+    fn rx_drain(&self, core: usize, plan: &ShardingPlan, batch: usize) -> Option<DrainSchedule> {
+        let alloc = &plan.allocation;
+        alloc
+            .is_small_core(core)
+            .then(|| drain_schedule(core, batch, alloc.n_small, alloc.handoff_cores()))
     }
 
     fn place(&self, ctx: &PlaceCtx) -> Placement {
@@ -300,12 +351,74 @@ impl Discipline for Cfcfs {
         DisciplineKind::Cfcfs
     }
 
-    fn uses_shared_queue(&self) -> bool {
+    fn pulls_shared(&self, _core: usize) -> bool {
         true
     }
 
     fn place(&self, _ctx: &PlaceCtx) -> Placement {
         Placement::Shared
+    }
+}
+
+/// Hardware keyhash sharding (HKH, nxM/G/1): a request executes on the
+/// core whose RX queue it arrived on, run to completion, with no
+/// software hop. The client picks the queue (GETs at random, §3), which
+/// is why this is not `dfcfs`: dfcfs would move each request to its
+/// key's owner core. With [`crate::MinosConfig::steal`] it is HKH+WS
+/// (ZygOS-style): an idle core steals from peers' software queues, then
+/// from their RX queues.
+pub struct Hkh;
+
+impl Discipline for Hkh {
+    fn kind(&self) -> DisciplineKind {
+        DisciplineKind::Hkh
+    }
+
+    fn place(&self, _ctx: &PlaceCtx) -> Placement {
+        Placement::Local
+    }
+}
+
+/// Software handoff (SHO, M/G/n): "disjoint sets of handoff and worker
+/// cores" (§5.2). Cores `0..handoff` only dispatch: they drain their own
+/// RX queue plus a [`drain_schedule`] quota of every worker's (so a
+/// client may target any queue) and move each request to the shared
+/// queue. The worker cores never read RX; they pull the shared queue one
+/// request at a time (late binding) and own every multi-fragment
+/// message's reassembly.
+pub struct Sho {
+    handoff: usize,
+}
+
+impl Discipline for Sho {
+    fn kind(&self) -> DisciplineKind {
+        DisciplineKind::Sho {
+            handoff: self.handoff,
+        }
+    }
+
+    fn rx_drain(&self, core: usize, plan: &ShardingPlan, batch: usize) -> Option<DrainSchedule> {
+        (core < self.handoff).then(|| {
+            drain_schedule(
+                core,
+                batch,
+                self.handoff,
+                self.handoff..plan.allocation.n_cores,
+            )
+        })
+    }
+
+    fn pulls_shared(&self, core: usize) -> bool {
+        core >= self.handoff
+    }
+
+    fn place(&self, _ctx: &PlaceCtx) -> Placement {
+        Placement::Shared
+    }
+
+    fn place_fragment(&self, ctx: &PlaceCtx) -> usize {
+        let workers = (ctx.n_cores - self.handoff) as u64;
+        self.handoff + (ctx.key % workers) as usize
     }
 }
 
@@ -523,7 +636,10 @@ mod tests {
         let plan = test_plan(4, 1000);
         let depths = [0usize; 4];
         let d = DisciplineKind::SizeAware.build();
-        assert!(d.needs_size() && d.plan_drain() && !d.uses_shared_queue());
+        assert!(d.needs_size() && !d.pulls_shared(0) && !d.own_rx_only(&plan, 32));
+        // Three small cores share the large core's RX queue; it reads none.
+        assert_eq!(d.rx_drain(0, &plan, 32).unwrap().others, vec![(3, 11)]);
+        assert_eq!(d.rx_drain(3, &plan, 32), None);
         for size in [0u64, 1, 999, 1000, 1001, 1 << 20] {
             let c = ctx(&plan, &depths, 1, 7, Some(size));
             let expect = match plan.classify(size) {
@@ -539,7 +655,7 @@ mod tests {
         let plan = test_plan(4, 1000);
         let depths = [3usize, 0, 5, 1];
         let d = DisciplineKind::Cfcfs.build();
-        assert!(d.uses_shared_queue() && !d.needs_size() && !d.plan_drain());
+        assert!(d.pulls_shared(2) && !d.needs_size() && d.own_rx_only(&plan, 32));
         for key in 0..16 {
             let c = ctx(&plan, &depths, (key % 4) as usize, key, None);
             assert_eq!(d.place(&c), Placement::Shared);
@@ -548,6 +664,48 @@ mod tests {
         // queue (core 1 here).
         let c = ctx(&plan, &depths, 0, 42, Some(1 << 20));
         assert_eq!(d.place_fragment(&c), 1);
+    }
+
+    #[test]
+    fn hkh_executes_everything_where_it_arrived() {
+        let plan = test_plan(4, 1000);
+        let depths = [9usize, 0, 9, 9];
+        let d = DisciplineKind::Hkh.build();
+        assert!(!d.needs_size() && !d.pulls_shared(0) && d.own_rx_only(&plan, 32));
+        for key in 0..16 {
+            for size in [None, Some(10), Some(1 << 20)] {
+                let c = ctx(&plan, &depths, (key % 4) as usize, key, size);
+                assert_eq!(d.place(&c), Placement::Local);
+                assert_eq!(d.place_fragment(&c), c.rx_core);
+            }
+        }
+    }
+
+    #[test]
+    fn sho_dispatch_cores_drain_rx_and_workers_pull_the_shared_queue() {
+        let plan = test_plan(4, 1000);
+        let depths = [0usize; 4];
+        let d = DisciplineKind::Sho { handoff: 2 }.build();
+        assert!(!d.needs_size() && !d.own_rx_only(&plan, 32));
+        // Dispatch cores: their own queue plus half of each worker's.
+        let s = d.rx_drain(1, &plan, 32).unwrap();
+        assert_eq!(s.own, (1, 32));
+        assert_eq!(s.others, vec![(2, 16), (3, 16)]);
+        assert!(!d.pulls_shared(0) && !d.pulls_shared(1));
+        // Workers: no RX at all, the shared queue instead.
+        assert_eq!(d.rx_drain(2, &plan, 32), None);
+        assert!(d.pulls_shared(2) && d.pulls_shared(3));
+        let mut workers = [false; 4];
+        for key in 0..64 {
+            let c = ctx(&plan, &depths, (key % 2) as usize, key, Some(1 << 20));
+            assert_eq!(d.place(&c), Placement::Shared);
+            workers[d.place_fragment(&c)] = true;
+        }
+        assert_eq!(
+            workers,
+            [false, false, true, true],
+            "fragments go to workers"
+        );
     }
 
     #[test]

@@ -21,18 +21,19 @@
 //! * [`ranges`] — equal-cost contiguous size ranges over the large
 //!   cores (size-aware sharding *within* the large class).
 //! * [`plan`] — the combined, atomically-published [`plan::ShardingPlan`].
-//! * [`dispatch`] — batch-draining quotas and request classification.
+//! * [`dispatch`] — batch-draining quotas and the queue disciplines:
+//!   size-aware sharding, the paper's HKH/HKH+WS/SHO baselines, and
+//!   the classical alternatives, each one placement-and-drain rule.
 //!
 //! **Runtime (threads, rings, the real store):**
 //! * [`server`] — one busy-polling thread per simulated core; small
 //!   cores drain their own RX queue plus their share of the large
-//!   cores' RX queues; large cores drain only their software queues.
+//!   cores' RX queues; large cores drain only their software queues
+//!   (or whatever the configured discipline says instead).
 //! * [`ingest`] — the one-copy large-PUT ingest sink: fragments stream
 //!   straight into their value's final store-mempool block.
 //! * [`client`] — a load-generating client with the paper's measurement
 //!   methodology (timestamps echoed by the server, zero-loss checks).
-//! * [`engine`] — the small trait every engine (Minos and the three
-//!   baselines) implements so harnesses can treat them uniformly.
 
 #![warn(missing_docs)]
 
@@ -41,7 +42,6 @@ pub mod client;
 pub mod config;
 pub mod cost;
 pub mod dispatch;
-pub mod engine;
 pub mod ingest;
 pub mod plan;
 pub mod ranges;

@@ -37,6 +37,12 @@
 //!   notice a publication by a version counter and keep their own copy
 //!   of the plan (and the RX drain schedule it implies) in between.
 //!
+//! That is the default discipline. Which RX queues a core drains, where
+//! a request executes and which cores pull the shared queue are all the
+//! configured [`Discipline`]'s answers ([`crate::dispatch`]), so the
+//! paper's baselines (`hkh`, `hkh --steal`, `sho`) run on this same
+//! engine, store and network stack.
+//!
 //! Lifecycle telemetry follows the same split: a request's `service_ns`
 //! ends when its reply is staged, and the send is the burst's
 //! (`core.N.tx_flush_ns`, `core.N.tx_flushes`); `core.N.packets_tx` /
@@ -52,10 +58,8 @@
 use crate::allocation::allocate;
 use crate::config::MinosConfig;
 use crate::dispatch::{
-    drain_schedule, fragment_key, Discipline, DisciplineKind, DrainSchedule, PlaceCtx, Placement,
-    QueueDepths,
+    fragment_key, Discipline, DisciplineKind, DrainSchedule, PlaceCtx, Placement, QueueDepths,
 };
-use crate::engine::KvEngine;
 use crate::ingest::{rejected_put_reply, DiscardQuota, OpenOutcome, PutIngest};
 use crate::plan::ShardingPlan;
 use crate::ranges::LargeRanges;
@@ -127,11 +131,11 @@ pub struct ServerRequest {
     /// The request's frame said its sender walks datagrams frame by
     /// frame ([`FragHeader::accepts_bundles`]): the reply may share a
     /// datagram with its neighbours in the burst, whichever core ends
-    /// up executing the request.
+    /// up executing the request — under every discipline.
     pub accepts_bundles: bool,
     /// When the packet left the NIC ring (rx-dequeue, nanoseconds on
     /// the server's shared clock). Queue-wait telemetry measures from
-    /// here; engines without lifecycle telemetry (the baselines) pass 0.
+    /// here.
     pub arrival_ns: u64,
 }
 
@@ -251,9 +255,9 @@ struct Shared<T: Transport> {
     /// (size-aware sharding unless configured otherwise).
     discipline: Box<dyn Discipline>,
     soft_queues: Vec<ArrayQueue<Handoff>>,
-    /// The single cFCFS queue every core polls when the discipline
-    /// requests it ([`Discipline::uses_shared_queue`]); empty and
-    /// unpolled otherwise.
+    /// The single shared queue, pulled by the cores the discipline names
+    /// ([`Discipline::pulls_shared`]: every core under cFCFS, the
+    /// workers under SHO); empty and unpolled otherwise.
     shared_queue: ArrayQueue<Handoff>,
     stats: Vec<SharedCoreStats>,
     /// Core-owned size histograms: recording is a relaxed `fetch_add`
@@ -277,11 +281,11 @@ struct Shared<T: Transport> {
     /// Placements onto a specific core's software queue
     /// (`dispatch.queue_picks`; for size-aware these are the handoffs).
     queue_picks: Counter,
-    /// Placements onto the shared cFCFS queue (`dispatch.shared_picks`).
+    /// Placements onto the shared queue (`dispatch.shared_picks`).
     shared_picks: Counter,
-    /// Requests executed by a core that stole them from a peer's
-    /// software queue (`dispatch.steals`; only moves when
-    /// [`MinosConfig::steal`] is on).
+    /// Steals (`dispatch.steals`; only moves when [`MinosConfig::steal`]
+    /// is on): one per request taken from a peer's software queue, one
+    /// per RX burst taken from a peer's RX queue.
     steal_picks: Counter,
     /// Large requests shed with an `Overloaded` reply because their
     /// target queue sat past [`MinosConfig::shed_watermark`]
@@ -398,6 +402,13 @@ impl MinosServer<VirtualTransport> {
         ));
         Self::start_with_transport(config, Arc::new(VirtualTransport::new(nic)))
     }
+
+    /// The virtual NIC under the transport: in-process clients deliver
+    /// request frames to its RX queues and drain replies from its TX
+    /// queues ([`crate::client::Client::new`]).
+    pub fn nic(&self) -> Arc<VirtualNic> {
+        Arc::clone(self.shared.transport.nic())
+    }
 }
 
 impl<T: Transport + 'static> MinosServer<T> {
@@ -442,7 +453,7 @@ impl<T: Transport + 'static> MinosServer<T> {
             soft_queues: (0..n)
                 .map(|_| ArrayQueue::new(config.minos.soft_queue_capacity))
                 .collect(),
-            // The cFCFS queue stands in for *all* per-core queues, so it
+            // The shared queue stands in for *all* per-core queues, so it
             // gets their aggregate capacity — equal total backlog before
             // tail-drop, whatever the discipline.
             shared_queue: ArrayQueue::new(config.minos.soft_queue_capacity * n),
@@ -563,7 +574,7 @@ impl<T: Transport + 'static> MinosServer<T> {
     }
 
     /// Requests still queued in software queues — the per-core ones plus
-    /// the shared cFCFS queue — i.e. handoffs not yet executed. Zero
+    /// the shared queue — i.e. handoffs not yet executed. Zero
     /// means every accepted request has been replied to.
     pub fn pending_handoffs(&self) -> usize {
         let soft: usize = self.shared.soft_queues.iter().map(|q| q.len()).sum();
@@ -602,53 +613,29 @@ impl<T: Transport> MinosServer<T> {
     }
 }
 
-impl KvEngine for MinosServer<VirtualTransport> {
-    fn name(&self) -> &'static str {
-        "Minos"
-    }
-
-    fn nic(&self) -> Arc<VirtualNic> {
-        Arc::clone(self.shared.transport.nic())
-    }
-
-    fn store(&self) -> Arc<Store> {
-        MinosServer::store(self)
-    }
-
-    fn n_cores(&self) -> usize {
-        MinosServer::n_cores(self)
-    }
-
-    fn core_stats(&self) -> Vec<CoreStats> {
-        MinosServer::core_stats(self)
-    }
-
-    fn shutdown(&mut self) {
-        MinosServer::shutdown(self);
-    }
-}
-
 impl<T: Transport> Drop for MinosServer<T> {
     fn drop(&mut self) {
         self.shutdown();
     }
 }
 
-/// The sharding plan as one core last saw it, with the RX drain
-/// schedule it implies for that core — re-derived only when
-/// [`run_epoch`] publishes (see [`Shared::plan_version`]), so a poll
-/// round takes no lock, touches no shared reference count and allocates
-/// no schedule.
+/// The sharding plan as one core last saw it, with what the discipline
+/// says this core polls under it — re-derived only when [`run_epoch`]
+/// publishes (see [`Shared::plan_version`]), so a poll round takes no
+/// lock, touches no shared reference count, allocates no schedule and
+/// asks the discipline nothing.
 struct PlanCache {
     version: u64,
     plan: Arc<ShardingPlan>,
-    /// The RX queues this core drains, `None` for a dedicated large
-    /// core. Under the size-aware discipline's plan drain, small cores
-    /// drain RX queues (their own plus the large cores') and large
-    /// cores never touch RX. Every other discipline has each core drain
-    /// only its own RX queue at the full batch — the symmetric
-    /// hardware-dispatch model the baselines assume.
+    /// The RX queues this core drains ([`Discipline::rx_drain`]), `None`
+    /// for a core that never touches RX.
     schedule: Option<DrainSchedule>,
+    /// This core pulls the shared queue ([`Discipline::pulls_shared`]).
+    pulls_shared: bool,
+    /// An idle core may take an RX burst from a peer: stealing is on and
+    /// every core drains only its own RX queue
+    /// ([`Discipline::own_rx_only`]).
+    steal_rx: bool,
 }
 
 impl PlanCache {
@@ -657,26 +644,13 @@ impl PlanCache {
         // stale version beside a fresh plan, and the next round reloads.
         let version = shared.plan_version.load(Ordering::Acquire);
         let plan = shared.plan.read().clone();
-        let batch = shared.config.batch_size;
-        let schedule = if shared.discipline.plan_drain() {
-            plan.allocation.is_small_core(core).then(|| {
-                drain_schedule(
-                    core,
-                    batch,
-                    plan.allocation.n_small,
-                    plan.allocation.handoff_cores(),
-                )
-            })
-        } else {
-            Some(DrainSchedule {
-                own: (core, batch),
-                others: Vec::new(),
-            })
-        };
+        let (discipline, batch) = (&shared.discipline, shared.config.batch_size);
         PlanCache {
             version,
+            schedule: discipline.rx_drain(core, &plan, batch),
+            pulls_shared: discipline.pulls_shared(core),
+            steal_rx: shared.config.steal && discipline.own_rx_only(&plan, batch),
             plan,
-            schedule,
         }
     }
 }
@@ -820,8 +794,9 @@ impl<T: Transport> Core<'_, T> {
 
             // Every core drains its own software queue: dedicated large
             // cores live off it, the standby core serves it alongside
-            // small work, and a core that just flipped large -> small
-            // still flushes stragglers.
+            // small work, a core that just flipped large -> small still
+            // flushes stragglers, and fragments wait here for the core
+            // that owns their reassembly.
             for _ in 0..shared.config.batch_size {
                 match shared.soft_queues[core].pop() {
                     Some(item) => {
@@ -832,9 +807,10 @@ impl<T: Transport> Core<'_, T> {
                 }
             }
 
-            // Under cFCFS every core also pulls from the single shared
-            // queue — the M/G/k system the paper argues against.
-            if shared.discipline.uses_shared_queue() {
+            // The shared queue: every core pulls it under cFCFS (the
+            // M/G/k system the paper argues against), the workers under
+            // SHO.
+            if cached.pulls_shared {
                 for _ in 0..shared.config.batch_size {
                     match shared.shared_queue.pop() {
                         Some(item) => {
@@ -847,9 +823,10 @@ impl<T: Transport> Core<'_, T> {
             }
 
             // Work stealing (opt-in): an idle core takes one request
-            // from the longest peer software queue before spinning.
+            // from the longest peer software queue, or a peer's RX burst,
+            // before spinning.
             if !did_work && shared.config.steal {
-                did_work = self.try_steal();
+                did_work = self.try_steal(&cached, &mut rx_buf);
             }
 
             // What the queued work staged leaves now, so every round
@@ -951,8 +928,10 @@ impl<T: Transport> Core<'_, T> {
     /// longest peer software queue and execute it here. Fragments are
     /// never stolen — all fragments of one message are pinned to a
     /// single core's reassembler — so one found at the head is pushed
-    /// straight back and the attempt abandoned.
-    fn try_steal(&mut self) -> bool {
+    /// straight back and the attempt abandoned. When every peer software
+    /// queue is empty, the attempt moves to the peers' RX queues where
+    /// the discipline allows it ([`PlanCache::steal_rx`]).
+    fn try_steal(&mut self, cached: &PlanCache, rx_buf: &mut Vec<Packet>) -> bool {
         let (shared, core) = (self.shared, self.id);
         let mut victim = None;
         let mut longest = 0;
@@ -963,7 +942,7 @@ impl<T: Transport> Core<'_, T> {
             }
         }
         let Some(victim) = victim else {
-            return false;
+            return cached.steal_rx && self.steal_rx_burst(&cached.plan, rx_buf);
         };
         match shared.soft_queues[victim].pop() {
             Some(Handoff::Request(req)) => {
@@ -983,6 +962,33 @@ impl<T: Transport> Core<'_, T> {
             }
             None => false,
         }
+    }
+
+    /// The second steal level (HKH+WS, §5.2): take one RX burst from the
+    /// first peer RX queue holding one, and process it as this core's
+    /// own arrivals. A stolen fragment of a message whose first-seen
+    /// fragment another core took still reaches that core's reassembler
+    /// ([`FlowPins`]). `rx_buf` is the round's empty receive buffer.
+    fn steal_rx_burst(&mut self, plan: &ShardingPlan, rx_buf: &mut Vec<Packet>) -> bool {
+        let (shared, core) = (self.shared, self.id);
+        let n = shared.config.n_cores;
+        for victim in (1..n).map(|d| (core + d) % n) {
+            if shared
+                .transport
+                .rx_burst(victim as u16, rx_buf, shared.config.batch_size)
+                == 0
+            {
+                continue;
+            }
+            shared.stats[core].record_steal();
+            shared.steal_picks.inc();
+            let arrival_ns = self.clock.now_ns();
+            for pkt in rx_buf.drain(..) {
+                self.process_rx_packet(plan, arrival_ns, pkt);
+            }
+            return true;
+        }
+        false
     }
 
     /// Streams one large-PUT fragment into this core's ingest
@@ -1056,9 +1062,10 @@ impl<T: Transport> Core<'_, T> {
         self.send_reply(reply_to, &done.reply(), accepts_bundles);
     }
 
-    /// Handles one datagram drained from an RX queue by a small core,
-    /// frame by frame ([`frames`]): a bundle's requests are placed one
-    /// after the other, exactly as if each had arrived alone.
+    /// Handles one datagram drained from an RX queue (its own, a
+    /// scheduled peer's, or a stolen burst's), frame by frame
+    /// ([`frames`]): a bundle's requests are placed one after the
+    /// other, exactly as if each had arrived alone.
     /// `arrival_ns` is the rx-dequeue stamp of the burst the datagram
     /// arrived in — the zero point of its queue-wait measurement.
     fn process_rx_packet(&mut self, plan: &ShardingPlan, arrival_ns: u64, pkt: Packet) {
@@ -1186,7 +1193,7 @@ impl<T: Transport> Core<'_, T> {
 
     /// Places one complete request per the configured discipline:
     /// executes it inline, pushes it to a peer core's software queue, or
-    /// pushes it to the shared cFCFS queue. Locally executed work
+    /// pushes it to the shared queue. Locally executed work
     /// records small-class lifecycle telemetry (queue wait = service
     /// start − rx dequeue); queued work is recorded by the core that
     /// executes it.
@@ -1342,7 +1349,7 @@ impl<T: Transport> Core<'_, T> {
     }
 
     /// Pushes a placed request onto its target queue — a peer core's
-    /// software queue or the shared cFCFS queue — with the pick
+    /// software queue or the shared queue — with the pick
     /// counters and tail-drop accounting. `Placement::Local` is the
     /// caller's job (the two paths reply with different state in hand).
     ///
@@ -1472,9 +1479,10 @@ const SHED_TARGET: usize = usize::MAX;
 
 /// Executes `msg` against `store`, returning `(status, reply value,
 /// was_get, item_was_large)`; `None` for protocol violations (a reply
-/// arriving at the server). Shared by every engine — Minos and the
-/// baselines execute requests identically (§5.2's fairness requirement).
-pub fn execute(
+/// arriving at the server). The one execution path of every discipline
+/// — the paper's design and its baselines execute requests identically
+/// (§5.2's fairness requirement).
+fn execute(
     store: &Store,
     msg: &Message,
 ) -> Option<(ReplyStatus, Option<minos_kv::PoolBytes>, bool, bool)> {
@@ -1528,7 +1536,7 @@ pub fn execute(
 /// same-destination, equal-length frames into `UDP_SEGMENT` trains.
 /// Fragments of a multi-fragment reply never share.
 ///
-/// The one reply encoder: every engine stages with [`TxBurst::stage`]
+/// The one reply encoder: every core stages with [`TxBurst::stage`]
 /// and sends with [`TxBurst::flush`] ([`transmit_message`] is exactly
 /// that pair on a burst of its own). The buffers keep their capacity
 /// across flushes, so a long-lived burst allocates nothing in steady
@@ -1666,26 +1674,6 @@ impl TxBurst {
         self.staged.clear();
         flushed
     }
-}
-
-/// Encodes, fragments and transmits a reply on `tx_queue` of
-/// `transport`: [`transmit_message`] of `req`'s reply. Shared by the
-/// baseline engines.
-pub fn transmit_reply<T: Transport + ?Sized>(
-    transport: &T,
-    tx_queue: u16,
-    src: Endpoint,
-    req: &ServerRequest,
-    status: ReplyStatus,
-    value: Option<minos_kv::PoolBytes>,
-    msg_id: u64,
-) -> TxFlushed {
-    // `PoolBytes` is already refcounted mempool storage; wrapping it as
-    // an owner-backed `Bytes` hands it to the wire layer without the
-    // copy (and allocation) this path used to pay per GET reply.
-    let value_bytes = value.map(bytes::Bytes::from_owner);
-    let reply = req.msg.reply(status, value_bytes);
-    transmit_message(transport, tx_queue, src, req.reply_to, &reply, msg_id)
 }
 
 /// Encodes, fragments and transmits one message to `dst` on `tx_queue`

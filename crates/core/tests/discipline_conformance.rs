@@ -1,16 +1,22 @@
 //! Discipline conformance suite: every queue discipline, run through
 //! the same live-server harness, must uphold the dispatch contract —
 //! every request executes exactly once (zero loss, zero duplicates,
-//! server-side op counts matching what the client sent), spreading
-//! disciplines starve no core, and the size-aware discipline places a
-//! recorded trace bit-for-bit where the pre-refactor server (the plan's
-//! `classify`) would have.
+//! server-side op counts matching what the client sent) and the same op
+//! sequence leaves the same store behind, whatever the placement. Each
+//! discipline's defining property is pinned on the live server: `hkh`
+//! executes a request on the core it arrived at, `sho`'s dispatch cores
+//! execute nothing while its workers read no RX queue, `hkh --steal`
+//! takes RX bursts from a loaded peer, and spreading disciplines starve
+//! no core. The size-aware discipline places a recorded trace
+//! bit-for-bit where the pre-refactor server (the plan's `classify`)
+//! would have.
 
 use minos_core::client::Client;
 use minos_core::dispatch::{DisciplineKind, PlaceCtx, Placement};
 use minos_core::plan::Destination;
 use minos_core::server::{MinosServer, ServerConfig};
 use minos_net::VirtualTransport;
+use minos_stats::CoreStats;
 use minos_workload::{AccessGenerator, Dataset, Operation, Rng};
 use std::time::Duration;
 
@@ -24,12 +30,15 @@ fn server_for(kind: DisciplineKind, steal: bool) -> MinosServer<VirtualTransport
     MinosServer::start(config)
 }
 
+fn dataset(seed: u64) -> Dataset {
+    Dataset::new(500, 5, 0.4, 20_000, seed)
+}
+
 /// Preloads a scaled dataset, then runs a mixed GET/PUT workload with
 /// enough large keys to exercise fragmentation and handoff; returns the
 /// total number of requests sent (preload + measured).
-fn run_mixed_workload(server: &MinosServer<VirtualTransport>, seed: u64) -> u64 {
-    let mut client = Client::new(server, 1, seed);
-    let dataset = Dataset::new(500, 5, 0.4, 20_000, seed);
+fn drive_mixed_workload(client: &mut Client, seed: u64) -> u64 {
+    let dataset = dataset(seed);
     let gen = AccessGenerator::new(dataset.clone(), 0.02, 0.5, 0.99);
     let mut rng = Rng::new(seed);
 
@@ -66,30 +75,137 @@ fn run_mixed_workload(server: &MinosServer<VirtualTransport>, seed: u64) -> u64 
     sent
 }
 
+/// [`drive_mixed_workload`] from a client that may target every queue.
+fn run_mixed_workload(server: &MinosServer<VirtualTransport>, seed: u64) -> u64 {
+    drive_mixed_workload(&mut Client::new(server, 1, seed), seed)
+}
+
+fn total(stats: &[CoreStats], field: impl Fn(&CoreStats) -> u64) -> u64 {
+    stats.iter().map(field).sum()
+}
+
+/// Every discipline, plus HKH+WS (`hkh` with stealing).
+fn every_configuration() -> impl Iterator<Item = (DisciplineKind, bool)> {
+    DisciplineKind::ALL
+        .into_iter()
+        .map(|kind| (kind, false))
+        .chain([(DisciplineKind::Hkh, true)])
+}
+
 #[test]
 fn every_discipline_executes_each_request_exactly_once() {
-    for kind in DisciplineKind::ALL {
-        let mut server = server_for(kind, false);
-        let sent = run_mixed_workload(&server, 0xD15C ^ kind as u64);
+    // The same op sequence under every discipline: each request must
+    // execute exactly once, and the store left behind must be the same
+    // whichever discipline placed it — placement is performance, never
+    // semantics.
+    let seed = 0xD15C;
+    let keys = dataset(seed).num_keys();
+    let mut reference: Option<Vec<Option<Vec<u8>>>> = None;
+    for (kind, steal) in every_configuration() {
+        let mut server = server_for(kind, steal);
+        let sent = run_mixed_workload(&server, seed);
+        server.shutdown();
         // Server-side cross-check: the per-core op counters sum to the
         // client's request count — nothing executed twice, nothing
         // vanished into a queue.
-        let ops: u64 = server.core_stats().iter().map(|c| c.ops).sum();
-        assert_eq!(ops, sent, "{}: per-core ops mismatch", kind.name());
+        let ops = total(&server.core_stats(), |c| c.ops);
+        assert_eq!(ops, sent, "{} (steal {steal}): per-core ops", kind.name());
         assert_eq!(server.discipline(), kind);
-        server.shutdown();
+        let store = server.store();
+        let state: Vec<_> = (0..keys)
+            .map(|k| store.get(k).map(|v| v.to_vec()))
+            .collect();
+        let expect = reference.get_or_insert_with(|| state.clone());
+        for (key, (a, b)) in expect.iter().zip(&state).enumerate() {
+            assert_eq!(a, b, "{} (steal {steal}): key {key} differs", kind.name());
+        }
     }
+}
+
+#[test]
+fn hkh_executes_every_request_on_its_rx_core() {
+    // Every request enters through RX queue 2 (fragments included):
+    // under HKH core 2 executes all of it, with no software hop and no
+    // steal anywhere.
+    let mut server = server_for(DisciplineKind::Hkh, false);
+    let mut client = Client::new(&server, 1, 0x4B4).with_target_queues(2..3);
+    let sent = drive_mixed_workload(&mut client, 0x4B4);
+    let stats = server.core_stats();
+    for (core, c) in stats.iter().enumerate() {
+        let expect = if core == 2 { sent } else { 0 };
+        assert_eq!(c.ops, expect, "core {core} ops");
+    }
+    assert_eq!(total(&stats, |c| c.handoffs), 0);
+    assert_eq!(total(&stats, |c| c.steals), 0);
+    server.shutdown();
+}
+
+#[test]
+fn sho_dispatch_cores_execute_nothing_and_workers_read_no_rx() {
+    // Two dispatch cores, two workers; the client targets every queue.
+    let mut server = server_for(DisciplineKind::Sho { handoff: 2 }, false);
+    let sent = run_mixed_workload(&server, 0x540);
+    let stats = server.core_stats();
+    let (dispatch, workers) = stats.split_at(2);
+    assert_eq!(total(dispatch, |c| c.ops), 0, "dispatch cores execute");
+    // Every request crossed a software queue: a complete one as one
+    // shared-queue push, a fragmented one as a push per fragment.
+    let handoffs = total(dispatch, |c| c.handoffs);
+    assert!(handoffs >= sent, "handoffs {handoffs} < sent {sent}");
+    assert_eq!(total(workers, |c| c.packets_rx), 0, "workers read RX");
+    assert_eq!(total(workers, |c| c.ops), sent);
+    server.shutdown();
+}
+
+#[test]
+fn hkh_steal_takes_rx_bursts_from_a_loaded_queue() {
+    // Deliver bursts to a single RX queue of a 4-core HKH+WS server: the
+    // other cores' only way to work is stealing RX bursts (HKH puts no
+    // request on a software queue). On a single-CPU host the owning
+    // core can occasionally drain a whole burst within its own
+    // timeslice, so keep applying pressure until a steal is observed.
+    let mut server = server_for(DisciplineKind::Hkh, true);
+    let mut client = Client::new(&server, 1, 4).with_target_queues(0..1);
+    let mut steals = 0u64;
+    let mut sent = 0u64;
+    for round in 0..50u64 {
+        for i in 0..400u64 {
+            client.send_put(round * 400 + i, &[1u8; 200], false);
+        }
+        sent += 400;
+        assert!(client.drain(Duration::from_secs(30)), "round {round}");
+        steals = total(&server.core_stats(), |c| c.steals);
+        if steals > 0 {
+            break;
+        }
+    }
+    assert!(
+        steals > 0,
+        "stealing must occur under sustained skewed delivery"
+    );
+    let stats = server.core_stats();
+    assert_eq!(total(&stats, |c| c.ops), sent, "stolen bursts execute once");
+    assert!(stats[1..].iter().any(|c| c.ops > 0), "a thief executed");
+    server.shutdown();
 }
 
 #[test]
 fn work_stealing_preserves_exactly_once() {
     // The opt-in ZygOS-style steal path must not duplicate or drop:
-    // stolen requests execute on the thief, fragments stay pinned.
-    let mut server = server_for(DisciplineKind::SizeAware, true);
-    let sent = run_mixed_workload(&server, 0x0005_7EA1);
-    let ops: u64 = server.core_stats().iter().map(|c| c.ops).sum();
-    assert_eq!(ops, sent);
-    server.shutdown();
+    // stolen requests execute on the thief, fragments stay pinned —
+    // under size-aware sharding (software queues only) and under HKH
+    // (RX bursts too).
+    for kind in [DisciplineKind::SizeAware, DisciplineKind::Hkh] {
+        let mut server = server_for(kind, true);
+        let sent = run_mixed_workload(&server, 0x0005_7EA1);
+        assert_eq!(
+            total(&server.core_stats(), |c| c.ops),
+            sent,
+            "{}",
+            kind.name()
+        );
+        server.shutdown();
+    }
 }
 
 #[test]
@@ -98,13 +214,16 @@ fn spreading_disciplines_starve_no_core() {
     // work. (cFCFS and JSQ spread by live load, which a near-idle
     // functional test cannot pin down deterministically; their
     // exactly-once accounting is covered above.)
-    for kind in [
+    for (i, kind) in [
         DisciplineKind::Dfcfs,
         DisciplineKind::RoundRobin,
         DisciplineKind::Random,
-    ] {
+    ]
+    .into_iter()
+    .enumerate()
+    {
         let mut server = server_for(kind, false);
-        run_mixed_workload(&server, 0x5742 ^ kind as u64);
+        run_mixed_workload(&server, 0x5742 + i as u64);
         for (core, stats) in server.core_stats().iter().enumerate() {
             assert!(
                 stats.ops > 0,

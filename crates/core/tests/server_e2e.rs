@@ -21,7 +21,7 @@ fn lost_fragment_reservation_is_evicted_and_released() {
     let mut config = ServerConfig::for_test(2, 10_000);
     config.minos.reassembly_round_ns = 20_000_000; // 20 ms rounds
     let mut server = MinosServer::start(config);
-    let nic = minos_core::engine::KvEngine::nic(&server);
+    let nic = server.nic();
 
     // A 100 KB PUT, missing its last fragment.
     let msg = Message {

@@ -23,7 +23,8 @@
 //!
 //! Beyond the four paper systems, [`System::Discipline`] runs the
 //! server crate's queue-discipline policy space ([`DisciplineKind`]) in
-//! simulation: `size-aware` is exactly [`System::Minos`], `cfcfs` is a
+//! simulation: `size-aware` is exactly [`System::Minos`], `hkh` and
+//! `sho` are [`System::Hkh`] and [`System::Sho`], `cfcfs` is a
 //! single central queue any core pulls from, and the rest differ only
 //! in which RX queue an arrival joins (key-hash for `dfcfs`, shortest
 //! for `jsq`, rotating for `round-robin`, uniform for `random`) before
@@ -335,7 +336,9 @@ impl SystemSim {
     ) -> Self {
         assert!(cfg.n_cores > 0);
         assert!((0.0..=1.0).contains(&cfg.reply_sampling));
-        if let System::Sho { handoff } = cfg.system {
+        if let System::Sho { handoff } | System::Discipline(DisciplineKind::Sho { handoff }) =
+            cfg.system
+        {
             assert!(handoff >= 1 && handoff < cfg.n_cores);
         }
         let mut rng = Rng::new(seed);
@@ -490,7 +493,9 @@ impl SystemSim {
         // central queue once serialized.
         let n = self.cfg.n_cores;
         let queue = match self.cfg.system {
-            System::Sho { handoff } => self.rng.index(handoff),
+            System::Sho { handoff } | System::Discipline(DisciplineKind::Sho { handoff }) => {
+                self.rng.index(handoff)
+            }
             System::Discipline(DisciplineKind::Dfcfs) => Dfcfs::owner(spec.key, n),
             System::Discipline(DisciplineKind::Jsq) => (0..n)
                 .min_by_key(|&q| {
@@ -581,7 +586,7 @@ impl SystemSim {
     /// Tries to start work on idle `core`; returns whether it did.
     fn assign(&mut self, core: usize) -> bool {
         match self.cfg.system {
-            System::Hkh => {
+            System::Hkh | System::Discipline(DisciplineKind::Hkh) => {
                 if let Some(req) = self.rx[core].pop_front() {
                     self.start_full(core, req, false);
                     return true;
@@ -604,7 +609,7 @@ impl SystemSim {
                 }
                 false
             }
-            System::Sho { handoff } => {
+            System::Sho { handoff } | System::Discipline(DisciplineKind::Sho { handoff }) => {
                 if core < handoff {
                     if let Some(req) = self.rx[core].pop_front() {
                         let occ = self.cfg.cost.sho_dispatch_ns(self.cfg.cost.inbound_size(

@@ -1,22 +1,23 @@
-//! All four threaded engines serve the same mixed-size burst through
-//! the same client code — the functional counterpart of the paper's
+//! Every queue discipline — the paper's size-aware sharding, its HKH,
+//! HKH+WS and SHO baselines, and the classical alternatives — serves the
+//! same mixed-size burst on one Minos server, through the same client,
+//! store and wire stack: the functional counterpart of the paper's
 //! "same codebase" comparison (absolute timing on a laptop is not the
 //! point; identical behaviour is).
 //!
 //! Run with: `cargo run --release --example baseline_shootout`
 
-use minos::baselines::common::BaselineConfig;
-use minos::baselines::{HkhServer, HkhWsServer, ShoServer};
 use minos::core::client::Client;
-use minos::core::engine::KvEngine;
+use minos::core::dispatch::DisciplineKind;
 use minos::core::server::{MinosServer, ServerConfig};
 use std::time::Duration;
 
-fn exercise(engine: &mut dyn KvEngine, queue_limit: Option<u16>) {
-    let mut client = Client::new(engine, 1, 1234);
-    if let Some(limit) = queue_limit {
-        client = client.with_target_queues(0..limit);
-    }
+fn exercise(discipline: DisciplineKind, steal: bool) {
+    let mut config = ServerConfig::for_test(3, 10_000);
+    config.minos.discipline = discipline;
+    config.minos.steal = steal;
+    let mut server = MinosServer::start(config);
+    let mut client = Client::new(&server, 1, 1234);
 
     let t0 = std::time::Instant::now();
     // A burst of small writes, a few large ones, then reads of all.
@@ -46,41 +47,36 @@ fn exercise(engine: &mut dyn KvEngine, queue_limit: Option<u16>) {
     assert!(client.drain(Duration::from_secs(60)));
 
     let totals = client.totals();
-    let stats = engine.core_stats();
+    let stats = server.core_stats();
     let handoffs: u64 = stats.iter().map(|s| s.handoffs).sum();
     let steals: u64 = stats.iter().map(|s| s.steals).sum();
+    let name = format!(
+        "{}{}",
+        discipline.name(),
+        if steal { " --steal" } else { "" }
+    );
     println!(
-        "{:>7}: {} ops ok, errors={}, handoffs={handoffs}, steals={steals}, wall={:?}",
-        engine.name(),
+        "{name:>13}: {} ops ok, errors={}, handoffs={handoffs}, steals={steals}, wall={:?}",
         totals.completed,
         totals.errors,
         t0.elapsed()
     );
-    println!("         latency {}", client.latency().quantiles().unwrap());
+    println!(
+        "               latency {}",
+        client.latency().quantiles().unwrap()
+    );
+    server.shutdown();
 }
 
 fn main() {
-    println!("== the four engines, one workload ==\n");
-
-    let mut minos = MinosServer::start(ServerConfig::for_test(3, 10_000));
-    exercise(&mut minos, None);
-    minos.shutdown();
-
-    let mut hkh = HkhServer::start(BaselineConfig::for_test(3, 10_000));
-    exercise(&mut hkh, None);
-    hkh.shutdown();
-
-    let mut ws = HkhWsServer::start(BaselineConfig::for_test(3, 10_000));
-    exercise(&mut ws, None);
-    ws.shutdown();
-
-    // SHO clients may only target the handoff core's queue.
-    let mut sho = ShoServer::start(BaselineConfig::for_test(3, 10_000), 1);
-    exercise(&mut sho, Some(1));
-    sho.shutdown();
-
+    println!("== every discipline, one server, one workload ==\n");
+    for discipline in DisciplineKind::ALL {
+        exercise(discipline, false);
+    }
+    // HKH+WS: hardware dispatch plus ZygOS-style stealing.
+    exercise(DisciplineKind::Hkh, true);
     println!(
-        "\nAll four engines served the identical workload through the \
+        "\nEvery discipline served the identical workload through the \
          identical client, store and wire stack."
     );
 }

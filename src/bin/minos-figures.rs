@@ -1,9 +1,9 @@
 //! `minos-figures`: rate sweeps reproducing the paper's figures over
 //! real UDP.
 //!
-//! Runs each requested policy (size-aware Minos vs the HKH and SHO
-//! baselines) in-process over SO_REUSEPORT UDP loopback sockets and
-//! sweeps the offered rate ladder, printing one JSON sweep point per
+//! Runs each requested queue discipline of the Minos server (size-aware
+//! sharding vs the HKH and SHO baselines by default) in-process over
+//! SO_REUSEPORT UDP loopback sockets and sweeps the offered rate ladder, printing one JSON sweep point per
 //! line to stdout as it lands (see `minos::figures::SweepPoint` for the
 //! schema). `--out` additionally writes the whole sweep as a JSON array
 //! — the format of the committed `BENCH_fig_*.json` files.
@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! minos-figures --rates 20000,40000,60000,80000 \
-//!               [--policies minos,hkh,sho] [--disciplines LIST]
+//!               [--disciplines size-aware,hkh,sho]
 //!               [--cores N] [--clients N]
 //!               [--duration SECS] [--keys N] [--large-keys N]
 //!               [--profile default|write] [--p-large FRAC] [--s-large BYTES]
@@ -26,27 +26,25 @@
 
 use minos::core::client::RetryPolicy;
 use minos::core::dispatch::DisciplineKind;
-use minos::figures::{run_sweep_resuming, ChurnSweepSpec, Policy, SweepConfig, SweepPoint};
+use minos::figures::{run_sweep_resuming, ChurnSweepSpec, SweepConfig, SweepPoint};
 use minos::kv::EvictionPolicy;
 use minos::net::FaultProfile;
 use minos::obs::JsonValue;
 use minos::workload::{profiles, DEFAULT_PROFILE};
 use std::time::Duration;
 
-const USAGE: &str = "minos-figures: rate sweeps (Minos vs HKH/SHO) over UDP loopback
+const USAGE: &str = "minos-figures: rate sweeps (size-aware vs HKH/SHO) over UDP loopback
 
 USAGE:
     minos-figures --rates R1,R2,... [OPTIONS]
 
 OPTIONS:
-    --rates R1,R2,...     offered rates (req/s) swept per policy, in order
-    --policies LIST       comma list of minos,hkh,sho (default all three)
-    --disciplines LIST    comma list of queue disciplines the minos
-                          policy sweeps (size-aware,cfcfs,dfcfs,jsq,
-                          round-robin,random; default size-aware);
-                          baselines always run their builtin dispatch
+    --rates R1,R2,...     offered rates (req/s) swept per discipline, in order
+    --disciplines LIST    comma list of queue disciplines to sweep, one
+                          server instance each ({disciplines};
+                          default size-aware,hkh,sho)
     --cores N             server cores = UDP queues per server (default 2)
-    --sho-handoff N       SHO dispatch cores (default 1)
+    --sho-handoff N       dispatch cores of the sho discipline (default 1)
     --clients N           client threads per point (default 1)
     --duration SECS       measured window per point (default 2)
     --keys N              dataset keys (default 2000)
@@ -58,12 +56,12 @@ OPTIONS:
     --seed S              RNG seed (default 42)
     --base-port P         queue-0 port of the first server instance
                           (default 9500); instance i of the
-                          (policy x discipline) enumeration binds cores
-                          ports from P + i*cores
+                          (discipline x eviction) enumeration binds
+                          cores ports from P + i*cores
     --churn-mem BYTES     churn mode: replace the paper profile with the
                           churn workload (zipfian reuse, --keys
                           population) against a BYTES-sized mempool that
-                          the working set outgrows; minos-only
+                          the working set outgrows
     --evictions LIST      comma list of eviction policies the churn
                           sweep compares, one server instance each
                           (none,clock,size-aware-clock; default
@@ -87,7 +85,7 @@ OPTIONS:
                           --fault-profile)
     --max-retries N       client retry budget (default 8)
     --out FILE            also write the sweep as a JSON array to FILE
-    --resume              skip (policy, discipline, eviction, fault,
+    --resume              skip (discipline, eviction, fault,
                           hedging, rate) points already present in --out
                           and carry them into the new file; points from
                           outside this invocation's enumeration survive
@@ -97,6 +95,16 @@ OPTIONS:
                           one figure
     -h, --help            this help
 ";
+
+/// [`USAGE`] with the discipline names filled in from
+/// [`DisciplineKind::ALL`].
+fn usage() -> String {
+    USAGE.replace("{disciplines}", &discipline_names())
+}
+
+fn discipline_names() -> String {
+    DisciplineKind::ALL.map(DisciplineKind::name).join(",")
+}
 
 fn parse() -> Result<(SweepConfig, Option<String>, bool), String> {
     let mut cfg = SweepConfig::loopback(9500, Vec::new());
@@ -122,23 +130,12 @@ fn parse() -> Result<(SweepConfig, Option<String>, bool), String> {
                     .map(|r| r.trim().parse::<f64>().map_err(|e| format!("--rates: {e}")))
                     .collect::<Result<_, _>>()?;
             }
-            "--policies" => {
-                cfg.policies = value("--policies")?
-                    .split(',')
-                    .map(|p| {
-                        Policy::from_name(p.trim())
-                            .ok_or_else(|| format!("unknown policy: {p} (minos|hkh|sho)"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
             "--disciplines" => {
                 cfg.disciplines = value("--disciplines")?
                     .split(',')
                     .map(|d| {
                         DisciplineKind::from_name(d.trim()).ok_or_else(|| {
-                            format!(
-                                "unknown discipline: {d} (size-aware|cfcfs|dfcfs|jsq|round-robin|random)"
-                            )
+                            format!("unknown discipline: {d} ({})", discipline_names())
                         })
                     })
                     .collect::<Result<_, _>>()?;
@@ -260,7 +257,7 @@ fn parse() -> Result<(SweepConfig, Option<String>, bool), String> {
             "--out" => out = Some(value("--out")?),
             "--resume" => resume = true,
             "-h" | "--help" => {
-                print!("{USAGE}");
+                print!("{}", usage());
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag: {other}")),
@@ -299,7 +296,6 @@ fn parse() -> Result<(SweepConfig, Option<String>, bool), String> {
     }
     match churn_mem {
         Some(mempool_bytes) => {
-            cfg.policies = vec![Policy::Minos];
             cfg.churn = Some(ChurnSweepSpec {
                 mempool_bytes,
                 evictions,
@@ -338,7 +334,7 @@ fn main() {
     let (cfg, out, resume) = match parse() {
         Ok(v) => v,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}\n\n{}", usage());
             std::process::exit(2);
         }
     };
@@ -360,8 +356,7 @@ fn main() {
         Vec::new()
     };
     eprintln!(
-        "minos-figures: {} policies x {} disciplines x {} rates, {} cores, {} clients, {:?}/point, {} keys ({} large)",
-        cfg.policies.len(),
+        "minos-figures: {} disciplines x {} rates, {} cores, {} clients, {:?}/point, {} keys ({} large)",
         cfg.disciplines.len(),
         cfg.rates.len(),
         cfg.cores,

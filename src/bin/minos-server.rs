@@ -124,10 +124,13 @@ OPTIONS:
     --threshold MODE   'dynamic' (paper control loop, default) or a fixed
                        byte threshold, e.g. '--threshold 1456'
     --discipline NAME  queue discipline placing decoded requests on
-                       cores: size-aware (default, the paper), cfcfs,
-                       dfcfs, jsq, round-robin, random
+                       cores: {disciplines} (default size-aware, the
+                       paper; hkh and sho are its baselines, sho with
+                       one dispatch core)
     --steal            ZygOS-style work stealing: an idle core pops one
-                       request from the longest peer software queue
+                       request from the longest peer software queue,
+                       or under hkh (HKH+WS) a burst from a peer's RX
+                       queue
     --shed-watermark N overload valve: when a placement targets a
                        software queue already holding >= N requests,
                        *large* requests are answered Overloaded instead
@@ -157,6 +160,16 @@ OPTIONS:
                        stdout (human output moves to stderr)
     -h, --help         this help
 ";
+
+/// [`USAGE`] with the discipline names filled in from
+/// [`DisciplineKind::ALL`].
+fn usage() -> String {
+    USAGE.replace("{disciplines}", &discipline_names(", "))
+}
+
+fn discipline_names(sep: &str) -> String {
+    DisciplineKind::ALL.map(DisciplineKind::name).join(sep)
+}
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -241,9 +254,7 @@ fn parse_args() -> Result<Args, String> {
             "--discipline" => {
                 let v = value("--discipline")?;
                 args.discipline = DisciplineKind::from_name(&v).ok_or_else(|| {
-                    format!(
-                        "unknown discipline: {v} (size-aware|cfcfs|dfcfs|jsq|round-robin|random)"
-                    )
+                    format!("unknown discipline: {v} ({})", discipline_names("|"))
                 })?;
             }
             "--steal" => args.steal = true,
@@ -285,7 +296,7 @@ fn parse_args() -> Result<Args, String> {
             "--stats-file" => args.stats_file = Some(value("--stats-file")?),
             "--json" => args.json = true,
             "-h" | "--help" => {
-                print!("{USAGE}");
+                print!("{}", usage());
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag: {other}")),
@@ -352,7 +363,7 @@ fn main() {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}\n\n{}", usage());
             std::process::exit(2);
         }
     };
@@ -394,7 +405,7 @@ fn main() {
         .pin_base
         .map(|base| (base..base + args.cores).collect());
     if let Err(e) = config.minos.validate() {
-        eprintln!("error: {e}\n\n{USAGE}");
+        eprintln!("error: {e}\n\n{}", usage());
         std::process::exit(2);
     }
 

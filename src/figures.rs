@@ -1,30 +1,29 @@
 //! Rate sweeps over real UDP: the machinery behind `minos-figures`.
 //!
 //! Reproduces the paper's evaluation shape (§5.3–5.4): the same
-//! open-loop workload is offered to size-aware sharding (Minos) and to
-//! the size-unaware baselines (HKH, SHO) at a ladder of rates climbing
-//! up to and past the saturation knee, and every `(policy, rate)` point
-//! reports throughput, loss, and the latency tail — p50/p99/p99.9/
-//! p99.99 — measured from each request's *scheduled* arrival, so a
-//! sweep point past the knee honestly shows the queueing delay the
-//! overload causes instead of coordinated-omission-filtered service
-//! times.
+//! open-loop workload is offered to size-aware sharding and to the
+//! size-unaware baselines (HKH, SHO) — each a queue discipline of the
+//! one Minos server, so every design runs on the same store and network
+//! stack (§5.2) — at a ladder of rates climbing up to and past the
+//! saturation knee, and every `(discipline, rate)` point reports
+//! throughput, loss, and the latency tail — p50/p99/p99.9/p99.99 —
+//! measured from each request's *scheduled* arrival, so a sweep point
+//! past the knee honestly shows the queueing delay the overload causes
+//! instead of coordinated-omission-filtered service times.
 //!
 //! Everything runs in one process over real SO_REUSEPORT UDP sockets:
 //! the server under test binds one socket per core at
 //! `base_port + queue`, client threads bind ephemeral sockets, and a
 //! barrier releases all client schedules at once so the offered rate is
-//! what the point claims. One [`SweepPoint`] is emitted per (policy,
-//! discipline, rate), serialized as JSON by [`SweepPoint::to_json`] and parseable
+//! what the point claims. One [`SweepPoint`] is emitted per (discipline,
+//! eviction, rate), serialized as JSON by [`SweepPoint::to_json`] and parseable
 //! back by [`SweepPoint::parse`] — the committed `BENCH_fig_*.json`
 //! files and the CI perf-smoke gates both speak this schema.
 
-use crate::baselines::common::BaselineConfig;
-use crate::baselines::hkh::HkhServer;
-use crate::baselines::sho::ShoServer;
 use crate::core::client::{Client, HedgePolicy, RetryPolicy};
 use crate::core::dispatch::DisciplineKind;
 use crate::core::server::{MinosServer, ServerConfig};
+use crate::core::MinosConfig;
 use crate::kv::{CapacityConfig, EvictionPolicy};
 use crate::net::{endpoint_for, FaultProfile, FaultTransport, Transport, UdpConfig, UdpTransport};
 use crate::obs::JsonValue;
@@ -38,60 +37,27 @@ use std::net::Ipv4Addr;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-/// Which engine serves a sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Policy {
-    /// Size-aware sharding (the paper's system).
-    Minos,
-    /// Hardware keyhash sharding, run-to-completion (nxM/G/1, as MICA).
-    Hkh,
-    /// Software handoff through dispatch cores (M/G/n, as RAMCloud).
-    Sho,
-}
+/// The engine label of every point this module writes
+/// (`SweepPoint.policy`): there is one engine, and what a point varies
+/// is its discipline. Files written before the baselines became
+/// disciplines also hold `hkh` and `sho` points.
+pub const POLICY: &str = "minos";
 
-impl Policy {
-    /// All sweepable policies, in report order.
-    pub const ALL: [Policy; 3] = [Policy::Minos, Policy::Hkh, Policy::Sho];
-
-    /// The canonical name used in `SweepPoint.policy`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Policy::Minos => "minos",
-            Policy::Hkh => "hkh",
-            Policy::Sho => "sho",
-        }
-    }
-
-    /// Inverse of [`Policy::name`].
-    pub fn from_name(name: &str) -> Option<Policy> {
-        match name {
-            "minos" => Some(Policy::Minos),
-            "hkh" => Some(Policy::Hkh),
-            "sho" => Some(Policy::Sho),
-            _ => None,
-        }
-    }
-}
-
-/// One sweep's shape: which policies, which rates, and the fixed
+/// One sweep's shape: which disciplines, which rates, and the fixed
 /// workload/topology every point shares.
 #[derive(Clone, Debug)]
 pub struct SweepConfig {
-    /// Engines to sweep (each gets its own server over its own ports).
-    pub policies: Vec<Policy>,
-    /// Offered rates in requests/second, swept in order per policy.
+    /// Offered rates in requests/second, swept in order per discipline.
     /// Ascending order is conventional (the knee reads left to right)
     /// but not required.
     pub rates: Vec<f64>,
-    /// Queue disciplines to sweep on the Minos engine — each runs its
-    /// own server instance over its own ports. The baselines (HKH, SHO)
-    /// have exactly one builtin dispatch and ignore this list; their
-    /// points carry the discipline label `"builtin"`.
+    /// Queue disciplines to sweep — each runs its own server instance
+    /// over its own ports.
     pub disciplines: Vec<DisciplineKind>,
     /// Server cores = UDP RX queues per server.
     pub cores: usize,
-    /// SHO dispatch cores (clients then target only queues
-    /// `0..sho_handoff`).
+    /// Dispatch cores of every `sho` instance
+    /// ([`DisciplineKind::Sho`]'s `handoff`).
     pub sho_handoff: usize,
     /// Client threads; each runs an independent open loop at
     /// `rate / clients` on its own socket.
@@ -104,19 +70,19 @@ pub struct SweepConfig {
     pub large_keys: u64,
     /// Workload mix (GET ratio, `p_large`, sizes, skew).
     pub profile: Profile,
-    /// RNG seed; every point reuses the same schedule seeds so policies
-    /// see identical workloads.
+    /// RNG seed; every point reuses the same schedule seeds so
+    /// disciplines see identical workloads.
     pub seed: u64,
     /// Queue-0 UDP port of the first server instance; instance `i` of
-    /// the `(policy × discipline)` enumeration binds `cores` ports from
-    /// `base_port + i * cores`.
+    /// the `(discipline × eviction)` enumeration binds `cores` ports
+    /// from `base_port + i * cores`.
     pub base_port: u16,
     /// How long each point may wait for in-flight replies after its
     /// measured window closes.
     pub drain_timeout: Duration,
     /// Churn mode: when set, the sweep offers the churn workload (a
-    /// working set outgrowing `mempool_bytes`) to one Minos instance
-    /// per configured eviction policy instead of the paper profile.
+    /// working set outgrowing `mempool_bytes`) to one instance per
+    /// (discipline, eviction policy) instead of the paper profile.
     pub churn: Option<ChurnSweepSpec>,
     /// Chaos mode: a [`FaultProfile`] grammar string (see
     /// [`FaultProfile::parse`]). When set, every *measured* client's
@@ -170,13 +136,17 @@ impl ChurnSweepSpec {
 }
 
 impl SweepConfig {
-    /// A small loopback sweep: 2 cores, 1 client, the default profile.
-    /// Callers override `rates` (and anything else) to taste.
+    /// A small loopback sweep: 2 cores, 1 client, the default profile,
+    /// size-aware sharding against both baselines. Callers override
+    /// `rates` (and anything else) to taste.
     pub fn loopback(base_port: u16, rates: Vec<f64>) -> Self {
         SweepConfig {
-            policies: Policy::ALL.to_vec(),
             rates,
-            disciplines: vec![DisciplineKind::SizeAware],
+            disciplines: vec![
+                DisciplineKind::SizeAware,
+                DisciplineKind::Hkh,
+                DisciplineKind::Sho { handoff: 1 },
+            ],
             cores: 2,
             sho_handoff: 1,
             clients: 1,
@@ -200,23 +170,24 @@ impl SweepConfig {
                 panic!("fault_profile {spec:?}: {e}");
             }
         }
-        assert!(!self.policies.is_empty(), "at least one policy");
         assert!(!self.rates.is_empty(), "at least one rate");
         assert!(!self.disciplines.is_empty(), "at least one discipline");
         if let Some(churn) = &self.churn {
-            assert!(
-                self.policies.iter().all(|&p| p == Policy::Minos),
-                "churn sweeps compare eviction policies on the Minos engine only"
-            );
             assert!(!churn.evictions.is_empty(), "at least one eviction policy");
             assert!(churn.value_min > 0 && churn.value_min <= churn.value_max);
         }
         assert!(self.cores >= 1, "at least one core");
         assert!(self.clients >= 1, "at least one client");
-        assert!(
-            self.sho_handoff >= 1 && (self.cores == 1 || self.sho_handoff < self.cores),
-            "SHO needs at least one handoff core and one worker"
-        );
+        for (discipline, _) in self.instances() {
+            let config = MinosConfig {
+                n_cores: self.cores,
+                discipline,
+                ..MinosConfig::default()
+            };
+            if let Err(e) = config.validate() {
+                panic!("{}: {e}", discipline.name());
+            }
+        }
         assert!(
             self.rates.iter().all(|r| *r > 0.0),
             "rates must be positive"
@@ -231,32 +202,30 @@ impl SweepConfig {
     }
 
     /// The server instances this sweep runs, in port order: every
-    /// configured discipline of the Minos engine (crossed with every
-    /// eviction policy in churn mode), and one builtin instance per
-    /// baseline policy.
-    fn instances(&self) -> Vec<(Policy, Option<DisciplineKind>, EvictionPolicy)> {
+    /// configured discipline (`sho` with [`SweepConfig::sho_handoff`]
+    /// dispatch cores), crossed with every eviction policy in churn
+    /// mode.
+    fn instances(&self) -> Vec<(DisciplineKind, EvictionPolicy)> {
         let evictions: &[EvictionPolicy] = match &self.churn {
             Some(c) => &c.evictions,
             None => &[EvictionPolicy::None],
         };
-        let mut out = Vec::new();
-        for &policy in &self.policies {
-            match policy {
-                Policy::Minos => {
-                    for &d in &self.disciplines {
-                        out.extend(evictions.iter().map(|&ev| (policy, Some(d), ev)));
-                    }
-                }
-                Policy::Hkh | Policy::Sho => out.push((policy, None, EvictionPolicy::None)),
-            }
-        }
-        out
+        self.disciplines
+            .iter()
+            .map(|&d| match d {
+                DisciplineKind::Sho { .. } => DisciplineKind::Sho {
+                    handoff: self.sho_handoff,
+                },
+                d => d,
+            })
+            .flat_map(|d| evictions.iter().map(move |&ev| (d, ev)))
+            .collect()
     }
 }
 
-/// The discipline label of a baseline policy's single built-in
-/// dispatch, used in `SweepPoint.discipline` (and as the parse default
-/// for pre-discipline sweep files).
+/// The discipline label of the `hkh`/`sho` points written before the
+/// baselines became disciplines of this engine, and the parse default
+/// for pre-discipline sweep files.
 pub const BUILTIN_DISCIPLINE: &str = "builtin";
 
 /// The eviction label of a classic (non-churn) sweep point, and the
@@ -266,12 +235,6 @@ pub const NO_EVICTION: &str = "none";
 /// The fault-profile label of a clean-transport sweep point, and the
 /// parse default for pre-chaos sweep files.
 pub const NO_FAULTS: &str = "none";
-
-fn discipline_label(discipline: Option<DisciplineKind>) -> &'static str {
-    discipline
-        .map(DisciplineKind::name)
-        .unwrap_or(BUILTIN_DISCIPLINE)
-}
 
 /// The `(policy, discipline, rate)` identity of a sweep point —
 /// `--resume` skips a point when an already-written point has the same
@@ -314,14 +277,14 @@ pub fn point_key_chaos(
     format!("{policy}/{discipline}{tags}@{offered_rate:.1}")
 }
 
-/// One measured `(policy, offered rate)` point — the JSON record schema
-/// of the committed `BENCH_fig_*.json` files.
+/// One measured `(discipline, offered rate)` point — the JSON record
+/// schema of the committed `BENCH_fig_*.json` files.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SweepPoint {
-    /// Engine name ([`Policy::name`]).
+    /// Engine name ([`POLICY`]; older files also hold `hkh` and `sho`).
     pub policy: String,
-    /// Queue discipline name ([`DisciplineKind::name`] for Minos,
-    /// [`BUILTIN_DISCIPLINE`] for the baselines).
+    /// Queue discipline name ([`DisciplineKind::name`];
+    /// [`BUILTIN_DISCIPLINE`] in older files' `hkh`/`sho` points).
     pub discipline: String,
     /// Eviction policy name ([`EvictionPolicy::name`]) for churn-sweep
     /// points; [`NO_EVICTION`] for classic rate-sweep points.
@@ -517,89 +480,51 @@ fn parse_quantiles(v: Option<&JsonValue>) -> Option<Quantiles> {
     })
 }
 
-/// A started server of any sweepable policy, over real UDP.
-enum RunningServer {
-    Minos(MinosServer<UdpTransport>),
-    Hkh(HkhServer<UdpTransport>),
-    Sho(ShoServer<UdpTransport>),
-}
-
-impl RunningServer {
-    fn start(
-        policy: Policy,
-        discipline: Option<DisciplineKind>,
-        eviction: EvictionPolicy,
-        cfg: &SweepConfig,
-        transport: Arc<UdpTransport>,
-    ) -> RunningServer {
-        // Store geometry sized for the dataset with headroom for large
-        // values (the mempool default of 1 GiB rides along from the
-        // test config constructors). The store's default per-value cap
-        // is the paper's 1 MiB largest item; `--s-large` can dial the
-        // profile past it, and a preload that silently hit the cap
-        // would turn every "large" op into a miss and void the sweep.
-        let n_items = (cfg.keys as usize * 2).max(1024);
-        let max_value = (cfg.profile.large_max as usize)
-            .next_power_of_two()
-            .max(1 << 20);
-        match policy {
-            Policy::Minos => {
-                let mut config = ServerConfig::for_test(cfg.cores, n_items);
-                // The paper's 1 s epochs: rate points run a few seconds,
-                // so the controller gets several adaptation rounds.
-                config.minos.epoch_ns = 1_000_000_000;
-                config.minos.discipline = discipline.unwrap_or(DisciplineKind::SizeAware);
-                config.store.max_value_bytes = config.store.max_value_bytes.max(max_value);
-                if let Some(churn) = &cfg.churn {
-                    // The churn sweep's whole point: a mempool smaller
-                    // than the working set, with eviction to survive it.
-                    config.store = crate::kv::StoreConfig::for_items(
-                        cfg.cores * 4,
-                        n_items,
-                        churn.mempool_bytes,
-                    );
-                    config.store.capacity = CapacityConfig {
-                        policy: eviction,
-                        ..CapacityConfig::default()
-                    };
-                }
-                RunningServer::Minos(MinosServer::start_with_transport(config, transport))
-            }
-            Policy::Hkh => {
-                let mut config = BaselineConfig::for_test(cfg.cores, n_items);
-                config.store.max_value_bytes = config.store.max_value_bytes.max(max_value);
-                RunningServer::Hkh(HkhServer::start_with_transport(config, transport))
-            }
-            Policy::Sho => {
-                let mut config = BaselineConfig::for_test(cfg.cores, n_items);
-                config.store.max_value_bytes = config.store.max_value_bytes.max(max_value);
-                RunningServer::Sho(ShoServer::start_with_transport(
-                    config,
-                    cfg.sho_handoff,
-                    transport,
-                ))
-            }
-        }
+/// Starts a server running `discipline` (and `eviction`, in churn mode)
+/// over real UDP.
+fn start_server(
+    discipline: DisciplineKind,
+    eviction: EvictionPolicy,
+    cfg: &SweepConfig,
+    transport: Arc<UdpTransport>,
+) -> MinosServer<UdpTransport> {
+    // Store geometry sized for the dataset with headroom for large
+    // values (the mempool default of 1 GiB rides along from the test
+    // config constructors). The store's default per-value cap is the
+    // paper's 1 MiB largest item; `--s-large` can dial the profile past
+    // it, and a preload that silently hit the cap would turn every
+    // "large" op into a miss and void the sweep.
+    let n_items = (cfg.keys as usize * 2).max(1024);
+    let max_value = (cfg.profile.large_max as usize)
+        .next_power_of_two()
+        .max(1 << 20);
+    let mut config = ServerConfig::for_test(cfg.cores, n_items);
+    // The paper's 1 s epochs: rate points run a few seconds, so the
+    // controller gets several adaptation rounds.
+    config.minos.epoch_ns = 1_000_000_000;
+    config.minos.discipline = discipline;
+    config.store.max_value_bytes = config.store.max_value_bytes.max(max_value);
+    if let Some(churn) = &cfg.churn {
+        // The churn sweep's whole point: a mempool smaller than the
+        // working set, with eviction to survive it.
+        config.store =
+            crate::kv::StoreConfig::for_items(cfg.cores * 4, n_items, churn.mempool_bytes);
+        config.store.capacity = CapacityConfig {
+            policy: eviction,
+            ..CapacityConfig::default()
+        };
     }
-
-    fn stop(&mut self) {
-        match self {
-            RunningServer::Minos(s) => s.shutdown(),
-            RunningServer::Hkh(s) => s.stop(),
-            RunningServer::Sho(s) => s.stop(),
-        }
-    }
+    MinosServer::start_with_transport(config, transport)
 }
 
 /// Binds a fresh ephemeral-port UDP client aimed at `server_port`'s
-/// queue-0, restricted to the queues `policy` allows clients to target.
-/// The transport rides along for statistics (the client owns a clone).
+/// queue-0 (it targets every queue). The transport rides along for
+/// statistics (the client owns a clone).
 /// `measured` clients get the chaos treatment — the fault wrap, retry
 /// policy, and hedging the config asks for; the preload always runs
 /// clean.
 fn bind_client(
     cfg: &SweepConfig,
-    policy: Policy,
     server_port: u16,
     client_id: u16,
     measured: bool,
@@ -619,7 +544,7 @@ fn bind_client(
         }
         None => Arc::clone(&transport) as Arc<dyn Transport>,
     };
-    let client = Client::with_transport(
+    let mut client = Client::with_transport(
         dyn_transport,
         endpoint,
         server,
@@ -627,11 +552,6 @@ fn bind_client(
         client_id,
         cfg.seed ^ u64::from(client_id),
     );
-    let mut client = match policy {
-        // SHO's contract: requests enter only through dispatch cores.
-        Policy::Sho => client.with_target_queues(0..cfg.sho_handoff as u16),
-        Policy::Minos | Policy::Hkh => client,
-    };
     if measured {
         if let Some(retry) = cfg.retry {
             client = client.with_retry(retry);
@@ -644,8 +564,8 @@ fn bind_client(
 }
 
 /// PUTs every dataset key at its profiled size so measured GETs hit.
-fn preload(cfg: &SweepConfig, policy: Policy, server_port: u16, dataset: &Dataset) {
-    let (_transport, mut client) = bind_client(cfg, policy, server_port, 99, false);
+fn preload(cfg: &SweepConfig, server_port: u16, dataset: &Dataset) {
+    let (_transport, mut client) = bind_client(cfg, server_port, 99, false);
     if let Err(stalled) = crate::preload::preload(&mut client, dataset, cfg.keys) {
         panic!(
             "preload lost {} replies — server not draining?",
@@ -686,13 +606,12 @@ struct PointReport {
 /// scheduled arrival).
 fn run_point_client(
     cfg: &SweepConfig,
-    policy: Policy,
     server_port: u16,
     client_idx: u16,
     rate: f64,
     barrier: &Barrier,
 ) -> PointReport {
-    let (transport, mut client) = bind_client(cfg, policy, server_port, 1 + client_idx, true);
+    let (transport, mut client) = bind_client(cfg, server_port, 1 + client_idx, true);
     enum Generator {
         Access(AccessGenerator),
         Churn(ChurnGenerator),
@@ -780,7 +699,7 @@ fn run_point_client(
     }
 }
 
-/// Runs the full sweep: for each `(policy, discipline)` instance, bind
+/// Runs the full sweep: for each `(discipline, eviction)` instance, bind
 /// a UDP server, preload the dataset once, then measure every rate in
 /// `cfg.rates` in order. `progress` sees each completed point as it
 /// lands (the CLI streams them as JSON lines).
@@ -788,8 +707,8 @@ pub fn run_sweep(cfg: &SweepConfig, progress: impl FnMut(&SweepPoint)) -> Vec<Sw
     run_sweep_resuming(cfg, &[], progress)
 }
 
-/// [`run_sweep`], resuming an interrupted sweep: any `(policy,
-/// discipline, rate)` point whose [`point_key`] already appears in
+/// [`run_sweep`], resuming an interrupted sweep: any `(discipline,
+/// eviction, rate)` point whose [`point_key`] already appears in
 /// `existing` is carried over verbatim instead of re-measured — an
 /// instance none of whose rates are missing is never even bound. The
 /// returned vector holds carried and fresh points in sweep order;
@@ -802,12 +721,12 @@ pub fn run_sweep_resuming(
     cfg.validate();
     let instances = cfg.instances();
     let mut points = Vec::with_capacity(instances.len() * cfg.rates.len());
-    for (ii, &(policy, discipline, eviction)) in instances.iter().enumerate() {
-        let label = discipline_label(discipline);
+    for (ii, &(discipline, eviction)) in instances.iter().enumerate() {
+        let label = discipline.name();
         let ev_label = eviction.name();
         let fault_label = cfg.fault_profile.as_deref().unwrap_or(NO_FAULTS);
         let carried = |rate: f64| {
-            let key = point_key_chaos(policy.name(), label, ev_label, fault_label, cfg.hedge, rate);
+            let key = point_key_chaos(POLICY, label, ev_label, fault_label, cfg.hedge, rate);
             existing.iter().find(|p| p.key() == key).cloned()
         };
         if cfg.rates.iter().all(|&r| carried(r).is_some()) {
@@ -819,8 +738,7 @@ pub fn run_sweep_resuming(
             UdpTransport::bind(UdpConfig::loopback(server_port, cfg.cores as u16))
                 .expect("bind server sockets"),
         );
-        let mut server =
-            RunningServer::start(policy, discipline, eviction, cfg, Arc::clone(&transport));
+        let mut server = start_server(discipline, eviction, cfg, Arc::clone(&transport));
         if cfg.churn.is_none() {
             // Churn mode skips the preload: the working set would not
             // fit anyway, and the churn PUTs build it live.
@@ -831,7 +749,7 @@ pub fn run_sweep_resuming(
                 cfg.profile.large_max,
                 cfg.seed,
             );
-            preload(cfg, policy, server_port, &dataset);
+            preload(cfg, server_port, &dataset);
         }
 
         for &rate in &cfg.rates {
@@ -847,7 +765,7 @@ pub fn run_sweep_resuming(
                     .map(|c| {
                         let barrier = &barrier;
                         scope.spawn(move || {
-                            run_point_client(cfg, policy, server_port, c, per_client_rate, barrier)
+                            run_point_client(cfg, server_port, c, per_client_rate, barrier)
                         })
                     })
                     .collect();
@@ -884,7 +802,7 @@ pub fn run_sweep_resuming(
             tx_copied += transport.stats().tx_copied_bytes - server_tx_copied_before;
 
             let point = SweepPoint {
-                policy: policy.name().to_string(),
+                policy: POLICY.to_string(),
                 discipline: label.to_string(),
                 eviction: ev_label.to_string(),
                 offered_rate: rate,
@@ -923,8 +841,8 @@ pub fn run_sweep_resuming(
             progress(&point);
             points.push(point);
         }
-        server.stop();
-        // Sockets close with the transport; the next policy binds its
+        server.shutdown();
+        // Sockets close with the transport; the next instance binds its
         // own port range regardless, so no reuse race.
         drop(server);
         drop(transport);
@@ -986,14 +904,6 @@ mod tests {
         assert_eq!(parsed, p);
         // And the rendering is a fixpoint.
         assert_eq!(parsed.to_json(), json);
-    }
-
-    #[test]
-    fn policy_names_round_trip() {
-        for p in Policy::ALL {
-            assert_eq!(Policy::from_name(p.name()), Some(p));
-        }
-        assert_eq!(Policy::from_name("zygos"), None);
     }
 
     #[test]
@@ -1076,16 +986,18 @@ mod tests {
         // must return the carried points in order without binding a
         // single socket (progress never fires).
         let mut cfg = SweepConfig::loopback(1, vec![1_000.0, 2_000.0]);
-        cfg.disciplines = vec![DisciplineKind::SizeAware, DisciplineKind::Cfcfs];
+        cfg.disciplines = vec![
+            DisciplineKind::SizeAware,
+            DisciplineKind::Sho { handoff: 1 },
+        ];
         // If any instance were started anyway, its fresh points would
         // stream through `progress` and trip the assertion below.
         let existing: Vec<SweepPoint> = cfg
             .instances()
             .iter()
-            .flat_map(|&(policy, discipline, eviction)| {
+            .flat_map(|&(discipline, eviction)| {
                 cfg.rates.iter().map(move |&rate| SweepPoint {
-                    policy: policy.name().into(),
-                    discipline: discipline_label(discipline).into(),
+                    discipline: discipline.name().into(),
                     eviction: eviction.name().into(),
                     offered_rate: rate,
                     ..sample_point()

@@ -18,8 +18,7 @@
 //!
 //! | Crate | What it provides |
 //! |---|---|
-//! | [`core`] (`minos-core`) | the size-aware sharding engine: controller, allocation, size ranges, threaded server, client |
-//! | [`baselines`] | the size-unaware comparison engines: HKH, SHO, HKH+WS |
+//! | [`core`] (`minos-core`) | the size-aware sharding engine: controller, allocation, size ranges, threaded server, client; the paper's baselines (HKH, HKH+WS, SHO) are queue disciplines of the same server |
 //! | [`kv`] | MICA-style partitioned store (optimistic reads, CREW writes, mempool) |
 //! | [`nic`] | virtual multi-queue NIC (Toeplitz RSS, Flow Director, lock-free rings) |
 //! | [`wire`] | Ethernet/IP/UDP framing, KV message protocol, fragmentation |
@@ -32,7 +31,6 @@
 //!
 //! ```
 //! use minos::core::client::Client;
-//! use minos::core::engine::KvEngine;
 //! use minos::core::server::{MinosServer, ServerConfig};
 //! use std::time::Duration;
 //!
@@ -56,7 +54,6 @@ pub mod figures;
 pub mod preload;
 pub mod report;
 
-pub use minos_baselines as baselines;
 pub use minos_core as core;
 pub use minos_kv as kv;
 pub use minos_net as net;

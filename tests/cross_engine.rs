@@ -1,18 +1,29 @@
-//! Cross-crate integration tests: every engine, one workload generator,
-//! one client, one store substrate.
+//! Cross-crate integration tests: the paper's designs (Minos, HKH,
+//! HKH+WS, SHO) as disciplines of the one server, one workload
+//! generator, one client, one store substrate.
 
-use minos::baselines::common::BaselineConfig;
-use minos::baselines::{HkhServer, HkhWsServer, ShoServer};
 use minos::core::client::Client;
-use minos::core::engine::KvEngine;
+use minos::core::dispatch::DisciplineKind;
 use minos::core::server::{MinosServer, ServerConfig};
+use minos::net::VirtualTransport;
 use minos::workload::{AccessGenerator, Dataset, Operation, Rng};
 use std::time::Duration;
 
-/// Runs a small generated workload against an engine; returns
+fn start(kind: DisciplineKind, steal: bool) -> MinosServer<VirtualTransport> {
+    let mut config = ServerConfig::for_test(4, 2_000);
+    config.minos.discipline = kind;
+    config.minos.steal = steal;
+    MinosServer::start(config)
+}
+
+/// Runs a small generated workload against a server; returns
 /// (completed, errors).
-fn run_workload(engine: &mut dyn KvEngine, queue_limit: Option<u16>, seed: u64) -> (u64, u64) {
-    let mut client = Client::new(engine, 1, seed);
+fn run_workload(
+    server: &MinosServer<VirtualTransport>,
+    queue_limit: Option<u16>,
+    seed: u64,
+) -> (u64, u64) {
+    let mut client = Client::new(server, 1, seed);
     if let Some(limit) = queue_limit {
         client = client.with_target_queues(0..limit);
     }
@@ -51,50 +62,43 @@ fn run_workload(engine: &mut dyn KvEngine, queue_limit: Option<u16>, seed: u64) 
     (t.completed, t.errors)
 }
 
+fn serves_generated_workload(kind: DisciplineKind, steal: bool, queues: Option<u16>, seed: u64) {
+    let mut server = start(kind, steal);
+    let (completed, errors) = run_workload(&server, queues, seed);
+    assert_eq!(completed, 900, "{} (steal {steal})", kind.name());
+    assert_eq!(errors, 0, "{} (steal {steal})", kind.name());
+    server.shutdown();
+}
+
 #[test]
 fn minos_serves_generated_workload() {
-    let mut server = MinosServer::start(ServerConfig::for_test(4, 2_000));
-    let (completed, errors) = run_workload(&mut server, None, 11);
-    assert_eq!(completed, 900);
-    assert_eq!(errors, 0);
-    server.shutdown();
+    serves_generated_workload(DisciplineKind::SizeAware, false, None, 11);
 }
 
 #[test]
 fn hkh_serves_generated_workload() {
-    let mut server = HkhServer::start(BaselineConfig::for_test(4, 2_000));
-    let (completed, errors) = run_workload(&mut server, None, 12);
-    assert_eq!(completed, 900);
-    assert_eq!(errors, 0);
-    server.shutdown();
+    serves_generated_workload(DisciplineKind::Hkh, false, None, 12);
 }
 
 #[test]
 fn hkh_ws_serves_generated_workload() {
-    let mut server = HkhWsServer::start(BaselineConfig::for_test(4, 2_000));
-    let (completed, errors) = run_workload(&mut server, None, 13);
-    assert_eq!(completed, 900);
-    assert_eq!(errors, 0);
-    server.shutdown();
+    serves_generated_workload(DisciplineKind::Hkh, true, None, 13);
 }
 
 #[test]
 fn sho_serves_generated_workload() {
-    let mut server = ShoServer::start(BaselineConfig::for_test(4, 2_000), 2);
-    let (completed, errors) = run_workload(&mut server, Some(2), 14);
-    assert_eq!(completed, 900);
-    assert_eq!(errors, 0);
-    server.shutdown();
+    // Clients target only the two dispatch cores' RX queues.
+    serves_generated_workload(DisciplineKind::Sho { handoff: 2 }, false, Some(2), 14);
 }
 
 #[test]
 fn engines_agree_on_final_store_state() {
     // The same deterministic op sequence must leave identical KV state
-    // in Minos and HKH (engine choice must not affect semantics).
-    let mut minos = MinosServer::start(ServerConfig::for_test(2, 2_000));
-    let mut hkh = HkhServer::start(BaselineConfig::for_test(2, 2_000));
-    run_workload(&mut minos, None, 77);
-    run_workload(&mut hkh, None, 77);
+    // under Minos and HKH (placement must not affect semantics).
+    let mut minos = start(DisciplineKind::SizeAware, false);
+    let mut hkh = start(DisciplineKind::Hkh, false);
+    run_workload(&minos, None, 77);
+    run_workload(&hkh, None, 77);
 
     let dataset = Dataset::new(500, 5, 0.4, 20_000, 77);
     for key in 0..dataset.num_keys() {

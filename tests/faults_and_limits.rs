@@ -2,7 +2,6 @@
 //! exhaustion, and loss accounting.
 
 use minos::core::client::{Client, RetryPolicy};
-use minos::core::engine::KvEngine;
 use minos::core::server::{MinosServer, ServerConfig};
 use minos::kv::{Store, StoreConfig};
 use minos::net::testport::TestPorts;

@@ -1,8 +1,10 @@
-//! End-to-end mini-sweep over real UDP loopback: both a baseline and
-//! Minos serve the same two-rate ladder, and every point carries the
-//! schedule-based latency histogram the figures report.
+//! End-to-end mini-sweep over real UDP loopback: size-aware sharding
+//! and the HKH baseline — two disciplines of the one server — serve the
+//! same two-rate ladder, and every point carries the schedule-based
+//! latency histogram the figures report.
 
-use minos::figures::{run_sweep, run_sweep_resuming, Policy, SweepConfig, BUILTIN_DISCIPLINE};
+use minos::core::dispatch::DisciplineKind;
+use minos::figures::{run_sweep, run_sweep_resuming, SweepConfig, POLICY};
 use minos::net::testport::TestPorts;
 use std::time::Duration;
 
@@ -13,8 +15,8 @@ static PORTS: TestPorts = TestPorts::new(26_000, 28_000);
 fn mini_sweep_two_policies_two_rates() {
     let rates = vec![500.0, 1_000.0];
     let mut cfg = SweepConfig::loopback(0, rates.clone());
-    cfg.policies = vec![Policy::Minos, Policy::Hkh];
-    cfg.base_port = PORTS.alloc((cfg.policies.len() * cfg.cores) as u16);
+    cfg.disciplines = vec![DisciplineKind::SizeAware, DisciplineKind::Hkh];
+    cfg.base_port = PORTS.alloc((cfg.disciplines.len() * cfg.cores) as u16);
     cfg.duration = Duration::from_secs(1);
     cfg.keys = 512;
     cfg.large_keys = 4;
@@ -22,31 +24,26 @@ fn mini_sweep_two_policies_two_rates() {
     let mut streamed = 0usize;
     let points = run_sweep(&cfg, |_| streamed += 1);
 
-    assert_eq!(points.len(), 4, "2 policies x 2 rates");
+    assert_eq!(points.len(), 4, "2 disciplines x 2 rates");
     assert_eq!(streamed, points.len(), "progress sees every point");
 
-    for policy in &cfg.policies {
-        let of_policy: Vec<_> = points
+    for discipline in &cfg.disciplines {
+        let of_discipline: Vec<_> = points
             .iter()
-            .filter(|p| p.policy == policy.name())
+            .filter(|p| p.discipline == discipline.name())
             .collect();
-        assert_eq!(of_policy.len(), rates.len());
+        assert_eq!(of_discipline.len(), rates.len());
         // Rates swept in the order configured (ascending here).
-        for (point, &rate) in of_policy.iter().zip(&rates) {
+        for (point, &rate) in of_discipline.iter().zip(&rates) {
             assert_eq!(point.offered_rate, rate);
-            // Minos points carry their discipline; baselines run their
-            // one builtin dispatch.
-            let expect_discipline = match policy {
-                Policy::Minos => "size-aware",
-                _ => BUILTIN_DISCIPLINE,
-            };
-            assert_eq!(point.discipline, expect_discipline);
-            assert!(point.sent > 0, "{}: nothing sent", point.policy);
+            // One engine: every point is labelled with it.
+            assert_eq!(point.policy, POLICY);
+            assert!(point.sent > 0, "{}: nothing sent", point.discipline);
             // Far below loopback capacity: every request completes.
             assert!(
                 point.completed > 0,
                 "{} @ {}: nothing completed",
-                point.policy,
+                point.discipline,
                 rate
             );
             let q = point
@@ -77,7 +74,7 @@ fn mini_sweep_two_policies_two_rates() {
         .any(|p| p.latency_small_us.is_some_and(|q| q.count > 0)));
 
     // --resume over the finished sweep re-measures nothing: every
-    // (policy, discipline, rate) key is already present, so no server
+    // (discipline, rate) key is already present, so no server
     // is even bound and the carried points come back verbatim.
     let mut resumed_fresh = 0usize;
     let resumed = run_sweep_resuming(&cfg, &points, |_| resumed_fresh += 1);

@@ -4,9 +4,11 @@
 //! exactly, and the JSON rendering is a fixpoint (serialize → parse →
 //! serialize reproduces the same bytes), so float truncation to the
 //! writer's fixed decimal precision converges after one round instead
-//! of drifting.
+//! of drifting. Every committed `BENCH_fig_*.json` point parses and
+//! round-trips the same way.
 
-use minos::figures::{Policy, SweepPoint, BUILTIN_DISCIPLINE};
+use minos::core::dispatch::DisciplineKind;
+use minos::figures::{SweepPoint, BUILTIN_DISCIPLINE, POLICY};
 use minos::obs::JsonValue;
 use minos::stats::Quantiles;
 use proptest::prelude::*;
@@ -33,15 +35,15 @@ fn quantiles_strategy() -> impl Strategy<Value = Option<Quantiles>> {
     prop_oneof![Just(None), q.prop_map(Some)]
 }
 
-const DISCIPLINES: [&str; 7] = [
-    BUILTIN_DISCIPLINE,
-    "size-aware",
-    "cfcfs",
-    "dfcfs",
-    "jsq",
-    "round-robin",
-    "random",
-];
+// Files written before the baselines became disciplines also hold
+// `hkh`/`sho` points labelled with the `builtin` discipline.
+const POLICIES: [&str; 3] = [POLICY, "hkh", "sho"];
+
+fn discipline_names() -> Vec<&'static str> {
+    let mut names = vec![BUILTIN_DISCIPLINE];
+    names.extend(DisciplineKind::ALL.map(DisciplineKind::name));
+    names
+}
 
 // NO_EVICTION first: classic points keep the historical resume key.
 const EVICTIONS: [&str; 3] = ["none", "clock", "size-aware-clock"];
@@ -56,8 +58,8 @@ const FAULTS: [&str; 3] = [
 fn point_strategy() -> impl Strategy<Value = SweepPoint> {
     (
         (
-            0usize..3,
-            0usize..7,
+            0usize..POLICIES.len(),
+            0usize..DisciplineKind::ALL.len() + 1,
             0usize..3,
             (0u32..u32::MAX),
             any::<u64>(),
@@ -89,8 +91,8 @@ fn point_strategy() -> impl Strategy<Value = SweepPoint> {
                 (fault_ix, hedging, timed_out, hedges_sent, hedge_wins, accounting_warnings),
             )| {
                 SweepPoint {
-                    policy: Policy::ALL[policy_ix].name().to_string(),
-                    discipline: DISCIPLINES[discipline_ix].to_string(),
+                    policy: POLICIES[policy_ix].to_string(),
+                    discipline: discipline_names()[discipline_ix].to_string(),
                     eviction: EVICTIONS[eviction_ix].to_string(),
                     // Rates at the writer's 0.1 precision stay exact.
                     offered_rate: f64::from(rate_mhz) / 10.0,
@@ -172,4 +174,40 @@ proptest! {
         // writer's precision re-render byte-identically.
         prop_assert_eq!(parsed.to_json(), json);
     }
+}
+
+#[test]
+fn committed_figures_parse_and_round_trip() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let mut files = 0;
+    for entry in std::fs::read_dir(root).expect("repo root") {
+        let path = entry.expect("dir entry").path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if !(name.starts_with("BENCH_fig_") && name.ends_with(".json")) {
+            continue;
+        }
+        files += 1;
+        let doc = std::fs::read_to_string(&path).expect("readable");
+        let v = JsonValue::parse(&doc).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let points = v
+            .as_array()
+            .unwrap_or_else(|| panic!("{name}: not an array"));
+        assert!(!points.is_empty(), "{name}: no points");
+        for (i, raw) in points.iter().enumerate() {
+            let point =
+                SweepPoint::parse(raw).unwrap_or_else(|| panic!("{name}[{i}]: malformed point"));
+            assert!(POLICIES.contains(&point.policy.as_str()), "{name}[{i}]");
+            assert!(
+                discipline_names().contains(&point.discipline.as_str()),
+                "{name}[{i}]: discipline {}",
+                point.discipline
+            );
+            let json = point.to_json();
+            let again = SweepPoint::parse(&JsonValue::parse(&json).unwrap())
+                .unwrap_or_else(|| panic!("{name}[{i}]: re-rendered point"));
+            assert_eq!(again, point, "{name}[{i}] round-trips");
+            assert_eq!(again.to_json(), json, "{name}[{i}] renders a fixpoint");
+        }
+    }
+    assert!(files >= 4, "found {files} committed figure files");
 }
