@@ -182,6 +182,9 @@ pub struct EngineCounters {
 struct FlowPins {
     inner: Mutex<std::collections::HashMap<(u64, u64), PinEntry>>,
     cap: usize,
+    /// Pins ever made, so each pin's `seq` is monotone and the smallest
+    /// live one is the oldest pin, whatever completed since.
+    pinned: AtomicU64,
 }
 
 struct PinEntry {
@@ -196,6 +199,7 @@ impl FlowPins {
         FlowPins {
             inner: Mutex::new(std::collections::HashMap::new()),
             cap,
+            pinned: AtomicU64::new(0),
         }
     }
 
@@ -210,12 +214,11 @@ impl FlowPins {
         fresh_target: impl FnOnce() -> usize,
     ) -> usize {
         let mut map = self.inner.lock();
-        let next_seq = map.len() as u64; // strictly for eviction ordering
         let entry = map.entry((src, msg_id)).or_insert_with(|| PinEntry {
             target: fresh_target(),
             seen: 0,
             count,
-            seq: next_seq,
+            seq: self.pinned.fetch_add(1, Ordering::Relaxed),
         });
         entry.seen += 1;
         let target = entry.target;
@@ -1691,4 +1694,23 @@ pub fn transmit_message<T: Transport + ?Sized>(
     let mut burst = TxBurst::new();
     burst.stage(src, dst, msg, msg_id, false);
     burst.flush(transport, tx_queue)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::FlowPins;
+
+    #[test]
+    fn flow_pins_evict_the_oldest_live_pin() {
+        // Pin A, B and C (two fragments each), complete A and B, then pin
+        // D, E and F: the fourth live pin overflows the cap of 3, and the
+        // oldest live one is C, still streaming its second fragment.
+        let pins = FlowPins::new(3);
+        for msg_id in [1, 2, 3, 1, 2, 4, 5, 6] {
+            pins.pin(7, msg_id, 2, || msg_id as usize);
+        }
+        // D kept its pin; C lost its and is pinned afresh.
+        assert_eq!(pins.pin(7, 4, 2, || 99), 4);
+        assert_eq!(pins.pin(7, 3, 2, || 99), 99);
+    }
 }

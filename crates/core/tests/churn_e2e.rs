@@ -17,12 +17,13 @@
 
 use minos_core::client::Client;
 use minos_core::server::{MinosServer, ServerConfig};
+use minos_driver::RunConfig;
 use minos_kv::{CapacityConfig, EvictionPolicy, StoreConfig};
-use minos_net::{Transport, UdpConfig, UdpTransport};
+use minos_net::{UdpConfig, UdpTransport};
 use minos_wire::message::{OpKind, ReplyStatus};
 use minos_workload::access::Operation;
 use minos_workload::{ChurnConfig, ChurnGenerator, Rng};
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, SocketAddrV4};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -46,22 +47,12 @@ fn bind_server(batch: usize) -> Arc<UdpTransport> {
 }
 
 fn udp_client(server: &UdpTransport) -> Client {
-    let transport = Arc::new(
-        UdpTransport::bind_client_with(UdpConfig {
-            socket_buffer_bytes: 4 << 20,
-            ..UdpConfig::client(Ipv4Addr::LOCALHOST)
-        })
-        .unwrap(),
-    );
-    let endpoint = transport.local_endpoint(0);
-    Client::with_transport(
-        transport as Arc<dyn Transport>,
-        endpoint,
-        server.local_endpoint(0),
-        QUEUES,
-        11,
-        0xC4A9,
-    )
+    let target = SocketAddrV4::new(Ipv4Addr::LOCALHOST, server.base_port());
+    let run = RunConfig {
+        seed: 0xC4A9,
+        ..RunConfig::new(target, QUEUES)
+    };
+    run.client(11, false).unwrap().client
 }
 
 /// Polls completions down to `window` outstanding, counting OutOfMemory

@@ -5,11 +5,11 @@
 //! snapshotting must not perturb the hot-path invariants the CI perf
 //! gate asserts: a zero-copy reply path and an allocation-free RX pool.
 
-use minos_core::client::Client;
 use minos_core::server::{MinosServer, ServerConfig};
-use minos_net::{Transport, UdpConfig, UdpTransport};
+use minos_driver::RunConfig;
+use minos_net::{UdpConfig, UdpTransport};
 use minos_obs::Snapshot;
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, SocketAddrV4};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -40,22 +40,12 @@ fn snapshots_stay_monotone_and_hot_path_invariants_hold_under_perturbation() {
     );
     let registry = server.registry();
 
-    let client_transport = Arc::new(
-        UdpTransport::bind_client_with(UdpConfig {
-            socket_buffer_bytes: 4 << 20,
-            ..UdpConfig::client(Ipv4Addr::LOCALHOST)
-        })
-        .unwrap(),
-    );
-    let endpoint = client_transport.local_endpoint(0);
-    let mut client = Client::with_transport(
-        Arc::clone(&client_transport) as Arc<dyn Transport>,
-        endpoint,
-        transport.local_endpoint(0),
-        QUEUES,
-        7,
-        0xD1CE,
-    );
+    let target = SocketAddrV4::new(Ipv4Addr::LOCALHOST, transport.base_port());
+    let run = RunConfig {
+        seed: 0xD1CE,
+        ..RunConfig::new(target, QUEUES)
+    };
+    let mut client = run.client(7, false).unwrap().client;
 
     // Preload the small working set so the GET churn has real payloads.
     for key in 0..SMALL_KEYS {

@@ -1,9 +1,9 @@
 //! Dataset preload: one PUT per key, paced so that it cannot overrun
-//! the socket buffers between client and server. Shared by
-//! `minos-loadgen` and `minos-figures`.
+//! the socket buffers between client and server. Runs on the clean
+//! client [`crate::RunConfig::preloader`] builds.
 
-use crate::core::client::Client;
-use crate::workload::Dataset;
+use minos_core::client::Client;
+use minos_workload::Dataset;
 use std::time::{Duration, Instant};
 
 /// Most value bytes in flight. The dataset's large keys are contiguous
@@ -26,23 +26,23 @@ pub struct PreloadStalled {
     pub outstanding: u64,
 }
 
-/// PUTs every key `0..keys` of `dataset` through `client`, with at most
+/// PUTs every key of `dataset` through `client`, with at most
 /// [`PRELOAD_MAX_REQUESTS`] requests and [`PRELOAD_MAX_BYTES`] value
 /// bytes (or one value, if larger) in flight, and waits for every
 /// reply. Error replies still count as replies; check
 /// `client.totals().errors`.
-pub fn preload(client: &mut Client, dataset: &Dataset, keys: u64) -> Result<(), PreloadStalled> {
+pub fn preload(client: &mut Client, dataset: &Dataset) -> Result<(), PreloadStalled> {
     // Bytes sent since the pipe was last empty: an upper bound on the
     // bytes in flight.
     let mut window_bytes = 0u64;
-    for key in 0..keys {
+    for key in 0..dataset.num_keys() {
         let size = dataset.size_of(key);
         if window_bytes > 0 && window_bytes + size > PRELOAD_MAX_BYTES {
             wait_for_outstanding(client, 0)?;
             window_bytes = 0;
         }
         let value = vec![(key % 251) as u8; size as usize];
-        client.send_put(key, &value, size as usize > crate::wire::MAX_FRAG_CHUNK);
+        client.send_put(key, &value, size as usize > minos_wire::MAX_FRAG_CHUNK);
         window_bytes += size;
         wait_for_outstanding(client, PRELOAD_MAX_REQUESTS)?;
     }

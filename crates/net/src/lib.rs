@@ -8,7 +8,7 @@
 //! code drives either simulated or real packets:
 //!
 //! * [`Transport`] — the queue-pair contract: batch [`Transport::rx_burst`]
-//!   / [`Transport::tx_burst`], one primary consumer per RX queue,
+//!   / [`Transport::tx_frames`], one primary consumer per RX queue,
 //!   mirroring the DPDK-style ring API of the virtual NIC.
 //! * [`VirtualTransport`] / [`VirtualClientTransport`] — adapters over
 //!   [`minos_nic::VirtualNic`] (the trait is also implemented directly

@@ -38,13 +38,12 @@ pub struct TransportStats {
 /// * Packets move in batches ([`Transport::rx_burst`] /
 ///   [`Transport::tx_frames`], §4.1: "Requests are moved in batches to
 ///   further limit overhead").
-/// * The primary send path is [`Transport::tx_frames`]: scatter-gather
+/// * The one send path is [`Transport::tx_frames`]: scatter-gather
 ///   [`TxPacket`]s whose value segments the backend forwards without
 ///   copying wherever the underlying I/O allows (`sendmsg`/`sendmmsg`
-///   iovecs on the UDP backend). [`Transport::tx_push`] and
-///   [`Transport::tx_burst`] are compatibility shims layered on top:
-///   they wrap contiguous payloads as single-segment frames (an `O(1)`
-///   refcount bump, no copy) and forward to `tx_frames`.
+///   iovecs on the UDP backend). A contiguous [`Packet`] rides as a
+///   single-segment frame ([`TxPacket::from_packet`], an `O(1)`
+///   refcount bump, no copy).
 /// * Sends route by each packet's *destination* metadata
 ///   ([`TxPacket::meta`]); `queue` names the local TX queue the send is
 ///   charged to.
@@ -79,35 +78,16 @@ pub trait Transport: Send + Sync {
     }
 
     /// Transmits a batch of scatter-gather frames on TX queue `queue`,
-    /// draining `frames`; returns how many were accepted. This is the
-    /// *primary* send method: each [`TxPacket`] is addressed by its own
-    /// destination metadata, its inline header region and refcounted
-    /// value segments reach the wire without the transport copying
-    /// segment bytes wherever the backend supports gather I/O (see
+    /// draining `frames`; returns how many were accepted. Each
+    /// [`TxPacket`] is addressed by its own destination metadata, its
+    /// inline header region and refcounted value segments reach the
+    /// wire without the transport copying segment bytes wherever the
+    /// backend supports gather I/O (see
     /// [`TransportStats::tx_copied_bytes`]). Stops at the first tail
-    /// drop (the remaining frames are dropped too, preserving per-queue
-    /// FIFO order on the wire).
+    /// drop (full ring, full socket buffer, as NIC hardware drops on a
+    /// full TX ring); the remaining frames are dropped too, preserving
+    /// per-queue FIFO order on the wire.
     fn tx_frames(&self, queue: u16, frames: &mut Vec<TxPacket>) -> usize;
-
-    /// Enqueues one contiguous packet for transmission on TX queue
-    /// `queue`, addressed by the packet's destination metadata. Returns
-    /// `false` on tail drop (full ring, full socket buffer), as NIC
-    /// hardware drops on a full TX ring. A shim over
-    /// [`Transport::tx_frames`]: the payload becomes a single-segment
-    /// frame without copying.
-    fn tx_push(&self, queue: u16, packet: Packet) -> bool {
-        let mut frames = vec![TxPacket::from_packet(packet)];
-        self.tx_frames(queue, &mut frames) == 1
-    }
-
-    /// Transmits a batch of contiguous packets, draining `packets`;
-    /// returns how many were accepted. A shim over
-    /// [`Transport::tx_frames`] with the same FIFO tail-drop contract;
-    /// each payload rides as a single-segment frame, uncopied.
-    fn tx_burst(&self, queue: u16, packets: &mut Vec<Packet>) -> usize {
-        let mut frames: Vec<TxPacket> = packets.drain(..).map(TxPacket::from_packet).collect();
-        self.tx_frames(queue, &mut frames)
-    }
 
     /// The endpoint identity of local queue `queue` — what the transport
     /// writes as the source of packets it synthesizes, and what peers

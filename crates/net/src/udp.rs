@@ -91,7 +91,7 @@ pub struct UdpConfig {
     /// Socket send/receive buffer size, bytes. Large fragmented replies
     /// burst hundreds of datagrams; defaults to 4 MiB.
     pub socket_buffer_bytes: usize,
-    /// How long `tx_push` may retry a send that hits a full socket
+    /// How long `tx_frames` may retry a send that hits a full socket
     /// buffer before tail-dropping. Mirrors a NIC TX ring absorbing a
     /// burst; 0 drops immediately.
     pub tx_backoff: Duration,
@@ -808,12 +808,12 @@ mod tests {
         let client = UdpTransport::bind_client(Ipv4Addr::LOCALHOST).unwrap();
 
         for q in 0..4u16 {
-            let pkt = synthesize(
+            let pkt = TxPacket::from_packet(synthesize(
                 client.local_endpoint(0),
                 server.local_endpoint(q),
                 Bytes::from(vec![q as u8; 11]),
-            );
-            assert!(client.tx_push(0, pkt));
+            ));
+            assert_eq!(client.tx_frames(0, &mut vec![pkt]), 1);
         }
 
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -839,12 +839,12 @@ mod tests {
         let server = bind_free(2);
         let client = UdpTransport::bind_client(Ipv4Addr::LOCALHOST).unwrap();
 
-        let req = synthesize(
+        let req = TxPacket::from_packet(synthesize(
             client.local_endpoint(0),
             server.local_endpoint(1),
             Bytes::from_static(b"req"),
-        );
-        assert!(client.tx_push(0, req));
+        ));
+        assert_eq!(client.tx_frames(0, &mut vec![req]), 1);
 
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut inbound = Vec::new();
@@ -857,8 +857,12 @@ mod tests {
             ip: inbound[0].meta.ip.src,
             port: inbound[0].meta.udp.src_port,
         };
-        let reply = synthesize(server.local_endpoint(1), peer, Bytes::from_static(b"rep"));
-        assert!(server.tx_push(1, reply));
+        let reply = TxPacket::from_packet(synthesize(
+            server.local_endpoint(1),
+            peer,
+            Bytes::from_static(b"rep"),
+        ));
+        assert_eq!(server.tx_frames(1, &mut vec![reply]), 1);
 
         let mut back = Vec::new();
         while back.is_empty() {
@@ -873,12 +877,12 @@ mod tests {
     fn stats_count_traffic() {
         let server = bind_free(1);
         let client = UdpTransport::bind_client(Ipv4Addr::LOCALHOST).unwrap();
-        let pkt = synthesize(
+        let pkt = TxPacket::from_packet(synthesize(
             client.local_endpoint(0),
             server.local_endpoint(0),
             Bytes::from_static(b"x"),
-        );
-        assert!(client.tx_push(0, pkt));
+        ));
+        assert_eq!(client.tx_frames(0, &mut vec![pkt]), 1);
         assert_eq!(client.stats().tx_packets, 1);
         let mut out = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -892,21 +896,21 @@ mod tests {
     }
 
     #[test]
-    fn tx_burst_moves_whole_batch_and_counts_syscalls() {
+    fn tx_frames_moves_whole_batch_and_counts_syscalls() {
         let server = bind_free(1);
         let client = UdpTransport::bind_client(Ipv4Addr::LOCALHOST).unwrap();
 
         const N: usize = 128;
-        let mut batch: Vec<Packet> = (0..N)
+        let mut batch: Vec<TxPacket> = (0..N)
             .map(|i| {
-                synthesize(
+                TxPacket::from_packet(synthesize(
                     client.local_endpoint(0),
                     server.local_endpoint(0),
                     Bytes::from(vec![i as u8; 32]),
-                )
+                ))
             })
             .collect();
-        assert_eq!(client.tx_burst(0, &mut batch), N);
+        assert_eq!(client.tx_frames(0, &mut batch), N);
         assert!(batch.is_empty());
         assert_eq!(client.stats().tx_packets, N as u64);
 
@@ -946,16 +950,16 @@ mod tests {
         assert!(!client.io_stats().batched);
         assert!(!server.io_stats().batched);
 
-        let mut batch: Vec<Packet> = (0..8)
+        let mut batch: Vec<TxPacket> = (0..8)
             .map(|i| {
-                synthesize(
+                TxPacket::from_packet(synthesize(
                     client.local_endpoint(0),
                     server.local_endpoint(0),
                     Bytes::from(vec![i as u8; 16]),
-                )
+                ))
             })
             .collect();
-        assert_eq!(client.tx_burst(0, &mut batch), 8);
+        assert_eq!(client.tx_frames(0, &mut batch), 8);
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut out = Vec::new();
         while out.len() < 8 {
@@ -981,8 +985,12 @@ mod tests {
         let dst = tiny.local_endpoint(0);
         const N: usize = 512;
         for _ in 0..N {
-            let pkt = synthesize(sender.local_endpoint(0), dst, Bytes::from(vec![0u8; 1200]));
-            sender.tx_push(0, pkt);
+            let pkt = TxPacket::from_packet(synthesize(
+                sender.local_endpoint(0),
+                dst,
+                Bytes::from(vec![0u8; 1200]),
+            ));
+            sender.tx_frames(0, &mut vec![pkt]);
         }
         // Give loopback delivery a moment, then drain whatever fit.
         std::thread::sleep(Duration::from_millis(100));

@@ -38,9 +38,8 @@ pub(crate) const VIRTUAL_SERVER_HOST: u32 = 1;
 /// pool falls back to the allocating gather). Returns the payload and
 /// the number of segment bytes copied.
 fn gather_payload(pool: &BufferPool, shard: usize, pkt: &TxPacket) -> (bytes::Bytes, u64) {
-    // A frame that is already one contiguous segment needs no gather at
-    // all — the compatibility shims (`tx_push`/`tx_burst`) stay
-    // zero-copy on the virtual backend too.
+    // A frame that is already one contiguous segment (a packet wrapped
+    // by `TxPacket::from_packet`) needs no gather at all.
     let mut regions = pkt.frame.regions();
     if let (Some(minos_wire::Region::Segment(only)), None) = (regions.next(), regions.next()) {
         return (only.clone(), 0);
@@ -309,8 +308,8 @@ mod tests {
         let server = VirtualTransport::new(Arc::clone(&nic));
 
         let dst = Transport::local_endpoint(&server, 2);
-        let pkt = synthesize(client_ep, dst, Bytes::from_static(b"ping"));
-        assert!(Transport::tx_push(&client, 0, pkt));
+        let pkt = TxPacket::from_packet(synthesize(client_ep, dst, Bytes::from_static(b"ping")));
+        assert_eq!(Transport::tx_frames(&client, 0, &mut vec![pkt]), 1);
 
         let mut out = Vec::new();
         assert_eq!(Transport::rx_burst(&server, 2, &mut out, 32), 1);
@@ -325,35 +324,17 @@ mod tests {
         let client = VirtualClientTransport::new(Arc::clone(&nic), client_ep);
         let server = VirtualTransport::new(Arc::clone(&nic));
 
-        let reply = synthesize(
+        let reply = TxPacket::from_packet(synthesize(
             Transport::local_endpoint(&server, 1),
             client_ep,
             Bytes::from_static(b"pong"),
-        );
-        assert!(Transport::tx_push(&server, 1, reply));
+        ));
+        assert_eq!(Transport::tx_frames(&server, 1, &mut vec![reply]), 1);
 
         let mut out = Vec::new();
         assert_eq!(Transport::rx_burst(&client, 0, &mut out, 32), 1);
         assert_eq!(&out[0].payload[..], b"pong");
         assert_eq!(out[0].meta.udp.dst_port, client_ep.port);
-    }
-
-    #[test]
-    fn tx_burst_default_drains_batch() {
-        let nic = Arc::new(VirtualNic::new(NicConfig::new(1)));
-        let server = VirtualTransport::new(Arc::clone(&nic));
-        let dst = Endpoint::host(100, 20_000);
-        let mut batch: Vec<Packet> = (0..5)
-            .map(|i| {
-                synthesize(
-                    Transport::local_endpoint(&server, 0),
-                    dst,
-                    Bytes::from(vec![i as u8]),
-                )
-            })
-            .collect();
-        assert_eq!(Transport::tx_burst(&server, 0, &mut batch), 5);
-        assert!(batch.is_empty());
     }
 
     #[test]
@@ -412,12 +393,12 @@ mod tests {
         let nic = Arc::new(VirtualNic::new(NicConfig::new(1)));
         let server = VirtualTransport::new(Arc::clone(&nic));
         let dst = Endpoint::host(100, 20_000);
-        let pkt = synthesize(
+        let pkt = TxPacket::from_packet(synthesize(
             Transport::local_endpoint(&server, 0),
             dst,
             Bytes::from_static(b"contiguous already"),
-        );
-        assert!(Transport::tx_push(&server, 0, pkt));
+        ));
+        assert_eq!(Transport::tx_frames(&server, 0, &mut vec![pkt]), 1);
         assert_eq!(
             Transport::stats(&server).tx_copied_bytes,
             0,

@@ -6,7 +6,7 @@
 
 use bytes::Bytes;
 use minos_net::{Transport, UdpConfig, UdpTransport};
-use minos_wire::packet::{synthesize, Packet};
+use minos_wire::packet::{synthesize, TxPacket};
 use minos_wire::MAX_UDP_PAYLOAD;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -61,15 +61,16 @@ proptest! {
     ) {
         let (server, client) = bind_pair(32);
         let src = client.local_endpoint(0);
-        let mut burst: Vec<Packet> = schedule
+        let mut burst: Vec<TxPacket> = schedule
             .iter()
             .enumerate()
             .map(|(i, &(size, q))| {
                 synthesize(src, server.local_endpoint(q), payload(i, size))
             })
+            .map(TxPacket::from_packet)
             .collect();
         let n = burst.len();
-        prop_assert_eq!(client.tx_burst(0, &mut burst), n);
+        prop_assert_eq!(client.tx_frames(0, &mut burst), n);
 
         // Collect each queue until its share arrived.
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -131,12 +132,13 @@ proptest! {
         for offload in [true, false] {
             minos_net::set_offload_available(offload);
             let (tx0, rx0) = (client.io_stats(), server.io_stats());
-            let mut burst: Vec<Packet> = frames
+            let mut burst: Vec<TxPacket> = frames
                 .iter()
                 .enumerate()
                 .map(|(i, &(size, q))| synthesize(src, server.local_endpoint(q), body(i, size)))
+                .map(TxPacket::from_packet)
                 .collect();
-            prop_assert_eq!(client.tx_burst(0, &mut burst), frames.len());
+            prop_assert_eq!(client.tx_frames(0, &mut burst), frames.len());
 
             let deadline = Instant::now() + Duration::from_secs(10);
             for q in 0..QUEUES {
@@ -188,7 +190,7 @@ proptest! {
         for batch in [32usize, 1] {
             let (server, client) = bind_pair(batch);
             let src = client.local_endpoint(0);
-            let mut burst: Vec<Packet> = sizes
+            let mut burst: Vec<TxPacket> = sizes
                 .iter()
                 .enumerate()
                 .map(|(i, &size)| {
@@ -196,9 +198,10 @@ proptest! {
                     let q = (i % QUEUES as usize) as u16;
                     synthesize(src, server.local_endpoint(q), payload(i, size.min(MAX_UDP_PAYLOAD)))
                 })
+                .map(TxPacket::from_packet)
                 .collect();
             let n = burst.len();
-            prop_assert_eq!(client.tx_burst(0, &mut burst), n);
+            prop_assert_eq!(client.tx_frames(0, &mut burst), n);
 
             let deadline = Instant::now() + Duration::from_secs(10);
             let mut streams: Vec<Vec<Bytes>> = vec![Vec::new(); QUEUES as usize];

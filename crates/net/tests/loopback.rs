@@ -6,10 +6,11 @@
 
 use minos_core::client::Client;
 use minos_core::server::{MinosServer, ServerConfig};
+use minos_driver::RunConfig;
 use minos_net::{Transport, UdpConfig, UdpTransport};
 use minos_wire::message::{OpKind, ReplyStatus};
 use minos_wire::MAX_FRAG_CHUNK;
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, SocketAddrV4};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,16 +31,12 @@ fn bind_server(num_queues: u16) -> Arc<UdpTransport> {
 }
 
 fn udp_client(server: &UdpTransport, queues: u16, id: u16, seed: u64) -> Client {
-    let transport = Arc::new(UdpTransport::bind_client(Ipv4Addr::LOCALHOST).unwrap());
-    let endpoint = transport.local_endpoint(0);
-    Client::with_transport(
-        transport as Arc<dyn Transport>,
-        endpoint,
-        server.local_endpoint(0),
-        queues,
-        id,
+    let target = SocketAddrV4::new(Ipv4Addr::LOCALHOST, server.base_port());
+    let run = RunConfig {
         seed,
-    )
+        ..RunConfig::new(target, queues)
+    };
+    run.client(id, false).unwrap().client
 }
 
 #[test]

@@ -9,9 +9,10 @@
 
 use minos_core::client::{Client, RetryPolicy};
 use minos_core::server::{MinosServer, ServerConfig};
+use minos_driver::RunConfig;
 use minos_net::{Transport, UdpConfig, UdpTransport};
-use minos_wire::packet::{synthesize, Packet};
-use std::net::Ipv4Addr;
+use minos_wire::packet::{synthesize, TxPacket};
+use std::net::{Ipv4Addr, SocketAddrV4};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,26 +45,14 @@ fn udp_client(
     sockbuf: usize,
     retry: Option<RetryPolicy>,
 ) -> Client {
-    let transport = Arc::new(
-        UdpTransport::bind_client_with(UdpConfig {
-            socket_buffer_bytes: sockbuf,
-            ..UdpConfig::client(Ipv4Addr::LOCALHOST)
-        })
-        .unwrap(),
-    );
-    let endpoint = transport.local_endpoint(0);
-    let mut client = Client::with_transport(
-        transport as Arc<dyn Transport>,
-        endpoint,
-        server.local_endpoint(0),
-        queues,
-        id,
-        0xACE0 ^ u64::from(id),
-    );
-    if let Some(policy) = retry {
-        client = client.with_retry(policy);
-    }
-    client
+    let target = SocketAddrV4::new(Ipv4Addr::LOCALHOST, server.base_port());
+    let run = RunConfig {
+        socket_buffer_bytes: sockbuf,
+        seed: 0xACE0,
+        retry,
+        ..RunConfig::new(target, queues)
+    };
+    run.client(id, false).unwrap().client
 }
 
 /// Preloads `keys` keys of `VALUE_LEN` bytes through a well-buffered
@@ -257,10 +246,11 @@ fn batched_path_cuts_syscalls_at_equal_loss() {
         // Interleave sends and drains so the receive buffer never
         // overflows: equal loss (zero) on both paths by construction.
         for chunk_base in (0..N).step_by(CHUNK) {
-            let mut burst: Vec<Packet> = (chunk_base..chunk_base + CHUNK)
+            let mut burst: Vec<TxPacket> = (chunk_base..chunk_base + CHUNK)
                 .map(|i| synthesize(src, dst, bytes::Bytes::from(vec![i as u8; 64])))
+                .map(TxPacket::from_packet)
                 .collect();
-            assert_eq!(client.tx_burst(0, &mut burst), CHUNK, "no tx loss");
+            assert_eq!(client.tx_frames(0, &mut burst), CHUNK, "no tx loss");
             let deadline = Instant::now() + Duration::from_secs(10);
             while received.len() < chunk_base + CHUNK {
                 assert!(Instant::now() < deadline, "rx stalled");
@@ -328,10 +318,11 @@ fn rx_pool_sustains_backlog_without_allocating() {
         // of a full chunk, and every received payload is dropped at the
         // end of its chunk — steady-state churn through the slab.
         for chunk_base in (0..N).step_by(CHUNK) {
-            let mut burst: Vec<Packet> = (chunk_base..chunk_base + CHUNK)
+            let mut burst: Vec<TxPacket> = (chunk_base..chunk_base + CHUNK)
                 .map(|i| synthesize(src, dst, bytes::Bytes::from(vec![i as u8; 128])))
+                .map(TxPacket::from_packet)
                 .collect();
-            assert_eq!(client.tx_burst(0, &mut burst), CHUNK, "no tx loss");
+            assert_eq!(client.tx_frames(0, &mut burst), CHUNK, "no tx loss");
             let mut received = Vec::with_capacity(CHUNK);
             let deadline = Instant::now() + Duration::from_secs(10);
             while received.len() < CHUNK {
@@ -525,16 +516,16 @@ fn fragmented_puts_keep_rx_pool_bounded() {
             // Pace rounds: 8 fragments of EVERY message per round, so
             // all 6 reassemblies stay open until the last round.
             for round in 0..per_message.div_ceil(PACE) {
-                let mut burst: Vec<Packet> = Vec::with_capacity(PACE * MESSAGES as usize);
+                let mut burst: Vec<TxPacket> = Vec::with_capacity(PACE * MESSAGES as usize);
                 for (m, frags) in fragment_sets.iter().enumerate() {
                     let dst = transport.local_endpoint((m % QUEUES as usize) as u16);
                     let lo = round * PACE;
                     for frag in &frags[lo.min(frags.len())..(lo + PACE).min(frags.len())] {
-                        burst.push(synthesize(src, dst, frag.clone()));
+                        burst.push(TxPacket::from_packet(synthesize(src, dst, frag.clone())));
                     }
                 }
                 let n = burst.len();
-                assert_eq!(client.tx_burst(0, &mut burst), n, "no tx loss");
+                assert_eq!(client.tx_frames(0, &mut burst), n, "no tx loss");
                 std::thread::sleep(Duration::from_millis(1));
             }
 
@@ -610,10 +601,11 @@ fn rx_pool_exhaustion_falls_back_and_recovers() {
     let src = client.local_endpoint(0);
     let dst = server.local_endpoint(0);
 
-    let mut burst: Vec<Packet> = (0..N)
+    let mut burst: Vec<TxPacket> = (0..N)
         .map(|i| synthesize(src, dst, bytes::Bytes::from(vec![i as u8; 200])))
+        .map(TxPacket::from_packet)
         .collect();
-    assert_eq!(client.tx_burst(0, &mut burst), N, "no tx loss");
+    assert_eq!(client.tx_frames(0, &mut burst), N, "no tx loss");
 
     // Hold every received packet so no slot can recycle.
     let mut held = Vec::with_capacity(N);

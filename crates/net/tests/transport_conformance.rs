@@ -141,11 +141,10 @@ fn send_to_queue(backend: &Backend, queue: u16, payload: Bytes) -> Packet {
         backend.server.local_endpoint(queue),
         payload,
     );
-    assert!(
-        backend.client.tx_push(0, pkt.clone()),
-        "{}: client tx_push failed",
-        backend.name
-    );
+    let sent = backend
+        .client
+        .tx_frames(0, &mut vec![TxPacket::from_packet(pkt.clone())]);
+    assert_eq!(sent, 1, "{}: client send failed", backend.name);
     pkt
 }
 
@@ -300,12 +299,13 @@ fn stats_are_monotonic_and_count_traffic() {
         // are on the wire. (The virtual NIC charges tx at drain time,
         // UDP at send time, so assert after the client received it.)
         let t0 = backend.server.stats();
-        let reply = synthesize(
+        let reply = TxPacket::from_packet(synthesize(
             backend.server.local_endpoint(0),
             backend.client.local_endpoint(0),
             Bytes::from_static(b"pong"),
-        );
-        assert!(backend.server.tx_push(0, reply), "{}", backend.name);
+        ));
+        let sent = backend.server.tx_frames(0, &mut vec![reply]);
+        assert_eq!(sent, 1, "{}", backend.name);
         let _ = rx_collect(&*backend.client, 0, 1, 32, backend.name);
         let t1 = backend.server.stats();
         assert_monotonic(&t0, &t1, backend.name);
@@ -322,20 +322,21 @@ fn large_message_fragmentation_roundtrips_both_directions() {
         let mut fragmenter = Fragmenter::new(7);
         let dst = backend.server.local_endpoint(1);
         let src = backend.client.local_endpoint(0);
-        let mut burst: Vec<Packet> = fragmenter
+        let mut burst: Vec<TxPacket> = fragmenter
             .fragment(&message)
             .into_iter()
             .map(|frag| synthesize(src, dst, frag))
+            .map(TxPacket::from_packet)
             .collect();
         let n_frags = burst.len();
         assert!(n_frags > 100, "200 KB must fragment into many datagrams");
         assert_eq!(
-            backend.client.tx_burst(0, &mut burst),
+            backend.client.tx_frames(0, &mut burst),
             n_frags,
             "{}: the whole fragment burst must be accepted",
             backend.name
         );
-        assert!(burst.is_empty(), "{}: tx_burst drains", backend.name);
+        assert!(burst.is_empty(), "{}: tx_frames drains", backend.name);
 
         let frags = rx_collect(&*backend.server, 1, n_frags, 32, backend.name);
         let mut reassembler = Reassembler::new(16);
@@ -357,18 +358,20 @@ fn large_message_fragmentation_roundtrips_both_directions() {
 
         // Reply direction: the server fragments back to the client.
         let reply_msg: Vec<u8> = (0..64_000u32).map(|i| (i % 13) as u8).collect();
-        let mut burst: Vec<Packet> = fragmenter
+        let mut burst: Vec<TxPacket> = fragmenter
             .fragment(&reply_msg)
             .into_iter()
             .map(|frag| synthesize(dst, src, frag))
+            .map(TxPacket::from_packet)
             .collect();
         let n_frags = burst.len();
         assert_eq!(
-            backend.server.tx_burst(1, &mut burst),
+            backend.server.tx_frames(1, &mut burst),
             n_frags,
             "{}",
             backend.name
         );
+        assert!(burst.is_empty(), "{}: tx_frames drains", backend.name);
         let frags = rx_collect(&*backend.client, 0, n_frags, 32, backend.name);
         let mut reassembler = Reassembler::new(16);
         let mut complete = None;
@@ -502,13 +505,13 @@ fn tx_frames_wire_equal_to_contiguous_encode_on_every_backend() {
 fn coalesced_multi_request_burst_fans_out_across_queues() {
     // The loadgen's coalesced send path pushes many *independent*
     // requests — addressed to different RX queues — through a single
-    // tx_burst. Every backend must route each datagram by its own
+    // tx_frames call. Every backend must route each datagram by its own
     // destination metadata and deliver all of them, in per-queue order.
     const QUEUES: u16 = 4;
     const PER_QUEUE: usize = 8;
     for backend in backends(QUEUES) {
         let src = backend.client.local_endpoint(0);
-        let mut burst: Vec<Packet> = (0..PER_QUEUE)
+        let mut burst: Vec<TxPacket> = (0..PER_QUEUE)
             .flat_map(|i| (0..QUEUES).map(move |q| (i, q)))
             .map(|(i, q)| {
                 synthesize(
@@ -517,10 +520,11 @@ fn coalesced_multi_request_burst_fans_out_across_queues() {
                     Bytes::from(vec![q as u8 * 32 + i as u8; 40]),
                 )
             })
+            .map(TxPacket::from_packet)
             .collect();
         let total = burst.len();
         assert_eq!(
-            backend.client.tx_burst(0, &mut burst),
+            backend.client.tx_frames(0, &mut burst),
             total,
             "{}: the whole coalesced burst must be accepted",
             backend.name
@@ -710,15 +714,16 @@ fn mixed_bursts_of_singles_and_trains_keep_per_queue_order() {
     let payload = |i: usize, len: usize| Bytes::from(vec![i as u8; len]);
     for_each_path(QUEUES, |backend| {
         let src = backend.client.local_endpoint(0);
-        let mut burst: Vec<Packet> = plan
+        let mut burst: Vec<TxPacket> = plan
             .iter()
             .enumerate()
             .map(|(i, &(q, len))| {
                 synthesize(src, backend.server.local_endpoint(q), payload(i, len))
             })
+            .map(TxPacket::from_packet)
             .collect();
         assert_eq!(
-            backend.client.tx_burst(0, &mut burst),
+            backend.client.tx_frames(0, &mut burst),
             plan.len(),
             "{}",
             backend.name
@@ -793,15 +798,16 @@ fn a_mixed_destination_burst_of_unequal_singles_arrives_intact() {
     let payload = |i: usize, len: usize| Bytes::from(vec![0x40 + i as u8; len]);
     for_each_path(QUEUES, |backend| {
         let src = backend.client.local_endpoint(0);
-        let mut burst: Vec<Packet> = plan
+        let mut burst: Vec<TxPacket> = plan
             .iter()
             .enumerate()
             .map(|(i, &(q, len))| {
                 synthesize(src, backend.server.local_endpoint(q), payload(i, len))
             })
+            .map(TxPacket::from_packet)
             .collect();
         assert_eq!(
-            backend.client.tx_burst(0, &mut burst),
+            backend.client.tx_frames(0, &mut burst),
             plan.len(),
             "{}",
             backend.name
@@ -870,10 +876,10 @@ fn trains_reach_receivers_that_never_asked_for_them() {
     })
     .expect("bind singly");
 
-    let burst_to = |dst: Endpoint| -> Vec<Packet> {
+    let burst_to = |dst: Endpoint| -> Vec<TxPacket> {
         frags
             .iter()
-            .map(|f| synthesize(src, dst, f.clone()))
+            .map(|f| TxPacket::from_packet(synthesize(src, dst, f.clone())))
             .collect()
     };
     std::thread::scope(|scope| {
@@ -893,12 +899,12 @@ fn trains_reach_receivers_that_never_asked_for_them() {
                 }
             }
         });
-        assert_eq!(sender.tx_burst(0, &mut burst_to(plain_ep)), frags.len());
+        assert_eq!(sender.tx_frames(0, &mut burst_to(plain_ep)), frags.len());
         assert_eq!(&rx.join().expect("std receiver")[..], &message[..]);
     });
 
     assert_eq!(
-        sender.tx_burst(0, &mut burst_to(singly.local_endpoint(0))),
+        sender.tx_frames(0, &mut burst_to(singly.local_endpoint(0))),
         frags.len()
     );
     let got = rx_collect(&singly, 0, frags.len(), 32, "udp-singly receiver");

@@ -13,7 +13,7 @@
 //!   the default configuration maps port `9000 + q` to queue `q`, which is
 //!   how Minos clients address a specific RX queue.
 //! * [`queue`] — lock-free bounded RX/TX queues with DPDK-style
-//!   `rx_burst`/`tx_burst` batched access.
+//!   `push`/`rx_burst` ring access.
 //! * [`device`] — the [`VirtualNic`] combining the above, with per-queue
 //!   statistics and link-level byte accounting.
 //! * [`faults`] — optional fault injection (probabilistic drop and

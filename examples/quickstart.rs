@@ -8,9 +8,10 @@
 
 use minos::core::client::Client;
 use minos::core::server::{MinosServer, ServerConfig};
+use minos::driver::RunConfig;
 use minos::net::{Transport, UdpConfig, UdpTransport, VirtualClientTransport};
 use minos::nic::{NicConfig, VirtualNic};
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, SocketAddrV4};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -122,16 +123,9 @@ fn main() {
     let mut udp_server =
         MinosServer::start_with_transport(ServerConfig::for_test(2, 10_000), Arc::clone(&udp));
 
-    let client_udp = Arc::new(UdpTransport::bind_client(Ipv4Addr::LOCALHOST).unwrap());
-    let endpoint = client_udp.local_endpoint(0);
-    let mut udp_client = Client::with_transport(
-        client_udp as Arc<dyn Transport>,
-        endpoint,
-        udp.local_endpoint(0),
-        2,
-        7,
-        1234,
-    );
+    // The client side of `minos-loadgen`, from the driver's builder.
+    let target = SocketAddrV4::new(Ipv4Addr::LOCALHOST, udp.base_port());
+    let mut udp_client = RunConfig::new(target, 2).client(7, false).unwrap().client;
 
     udp_client.send_put(10, &large, true);
     assert!(

@@ -3,30 +3,21 @@
 //!
 //! Runs each requested queue discipline of the Minos server (size-aware
 //! sharding vs the HKH and SHO baselines by default) in-process over
-//! SO_REUSEPORT UDP loopback sockets and sweeps the offered rate ladder, printing one JSON sweep point per
-//! line to stdout as it lands (see `minos::figures::SweepPoint` for the
+//! SO_REUSEPORT UDP loopback sockets and sweeps the offered rate ladder,
+//! printing one JSON sweep point per line to stdout as it lands (see `minos::figures::SweepPoint` for the
 //! schema). `--out` additionally writes the whole sweep as a JSON array
 //! — the format of the committed `BENCH_fig_*.json` files.
 //!
 //! Latency is measured from each request's *scheduled* open-loop
-//! arrival, so points past the saturation knee report the queueing
-//! delay overload causes rather than coordinated-omission-filtered
-//! service times.
-//!
-//! ```text
-//! minos-figures --rates 20000,40000,60000,80000 \
-//!               [--disciplines size-aware,hkh,sho]
-//!               [--cores N] [--clients N]
-//!               [--duration SECS] [--keys N] [--large-keys N]
-//!               [--profile default|write] [--p-large FRAC] [--s-large BYTES]
-//!               [--sho-handoff N] [--seed S] [--base-port P]
-//!               [--fault-profile SPEC] [--hedge]
-//!               [--out FILE] [--resume]
-//! ```
+//! arrival (each point is one [`minos::driver`] run), so points past
+//! the saturation knee report the queueing delay overload causes rather
+//! than coordinated-omission-filtered service times. `--help` lists the
+//! flags.
 
 use minos::core::client::RetryPolicy;
 use minos::core::dispatch::DisciplineKind;
 use minos::figures::{run_sweep_resuming, ChurnSweepSpec, SweepConfig, SweepPoint};
+use minos::flag_value as value;
 use minos::kv::EvictionPolicy;
 use minos::net::FaultProfile;
 use minos::obs::JsonValue;
@@ -122,16 +113,16 @@ fn parse() -> Result<(SweepConfig, Option<String>, bool), String> {
     let mut max_retries = 8u32;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        match flag.as_str() {
+        let flag = flag.as_str();
+        match flag {
             "--rates" => {
-                cfg.rates = value("--rates")?
+                cfg.rates = value::<String>(flag, it.next())?
                     .split(',')
                     .map(|r| r.trim().parse::<f64>().map_err(|e| format!("--rates: {e}")))
                     .collect::<Result<_, _>>()?;
             }
             "--disciplines" => {
-                cfg.disciplines = value("--disciplines")?
+                cfg.disciplines = value::<String>(flag, it.next())?
                     .split(',')
                     .map(|d| {
                         DisciplineKind::from_name(d.trim()).ok_or_else(|| {
@@ -140,79 +131,27 @@ fn parse() -> Result<(SweepConfig, Option<String>, bool), String> {
                     })
                     .collect::<Result<_, _>>()?;
             }
-            "--cores" => {
-                cfg.cores = value("--cores")?
-                    .parse()
-                    .map_err(|e| format!("--cores: {e}"))?
-            }
-            "--sho-handoff" => {
-                cfg.sho_handoff = value("--sho-handoff")?
-                    .parse()
-                    .map_err(|e| format!("--sho-handoff: {e}"))?
-            }
-            "--clients" => {
-                cfg.clients = value("--clients")?
-                    .parse()
-                    .map_err(|e| format!("--clients: {e}"))?
-            }
-            "--duration" => {
-                cfg.duration = Duration::from_secs_f64(
-                    value("--duration")?
-                        .parse()
-                        .map_err(|e| format!("--duration: {e}"))?,
-                )
-            }
-            "--keys" => {
-                cfg.keys = value("--keys")?
-                    .parse()
-                    .map_err(|e| format!("--keys: {e}"))?
-            }
-            "--large-keys" => {
-                cfg.large_keys = value("--large-keys")?
-                    .parse()
-                    .map_err(|e| format!("--large-keys: {e}"))?
-            }
+            "--cores" => cfg.cores = value(flag, it.next())?,
+            "--sho-handoff" => cfg.sho_handoff = value(flag, it.next())?,
+            "--clients" => cfg.clients = value(flag, it.next())?,
+            "--duration" => cfg.duration = Duration::from_secs_f64(value(flag, it.next())?),
+            "--keys" => cfg.keys = value(flag, it.next())?,
+            "--large-keys" => cfg.large_keys = value(flag, it.next())?,
             "--profile" => {
-                cfg.profile = match value("--profile")?.as_str() {
+                cfg.profile = match value::<String>(flag, it.next())?.as_str() {
                     "default" => DEFAULT_PROFILE,
                     "write" => profiles::WRITE_INTENSIVE_PROFILE,
                     other => return Err(format!("unknown profile: {other}")),
                 }
             }
-            "--p-large" => {
-                p_large_override = Some(
-                    value("--p-large")?
-                        .parse()
-                        .map_err(|e| format!("--p-large: {e}"))?,
-                )
-            }
-            "--s-large" => {
-                s_large_override = Some(
-                    value("--s-large")?
-                        .parse()
-                        .map_err(|e| format!("--s-large: {e}"))?,
-                )
-            }
-            "--seed" => {
-                cfg.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--base-port" => {
-                cfg.base_port = value("--base-port")?
-                    .parse()
-                    .map_err(|e| format!("--base-port: {e}"))?
-            }
-            "--churn-mem" => {
-                churn_mem = Some(
-                    value("--churn-mem")?
-                        .parse()
-                        .map_err(|e| format!("--churn-mem: {e}"))?,
-                )
-            }
+            "--p-large" => p_large_override = Some(value(flag, it.next())?),
+            "--s-large" => s_large_override = Some(value(flag, it.next())?),
+            "--seed" => cfg.seed = value(flag, it.next())?,
+            "--base-port" => cfg.base_port = value(flag, it.next())?,
+            "--churn-mem" => churn_mem = Some(value(flag, it.next())?),
             "--evictions" => {
                 evictions_given = true;
-                evictions = value("--evictions")?
+                evictions = value::<String>(flag, it.next())?
                     .split(',')
                     .map(|p| {
                         EvictionPolicy::from_name(p.trim()).ok_or_else(|| {
@@ -221,40 +160,18 @@ fn parse() -> Result<(SweepConfig, Option<String>, bool), String> {
                     })
                     .collect::<Result<_, _>>()?;
             }
-            "--churn-value-min" => {
-                churn_value_min = value("--churn-value-min")?
-                    .parse()
-                    .map_err(|e| format!("--churn-value-min: {e}"))?
-            }
-            "--churn-value-max" => {
-                churn_value_max = value("--churn-value-max")?
-                    .parse()
-                    .map_err(|e| format!("--churn-value-max: {e}"))?
-            }
-            "--churn-ttl-ms" => {
-                churn_ttl_ms = value("--churn-ttl-ms")?
-                    .parse()
-                    .map_err(|e| format!("--churn-ttl-ms: {e}"))?
-            }
+            "--churn-value-min" => churn_value_min = value(flag, it.next())?,
+            "--churn-value-max" => churn_value_max = value(flag, it.next())?,
+            "--churn-ttl-ms" => churn_ttl_ms = value(flag, it.next())?,
             "--fault-profile" => {
-                let spec = value("--fault-profile")?;
+                let spec: String = value(flag, it.next())?;
                 FaultProfile::parse(&spec).map_err(|e| format!("--fault-profile: {e}"))?;
                 cfg.fault_profile = Some(spec);
             }
             "--hedge" => cfg.hedge = true,
-            "--retry-timeout-ms" => {
-                retry_timeout_ms = Some(
-                    value("--retry-timeout-ms")?
-                        .parse()
-                        .map_err(|e| format!("--retry-timeout-ms: {e}"))?,
-                )
-            }
-            "--max-retries" => {
-                max_retries = value("--max-retries")?
-                    .parse()
-                    .map_err(|e| format!("--max-retries: {e}"))?
-            }
-            "--out" => out = Some(value("--out")?),
+            "--retry-timeout-ms" => retry_timeout_ms = Some(value(flag, it.next())?),
+            "--max-retries" => max_retries = value(flag, it.next())?,
+            "--out" => out = Some(value(flag, it.next())?),
             "--resume" => resume = true,
             "-h" | "--help" => {
                 print!("{}", usage());

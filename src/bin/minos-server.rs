@@ -35,7 +35,7 @@ use minos::core::dispatch::DisciplineKind;
 use minos::core::server::{MinosServer, ServerConfig};
 use minos::kv::{CapacityConfig, EvictionPolicy};
 use minos::net::{FaultProfile, FaultTransport, Transport, UdpConfig, UdpTransport};
-use minos::report;
+use minos::{flag_value as value, report};
 use std::io::Write;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -197,103 +197,51 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        match flag.as_str() {
-            "--cores" => {
-                args.cores = value("--cores")?
-                    .parse()
-                    .map_err(|e| format!("--cores: {e}"))?
-            }
-            "--bind" => {
-                args.bind = value("--bind")?
-                    .parse()
-                    .map_err(|e| format!("--bind: {e}"))?
-            }
-            "--port" => {
-                args.base_port = value("--port")?
-                    .parse()
-                    .map_err(|e| format!("--port: {e}"))?
-            }
-            "--items" => {
-                args.items = value("--items")?
-                    .parse()
-                    .map_err(|e| format!("--items: {e}"))?
-            }
-            "--mem" => {
-                args.mempool_bytes = value("--mem")?.parse().map_err(|e| format!("--mem: {e}"))?
-            }
+        let flag = flag.as_str();
+        match flag {
+            "--cores" => args.cores = value(flag, it.next())?,
+            "--bind" => args.bind = value(flag, it.next())?,
+            "--port" => args.base_port = value(flag, it.next())?,
+            "--items" => args.items = value(flag, it.next())?,
+            "--mem" => args.mempool_bytes = value(flag, it.next())?,
             "--eviction-policy" => {
-                let v = value("--eviction-policy")?;
+                let v: String = value(flag, it.next())?;
                 args.eviction = EvictionPolicy::from_name(&v).ok_or_else(|| {
                     format!("unknown eviction policy: {v} (none|clock|size-aware-clock)")
                 })?;
             }
-            "--evict-high" => {
-                args.evict_high = value("--evict-high")?
-                    .parse()
-                    .map_err(|e| format!("--evict-high: {e}"))?
-            }
-            "--evict-low" => {
-                args.evict_low = value("--evict-low")?
-                    .parse()
-                    .map_err(|e| format!("--evict-low: {e}"))?
-            }
-            "--evict-headroom" => {
-                args.evict_headroom = value("--evict-headroom")?
-                    .parse()
-                    .map_err(|e| format!("--evict-headroom: {e}"))?
-            }
+            "--evict-high" => args.evict_high = value(flag, it.next())?,
+            "--evict-low" => args.evict_low = value(flag, it.next())?,
+            "--evict-headroom" => args.evict_headroom = value(flag, it.next())?,
             "--threshold" => {
-                let v = value("--threshold")?;
+                let v: String = value(flag, it.next())?;
                 args.threshold = if v == "dynamic" {
                     ThresholdMode::Dynamic
                 } else {
-                    ThresholdMode::Static(v.parse().map_err(|e| format!("--threshold: {e}"))?)
+                    ThresholdMode::Static(value(flag, Some(v))?)
                 };
             }
             "--discipline" => {
-                let v = value("--discipline")?;
+                let v: String = value(flag, it.next())?;
                 args.discipline = DisciplineKind::from_name(&v).ok_or_else(|| {
                     format!("unknown discipline: {v} ({})", discipline_names("|"))
                 })?;
             }
             "--steal" => args.steal = true,
-            "--shed-watermark" => {
-                args.shed_watermark = value("--shed-watermark")?
-                    .parse()
-                    .map_err(|e| format!("--shed-watermark: {e}"))?
-            }
+            "--shed-watermark" => args.shed_watermark = value(flag, it.next())?,
             "--fault-profile" => {
-                args.fault = FaultProfile::parse(&value("--fault-profile")?)
-                    .map_err(|e| format!("--fault-profile: {e}"))?
+                let spec: String = value(flag, it.next())?;
+                args.fault = FaultProfile::parse(&spec).map_err(|e| format!("{flag}: {e}"))?
             }
-            "--duration" => {
-                args.duration = Some(Duration::from_secs_f64(
-                    value("--duration")?
-                        .parse()
-                        .map_err(|e| format!("--duration: {e}"))?,
-                ))
-            }
-            "--batch" => {
-                args.batch = value("--batch")?
-                    .parse()
-                    .map_err(|e| format!("--batch: {e}"))?
-            }
-            "--sockbuf" => {
-                args.sockbuf = value("--sockbuf")?
-                    .parse()
-                    .map_err(|e| format!("--sockbuf: {e}"))?
-            }
-            "--pin" => {
-                args.pin_base = Some(value("--pin")?.parse().map_err(|e| format!("--pin: {e}"))?)
-            }
+            "--duration" => args.duration = Some(Duration::from_secs_f64(value(flag, it.next())?)),
+            "--batch" => args.batch = value(flag, it.next())?,
+            "--sockbuf" => args.sockbuf = value(flag, it.next())?,
+            "--pin" => args.pin_base = Some(value(flag, it.next())?),
             "--stats-interval-ms" => {
-                let ms: u64 = value("--stats-interval-ms")?
-                    .parse()
-                    .map_err(|e| format!("--stats-interval-ms: {e}"))?;
+                let ms: u64 = value(flag, it.next())?;
                 args.stats_interval = (ms > 0).then(|| Duration::from_millis(ms));
             }
-            "--stats-file" => args.stats_file = Some(value("--stats-file")?),
+            "--stats-file" => args.stats_file = Some(value(flag, it.next())?),
             "--json" => args.json = true,
             "-h" | "--help" => {
                 print!("{}", usage());

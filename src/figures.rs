@@ -13,29 +13,28 @@
 //!
 //! Everything runs in one process over real SO_REUSEPORT UDP sockets:
 //! the server under test binds one socket per core at
-//! `base_port + queue`, client threads bind ephemeral sockets, and a
-//! barrier releases all client schedules at once so the offered rate is
-//! what the point claims. One [`SweepPoint`] is emitted per (discipline,
-//! eviction, rate), serialized as JSON by [`SweepPoint::to_json`] and parseable
-//! back by [`SweepPoint::parse`] — the committed `BENCH_fig_*.json`
-//! files and the CI perf-smoke gates both speak this schema.
+//! `base_port + queue`, and each point is one open-loop run of
+//! [`crate::driver`] against it. One [`SweepPoint`] is emitted per
+//! (discipline, eviction, rate), rendered from the run's merged
+//! [`RunReport`], serialized as JSON by [`SweepPoint::to_json`] and
+//! parseable back by [`SweepPoint::parse`] — the committed
+//! `BENCH_fig_*.json` files and the CI perf-smoke gates both speak this
+//! schema.
 
-use crate::core::client::{Client, HedgePolicy, RetryPolicy};
+use crate::core::client::{HedgePolicy, RetryPolicy};
 use crate::core::dispatch::DisciplineKind;
 use crate::core::server::{MinosServer, ServerConfig};
 use crate::core::MinosConfig;
+use crate::driver::{RunConfig, RunReport, Workload};
 use crate::kv::{CapacityConfig, EvictionPolicy};
-use crate::net::{endpoint_for, FaultProfile, FaultTransport, Transport, UdpConfig, UdpTransport};
+use crate::net::{FaultProfile, Transport, UdpConfig, UdpTransport};
 use crate::obs::JsonValue;
 use crate::report::{quantiles_json, JsonObj};
-use crate::stats::{LatencyHistogram, Quantiles};
-use crate::workload::{
-    AccessGenerator, ChurnConfig, ChurnGenerator, Dataset, OpSpec, OpenLoop, Profile, Rng,
-    DEFAULT_PROFILE,
-};
-use std::net::Ipv4Addr;
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use crate::stats::Quantiles;
+use crate::workload::{ChurnConfig, ChurnGenerator, Dataset, Profile, DEFAULT_PROFILE};
+use std::net::{Ipv4Addr, SocketAddrV4};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// The engine label of every point this module writes
 /// (`SweepPoint.policy`): there is one engine, and what a point varies
@@ -96,8 +95,8 @@ pub struct SweepConfig {
     /// past the adaptive hedge delay is duplicated to another RX queue,
     /// first reply wins. The dial the hedging figure flips.
     pub hedge: bool,
-    /// Client-side retry policy for measured clients (typically set
-    /// together with `fault_profile`).
+    /// Client-side retry policy of every client, the preloader included
+    /// (typically set together with `fault_profile`).
     pub retry: Option<RetryPolicy>,
 }
 
@@ -117,22 +116,6 @@ pub struct ChurnSweepSpec {
     pub value_max: u64,
     /// TTL stamped on every churn PUT (0 = never expires).
     pub ttl_ms: u64,
-}
-
-impl ChurnSweepSpec {
-    /// The churn generator config this spec induces under `cfg`'s keys,
-    /// profile, and seed.
-    fn generator_config(&self, cfg: &SweepConfig) -> ChurnConfig {
-        ChurnConfig {
-            num_keys: cfg.keys,
-            value_min: self.value_min,
-            value_max: self.value_max,
-            zipf_s: cfg.profile.zipf_s,
-            get_ratio: cfg.profile.get_ratio,
-            ttl_ms: self.ttl_ms,
-            salt: cfg.seed,
-        }
-    }
 }
 
 impl SweepConfig {
@@ -165,11 +148,6 @@ impl SweepConfig {
     }
 
     fn validate(&self) {
-        if let Some(spec) = &self.fault_profile {
-            if let Err(e) = FaultProfile::parse(spec) {
-                panic!("fault_profile {spec:?}: {e}");
-            }
-        }
         assert!(!self.rates.is_empty(), "at least one rate");
         assert!(!self.disciplines.is_empty(), "at least one discipline");
         if let Some(churn) = &self.churn {
@@ -199,6 +177,40 @@ impl SweepConfig {
             self.base_port,
             ports
         );
+    }
+
+    /// The open-loop run of every point, before its target port and
+    /// rate are set.
+    fn run_config(&self) -> RunConfig {
+        let fault = self.fault_profile.as_deref().map(|spec| {
+            FaultProfile::parse(spec).unwrap_or_else(|e| panic!("fault_profile {spec:?}: {e}"))
+        });
+        RunConfig {
+            clients: self.clients,
+            duration: self.duration,
+            drain_timeout: self.drain_timeout,
+            seed: self.seed,
+            retry: self.retry,
+            hedge: self.hedge.then(HedgePolicy::default),
+            fault,
+            ..RunConfig::new(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0), self.cores as u16)
+        }
+    }
+
+    /// The request source every point offers.
+    fn workload(&self) -> Workload {
+        match &self.churn {
+            Some(churn) => Workload::Churn(ChurnGenerator::new(ChurnConfig {
+                num_keys: self.keys,
+                value_min: churn.value_min,
+                value_max: churn.value_max,
+                zipf_s: self.profile.zipf_s,
+                get_ratio: self.profile.get_ratio,
+                ttl_ms: churn.ttl_ms,
+                salt: self.seed,
+            })),
+            None => Workload::etc(self.keys, self.large_keys, self.profile, self.seed),
+        }
     }
 
     /// The server instances this sweep runs, in port order: every
@@ -240,22 +252,21 @@ pub const NO_FAULTS: &str = "none";
 /// `--resume` skips a point when an already-written point has the same
 /// key. The rate is compared at the writer's one-decimal precision.
 pub fn point_key(policy: &str, discipline: &str, offered_rate: f64) -> String {
-    point_key_ev(policy, discipline, NO_EVICTION, offered_rate)
+    point_key_chaos(
+        policy,
+        discipline,
+        NO_EVICTION,
+        NO_FAULTS,
+        false,
+        offered_rate,
+    )
 }
 
-/// [`point_key`] with the eviction-policy dimension: churn-sweep points
-/// append `+{eviction}` so `clock` and `size-aware-clock` runs of the
-/// same engine and rate stay distinct under `--resume`. Classic points
-/// (`eviction == "none"`) keep their historical key unchanged.
-pub fn point_key_ev(policy: &str, discipline: &str, eviction: &str, offered_rate: f64) -> String {
-    point_key_chaos(policy, discipline, eviction, NO_FAULTS, false, offered_rate)
-}
-
-/// [`point_key_ev`] with the chaos dimensions: fault-injected points
-/// append `+fault:{spec}` and hedged points `+hedge`, so the
-/// fault × hedging grid of one engine and rate stays distinct under
-/// `--resume`. Clean, unhedged points keep their historical key
-/// unchanged.
+/// [`point_key`] with the eviction and chaos dimensions: churn-sweep
+/// points append `+{eviction}` (so `clock` and `size-aware-clock` runs
+/// stay distinct), fault-injected points `+fault:{spec}` and hedged
+/// points `+hedge`. Classic, clean, unhedged points keep their
+/// historical key unchanged.
 pub fn point_key_chaos(
     policy: &str,
     discipline: &str,
@@ -517,56 +528,10 @@ fn start_server(
     MinosServer::start_with_transport(config, transport)
 }
 
-/// Binds a fresh ephemeral-port UDP client aimed at `server_port`'s
-/// queue-0 (it targets every queue). The transport rides along for
-/// statistics (the client owns a clone).
-/// `measured` clients get the chaos treatment — the fault wrap, retry
-/// policy, and hedging the config asks for; the preload always runs
-/// clean.
-fn bind_client(
-    cfg: &SweepConfig,
-    server_port: u16,
-    client_id: u16,
-    measured: bool,
-) -> (Arc<UdpTransport>, Client) {
-    let udp = UdpConfig {
-        pool_slots: 8192,
-        ..UdpConfig::client(Ipv4Addr::UNSPECIFIED)
-    };
-    let transport = Arc::new(UdpTransport::bind_client_with(udp).expect("bind client socket"));
-    let endpoint = transport.local_endpoint(0);
-    let server = endpoint_for(Ipv4Addr::LOCALHOST, server_port);
-    let dyn_transport: Arc<dyn Transport> = match cfg.fault_profile.as_deref().filter(|_| measured)
-    {
-        Some(spec) => {
-            let profile = FaultProfile::parse(spec).expect("validated at sweep start");
-            Arc::new(FaultTransport::new(Arc::clone(&transport), profile))
-        }
-        None => Arc::clone(&transport) as Arc<dyn Transport>,
-    };
-    let mut client = Client::with_transport(
-        dyn_transport,
-        endpoint,
-        server,
-        cfg.cores as u16,
-        client_id,
-        cfg.seed ^ u64::from(client_id),
-    );
-    if measured {
-        if let Some(retry) = cfg.retry {
-            client = client.with_retry(retry);
-        }
-        if cfg.hedge {
-            client = client.with_hedging(HedgePolicy::default());
-        }
-    }
-    (transport, client)
-}
-
 /// PUTs every dataset key at its profiled size so measured GETs hit.
-fn preload(cfg: &SweepConfig, server_port: u16, dataset: &Dataset) {
-    let (_transport, mut client) = bind_client(cfg, server_port, 99, false);
-    if let Err(stalled) = crate::preload::preload(&mut client, dataset, cfg.keys) {
+fn preload(run: &RunConfig, dataset: &Dataset) {
+    let mut preloader = run.preloader().expect("bind client socket");
+    if let Err(stalled) = crate::driver::preload(&mut preloader.client, dataset) {
         panic!(
             "preload lost {} replies — server not draining?",
             stalled.outstanding
@@ -575,127 +540,68 @@ fn preload(cfg: &SweepConfig, server_port: u16, dataset: &Dataset) {
     // An error reply still drains, so a preload whose PUTs bounce (e.g.
     // values past the store's per-value cap) would otherwise silently
     // yield a dataset with no large keys — and a meaningless sweep.
-    let errors = client.totals().errors;
+    let errors = preloader.client.totals().errors;
     assert_eq!(
         errors, 0,
         "preload got {errors} error replies — do the dataset's values fit the store?"
     );
 }
 
-/// What one client thread hands back from one rate point.
-struct PointReport {
-    sent: u64,
-    completed: u64,
-    outstanding: u64,
-    timed_out: u64,
-    errors: u64,
-    hedges_sent: u64,
-    hedge_wins: u64,
-    accounting_warnings: u64,
-    behind_max_ns: u64,
-    latency: LatencyHistogram,
-    latency_small: LatencyHistogram,
-    latency_large: LatencyHistogram,
-    service_latency: LatencyHistogram,
-    tx_copied_bytes: u64,
-    reply_copied_bytes: u64,
-}
-
-/// One client thread's open-loop run at `rate` for `duration`, with
-/// schedule-based latency stamping (`send_batch_at` carries each op's
-/// scheduled arrival).
-fn run_point_client(
-    cfg: &SweepConfig,
-    server_port: u16,
-    client_idx: u16,
-    rate: f64,
-    barrier: &Barrier,
-) -> PointReport {
-    let (transport, mut client) = bind_client(cfg, server_port, 1 + client_idx, true);
-    enum Generator {
-        Access(AccessGenerator),
-        Churn(ChurnGenerator),
-    }
-    let generator = match &cfg.churn {
-        Some(churn) => Generator::Churn(ChurnGenerator::new(churn.generator_config(cfg))),
-        None => {
-            let dataset = Dataset::new(
-                cfg.keys,
-                cfg.large_keys,
-                0.4,
-                cfg.profile.large_max,
-                cfg.seed,
-            );
-            Generator::Access(AccessGenerator::new(
-                dataset,
-                cfg.profile.p_large,
-                cfg.profile.get_ratio,
-                cfg.profile.zipf_s,
-            ))
+impl SweepPoint {
+    /// The point one run measured. `server_tx_copied` is what the
+    /// server's transport copied on its send path during the run; the
+    /// point's `tx_copied_bytes` adds the clients'.
+    fn measured(
+        cfg: &SweepConfig,
+        (discipline, eviction): (&str, &str),
+        rate: f64,
+        report: &RunReport,
+        server_tx_copied: u64,
+    ) -> SweepPoint {
+        let t = &report.total;
+        let (sent, outstanding, timed_out) =
+            (t.scheduled, report.outstanding(), t.totals.timed_out);
+        SweepPoint {
+            policy: POLICY.to_string(),
+            discipline: discipline.to_string(),
+            eviction: eviction.to_string(),
+            offered_rate: rate,
+            duration_s: cfg.duration.as_secs_f64(),
+            clients: u64::from(cfg.clients),
+            cores: cfg.cores as u64,
+            sent,
+            completed: t.totals.completed,
+            outstanding,
+            timed_out,
+            errors: t.totals.errors,
+            fault_profile: cfg
+                .fault_profile
+                .as_deref()
+                .unwrap_or(NO_FAULTS)
+                .to_string(),
+            hedging: cfg.hedge,
+            hedges_sent: t.totals.hedges_sent,
+            hedge_wins: t.totals.hedge_wins,
+            accounting_warnings: report.accounting_warnings,
+            achieved_rate: t.totals.completed as f64
+                / cfg.duration.as_secs_f64().max(f64::MIN_POSITIVE),
+            // A timed-out request is explicit loss: it was abandoned
+            // after its retry budget, so it counts against the §5.4
+            // verdict exactly like a never-answered one.
+            loss_rate: if sent > 0 {
+                (outstanding + timed_out) as f64 / sent as f64
+            } else {
+                0.0
+            },
+            zero_loss: report.zero_loss(),
+            behind_max_us: t.behind_max_ns as f64 / 1e3,
+            latency_us: t.latency.quantiles(),
+            latency_small_us: t.latency_small.quantiles(),
+            service_latency_us: t.service_latency.quantiles(),
+            latency_large_us: t.latency_large.quantiles(),
+            tx_copied_bytes: t.io.tx_copied_bytes + server_tx_copied,
+            reply_copied_bytes: t.reply_copied_bytes,
         }
-    };
-    let next_op = |rng: &mut Rng| match &generator {
-        Generator::Access(g) => g.next_op(rng),
-        Generator::Churn(g) => g.next_op(rng),
-    };
-    let mut arrival_rng = Rng::new(cfg.seed ^ 0x9e37_79b9 ^ (u64::from(client_idx) << 17));
-    let mut op_rng = Rng::new(
-        (cfg.seed ^ (u64::from(client_idx) + 1).wrapping_mul(0x5851_f42d_4c95_7f2d))
-            .wrapping_mul(0x2545_f491_4f6c_dd1d),
-    );
-
-    // All clients release their schedules together.
-    barrier.wait();
-    let run_start_ns = client.now_ns();
-    let mut arrivals = OpenLoop::new(rate, run_start_ns);
-    let start = Instant::now();
-    let mut next_at = arrivals.next_arrival(&mut arrival_rng);
-    let mut sent = 0u64;
-    let mut behind_max_ns = 0u64;
-    const COALESCE_CAP: usize = 32;
-    let mut due: Vec<(OpSpec, u64)> = Vec::with_capacity(COALESCE_CAP);
-    while start.elapsed() < cfg.duration {
-        let now = client.now_ns();
-        due.clear();
-        while now >= next_at && due.len() < COALESCE_CAP {
-            behind_max_ns = behind_max_ns.max(now - next_at);
-            due.push((next_op(&mut op_rng), next_at));
-            next_at = arrivals.next_arrival(&mut arrival_rng);
-        }
-        if !due.is_empty() {
-            client.send_batch_at(&due);
-            sent += due.len() as u64;
-        }
-        client.poll();
-    }
-    client.drain(cfg.drain_timeout);
-    let totals = client.totals();
-    // The accounting identity, cross-checked with independent counters:
-    // what this loop scheduled vs what the client transmitted, and the
-    // derived outstanding() vs the actual pending-table size.
-    let mut accounting_warnings = 0u64;
-    if sent != totals.sent {
-        accounting_warnings += 1;
-    }
-    if totals.outstanding() != client.pending_len() {
-        accounting_warnings += 1;
-    }
-    PointReport {
-        sent,
-        completed: totals.completed,
-        outstanding: totals.outstanding(),
-        timed_out: totals.timed_out,
-        errors: totals.errors,
-        hedges_sent: totals.hedges_sent,
-        hedge_wins: totals.hedge_wins,
-        accounting_warnings,
-        behind_max_ns,
-        latency: client.latency().clone(),
-        latency_small: client.latency_small().clone(),
-        latency_large: client.latency_large().clone(),
-        service_latency: client.service_latency().clone(),
-        tx_copied_bytes: transport.stats().tx_copied_bytes,
-        reply_copied_bytes: client.reply_copied_bytes(),
     }
 }
 
@@ -720,13 +626,14 @@ pub fn run_sweep_resuming(
 ) -> Vec<SweepPoint> {
     cfg.validate();
     let instances = cfg.instances();
+    let workload = cfg.workload();
+    let mut run = cfg.run_config();
     let mut points = Vec::with_capacity(instances.len() * cfg.rates.len());
     for (ii, &(discipline, eviction)) in instances.iter().enumerate() {
-        let label = discipline.name();
-        let ev_label = eviction.name();
+        let labels = (discipline.name(), eviction.name());
         let fault_label = cfg.fault_profile.as_deref().unwrap_or(NO_FAULTS);
         let carried = |rate: f64| {
-            let key = point_key_chaos(POLICY, label, ev_label, fault_label, cfg.hedge, rate);
+            let key = point_key_chaos(POLICY, labels.0, labels.1, fault_label, cfg.hedge, rate);
             existing.iter().find(|p| p.key() == key).cloned()
         };
         if cfg.rates.iter().all(|&r| carried(r).is_some()) {
@@ -739,17 +646,11 @@ pub fn run_sweep_resuming(
                 .expect("bind server sockets"),
         );
         let mut server = start_server(discipline, eviction, cfg, Arc::clone(&transport));
-        if cfg.churn.is_none() {
-            // Churn mode skips the preload: the working set would not
-            // fit anyway, and the churn PUTs build it live.
-            let dataset = Dataset::new(
-                cfg.keys,
-                cfg.large_keys,
-                0.4,
-                cfg.profile.large_max,
-                cfg.seed,
-            );
-            preload(cfg, server_port, &dataset);
+        run.target.set_port(server_port);
+        // Churn mode has no dataset to preload: the working set would not
+        // fit anyway, and the churn PUTs build it live.
+        if let Some(dataset) = workload.dataset() {
+            preload(&run, dataset);
         }
 
         for &rate in &cfg.rates {
@@ -758,86 +659,10 @@ pub fn run_sweep_resuming(
                 continue;
             }
             let server_tx_copied_before = transport.stats().tx_copied_bytes;
-            let per_client_rate = rate / f64::from(cfg.clients);
-            let barrier = Barrier::new(cfg.clients as usize);
-            let reports: Vec<PointReport> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..cfg.clients)
-                    .map(|c| {
-                        let barrier = &barrier;
-                        scope.spawn(move || {
-                            run_point_client(cfg, server_port, c, per_client_rate, barrier)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-
-            let mut latency = LatencyHistogram::new();
-            let mut latency_small = LatencyHistogram::new();
-            let mut latency_large = LatencyHistogram::new();
-            let mut service_latency = LatencyHistogram::new();
-            let (mut sent, mut completed, mut outstanding, mut errors) = (0u64, 0u64, 0u64, 0u64);
-            let (mut timed_out, mut hedges_sent, mut hedge_wins) = (0u64, 0u64, 0u64);
-            let mut accounting_warnings = 0u64;
-            let mut behind_max_ns = 0u64;
-            let mut tx_copied = 0u64;
-            let mut reply_copied = 0u64;
-            for r in &reports {
-                latency.merge(&r.latency);
-                latency_small.merge(&r.latency_small);
-                latency_large.merge(&r.latency_large);
-                service_latency.merge(&r.service_latency);
-                sent += r.sent;
-                completed += r.completed;
-                outstanding += r.outstanding;
-                timed_out += r.timed_out;
-                errors += r.errors;
-                hedges_sent += r.hedges_sent;
-                hedge_wins += r.hedge_wins;
-                accounting_warnings += r.accounting_warnings;
-                behind_max_ns = behind_max_ns.max(r.behind_max_ns);
-                tx_copied += r.tx_copied_bytes;
-                reply_copied += r.reply_copied_bytes;
-            }
-            tx_copied += transport.stats().tx_copied_bytes - server_tx_copied_before;
-
-            let point = SweepPoint {
-                policy: POLICY.to_string(),
-                discipline: label.to_string(),
-                eviction: ev_label.to_string(),
-                offered_rate: rate,
-                duration_s: cfg.duration.as_secs_f64(),
-                clients: u64::from(cfg.clients),
-                cores: cfg.cores as u64,
-                sent,
-                completed,
-                outstanding,
-                timed_out,
-                errors,
-                fault_profile: fault_label.to_string(),
-                hedging: cfg.hedge,
-                hedges_sent,
-                hedge_wins,
-                accounting_warnings,
-                achieved_rate: completed as f64 / cfg.duration.as_secs_f64().max(f64::MIN_POSITIVE),
-                // A timed-out request is explicit loss: it was
-                // abandoned after its retry budget, so it counts
-                // against the §5.4 verdict exactly like a never-
-                // answered one.
-                loss_rate: if sent > 0 {
-                    (outstanding + timed_out) as f64 / sent as f64
-                } else {
-                    0.0
-                },
-                zero_loss: outstanding == 0 && timed_out == 0,
-                behind_max_us: behind_max_ns as f64 / 1e3,
-                latency_us: latency.quantiles(),
-                latency_small_us: latency_small.quantiles(),
-                service_latency_us: service_latency.quantiles(),
-                latency_large_us: latency_large.quantiles(),
-                tx_copied_bytes: tx_copied,
-                reply_copied_bytes: reply_copied,
-            };
+            run.rate = rate;
+            let report = crate::driver::run(&run, &workload).expect("bind client sockets");
+            let server_tx_copied = transport.stats().tx_copied_bytes - server_tx_copied_before;
+            let point = SweepPoint::measured(cfg, labels, rate, &report, server_tx_copied);
             progress(&point);
             points.push(point);
         }

@@ -19,6 +19,7 @@
 //! | Crate | What it provides |
 //! |---|---|
 //! | [`core`] (`minos-core`) | the size-aware sharding engine: controller, allocation, size ranges, threaded server, client; the paper's baselines (HKH, HKH+WS, SHO) are queue disciplines of the same server |
+//! | [`driver`] | the one open-loop client run (§5.4) behind `minos-loadgen` and `minos-figures`: client builder, Poisson schedule, preload, drain, merged report |
 //! | [`kv`] | MICA-style partitioned store (optimistic reads, CREW writes, mempool) |
 //! | [`nic`] | virtual multi-queue NIC (Toeplitz RSS, Flow Director, lock-free rings) |
 //! | [`wire`] | Ethernet/IP/UDP framing, KV message protocol, fragmentation |
@@ -51,10 +52,10 @@
 //! harnesses that regenerate every table and figure of the evaluation.
 
 pub mod figures;
-pub mod preload;
 pub mod report;
 
 pub use minos_core as core;
+pub use minos_driver as driver;
 pub use minos_kv as kv;
 pub use minos_net as net;
 pub use minos_nic as nic;
@@ -64,6 +65,17 @@ pub use minos_sim as sim;
 pub use minos_stats as stats;
 pub use minos_wire as wire;
 pub use minos_workload as workload;
+
+/// Parses the command-line value that follows `flag` (the binaries'
+/// shared `--flag VALUE` rule): "missing value for --flag" when there is
+/// none, "--flag: " and the parse error when it does not parse.
+pub fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let value = value.ok_or_else(|| format!("missing value for {flag}"))?;
+    value.parse().map_err(|e| format!("{flag}: {e}"))
+}
 
 /// Routes human-readable binary output: stdout normally, stderr when
 /// the passed args value has `json == true` (JSON mode reserves stdout

@@ -26,11 +26,12 @@
 use minos::core::client::{Client, Completion, HedgePolicy, RetryPolicy};
 use minos::core::config::ThresholdMode;
 use minos::core::server::{MinosServer, ServerConfig};
+use minos::driver::{DriverClient, RunConfig};
 use minos::net::testport::TestPorts;
-use minos::net::{FaultProfile, FaultTransport, Transport, UdpConfig, UdpTransport};
+use minos::net::{FaultProfile, Transport, UdpConfig, UdpTransport};
 use minos::wire::message::ReplyStatus;
 use std::collections::{HashMap, HashSet};
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, SocketAddrV4};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -53,47 +54,32 @@ fn bind_server(num_queues: u16, batch: usize) -> Arc<UdpTransport> {
     }
 }
 
-/// A client over its own UDP socket, optionally wrapped in the fault
-/// injector, with retry + hedging dialed for the chaos runs: the hedge
-/// delay (<= 3 ms) sits far below the retry timeout (40 ms), so a
+/// A client over its own UDP socket, behind the fault injector when
+/// `fault` is set, with retry + hedging dialed for the chaos runs: the
+/// hedge delay (<= 3 ms) sits far below the retry timeout (40 ms), so a
 /// dropped small request is recovered by its hedge long before the
 /// retransmit path would fire.
 fn chaos_client(
     server: &UdpTransport,
     id: u16,
     batch: usize,
-    profile: Option<FaultProfile>,
-) -> (Arc<FaultTransport<UdpTransport>>, Client) {
-    let udp = Arc::new(
-        UdpTransport::bind_client_with(UdpConfig {
-            batch,
-            pool_slots: 8192,
-            ..UdpConfig::client(Ipv4Addr::LOCALHOST)
-        })
-        .unwrap(),
-    );
-    let endpoint = udp.local_endpoint(0);
-    let fault = Arc::new(FaultTransport::new(
-        Arc::clone(&udp),
-        profile.unwrap_or_default(),
-    ));
-    let mut client = Client::with_transport(
-        Arc::clone(&fault) as Arc<dyn Transport>,
-        endpoint,
-        server.local_endpoint(0),
-        QUEUES,
-        id,
-        0x00C1_1A05 ^ u64::from(id),
-    )
-    .with_retry(RetryPolicy::new(Duration::from_millis(40), 64));
-    if profile.is_some() {
-        client = client.with_hedging(HedgePolicy {
-            percentile: 99.0,
-            min_delay: Duration::from_micros(500),
-            max_delay: Duration::from_millis(3),
-        });
-    }
-    (fault, client)
+    fault: Option<FaultProfile>,
+) -> DriverClient {
+    let hedge = HedgePolicy {
+        percentile: 99.0,
+        min_delay: Duration::from_micros(500),
+        max_delay: Duration::from_millis(3),
+    };
+    let target = SocketAddrV4::new(Ipv4Addr::LOCALHOST, server.base_port());
+    let run = RunConfig {
+        batch,
+        seed: 0x00C1_1A05,
+        retry: Some(RetryPolicy::new(Duration::from_millis(40), 64)),
+        hedge: fault.map(|_| hedge),
+        fault,
+        ..RunConfig::new(target, QUEUES)
+    };
+    run.client(id, true).unwrap()
 }
 
 /// The injected weather for the roundtrip runs: ~2% loss, occasional
@@ -139,7 +125,8 @@ fn chaos_roundtrip(batch: usize) {
         Arc::clone(&transport),
     );
     let registry = server.registry();
-    let (fault, mut client) = chaos_client(&transport, 1, batch, Some(chaos_profile()));
+    let chaos = chaos_client(&transport, 1, batch, Some(chaos_profile()));
+    let (mut client, fault) = (chaos.client, chaos.fault.expect("a fault layer"));
 
     // ---- Phase 1: writes through the weather. ----
     let mut completions = Vec::new();
@@ -280,7 +267,7 @@ fn shed_valve_bounces_large_puts_cleanly() {
     config.minos.shed_watermark = 1;
     let mut server = MinosServer::start_with_transport(config, Arc::clone(&transport));
     let registry = server.registry();
-    let (_fault, mut client) = chaos_client(&transport, 2, 32, None);
+    let mut client = chaos_client(&transport, 2, 32, None).client;
 
     // Burst single-fragment large PUTs (1 KiB > threshold) at unique
     // keys; the tight loop keeps the large queue pressurized.

@@ -3,13 +3,14 @@
 
 use minos::core::client::{Client, RetryPolicy};
 use minos::core::server::{MinosServer, ServerConfig};
+use minos::driver::{DriverClient, RunConfig};
 use minos::kv::{Store, StoreConfig};
 use minos::net::testport::TestPorts;
-use minos::net::{FaultProfile, FaultTransport, Transport, UdpConfig, UdpTransport};
+use minos::net::{FaultProfile, Transport, UdpConfig, UdpTransport};
 use minos::nic::{Delivery, FaultInjector, NicConfig, VirtualNic};
 use minos::wire::frag::FragHeader;
 use minos::wire::packet::{build_frame, Endpoint};
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, SocketAddrV4};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -23,6 +24,18 @@ fn bind_udp_server(num_queues: u16) -> Arc<UdpTransport> {
             return Arc::new(t);
         }
     }
+}
+
+/// Client `id` of a 2-queue `server`, retrying every 50 ms up to 16
+/// times, behind the fault injector when `fault` is set.
+fn udp_client(server: &UdpTransport, id: u16, fault: Option<FaultProfile>) -> DriverClient {
+    let target = SocketAddrV4::new(Ipv4Addr::LOCALHOST, server.base_port());
+    let run = RunConfig {
+        retry: Some(RetryPolicy::new(Duration::from_millis(50), 16)),
+        fault,
+        ..RunConfig::new(target, 2)
+    };
+    run.client(id, true).unwrap()
 }
 
 #[test]
@@ -111,27 +124,9 @@ fn dup_workload(
     config.minos.reassembly_round_ns = 50_000_000;
     let mut server = MinosServer::start_with_transport(config, Arc::clone(&transport));
 
-    let udp = Arc::new(
-        UdpTransport::bind_client_with(UdpConfig {
-            pool_slots: 4096,
-            ..UdpConfig::client(Ipv4Addr::LOCALHOST)
-        })
-        .unwrap(),
-    );
-    let endpoint = udp.local_endpoint(0);
-    let fault = Arc::new(FaultTransport::new(
-        Arc::clone(&udp),
-        profile.unwrap_or_default(),
-    ));
-    let mut client = Client::with_transport(
-        Arc::clone(&fault) as Arc<dyn Transport>,
-        endpoint,
-        transport.local_endpoint(0),
-        2,
-        7,
-        0xD0D0,
-    )
-    .with_retry(RetryPolicy::new(Duration::from_millis(50), 16));
+    let DriverClient {
+        mut client, fault, ..
+    } = udp_client(&transport, 7, profile);
 
     for key in 0..KEYS {
         client.send_put(key, &vec![(key as u8) ^ 0x5A; LEN], true);
@@ -164,7 +159,7 @@ fn dup_workload(
         }
         std::thread::sleep(Duration::from_millis(25));
     };
-    let injected = fault.fault_stats();
+    let injected = fault.map(|f| f.fault_stats()).unwrap_or_default();
     server.shutdown();
     (injected, used, stats.items)
 }
@@ -267,18 +262,7 @@ fn forged_fragments_are_rejected_and_server_stays_up() {
 
     // The store never saw a commit, and a real client still gets
     // ordinary service on the same socket set.
-    let udp =
-        Arc::new(UdpTransport::bind_client_with(UdpConfig::client(Ipv4Addr::LOCALHOST)).unwrap());
-    let endpoint = udp.local_endpoint(0);
-    let mut client = Client::with_transport(
-        Arc::clone(&udp) as Arc<dyn Transport>,
-        endpoint,
-        transport.local_endpoint(0),
-        2,
-        8,
-        0xF06D,
-    )
-    .with_retry(RetryPolicy::new(Duration::from_millis(50), 16));
+    let mut client = udp_client(&transport, 8, None).client;
     client.send_put(42, b"still serving", false);
     assert!(client.drain(Duration::from_secs(10)));
     let store = server.store();

@@ -1,17 +1,16 @@
-//! The loadgen's preload against a real UDP server: every PUT of the
+//! The driver's preload against a real UDP server: every PUT of the
 //! ETC dataset is answered. The dataset's large keys are its last ids —
 //! 100 values of up to 500 KB back to back — and a preload that bounds
 //! only its request count queues that 25 MB into 4 MiB socket buffers
 //! and loses the overflow ("preload lost 320 replies" at the loadgen's
 //! defaults on a 2-vCPU host).
 
-use minos::core::client::Client;
 use minos::core::server::{MinosServer, ServerConfig};
+use minos::driver::{preload, RunConfig};
 use minos::net::testport::TestPorts;
-use minos::net::{Transport, UdpConfig, UdpTransport};
-use minos::preload::preload;
+use minos::net::{UdpConfig, UdpTransport};
 use minos::workload::Dataset;
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, SocketAddrV4};
 use std::sync::Arc;
 
 // Disjoint from chaos (28100–29900) and figures_e2e (26000–28000).
@@ -30,31 +29,22 @@ const SERVER_SOCKET_BYTES: usize = 1 << 20;
 
 #[test]
 fn etc_preload_loses_no_reply() {
-    let server_transport = loop {
+    let (base, server_transport) = loop {
         let base = PORTS.alloc(QUEUES);
         let config = UdpConfig {
             socket_buffer_bytes: SERVER_SOCKET_BYTES,
             ..UdpConfig::loopback(base, QUEUES)
         };
         if let Ok(t) = UdpTransport::bind(config) {
-            break Arc::new(t);
+            break (base, Arc::new(t));
         }
     };
     let mut server = MinosServer::start_with_transport(
         ServerConfig::for_test(QUEUES as usize, KEYS as usize),
-        Arc::clone(&server_transport),
+        server_transport,
     );
-    let client_transport =
-        Arc::new(UdpTransport::bind_client_with(UdpConfig::client(Ipv4Addr::LOCALHOST)).unwrap());
-    let endpoint = client_transport.local_endpoint(0);
-    let mut client = Client::with_transport(
-        client_transport as Arc<dyn Transport>,
-        endpoint,
-        server_transport.local_endpoint(0),
-        QUEUES,
-        99,
-        42,
-    );
+    let run = RunConfig::new(SocketAddrV4::new(Ipv4Addr::LOCALHOST, base), QUEUES);
+    let mut client = run.preloader().unwrap().client;
 
     let dataset = Dataset::new(KEYS, LARGE_KEYS, 0.4, S_LARGE, 42);
     let large_bytes: u64 = (0..KEYS)
@@ -66,7 +56,7 @@ fn etc_preload_loses_no_reply() {
         "the large keys ({large_bytes} B) dwarf the socket buffers"
     );
 
-    assert_eq!(preload(&mut client, &dataset, KEYS), Ok(()));
+    assert_eq!(preload(&mut client, &dataset), Ok(()));
     let totals = client.totals();
     assert_eq!(totals.completed, KEYS, "one reply per key");
     assert_eq!(totals.outstanding(), 0);
