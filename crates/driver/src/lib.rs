@@ -16,13 +16,15 @@
 //! * [`run`] drives the measured clients behind one start barrier and
 //!   drains them; [`RunReport::merge`] folds their reports and checks
 //!   the accounting identity.
+//! * [`RunSummary`] is the one schema of a run's verdict, shared by
+//!   `minos-loadgen --json` and every sweep point.
 //! * [`preload()`] PUTs a dataset through a clean client before the run.
 
 pub mod preload;
 mod report;
 
 pub use preload::{preload, PreloadStalled};
-pub use report::{ClientRun, RunReport};
+pub use report::{quantiles_json, ClientRun, JsonObj, RunReport, RunSummary, NO_FAULTS};
 
 use minos_core::client::{Client, HedgePolicy, RetryPolicy};
 use minos_net::{endpoint_for, FaultProfile, FaultTransport, Transport, UdpConfig, UdpTransport};

@@ -28,10 +28,9 @@
 //! a server logging to the same console. `--help` lists the flags.
 
 use minos::core::client::{ClientTotals, HedgePolicy, RetryPolicy};
-use minos::driver::{RunConfig, RunReport, Workload};
+use minos::driver::{quantiles_json, JsonObj, RunConfig, RunReport, RunSummary, Workload};
 use minos::net::{FaultProfile, UdpIoStats};
-use minos::obs::{MetricsRegistry, Snapshot};
-use minos::report::{self, JsonObj};
+use minos::obs::Snapshot;
 use minos::workload::{ChurnConfig, ChurnGenerator, Dataset, Profile, DEFAULT_PROFILE};
 use minos::{flag_value as value, human};
 use std::net::{Ipv4Addr, SocketAddrV4};
@@ -44,6 +43,8 @@ struct Args {
     keys: u64,
     large_keys: u64,
     churn: Option<ChurnConfig>,
+    /// The `--fault-profile` spec as given (the summary's label).
+    fault_spec: String,
     preload: bool,
     server_stats: Option<String>,
     json: bool,
@@ -135,6 +136,7 @@ fn parse_args() -> Result<Args, String> {
         keys: 100_000,
         large_keys: 100,
         churn: None,
+        fault_spec: minos::driver::NO_FAULTS.into(),
         preload: true,
         server_stats: None,
         json: false,
@@ -193,7 +195,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--fault-profile" => {
                 let spec: String = value(flag, it.next())?;
-                run.fault = Some(FaultProfile::parse(&spec).map_err(|e| format!("{flag}: {e}"))?)
+                run.fault = Some(FaultProfile::parse(&spec).map_err(|e| format!("{flag}: {e}"))?);
+                args.fault_spec = spec;
             }
             "--pin" => run.pin_base = Some(value(flag, it.next())?),
             "--sockbuf" => run.socket_buffer_bytes = value(flag, it.next())?,
@@ -336,20 +339,8 @@ fn main() {
             None => ", zero-loss mode".into(),
         },
     );
-    if let Some(p) = &run.fault {
-        human!(
-            args,
-            "fault injection:  drop={}/{} dup={}/{} reorder<={}/{} delay<={}us/{}us (rx/tx), seed {}",
-            p.rx.drop,
-            p.tx.drop,
-            p.rx.dup,
-            p.tx.dup,
-            p.rx.reorder,
-            p.tx.reorder,
-            p.rx.delay_us,
-            p.tx.delay_us,
-            p.seed,
-        );
+    if run.fault.is_some() {
+        human!(args, "fault injection:  {}", args.fault_spec);
     }
 
     let workload = match args.churn {
@@ -374,11 +365,12 @@ fn main() {
 
     // The measured run: N threads, each open-loop at rate/N.
     let report = minos::driver::run(run, &workload).unwrap_or_else(|e| bind_failed(e));
-    print_report(&args, &report);
+    let summary = RunSummary::new(run, &args.fault_spec, &report);
+    print_report(&args, &report, &summary);
     if args.json {
-        println!("{}", json_report(&args, &report, &read_server_stats(&args)));
+        println!("{}", json_report(&args, &report, &summary));
     }
-    if !report.zero_loss() {
+    if !summary.zero_loss {
         std::process::exit(3);
     }
 }
@@ -390,7 +382,7 @@ fn per(n: u64, d: u64) -> f64 {
 
 /// The human-readable report (the paper's zero-loss + tail
 /// methodology).
-fn print_report(args: &Args, report: &RunReport) {
+fn print_report(args: &Args, report: &RunReport, summary: &RunSummary) {
     let (run, t) = (&args.run, &report.total);
     let (sent, flushes, coalesced_max) = (t.scheduled, t.flushes, t.coalesced_max);
     let (puts_sent, put_value_bytes, tx_dropped) = (t.puts_sent, t.put_value_bytes, t.tx_dropped);
@@ -419,7 +411,7 @@ fn print_report(args: &Args, report: &RunReport) {
         tx_copied_bytes,
         ..
     } = t.io;
-    let (outstanding, warnings) = (report.outstanding(), report.accounting_warnings);
+    let (outstanding, warnings) = (summary.outstanding, summary.accounting_warnings);
     let elapsed = t.elapsed.as_secs_f64();
     human!(args, "");
     human!(args, "== minos-loadgen report ==");
@@ -432,7 +424,7 @@ fn print_report(args: &Args, report: &RunReport) {
     human!(
         args,
         "achieved:         {:.0} ops/s ({completed} ops in {elapsed:.2}s; max scheduling lag {:?})",
-        completed as f64 / elapsed.max(f64::MIN_POSITIVE),
+        summary.achieved_rate,
         Duration::from_nanos(t.behind_max_ns),
     );
     human!(
@@ -552,7 +544,7 @@ fn print_report(args: &Args, report: &RunReport) {
             t.reassembly_evictions,
         );
     }
-    if report.zero_loss() {
+    if summary.zero_loss {
         if retransmits == 0 {
             human!(args, "zero-loss:        PASS (every request completed)");
         } else {
@@ -598,67 +590,13 @@ fn read_server_stats(args: &Args) -> String {
     }
 }
 
-/// The merged run as canonical dotted metrics (`client.*`,
-/// `transport.*`, `pool.*`) — the same registry/snapshot machinery the
-/// server uses, so one consumer can parse both sides of a run.
-fn metrics_json(report: &RunReport) -> String {
-    let t = &report.total;
-    let totals = &t.totals;
-    let io = &t.io;
-    let reg = MetricsRegistry::new();
-    let counters = [
-        ("client.sent", t.scheduled),
-        ("client.completed", totals.completed),
-        ("client.errors", totals.errors),
-        ("client.retransmits", totals.retransmits),
-        ("client.outstanding", report.outstanding()),
-        ("client.timed_out", totals.timed_out),
-        ("client.hedges_sent", totals.hedges_sent),
-        ("client.hedge_wins", totals.hedge_wins),
-        ("client.wasted_replies", totals.wasted_replies),
-        ("client.overloaded", totals.overloaded),
-        ("client.accounting_warnings", report.accounting_warnings),
-        ("client.puts_sent", t.puts_sent),
-        ("client.put_value_bytes", t.put_value_bytes),
-        ("client.reassembly_evictions", t.reassembly_evictions),
-        ("client.reply_copied_bytes", t.reply_copied_bytes),
-        ("client.flushes", t.flushes),
-        ("transport.tx_packets", io.tx_packets),
-        ("transport.rx_packets", io.rx_packets),
-        ("transport.frames_tx", totals.frames_tx),
-        ("transport.frames_rx", totals.frames_rx),
-        ("transport.tx_dropped", t.tx_dropped),
-        ("transport.rx_syscalls", io.rx_syscalls),
-        ("transport.tx_syscalls", io.tx_syscalls),
-        ("transport.tx_copied_bytes", io.tx_copied_bytes),
-        ("transport.tx_trains", io.tx_trains),
-        ("transport.tx_train_packets", io.tx_train_packets),
-        ("transport.rx_trains", io.rx_trains),
-        ("transport.rx_train_packets", io.rx_train_packets),
-        ("pool.hits", io.pool_hits),
-        ("pool.misses", io.pool_misses),
-    ];
-    for (name, v) in counters {
-        reg.counter(name).add(v);
-    }
-    let flag = |on: bool| if on { 1.0 } else { 0.0 };
-    reg.gauge("transport.batched").set(flag(io.batched));
-    reg.gauge("transport.offload").set(flag(io.offload));
-    reg.gauge("pool.outstanding")
-        .set(io.pool_outstanding as f64);
-    reg.gauge("pool.hit_rate").set(io.pool_hit_rate());
-    reg.snapshot().metrics_json()
-}
-
-/// The machine-readable report `--json` prints to stdout, built on
-/// [`minos::report::JsonObj`]. The legacy field names are frozen (CI
-/// parses them; `tests/loadgen_json.rs` pins the top-level set);
-/// `client`, `metrics` and `server_stats` are additive.
-fn json_report(args: &Args, report: &RunReport, server_stats: &str) -> String {
-    let run = &args.run;
-    let t = &report.total;
-    let totals = &t.totals;
-    let io = &t.io;
+/// The machine-readable report `--json` prints to stdout: the run's
+/// [`RunSummary`] (the schema every `minos-figures` sweep point shares),
+/// then every other client counter under `metrics` (the server's names,
+/// `docs/METRICS.md`), the churn working set, the merged server snapshot
+/// and one entry per client thread. `tests/loadgen_json.rs` pins the
+/// top-level keys.
+fn json_report(args: &Args, report: &RunReport, summary: &RunSummary) -> String {
     let per_client: Vec<String> = report
         .clients
         .iter()
@@ -669,58 +607,10 @@ fn json_report(args: &Args, report: &RunReport, server_stats: &str) -> String {
                 .u64("outstanding", r.totals.outstanding())
                 .u64("flushes", r.flushes)
                 .u64("coalesced_max", r.coalesced_max)
-                .raw("latency_us", &report::quantiles_json(r.latency.quantiles()))
+                .raw("latency_us", &quantiles_json(r.latency.quantiles()))
                 .finish()
         })
         .collect();
-    let transport = JsonObj::new()
-        .bool("batched", io.batched)
-        .bool("offload", io.offload)
-        .u64("tx_trains", io.tx_trains)
-        .u64("tx_train_packets", io.tx_train_packets)
-        .u64("rx_trains", io.rx_trains)
-        .u64("rx_train_packets", io.rx_train_packets)
-        .u64("tx_packets", io.tx_packets)
-        .u64("rx_packets", io.rx_packets)
-        .u64("frames_tx", totals.frames_tx)
-        .u64("frames_rx", totals.frames_rx)
-        .u64("tx_dropped", t.tx_dropped)
-        .u64("tx_syscalls", io.tx_syscalls)
-        .u64("rx_syscalls", io.rx_syscalls)
-        .f64("pkts_per_tx_syscall", per(io.tx_packets, io.tx_syscalls), 3)
-        .f64("pkts_per_rx_syscall", per(io.rx_packets, io.rx_syscalls), 3)
-        .u64("tx_copied_bytes", io.tx_copied_bytes)
-        .finish();
-    let coalescing = JsonObj::new()
-        .u64("flushes", t.flushes)
-        .f64("avg_per_flush", per(t.scheduled, t.flushes), 3)
-        .u64("max_per_flush", t.coalesced_max)
-        .finish();
-    let pool = JsonObj::new()
-        .u64("hits", io.pool_hits)
-        .u64("misses", io.pool_misses)
-        .u64("outstanding", io.pool_outstanding)
-        .f64("hit_rate", io.pool_hit_rate(), 6)
-        .finish();
-    let client = JsonObj::new()
-        .u64("reassembly_evictions", t.reassembly_evictions)
-        .u64("reply_copied_bytes", t.reply_copied_bytes)
-        .finish();
-    let fault = match &run.fault {
-        None => "null".to_string(),
-        Some(_) => JsonObj::new()
-            .u64("rx_dropped", t.fault.rx_dropped)
-            .u64("rx_duplicated", t.fault.rx_duplicated)
-            .u64("rx_reordered", t.fault.rx_reordered)
-            .u64("rx_delayed", t.fault.rx_delayed)
-            .u64("rx_blackholed", t.fault.rx_blackholed)
-            .u64("tx_dropped", t.fault.tx_dropped)
-            .u64("tx_duplicated", t.fault.tx_duplicated)
-            .u64("tx_reordered", t.fault.tx_reordered)
-            .u64("tx_delayed", t.fault.tx_delayed)
-            .u64("total", t.fault.total())
-            .finish(),
-    };
     let churn = match &args.churn {
         None => "null".to_string(),
         Some(cfg) => JsonObj::new()
@@ -734,50 +624,12 @@ fn json_report(args: &Args, report: &RunReport, server_stats: &str) -> String {
             )
             .finish(),
     };
-    let elapsed = t.elapsed.as_secs_f64();
-    JsonObj::new()
-        .f64("offered_rate", run.rate, 1)
-        .u64("clients", u64::from(run.clients))
-        .f64("duration_s", run.duration.as_secs_f64(), 3)
-        .f64("elapsed_s", elapsed, 3)
-        .f64(
-            "achieved_rate",
-            totals.completed as f64 / elapsed.max(f64::MIN_POSITIVE),
-            1,
-        )
-        .f64("max_scheduling_lag_us", t.behind_max_ns as f64 / 1e3, 1)
-        .u64("sent", t.scheduled)
-        .u64("completed", totals.completed)
-        .u64("errors", totals.errors)
-        .u64("retransmits", totals.retransmits)
-        .u64("outstanding", report.outstanding())
-        .u64("timed_out", totals.timed_out)
-        .bool("hedging", run.hedge.is_some())
-        .u64("hedges_sent", totals.hedges_sent)
-        .u64("hedge_wins", totals.hedge_wins)
-        .u64("wasted_replies", totals.wasted_replies)
-        .u64("overloaded", totals.overloaded)
-        .u64("accounting_warnings", report.accounting_warnings)
-        .u64("puts_sent", t.puts_sent)
-        .u64("put_value_bytes", t.put_value_bytes)
-        .bool("zero_loss", report.zero_loss())
-        .raw("latency_us", &report::quantiles_json(t.latency.quantiles()))
-        .raw(
-            "latency_large_us",
-            &report::quantiles_json(t.latency_large.quantiles()),
-        )
-        .raw(
-            "service_latency_us",
-            &report::quantiles_json(t.service_latency.quantiles()),
-        )
-        .raw("transport", &transport)
-        .raw("coalescing", &coalescing)
-        .raw("pool", &pool)
-        .raw("client", &client)
-        .raw("fault", &fault)
+    let metrics = report.snapshot().metrics_json();
+    summary
+        .write(JsonObj::new())
+        .raw("metrics", &metrics)
         .raw("churn", &churn)
-        .raw("metrics", &metrics_json(report))
-        .raw("server_stats", server_stats)
+        .raw("server_stats", &read_server_stats(args))
         .raw("per_client", &format!("[{}]", per_client.join(",")))
         .finish()
 }

@@ -15,22 +15,20 @@
 //! the server under test binds one socket per core at
 //! `base_port + queue`, and each point is one open-loop run of
 //! [`crate::driver`] against it. One [`SweepPoint`] is emitted per
-//! (discipline, eviction, rate), rendered from the run's merged
-//! [`RunReport`], serialized as JSON by [`SweepPoint::to_json`] and
-//! parseable back by [`SweepPoint::parse`] — the committed
-//! `BENCH_fig_*.json` files and the CI perf-smoke gates both speak this
-//! schema.
+//! (discipline, eviction, rate): its labels plus the run's
+//! [`RunSummary`], the schema `minos-loadgen --json` shares. It is
+//! serialized as JSON by [`SweepPoint::to_json`] and parsed back by
+//! [`SweepPoint::parse`]; the committed `BENCH_fig_*.json` files and the
+//! CI gates (`tools/gate.py`) both speak it.
 
 use crate::core::client::{HedgePolicy, RetryPolicy};
 use crate::core::dispatch::DisciplineKind;
 use crate::core::server::{MinosServer, ServerConfig};
 use crate::core::MinosConfig;
-use crate::driver::{RunConfig, RunReport, Workload};
+use crate::driver::{JsonObj, RunConfig, RunSummary, Workload, NO_FAULTS};
 use crate::kv::{CapacityConfig, EvictionPolicy};
 use crate::net::{FaultProfile, Transport, UdpConfig, UdpTransport};
 use crate::obs::JsonValue;
-use crate::report::{quantiles_json, JsonObj};
-use crate::stats::Quantiles;
 use crate::workload::{ChurnConfig, ChurnGenerator, Dataset, Profile, DEFAULT_PROFILE};
 use std::net::{Ipv4Addr, SocketAddrV4};
 use std::sync::Arc;
@@ -244,30 +242,14 @@ pub const BUILTIN_DISCIPLINE: &str = "builtin";
 /// parse default for pre-capacity sweep files.
 pub const NO_EVICTION: &str = "none";
 
-/// The fault-profile label of a clean-transport sweep point, and the
-/// parse default for pre-chaos sweep files.
-pub const NO_FAULTS: &str = "none";
-
-/// The `(policy, discipline, rate)` identity of a sweep point —
-/// `--resume` skips a point when an already-written point has the same
-/// key. The rate is compared at the writer's one-decimal precision.
-pub fn point_key(policy: &str, discipline: &str, offered_rate: f64) -> String {
-    point_key_chaos(
-        policy,
-        discipline,
-        NO_EVICTION,
-        NO_FAULTS,
-        false,
-        offered_rate,
-    )
-}
-
-/// [`point_key`] with the eviction and chaos dimensions: churn-sweep
-/// points append `+{eviction}` (so `clock` and `size-aware-clock` runs
-/// stay distinct), fault-injected points `+fault:{spec}` and hedged
-/// points `+hedge`. Classic, clean, unhedged points keep their
-/// historical key unchanged.
-pub fn point_key_chaos(
+/// The identity of a sweep point under `--resume`: a point is skipped
+/// when an already-written point has the same key. Churn-sweep points
+/// append `+{eviction}` (so `clock` and `size-aware-clock` runs stay
+/// distinct), fault-injected points `+fault:{spec}` and hedged points
+/// `+hedge`; classic, clean, unhedged points keep their historical
+/// `{policy}/{discipline}@{rate}` key. The rate is compared at the
+/// writer's one-decimal precision.
+pub fn point_key(
     policy: &str,
     discipline: &str,
     eviction: &str,
@@ -288,8 +270,9 @@ pub fn point_key_chaos(
     format!("{policy}/{discipline}{tags}@{offered_rate:.1}")
 }
 
-/// One measured `(discipline, offered rate)` point — the JSON record
-/// schema of the committed `BENCH_fig_*.json` files.
+/// One measured `(discipline, offered rate)` point: the JSON record
+/// schema of the committed `BENCH_fig_*.json` files: its labels, then
+/// the run's [`RunSummary`] (the schema `minos-loadgen --json` shares).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SweepPoint {
     /// Engine name ([`POLICY`]; older files also hold `hkh` and `sho`).
@@ -300,195 +283,55 @@ pub struct SweepPoint {
     /// Eviction policy name ([`EvictionPolicy::name`]) for churn-sweep
     /// points; [`NO_EVICTION`] for classic rate-sweep points.
     pub eviction: String,
-    /// Offered rate, requests/second (aggregate across clients).
-    pub offered_rate: f64,
-    /// Measured window, seconds.
-    pub duration_s: f64,
-    /// Client threads.
-    pub clients: u64,
-    /// Server cores.
-    pub cores: u64,
-    /// Requests sent in the window.
-    pub sent: u64,
-    /// Replies received (including drain).
-    pub completed: u64,
-    /// Requests never answered — packet loss.
-    pub outstanding: u64,
-    /// Requests abandoned after exhausting their retry budget —
-    /// explicit loss under fault injection (0 on clean sweeps).
-    pub timed_out: u64,
-    /// Error replies (NotFound, OutOfMemory, ...).
-    pub errors: u64,
-    /// The fault-profile grammar string this point ran under
-    /// ([`NO_FAULTS`] for a clean transport).
-    pub fault_profile: String,
-    /// Whether hedged requests were armed on the measured clients.
-    pub hedging: bool,
-    /// Hedge copies transmitted.
-    pub hedges_sent: u64,
-    /// Completions where the hedge copy's reply arrived first.
-    pub hedge_wins: u64,
-    /// Client accounting-identity violations (schedule count vs client
-    /// transmit count, derived outstanding vs pending-table size).
-    /// Anything nonzero voids the point.
-    pub accounting_warnings: u64,
-    /// Completions per second of measured window.
-    pub achieved_rate: f64,
-    /// `outstanding / sent` (0 when nothing was sent).
-    pub loss_rate: f64,
-    /// The paper's §5.4 verdict: every request completed.
-    pub zero_loss: bool,
-    /// Worst scheduling lag any client saw, µs (how far the injector
-    /// itself fell behind its open-loop schedule).
-    pub behind_max_us: f64,
-    /// End-to-end latency from *scheduled arrival* (the
-    /// coordinated-omission-safe measurement; None when nothing
-    /// completed).
-    pub latency_us: Option<Quantiles>,
-    /// Schedule-based latency of small requests only — the tail the
-    /// paper protects and the discipline shoot-out's verdict metric.
-    pub latency_small_us: Option<Quantiles>,
-    /// Latency from first transmission — service time without
-    /// injection lag, for comparison against `latency_us`.
-    pub service_latency_us: Option<Quantiles>,
-    /// Schedule-based latency of large requests only.
-    pub latency_large_us: Option<Quantiles>,
-    /// Value bytes copied on the send path, client + server transports
-    /// (0 = scatter-gather end to end, the asserted invariant).
-    pub tx_copied_bytes: u64,
-    /// Value bytes copied while clients reassembled multi-fragment
-    /// replies (exactly once per received large value byte).
-    pub reply_copied_bytes: u64,
+    /// What the run measured. Its `tx_copied_bytes` counts the server's
+    /// transport as well as the clients'.
+    pub summary: RunSummary,
 }
 
 impl SweepPoint {
     /// Serializes the point as one JSON object (one line of a
     /// `BENCH_fig_*.json` sweep).
     pub fn to_json(&self) -> String {
-        JsonObj::new()
+        let labels = JsonObj::new()
             .str("policy", &self.policy)
             .str("discipline", &self.discipline)
-            .str("eviction", &self.eviction)
-            .f64("offered_rate", self.offered_rate, 1)
-            .f64("duration_s", self.duration_s, 3)
-            .u64("clients", self.clients)
-            .u64("cores", self.cores)
-            .u64("sent", self.sent)
-            .u64("completed", self.completed)
-            .u64("outstanding", self.outstanding)
-            .u64("timed_out", self.timed_out)
-            .u64("errors", self.errors)
-            .str("fault_profile", &self.fault_profile)
-            .bool("hedging", self.hedging)
-            .u64("hedges_sent", self.hedges_sent)
-            .u64("hedge_wins", self.hedge_wins)
-            .u64("accounting_warnings", self.accounting_warnings)
-            .f64("achieved_rate", self.achieved_rate, 1)
-            .f64("loss_rate", self.loss_rate, 6)
-            .bool("zero_loss", self.zero_loss)
-            .f64("behind_max_us", self.behind_max_us, 1)
-            .raw("latency_us", &quantiles_json(self.latency_us))
-            .raw("latency_small_us", &quantiles_json(self.latency_small_us))
-            .raw(
-                "service_latency_us",
-                &quantiles_json(self.service_latency_us),
-            )
-            .raw("latency_large_us", &quantiles_json(self.latency_large_us))
-            .u64("tx_copied_bytes", self.tx_copied_bytes)
-            .u64("reply_copied_bytes", self.reply_copied_bytes)
-            .finish()
+            .str("eviction", &self.eviction);
+        self.summary.write(labels).finish()
     }
 
     /// Parses a point from a [`JsonValue`] object ([`SweepPoint::to_json`]'s
     /// inverse, up to the fixed decimal precision the writer uses).
     pub fn parse(v: &JsonValue) -> Option<SweepPoint> {
-        let u64_of = |k: &str| v.get(k)?.as_num()?.as_u64();
-        let f64_of = |k: &str| v.get(k).and_then(|x| x.as_num()).map(|n| n.as_f64());
-        let bool_of = |k: &str| match v.get(k) {
-            Some(JsonValue::Bool(b)) => Some(*b),
-            _ => None,
+        let label = |k: &str, default: &str| {
+            v.get(k)
+                .and_then(|x| x.as_str())
+                .unwrap_or(default)
+                .to_string()
         };
         Some(SweepPoint {
             policy: v.get("policy")?.as_str()?.to_string(),
             // Pre-discipline sweep files (PR 7's rate sweep) have no
             // discipline field; their points read back as builtin.
-            discipline: v
-                .get("discipline")
-                .and_then(|x| x.as_str())
-                .unwrap_or(BUILTIN_DISCIPLINE)
-                .to_string(),
+            discipline: label("discipline", BUILTIN_DISCIPLINE),
             // Pre-capacity sweep files (PRs 7–8) have no eviction
             // field; their points read back as eviction-free.
-            eviction: v
-                .get("eviction")
-                .and_then(|x| x.as_str())
-                .unwrap_or(NO_EVICTION)
-                .to_string(),
-            offered_rate: f64_of("offered_rate")?,
-            duration_s: f64_of("duration_s")?,
-            clients: u64_of("clients")?,
-            cores: u64_of("cores")?,
-            sent: u64_of("sent")?,
-            completed: u64_of("completed")?,
-            outstanding: u64_of("outstanding")?,
-            // Pre-chaos sweep files (PRs 7–10) have none of the fault /
-            // hedging / accounting fields; their points read back as
-            // clean, unhedged, warning-free runs.
-            timed_out: u64_of("timed_out").unwrap_or(0),
-            errors: u64_of("errors")?,
-            fault_profile: v
-                .get("fault_profile")
-                .and_then(|x| x.as_str())
-                .unwrap_or(NO_FAULTS)
-                .to_string(),
-            hedging: bool_of("hedging").unwrap_or(false),
-            hedges_sent: u64_of("hedges_sent").unwrap_or(0),
-            hedge_wins: u64_of("hedge_wins").unwrap_or(0),
-            accounting_warnings: u64_of("accounting_warnings").unwrap_or(0),
-            achieved_rate: f64_of("achieved_rate")?,
-            loss_rate: f64_of("loss_rate")?,
-            zero_loss: bool_of("zero_loss")?,
-            behind_max_us: f64_of("behind_max_us")?,
-            latency_us: parse_quantiles(v.get("latency_us")),
-            latency_small_us: parse_quantiles(v.get("latency_small_us")),
-            service_latency_us: parse_quantiles(v.get("service_latency_us")),
-            latency_large_us: parse_quantiles(v.get("latency_large_us")),
-            tx_copied_bytes: u64_of("tx_copied_bytes")?,
-            reply_copied_bytes: u64_of("reply_copied_bytes")?,
+            eviction: label("eviction", NO_EVICTION),
+            summary: RunSummary::parse(v)?,
         })
     }
 
-    /// This point's [`point_key_chaos`] — its identity under `--resume`.
+    /// This point's [`point_key`]: its identity under `--resume`.
     pub fn key(&self) -> String {
-        point_key_chaos(
+        let s = &self.summary;
+        point_key(
             &self.policy,
             &self.discipline,
             &self.eviction,
-            &self.fault_profile,
-            self.hedging,
-            self.offered_rate,
+            &s.fault_profile,
+            s.hedging,
+            s.offered_rate,
         )
     }
-}
-
-/// Parses the [`quantiles_json`] rendering (`null` → `None`).
-fn parse_quantiles(v: Option<&JsonValue>) -> Option<Quantiles> {
-    let v = v?;
-    if matches!(v, JsonValue::Null) {
-        return None;
-    }
-    let f = |k: &str| v.get(k).and_then(|x| x.as_num()).map(|n| n.as_f64());
-    Some(Quantiles {
-        count: v.get("count")?.as_num()?.as_u64()?,
-        mean_us: f("mean_us")?,
-        p50_us: f("p50_us")?,
-        p90_us: f("p90_us")?,
-        p95_us: f("p95_us")?,
-        p99_us: f("p99_us")?,
-        p999_us: f("p999_us")?,
-        p9999_us: f("p9999_us")?,
-        max_us: f("max_us")?,
-    })
 }
 
 /// Starts a server running `discipline` (and `eviction`, in churn mode)
@@ -547,78 +390,16 @@ fn preload(run: &RunConfig, dataset: &Dataset) {
     );
 }
 
-impl SweepPoint {
-    /// The point one run measured. `server_tx_copied` is what the
-    /// server's transport copied on its send path during the run; the
-    /// point's `tx_copied_bytes` adds the clients'.
-    fn measured(
-        cfg: &SweepConfig,
-        (discipline, eviction): (&str, &str),
-        rate: f64,
-        report: &RunReport,
-        server_tx_copied: u64,
-    ) -> SweepPoint {
-        let t = &report.total;
-        let (sent, outstanding, timed_out) =
-            (t.scheduled, report.outstanding(), t.totals.timed_out);
-        SweepPoint {
-            policy: POLICY.to_string(),
-            discipline: discipline.to_string(),
-            eviction: eviction.to_string(),
-            offered_rate: rate,
-            duration_s: cfg.duration.as_secs_f64(),
-            clients: u64::from(cfg.clients),
-            cores: cfg.cores as u64,
-            sent,
-            completed: t.totals.completed,
-            outstanding,
-            timed_out,
-            errors: t.totals.errors,
-            fault_profile: cfg
-                .fault_profile
-                .as_deref()
-                .unwrap_or(NO_FAULTS)
-                .to_string(),
-            hedging: cfg.hedge,
-            hedges_sent: t.totals.hedges_sent,
-            hedge_wins: t.totals.hedge_wins,
-            accounting_warnings: report.accounting_warnings,
-            achieved_rate: t.totals.completed as f64
-                / cfg.duration.as_secs_f64().max(f64::MIN_POSITIVE),
-            // A timed-out request is explicit loss: it was abandoned
-            // after its retry budget, so it counts against the §5.4
-            // verdict exactly like a never-answered one.
-            loss_rate: if sent > 0 {
-                (outstanding + timed_out) as f64 / sent as f64
-            } else {
-                0.0
-            },
-            zero_loss: report.zero_loss(),
-            behind_max_us: t.behind_max_ns as f64 / 1e3,
-            latency_us: t.latency.quantiles(),
-            latency_small_us: t.latency_small.quantiles(),
-            service_latency_us: t.service_latency.quantiles(),
-            latency_large_us: t.latency_large.quantiles(),
-            tx_copied_bytes: t.io.tx_copied_bytes + server_tx_copied,
-            reply_copied_bytes: t.reply_copied_bytes,
-        }
-    }
-}
-
 /// Runs the full sweep: for each `(discipline, eviction)` instance, bind
 /// a UDP server, preload the dataset once, then measure every rate in
-/// `cfg.rates` in order. `progress` sees each completed point as it
-/// lands (the CLI streams them as JSON lines).
-pub fn run_sweep(cfg: &SweepConfig, progress: impl FnMut(&SweepPoint)) -> Vec<SweepPoint> {
-    run_sweep_resuming(cfg, &[], progress)
-}
-
-/// [`run_sweep`], resuming an interrupted sweep: any `(discipline,
-/// eviction, rate)` point whose [`point_key`] already appears in
-/// `existing` is carried over verbatim instead of re-measured — an
-/// instance none of whose rates are missing is never even bound. The
-/// returned vector holds carried and fresh points in sweep order;
-/// `progress` sees only the freshly measured ones.
+/// `cfg.rates` in order. `progress` sees each freshly measured point as
+/// it lands (the CLI streams them as JSON lines).
+///
+/// Resumes an interrupted sweep: any `(discipline, eviction, rate)`
+/// point whose [`point_key`] already appears in `existing` is carried
+/// over verbatim instead of re-measured, and an instance none of whose
+/// rates are missing is never even bound. The returned vector holds
+/// carried and fresh points in sweep order.
 pub fn run_sweep_resuming(
     cfg: &SweepConfig,
     existing: &[SweepPoint],
@@ -633,7 +414,7 @@ pub fn run_sweep_resuming(
         let labels = (discipline.name(), eviction.name());
         let fault_label = cfg.fault_profile.as_deref().unwrap_or(NO_FAULTS);
         let carried = |rate: f64| {
-            let key = point_key_chaos(POLICY, labels.0, labels.1, fault_label, cfg.hedge, rate);
+            let key = point_key(POLICY, labels.0, labels.1, fault_label, cfg.hedge, rate);
             existing.iter().find(|p| p.key() == key).cloned()
         };
         if cfg.rates.iter().all(|&r| carried(r).is_some()) {
@@ -662,7 +443,14 @@ pub fn run_sweep_resuming(
             run.rate = rate;
             let report = crate::driver::run(&run, &workload).expect("bind client sockets");
             let server_tx_copied = transport.stats().tx_copied_bytes - server_tx_copied_before;
-            let point = SweepPoint::measured(cfg, labels, rate, &report, server_tx_copied);
+            let mut summary = RunSummary::new(&run, fault_label, &report);
+            summary.tx_copied_bytes += server_tx_copied;
+            let point = SweepPoint {
+                policy: POLICY.to_string(),
+                discipline: labels.0.to_string(),
+                eviction: labels.1.to_string(),
+                summary,
+            };
             progress(&point);
             points.push(point);
         }
@@ -684,6 +472,12 @@ mod tests {
             policy: "minos".into(),
             discipline: "size-aware".into(),
             eviction: NO_EVICTION.into(),
+            summary: sample_summary(),
+        }
+    }
+
+    fn sample_summary() -> RunSummary {
+        RunSummary {
             offered_rate: 20_000.0,
             duration_s: 5.0,
             clients: 2,
@@ -702,7 +496,7 @@ mod tests {
             loss_rate: 0.0001,
             zero_loss: false,
             behind_max_us: 1_234.5,
-            latency_us: Some(Quantiles {
+            latency_us: Some(crate::stats::Quantiles {
                 count: 99_990,
                 mean_us: 42.0,
                 p50_us: 30.0,
@@ -747,8 +541,9 @@ mod tests {
     fn point_keys_compare_at_writer_precision() {
         let p = sample_point();
         assert_eq!(p.key(), "minos/size-aware@20000.0");
-        assert_eq!(p.key(), point_key("minos", "size-aware", 20_000.04));
-        assert_ne!(p.key(), point_key("minos", "cfcfs", 20_000.0));
+        let key = |discipline, rate| point_key("minos", discipline, "none", "none", false, rate);
+        assert_eq!(p.key(), key("size-aware", 20_000.04));
+        assert_ne!(p.key(), key("cfcfs", 20_000.0));
     }
 
     #[test]
@@ -776,11 +571,11 @@ mod tests {
         // clean run of the same (policy, discipline, rate) under
         // --resume, and must round-trip through JSON.
         let mut p = sample_point();
-        p.fault_profile = "drop=0.01,reorder=8,seed=42".into();
-        p.hedging = true;
-        p.timed_out = 2;
-        p.hedges_sent = 150;
-        p.hedge_wins = 40;
+        p.summary.fault_profile = "drop=0.01,reorder=8,seed=42".into();
+        p.summary.hedging = true;
+        p.summary.timed_out = 2;
+        p.summary.hedges_sent = 150;
+        p.summary.hedge_wins = 40;
         assert_eq!(
             p.key(),
             "minos/size-aware+fault:drop=0.01,reorder=8,seed=42+hedge@20000.0"
@@ -824,7 +619,10 @@ mod tests {
                 cfg.rates.iter().map(move |&rate| SweepPoint {
                     discipline: discipline.name().into(),
                     eviction: eviction.name().into(),
-                    offered_rate: rate,
+                    summary: RunSummary {
+                        offered_rate: rate,
+                        ..sample_summary()
+                    },
                     ..sample_point()
                 })
             })

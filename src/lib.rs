@@ -52,7 +52,6 @@
 //! harnesses that regenerate every table and figure of the evaluation.
 
 pub mod figures;
-pub mod report;
 
 pub use minos_core as core;
 pub use minos_driver as driver;

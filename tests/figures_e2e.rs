@@ -4,7 +4,7 @@
 //! latency histogram the figures report.
 
 use minos::core::dispatch::DisciplineKind;
-use minos::figures::{run_sweep, run_sweep_resuming, SweepConfig, POLICY};
+use minos::figures::{run_sweep_resuming, SweepConfig, POLICY};
 use minos::net::testport::TestPorts;
 use std::time::Duration;
 
@@ -22,7 +22,7 @@ fn mini_sweep_two_policies_two_rates() {
     cfg.large_keys = 4;
 
     let mut streamed = 0usize;
-    let points = run_sweep(&cfg, |_| streamed += 1);
+    let points = run_sweep_resuming(&cfg, &[], |_| streamed += 1);
 
     assert_eq!(points.len(), 4, "2 disciplines x 2 rates");
     assert_eq!(streamed, points.len(), "progress sees every point");
@@ -35,22 +35,24 @@ fn mini_sweep_two_policies_two_rates() {
         assert_eq!(of_discipline.len(), rates.len());
         // Rates swept in the order configured (ascending here).
         for (point, &rate) in of_discipline.iter().zip(&rates) {
-            assert_eq!(point.offered_rate, rate);
+            assert_eq!(point.summary.offered_rate, rate);
             // One engine: every point is labelled with it.
             assert_eq!(point.policy, POLICY);
-            assert!(point.sent > 0, "{}: nothing sent", point.discipline);
+            assert!(point.summary.sent > 0, "{}: nothing sent", point.discipline);
             // Far below loopback capacity: every request completes.
             assert!(
-                point.completed > 0,
+                point.summary.completed > 0,
                 "{} @ {}: nothing completed",
                 point.discipline,
                 rate
             );
             let q = point
+                .summary
                 .latency_us
                 .expect("schedule-based histogram populated");
             assert!(q.count > 0 && q.p99_us > 0.0);
             let svc = point
+                .summary
                 .service_latency_us
                 .expect("service histogram populated");
             assert_eq!(q.count, svc.count, "same samples in both clocks");
@@ -63,7 +65,7 @@ fn mini_sweep_two_policies_two_rates() {
             .expect("point round-trips");
             assert_eq!(parsed.policy, point.policy);
             assert_eq!(parsed.discipline, point.discipline);
-            assert_eq!(parsed.completed, point.completed);
+            assert_eq!(parsed.summary.completed, point.summary.completed);
         }
     }
 
@@ -71,7 +73,7 @@ fn mini_sweep_two_policies_two_rates() {
     // populated wherever small requests completed.
     assert!(points
         .iter()
-        .any(|p| p.latency_small_us.is_some_and(|q| q.count > 0)));
+        .any(|p| p.summary.latency_small_us.is_some_and(|q| q.count > 0)));
 
     // --resume over the finished sweep re-measures nothing: every
     // (discipline, rate) key is already present, so no server

@@ -8,6 +8,7 @@
 //! round-trips the same way.
 
 use minos::core::dispatch::DisciplineKind;
+use minos::driver::RunSummary;
 use minos::figures::{SweepPoint, BUILTIN_DISCIPLINE, POLICY};
 use minos::obs::JsonValue;
 use minos::stats::Quantiles;
@@ -94,35 +95,37 @@ fn point_strategy() -> impl Strategy<Value = SweepPoint> {
                     policy: POLICIES[policy_ix].to_string(),
                     discipline: discipline_names()[discipline_ix].to_string(),
                     eviction: EVICTIONS[eviction_ix].to_string(),
-                    // Rates at the writer's 0.1 precision stay exact.
-                    offered_rate: f64::from(rate_mhz) / 10.0,
-                    duration_s: 2.5,
-                    clients,
-                    cores,
-                    sent,
-                    completed,
-                    outstanding,
-                    errors,
-                    achieved_rate: f64::from(rate_mhz) / 20.0,
-                    loss_rate: if sent > 0 {
-                        outstanding as f64 / sent as f64
-                    } else {
-                        0.0
+                    summary: RunSummary {
+                        // Rates at the writer's 0.1 precision stay exact.
+                        offered_rate: f64::from(rate_mhz) / 10.0,
+                        duration_s: 2.5,
+                        clients,
+                        cores,
+                        sent,
+                        completed,
+                        outstanding,
+                        errors,
+                        achieved_rate: f64::from(rate_mhz) / 20.0,
+                        loss_rate: if sent > 0 {
+                            outstanding as f64 / sent as f64
+                        } else {
+                            0.0
+                        },
+                        zero_loss,
+                        behind_max_us: f64::from(behind_us) / 10.0,
+                        latency_us,
+                        latency_small_us,
+                        service_latency_us,
+                        latency_large_us,
+                        tx_copied_bytes,
+                        reply_copied_bytes,
+                        timed_out,
+                        fault_profile: FAULTS[fault_ix].to_string(),
+                        hedging,
+                        hedges_sent,
+                        hedge_wins,
+                        accounting_warnings,
                     },
-                    zero_loss,
-                    behind_max_us: f64::from(behind_us) / 10.0,
-                    latency_us,
-                    latency_small_us,
-                    service_latency_us,
-                    latency_large_us,
-                    tx_copied_bytes,
-                    reply_copied_bytes,
-                    timed_out,
-                    fault_profile: FAULTS[fault_ix].to_string(),
-                    hedging,
-                    hedges_sent,
-                    hedge_wins,
-                    accounting_warnings,
                 }
             },
         )
@@ -141,30 +144,30 @@ proptest! {
         prop_assert_eq!(&parsed.policy, &point.policy);
         prop_assert_eq!(&parsed.discipline, &point.discipline);
         prop_assert_eq!(&parsed.eviction, &point.eviction);
-        prop_assert_eq!(parsed.clients, point.clients);
-        prop_assert_eq!(parsed.cores, point.cores);
-        prop_assert_eq!(parsed.sent, point.sent);
-        prop_assert_eq!(parsed.completed, point.completed);
-        prop_assert_eq!(parsed.outstanding, point.outstanding);
-        prop_assert_eq!(parsed.errors, point.errors);
-        prop_assert_eq!(parsed.zero_loss, point.zero_loss);
-        prop_assert_eq!(parsed.tx_copied_bytes, point.tx_copied_bytes);
-        prop_assert_eq!(parsed.reply_copied_bytes, point.reply_copied_bytes);
+        prop_assert_eq!(parsed.summary.clients, point.summary.clients);
+        prop_assert_eq!(parsed.summary.cores, point.summary.cores);
+        prop_assert_eq!(parsed.summary.sent, point.summary.sent);
+        prop_assert_eq!(parsed.summary.completed, point.summary.completed);
+        prop_assert_eq!(parsed.summary.outstanding, point.summary.outstanding);
+        prop_assert_eq!(parsed.summary.errors, point.summary.errors);
+        prop_assert_eq!(parsed.summary.zero_loss, point.summary.zero_loss);
+        prop_assert_eq!(parsed.summary.tx_copied_bytes, point.summary.tx_copied_bytes);
+        prop_assert_eq!(parsed.summary.reply_copied_bytes, point.summary.reply_copied_bytes);
         prop_assert_eq!(
-            parsed.latency_us.map(|q| q.count),
-            point.latency_us.map(|q| q.count)
+            parsed.summary.latency_us.map(|q| q.count),
+            point.summary.latency_us.map(|q| q.count)
         );
         prop_assert_eq!(
-            parsed.latency_small_us.is_some(),
-            point.latency_small_us.is_some()
+            parsed.summary.latency_small_us.is_some(),
+            point.summary.latency_small_us.is_some()
         );
         prop_assert_eq!(
-            parsed.service_latency_us.is_some(),
-            point.service_latency_us.is_some()
+            parsed.summary.service_latency_us.is_some(),
+            point.summary.service_latency_us.is_some()
         );
         prop_assert_eq!(
-            parsed.latency_large_us.is_some(),
-            point.latency_large_us.is_some()
+            parsed.summary.latency_large_us.is_some(),
+            point.summary.latency_large_us.is_some()
         );
 
         // The --resume identity survives the round trip.

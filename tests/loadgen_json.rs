@@ -1,8 +1,11 @@
 //! `minos-loadgen --json` against an in-process server over real UDP:
-//! the report's top-level keys are the ones `ci.yml` and `tools/gate_*.py`
-//! read, so their set is pinned here rather than left for CI to notice.
+//! the report is the run's `RunSummary` (the schema every sweep point
+//! shares) plus `metrics`, `churn`, `server_stats` and `per_client`.
+//! `tools/gate.py` reads these keys, so their set is pinned here rather
+//! than left for CI to notice.
 
 use minos::core::server::{MinosServer, ServerConfig};
+use minos::driver::RunSummary;
 use minos::net::testport::TestPorts;
 use minos::net::{UdpConfig, UdpTransport};
 use minos::obs::JsonValue;
@@ -16,11 +19,10 @@ const QUEUES: u16 = 2;
 
 /// In order, as the report prints them.
 const TOP_LEVEL_KEYS: &str = "\
-    offered_rate clients duration_s elapsed_s achieved_rate max_scheduling_lag_us sent \
-    completed errors retransmits outstanding timed_out hedging hedges_sent hedge_wins \
-    wasted_replies overloaded accounting_warnings puts_sent put_value_bytes zero_loss \
-    latency_us latency_large_us service_latency_us transport coalescing pool client fault churn \
-    metrics server_stats per_client";
+    offered_rate duration_s clients cores sent completed outstanding timed_out errors \
+    fault_profile hedging hedges_sent hedge_wins accounting_warnings achieved_rate \
+    loss_rate zero_loss behind_max_us latency_us latency_small_us service_latency_us \
+    latency_large_us tx_copied_bytes reply_copied_bytes metrics churn server_stats per_client";
 
 #[test]
 fn json_report_keeps_its_top_level_keys() {
@@ -59,13 +61,28 @@ fn json_report_keeps_its_top_level_keys() {
         .map(|(k, _)| k.as_str())
         .collect();
     assert_eq!(keys, TOP_LEVEL_KEYS.split_whitespace().collect::<Vec<_>>());
-    let num = |k: &str| report.get(k).and_then(|v| v.as_num()?.as_u64()).unwrap();
-    assert_eq!(
-        num("sent"),
-        num("completed") + num("outstanding") + num("timed_out")
-    );
-    assert_eq!(num("accounting_warnings"), 0);
-    assert_eq!(report.get("zero_loss"), Some(&JsonValue::Bool(true)));
+
+    // The summary parses with the function `SweepPoint::parse` uses.
+    let s = RunSummary::parse(&report).expect("the report carries a run summary");
+    assert_eq!(s.sent, s.completed + s.outstanding + s.timed_out);
+    assert_eq!(s.accounting_warnings, 0);
+    assert!(s.zero_loss);
+    assert_eq!((s.clients, s.cores), (2, u64::from(QUEUES)));
+
+    // No value twice: the summary's counters are not repeated under
+    // `metrics`, which holds the rest under the server's names.
+    let metrics = report.get("metrics").and_then(|m| m.as_obj()).unwrap();
+    let names: Vec<&str> = metrics.iter().map(|(k, _)| k.as_str()).collect();
+    for repeated in [
+        "client.sent",
+        "client.completed",
+        "transport.tx_copied_bytes",
+    ] {
+        assert!(!names.contains(&repeated), "{repeated} is a summary field");
+    }
+    for canonical in ["transport.tx_packets", "pool.hit_rate", "client.puts_sent"] {
+        assert!(names.contains(&canonical), "{canonical} missing");
+    }
     let per_client = report.get("per_client").and_then(|v| v.as_array()).unwrap();
     assert_eq!(per_client.len(), 2, "one entry per client thread");
 }
