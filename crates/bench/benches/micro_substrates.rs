@@ -1,12 +1,15 @@
 //! Criterion microbenchmarks of the substrates on the datapath:
 //! KV GET/PUT, RSS hashing, zipfian sampling, histogram updates,
-//! fragmentation round trips, NIC ring bursts and real-UDP loopback
-//! sends and receives (one datagram; eight small replies sent one by
-//! one, as one burst and as one burst of bundles; a 500 KB reply's 344
-//! fragments).
+//! fragmentation round trips, NIC ring bursts, a handoff through a
+//! software queue and real-UDP loopback sends and receives (one
+//! datagram; eight small replies sent one by one, as one burst and as
+//! one burst of bundles; a 500 KB reply's 344 fragments).
+//!
+//! `tools/bench_micro.sh` runs them into `BENCH_micro.json`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use minos_core::server::{transmit_message, TxBurst};
+use crossbeam::queue::ArrayQueue;
+use minos_core::server::{transmit_message, Handoff, ServerRequest, TxBurst};
 use minos_kv::{CapacityConfig, EvictionPolicy, Store, StoreConfig};
 use minos_net::{Transport, UdpConfig, UdpTransport};
 use minos_nic::{NicConfig, RssHasher, VirtualNic};
@@ -265,6 +268,41 @@ fn bench_net_loopback(c: &mut Criterion) {
     });
 }
 
+/// One request handed off through a 65 536-slot software queue, pushed
+/// and popped: the ring holding the `Handoff` inline (120-byte slots)
+/// against boxed (16-byte slots, plus an allocation and a free per
+/// handoff). On one thread the free never crosses cores, which is what
+/// makes the server's rings reuse their boxes instead.
+fn bench_handoff_ring(c: &mut Criterion) {
+    let handoff = || {
+        Handoff::Request(ServerRequest {
+            msg: Message {
+                client_id: 1,
+                request_id: 1,
+                client_ts_ns: 0,
+                body: Body::Get { key: 1 },
+            },
+            reply_to: Endpoint::host(1, 100),
+            accepts_bundles: true,
+            arrival_ns: 0,
+        })
+    };
+    let inline = ArrayQueue::new(1 << 16);
+    c.bench_function("core/handoff_ring/inline", |b| {
+        b.iter(|| {
+            inline.push(black_box(handoff())).unwrap();
+            black_box(inline.pop())
+        })
+    });
+    let boxed = ArrayQueue::new(1 << 16);
+    c.bench_function("core/handoff_ring/boxed", |b| {
+        b.iter(|| {
+            boxed.push(Box::new(black_box(handoff()))).unwrap();
+            black_box(boxed.pop())
+        })
+    });
+}
+
 fn bench_nic(c: &mut Criterion) {
     let nic = VirtualNic::new(NicConfig::new(8));
     let frame = build_frame(Endpoint::host(1, 100), Endpoint::host(2, 9003), &[0u8; 64]);
@@ -286,7 +324,7 @@ fn bench_nic(c: &mut Criterion) {
 criterion_group!(
     name = micro;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_kv, bench_rss, bench_zipf, bench_hist, bench_wire, bench_nic, bench_net_loopback
+    targets = bench_kv, bench_rss, bench_zipf, bench_hist, bench_wire, bench_nic, bench_handoff_ring, bench_net_loopback
 );
 // Only the routine is timed, and the eviction benches' untimed setup is
 // a hundred times their routine: 20 ms of passes is ~2 s of wall time.

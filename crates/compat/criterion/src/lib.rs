@@ -5,11 +5,18 @@
 //! `BenchmarkGroup`, `Bencher::{iter, iter_batched}`, `BatchSize`,
 //! `black_box`, `criterion_group!` and `criterion_main!`.
 //!
-//! Measurement is intentionally simple — a warm-up pass followed by a
-//! timed pass, reporting mean ns/iter — with none of criterion's
-//! statistics. Good enough to run the harnesses and eyeball regressions.
+//! Measurement is a warm-up followed by at least [`MIN_SAMPLES`] timed
+//! samples that share the measurement time; each sample yields one
+//! ns/iter figure. A row reports their median and quartiles, none of
+//! criterion's other statistics, on two stdout lines: a human one and
+//! one JSON object,
+//! `{"bench":NAME,"median_ns":M,"q1_ns":Q1,"q3_ns":Q3,"samples":N,"iters":I}`.
 
 use std::time::{Duration, Instant};
+
+/// The fewest samples a row is reported over, whatever `sample_size`
+/// asks for.
+pub const MIN_SAMPLES: usize = 10;
 
 /// Opaque-to-the-optimizer identity, re-exported from `std::hint`.
 pub fn black_box<T>(x: T) -> T {
@@ -36,27 +43,38 @@ pub struct Bencher<'a> {
 }
 
 impl Bencher<'_> {
-    /// Times `routine`, printing mean ns/iter.
+    /// The routine time each sample aims for.
+    fn sample_budget(&self) -> Duration {
+        self.config.measurement_time / self.config.samples as u32
+    }
+
+    /// Times `routine`: each sample runs it as many times as the
+    /// warm-up's pace says fit the sample's share of the measurement
+    /// time.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        // Warm-up.
-        let warm_deadline = Instant::now() + self.config.warm_up_time;
-        while Instant::now() < warm_deadline {
+        let warm = Instant::now();
+        let mut warm_iters = 0u64;
+        while warm.elapsed() < self.config.warm_up_time {
             black_box(routine());
+            warm_iters += 1;
         }
-        let mut iters = 0u64;
-        let start = Instant::now();
-        let deadline = start + self.config.measurement_time;
-        while Instant::now() < deadline {
-            for _ in 0..64 {
-                black_box(routine());
-            }
-            iters += 64;
-        }
-        report(&self.name, start.elapsed(), iters);
+        let pace = warm.elapsed().as_nanos() as f64 / warm_iters.max(1) as f64;
+        let iters = (self.sample_budget().as_nanos() as f64 / pace.max(1.0)).max(1.0) as u64;
+        let samples = (0..self.config.samples)
+            .map(|_| {
+                let t = Instant::now();
+                for _ in 0..iters {
+                    black_box(routine());
+                }
+                t.elapsed().as_nanos() as f64 / iters as f64
+            })
+            .collect();
+        report(&self.name, samples, iters * self.config.samples as u64);
     }
 
     /// Times `routine` on inputs produced by `setup`; setup time is
-    /// excluded from the measurement.
+    /// excluded from the measurement. Each sample runs batches until
+    /// its routine time reaches its share of the measurement time.
     pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, size: BatchSize)
     where
         S: FnMut() -> I,
@@ -72,33 +90,45 @@ impl Bencher<'_> {
         } else {
             64
         };
-        let mut iters = 0u64;
-        let mut spent = Duration::ZERO;
-        while spent < self.config.measurement_time {
-            let mut inputs = Vec::with_capacity(batch);
-            for _ in 0..batch {
-                inputs.push(setup());
-            }
-            let t = Instant::now();
-            for input in inputs {
-                black_box(routine(input));
-            }
-            spent += t.elapsed();
-            iters += batch as u64;
-        }
-        report(&self.name, spent, iters);
+        let budget = self.sample_budget();
+        let mut total = 0u64;
+        let samples = (0..self.config.samples)
+            .map(|_| {
+                let (mut spent, mut iters) = (Duration::ZERO, 0u64);
+                while spent < budget {
+                    let inputs: Vec<I> = (0..batch).map(|_| setup()).collect();
+                    let t = Instant::now();
+                    for input in inputs {
+                        black_box(routine(input));
+                    }
+                    spent += t.elapsed();
+                    iters += batch as u64;
+                }
+                total += iters;
+                spent.as_nanos() as f64 / iters as f64
+            })
+            .collect();
+        report(&self.name, samples, total);
     }
 }
 
-fn report(name: &str, elapsed: Duration, iters: u64) {
-    let ns = elapsed.as_nanos() as f64 / iters.max(1) as f64;
-    println!("bench: {name:<40} {ns:>12.1} ns/iter  ({iters} iters)");
+/// Prints one row: the human line, then its JSON object.
+fn report(name: &str, mut samples: Vec<f64>, iters: u64) {
+    samples.sort_by(f64::total_cmp);
+    let quantile = |q: f64| samples[((samples.len() - 1) as f64 * q).round() as usize];
+    let (q1, median, q3) = (quantile(0.25), quantile(0.5), quantile(0.75));
+    let n = samples.len();
+    println!("bench: {name:<40} {median:>12.1} ns/iter  [{q1:.1}, {q3:.1}]  ({n} samples, {iters} iters)");
+    println!(
+        "{{\"bench\":\"{name}\",\"median_ns\":{median:.1},\"q1_ns\":{q1:.1},\"q3_ns\":{q3:.1},\"samples\":{n},\"iters\":{iters}}}"
+    );
 }
 
 #[derive(Clone, Debug)]
 struct Config {
     warm_up_time: Duration,
     measurement_time: Duration,
+    samples: usize,
 }
 
 impl Default for Config {
@@ -106,6 +136,7 @@ impl Default for Config {
         Config {
             warm_up_time: Duration::from_millis(200),
             measurement_time: Duration::from_millis(500),
+            samples: MIN_SAMPLES,
         }
     }
 }
@@ -117,9 +148,10 @@ pub struct Criterion {
 }
 
 impl Criterion {
-    /// Sets the nominal sample count (ignored by this shim; kept for
-    /// API compatibility).
-    pub fn sample_size(self, _n: usize) -> Self {
+    /// Sets the number of samples per benchmark (at least
+    /// [`MIN_SAMPLES`]).
+    pub fn sample_size(mut self, n: usize) -> Self {
+        self.config.samples = n.max(MIN_SAMPLES);
         self
     }
 
@@ -174,8 +206,10 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Overrides the sample count for the group (ignored).
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
+    /// Overrides the sample count for the group (at least
+    /// [`MIN_SAMPLES`]).
+    pub fn sample_size(&mut self, n: usize) -> &mut Self {
+        self.criterion.config.samples = n.max(MIN_SAMPLES);
         self
     }
 

@@ -1,5 +1,6 @@
-//! A partition's item table: mutex-guarded item slots behind a LIFO
-//! freelist, plus one-bit-per-slot `occupied` and `referenced` bitmaps
+//! A partition's item table: mutex-guarded item slots handed out from a
+//! LIFO stack of freed slots, else fresh at the high-water mark, plus
+//! one-bit-per-slot `occupied` and `referenced` bitmaps
 //! so the CLOCK eviction hand and the TTL sweep move 64 slots per load
 //! and lock only the slots they act on.
 
@@ -60,7 +61,10 @@ fn bits(mut word: u64) -> impl Iterator<Item = u32> {
 #[derive(Debug)]
 pub(crate) struct ItemTable {
     slots: Vec<Mutex<Option<ItemEntry>>>,
-    freelist: Mutex<Vec<u32>>,
+    /// Slots freed since they were first handed out, reused LIFO before
+    /// any fresh slot. It grows only as items are freed, so a table that
+    /// never churns holds no list of its free slots.
+    freed: Mutex<Vec<u32>>,
     /// Bit `i` is set while slot `i` holds an item. Both bitmaps are
     /// written under the slot's mutex and read `Relaxed` by the CLOCK
     /// hand and the TTL sweep, which take that mutex before trusting a
@@ -73,8 +77,8 @@ pub(crate) struct ItemTable {
     /// one-touch traffic cannot flush the actually-hot set. `None` with
     /// eviction off, so a GET then touches no bitmap at all.
     referenced: Option<Box<[AtomicU64]>>,
-    /// One past the highest slot ever allocated. The freelist is LIFO,
-    /// so live items sit below it and the walks wrap here instead of
+    /// One past the highest slot ever allocated, and the next fresh slot:
+    /// live items sit below it, and the walks wrap here instead of
     /// crossing the never-used tail of the table.
     high_water: AtomicUsize,
 }
@@ -84,7 +88,7 @@ impl ItemTable {
         let bitmap = || (0..capacity.div_ceil(WORD_BITS)).map(|_| AtomicU64::new(0));
         ItemTable {
             slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            freelist: Mutex::new((0..capacity as u32).rev().collect()),
+            freed: Mutex::new(Vec::new()),
             occupied: bitmap().collect(),
             referenced: track_references.then(|| bitmap().collect()),
             high_water: AtomicUsize::new(0),
@@ -102,8 +106,19 @@ impl ItemTable {
         }
     }
 
+    /// Places an item in the most recently freed slot, or else in the
+    /// lowest never-used one — one fixed order, which the CLOCK hand's
+    /// victim sequences follow.
     pub(crate) fn alloc(&self, key: u64, value: PoolBytes, expires_at: u64) -> Option<u32> {
-        let idx = self.freelist.lock().pop()?;
+        let idx = match self.freed.lock().pop() {
+            Some(idx) => idx,
+            None => self
+                .high_water
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |fresh| {
+                    (fresh < self.slots.len()).then_some(fresh + 1)
+                })
+                .ok()? as u32,
+        };
         let mut slot = self.slots[idx as usize].lock();
         *slot = Some(ItemEntry {
             key,
@@ -112,11 +127,6 @@ impl ItemTable {
         });
         let (w, bit) = word_bit(idx);
         self.occupied[w].fetch_or(bit, Ordering::Relaxed);
-        // Rarely moves: check with a load before paying for the RMW.
-        if self.high_water.load(Ordering::Relaxed) <= idx as usize {
-            self.high_water
-                .fetch_max(idx as usize + 1, Ordering::Relaxed);
-        }
         Some(idx)
     }
 
@@ -143,8 +153,17 @@ impl ItemTable {
             }
             slot.take()
         };
-        self.freelist.lock().push(idx);
+        self.freed.lock().push(idx);
         entry
+    }
+
+    /// Bytes the table holds whatever it stores: the slots, both
+    /// bitmaps and the freed stack's capacity.
+    pub(crate) fn footprint_bytes(&self) -> usize {
+        let words = self.occupied.len() * (1 + usize::from(self.referenced.is_some()));
+        self.slots.len() * std::mem::size_of::<Mutex<Option<ItemEntry>>>()
+            + words * std::mem::size_of::<AtomicU64>()
+            + self.freed.lock().capacity() * std::mem::size_of::<u32>()
     }
 
     /// Reads the item at `idx` if it currently holds `key`, checking
@@ -328,5 +347,46 @@ impl ItemTable {
     pub(crate) fn reference_bits(&self) -> Option<Vec<bool>> {
         self.referenced.as_ref()?;
         Some((0..self.slots.len()).map(|i| self.slot_bits(i).1).collect())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mem::Mempool;
+    use crate::ttl::NO_EXPIRY;
+
+    /// Random allocs and frees against the freelist the table used to
+    /// keep — every slot, lowest on top, freed slots pushed back — which
+    /// the CLOCK hand's victim order depends on.
+    #[test]
+    fn slots_come_out_in_the_full_freelists_order() {
+        let pool = Mempool::new(1 << 20, 64);
+        for seed in 1..=8u64 {
+            for track_references in [false, true] {
+                let table = ItemTable::new(200, track_references);
+                let mut model: Vec<u32> = (0..200).rev().collect();
+                let (mut live, mut refused) = (Vec::new(), 0);
+                let mut rng = seed;
+                for step in 0..5_000u64 {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    if rng % 3 != 0 || live.is_empty() {
+                        let value = pool.alloc_from(b"v").unwrap();
+                        let idx = table.alloc(step, value, NO_EXPIRY);
+                        assert_eq!(idx, model.pop(), "seed {seed} step {step}");
+                        live.extend(idx);
+                        refused += u32::from(idx.is_none());
+                    } else {
+                        let idx = live.swap_remove((rng >> 8) as usize % live.len());
+                        assert!(table.free(idx).is_some());
+                        model.push(idx);
+                    }
+                    assert_eq!(table.audit_bitmaps(), Ok(live.len() as u64));
+                }
+                assert!(refused > 0, "seed {seed}: the table never filled");
+            }
+        }
     }
 }

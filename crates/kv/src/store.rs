@@ -833,6 +833,20 @@ impl Store {
         }
     }
 
+    /// Bytes of index the store holds whatever it stores
+    /// (`store.index_bytes`): buckets, overflow buckets and their
+    /// freelists, bucket locks and item tables. Values are the mempool's.
+    pub fn index_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let partition = |p: &Partition| {
+            (p.buckets.len() + p.overflow.len()) * size_of::<Bucket>()
+                + p.locks.len() * size_of::<Mutex<()>>()
+                + p.overflow_freelist.lock().capacity() * size_of::<u32>()
+                + p.items.footprint_bytes()
+        };
+        self.partitions.iter().map(partition).sum()
+    }
+
     /// Number of items currently stored.
     pub fn len(&self) -> u64 {
         self.items.load(Ordering::Relaxed)
@@ -862,6 +876,10 @@ impl minos_obs::Collector for Store {
             Gauge(s.overflow_in_use as f64),
         ));
         out.push(("store.items".to_string(), Gauge(s.items as f64)));
+        out.push((
+            "store.index_bytes".to_string(),
+            Gauge(self.index_bytes() as f64),
+        ));
         out.push(("store.evictions".to_string(), Counter(s.evictions)));
         out.push(("store.evicted_bytes".to_string(), Counter(s.evicted_bytes)));
         out.push(("store.expired_keys".to_string(), Counter(s.expired_keys)));

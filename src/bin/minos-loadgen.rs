@@ -112,7 +112,7 @@ OPTIONS:
                            'drop=0.01,dup=0.001,reorder=8,seed=42'
                            (rx./tx. prefixes scope a direction). The
                            preload path stays clean; injected faults
-                           are reported under \"fault\"
+                           are counted under fault.* in \"metrics\"
     --pin BASECPU          pin client thread c to cpu BASECPU+c
                            (sched_setaffinity; best-effort)
     --sockbuf BYTES        client socket buffer size (default 4 MiB)
