@@ -13,7 +13,7 @@ use minos_bench::{banner, by_effort, fmt_us, write_csv};
 use minos_core::config::{AllocationPolicy, ThresholdMode};
 use minos_core::cost::CostFn;
 use minos_core::{allocate, ThresholdController};
-use minos_sim::{runner, RunConfig, System};
+use minos_sim::{runner, DisciplineKind, RunConfig, SystemConfig};
 use minos_stats::SizeHistogram;
 use minos_workload::profiles::WRITE_INTENSIVE_PROFILE;
 use minos_workload::DEFAULT_PROFILE;
@@ -45,7 +45,11 @@ fn main() {
             ("standard", AllocationPolicy::Standard),
             ("large-steals", AllocationPolicy::LargeSteals),
         ] {
-            let mut cfg = RunConfig::new(System::Minos, DEFAULT_PROFILE, rate);
+            let mut cfg = RunConfig::new(
+                SystemConfig::paper(DisciplineKind::SizeAware),
+                DEFAULT_PROFILE,
+                rate,
+            );
             cfg.duration_s = duration;
             cfg.warmup_s = duration / 4.0;
             cfg.system.allocation_policy = policy;
@@ -75,7 +79,11 @@ fn main() {
             ("dynamic", ThresholdMode::Dynamic),
             ("static", ThresholdMode::Static(1_456)),
         ] {
-            let mut cfg = RunConfig::new(System::Minos, WRITE_INTENSIVE_PROFILE, rate);
+            let mut cfg = RunConfig::new(
+                SystemConfig::paper(DisciplineKind::SizeAware),
+                WRITE_INTENSIVE_PROFILE,
+                rate,
+            );
             cfg.duration_s = duration;
             cfg.warmup_s = duration / 4.0;
             cfg.system.threshold_mode = mode;

@@ -10,7 +10,7 @@
 //! the shape is unchanged) — `MINOS_BENCH_FULL=1` runs the full 140 s.
 
 use minos_bench::{banner, by_effort, fmt_us, write_csv};
-use minos_sim::{runner, RunConfig, System};
+use minos_sim::{runner, DisciplineKind, RunConfig, SystemConfig};
 use minos_workload::{PhaseSchedule, DEFAULT_PROFILE};
 
 fn main() {
@@ -37,7 +37,13 @@ fn main() {
     let total_s = phase_s * steps_pct.len() as f64;
 
     let mut results = Vec::new();
-    for system in [System::Minos, System::HkhWs] {
+    for system in [
+        SystemConfig::paper(DisciplineKind::SizeAware),
+        SystemConfig {
+            steal: true,
+            ..SystemConfig::paper(DisciplineKind::Hkh)
+        },
+    ] {
         let mut cfg = RunConfig::new(system, DEFAULT_PROFILE, rate);
         cfg.duration_s = total_s;
         cfg.warmup_s = 0.0; // the whole series is the result

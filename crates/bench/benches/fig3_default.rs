@@ -3,7 +3,7 @@
 //! HKH+WS and SHO.
 
 use minos_bench::{banner, by_effort, fmt_us, write_csv};
-use minos_sim::{runner, RunConfig, System};
+use minos_sim::{runner, DisciplineKind, RunConfig, SystemConfig};
 use minos_workload::DEFAULT_PROFILE;
 
 fn main() {
@@ -25,10 +25,13 @@ fn main() {
         ],
     );
     let systems = [
-        System::Minos,
-        System::HkhWs,
-        System::Hkh,
-        System::Sho { handoff: 3 },
+        SystemConfig::paper(DisciplineKind::SizeAware),
+        SystemConfig {
+            steal: true,
+            ..SystemConfig::paper(DisciplineKind::Hkh)
+        },
+        SystemConfig::paper(DisciplineKind::Hkh),
+        SystemConfig::paper(DisciplineKind::Sho { handoff: 3 }),
     ];
 
     println!(
@@ -38,8 +41,8 @@ fn main() {
     let mut rows = Vec::new();
     for &rate in &loads {
         print!("{rate:>7.2} |");
-        for system in systems {
-            let mut cfg = RunConfig::new(system, DEFAULT_PROFILE, rate);
+        for system in &systems {
+            let mut cfg = RunConfig::new(system.clone(), DEFAULT_PROFILE, rate);
             cfg.duration_s = duration;
             cfg.warmup_s = duration / 4.0;
             let r = runner::run(&cfg);

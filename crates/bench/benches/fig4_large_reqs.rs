@@ -5,7 +5,7 @@
 //! requests for the order-of-magnitude win on the overall p99.
 
 use minos_bench::{banner, by_effort, fmt_us, write_csv};
-use minos_sim::{runner, RunConfig, System};
+use minos_sim::{runner, DisciplineKind, RunConfig, SystemConfig};
 use minos_workload::DEFAULT_PROFILE;
 
 fn main() {
@@ -31,7 +31,13 @@ fn main() {
     let mut rows = Vec::new();
     for &rate in &loads {
         print!("{rate:>7.2} |");
-        for system in [System::Minos, System::HkhWs] {
+        for system in [
+            SystemConfig::paper(DisciplineKind::SizeAware),
+            SystemConfig {
+                steal: true,
+                ..SystemConfig::paper(DisciplineKind::Hkh)
+            },
+        ] {
             let mut cfg = RunConfig::new(system, DEFAULT_PROFILE, rate);
             cfg.duration_s = duration;
             cfg.warmup_s = duration / 4.0;

@@ -5,7 +5,7 @@
 
 use minos_bench::{banner, by_effort, write_csv};
 use minos_sim::sweep::{max_throughput_under_slo, sho_best_under_slo, SloSearch};
-use minos_sim::System;
+use minos_sim::{DisciplineKind, SystemConfig};
 use minos_workload::profiles::{DEFAULT_PROFILE, FIG6_PL_PCT};
 use minos_workload::Profile;
 
@@ -27,6 +27,12 @@ fn main() {
         s.refine_iters = iters;
     }
 
+    let minos_sys = SystemConfig::paper(DisciplineKind::SizeAware);
+    let hkh_sys = SystemConfig::paper(DisciplineKind::Hkh);
+    let ws_sys = SystemConfig {
+        steal: true,
+        ..hkh_sys.clone()
+    };
     let mut rows = Vec::new();
     for (slo_label, search) in [("50us", &search50), ("100us", &search100)] {
         println!("\n--- SLO: p99 <= {slo_label} ---");
@@ -39,9 +45,9 @@ fn main() {
                 p_large: pl_pct / 100.0,
                 ..DEFAULT_PROFILE
             };
-            let minos = max_throughput_under_slo(System::Minos, profile, search);
-            let hkh = max_throughput_under_slo(System::Hkh, profile, search);
-            let ws = max_throughput_under_slo(System::HkhWs, profile, search);
+            let minos = max_throughput_under_slo(&minos_sys, profile, search);
+            let hkh = max_throughput_under_slo(&hkh_sys, profile, search);
+            let ws = max_throughput_under_slo(&ws_sys, profile, search);
             let sho = sho_best_under_slo(profile, search);
             let speedup = |x: f64| if x > 0.0 { minos / x } else { f64::INFINITY };
             println!(

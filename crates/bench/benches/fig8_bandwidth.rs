@@ -6,7 +6,7 @@
 //! then checks that Minos saturates whichever resource binds.
 
 use minos_bench::{banner, by_effort, fmt_us, write_csv};
-use minos_sim::{runner, RunConfig, System};
+use minos_sim::{runner, DisciplineKind, RunConfig, SystemConfig};
 use minos_workload::profiles::DEFAULT_PROFILE;
 use minos_workload::Profile;
 
@@ -40,7 +40,11 @@ fn main() {
             "Mops", "tput (Mops)", "p99 (us)", "NIC tx %", "kept up"
         );
         for &rate in &loads {
-            let mut cfg = RunConfig::new(System::Minos, profile, rate);
+            let mut cfg = RunConfig::new(
+                SystemConfig::paper(DisciplineKind::SizeAware),
+                profile,
+                rate,
+            );
             cfg.duration_s = duration;
             cfg.warmup_s = duration / 4.0;
             cfg.system.reply_sampling = s_pct as f64 / 100.0;

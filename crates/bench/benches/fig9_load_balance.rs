@@ -6,7 +6,7 @@
 //! cost-based allocation).
 
 use minos_bench::{banner, by_effort, write_csv};
-use minos_sim::{runner, RunConfig, System};
+use minos_sim::{runner, DisciplineKind, RunConfig, SystemConfig};
 use minos_workload::profiles::DEFAULT_PROFILE;
 use minos_workload::Profile;
 
@@ -34,7 +34,11 @@ fn main() {
             x if x < 0.5 => 3.0,
             _ => 2.0,
         };
-        let mut cfg = RunConfig::new(System::Minos, profile, rate);
+        let mut cfg = RunConfig::new(
+            SystemConfig::paper(DisciplineKind::SizeAware),
+            profile,
+            rate,
+        );
         cfg.duration_s = duration;
         cfg.warmup_s = duration / 4.0;
         let r = runner::run(&cfg);

@@ -1,101 +1,53 @@
-//! Event-level models of the four server designs.
+//! One event-level model that runs the server's disciplines.
 //!
-//! One event loop serves all four systems; the scheduling decisions —
-//! who picks which request up, and at what cost — are the per-system
-//! logic under test:
+//! The model owns only what the real server gets from hardware and
+//! time: the packet wires, the per-request cost charges, the request
+//! slab and the event loop. Where a request runs and what an idle core
+//! polls come from the server's own [`Discipline`], built from
+//! [`SystemConfig::discipline`], so the paper's systems (size-aware
+//! sharding, HKH, HKH+WS, SHO) and the classical alternatives are
+//! placed by the rule the server runs, written once in `minos-core`:
 //!
-//! * **HKH**: a request enqueued on core `c`'s RX queue is served by
-//!   core `c`, run-to-completion, FIFO.
-//! * **HKH+WS**: as HKH, but an idle core with an empty queue steals
-//!   one queued request from another core (at [`CostModel::steal_ns`]
-//!   extra).
-//! * **SHO**: RX queues belong to the `h` handoff cores, which spend
-//!   [`CostModel::sho_dispatch_ns`] per request moving it to a central
-//!   queue; idle workers take from the central queue (late binding).
-//! * **Minos**: small cores serve their own RX queues plus the large
-//!   cores' RX queues; small requests run to completion, large ones
-//!   cost a dispatch and move to the software queue of the large core
-//!   whose size range matches. The plan (threshold, allocation, ranges)
-//!   is recomputed every epoch by the **real** `minos-core` controller.
+//! * **Arrival.** The client picks an RX queue uniformly (GETs are
+//!   random in the paper; PUT queues follow the keyhash, uniform over
+//!   the dataset's keys), whatever the discipline.
+//! * **An idle core serves**, in order: its own software queue; the
+//!   shared queue if [`Discipline::pulls_shared`]; the RX queues of
+//!   [`Discipline::rx_drain`], own queue first; and, with
+//!   [`SystemConfig::steal`], the server's steal order — the longest
+//!   peer software queue, else (only when [`Discipline::own_rx_only`])
+//!   a batch from the first peer RX queue holding requests.
+//! * **Pickup** from RX charges the inbound packets, profiles the size
+//!   when [`Discipline::needs_size`], and asks [`Discipline::place`]:
+//!   `Local` pays the service time, `Core(t)` a handoff to `t`'s
+//!   software queue, `Shared` a dispatch to the shared queue, whose
+//!   puller pays the worker cost.
 //!
-//! Item sizes, key skew and arrival times come from the real
-//! `minos-workload` generator over the paper's 16 M-key dataset.
-//!
-//! Beyond the four paper systems, [`System::Discipline`] runs the
-//! server crate's queue-discipline policy space ([`DisciplineKind`]) in
-//! simulation: `size-aware` is exactly [`System::Minos`], `hkh` and
-//! `sho` are [`System::Hkh`] and [`System::Sho`], `cfcfs` is a
-//! single central queue any core pulls from, and the rest differ only
-//! in which RX queue an arrival joins (key-hash for `dfcfs`, shortest
-//! for `jsq`, rotating for `round-robin`, uniform for `random`) before
-//! own-queue FIFO service — the same placement semantics the real
-//! server applies in `minos-core`.
+//! The size-aware plan (threshold, allocation, ranges) is recomputed
+//! every epoch by the **real** `minos-core` controller. Item sizes, key
+//! skew and arrival times come from the real `minos-workload` generator
+//! over the paper's 16 M-key dataset.
 
 use crate::cost_model::CostModel;
 use minos_core::config::{AllocationPolicy, ThresholdMode};
-use minos_core::dispatch::{Dfcfs, DisciplineKind};
-use minos_core::plan::{Destination, ShardingPlan};
+use minos_core::dispatch::{Discipline, DisciplineKind, PlaceCtx, Placement, QueueDepths};
+use minos_core::plan::ShardingPlan;
 use minos_core::threshold::ThresholdController;
+use minos_core::MinosConfig;
 use minos_queue_sim::EventQueue;
 use minos_stats::{LatencyHistogram, SizeHistogram};
 use minos_workload::{AccessGenerator, OpenLoop, Operation, PhaseSchedule, Rng};
 use std::collections::VecDeque;
 
-/// Which server design to simulate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum System {
-    /// Size-aware sharding (the paper's contribution).
-    Minos,
-    /// Hardware keyhash sharding (MICA-style, nxM/G/1).
-    Hkh,
-    /// Software handoff (RAMCloud-style, M/G/n) with this many handoff
-    /// cores (the paper sweeps 1–3 and reports the best).
-    Sho {
-        /// Number of dispatch cores.
-        handoff: usize,
-    },
-    /// HKH plus ZygOS-style work stealing.
-    HkhWs,
-    /// One of the server crate's queue disciplines, simulated with the
-    /// same placement semantics the real server applies.
-    Discipline(DisciplineKind),
-}
-
-impl System {
-    /// Display label matching the paper's figures (discipline systems
-    /// use their CLI/JSON name).
-    pub fn label(&self) -> &'static str {
-        match self {
-            System::Minos => "Minos",
-            System::Hkh => "HKH",
-            System::Sho { .. } => "SHO",
-            System::HkhWs => "HKH+WS",
-            System::Discipline(kind) => kind.name(),
-        }
-    }
-
-    /// Whether this system is the paper's size-aware sharding (and so
-    /// runs the epoch controller and the asymmetric RX drain).
-    fn size_aware(&self) -> bool {
-        matches!(
-            self,
-            System::Minos | System::Discipline(DisciplineKind::SizeAware)
-        )
-    }
-
-    /// Whether arrivals land in the single central queue rather than a
-    /// per-core RX queue (cFCFS; SHO routes through dispatch cores
-    /// instead).
-    fn central_rx(&self) -> bool {
-        matches!(self, System::Discipline(DisciplineKind::Cfcfs))
-    }
-}
-
 /// Static configuration of the simulated server.
 #[derive(Clone, Debug)]
 pub struct SystemConfig {
-    /// The design to simulate.
-    pub system: System,
+    /// The queue discipline the server runs (`SizeAware` is the paper's
+    /// Minos; `Hkh` and `Sho` its baselines).
+    pub discipline: DisciplineKind,
+    /// Work stealing, as the server's [`MinosConfig::steal`]: `hkh`
+    /// with it is the paper's HKH+WS.
+    pub steal: bool,
     /// Server cores (8 in the paper).
     pub n_cores: usize,
     /// The calibrated cost model.
@@ -114,10 +66,11 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
-    /// The paper's server for a given design.
-    pub fn paper(system: System) -> Self {
+    /// The paper's server running `discipline`, without stealing.
+    pub fn paper(discipline: DisciplineKind) -> Self {
         SystemConfig {
-            system,
+            discipline,
+            steal: false,
             n_cores: 8,
             cost: CostModel::default(),
             nic_gbit: 40.0,
@@ -127,22 +80,35 @@ impl SystemConfig {
             allocation_policy: AllocationPolicy::Standard,
         }
     }
+
+    /// The label results carry: the discipline's CLI name, with the
+    /// server's `--steal` spelling appended when stealing.
+    pub fn label(&self) -> String {
+        let name = self.discipline.name();
+        if self.steal {
+            format!("{name} --steal")
+        } else {
+            name.to_string()
+        }
+    }
 }
 
 /// What a busy core is currently doing.
 #[derive(Clone, Copy, Debug)]
 enum Stage {
-    /// Full service; completion sends the reply.
-    Full { req: u32, stolen: bool },
-    /// Minos small-core dispatch of a large request to `target`.
-    MinosDispatch { req: u32, target: usize },
-    /// SHO handoff-core dispatch to the central queue.
-    ShoDispatch { req: u32 },
+    /// Service; completion sends the reply.
+    Serve { req: u32 },
+    /// A handoff; completion pushes the request to `target`'s software
+    /// queue.
+    ToCore { req: u32, target: usize },
+    /// A dispatch; completion pushes the request to the shared queue.
+    ToShared { req: u32 },
 }
 
 #[derive(Clone, Copy, Debug)]
 struct Req {
     arrival_ns: u64,
+    key: u64,
     size: u64,
     is_get: bool,
     is_large_class: bool,
@@ -257,6 +223,7 @@ pub struct CoreLoad {
 /// The simulator.
 pub struct SystemSim {
     cfg: SystemConfig,
+    discipline: Box<dyn Discipline>,
     rng: Rng,
     gen: AccessGenerator,
     arrivals: OpenLoop,
@@ -271,10 +238,25 @@ pub struct SystemSim {
     // Queues.
     rx: Vec<VecDeque<u32>>,
     soft: Vec<VecDeque<u32>>,
-    central: VecDeque<u32>, // SHO
+    shared: VecDeque<u32>,
+    /// Requests in any of the queues above: an idle pass with none
+    /// waiting has nothing to assign.
+    waiting: usize,
 
     // Cores.
     busy: Vec<Option<Stage>>,
+
+    // What the discipline says under the plan in force, cached per plan
+    // as the server's poll loop caches it.
+    /// The RX queues each core drains, own queue first (empty for a
+    /// core that never reads RX).
+    drain: Vec<Vec<usize>>,
+    /// An idle stealing core may take a batch from a peer's RX queue.
+    steal_rx: bool,
+    /// The server's RX batch size: a stolen RX burst's length.
+    batch: usize,
+    /// Per-request profiling cost of a size-aware core (0 without it).
+    profile_ns: f64,
 
     // Minos control plane (the real one).
     controller: ThresholdController,
@@ -299,13 +281,15 @@ pub struct SystemSim {
     pub generated: u64,
     per_core: Vec<CoreLoad>,
     steals: u64,
-    /// Round-robin arrival cursor (`Discipline(RoundRobin)` only).
-    rr_arrival: usize,
-    /// Requests committed to an RX queue but still serializing on the
-    /// RX wire. JSQ's depth gauge must count them: choosing by
-    /// `rx[q].len()` alone herds a burst of arrivals onto the same
-    /// "shortest" queue before any of them become visible in it.
-    rx_inflight: Vec<u32>,
+}
+
+/// The software-queue lengths, as the server's depth gauges read them.
+struct SoftDepths<'a>(&'a [VecDeque<u32>]);
+
+impl QueueDepths for SoftDepths<'_> {
+    fn depth(&self, core: usize) -> usize {
+        self.0[core].len()
+    }
 }
 
 /// Accumulator for one reporting window (Figure 10).
@@ -336,9 +320,7 @@ impl SystemSim {
     ) -> Self {
         assert!(cfg.n_cores > 0);
         assert!((0.0..=1.0).contains(&cfg.reply_sampling));
-        if let System::Sho { handoff } | System::Discipline(DisciplineKind::Sho { handoff }) =
-            cfg.system
-        {
+        if let DisciplineKind::Sho { handoff } = cfg.discipline {
             assert!(handoff >= 1 && handoff < cfg.n_cores);
         }
         let mut rng = Rng::new(seed);
@@ -349,15 +331,22 @@ impl SystemSim {
             0.9,
             minos_core::cost::CostFn::Packets,
         );
-        let plan = ShardingPlan::bootstrap(cfg.n_cores);
+        let discipline = cfg.discipline.build();
         let mut events = EventQueue::new();
         events.push(0, Ev::Arrival);
-        if cfg.system.size_aware() {
+        if discipline.needs_size() {
             events.push(cfg.epoch_ns, Ev::Epoch);
         }
+        let profile_ns =
+            if discipline.needs_size() && matches!(cfg.threshold_mode, ThresholdMode::Dynamic) {
+                cfg.cost.minos_profile_ns
+            } else {
+                0.0
+            };
         let n = cfg.n_cores;
         let _ = rng.next_u64(); // decouple seed streams a little
-        SystemSim {
+        let mut sim = SystemSim {
+            discipline,
             rng,
             gen,
             arrivals,
@@ -368,11 +357,15 @@ impl SystemSim {
             free: Vec::new(),
             rx: vec![VecDeque::new(); n],
             soft: vec![VecDeque::new(); n],
-            central: VecDeque::new(),
+            shared: VecDeque::new(),
+            waiting: 0,
             busy: vec![None; n],
-            rx_inflight: vec![0; n],
+            drain: Vec::new(),
+            steal_rx: false,
+            batch: MinosConfig::default().batch_size,
+            profile_ns,
             controller,
-            plan,
+            plan: ShardingPlan::bootstrap(n),
             epoch_hist: SizeHistogram::new(),
             tx_wire: PacketWire::new(n, cfg.nic_gbit),
             rx_wire: PacketWire::new(n, cfg.nic_gbit),
@@ -387,9 +380,27 @@ impl SystemSim {
             generated: 0,
             per_core: vec![CoreLoad::default(); n],
             steals: 0,
-            rr_arrival: 0,
             cfg,
-        }
+        };
+        sim.load_plan();
+        sim
+    }
+
+    /// Re-reads what the discipline says under the plan in force.
+    fn load_plan(&mut self) {
+        let (plan, batch) = (&self.plan, self.batch);
+        self.drain = (0..self.cfg.n_cores)
+            .map(|core| {
+                self.discipline
+                    .rx_drain(core, plan, batch)
+                    .map_or_else(Vec::new, |s| {
+                        std::iter::once(s.own.0)
+                            .chain(s.others.iter().map(|&(q, _)| q))
+                            .collect()
+                    })
+            })
+            .collect();
+        self.steal_rx = self.cfg.steal && self.discipline.own_rx_only(plan, batch);
     }
 
     /// Sets the measurement window (requests generated inside it are
@@ -430,13 +441,8 @@ impl SystemSim {
             }
             Ev::RxPacketDone => {
                 if let Some(job) = self.rx_wire.finished_job() {
-                    let q = job.queue % self.cfg.n_cores;
-                    self.rx_inflight[q] = self.rx_inflight[q].saturating_sub(1);
-                    if self.cfg.system.central_rx() {
-                        self.central.push_back(job.req);
-                    } else {
-                        self.rx[job.queue].push_back(job.req);
-                    }
+                    self.rx[job.queue].push_back(job.req);
+                    self.waiting += 1;
                 }
                 if let Some(dur) = self.rx_wire.next_packet_ns() {
                     self.events
@@ -478,38 +484,14 @@ impl SystemSim {
         }
         let req = Req {
             arrival_ns: t,
+            key: spec.key,
             size: spec.item_size,
             is_get: spec.op == Operation::Get,
             is_large_class: spec.is_large,
             measured,
         };
         let idx = self.alloc(req);
-
-        // RX queue choice. The default is uniformly random (GETs are
-        // explicitly random in the paper; PUT queues follow the keyhash,
-        // which is uniform over the dataset's keys); the disciplines
-        // replace it with their own placement rule. Under cFCFS the
-        // queue only identifies the RX wire — the request lands in the
-        // central queue once serialized.
-        let n = self.cfg.n_cores;
-        let queue = match self.cfg.system {
-            System::Sho { handoff } | System::Discipline(DisciplineKind::Sho { handoff }) => {
-                self.rng.index(handoff)
-            }
-            System::Discipline(DisciplineKind::Dfcfs) => Dfcfs::owner(spec.key, n),
-            System::Discipline(DisciplineKind::Jsq) => (0..n)
-                .min_by_key(|&q| {
-                    self.rx[q].len()
-                        + self.rx_inflight[q] as usize
-                        + usize::from(self.busy[q].is_some())
-                })
-                .expect("n_cores > 0"),
-            System::Discipline(DisciplineKind::RoundRobin) => {
-                self.rr_arrival = (self.rr_arrival + 1) % n;
-                self.rr_arrival
-            }
-            _ => self.rng.index(n),
-        };
+        let queue = self.rng.index(self.cfg.n_cores);
 
         // The request serializes on the RX wire, packet-interleaved
         // with other inbound traffic, before it is visible in an RX
@@ -520,9 +502,8 @@ impl SystemSim {
             .cfg
             .cost
             .packets_for_inbound(self.cfg.cost.inbound_size(req.is_get, req.size));
-        self.rx_inflight[queue % self.cfg.n_cores] += 1;
         self.rx_wire.submit(
-            queue % self.cfg.n_cores,
+            queue,
             WireJob {
                 req: idx,
                 pkts_left: pkts,
@@ -535,19 +516,15 @@ impl SystemSim {
     }
 
     fn on_core_done(&mut self, core: usize) {
-        let stage = self.busy[core].take().expect("core was busy");
-        match stage {
-            Stage::Full { req, stolen } => {
-                if stolen {
-                    self.steals += 1;
-                }
-                self.complete(core, req);
-            }
-            Stage::MinosDispatch { req, target } => {
+        match self.busy[core].take().expect("core was busy") {
+            Stage::Serve { req } => self.complete(core, req),
+            Stage::ToCore { req, target } => {
                 self.soft[target].push_back(req);
+                self.waiting += 1;
             }
-            Stage::ShoDispatch { req } => {
-                self.central.push_back(req);
+            Stage::ToShared { req } => {
+                self.shared.push_back(req);
+                self.waiting += 1;
             }
         }
     }
@@ -562,206 +539,161 @@ impl SystemSim {
             self.controller.smoothed_buckets(),
             minos_core::cost::CostFn::Packets,
         );
+        self.load_plan();
         self.events.push(self.now_ns + self.cfg.epoch_ns, Ev::Epoch);
     }
 
-    /// Assigns work to every idle core according to its role.
+    /// Offers work to every idle core, in core order, until a pass
+    /// starts nothing or nothing is left waiting.
     fn schedule_idle(&mut self) {
         loop {
             let mut assigned = false;
             for core in 0..self.cfg.n_cores {
-                if self.busy[core].is_some() {
-                    continue;
+                if self.waiting == 0 {
+                    return;
                 }
-                if self.assign(core) {
+                if self.busy[core].is_none() && self.assign(core) {
+                    self.waiting -= 1;
                     assigned = true;
                 }
             }
             if !assigned {
-                break;
+                return;
             }
         }
     }
 
-    /// Tries to start work on idle `core`; returns whether it did.
+    /// Starts idle `core` on one waiting request, in the server's poll
+    /// order; returns whether it took one off a queue.
     fn assign(&mut self, core: usize) -> bool {
-        match self.cfg.system {
-            System::Hkh | System::Discipline(DisciplineKind::Hkh) => {
-                if let Some(req) = self.rx[core].pop_front() {
-                    self.start_full(core, req, false);
-                    return true;
-                }
-                false
-            }
-            System::HkhWs => {
-                if let Some(req) = self.rx[core].pop_front() {
-                    self.start_full(core, req, false);
-                    return true;
-                }
-                // Steal one queued request from the longest victim queue.
-                let victim = (0..self.cfg.n_cores)
-                    .filter(|&v| v != core && !self.rx[v].is_empty())
-                    .max_by_key(|&v| self.rx[v].len());
-                if let Some(v) = victim {
-                    let req = self.rx[v].pop_front().expect("non-empty");
-                    self.start_full(core, req, true);
-                    return true;
-                }
-                false
-            }
-            System::Sho { handoff } | System::Discipline(DisciplineKind::Sho { handoff }) => {
-                if core < handoff {
-                    if let Some(req) = self.rx[core].pop_front() {
-                        let occ = self.cfg.cost.sho_dispatch_ns(self.cfg.cost.inbound_size(
-                            self.reqs[req as usize].is_get,
-                            self.reqs[req as usize].size,
-                        ));
-                        self.charge_rx_packets(core, req);
-                        self.busy[core] = Some(Stage::ShoDispatch { req });
-                        self.events
-                            .push(self.now_ns + occ.ceil() as u64, Ev::CoreDone { core });
-                        return true;
-                    }
-                    false
-                } else {
-                    if let Some(req) = self.central.pop_front() {
-                        let r = self.reqs[req as usize];
-                        let occ = self
-                            .cfg
-                            .cost
-                            .sho_worker_ns(r.size, self.cfg.cost.inbound_size(r.is_get, r.size));
-                        self.busy[core] = Some(Stage::Full { req, stolen: false });
-                        self.events
-                            .push(self.now_ns + occ.ceil() as u64, Ev::CoreDone { core });
-                        return true;
-                    }
-                    false
-                }
-            }
-            System::Minos | System::Discipline(DisciplineKind::SizeAware) => {
-                self.assign_minos(core)
-            }
-            System::Discipline(DisciplineKind::Cfcfs) => {
-                // Centralized FCFS: any idle core pulls the global queue.
-                if let Some(req) = self.central.pop_front() {
-                    self.start_full(core, req, false);
-                    return true;
-                }
-                false
-            }
-            System::Discipline(_) => {
-                // dfcfs/jsq/round-robin/random all serve their own RX
-                // queue FIFO, run-to-completion; they differ only in the
-                // queue an arrival joined.
-                if let Some(req) = self.rx[core].pop_front() {
-                    self.start_full(core, req, false);
-                    return true;
-                }
-                false
-            }
+        if let Some(req) = self.soft[core].pop_front() {
+            self.serve(core, req, 0.0);
+            return true;
         }
-    }
-
-    fn assign_minos(&mut self, core: usize) -> bool {
-        let alloc = self.plan.allocation;
-        let is_small = alloc.is_small_core(core);
-        let is_handoff = alloc.is_handoff_core(core);
-
-        // Handoff cores live off their software queues first — the
-        // standby core too ("if a large request arrives, it is sent to
-        // this core, which then becomes a large core").
-        if is_handoff {
-            if let Some(req) = self.soft[core].pop_front() {
-                self.start_full(core, req, false);
+        if self.discipline.pulls_shared(core) {
+            if let Some(req) = self.shared.pop_front() {
+                let r = self.reqs[req as usize];
+                let occ = self
+                    .cfg
+                    .cost
+                    .sho_worker_ns(r.size, self.cfg.cost.inbound_size(r.is_get, r.size));
+                self.start(core, Stage::Serve { req }, occ);
                 return true;
             }
         }
-
-        if is_small {
-            // Own RX queue first, then the handoff cores' RX queues
-            // (small cores drain those so large cores never touch RX).
-            if let Some(req) = self.rx[core].pop_front() {
-                self.minos_pickup(core, req);
-                return true;
-            }
-            for q in alloc.handoff_cores() {
-                if q == core {
-                    continue;
-                }
-                if let Some(req) = self.rx[q].pop_front() {
-                    self.minos_pickup(core, req);
-                    return true;
-                }
-            }
-            return false;
+        let drained = self.drain[core].iter().find(|&&q| !self.rx[q].is_empty());
+        if let Some(&q) = drained {
+            let req = self.rx[q].pop_front().expect("non-empty");
+            self.pickup(core, req, 0.0);
+            return true;
         }
-
-        // Dedicated large core with an empty software queue.
-        if self.cfg.allocation_policy == AllocationPolicy::LargeSteals {
-            // §6.1 ablation: large cores steal small requests one at a
-            // time from small cores' RX queues to use spare capacity.
-            let victim = alloc
-                .small_cores()
-                .filter(|&v| !self.rx[v].is_empty())
+        if self.drain[core].is_empty()
+            && self.cfg.allocation_policy == AllocationPolicy::LargeSteals
+        {
+            // §6.1 ablation: a core that never reads RX (a dedicated
+            // large core) takes small requests one at a time from the
+            // longest drained RX queue to use spare capacity.
+            let victim = (0..self.cfg.n_cores)
+                .filter(|&v| !self.drain[v].is_empty() && !self.rx[v].is_empty())
                 .max_by_key(|&v| self.rx[v].len());
             if let Some(v) = victim {
                 let req = self.rx[v].pop_front().expect("non-empty");
-                self.minos_pickup(core, req);
+                self.pickup(core, req, 0.0);
                 return true;
             }
         }
-        false
+        self.cfg.steal && self.steal(core)
     }
 
-    /// A small core picked `req` up from an RX queue: profile it,
-    /// classify it, and either serve it or dispatch it.
-    fn minos_pickup(&mut self, core: usize, req: u32) {
-        let r = self.reqs[req as usize];
-        self.epoch_hist.record(r.size);
-        let profile = if matches!(self.cfg.threshold_mode, ThresholdMode::Dynamic) {
-            self.cfg.cost.minos_profile_ns
-        } else {
-            0.0
+    /// The server's steal attempt by an idle core: one request from the
+    /// longest peer software queue (the first on ties); failing that,
+    /// where the discipline allows it, a batch from the first peer RX
+    /// queue in rotation, processed as this core's own arrivals.
+    fn steal(&mut self, core: usize) -> bool {
+        let mut victim = None;
+        let mut longest = 0;
+        for (i, q) in self.soft.iter().enumerate() {
+            if i != core && q.len() > longest {
+                longest = q.len();
+                victim = Some(i);
+            }
+        }
+        if let Some(v) = victim {
+            let req = self.soft[v].pop_front().expect("non-empty");
+            self.steals += 1;
+            self.serve(core, req, self.cfg.cost.steal_ns);
+            return true;
+        }
+        if !self.steal_rx {
+            return false;
+        }
+        let n = self.cfg.n_cores;
+        let Some(v) = (1..n)
+            .map(|d| (core + d) % n)
+            .find(|&v| !self.rx[v].is_empty())
+        else {
+            return false;
         };
-        match self.plan.classify(r.size) {
-            Destination::Local => {
-                self.charge_rx_packets(core, req);
-                let occ = profile + self.cfg.cost.service_ns(r.size);
-                self.busy[core] = Some(Stage::Full { req, stolen: false });
-                self.events
-                    .push(self.now_ns + occ.ceil() as u64, Ev::CoreDone { core });
-            }
-            Destination::Handoff(target) => {
-                self.charge_rx_packets(core, req);
-                let occ = profile + self.cfg.cost.handoff_ns;
-                self.busy[core] = Some(Stage::MinosDispatch { req, target });
-                self.events
-                    .push(self.now_ns + occ.ceil() as u64, Ev::CoreDone { core });
-            }
+        // `own_rx_only` means this core drains exactly its own RX queue,
+        // which it just found empty: the burst lands there in order.
+        for _ in 0..self.rx[v].len().min(self.batch) {
+            let req = self.rx[v].pop_front().expect("non-empty");
+            self.rx[core].push_back(req);
         }
+        let req = self.rx[core].pop_front().expect("stole at least one");
+        self.steals += 1;
+        self.pickup(core, req, self.cfg.cost.steal_ns);
+        true
     }
 
-    fn start_full(&mut self, core: usize, req: u32, stolen: bool) {
+    /// `core` took `req` off an RX queue: charge its inbound packets,
+    /// profile its size if the discipline places by size, and place it.
+    /// `extra_ns` is a steal's surcharge.
+    fn pickup(&mut self, core: usize, req: u32, extra_ns: f64) {
+        self.charge_rx_packets(core, req);
         let r = self.reqs[req as usize];
-        // For non-size-aware systems the pickup core is the serving
-        // core (size-aware charges at `minos_pickup`).
-        if !self.cfg.system.size_aware() {
-            self.charge_rx_packets(core, req);
+        let mut occ = extra_ns;
+        let size = self.discipline.needs_size().then(|| {
+            self.epoch_hist.record(r.size);
+            occ += self.profile_ns;
+            r.size
+        });
+        let placement = self.discipline.place(&PlaceCtx {
+            rx_core: core,
+            n_cores: self.cfg.n_cores,
+            key: r.key,
+            size,
+            plan: &self.plan,
+            depths: &SoftDepths(&self.soft),
+        });
+        let (stage, cost) = match placement {
+            Placement::Local => (Stage::Serve { req }, self.cfg.cost.service_ns(r.size)),
+            Placement::Core(target) => (Stage::ToCore { req, target }, self.cfg.cost.handoff_ns),
+            Placement::Shared => (
+                Stage::ToShared { req },
+                self.cfg
+                    .cost
+                    .sho_dispatch_ns(self.cfg.cost.inbound_size(r.is_get, r.size)),
+            ),
+        };
+        self.start(core, stage, occ + cost);
+    }
+
+    /// `core` serves `req` from a software queue. A core that drains RX
+    /// under a size-aware discipline profiles everything it serves (the
+    /// standby core's large handoffs too).
+    fn serve(&mut self, core: usize, req: u32, extra_ns: f64) {
+        let mut occ = self.cfg.cost.service_ns(self.reqs[req as usize].size) + extra_ns;
+        if !self.drain[core].is_empty() {
+            occ += self.profile_ns;
         }
-        let mut occ = self.cfg.cost.service_ns(r.size);
-        if stolen {
-            occ += self.cfg.cost.steal_ns;
-        }
-        if self.cfg.system.size_aware()
-            && matches!(self.cfg.threshold_mode, ThresholdMode::Dynamic)
-            && self.plan.allocation.is_small_core(core)
-        {
-            // Standby-core small service still profiles.
-            occ += self.cfg.cost.minos_profile_ns;
-        }
-        self.busy[core] = Some(Stage::Full { req, stolen });
+        self.start(core, Stage::Serve { req }, occ);
+    }
+
+    fn start(&mut self, core: usize, stage: Stage, occ_ns: f64) {
+        self.busy[core] = Some(stage);
         self.events
-            .push(self.now_ns + occ.ceil() as u64, Ev::CoreDone { core });
+            .push(self.now_ns + occ_ns.ceil() as u64, Ev::CoreDone { core });
     }
 
     fn charge_rx_packets(&mut self, core: usize, req: u32) {
@@ -929,8 +861,8 @@ mod tests {
         AccessGenerator::new(Dataset::paper_scaled(100, 500_000), p_large, 0.95, 0.99)
     }
 
-    fn quick_sim(system: System, p_large: f64, rate_mops: f64) -> SystemSim {
-        let mut cfg = SystemConfig::paper(system);
+    fn quick_sim(kind: DisciplineKind, p_large: f64, rate_mops: f64) -> SystemSim {
+        let mut cfg = SystemConfig::paper(kind);
         cfg.epoch_ns = 20_000_000; // 20 ms: several epochs in a short run
         SystemSim::new(cfg, gen(p_large), rate_mops, None, 0, 9)
     }
@@ -939,7 +871,7 @@ mod tests {
     fn minos_standby_core_serves_both_classes() {
         // An all-small workload keeps Minos in standby mode; large
         // requests still complete through the standby core's queue.
-        let mut sim = quick_sim(System::Minos, 0.0, 0.3);
+        let mut sim = quick_sim(DisciplineKind::SizeAware, 0.0, 0.3);
         sim.set_measure_window(0, u64::MAX);
         sim.run_until(60_000_000);
         assert!(sim.plan().allocation.standby, "all-small => standby");
@@ -948,7 +880,7 @@ mod tests {
 
     #[test]
     fn minos_large_steals_policy_completes_work() {
-        let mut cfg = SystemConfig::paper(System::Minos);
+        let mut cfg = SystemConfig::paper(DisciplineKind::SizeAware);
         cfg.epoch_ns = 20_000_000;
         cfg.allocation_policy = AllocationPolicy::LargeSteals;
         let mut sim = SystemSim::new(cfg, gen(0.01), 2.0, None, 0, 9);
@@ -963,7 +895,7 @@ mod tests {
 
     #[test]
     fn sho_handoff_cores_never_execute_requests() {
-        let mut sim = quick_sim(System::Sho { handoff: 2 }, 0.00125, 1.0);
+        let mut sim = quick_sim(DisciplineKind::Sho { handoff: 2 }, 0.00125, 1.0);
         sim.set_measure_window(0, u64::MAX);
         sim.run_until(60_000_000);
         assert!(sim.completed > 10_000);
@@ -987,7 +919,7 @@ mod tests {
 
     #[test]
     fn static_threshold_minos_skips_profiling_but_still_shards() {
-        let mut cfg = SystemConfig::paper(System::Minos);
+        let mut cfg = SystemConfig::paper(DisciplineKind::SizeAware);
         cfg.threshold_mode = ThresholdMode::Static(1_456);
         cfg.epoch_ns = 20_000_000;
         let mut sim = SystemSim::new(cfg, gen(0.00125), 1.0, None, 0, 9);
@@ -1000,7 +932,7 @@ mod tests {
     #[test]
     fn every_discipline_system_completes_work() {
         for kind in DisciplineKind::ALL {
-            let mut sim = quick_sim(System::Discipline(kind), 0.00125, 1.0);
+            let mut sim = quick_sim(kind, 0.00125, 1.0);
             sim.set_measure_window(0, u64::MAX);
             sim.run_until(60_000_000);
             assert!(
@@ -1009,27 +941,8 @@ mod tests {
                 kind.name(),
                 sim.completed
             );
-            assert_eq!(System::Discipline(kind).label(), kind.name());
+            assert_eq!(SystemConfig::paper(kind).label(), kind.name());
         }
-    }
-
-    #[test]
-    fn size_aware_discipline_is_exactly_minos() {
-        // Same seed, same workload: the size-aware discipline system and
-        // the Minos system are the same code path and must agree
-        // request-for-request.
-        let mut a = quick_sim(System::Minos, 0.00125, 1.0);
-        let mut b = quick_sim(System::Discipline(DisciplineKind::SizeAware), 0.00125, 1.0);
-        for sim in [&mut a, &mut b] {
-            sim.set_measure_window(0, u64::MAX);
-            sim.run_until(60_000_000);
-        }
-        assert_eq!(a.completed, b.completed);
-        assert_eq!(
-            a.latency().quantiles().map(|q| q.p99_us),
-            b.latency().quantiles().map(|q| q.p99_us)
-        );
-        assert_eq!(a.plan().decision.threshold, b.plan().decision.threshold);
     }
 
     #[test]
@@ -1041,8 +954,8 @@ mod tests {
         // operating point must sit below the saturation knee — past it
         // every size-blind discipline collapses to the same overloaded
         // tail and the comparison measures nothing.
-        let p99 = |system: System| {
-            let mut sim = quick_sim(system, 0.01, 1.0);
+        let p99 = |kind: DisciplineKind| {
+            let mut sim = quick_sim(kind, 0.01, 1.0);
             sim.set_measure_window(5_000_000, u64::MAX);
             sim.run_until(80_000_000);
             // Small-class p99: with 1 % large requests the overall p99
@@ -1050,8 +963,8 @@ mod tests {
             // size mix instead of the placement rule.
             sim.latency_small().quantiles().expect("completions").p99_us
         };
-        let jsq = p99(System::Discipline(DisciplineKind::Jsq));
-        let random = p99(System::Discipline(DisciplineKind::Random));
+        let jsq = p99(DisciplineKind::Jsq);
+        let random = p99(DisciplineKind::Random);
         assert!(
             jsq < random,
             "JSQ p99 {jsq} ns should beat Random p99 {random} ns"
@@ -1060,7 +973,7 @@ mod tests {
 
     #[test]
     fn reply_sampling_zero_sends_nothing_on_the_wire() {
-        let mut cfg = SystemConfig::paper(System::Hkh);
+        let mut cfg = SystemConfig::paper(DisciplineKind::Hkh);
         cfg.reply_sampling = 0.0;
         let mut sim = SystemSim::new(cfg, gen(0.0), 0.5, None, 0, 9);
         sim.set_measure_window(0, u64::MAX);

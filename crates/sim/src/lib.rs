@@ -10,15 +10,16 @@
 //!   [`cost_model`] calibrated to the paper's operating points (a small
 //!   GET costs ~1 µs of core time; the default workload saturates the
 //!   40 GbE NIC at ≈ 6.2 Mops, the paper's Figure 3 peak).
-//! * **The NIC** is a pair of 40 Gbit/s serialization channels
-//!   ([`network`]) with per-packet framing overhead — the same wire
-//!   arithmetic as `minos-wire`.
-//! * **The four engines** (Minos, HKH, SHO, HKH+WS) are event-level
-//!   models ([`engine`]) of the same scheduling logic the threaded
-//!   runtimes implement. Crucially, the Minos model does not
-//!   re-implement the controller: it *runs the real one* —
-//!   `minos-core`'s `ThresholdController`, `allocate` and `LargeRanges`
-//!   drive the simulated plan exactly as they drive the threaded server.
+//! * **The NIC** is a pair of 40 Gbit/s packet-interleaving wires with
+//!   per-packet framing overhead — the same wire arithmetic as
+//!   `minos-wire`.
+//! * **The server** is one model ([`engine`]) that runs the server's
+//!   disciplines: where a request runs and what a core polls come from
+//!   `minos-core`'s `Discipline`, the same calls the threaded server
+//!   makes. Crucially, the size-aware model does not re-implement the
+//!   controller either: it *runs the real one* — `minos-core`'s
+//!   `ThresholdController`, `allocate` and `LargeRanges` drive the
+//!   simulated plan exactly as they drive the threaded server.
 //! * **The workload** is the real `minos-workload` generator (zipfian
 //!   keys over the 16 M-key paper dataset, trimodal sizes, open-loop
 //!   Poisson arrivals).
@@ -32,11 +33,11 @@
 
 pub mod cost_model;
 pub mod engine;
-pub mod network;
 pub mod runner;
 pub mod sweep;
 
 pub use cost_model::CostModel;
-pub use engine::{System, SystemConfig};
+pub use engine::SystemConfig;
+pub use minos_core::dispatch::DisciplineKind;
 pub use runner::{RunConfig, RunResult, WindowStat};
 pub use sweep::{max_throughput_under_slo, SloSearch};

@@ -1,7 +1,7 @@
 //! Run orchestration: the paper's measurement methodology on top of the
 //! event loop.
 
-use crate::engine::{CoreLoad, System, SystemConfig, SystemSim};
+use crate::engine::{CoreLoad, SystemConfig, SystemSim};
 use minos_obs::{HistSummary, MetricValue, Snapshot};
 use minos_stats::Quantiles;
 use minos_workload::{AccessGenerator, Dataset, PhaseSchedule, Profile};
@@ -36,10 +36,10 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// A default-workload run at `rate_mops` for `system`.
-    pub fn new(system: System, profile: Profile, rate_mops: f64) -> Self {
+    /// A run of `system` under `profile` at `rate_mops`.
+    pub fn new(system: SystemConfig, profile: Profile, rate_mops: f64) -> Self {
         RunConfig {
-            system: SystemConfig::paper(system),
+            system,
             profile,
             rate_mops,
             duration_s: 2.0,
@@ -76,8 +76,8 @@ pub struct WindowStat {
 /// Results of one run.
 #[derive(Clone, Debug)]
 pub struct RunResult {
-    /// The simulated design's label.
-    pub system: &'static str,
+    /// The simulated system's label ([`SystemConfig::label`]).
+    pub system: String,
     /// Offered load, Mops.
     pub offered_mops: f64,
     /// Achieved throughput over the measurement window, Mops.
@@ -98,7 +98,7 @@ pub struct RunResult {
     pub generated: u64,
     /// Requests completed in the measurement window.
     pub completed: u64,
-    /// HKH+WS steals.
+    /// Steals ([`SystemConfig::steal`]).
     pub steals: u64,
     /// Periodic telemetry snapshots (simulated clock), when
     /// [`RunConfig::stats_interval_s`] was set.
@@ -184,7 +184,7 @@ pub fn run(config: &RunConfig) -> RunResult {
         .collect();
 
     RunResult {
-        system: config.system.system.label(),
+        system: config.system.label(),
         offered_mops: config.rate_mops,
         throughput_mops: sim.completed as f64 / span * 1e3,
         latency: sim.latency().quantiles(),
@@ -236,19 +236,34 @@ fn sim_snapshot(seq: u64, now_ns: u64, sim: &SystemSim) -> Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minos_core::dispatch::DisciplineKind;
     use minos_workload::DEFAULT_PROFILE;
 
-    fn quick(system: System, rate: f64) -> RunResult {
+    const MINOS: DisciplineKind = DisciplineKind::SizeAware;
+    const HKH: DisciplineKind = DisciplineKind::Hkh;
+
+    fn quick(system: SystemConfig, rate: f64) -> RunResult {
         run(&RunConfig::new(system, DEFAULT_PROFILE, rate).quick())
+    }
+
+    fn paper(kind: DisciplineKind) -> SystemConfig {
+        SystemConfig::paper(kind)
+    }
+
+    fn hkh_ws() -> SystemConfig {
+        SystemConfig {
+            steal: true,
+            ..paper(HKH)
+        }
     }
 
     #[test]
     fn all_systems_complete_at_low_load() {
         for system in [
-            System::Minos,
-            System::Hkh,
-            System::Sho { handoff: 2 },
-            System::HkhWs,
+            paper(MINOS),
+            paper(HKH),
+            paper(DisciplineKind::Sho { handoff: 2 }),
+            hkh_ws(),
         ] {
             let r = quick(system, 0.5);
             assert!(r.kept_up(), "{}: {}/{}", r.system, r.completed, r.generated);
@@ -262,8 +277,8 @@ mod tests {
         // The headline claim at 3 Mops (~half of peak): Minos' p99 stays
         // near the small service time; HKH's suffers head-of-line
         // blocking behind ~100 µs large requests.
-        let minos = quick(System::Minos, 3.0);
-        let hkh = quick(System::Hkh, 3.0);
+        let minos = quick(paper(MINOS), 3.0);
+        let hkh = quick(paper(HKH), 3.0);
         assert!(minos.kept_up() && hkh.kept_up());
         assert!(
             minos.p99_us() * 5.0 < hkh.p99_us(),
@@ -278,7 +293,7 @@ mod tests {
         // The paper holds the 50 µs SLO to ~90 % of the ~6.2 Mops peak;
         // our calibration crosses 50 µs near 4.7 Mops (~75 % of peak) —
         // same shape, slightly earlier knee. Probe inside the knee.
-        let r = quick(System::Minos, 4.5);
+        let r = quick(paper(MINOS), 4.5);
         assert!(r.kept_up(), "{}/{}", r.completed, r.generated);
         assert!(r.p99_us() <= 50.0, "p99 {}", r.p99_us());
     }
@@ -287,7 +302,7 @@ mod tests {
     fn saturation_caps_throughput() {
         // Offered load far beyond the ~6.2 Mops NIC bound: throughput
         // must cap near the bound, not track the offered rate.
-        let r = quick(System::Hkh, 9.0);
+        let r = quick(paper(HKH), 9.0);
         assert!(
             r.throughput_mops < 7.5,
             "throughput {} should cap near the NIC bound",
@@ -298,8 +313,8 @@ mod tests {
 
     #[test]
     fn nic_utilization_grows_with_load() {
-        let lo = quick(System::Minos, 1.0);
-        let hi = quick(System::Minos, 5.0);
+        let lo = quick(paper(MINOS), 1.0);
+        let hi = quick(paper(MINOS), 5.0);
         assert!(
             hi.nic_tx_util > lo.nic_tx_util * 3.0,
             "tx util {} -> {}",
@@ -311,16 +326,16 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let a = quick(System::Minos, 2.0);
-        let b = quick(System::Minos, 2.0);
+        let a = quick(paper(MINOS), 2.0);
+        let b = quick(paper(MINOS), 2.0);
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.p99_us(), b.p99_us());
     }
 
     #[test]
     fn ws_steals_at_low_load_but_rarely_at_high_load() {
-        let lo = quick(System::HkhWs, 1.0);
-        let hi = quick(System::HkhWs, 5.5);
+        let lo = quick(hkh_ws(), 1.0);
+        let hi = quick(hkh_ws(), 5.5);
         assert!(lo.steals > 0, "stealing happens at low load");
         // Normalize by completions: stealing fades as idleness vanishes.
         let lo_rate = lo.steals as f64 / lo.completed.max(1) as f64;
@@ -338,7 +353,7 @@ mod tests {
         // mix, not the load, so a sixth of the paper's rate shows it
         // (and keeps this test out of tier-1's top ten; windows are
         // only recorded when window_s > 0).
-        let mut cfg = RunConfig::new(System::Minos, DEFAULT_PROFILE, 0.5);
+        let mut cfg = RunConfig::new(paper(MINOS), DEFAULT_PROFILE, 0.5);
         cfg.window_s = 0.25;
         let r = run(&cfg);
         let counts: Vec<usize> = r.windows.iter().map(|w| w.n_large_cores).collect();

@@ -6,8 +6,9 @@
 //! offered load upward and then bisects between the last rate that met
 //! the SLO and the first that missed it.
 
-use crate::engine::System;
+use crate::engine::SystemConfig;
 use crate::runner::{run, RunConfig, RunResult};
+use minos_core::dispatch::DisciplineKind;
 use minos_workload::Profile;
 
 /// Parameters of the SLO search.
@@ -56,8 +57,8 @@ impl SloSearch {
     }
 }
 
-fn point(system: System, profile: Profile, rate: f64, search: &SloSearch) -> RunResult {
-    let mut cfg = RunConfig::new(system, profile, rate);
+fn point(system: &SystemConfig, profile: Profile, rate: f64, search: &SloSearch) -> RunResult {
+    let mut cfg = RunConfig::new(system.clone(), profile, rate);
     cfg.duration_s = search.duration_s;
     cfg.warmup_s = search.warmup_s;
     cfg.seed = search.seed;
@@ -71,7 +72,11 @@ fn meets(result: &RunResult, slo_us: f64) -> bool {
 /// The maximum throughput (Mops) at which `system` meets the SLO on the
 /// given profile. Returns the *achieved* throughput at the best passing
 /// rate (0 if even the lowest rate misses).
-pub fn max_throughput_under_slo(system: System, profile: Profile, search: &SloSearch) -> f64 {
+pub fn max_throughput_under_slo(
+    system: &SystemConfig,
+    profile: Profile,
+    search: &SloSearch,
+) -> f64 {
     let mut best_pass: Option<(f64, f64)> = None; // (offered, achieved)
     let mut first_fail: Option<f64> = None;
 
@@ -111,7 +116,10 @@ pub fn max_throughput_under_slo(system: System, profile: Profile, search: &SloSe
 /// reports the best per workload.
 pub fn sho_best_under_slo(profile: Profile, search: &SloSearch) -> f64 {
     (1..=3)
-        .map(|h| max_throughput_under_slo(System::Sho { handoff: h }, profile, search))
+        .map(|handoff| {
+            let sho = SystemConfig::paper(DisciplineKind::Sho { handoff });
+            max_throughput_under_slo(&sho, profile, search)
+        })
         .fold(0.0, f64::max)
 }
 
@@ -125,8 +133,16 @@ mod tests {
         // The paper's headline: under the 50 µs SLO Minos sustains
         // multiples of HKH's throughput on the default workload.
         let search = SloSearch::new(50.0).quick();
-        let minos = max_throughput_under_slo(System::Minos, DEFAULT_PROFILE, &search);
-        let hkh = max_throughput_under_slo(System::Hkh, DEFAULT_PROFILE, &search);
+        let minos = max_throughput_under_slo(
+            &SystemConfig::paper(DisciplineKind::SizeAware),
+            DEFAULT_PROFILE,
+            &search,
+        );
+        let hkh = max_throughput_under_slo(
+            &SystemConfig::paper(DisciplineKind::Hkh),
+            DEFAULT_PROFILE,
+            &search,
+        );
         assert!(minos > 3.0, "Minos under 50us: {minos} Mops");
         assert!(
             minos > hkh * 1.5,
@@ -138,9 +154,14 @@ mod tests {
     fn looser_slo_helps_every_system() {
         let strict = SloSearch::new(50.0).quick();
         let loose = SloSearch::new(100.0).quick();
-        for system in [System::Hkh, System::HkhWs] {
-            let s = max_throughput_under_slo(system, DEFAULT_PROFILE, &strict);
-            let l = max_throughput_under_slo(system, DEFAULT_PROFILE, &loose);
+        let hkh = SystemConfig::paper(DisciplineKind::Hkh);
+        let hkh_ws = SystemConfig {
+            steal: true,
+            ..hkh.clone()
+        };
+        for system in [hkh, hkh_ws] {
+            let s = max_throughput_under_slo(&system, DEFAULT_PROFILE, &strict);
+            let l = max_throughput_under_slo(&system, DEFAULT_PROFILE, &loose);
             assert!(
                 l >= s,
                 "{}: loose {l} must be >= strict {s}",

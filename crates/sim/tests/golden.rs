@@ -8,10 +8,10 @@
 
 use minos_core::config::{AllocationPolicy, ThresholdMode};
 use minos_core::dispatch::DisciplineKind;
-use minos_sim::{runner, RunConfig, System};
+use minos_sim::{runner, RunConfig, SystemConfig};
 use minos_workload::DEFAULT_PROFILE;
 
-fn point(system: System) -> RunConfig {
+fn point(system: SystemConfig) -> RunConfig {
     let mut profile = DEFAULT_PROFILE;
     profile.p_large = 0.01;
     let mut cfg = RunConfig::new(system, profile, 1.0);
@@ -31,10 +31,16 @@ fn check(cfg: &RunConfig, golden: u64) {
         r.completed,
         r.generated,
         r.steals,
-        r.per_core.iter().map(|c| (c.ops, c.packets)).collect::<Vec<_>>(),
+        r.per_core
+            .iter()
+            .map(|c| (c.ops, c.packets))
+            .collect::<Vec<_>>(),
         quantiles(r.latency),
         quantiles(r.latency_large),
-        r.windows.iter().map(|w| w.n_large_cores).collect::<Vec<_>>(),
+        r.windows
+            .iter()
+            .map(|w| w.n_large_cores)
+            .collect::<Vec<_>>(),
     );
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in format!("{fields:?}").bytes() {
@@ -44,7 +50,7 @@ fn check(cfg: &RunConfig, golden: u64) {
 }
 
 fn kind(kind: DisciplineKind, golden: u64) {
-    check(&point(System::Discipline(kind)), golden);
+    check(&point(SystemConfig::paper(kind)), golden);
 }
 
 #[test]
@@ -54,14 +60,14 @@ fn size_aware() {
 
 #[test]
 fn size_aware_static_threshold() {
-    let mut cfg = point(System::Minos);
+    let mut cfg = point(SystemConfig::paper(DisciplineKind::SizeAware));
     cfg.system.threshold_mode = ThresholdMode::Static(1_456);
     check(&cfg, 0x88b2_48d7_4105_b595);
 }
 
 #[test]
 fn size_aware_large_steals() {
-    let mut cfg = point(System::Minos);
+    let mut cfg = point(SystemConfig::paper(DisciplineKind::SizeAware));
     cfg.system.allocation_policy = AllocationPolicy::LargeSteals;
     check(&cfg, 0x92b5_233f_da8f_08ba);
 }
@@ -73,35 +79,56 @@ fn hkh() {
 
 #[test]
 fn hkh_steal() {
-    check(&point(System::HkhWs), 0x058e_cde5_e592_428a);
+    let hkh_ws = SystemConfig {
+        steal: true,
+        ..SystemConfig::paper(DisciplineKind::Hkh)
+    };
+    // Stealing follows the server's `try_steal`: the longest peer
+    // software queue, else a batch from the first peer RX queue in
+    // rotation (it was one request from the longest peer RX queue).
+    check(&point(hkh_ws), 0x4334_0e5f_34f8_7d84);
 }
 
 #[test]
 fn sho() {
-    kind(DisciplineKind::Sho { handoff: 1 }, 0x4d62_91be_ad03_c601);
+    // Clients target all n RX queues, which the dispatch core drains by
+    // its schedule (they targeted only the dispatch cores' queues).
+    kind(DisciplineKind::Sho { handoff: 1 }, 0x6a97_f830_7a90_ef87);
 }
 
 #[test]
 fn cfcfs() {
-    kind(DisciplineKind::Cfcfs, 0xf1b6_4b2e_680a_336a);
+    // Placed at pickup through a software hop to the shared queue (it was
+    // an ideal M/G/k queue joined at arrival).
+    kind(DisciplineKind::Cfcfs, 0x76eb_acdc_0604_dbb4);
 }
 
 #[test]
 fn dfcfs() {
-    kind(DisciplineKind::Dfcfs, 0x40ac_c0ff_62d0_4674);
+    // Placed at pickup through a software hop to the key's owner (it was
+    // the owner's RX queue at arrival, at no cost).
+    kind(DisciplineKind::Dfcfs, 0xffa5_106f_990f_035f);
 }
 
 #[test]
 fn jsq() {
-    kind(DisciplineKind::Jsq, 0xda00_2958_71a5_9a00);
+    // Placed at pickup by software-queue depth, through a hop when not
+    // local (it was the shortest RX queue at arrival, at no cost). From
+    // empty software queues the server's rule never leaves the RX core,
+    // so this equals hkh's digest.
+    kind(DisciplineKind::Jsq, 0xc5be_b609_638d_c446);
 }
 
 #[test]
 fn round_robin() {
-    kind(DisciplineKind::RoundRobin, 0x2d53_dc44_570d_417c);
+    // Placed at pickup through a software hop to the next core (it was
+    // the next RX queue at arrival, at no cost).
+    kind(DisciplineKind::RoundRobin, 0xd5b4_0de8_fae5_e563);
 }
 
 #[test]
 fn random() {
-    kind(DisciplineKind::Random, 0xc5be_b609_638d_c446);
+    // Placed at pickup through a software hop to a random core (it was a
+    // random RX queue at arrival, at no cost).
+    kind(DisciplineKind::Random, 0x753e_c019_1818_2afb);
 }

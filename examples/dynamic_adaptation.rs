@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example dynamic_adaptation`
 
-use minos::sim::{runner, RunConfig, System};
+use minos::sim::{runner, DisciplineKind, RunConfig, SystemConfig};
 use minos::workload::{PhaseSchedule, DEFAULT_PROFILE};
 
 fn main() {
@@ -21,7 +21,13 @@ fn main() {
     // The paper drives 2.25 Mops; our calibrated NIC caps at ~2.1 Mops
     // when p_L = 0.75 %, so 2.0 Mops is the equivalent "high load".
     let mut results = Vec::new();
-    for system in [System::Minos, System::HkhWs] {
+    for system in [
+        SystemConfig::paper(DisciplineKind::SizeAware),
+        SystemConfig {
+            steal: true,
+            ..SystemConfig::paper(DisciplineKind::Hkh)
+        },
+    ] {
         println!(
             "simulating {} for {:.0}s at 2.0 Mops...",
             system.label(),
