@@ -198,7 +198,6 @@ impl Transport for VirtualTransport {
         let nic = VirtualNic::stats(&self.nic);
         let c = |name: &str, v: u64| (format!("nic.{name}"), minos_obs::MetricValue::Counter(v));
         out.push(c("rx_malformed", nic.rx_malformed));
-        out.push(c("rx_faulted", nic.rx_faulted));
         out.push(c("rx_ring_full", nic.rx_ring_full));
         out.push(c("tx_gathered_bytes", nic.tx_gathered_bytes));
     }
@@ -206,9 +205,9 @@ impl Transport for VirtualTransport {
 
 /// The client-side adapter over a server's [`VirtualNic`]: a
 /// single-queue transport whose TX encodes full frames and delivers
-/// them through the NIC's receive path (checksums, fault injection,
-/// steering — the whole wire), and whose RX drains the server's TX
-/// rings, which is where replies appear in the in-process world.
+/// them through the NIC's receive path (checksums, steering — the
+/// whole wire), and whose RX drains the server's TX rings, which is
+/// where replies appear in the in-process world.
 #[derive(Clone, Debug)]
 pub struct VirtualClientTransport {
     nic: Arc<VirtualNic>,

@@ -1,13 +1,11 @@
 //! The virtual NIC device: steering + queues + statistics.
 
-use crate::faults::{FaultDecision, FaultInjector};
 use crate::flow_director::FlowDirector;
 use crate::queue::{PacketQueue, QueueStats};
 use crate::rss::RssHasher;
 use bytes::Bytes;
 use minos_wire::packet::{parse_frame, Packet, PacketMeta};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Configuration of a [`VirtualNic`].
 #[derive(Clone, Debug)]
@@ -20,31 +18,22 @@ pub struct NicConfig {
     /// When `false` every packet is steered by RSS, as on the paper's
     /// testbed NIC ("Our NIC supports only RSS", §5.1).
     pub flow_director: bool,
-    /// Optional fault injection on the receive path.
-    pub faults: Option<FaultInjector>,
 }
 
 impl NicConfig {
     /// A NIC with `num_queues` queues and defaults matching the paper's
-    /// setup (Flow-Director steering, 4096-packet rings, no faults).
+    /// setup (Flow-Director steering, 4096-packet rings).
     pub fn new(num_queues: u16) -> Self {
         Self {
             num_queues,
             queue_capacity: 4096,
             flow_director: true,
-            faults: None,
         }
     }
 
     /// Overrides the ring capacity.
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
-        self
-    }
-
-    /// Enables fault injection.
-    pub fn with_faults(mut self, faults: FaultInjector) -> Self {
-        self.faults = Some(faults);
         self
     }
 
@@ -62,8 +51,6 @@ pub enum Delivery {
     Queued(u16),
     /// Dropped: frame failed parsing or checksum verification.
     DroppedMalformed,
-    /// Dropped by the fault injector.
-    DroppedFault,
     /// Dropped: the target RX ring was full.
     DroppedFull(u16),
 }
@@ -75,8 +62,6 @@ pub struct NicStats {
     pub rx_delivered: u64,
     /// Frames dropped as malformed.
     pub rx_malformed: u64,
-    /// Frames dropped by fault injection.
-    pub rx_faulted: u64,
     /// Frames dropped on full rings.
     pub rx_ring_full: u64,
     /// Frames transmitted (drained from TX rings).
@@ -104,10 +89,8 @@ pub struct VirtualNic {
     fd: Option<FlowDirector>,
     rx: Vec<PacketQueue>,
     tx: Vec<PacketQueue>,
-    faults: Option<Mutex<FaultInjector>>,
     rx_delivered: AtomicU64,
     rx_malformed: AtomicU64,
-    rx_faulted: AtomicU64,
     rx_ring_full: AtomicU64,
     tx_sent: AtomicU64,
     rx_bytes: AtomicU64,
@@ -128,10 +111,8 @@ impl VirtualNic {
                 .then(|| FlowDirector::with_queue_ports(config.num_queues)),
             rx: (0..config.num_queues).map(mk).collect(),
             tx: (0..config.num_queues).map(mk).collect(),
-            faults: config.faults.filter(|f| !f.is_noop()).map(Mutex::new),
             rx_delivered: AtomicU64::new(0),
             rx_malformed: AtomicU64::new(0),
-            rx_faulted: AtomicU64::new(0),
             rx_ring_full: AtomicU64::new(0),
             tx_sent: AtomicU64::new(0),
             rx_bytes: AtomicU64::new(0),
@@ -156,24 +137,9 @@ impl VirtualNic {
         self.rss.queue_for(&meta.five_tuple())
     }
 
-    /// Delivers one raw frame: fault injection, parse + checksum
-    /// verification, steering, RX enqueue.
+    /// Delivers one raw frame: parse + checksum verification, steering,
+    /// RX enqueue.
     pub fn deliver_frame(&self, frame: Bytes) -> Delivery {
-        let frame = match &self.faults {
-            None => frame,
-            Some(f) => match f.lock().unwrap().decide(frame.len()) {
-                FaultDecision::Deliver => frame,
-                FaultDecision::Drop => {
-                    self.rx_faulted.fetch_add(1, Ordering::Relaxed);
-                    return Delivery::DroppedFault;
-                }
-                FaultDecision::Corrupt { offset, mask } => {
-                    let mut raw = frame.to_vec();
-                    raw[offset] ^= mask;
-                    Bytes::from(raw)
-                }
-            },
-        };
         match parse_frame(frame) {
             None => {
                 self.rx_malformed.fetch_add(1, Ordering::Relaxed);
@@ -257,7 +223,6 @@ impl VirtualNic {
         NicStats {
             rx_delivered: self.rx_delivered.load(Ordering::Relaxed),
             rx_malformed: self.rx_malformed.load(Ordering::Relaxed),
-            rx_faulted: self.rx_faulted.load(Ordering::Relaxed),
             rx_ring_full: self.rx_ring_full.load(Ordering::Relaxed),
             tx_sent: self.tx_sent.load(Ordering::Relaxed),
             rx_bytes: self.rx_bytes.load(Ordering::Relaxed),
@@ -329,22 +294,18 @@ mod tests {
 
     #[test]
     fn corruption_is_caught_by_checksums() {
-        let nic = VirtualNic::new(NicConfig::new(2).with_faults(FaultInjector::new(0.0, 1.0, 5)));
-        // Every frame corrupted => every frame must fail parsing, never
-        // silently deliver wrong bytes.
-        for _ in 0..100 {
-            let d = nic.deliver_frame(frame_to_queue(0));
+        let nic = VirtualNic::new(NicConfig::new(2));
+        // One byte flipped per frame, at every offset in turn: every
+        // frame must fail parsing, never silently deliver wrong bytes.
+        for i in 0..100 {
+            let mut raw = frame_to_queue(0).to_vec();
+            let offset = i % raw.len();
+            raw[offset] ^= 1 << (i % 8);
+            let d = nic.deliver_frame(Bytes::from(raw));
             assert_eq!(d, Delivery::DroppedMalformed);
         }
         assert_eq!(nic.stats().rx_malformed, 100);
         assert_eq!(nic.stats().rx_delivered, 0);
-    }
-
-    #[test]
-    fn drop_faults_counted() {
-        let nic = VirtualNic::new(NicConfig::new(2).with_faults(FaultInjector::new(1.0, 0.0, 5)));
-        assert_eq!(nic.deliver_frame(frame_to_queue(0)), Delivery::DroppedFault);
-        assert_eq!(nic.stats().rx_faulted, 1);
     }
 
     #[test]

@@ -16,9 +16,6 @@
 //!   `push`/`rx_burst` ring access.
 //! * [`device`] — the [`VirtualNic`] combining the above, with per-queue
 //!   statistics and link-level byte accounting.
-//! * [`faults`] — optional fault injection (probabilistic drop and
-//!   corruption), an idiom borrowed from the smoltcp examples: adverse
-//!   network conditions are a configuration knob, not a patch.
 //!
 //! The crucial property preserved from real hardware: **once configured,
 //! packet steering costs no server CPU** — `deliver` runs on the sender's
@@ -29,13 +26,11 @@
 #![warn(missing_docs)]
 
 pub mod device;
-pub mod faults;
 pub mod flow_director;
 pub mod queue;
 pub mod rss;
 
 pub use device::{Delivery, NicConfig, NicStats, VirtualNic};
-pub use faults::FaultInjector;
 pub use flow_director::FlowDirector;
 pub use queue::{PacketQueue, QueueStats};
 pub use rss::RssHasher;
