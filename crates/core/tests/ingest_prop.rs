@@ -1,16 +1,16 @@
 //! Property tests pinning the one-copy streaming ingest path
-//! byte-identical to the old concatenate-then-put path.
+//! byte-identical to concatenate-then-put.
 //!
 //! For any value size and any fragment arrival order (with optional
 //! duplicate deliveries), streaming a fragmented PUT through
 //! `StreamingReassembler` + `PutIngest` + `Store::put_reserved` must
-//! store exactly the bytes the old `Reassembler` → `Message::decode` →
-//! `Store::put` pipeline stores — while copying each value byte exactly
-//! once and holding zero fragment buffers.
+//! store exactly the value's bytes — what concatenating the fragments,
+//! decoding and `Store::put` would store — while copying each value
+//! byte exactly once and holding zero fragment buffers.
 
 use minos_core::ingest::PutIngest;
 use minos_kv::{Store, StoreConfig};
-use minos_wire::frag::{fragment_with_id, Reassembler, Reassembly, Streamed, StreamingReassembler};
+use minos_wire::frag::{fragment_with_id, Streamed, StreamingReassembler};
 use minos_wire::message::{Body, Message};
 use proptest::prelude::*;
 
@@ -59,8 +59,8 @@ proptest! {
 
     /// The equivalence: for any size crossing any number of fragment
     /// boundaries and any delivery order, the stored value is
-    /// byte-identical between the streaming and the concatenating
-    /// pipeline, and the streaming store copied exactly value_len bytes.
+    /// byte-identical to the value put, and the streaming store copied
+    /// exactly value_len bytes.
     #[test]
     fn streaming_ingest_equals_concatenate_then_put(
         len in prop_oneof![
@@ -80,36 +80,20 @@ proptest! {
         let frags = fragment_with_id(seed, &encoded);
         prop_assert!(!frags.is_empty());
 
-        // Old path: concatenate, decode, put.
-        let old_store = test_store();
-        let mut old = Reassembler::new(8);
-        let mut old_done = false;
-        for f in &frags {
-            if let Reassembly::Complete(bytes) = old.push(1, f.clone()) {
-                let decoded = Message::decode(bytes).expect("well-formed");
-                match decoded.body {
-                    Body::Put { key, value, .. } => old_store.put(key, &value).unwrap(),
-                    other => prop_assert!(false, "unexpected body {other:?}"),
-                };
-                old_done = true;
-            }
-        }
-        prop_assert!(old_done);
-
-        // New path: stream fragments (shuffled, possibly duplicated)
-        // straight into the mempool reservation.
-        let new_store = test_store();
+        // Stream fragments (shuffled, possibly duplicated) straight into
+        // the mempool reservation.
+        let store = test_store();
         let mut streaming = StreamingReassembler::new(8);
         let mut committed = false;
         for i in delivery_schedule(frags.len(), shuffle_seed) {
-            match streaming.push(1, frags[i].clone(), |fh| PutIngest::open(&new_store, fh)) {
+            match streaming.push(1, frags[i].clone(), |fh| PutIngest::open(&store, fh)) {
                 Streamed::Complete(ingest) => {
-                    let done = ingest.commit(&new_store).expect("well-formed put");
+                    let done = ingest.commit(&store).expect("well-formed put");
                     prop_assert_eq!(done.key, key);
                     committed = true;
                     // A fragment delivered after completion would open a
-                    // fresh partial (same as the old reassembler); stop
-                    // here so the accounting below is exact.
+                    // fresh partial; stop here so the accounting below
+                    // is exact.
                     break;
                 }
                 Streamed::Incomplete | Streamed::Duplicate => {}
@@ -118,15 +102,13 @@ proptest! {
         }
         prop_assert!(committed, "every permutation must complete");
 
-        // Byte-identical stored values.
-        let old_val = old_store.get(key).expect("stored");
-        let new_val = new_store.get(key).expect("stored");
-        prop_assert_eq!(&old_val[..], &new_val[..]);
-        prop_assert_eq!(&new_val[..], &value[..]);
+        // The stored value is byte-identical to the value put.
+        let stored = store.get(key).expect("stored");
+        prop_assert_eq!(&stored[..], &value[..]);
 
         // And the streaming store moved each value byte exactly once —
         // duplicates included, nothing was double-copied.
-        prop_assert_eq!(new_store.mempool().stats().copied_bytes, len as u64);
+        prop_assert_eq!(store.mempool().stats().copied_bytes, len as u64);
         prop_assert_eq!(streaming.pending(), 0);
     }
 }

@@ -16,7 +16,8 @@ use minos_net::{
 };
 use minos_nic::{NicConfig, VirtualNic};
 use minos_wire::frag::{
-    fragment_frame_with_id, fragment_with_id, Fragmenter, Reassembler, Reassembly,
+    fragment_frame_with_id, fragment_with_id, FragHeader, Fragmenter, Streamed,
+    StreamingReassembler,
 };
 use minos_wire::message::{Body, Message, ReplyStatus};
 use minos_wire::packet::{synthesize, synthesize_frame, Endpoint, Packet, TxPacket};
@@ -91,6 +92,26 @@ fn backends(num_queues: u16) -> Vec<Backend> {
         udp_backend("udp-batched", num_queues, 32),
         udp_backend("udp-singly", num_queues, 1),
     ]
+}
+
+/// Opens a plain `Vec` writer of the message's length.
+fn vec_open(h: &FragHeader) -> Option<Vec<u8>> {
+    Some(vec![0; h.msg_len as usize])
+}
+
+/// Reassembles the fragments of one message; `None` if they never
+/// complete it. Every fragment must be well-formed and fresh.
+#[track_caller]
+fn reassemble(pkts: Vec<Packet>) -> Option<Vec<u8>> {
+    let mut reassembler = StreamingReassembler::new(4);
+    for pkt in pkts {
+        match reassembler.push(pkt.source_endpoint(), pkt.payload, vec_open) {
+            Streamed::Complete(message) => return Some(message),
+            Streamed::Incomplete => {}
+            other => panic!("reassembly failed: {other:?}"),
+        }
+    }
+    None
 }
 
 /// Receives until `want` packets arrived (or a deadline), asserting the
@@ -339,16 +360,8 @@ fn large_message_fragmentation_roundtrips_both_directions() {
         assert!(burst.is_empty(), "{}: tx_frames drains", backend.name);
 
         let frags = rx_collect(&*backend.server, 1, n_frags, 32, backend.name);
-        let mut reassembler = Reassembler::new(16);
-        let mut complete = None;
-        for pkt in frags {
-            match reassembler.push(pkt.source_endpoint(), pkt.payload) {
-                Reassembly::Complete(bytes) => complete = Some(bytes),
-                Reassembly::Incomplete => {}
-                other => panic!("{}: reassembly failed: {other:?}", backend.name),
-            }
-        }
-        let complete = complete.unwrap_or_else(|| panic!("{}: never completed", backend.name));
+        let complete =
+            reassemble(frags).unwrap_or_else(|| panic!("{}: never completed", backend.name));
         assert_eq!(
             &complete[..],
             &message[..],
@@ -373,17 +386,8 @@ fn large_message_fragmentation_roundtrips_both_directions() {
         );
         assert!(burst.is_empty(), "{}: tx_frames drains", backend.name);
         let frags = rx_collect(&*backend.client, 0, n_frags, 32, backend.name);
-        let mut reassembler = Reassembler::new(16);
-        let mut complete = None;
-        for pkt in frags {
-            match reassembler.push(pkt.source_endpoint(), pkt.payload) {
-                Reassembly::Complete(bytes) => complete = Some(bytes),
-                Reassembly::Incomplete => {}
-                other => panic!("{}: reply reassembly failed: {other:?}", backend.name),
-            }
-        }
         assert_eq!(
-            &complete.expect("reply completes")[..],
+            &reassemble(frags).expect("reply completes")[..],
             &reply_msg[..],
             "{}: reply bytes survive",
             backend.name
@@ -485,17 +489,8 @@ fn tx_frames_wire_equal_to_contiguous_encode_on_every_backend() {
             }
             // And the payloads survive intact end to end: reassemble +
             // decode recovers the original reply.
-            let mut reassembler = Reassembler::new(8);
-            let mut complete = None;
-            for pkt in got {
-                if let Reassembly::Complete(bytes) =
-                    reassembler.push(pkt.source_endpoint(), pkt.payload)
-                {
-                    complete = Some(bytes);
-                }
-            }
-            let decoded =
-                Message::decode(complete.expect("reply reassembles")).expect("reply decodes");
+            let complete = reassemble(got).expect("reply reassembles");
+            let decoded = Message::decode(complete.into()).expect("reply decodes");
             assert_eq!(decoded, msg, "{}: payload integrity", backend.name);
         }
     }
@@ -680,17 +675,8 @@ fn a_344_fragment_message_arrives_intact_on_every_path() {
             assert_eq!(transport_metric(&*backend.client, "rx_packets"), 344);
             assert_eq!(transport_metric(&*backend.server, "tx_copied_bytes"), 0);
         }
-        let mut reassembler = Reassembler::new(4);
-        let complete = got
-            .into_iter()
-            .find_map(
-                |pkt| match reassembler.push(pkt.source_endpoint(), pkt.payload) {
-                    Reassembly::Complete(bytes) => Some(bytes),
-                    _ => None,
-                },
-            )
-            .expect("reply reassembles");
-        assert_eq!(Message::decode(complete).expect("decodes"), msg);
+        let complete = reassemble(got).expect("reply reassembles");
+        assert_eq!(Message::decode(complete.into()).expect("decodes"), msg);
     });
 }
 
@@ -885,15 +871,15 @@ fn trains_reach_receivers_that_never_asked_for_them() {
     std::thread::scope(|scope| {
         let rx = scope.spawn(|| {
             let mut buf = vec![0u8; 65_536];
-            let mut reassembler = Reassembler::new(4);
+            let mut reassembler = StreamingReassembler::new(4);
             loop {
                 let (len, _) = plain.recv_from(&mut buf).expect("std socket receives");
                 assert!(
                     len <= minos_wire::MAX_UDP_PAYLOAD,
                     "one fragment per datagram"
                 );
-                if let Reassembly::Complete(bytes) =
-                    reassembler.push(1, Bytes::copy_from_slice(&buf[..len]))
+                if let Streamed::Complete(bytes) =
+                    reassembler.push(1, Bytes::copy_from_slice(&buf[..len]), vec_open)
                 {
                     break bytes;
                 }

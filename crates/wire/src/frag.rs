@@ -21,10 +21,11 @@
 //! is sent one frame per datagram, byte for byte as before the bit
 //! existed.
 //!
-//! The [`Reassembler`] tolerates out-of-order and duplicated fragments and
-//! bounds its memory: at most `max_partial` in-flight messages are kept,
-//! evicting the stalest entry when full (datagram loss is the client's
-//! problem — §4.1: "Retransmission is handled by the client").
+//! The [`StreamingReassembler`] tolerates out-of-order and duplicated
+//! fragments and bounds its memory: at most `max_partial` in-flight
+//! messages are kept, evicting the stalest entry when full (datagram loss
+//! is the client's problem — §4.1: "Retransmission is handled by the
+//! client").
 
 use crate::packet::{synthesize_frame, Endpoint, TxPacket};
 use crate::txframe::{Region, TxFrame};
@@ -340,134 +341,6 @@ impl Iterator for Frames {
     }
 }
 
-/// A partially reassembled message.
-#[derive(Debug)]
-struct Partial {
-    chunks: Vec<Option<Bytes>>,
-    received: usize,
-    msg_len: u32,
-    last_touch: u64,
-}
-
-/// Outcome of feeding one fragment to the [`Reassembler`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum Reassembly {
-    /// The fragment completed a message; here it is.
-    Complete(Bytes),
-    /// More fragments are needed.
-    Incomplete,
-    /// The fragment was malformed or inconsistent and was dropped.
-    Rejected,
-    /// The fragment duplicated one already received and was ignored.
-    Duplicate,
-}
-
-/// Reassembles fragmented messages, keyed by `(source, msg_id)`.
-#[derive(Debug)]
-pub struct Reassembler {
-    partials: HashMap<(u64, u64), Partial>,
-    max_partial: usize,
-    clock: u64,
-    /// Completed-message count (observability).
-    pub completed: u64,
-    /// Evicted-partial count (observability).
-    pub evicted: u64,
-}
-
-impl Reassembler {
-    /// Creates a reassembler holding at most `max_partial` in-flight
-    /// messages.
-    pub fn new(max_partial: usize) -> Self {
-        assert!(max_partial > 0);
-        Self {
-            partials: HashMap::new(),
-            max_partial,
-            clock: 0,
-            completed: 0,
-            evicted: 0,
-        }
-    }
-
-    /// Feeds one UDP payload (frag header + chunk) from `source`.
-    pub fn push(&mut self, source: u64, payload: Bytes) -> Reassembly {
-        self.clock += 1;
-        let mut rd = payload;
-        let Some(header) = FragHeader::decode(&mut rd) else {
-            return Reassembly::Rejected;
-        };
-        // A count inconsistent with msg_len can only come from a forged
-        // or corrupted header; honoring it would buffer up to
-        // count x MAX_FRAG_CHUNK bytes for a message that can never
-        // decode.
-        if u32::from(header.count) != crate::packets_for_payload(header.msg_len as usize) {
-            return Reassembly::Rejected;
-        }
-        let chunk = rd;
-
-        // Validate chunk length against its position.
-        let expected = expected_chunk_len(&header);
-        if chunk.len() != expected {
-            return Reassembly::Rejected;
-        }
-
-        if header.count == 1 {
-            self.completed += 1;
-            return Reassembly::Complete(chunk);
-        }
-
-        let key = (source, header.msg_id);
-        if !self.partials.contains_key(&key) && self.partials.len() >= self.max_partial {
-            self.evict_stalest();
-        }
-        let partial = self.partials.entry(key).or_insert_with(|| Partial {
-            chunks: vec![None; header.count as usize],
-            received: 0,
-            msg_len: header.msg_len,
-            last_touch: 0,
-        });
-        if partial.chunks.len() != header.count as usize || partial.msg_len != header.msg_len {
-            // Inconsistent with earlier fragments of the same id: drop
-            // the whole partial, it cannot complete correctly.
-            self.partials.remove(&key);
-            return Reassembly::Rejected;
-        }
-        partial.last_touch = self.clock;
-        let slot = &mut partial.chunks[header.index as usize];
-        if slot.is_some() {
-            return Reassembly::Duplicate;
-        }
-        *slot = Some(chunk);
-        partial.received += 1;
-        if partial.received == partial.chunks.len() {
-            let partial = self.partials.remove(&key).expect("present");
-            let mut out = BytesMut::with_capacity(partial.msg_len as usize);
-            for c in partial.chunks {
-                out.put_slice(&c.expect("all chunks received"));
-            }
-            self.completed += 1;
-            return Reassembly::Complete(out.freeze());
-        }
-        Reassembly::Incomplete
-    }
-
-    /// Number of in-flight partial messages.
-    pub fn pending(&self) -> usize {
-        self.partials.len()
-    }
-
-    fn evict_stalest(&mut self) {
-        if let Some(key) = self
-            .partials
-            .iter()
-            .min_by_key(|(_, p)| p.last_touch)
-            .map(|(k, _)| *k)
-        {
-            self.partials.remove(&key);
-            self.evicted += 1;
-        }
-    }
-}
-
 fn expected_chunk_len(h: &FragHeader) -> usize {
     let len = h.msg_len as usize;
     let start = h.index as usize * MAX_FRAG_CHUNK;
@@ -488,6 +361,15 @@ pub trait FragmentWriter {
     /// calls never overlap and jointly cover `[0, msg_len)` exactly once
     /// by the time the reassembler reports completion.
     fn write_at(&mut self, offset: usize, chunk: &[u8]);
+}
+
+/// A plain buffer, opened at the message's length
+/// (`vec![0; header.msg_len as usize]`): reassembly into memory the
+/// caller owns.
+impl FragmentWriter for Vec<u8> {
+    fn write_at(&mut self, offset: usize, chunk: &[u8]) {
+        self[offset..offset + chunk.len()].copy_from_slice(chunk);
+    }
 }
 
 /// In-flight state of one streamed message.
@@ -524,7 +406,7 @@ pub enum Streamed<W> {
 /// Streaming reassembly: copies each fragment's chunk directly into a
 /// caller-provided [`FragmentWriter`] and drops the fragment buffer
 /// immediately, instead of buffering every fragment until the message
-/// completes the way [`Reassembler`] does.
+/// completes.
 ///
 /// Two properties follow:
 ///
@@ -535,8 +417,8 @@ pub enum Streamed<W> {
 ///   holds *zero* fragment buffers instead of `O(msg_len / MTU)` — the
 ///   fix for RX-pool exhaustion under concurrent large-PUT bursts.
 ///
-/// Like [`Reassembler`], entries are keyed by `(source, msg_id)` and
-/// bounded by `max_partial` with stalest-first eviction. In addition,
+/// Entries are keyed by `(source, msg_id)` and bounded by `max_partial`
+/// with stalest-first eviction. In addition,
 /// [`StreamingReassembler::advance_round`] implements round-based stale
 /// eviction: a partial untouched for two completed rounds (driven by the
 /// caller's clock, e.g. the server's reassembly-round timer) is dropped,
@@ -589,9 +471,7 @@ impl<W: FragmentWriter> StreamingReassembler<W> {
         // The writer is sized from msg_len while chunk placement comes
         // from index/count; a header whose count disagrees with its
         // msg_len could therefore direct a full-size chunk past the end
-        // of a tiny writer. Buffering reassembly only produced garbage
-        // for the decoder from such forgeries — streaming must reject
-        // them outright.
+        // of a tiny writer, so such forgeries are rejected outright.
         if u32::from(header.count) != crate::packets_for_payload(header.msg_len as usize) {
             return Streamed::Rejected;
         }
@@ -717,14 +597,19 @@ mod tests {
         (0..len).map(|i| (i % 251) as u8).collect()
     }
 
+    /// Opens a plain `Vec` writer of the message's length.
+    fn vec_open(h: &FragHeader) -> Option<Vec<u8>> {
+        Some(vec![0; h.msg_len as usize])
+    }
+
     #[test]
     fn single_fragment_roundtrip() {
         let msg = message(100);
         let frags = fragment_with_id(1, &msg);
         assert_eq!(frags.len(), 1);
-        let mut r = Reassembler::new(8);
-        match r.push(0, frags[0].clone()) {
-            Reassembly::Complete(b) => assert_eq!(&b[..], &msg[..]),
+        let mut r = StreamingReassembler::new(8);
+        match r.push(0, frags[0].clone(), vec_open) {
+            Streamed::Complete(b) => assert_eq!(b, msg),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -734,14 +619,14 @@ mod tests {
         let msg = message(MAX_FRAG_CHUNK * 3 + 17);
         let frags = fragment_with_id(9, &msg);
         assert_eq!(frags.len(), 4);
-        let mut r = Reassembler::new(8);
+        let mut r = StreamingReassembler::new(8);
         for (i, f) in frags.iter().enumerate() {
-            match r.push(0, f.clone()) {
-                Reassembly::Complete(b) => {
+            match r.push(0, f.clone(), vec_open) {
+                Streamed::Complete(b) => {
                     assert_eq!(i, frags.len() - 1);
-                    assert_eq!(&b[..], &msg[..]);
+                    assert_eq!(b, msg);
                 }
-                Reassembly::Incomplete => assert!(i < frags.len() - 1),
+                Streamed::Incomplete => assert!(i < frags.len() - 1),
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -754,15 +639,21 @@ mod tests {
         let msg_b = message(MAX_FRAG_CHUNK + 5);
         let fa = fragment_with_id(1, &msg_a);
         let fb = fragment_with_id(1, &msg_b); // same id, different source
-        let mut r = Reassembler::new(8);
-        assert_eq!(r.push(10, fa[1].clone()), Reassembly::Incomplete);
-        assert_eq!(r.push(20, fb[1].clone()), Reassembly::Incomplete);
-        match r.push(20, fb[0].clone()) {
-            Reassembly::Complete(b) => assert_eq!(&b[..], &msg_b[..]),
+        let mut r = StreamingReassembler::new(8);
+        assert!(matches!(
+            r.push(10, fa[1].clone(), vec_open),
+            Streamed::Incomplete
+        ));
+        assert!(matches!(
+            r.push(20, fb[1].clone(), vec_open),
+            Streamed::Incomplete
+        ));
+        match r.push(20, fb[0].clone(), vec_open) {
+            Streamed::Complete(b) => assert_eq!(b, msg_b),
             other => panic!("unexpected {other:?}"),
         }
-        match r.push(10, fa[0].clone()) {
-            Reassembly::Complete(b) => assert_eq!(&b[..], &msg_a[..]),
+        match r.push(10, fa[0].clone(), vec_open) {
+            Streamed::Complete(b) => assert_eq!(b, msg_a),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -771,24 +662,30 @@ mod tests {
     fn duplicates_ignored() {
         let msg = message(MAX_FRAG_CHUNK * 2);
         let frags = fragment_with_id(3, &msg);
-        let mut r = Reassembler::new(8);
-        assert_eq!(r.push(0, frags[0].clone()), Reassembly::Incomplete);
-        assert_eq!(r.push(0, frags[0].clone()), Reassembly::Duplicate);
+        let mut r = StreamingReassembler::new(8);
         assert!(matches!(
-            r.push(0, frags[1].clone()),
-            Reassembly::Complete(_)
+            r.push(0, frags[0].clone(), vec_open),
+            Streamed::Incomplete
         ));
+        assert!(matches!(
+            r.push(0, frags[0].clone(), vec_open),
+            Streamed::Duplicate
+        ));
+        match r.push(0, frags[1].clone(), vec_open) {
+            Streamed::Complete(b) => assert_eq!(b, msg),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]
     fn malformed_rejected() {
-        let mut r = Reassembler::new(8);
+        let mut r = StreamingReassembler::new(8);
         // Too short for a header.
-        assert_eq!(
-            r.push(0, Bytes::from_static(&[1, 2, 3])),
-            Reassembly::Rejected
-        );
-        // index >= count.
+        assert!(matches!(
+            r.push(0, Bytes::from_static(&[1, 2, 3]), vec_open),
+            Streamed::Rejected
+        ));
+        // A chunk longer than the header's msg_len.
         let mut buf = BytesMut::new();
         FragHeader {
             msg_id: 1,
@@ -799,24 +696,33 @@ mod tests {
         }
         .encode(&mut buf);
         buf.put_slice(b"toolong!");
-        assert_eq!(r.push(0, buf.freeze()), Reassembly::Rejected);
+        assert!(matches!(
+            r.push(0, buf.freeze(), vec_open),
+            Streamed::Rejected
+        ));
     }
 
     #[test]
     fn capacity_bound_evicts_stalest() {
-        let mut r = Reassembler::new(2);
+        let mut r = StreamingReassembler::new(2);
         let m = message(MAX_FRAG_CHUNK * 2);
         // Three concurrent partials from three sources; capacity 2.
         for src in 0..3u64 {
             let frags = fragment_with_id(src, &m);
-            assert_eq!(r.push(src, frags[0].clone()), Reassembly::Incomplete);
+            assert!(matches!(
+                r.push(src, frags[0].clone(), vec_open),
+                Streamed::Incomplete
+            ));
         }
         assert_eq!(r.pending(), 2);
         assert_eq!(r.evicted, 1);
         // Source 0 was stalest and got evicted: completing it now fails
         // (fragment 1 alone re-opens a partial).
         let frags = fragment_with_id(0, &m);
-        assert_eq!(r.push(0, frags[1].clone()), Reassembly::Incomplete);
+        assert!(matches!(
+            r.push(0, frags[1].clone(), vec_open),
+            Streamed::Incomplete
+        ));
     }
 
     #[test]
@@ -825,26 +731,6 @@ mod tests {
         for f in fragment_with_id(0, &msg) {
             assert!(f.len() <= crate::MAX_UDP_PAYLOAD);
         }
-    }
-
-    #[test]
-    fn inconsistent_geometry_rejected() {
-        let msg = message(MAX_FRAG_CHUNK * 3);
-        let frags = fragment_with_id(5, &msg);
-        let mut r = Reassembler::new(8);
-        assert_eq!(r.push(0, frags[0].clone()), Reassembly::Incomplete);
-        // Forge a fragment with the same msg_id but a different count.
-        let mut buf = BytesMut::new();
-        FragHeader {
-            msg_id: 5,
-            index: 1,
-            count: 2,
-            msg_len: (MAX_FRAG_CHUNK * 2) as u32,
-            accepts_bundles: false,
-        }
-        .encode(&mut buf);
-        buf.put_slice(&msg[MAX_FRAG_CHUNK..2 * MAX_FRAG_CHUNK]);
-        assert_eq!(r.push(0, buf.freeze()), Reassembly::Rejected);
     }
 
     /// A test sink recording bytes at their offsets plus open/geometry
@@ -968,17 +854,13 @@ mod tests {
 
         let mut streaming = StreamingReassembler::<VecSink>::new(8);
         let mut opened = false;
-        let result = streaming.push(0, forged.clone(), |h| {
+        let result = streaming.push(0, forged, |h| {
             opened = true;
             VecSink::open(h)
         });
         assert!(matches!(result, Streamed::Rejected));
         assert!(!opened, "no writer may be opened for a forged header");
         assert_eq!(streaming.pending(), 0);
-
-        // The buffering reassembler rejects the same forgery.
-        let mut buffering = Reassembler::new(8);
-        assert_eq!(buffering.push(0, forged), Reassembly::Rejected);
     }
 
     #[test]
@@ -1014,6 +896,7 @@ mod tests {
             r.push(0, frags[0].clone(), VecSink::open),
             Streamed::Incomplete
         ));
+        // Forge a fragment with the same msg_id but a different count.
         let mut buf = BytesMut::new();
         FragHeader {
             msg_id: 5,

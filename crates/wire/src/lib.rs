@@ -42,9 +42,7 @@ pub mod packet;
 pub mod txframe;
 pub mod udp;
 
-pub use frag::{
-    FragHeader, FragmentWriter, Fragmenter, Reassembler, Streamed, StreamingReassembler,
-};
+pub use frag::{FragHeader, FragmentWriter, Fragmenter, Streamed, StreamingReassembler};
 pub use frame::{EtherType, EthernetHeader, MacAddr};
 pub use ip::Ipv4Header;
 pub use message::{Message, OpKind, ReplyStatus};

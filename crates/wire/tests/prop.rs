@@ -5,10 +5,15 @@
 //! * The fragment count always equals the cost function's packet count.
 
 use bytes::Bytes;
-use minos_wire::frag::{fragment_with_id, Reassembler, Reassembly};
+use minos_wire::frag::{fragment_with_id, FragHeader, Streamed, StreamingReassembler};
 use minos_wire::message::{Body, Message, ReplyStatus};
 use minos_wire::packet::{build_frame, parse_frame, Endpoint};
 use proptest::prelude::*;
+
+/// Opens a plain `Vec` writer of the message's length.
+fn vec_open(h: &FragHeader) -> Option<Vec<u8>> {
+    Some(vec![0; h.msg_len as usize])
+}
 
 fn arb_message() -> impl Strategy<Value = Message> {
     let value = prop::collection::vec(any::<u8>(), 0..20_000);
@@ -83,19 +88,19 @@ proptest! {
         // Send every fragment through a full frame encode/parse.
         let src = Endpoint::host(1, 777);
         let dst = Endpoint::host(2, 9000);
-        let mut reasm = Reassembler::new(4);
+        let mut reasm = StreamingReassembler::new(4);
         let mut complete = None;
         for f in &frags {
             let frame = build_frame(src, dst, f);
             let pkt = parse_frame(frame).unwrap();
-            match reasm.push(pkt.source_endpoint(), pkt.payload) {
-                Reassembly::Complete(b) => complete = Some(b),
-                Reassembly::Incomplete => {}
+            match reasm.push(pkt.source_endpoint(), pkt.payload, vec_open) {
+                Streamed::Complete(b) => complete = Some(b),
+                Streamed::Incomplete => {}
                 other => prop_assert!(false, "unexpected {:?}", other),
             }
         }
         let complete = complete.expect("message completed");
-        prop_assert_eq!(Message::decode(complete).unwrap(), msg);
+        prop_assert_eq!(Message::decode(Bytes::from(complete)).unwrap(), msg);
     }
 
     /// Dropping any single fragment of a multi-fragment message prevents
@@ -109,13 +114,13 @@ proptest! {
         let frags = fragment_with_id(1, &msg);
         prop_assume!(frags.len() > 1);
         let drop_idx = drop_idx_seed % frags.len();
-        let mut reasm = Reassembler::new(4);
+        let mut reasm = StreamingReassembler::new(4);
         for (i, f) in frags.iter().enumerate() {
             if i == drop_idx {
                 continue;
             }
-            match reasm.push(0, f.clone()) {
-                Reassembly::Incomplete => {}
+            match reasm.push(0, f.clone(), vec_open) {
+                Streamed::Incomplete => {}
                 other => prop_assert!(false, "unexpected {:?}", other),
             }
         }
