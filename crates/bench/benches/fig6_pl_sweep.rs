@@ -29,10 +29,8 @@ fn main() {
 
     let minos_sys = SystemConfig::paper(DisciplineKind::SizeAware);
     let hkh_sys = SystemConfig::paper(DisciplineKind::Hkh);
-    let ws_sys = SystemConfig {
-        steal: true,
-        ..hkh_sys.clone()
-    };
+    let mut ws_sys = hkh_sys.clone();
+    ws_sys.steal = true;
     let mut rows = Vec::new();
     for (slo_label, search) in [("50us", &search50), ("100us", &search100)] {
         println!("\n--- SLO: p99 <= {slo_label} ---");

@@ -93,18 +93,6 @@ impl SystemConfig {
     }
 }
 
-/// What a busy core is currently doing.
-#[derive(Clone, Copy, Debug)]
-enum Stage {
-    /// Service; completion sends the reply.
-    Serve { req: u32 },
-    /// A handoff; completion pushes the request to `target`'s software
-    /// queue.
-    ToCore { req: u32, target: usize },
-    /// A dispatch; completion pushes the request to the shared queue.
-    ToShared { req: u32 },
-}
-
 #[derive(Clone, Copy, Debug)]
 struct Req {
     arrival_ns: u64,
@@ -135,8 +123,6 @@ struct WireJob {
     req: u32,
     pkts_left: u64,
     bytes_left: u64,
-    /// TX: reply completion. RX: the target RX queue.
-    queue: usize,
 }
 
 /// A packet-interleaving wire: one packet at a time, round-robin across
@@ -165,8 +151,20 @@ impl PacketWire {
         }
     }
 
-    fn submit(&mut self, queue: usize, job: WireJob) {
-        self.queues[queue].push_back(job);
+    /// Queues `req`'s `pkts` packets (`bytes` in all) behind `queue`'s
+    /// earlier jobs; returns the duration of the packet this starts if
+    /// the wire was idle.
+    fn submit(&mut self, queue: usize, req: u32, pkts: u64, bytes: u64) -> Option<f64> {
+        self.queues[queue].push_back(WireJob {
+            req,
+            pkts_left: pkts,
+            bytes_left: bytes,
+        });
+        if self.busy {
+            None
+        } else {
+            self.next_packet_ns()
+        }
     }
 
     /// Starts serializing the next packet (round-robin); returns its
@@ -191,15 +189,18 @@ impl PacketWire {
         None
     }
 
-    /// Pops the front job of the queue the last packet belonged to if
-    /// that job is finished. (`rr` already advanced past it.)
-    fn finished_job(&mut self) -> Option<WireJob> {
+    /// The packet in flight left the wire: returns the request it
+    /// finished, if it was that request's last, with its queue; and the
+    /// duration of the next packet (`None` leaves the wire idle).
+    fn packet_done(&mut self) -> (Option<(usize, u32)>, Option<f64>) {
         let n = self.queues.len();
-        let q = (self.rr + n - 1) % n;
-        if self.queues[q].front().is_some_and(|j| j.pkts_left == 0) {
-            return self.queues[q].pop_front();
-        }
-        None
+        let q = (self.rr + n - 1) % n; // `rr` already advanced past it
+        let done = if self.queues[q].front().is_some_and(|j| j.pkts_left == 0) {
+            self.queues[q].pop_front().map(|j| (q, j.req))
+        } else {
+            None
+        };
+        (done, self.next_packet_ns())
     }
 
     fn utilization(&self, span_ns: f64) -> f64 {
@@ -243,8 +244,10 @@ pub struct SystemSim {
     /// waiting has nothing to assign.
     waiting: usize,
 
-    // Cores.
-    busy: Vec<Option<Stage>>,
+    /// What each busy core is doing: the request, and where it goes
+    /// when the core is done — `Local` is service, whose end sends the
+    /// reply; `Core`/`Shared` is the hop to that queue.
+    busy: Vec<Option<(u32, Placement)>>,
 
     // What the discipline says under the plan in force, cached per plan
     // as the server's poll loop caches it.
@@ -431,42 +434,27 @@ impl SystemSim {
             Ev::CoreDone { core } => self.on_core_done(core),
             Ev::Epoch => self.on_epoch(),
             Ev::TxPacketDone => {
-                if let Some(job) = self.tx_wire.finished_job() {
-                    self.finalize(job.req, self.now_ns);
+                let (done, next) = self.tx_wire.packet_done();
+                if let Some((_, req)) = done {
+                    self.finalize(req, self.now_ns);
                 }
-                if let Some(dur) = self.tx_wire.next_packet_ns() {
-                    self.events
-                        .push(self.now_ns + dur.ceil() as u64, Ev::TxPacketDone);
-                }
+                self.packet_started(next, Ev::TxPacketDone);
             }
             Ev::RxPacketDone => {
-                if let Some(job) = self.rx_wire.finished_job() {
-                    self.rx[job.queue].push_back(job.req);
+                let (done, next) = self.rx_wire.packet_done();
+                if let Some((queue, req)) = done {
+                    self.rx[queue].push_back(req);
                     self.waiting += 1;
                 }
-                if let Some(dur) = self.rx_wire.next_packet_ns() {
-                    self.events
-                        .push(self.now_ns + dur.ceil() as u64, Ev::RxPacketDone);
-                }
+                self.packet_started(next, Ev::RxPacketDone);
             }
         }
     }
 
-    fn kick_tx(&mut self) {
-        if !self.tx_wire.busy {
-            if let Some(dur) = self.tx_wire.next_packet_ns() {
-                self.events
-                    .push(self.now_ns + dur.ceil() as u64, Ev::TxPacketDone);
-            }
-        }
-    }
-
-    fn kick_rx(&mut self) {
-        if !self.rx_wire.busy {
-            if let Some(dur) = self.rx_wire.next_packet_ns() {
-                self.events
-                    .push(self.now_ns + dur.ceil() as u64, Ev::RxPacketDone);
-            }
+    /// Schedules `done` for the end of the packet a wire just started.
+    fn packet_started(&mut self, dur: Option<f64>, done: Ev) {
+        if let Some(dur) = dur {
+            self.events.push(self.now_ns + dur.ceil() as u64, done);
         }
     }
 
@@ -502,27 +490,19 @@ impl SystemSim {
             .cfg
             .cost
             .packets_for_inbound(self.cfg.cost.inbound_size(req.is_get, req.size));
-        self.rx_wire.submit(
-            queue,
-            WireJob {
-                req: idx,
-                pkts_left: pkts,
-                bytes_left: bytes,
-                queue,
-            },
-        );
-        self.kick_rx();
+        let started = self.rx_wire.submit(queue, idx, pkts, bytes);
+        self.packet_started(started, Ev::RxPacketDone);
         self.events.push(self.arrivals.peek(), Ev::Arrival);
     }
 
     fn on_core_done(&mut self, core: usize) {
         match self.busy[core].take().expect("core was busy") {
-            Stage::Serve { req } => self.complete(core, req),
-            Stage::ToCore { req, target } => {
+            (req, Placement::Local) => self.complete(core, req),
+            (req, Placement::Core(target)) => {
                 self.soft[target].push_back(req);
                 self.waiting += 1;
             }
-            Stage::ToShared { req } => {
+            (req, Placement::Shared) => {
                 self.shared.push_back(req);
                 self.waiting += 1;
             }
@@ -577,7 +557,7 @@ impl SystemSim {
                     .cfg
                     .cost
                     .sho_worker_ns(r.size, self.cfg.cost.inbound_size(r.is_get, r.size));
-                self.start(core, Stage::Serve { req }, occ);
+                self.start(core, req, Placement::Local, occ);
                 return true;
             }
         }
@@ -666,17 +646,15 @@ impl SystemSim {
             plan: &self.plan,
             depths: &SoftDepths(&self.soft),
         });
-        let (stage, cost) = match placement {
-            Placement::Local => (Stage::Serve { req }, self.cfg.cost.service_ns(r.size)),
-            Placement::Core(target) => (Stage::ToCore { req, target }, self.cfg.cost.handoff_ns),
-            Placement::Shared => (
-                Stage::ToShared { req },
-                self.cfg
-                    .cost
-                    .sho_dispatch_ns(self.cfg.cost.inbound_size(r.is_get, r.size)),
-            ),
+        let cost = match placement {
+            Placement::Local => self.cfg.cost.service_ns(r.size),
+            Placement::Core(_) => self.cfg.cost.handoff_ns,
+            Placement::Shared => self
+                .cfg
+                .cost
+                .sho_dispatch_ns(self.cfg.cost.inbound_size(r.is_get, r.size)),
         };
-        self.start(core, stage, occ + cost);
+        self.start(core, req, placement, occ + cost);
     }
 
     /// `core` serves `req` from a software queue. A core that drains RX
@@ -687,11 +665,11 @@ impl SystemSim {
         if !self.drain[core].is_empty() {
             occ += self.profile_ns;
         }
-        self.start(core, Stage::Serve { req }, occ);
+        self.start(core, req, Placement::Local, occ);
     }
 
-    fn start(&mut self, core: usize, stage: Stage, occ_ns: f64) {
-        self.busy[core] = Some(stage);
+    fn start(&mut self, core: usize, req: u32, placement: Placement, occ_ns: f64) {
+        self.busy[core] = Some((req, placement));
         self.events
             .push(self.now_ns + occ_ns.ceil() as u64, Ev::CoreDone { core });
     }
@@ -717,16 +695,8 @@ impl SystemSim {
                 1
             };
             self.per_core[core].packets += pkts;
-            self.tx_wire.submit(
-                core,
-                WireJob {
-                    req,
-                    pkts_left: pkts,
-                    bytes_left: bytes,
-                    queue: core,
-                },
-            );
-            self.kick_tx();
+            let started = self.tx_wire.submit(core, req, pkts, bytes);
+            self.packet_started(started, Ev::TxPacketDone);
         } else {
             // Reply dropped at the server (Figure 8): the operation is
             // complete now; no latency is observable at a client.

@@ -236,33 +236,26 @@ fn sim_snapshot(seq: u64, now_ns: u64, sim: &SystemSim) -> Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minos_core::dispatch::DisciplineKind;
+    use minos_core::dispatch::DisciplineKind::{Hkh, Sho, SizeAware};
     use minos_workload::DEFAULT_PROFILE;
-
-    const MINOS: DisciplineKind = DisciplineKind::SizeAware;
-    const HKH: DisciplineKind = DisciplineKind::Hkh;
 
     fn quick(system: SystemConfig, rate: f64) -> RunResult {
         run(&RunConfig::new(system, DEFAULT_PROFILE, rate).quick())
     }
 
-    fn paper(kind: DisciplineKind) -> SystemConfig {
-        SystemConfig::paper(kind)
-    }
-
     fn hkh_ws() -> SystemConfig {
         SystemConfig {
             steal: true,
-            ..paper(HKH)
+            ..SystemConfig::paper(Hkh)
         }
     }
 
     #[test]
     fn all_systems_complete_at_low_load() {
         for system in [
-            paper(MINOS),
-            paper(HKH),
-            paper(DisciplineKind::Sho { handoff: 2 }),
+            SystemConfig::paper(SizeAware),
+            SystemConfig::paper(Hkh),
+            SystemConfig::paper(Sho { handoff: 2 }),
             hkh_ws(),
         ] {
             let r = quick(system, 0.5);
@@ -277,8 +270,8 @@ mod tests {
         // The headline claim at 3 Mops (~half of peak): Minos' p99 stays
         // near the small service time; HKH's suffers head-of-line
         // blocking behind ~100 µs large requests.
-        let minos = quick(paper(MINOS), 3.0);
-        let hkh = quick(paper(HKH), 3.0);
+        let minos = quick(SystemConfig::paper(SizeAware), 3.0);
+        let hkh = quick(SystemConfig::paper(Hkh), 3.0);
         assert!(minos.kept_up() && hkh.kept_up());
         assert!(
             minos.p99_us() * 5.0 < hkh.p99_us(),
@@ -293,7 +286,7 @@ mod tests {
         // The paper holds the 50 µs SLO to ~90 % of the ~6.2 Mops peak;
         // our calibration crosses 50 µs near 4.7 Mops (~75 % of peak) —
         // same shape, slightly earlier knee. Probe inside the knee.
-        let r = quick(paper(MINOS), 4.5);
+        let r = quick(SystemConfig::paper(SizeAware), 4.5);
         assert!(r.kept_up(), "{}/{}", r.completed, r.generated);
         assert!(r.p99_us() <= 50.0, "p99 {}", r.p99_us());
     }
@@ -302,7 +295,7 @@ mod tests {
     fn saturation_caps_throughput() {
         // Offered load far beyond the ~6.2 Mops NIC bound: throughput
         // must cap near the bound, not track the offered rate.
-        let r = quick(paper(HKH), 9.0);
+        let r = quick(SystemConfig::paper(Hkh), 9.0);
         assert!(
             r.throughput_mops < 7.5,
             "throughput {} should cap near the NIC bound",
@@ -313,8 +306,8 @@ mod tests {
 
     #[test]
     fn nic_utilization_grows_with_load() {
-        let lo = quick(paper(MINOS), 1.0);
-        let hi = quick(paper(MINOS), 5.0);
+        let lo = quick(SystemConfig::paper(SizeAware), 1.0);
+        let hi = quick(SystemConfig::paper(SizeAware), 5.0);
         assert!(
             hi.nic_tx_util > lo.nic_tx_util * 3.0,
             "tx util {} -> {}",
@@ -326,8 +319,8 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let a = quick(paper(MINOS), 2.0);
-        let b = quick(paper(MINOS), 2.0);
+        let a = quick(SystemConfig::paper(SizeAware), 2.0);
+        let b = quick(SystemConfig::paper(SizeAware), 2.0);
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.p99_us(), b.p99_us());
     }
@@ -353,7 +346,7 @@ mod tests {
         // mix, not the load, so a sixth of the paper's rate shows it
         // (and keeps this test out of tier-1's top ten; windows are
         // only recorded when window_s > 0).
-        let mut cfg = RunConfig::new(paper(MINOS), DEFAULT_PROFILE, 0.5);
+        let mut cfg = RunConfig::new(SystemConfig::paper(SizeAware), DEFAULT_PROFILE, 0.5);
         cfg.window_s = 0.25;
         let r = run(&cfg);
         let counts: Vec<usize> = r.windows.iter().map(|w| w.n_large_cores).collect();

@@ -133,16 +133,10 @@ mod tests {
         // The paper's headline: under the 50 µs SLO Minos sustains
         // multiples of HKH's throughput on the default workload.
         let search = SloSearch::new(50.0).quick();
-        let minos = max_throughput_under_slo(
-            &SystemConfig::paper(DisciplineKind::SizeAware),
-            DEFAULT_PROFILE,
-            &search,
-        );
-        let hkh = max_throughput_under_slo(
-            &SystemConfig::paper(DisciplineKind::Hkh),
-            DEFAULT_PROFILE,
-            &search,
-        );
+        let max =
+            |kind| max_throughput_under_slo(&SystemConfig::paper(kind), DEFAULT_PROFILE, &search);
+        let minos = max(DisciplineKind::SizeAware);
+        let hkh = max(DisciplineKind::Hkh);
         assert!(minos > 3.0, "Minos under 50us: {minos} Mops");
         assert!(
             minos > hkh * 1.5,
@@ -155,10 +149,8 @@ mod tests {
         let strict = SloSearch::new(50.0).quick();
         let loose = SloSearch::new(100.0).quick();
         let hkh = SystemConfig::paper(DisciplineKind::Hkh);
-        let hkh_ws = SystemConfig {
-            steal: true,
-            ..hkh.clone()
-        };
+        let mut hkh_ws = hkh.clone();
+        hkh_ws.steal = true;
         for system in [hkh, hkh_ws] {
             let s = max_throughput_under_slo(&system, DEFAULT_PROFILE, &strict);
             let l = max_throughput_under_slo(&system, DEFAULT_PROFILE, &loose);

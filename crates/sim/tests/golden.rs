@@ -79,14 +79,12 @@ fn hkh() {
 
 #[test]
 fn hkh_steal() {
-    let hkh_ws = SystemConfig {
-        steal: true,
-        ..SystemConfig::paper(DisciplineKind::Hkh)
-    };
+    let mut cfg = point(SystemConfig::paper(DisciplineKind::Hkh));
+    cfg.system.steal = true;
     // Stealing follows the server's `try_steal`: the longest peer
     // software queue, else a batch from the first peer RX queue in
     // rotation (it was one request from the longest peer RX queue).
-    check(&point(hkh_ws), 0x4334_0e5f_34f8_7d84);
+    check(&cfg, 0x4334_0e5f_34f8_7d84);
 }
 
 #[test]
