@@ -917,11 +917,12 @@ mod tests {
 
     #[test]
     fn jsq_beats_random_p99_under_skewed_load() {
-        // Skewed service times (heavy-tailed item sizes): random
-        // placement keeps joining queues that already hold a large
-        // request, JSQ routes around them. The e2e claim of the
-        // discipline lab, deterministic under the fixed seed. The
-        // operating point must sit below the saturation knee — past it
+        // Skewed service times (heavy-tailed item sizes): random moves
+        // every request through a software hop to a core that may
+        // already hold a large request, while the server's JSQ never
+        // makes a hop it cannot justify by soft-queue depth (from empty
+        // soft queues it keeps every request on its RX core).
+        // Deterministic under the fixed seed. The operating point must sit below the saturation knee — past it
         // every size-blind discipline collapses to the same overloaded
         // tail and the comparison measures nothing.
         let p99 = |kind: DisciplineKind| {
