@@ -1,5 +1,5 @@
 //! Criterion microbenchmarks of the substrates on the datapath:
-//! KV GET/PUT, RSS hashing, zipfian sampling, histogram updates,
+//! KV GET/PUT, zipfian sampling, histogram updates,
 //! fragmentation round trips, NIC ring bursts, a handoff through a
 //! software queue and real-UDP loopback sends and receives (one
 //! datagram; eight small replies sent one by one, as one burst and as
@@ -12,7 +12,7 @@ use crossbeam::queue::ArrayQueue;
 use minos_core::server::{transmit_message, Handoff, ServerRequest, TxBurst};
 use minos_kv::{CapacityConfig, EvictionPolicy, Store, StoreConfig};
 use minos_net::{Transport, UdpConfig, UdpTransport};
-use minos_nic::{NicConfig, RssHasher, VirtualNic};
+use minos_nic::{NicConfig, VirtualNic};
 use minos_stats::SizeHistogram;
 use minos_wire::frag::{fragment_frame_with_id, fragment_with_id};
 use minos_wire::message::{Body, Message, ReplyStatus};
@@ -85,20 +85,6 @@ fn bench_evict_pass(c: &mut Criterion, name: &str, slots: usize, live: u64) {
 fn bench_kv_evict(c: &mut Criterion) {
     bench_evict_pass(c, "evict_pass_sparse", 200_000, 10_000);
     bench_evict_pass(c, "evict_pass_dense", 10_000, 10_000);
-}
-
-fn bench_rss(c: &mut Criterion) {
-    let rss = RssHasher::new(8);
-    let t = minos_wire::packet::FiveTuple {
-        src_ip: 0x0A000001,
-        dst_ip: 0x0A000002,
-        src_port: 12345,
-        dst_port: 9003,
-        protocol: 17,
-    };
-    c.bench_function("rss/toeplitz", |b| {
-        b.iter(|| black_box(rss.queue_for(black_box(&t))))
-    });
 }
 
 fn bench_zipf(c: &mut Criterion) {
@@ -324,7 +310,7 @@ fn bench_nic(c: &mut Criterion) {
 criterion_group!(
     name = micro;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_kv, bench_rss, bench_zipf, bench_hist, bench_wire, bench_nic, bench_handoff_ring, bench_net_loopback
+    targets = bench_kv, bench_zipf, bench_hist, bench_wire, bench_nic, bench_handoff_ring, bench_net_loopback
 );
 // Only the routine is timed, and the eviction benches' untimed setup is
 // a hundred times their routine: 20 ms of passes is ~2 s of wall time.

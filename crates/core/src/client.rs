@@ -370,13 +370,13 @@ impl Client {
     /// Creates a client with the given id talking to an in-process
     /// `server` through its virtual NIC.
     pub fn new(server: &MinosServer<VirtualTransport>, client_id: u16, seed: u64) -> Self {
-        let nic = server.nic();
+        let server = server.transport();
         // Client host ids start at 100 to stay clear of the server.
         let endpoint = Endpoint::host(100 + u32::from(client_id), 20_000 + client_id);
-        let server = Transport::local_endpoint(&*nic, 0);
-        let server_queues = Transport::num_queues(&*nic);
+        let nic = Arc::clone(server.nic());
         let transport = Arc::new(VirtualClientTransport::new(nic, endpoint));
-        Self::with_transport(transport, endpoint, server, server_queues, client_id, seed)
+        let (queue_0, queues) = (server.local_endpoint(0), server.num_queues());
+        Self::with_transport(transport, endpoint, queue_0, queues, client_id, seed)
     }
 
     /// Creates a client over an arbitrary transport.

@@ -50,10 +50,10 @@
 //! and the frames inside them.
 //!
 //! The server is generic over [`Transport`]: the same engine code runs
-//! over the in-process [`VirtualNic`] (by default through
-//! [`VirtualTransport`]'s pooled gather, used by tests and the
-//! simulator harnesses) or over real `SO_REUSEPORT` UDP sockets
-//! (`minos_net::UdpTransport`, used by the `minos-server` binary).
+//! over the in-process [`VirtualNic`] (through [`VirtualTransport`]'s
+//! pooled gather, used by tests and examples) or over real
+//! `SO_REUSEPORT` UDP sockets (`minos_net::UdpTransport`, used by the
+//! `minos-server` binary).
 
 use crate::allocation::allocate;
 use crate::config::MinosConfig;
@@ -447,8 +447,8 @@ impl MinosServer<VirtualTransport> {
     /// threads over it, sending through [`VirtualTransport`]'s pooled
     /// gather — so the simulated backend's TX path is allocation-free
     /// in steady state, just like the UDP backend's, with every
-    /// gathered segment byte counted in
-    /// [`minos_nic::NicStats::tx_gathered_bytes`].
+    /// gathered segment byte counted in the transport's
+    /// [`minos_net::TransportStats::tx_copied_bytes`].
     pub fn start(config: ServerConfig) -> Self {
         let nic = Arc::new(VirtualNic::new(
             NicConfig::new(config.minos.n_cores as u16)

@@ -338,6 +338,21 @@ fn latency_is_recorded() {
     server.shutdown();
 }
 
+/// The bytes an in-process client gathers to put its PUT on the wire
+/// are the client's copies: the server's transport, whose PUT replies
+/// carry no value segment, reports none.
+#[test]
+fn client_gathers_are_not_charged_to_the_server() {
+    use minos_net::Transport;
+
+    let mut server = start_server(1);
+    let mut client = Client::new(&server, 1, 50);
+    client.send_put(1, &[7u8; 1_000], false);
+    assert!(client.drain(Duration::from_secs(30)));
+    assert_eq!(server.transport().stats().tx_copied_bytes, 0);
+    server.shutdown();
+}
+
 // ---------------------------------------------------------------------
 // Reply bursts: everything one poll round's requests stage leaves in one
 // `tx_frames` call, and replies to a peer that accepts bundles share
@@ -348,6 +363,7 @@ mod burst {
     use super::*;
     use minos_core::config::ThresholdMode;
     use minos_core::dispatch::DisciplineKind;
+    use minos_core::server::SERVER_HOST_ID;
     use minos_net::{
         FaultProfile, FaultTransport, Transport, TransportStats, UdpConfig, UdpTransport,
         VirtualClientTransport, VirtualTransport,
@@ -356,6 +372,7 @@ mod burst {
     use minos_wire::frag::{fragment_frame_each, frames, FragHeader};
     use minos_wire::message::{Body, Message};
     use minos_wire::packet::{synthesize_frame, Endpoint, Packet, TxPacket};
+    use minos_wire::udp::UdpHeader;
     use minos_wire::TxFrame;
     use std::net::Ipv4Addr;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -543,11 +560,15 @@ mod burst {
         virtual_server_with(1)
     }
 
+    /// Where a peer of a virtual server addresses RX queue 0.
+    fn virtual_queue_0() -> Endpoint {
+        Endpoint::host(SERVER_HOST_ID, UdpHeader::port_for_queue(0))
+    }
+
     fn virtual_client(nic: &Arc<VirtualNic>, id: u16) -> Client {
         let endpoint = Endpoint::host(100 + u32::from(id), 20_000 + id);
-        let server = Transport::local_endpoint(&**nic, 0);
         let transport = Arc::new(VirtualClientTransport::new(Arc::clone(nic), endpoint));
-        Client::with_transport(transport, endpoint, server, 1, id, 7)
+        Client::with_transport(transport, endpoint, virtual_queue_0(), 1, id, 7)
     }
 
     fn udp_server() -> Arc<Scripted<UdpTransport>> {
@@ -689,7 +710,7 @@ mod burst {
             let endpoint = Endpoint::host(109, 20_009);
             RawPeer {
                 transport: Arc::new(VirtualClientTransport::new(Arc::clone(nic), endpoint)),
-                server: Transport::local_endpoint(&**nic, 0),
+                server: virtual_queue_0(),
             }
         }
 
@@ -899,7 +920,7 @@ mod burst {
             .find(|&seed| {
                 let nic = Arc::new(VirtualNic::new(NicConfig::new(1)));
                 let t = lossy(&nic, endpoint, seed);
-                let to = Transport::local_endpoint(&*nic, 0);
+                let to = virtual_queue_0();
                 (0..8).all(|i| {
                     let before = VirtualNic::stats(&nic).rx_delivered;
                     let pkt = synthesize_frame(endpoint, to, get_frame(0, true));
@@ -912,7 +933,7 @@ mod burst {
         let (nic, transport) = virtual_server();
         let mut server = start_one_core(&transport, |_| {});
         let faulty = Arc::new(lossy(&nic, endpoint, seed));
-        let server_ep = Transport::local_endpoint(&*nic, 0);
+        let server_ep = transport.local_endpoint(0);
         let mut client =
             Client::with_transport(Arc::clone(&faulty) as _, endpoint, server_ep, 1, 1, 7)
                 // Long enough that only the drop ever times a request

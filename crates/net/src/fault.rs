@@ -526,10 +526,6 @@ impl<T: Transport> Transport for FaultTransport<T> {
         })
     }
 
-    fn rx_len(&self, queue: u16) -> usize {
-        self.inner.rx_len(queue)
-    }
-
     fn tx_frames(&self, queue: u16, frames: &mut Vec<TxPacket>) -> usize {
         if self.profile.tx.is_noop() {
             return self.inner.tx_frames(queue, frames);

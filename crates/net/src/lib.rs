@@ -10,9 +10,9 @@
 //! * [`Transport`] — the queue-pair contract: batch [`Transport::rx_burst`]
 //!   / [`Transport::tx_frames`], one primary consumer per RX queue,
 //!   mirroring the DPDK-style ring API of the virtual NIC.
-//! * [`VirtualTransport`] / [`VirtualClientTransport`] — adapters over
-//!   [`minos_nic::VirtualNic`] (the trait is also implemented directly
-//!   for [`minos_nic::VirtualNic`], which the server uses by default).
+//! * [`VirtualTransport`] / [`VirtualClientTransport`] — the server's and
+//!   the client's side of the in-process [`minos_nic::VirtualNic`]; the
+//!   server runs on [`VirtualTransport`] by default.
 //! * [`UdpTransport`] — real `SO_REUSEPORT` UDP sockets, one per RX
 //!   queue: queue `q` listens on `base_port + q`, so the kernel's port
 //!   demultiplexing plays the role of the NIC's Flow Director and

@@ -58,25 +58,6 @@ pub trait Transport: Send + Sync {
     /// returning how many were moved.
     fn rx_burst(&self, queue: u16, out: &mut Vec<Packet>, max: usize) -> usize;
 
-    /// Dequeues a single packet from RX queue `queue` (the one-at-a-time
-    /// steal path, where batching would re-introduce head-of-line
-    /// blocking — paper §5.2).
-    fn rx_pop_one(&self, queue: u16) -> Option<Packet> {
-        let mut out = Vec::with_capacity(1);
-        if self.rx_burst(queue, &mut out, 1) == 1 {
-            out.pop()
-        } else {
-            None
-        }
-    }
-
-    /// Current depth of RX queue `queue`, or 0 where unknowable (kernel
-    /// sockets don't expose their backlog).
-    fn rx_len(&self, queue: u16) -> usize {
-        let _ = queue;
-        0
-    }
-
     /// Transmits a batch of scatter-gather frames on TX queue `queue`,
     /// draining `frames`; returns how many were accepted. Each
     /// [`TxPacket`] is addressed by its own destination metadata, its

@@ -1,13 +1,15 @@
-//! [`Transport`] adapters over the in-process [`VirtualNic`].
+//! The two [`Transport`]s over the in-process [`VirtualNic`]: the
+//! server's [`VirtualTransport`] and the client's
+//! [`VirtualClientTransport`].
 //!
 //! The virtual wire is the one backend that must *materialize*
-//! contiguous frames: the NIC's rings and checksum/fault machinery
+//! contiguous frames: the NIC's rings and checksum verification
 //! operate on serialized packets, exactly as hardware DMA engines
 //! consume contiguous descriptors. Scatter-gather [`TxPacket`]s are
 //! therefore *gathered* here — into pooled slots, so the gather
-//! allocates nothing in steady state — and every gathered segment byte
-//! is counted ([`minos_nic::NicStats::tx_gathered_bytes`], surfaced as
-//! [`TransportStats::tx_copied_bytes`]), keeping the zero-copy
+//! allocates nothing in steady state — and each transport counts the
+//! segment bytes it gathered in its own
+//! [`TransportStats::tx_copied_bytes`], keeping the zero-copy
 //! accounting honest across backends.
 
 use crate::pool::{BufferPool, PoolStats};
@@ -15,6 +17,7 @@ use crate::transport::{Transport, TransportStats};
 use minos_nic::{Delivery, VirtualNic};
 use minos_wire::packet::{build_frame, build_frame_into_frame, Endpoint, Packet, TxPacket};
 use minos_wire::udp::UdpHeader;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Bytes per pooled frame slot: a full MTU-sized frame with Ethernet
@@ -30,7 +33,7 @@ const CLIENT_FRAME_SLOTS: usize = 512;
 const SERVER_GATHER_SLOTS_PER_QUEUE: usize = 64;
 
 /// Host id servers use in the virtual world (clients must differ).
-pub(crate) const VIRTUAL_SERVER_HOST: u32 = 1;
+const VIRTUAL_SERVER_HOST: u32 = 1;
 
 /// Gathers one frame into a contiguous payload, preferring a pooled
 /// slot from `shard` (the sending queue, so concurrent queues use
@@ -58,32 +61,58 @@ fn gather_payload(pool: &BufferPool, shard: usize, pkt: &TxPacket) -> (bytes::By
     }
 }
 
-impl Transport for VirtualNic {
+/// The server-side adapter over a shared [`VirtualNic`]: RX queues are
+/// the NIC's RX rings, TX gathers scatter-gather frames into pooled
+/// slots and pushes them onto the NIC's TX rings (from which an
+/// in-process client drains replies).
+#[derive(Debug)]
+pub struct VirtualTransport {
+    nic: Arc<VirtualNic>,
+    /// Pooled payload buffers for TX gathers, so serializing a reply
+    /// burst recycles slots instead of allocating.
+    pool: BufferPool,
+    /// Segment bytes this transport gathered.
+    tx_copied_bytes: AtomicU64,
+}
+
+impl VirtualTransport {
+    /// Wraps `nic`.
+    pub fn new(nic: Arc<VirtualNic>) -> Self {
+        let queues = nic.num_queues() as usize;
+        let slots = queues * SERVER_GATHER_SLOTS_PER_QUEUE;
+        VirtualTransport {
+            pool: BufferPool::sharded(slots, FRAME_SLOT_LEN, queues),
+            nic,
+            tx_copied_bytes: AtomicU64::new(0),
+        }
+    }
+
+    /// The underlying NIC.
+    pub fn nic(&self) -> &Arc<VirtualNic> {
+        &self.nic
+    }
+
+    /// TX gather-pool counters (mirrors `UdpTransport::pool_stats`).
+    pub fn pool_stats(&self) -> PoolStats {
+        self.pool.stats()
+    }
+}
+
+impl Transport for VirtualTransport {
     fn num_queues(&self) -> u16 {
-        VirtualNic::num_queues(self)
+        self.nic.num_queues()
     }
 
     fn rx_burst(&self, queue: u16, out: &mut Vec<Packet>, max: usize) -> usize {
-        VirtualNic::rx_burst(self, queue, out, max)
-    }
-
-    fn rx_pop_one(&self, queue: u16) -> Option<Packet> {
-        VirtualNic::rx_pop_one(self, queue)
-    }
-
-    fn rx_len(&self, queue: u16) -> usize {
-        VirtualNic::rx_len(self, queue)
+        self.nic.rx_burst(queue, out, max)
     }
 
     fn tx_frames(&self, queue: u16, frames: &mut Vec<TxPacket>) -> usize {
         let mut sent = 0;
         for pkt in frames.drain(..) {
-            // The NIC rings hold contiguous packets; gather (counted)
-            // unless the frame already is one segment.
-            let (payload, copied) = pkt.frame.to_contiguous();
-            self.record_tx_gather(copied as u64);
-            if !VirtualNic::tx_push(
-                self,
+            let (payload, copied) = gather_payload(&self.pool, queue as usize, &pkt);
+            self.tx_copied_bytes.fetch_add(copied, Ordering::Relaxed);
+            if !self.nic.tx_push(
                 queue,
                 Packet {
                     meta: pkt.meta,
@@ -102,104 +131,24 @@ impl Transport for VirtualNic {
     }
 
     fn stats(&self) -> TransportStats {
-        let s = VirtualNic::stats(self);
+        let s = self.nic.stats();
         TransportStats {
             rx_packets: s.rx_delivered,
             rx_bytes: s.rx_bytes,
             tx_packets: s.tx_sent,
             tx_bytes: s.tx_bytes,
             tx_dropped: 0,
-            tx_copied_bytes: s.tx_gathered_bytes,
+            tx_copied_bytes: self.tx_copied_bytes.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// The server-side adapter over a shared [`VirtualNic`]: RX queues are
-/// the NIC's RX rings, TX gathers scatter-gather frames into pooled
-/// slots and pushes them onto the NIC's TX rings (from which an
-/// in-process client drains replies).
-#[derive(Clone, Debug)]
-pub struct VirtualTransport {
-    nic: Arc<VirtualNic>,
-    /// Pooled payload buffers for TX gathers, so serializing a reply
-    /// burst recycles slots instead of allocating.
-    pool: BufferPool,
-}
-
-impl VirtualTransport {
-    /// Wraps `nic`.
-    pub fn new(nic: Arc<VirtualNic>) -> Self {
-        let slots = VirtualNic::num_queues(&nic) as usize * SERVER_GATHER_SLOTS_PER_QUEUE;
-        VirtualTransport {
-            pool: BufferPool::sharded(slots, FRAME_SLOT_LEN, VirtualNic::num_queues(&nic) as usize),
-            nic,
-        }
-    }
-
-    /// The underlying NIC.
-    pub fn nic(&self) -> &Arc<VirtualNic> {
-        &self.nic
-    }
-
-    /// TX gather-pool counters (mirrors `UdpTransport::pool_stats`).
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
-    }
-}
-
-impl Transport for VirtualTransport {
-    fn num_queues(&self) -> u16 {
-        Transport::num_queues(&*self.nic)
-    }
-
-    fn rx_burst(&self, queue: u16, out: &mut Vec<Packet>, max: usize) -> usize {
-        Transport::rx_burst(&*self.nic, queue, out, max)
-    }
-
-    fn rx_pop_one(&self, queue: u16) -> Option<Packet> {
-        Transport::rx_pop_one(&*self.nic, queue)
-    }
-
-    fn rx_len(&self, queue: u16) -> usize {
-        Transport::rx_len(&*self.nic, queue)
-    }
-
-    fn tx_frames(&self, queue: u16, frames: &mut Vec<TxPacket>) -> usize {
-        let mut sent = 0;
-        for pkt in frames.drain(..) {
-            let (payload, copied) = gather_payload(&self.pool, queue as usize, &pkt);
-            self.nic.record_tx_gather(copied);
-            if !VirtualNic::tx_push(
-                &self.nic,
-                queue,
-                Packet {
-                    meta: pkt.meta,
-                    payload,
-                },
-            ) {
-                break;
-            }
-            sent += 1;
-        }
-        sent
-    }
-
-    fn local_endpoint(&self, queue: u16) -> Endpoint {
-        Transport::local_endpoint(&*self.nic, queue)
-    }
-
-    fn stats(&self) -> TransportStats {
-        Transport::stats(&*self.nic)
     }
 
     fn collect_metrics(&self, out: &mut Vec<(String, minos_obs::MetricValue)>) {
         crate::metrics::push_transport_stats(out, &self.stats());
         crate::metrics::push_pool_stats(out, &self.pool.stats());
-        let nic = VirtualNic::stats(&self.nic);
+        let nic = self.nic.stats();
         let c = |name: &str, v: u64| (format!("nic.{name}"), minos_obs::MetricValue::Counter(v));
         out.push(c("rx_malformed", nic.rx_malformed));
         out.push(c("rx_ring_full", nic.rx_ring_full));
-        out.push(c("tx_gathered_bytes", nic.tx_gathered_bytes));
     }
 }
 
@@ -208,7 +157,7 @@ impl Transport for VirtualTransport {
 /// them through the NIC's receive path (checksums, steering — the
 /// whole wire), and whose RX drains the server's TX rings, which is
 /// where replies appear in the in-process world.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct VirtualClientTransport {
     nic: Arc<VirtualNic>,
     /// The endpoint this client claims (replies are addressed to it).
@@ -217,6 +166,8 @@ pub struct VirtualClientTransport {
     /// of the UDP backend's RX pool, so the per-packet frame
     /// serialization recycles slots instead of allocating.
     pool: BufferPool,
+    /// Segment bytes this transport gathered.
+    tx_copied_bytes: AtomicU64,
 }
 
 impl VirtualClientTransport {
@@ -226,13 +177,8 @@ impl VirtualClientTransport {
             nic,
             endpoint,
             pool: BufferPool::new(CLIENT_FRAME_SLOTS, FRAME_SLOT_LEN),
+            tx_copied_bytes: AtomicU64::new(0),
         }
-    }
-
-    /// Frame-pool counters (mirrors `UdpTransport::pool_stats`, so the
-    /// conformance suite can observe pooling on both backends).
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
     }
 }
 
@@ -243,7 +189,7 @@ impl Transport for VirtualClientTransport {
 
     fn rx_burst(&self, _queue: u16, out: &mut Vec<Packet>, max: usize) -> usize {
         let mut moved = 0;
-        for q in 0..VirtualNic::num_queues(&self.nic) {
+        for q in 0..self.nic.num_queues() {
             moved += self.nic.tx_drain(q, out, max.saturating_sub(moved));
         }
         moved
@@ -267,7 +213,8 @@ impl Transport for VirtualClientTransport {
             // only a payload too large for one MTU-sized slot —
             // impossible for fragmenter output — falls back to the
             // allocating encoders.
-            self.nic.record_tx_gather(pkt.frame.segment_len() as u64);
+            self.tx_copied_bytes
+                .fetch_add(pkt.frame.segment_len() as u64, Ordering::Relaxed);
             let mut slot = self.pool.take();
             let frame = match build_frame_into_frame(src, dst, &pkt.frame, slot.as_mut_slice()) {
                 Some(len) => slot.freeze(len),
@@ -283,6 +230,13 @@ impl Transport for VirtualClientTransport {
 
     fn local_endpoint(&self, _queue: u16) -> Endpoint {
         self.endpoint
+    }
+
+    fn stats(&self) -> TransportStats {
+        TransportStats {
+            tx_copied_bytes: self.tx_copied_bytes.load(Ordering::Relaxed),
+            ..TransportStats::default()
+        }
     }
 
     fn collect_metrics(&self, out: &mut Vec<(String, minos_obs::MetricValue)>) {
@@ -384,7 +338,11 @@ mod tests {
             b"hdr:checksummed where it is serialized"
         );
         assert!(out[0].meta.udp.verify_payload(&out[0].payload));
-        assert_eq!(VirtualNic::stats(&nic).rx_malformed, 0);
+        assert_eq!(nic.stats().rx_malformed, 0);
+        // The gather is the client's, and counted there only.
+        let gathered = b"checksummed where it is serialized".len() as u64;
+        assert_eq!(Transport::stats(&client).tx_copied_bytes, gathered);
+        assert_eq!(Transport::stats(&server).tx_copied_bytes, 0);
     }
 
     #[test]

@@ -262,26 +262,6 @@ fn queues_are_isolated() {
     }
 }
 
-#[test]
-fn rx_pop_one_steals_in_order() {
-    for backend in backends(1) {
-        for i in 0..4u8 {
-            send_to_queue(&backend, 0, Bytes::from(vec![i; 9]));
-        }
-        settle(&backend);
-        let deadline = Instant::now() + Duration::from_secs(10);
-        for i in 0..4u8 {
-            let pkt = loop {
-                if let Some(p) = backend.server.rx_pop_one(0) {
-                    break p;
-                }
-                assert!(Instant::now() < deadline, "{}: pop {i}", backend.name);
-            };
-            assert_eq!(&pkt.payload[..], &[i; 9][..], "{}", backend.name);
-        }
-    }
-}
-
 fn assert_monotonic(before: &TransportStats, after: &TransportStats, what: &str) {
     assert!(after.rx_packets >= before.rx_packets, "{what}: rx_packets");
     assert!(after.rx_bytes >= before.rx_bytes, "{what}: rx_bytes");

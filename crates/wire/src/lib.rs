@@ -11,7 +11,8 @@
 //! * [`frame`] — Ethernet II framing.
 //! * [`ip`] — a minimal IPv4 header with internet checksum.
 //! * [`udp`] — UDP header; the destination port doubles as the RX-queue
-//!   selector (Flow-Director style steering; see `minos-nic`).
+//!   selector (`UdpHeader::target_queue`, the virtual NIC's one steering
+//!   rule; see `minos-nic`).
 //! * [`frag`] — a datagram as a sequence of frames: fragmentation of
 //!   application messages into MTU-sized datagrams, small messages
 //!   sharing one, and a reassembler with bounded memory.

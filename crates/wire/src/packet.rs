@@ -21,35 +21,6 @@ pub struct PacketMeta {
     pub udp: UdpHeader,
 }
 
-impl PacketMeta {
-    /// The RSS 5-tuple of this packet, hashed by the NIC to pick an RX
-    /// queue when no Flow-Director rule matches.
-    pub fn five_tuple(&self) -> FiveTuple {
-        FiveTuple {
-            src_ip: self.ip.src,
-            dst_ip: self.ip.dst,
-            src_port: self.udp.src_port,
-            dst_port: self.udp.dst_port,
-            protocol: self.ip.protocol,
-        }
-    }
-}
-
-/// The classic RSS hash input.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct FiveTuple {
-    /// Source IPv4 address.
-    pub src_ip: u32,
-    /// Destination IPv4 address.
-    pub dst_ip: u32,
-    /// Source UDP port.
-    pub src_port: u16,
-    /// Destination UDP port.
-    pub dst_port: u16,
-    /// IP protocol number.
-    pub protocol: u8,
-}
-
 /// A received (or to-be-sent) frame: parsed metadata plus UDP payload.
 #[derive(Clone, Debug)]
 pub struct Packet {
@@ -382,19 +353,6 @@ mod tests {
         let n = raw.len();
         raw[n - 1] ^= 0xFF;
         assert!(parse_frame(Bytes::from(raw)).is_none());
-    }
-
-    #[test]
-    fn five_tuple_extraction() {
-        let src = Endpoint::host(7, 1234);
-        let dst = Endpoint::host(9, 4321);
-        let pkt = parse_frame(build_frame(src, dst, b"x")).unwrap();
-        let ft = pkt.meta.five_tuple();
-        assert_eq!(ft.src_ip, src.ip);
-        assert_eq!(ft.dst_ip, dst.ip);
-        assert_eq!(ft.src_port, 1234);
-        assert_eq!(ft.dst_port, 4321);
-        assert_eq!(ft.protocol, crate::ip::PROTO_UDP);
     }
 
     #[test]

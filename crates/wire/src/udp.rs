@@ -1,9 +1,10 @@
 //! UDP header.
 //!
 //! Clients "use the UDP header to specify the target RX queue for a given
-//! packet" (paper §4.1): the NIC's Flow-Director-style filter steers on
-//! [`UdpHeader::dst_port`], so the port *is* the queue selector. The base
-//! port is [`QUEUE_PORT_BASE`]; queue `q` listens on `QUEUE_PORT_BASE + q`.
+//! packet" (paper §4.1): the NIC steers on [`UdpHeader::dst_port`]
+//! ([`UdpHeader::target_queue`]), so the port *is* the queue selector.
+//! The base port is [`QUEUE_PORT_BASE`]; queue `q` listens on
+//! `QUEUE_PORT_BASE + q`.
 
 use bytes::{Buf, BufMut};
 
@@ -141,6 +142,16 @@ mod tests {
         assert_eq!(h.target_queue(4), None); // out of range for 4 queues
         let other = UdpHeader::for_payload(1, 80, b"");
         assert_eq!(other.target_queue(8), None); // below the base port
+    }
+
+    #[test]
+    fn target_queue_inverts_port_for_queue() {
+        let to = |port| UdpHeader::for_payload(1, port, b"").target_queue(8);
+        for q in 0..8u16 {
+            assert_eq!(to(UdpHeader::port_for_queue(q)), Some(q));
+        }
+        assert_eq!(to(QUEUE_PORT_BASE - 1), None);
+        assert_eq!(to(UdpHeader::port_for_queue(8)), None);
     }
 
     #[test]

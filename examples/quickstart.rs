@@ -9,7 +9,7 @@
 use minos::core::client::Client;
 use minos::core::server::{MinosServer, ServerConfig};
 use minos::driver::RunConfig;
-use minos::net::{Transport, UdpConfig, UdpTransport, VirtualClientTransport};
+use minos::net::{Transport, UdpConfig, UdpTransport, VirtualClientTransport, VirtualTransport};
 use minos::nic::{NicConfig, VirtualNic};
 use std::net::{Ipv4Addr, SocketAddrV4};
 use std::sync::Arc;
@@ -29,7 +29,8 @@ fn main() {
     let nic = Arc::new(VirtualNic::new(
         NicConfig::new(4).with_queue_capacity(config.nic_queue_capacity),
     ));
-    let mut server = MinosServer::start_with_transport(config, Arc::clone(&nic));
+    let transport = Arc::new(VirtualTransport::new(Arc::clone(&nic)));
+    let mut server = MinosServer::start_with_transport(config, Arc::clone(&transport));
 
     // The client rides the same Transport trait: its adapter feeds
     // frames through the NIC's checksummed receive path and drains
@@ -42,8 +43,8 @@ fn main() {
     let mut client = Client::with_transport(
         client_transport,
         client_endpoint,
-        Transport::local_endpoint(&*nic, 0),
-        Transport::num_queues(&*nic),
+        transport.local_endpoint(0),
+        transport.num_queues(),
         1,
         42,
     );

@@ -21,7 +21,7 @@
 //! | [`core`] (`minos-core`) | the size-aware sharding engine: controller, allocation, size ranges, threaded server, client; the paper's baselines (HKH, HKH+WS, SHO) are queue disciplines of the same server |
 //! | [`driver`] | the one open-loop client run (§5.4) behind `minos-loadgen` and `minos-figures`: client builder, Poisson schedule, preload, drain, merged report |
 //! | [`kv`] | MICA-style partitioned store (optimistic reads, CREW writes, mempool) |
-//! | [`nic`] | virtual multi-queue NIC (Toeplitz RSS, Flow Director, lock-free rings) |
+//! | [`nic`] | virtual multi-queue NIC: destination-port steering onto lock-free rings |
 //! | [`wire`] | Ethernet/IP/UDP framing, KV message protocol, fragmentation |
 //! | [`workload`] | the paper's workloads: zipfian keys, trimodal ETC sizes, Poisson arrivals |
 //! | [`queue_sim`] | the Section 2.2 queueing models (Figure 2) |

@@ -1,8 +1,11 @@
 //! `docs/METRICS.md` is the metric reference: every name a UDP server
 //! registers behind the fault layer (the stack `minos-server` runs), and
 //! every client counter the load driver reports under `metrics`, is
-//! documented there. Per-core names match as `core.N.*`.
+//! documented there; so is every name an in-process server registers,
+//! and every `nic.*` name documented there is one it registers.
+//! Per-core names match as `core.N.*`.
 
+use minos::core::client::Client;
 use minos::core::server::{MinosServer, ServerConfig};
 use minos::driver::{preload, RunConfig, Workload};
 use minos::net::testport::TestPorts;
@@ -81,5 +84,45 @@ fn every_metric_is_documented() {
     assert!(
         missing.is_empty(),
         "metrics missing from docs/METRICS.md: {missing:?}"
+    );
+}
+
+#[test]
+fn every_virtual_backend_metric_is_documented_and_every_nic_row_registered() {
+    let mut server = MinosServer::start(ServerConfig::for_test(QUEUES as usize, 4_096));
+    let mut client = Client::new(&server, 1, 42);
+    for key in 0..16u64 {
+        let large = key % 4 == 0;
+        client.send_put(key, &vec![7; if large { 5_000 } else { 100 }], large);
+        client.send_get(key, large);
+    }
+    assert!(client.drain(Duration::from_secs(30)));
+    server.shutdown();
+
+    let documented = documented(include_str!("../docs/METRICS.md"));
+    let registered: BTreeSet<String> = server
+        .registry()
+        .snapshot()
+        .entries
+        .iter()
+        .map(|(name, _)| per_core(name))
+        .collect();
+    let missing: Vec<&String> = registered
+        .iter()
+        .filter(|name| !documented.contains(name.as_str()))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "metrics missing from docs/METRICS.md: {missing:?}"
+    );
+    let stale: Vec<&&str> = documented
+        .iter()
+        .filter(|name| {
+            name.starts_with("nic.") && **name != "nic.*" && !registered.contains(**name)
+        })
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "documented nic.* names nobody registers: {stale:?}"
     );
 }
