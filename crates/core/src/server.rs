@@ -339,8 +339,6 @@ struct Shared<T: Transport> {
     /// (`dispatch.sheds`; only moves when the watermark is set).
     sheds: Counter,
     epoch_deadline_ns: AtomicU64,
-    /// Per-core reply message-id counters (fragment reassembly keys).
-    msg_ids: Vec<AtomicU64>,
     /// Fragment-to-core pinning for in-flight multi-packet messages.
     flow_pins: FlowPins,
     /// Per-source cap on concurrent discard-mode ingests (memory-
@@ -531,7 +529,6 @@ impl<T: Transport + 'static> MinosServer<T> {
             steal_picks: registry.counter("dispatch.steals"),
             sheds: registry.counter("dispatch.sheds"),
             epoch_deadline_ns: AtomicU64::new(config.minos.epoch_ns),
-            msg_ids: (0..n).map(|_| AtomicU64::new(0)).collect(),
             flow_pins: FlowPins::new(4096),
             discard_quota: DiscardQuota::new(config.minos.discard_quota_per_source),
             config: config.minos,
@@ -731,6 +728,9 @@ struct Core<'a, T: Transport> {
     reassembler: StreamingReassembler<PutIngest>,
     /// Replies staged since the last flush. Empty between poll rounds.
     tx: TxBurst,
+    /// The counter half of this core's next reply message id (the
+    /// client's fragment reassembly key).
+    next_msg_id: u64,
 }
 
 fn core_loop<T: Transport>(shared: &Shared<T>, core: usize) {
@@ -741,6 +741,7 @@ fn core_loop<T: Transport>(shared: &Shared<T>, core: usize) {
         local: shared.transport.local_endpoint(core as u16),
         reassembler: StreamingReassembler::new(1024),
         tx: TxBurst::with_capacity(shared.config.batch_size),
+        next_msg_id: 0,
     }
     .run()
 }
@@ -934,8 +935,8 @@ impl<T: Transport> Core<'_, T> {
     /// `accepts_bundles` is what the request said of its sender
     /// ([`ServerRequest::accepts_bundles`]).
     fn send_reply(&mut self, reply_to: Endpoint, reply: &Message, accepts_bundles: bool) {
-        let msg_id = ((self.id as u64) << 48)
-            | (self.shared.msg_ids[self.id].fetch_add(1, Ordering::Relaxed) & 0xFFFF_FFFF_FFFF);
+        let msg_id = ((self.id as u64) << 48) | (self.next_msg_id & 0xFFFF_FFFF_FFFF);
+        self.next_msg_id += 1;
         let datagrams = self
             .tx
             .stage(self.local, reply_to, reply, msg_id, accepts_bundles);

@@ -2,8 +2,10 @@
 //! LIFO stack of freed slots, else fresh at the high-water mark, plus
 //! one-bit-per-slot `occupied` and `referenced` bitmaps
 //! so the CLOCK eviction hand and the TTL sweep move 64 slots per load
-//! and lock only the slots they act on.
+//! and lock only the slots they act on. The slots are built a chunk at
+//! a time as the high-water mark reaches them.
 
+use crate::chunked::Chunked;
 use crate::mem::PoolBytes;
 use crate::ttl::is_expired;
 use parking_lot::Mutex;
@@ -60,7 +62,9 @@ fn bits(mut word: u64) -> impl Iterator<Item = u32> {
 
 #[derive(Debug)]
 pub(crate) struct ItemTable {
-    slots: Vec<Mutex<Option<ItemEntry>>>,
+    /// Built a chunk at a time by [`ItemTable::alloc`]'s fresh-slot
+    /// path; a slot in an unbuilt chunk is empty.
+    slots: Chunked<Mutex<Option<ItemEntry>>>,
     /// Slots freed since they were first handed out, reused LIFO before
     /// any fresh slot. It grows only as items are freed, so a table that
     /// never churns holds no list of its free slots.
@@ -87,12 +91,18 @@ impl ItemTable {
     pub(crate) fn new(capacity: usize, track_references: bool) -> Self {
         let bitmap = || (0..capacity.div_ceil(WORD_BITS)).map(|_| AtomicU64::new(0));
         ItemTable {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
+            slots: Chunked::new(capacity),
             freed: Mutex::new(Vec::new()),
             occupied: bitmap().collect(),
             referenced: track_references.then(|| bitmap().collect()),
             high_water: AtomicUsize::new(0),
         }
+    }
+
+    /// Slot `idx`, or `None` while its chunk is unbuilt.
+    #[inline]
+    fn slot(&self, idx: u32) -> Option<&Mutex<Option<ItemEntry>>> {
+        self.slots.get(idx as usize)
     }
 
     /// Sets slot `idx`'s reference bit. Load first: a hot key's bit is
@@ -110,17 +120,19 @@ impl ItemTable {
     /// lowest never-used one — one fixed order, which the CLOCK hand's
     /// victim sequences follow.
     pub(crate) fn alloc(&self, key: u64, value: PoolBytes, expires_at: u64) -> Option<u32> {
-        let idx = match self.freed.lock().pop() {
-            Some(idx) => idx,
-            None => self
-                .high_water
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |fresh| {
-                    (fresh < self.slots.len()).then_some(fresh + 1)
-                })
-                .ok()? as u32,
+        let (idx, slot) = match self.freed.lock().pop() {
+            Some(idx) => (idx, self.slot(idx).expect("a freed slot was built")),
+            None => {
+                let fresh = self
+                    .high_water
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |fresh| {
+                        (fresh < self.slots.len()).then_some(fresh + 1)
+                    })
+                    .ok()?;
+                (fresh as u32, self.slots.build(fresh))
+            }
         };
-        let mut slot = self.slots[idx as usize].lock();
-        *slot = Some(ItemEntry {
+        *slot.lock() = Some(ItemEntry {
             key,
             value,
             expires_at,
@@ -131,7 +143,7 @@ impl ItemTable {
     }
 
     pub(crate) fn replace(&self, idx: u32, value: PoolBytes, expires_at: u64) {
-        let mut slot = self.slots[idx as usize].lock();
+        let mut slot = self.slot(idx).expect("replace of a live item").lock();
         let entry = slot.as_mut().expect("replace of a live item");
         entry.value = value;
         entry.expires_at = expires_at;
@@ -142,7 +154,7 @@ impl ItemTable {
     /// charge releases when the returned entry drops).
     pub(crate) fn free(&self, idx: u32) -> Option<ItemEntry> {
         let entry = {
-            let mut slot = self.slots[idx as usize].lock();
+            let mut slot = self.slot(idx).expect("free of a built slot").lock();
             let (w, bit) = word_bit(idx);
             self.occupied[w].fetch_and(!bit, Ordering::Relaxed);
             if let Some(referenced) = &self.referenced {
@@ -157,11 +169,11 @@ impl ItemTable {
         entry
     }
 
-    /// Bytes the table holds whatever it stores: the slots, both
-    /// bitmaps and the freed stack's capacity.
+    /// Bytes the table holds: the built slots, both bitmaps and the
+    /// freed stack's capacity.
     pub(crate) fn footprint_bytes(&self) -> usize {
         let words = self.occupied.len() * (1 + usize::from(self.referenced.is_some()));
-        self.slots.len() * std::mem::size_of::<Mutex<Option<ItemEntry>>>()
+        self.slots.footprint_bytes()
             + words * std::mem::size_of::<AtomicU64>()
             + self.freed.lock().capacity() * std::mem::size_of::<u32>()
     }
@@ -170,8 +182,10 @@ impl ItemTable {
     /// its TTL deadline against the store clock and setting the CLOCK
     /// reference bit on a hit.
     pub(crate) fn read(&self, idx: u32, key: u64, now_ns: u64) -> ItemRead {
-        let slot = self.slots[idx as usize].lock();
-        match &*slot {
+        let Some(slot) = self.slot(idx) else {
+            return ItemRead::Absent;
+        };
+        match &*slot.lock() {
             Some(e) if e.key == key => {
                 if is_expired(e.expires_at, now_ns) {
                     ItemRead::Expired
@@ -186,15 +200,12 @@ impl ItemTable {
 
     /// The key stored at `idx`, if any (writer-side use only).
     pub(crate) fn key_at(&self, idx: u32) -> Option<u64> {
-        self.slots[idx as usize].lock().as_ref().map(|e| e.key)
+        self.slot(idx)?.lock().as_ref().map(|e| e.key)
     }
 
     /// The TTL deadline of the item at `idx`, if live (writer-side).
     pub(crate) fn expires_at(&self, idx: u32) -> Option<u64> {
-        self.slots[idx as usize]
-            .lock()
-            .as_ref()
-            .map(|e| e.expires_at)
+        self.slot(idx)?.lock().as_ref().map(|e| e.expires_at)
     }
 
     /// Walks the slots from `from` for up to `sweeps` turns of the
@@ -253,7 +264,10 @@ impl ItemTable {
             let mut passed = u64::MAX;
             let mut stop = None;
             for bit in bits(occupied & !warm) {
-                if let Some(e) = &*self.slots[w * WORD_BITS + bit as usize].lock() {
+                let Some(slot) = self.slot((w * WORD_BITS) as u32 + bit) else {
+                    continue;
+                };
+                if let Some(e) = &*slot.lock() {
                     candidates.push((e.key, e.value.charged_bytes()));
                     if candidates.len() == window {
                         // The hand rests here: later slots keep their bits.
@@ -286,10 +300,9 @@ impl ItemTable {
         }
         let (resume, _) = self.walk(from, 1, |w, mask| {
             for bit in bits(self.occupied[w].load(Ordering::Relaxed) & mask) {
-                let item = self.slots[w * WORD_BITS + bit as usize]
-                    .lock()
-                    .as_ref()
-                    .map(|e| (e.key, e.expires_at));
+                let item = self
+                    .slot((w * WORD_BITS) as u32 + bit)
+                    .and_then(|s| s.lock().as_ref().map(|e| (e.key, e.expires_at)));
                 if let Some((key, expires_at)) = item {
                     visit(key, expires_at);
                 }
@@ -303,10 +316,11 @@ impl ItemTable {
         resume
     }
 
-    /// Sums the capacity charge of every live item (a lock per slot).
+    /// Sums the capacity charge of every live item (a lock per built
+    /// slot).
     pub(crate) fn audit_charged_bytes(&self) -> usize {
         self.slots
-            .iter()
+            .iter_built()
             .map(|s| s.lock().as_ref().map_or(0, |e| e.value.charged_bytes()))
             .sum()
     }
@@ -323,15 +337,18 @@ impl ItemTable {
 
     /// Cross-checks the bitmaps against the slots: an `occupied` bit
     /// must say whether its slot holds an item (and lie below the
-    /// high-water mark), and only an occupied slot may be referenced.
-    /// Returns the number of occupied slots, or the first slot that
-    /// disagrees.
+    /// high-water mark), only an occupied slot may be referenced, and
+    /// every slot below the mark must be built (unbuilt ones are
+    /// empty). Returns the number of occupied slots, or the first slot
+    /// that disagrees.
     pub(crate) fn audit_bitmaps(&self) -> Result<u64, usize> {
         let high_water = self.high_water.load(Ordering::Relaxed);
         let mut live = 0;
-        for (i, slot) in self.slots.iter().enumerate() {
+        for i in 0..self.slots.len() {
             let (occupied, referenced) = self.slot_bits(i);
-            if occupied != slot.lock().is_some()
+            let slot = self.slot(i as u32);
+            if occupied != slot.is_some_and(|s| s.lock().is_some())
+                || (i < high_water && slot.is_none())
                 || (occupied && i >= high_water)
                 || (referenced && !occupied)
             {
@@ -353,6 +370,7 @@ impl ItemTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunked::CHUNK;
     use crate::mem::Mempool;
     use crate::ttl::NO_EXPIRY;
 
@@ -388,5 +406,33 @@ mod tests {
                 assert!(refused > 0, "seed {seed}: the table never filled");
             }
         }
+    }
+
+    /// Fresh slots build their chunk; freeing builds and drops nothing.
+    #[test]
+    fn slot_chunks_are_built_as_the_high_water_mark_reaches_them() {
+        let pool = Mempool::new(1 << 24, 64);
+        let table = ItemTable::new(100_000, true);
+        let charge = pool.alloc_from(b"v").unwrap().charged_bytes();
+        let alloc = |key: u64| {
+            let value = pool.alloc_from(b"v").unwrap();
+            table.alloc(key, value, NO_EXPIRY).unwrap()
+        };
+        let mut live = vec![alloc(0)];
+        assert_eq!(table.slots.built_chunks(), 1);
+        assert_eq!(table.audit_bitmaps(), Ok(1));
+        assert_eq!(table.audit_charged_bytes(), charge);
+        live.extend((1..CHUNK as u64).map(alloc));
+        assert_eq!(table.slots.built_chunks(), 1, "one chunk holds {CHUNK}");
+        live.push(alloc(CHUNK as u64));
+        assert_eq!(table.slots.built_chunks(), 2);
+        assert_eq!(table.audit_bitmaps(), Ok(CHUNK as u64 + 1));
+        assert_eq!(table.audit_charged_bytes(), (CHUNK + 1) * charge);
+        for idx in live {
+            assert!(table.free(idx).is_some());
+        }
+        assert_eq!(table.slots.built_chunks(), 2);
+        assert_eq!(table.audit_bitmaps(), Ok(0));
+        assert_eq!(table.audit_charged_bytes(), 0);
     }
 }

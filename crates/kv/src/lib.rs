@@ -18,6 +18,8 @@
 //!   reference-counted value buffers that return to the pool on drop.
 //! * [`bucket`] — the cache-line bucket: packed tag+index slots, the
 //!   64-bit epoch, and the overflow chain link.
+//! * `chunked` — fixed-capacity arrays built a chunk at a time on first
+//!   use: the item slots and the overflow buckets.
 //! * `items` — a partition's item slots with their `occupied` /
 //!   `referenced` bitmaps, which the CLOCK hand and the TTL sweep walk
 //!   a word at a time.
@@ -31,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod bucket;
+mod chunked;
 pub mod crew;
 pub mod evict;
 mod items;

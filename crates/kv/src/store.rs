@@ -15,6 +15,7 @@
 //!   slots, bump back to even.
 
 use crate::bucket::{Bucket, Slot, NO_OVERFLOW, SLOTS_PER_BUCKET};
+use crate::chunked::Chunked;
 use crate::evict::{CapacityConfig, EvictionPolicy, Watermarks};
 use crate::items::{ClockHand, ItemRead, ItemTable};
 use crate::keyhash::{keyhash, split};
@@ -133,8 +134,11 @@ struct Partition {
     /// Per-primary-bucket writer locks. One lock guards a primary bucket
     /// and its entire overflow chain.
     locks: Box<[Mutex<()>]>,
-    overflow: Box<[Bucket]>,
-    overflow_freelist: Mutex<Vec<u32>>,
+    /// The overflow pool, built a chunk at a time as buckets are
+    /// claimed. A claimed bucket stays chained for good.
+    overflow: Chunked<Bucket>,
+    /// Overflow buckets claimed so far: the next one to claim.
+    overflow_claimed: AtomicUsize,
     items: ItemTable,
     /// The CLOCK eviction hand. Its mutex admits one evicting core per
     /// partition at a time.
@@ -149,12 +153,8 @@ impl Partition {
         Partition {
             buckets: (0..buckets).map(|_| Bucket::new()).collect(),
             locks: (0..buckets).map(|_| Mutex::new(())).collect(),
-            overflow: (0..config.overflow_per_partition)
-                .map(|_| Bucket::new())
-                .collect(),
-            overflow_freelist: Mutex::new(
-                (0..config.overflow_per_partition as u32).rev().collect(),
-            ),
+            overflow: Chunked::new(config.overflow_per_partition),
+            overflow_claimed: AtomicUsize::new(0),
             items: ItemTable::new(
                 config.items_per_partition,
                 config.capacity.policy != EvictionPolicy::None,
@@ -162,6 +162,14 @@ impl Partition {
             clock_hand: Mutex::default(),
             sweep_cursor: AtomicUsize::new(0),
         }
+    }
+
+    /// Overflow bucket `i`, which a chain links to, so it is built.
+    #[inline]
+    fn overflow_bucket(&self, i: u32) -> &Bucket {
+        self.overflow
+            .get(i as usize)
+            .expect("a chained bucket is built")
     }
 
     /// Walks the bucket chain starting at primary `b`, yielding bucket
@@ -191,7 +199,7 @@ impl<'a> Iterator for ChainIter<'a> {
     fn next(&mut self) -> Option<&'a Bucket> {
         let bucket = match self.next {
             ChainPos::Primary(b) => &self.part.buckets[b],
-            ChainPos::Overflow(i) => &self.part.overflow[i as usize],
+            ChainPos::Overflow(i) => self.part.overflow_bucket(i),
             ChainPos::End => return None,
         };
         let link = bucket.next.load(Ordering::Acquire);
@@ -228,7 +236,6 @@ pub struct Store {
     puts: AtomicU64,
     put_failures: AtomicU64,
     deletes: AtomicU64,
-    overflow_in_use: AtomicU64,
     items: AtomicU64,
     evictions: AtomicU64,
     evicted_bytes: AtomicU64,
@@ -263,7 +270,6 @@ impl Store {
             puts: AtomicU64::new(0),
             put_failures: AtomicU64::new(0),
             deletes: AtomicU64::new(0),
-            overflow_in_use: AtomicU64::new(0),
             items: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             evicted_bytes: AtomicU64::new(0),
@@ -798,11 +804,15 @@ impl Store {
             last = bucket;
         }
         // Chain full: dynamically assign an overflow bucket (§4.2).
-        let idx = partition.overflow_freelist.lock().pop()?;
-        self.overflow_in_use.fetch_add(1, Ordering::Relaxed);
-        let fresh = &partition.overflow[idx as usize];
+        let idx = partition
+            .overflow_claimed
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |claimed| {
+                (claimed < partition.overflow.len()).then_some(claimed + 1)
+            })
+            .ok()?;
+        let fresh = partition.overflow.build(idx);
         debug_assert_eq!(fresh.occupied().count(), 0);
-        last.next.store(idx, Ordering::Release);
+        last.next.store(idx as u32, Ordering::Release);
         Some((fresh, 0))
     }
 
@@ -820,7 +830,11 @@ impl Store {
             puts: self.puts.load(Ordering::Relaxed),
             put_failures: self.put_failures.load(Ordering::Relaxed),
             deletes: self.deletes.load(Ordering::Relaxed),
-            overflow_in_use: self.overflow_in_use.load(Ordering::Relaxed),
+            overflow_in_use: self
+                .partitions
+                .iter()
+                .map(|p| p.overflow_claimed.load(Ordering::Relaxed) as u64)
+                .sum(),
             items: self.items.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             evicted_bytes: self.evicted_bytes.load(Ordering::Relaxed),
@@ -833,15 +847,16 @@ impl Store {
         }
     }
 
-    /// Bytes of index the store holds whatever it stores
-    /// (`store.index_bytes`): buckets, overflow buckets and their
-    /// freelists, bucket locks and item tables. Values are the mempool's.
+    /// Bytes of index the store has built (`store.index_bytes`): the
+    /// primary buckets, their locks and the item bitmaps from the start,
+    /// and the item slots and overflow buckets as they are first used.
+    /// Values are the mempool's.
     pub fn index_bytes(&self) -> usize {
         use std::mem::size_of;
         let partition = |p: &Partition| {
-            (p.buckets.len() + p.overflow.len()) * size_of::<Bucket>()
+            p.buckets.len() * size_of::<Bucket>()
+                + p.overflow.footprint_bytes()
                 + p.locks.len() * size_of::<Mutex<()>>()
-                + p.overflow_freelist.lock().capacity() * size_of::<u32>()
                 + p.items.footprint_bytes()
         };
         self.partitions.iter().map(partition).sum()
@@ -1674,5 +1689,41 @@ mod tests {
             .iter()
             .all(|p| p.items.reference_bits().is_none()));
         assert_eq!(s.audit_item_bitmaps(), Ok(1));
+    }
+
+    /// Four writers start together on an empty one-partition store, so
+    /// they race to build its first item-slot and overflow chunks.
+    #[test]
+    fn concurrent_puts_build_the_first_chunks_once() {
+        let s = Store::new(StoreConfig {
+            partitions: 1,
+            buckets_per_partition: 256,
+            overflow_per_partition: 2048,
+            items_per_partition: 8192,
+            mempool_bytes: 16 << 20,
+            max_value_bytes: 1 << 16,
+            capacity: CapacityConfig::default(),
+        });
+        let (threads, per_thread) = (4u64, 1500u64);
+        let start = std::sync::Barrier::new(threads as usize);
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let (s, start) = (&s, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for key in t * per_thread..(t + 1) * per_thread {
+                        s.put(key, format!("value-{key}").as_bytes()).unwrap();
+                    }
+                });
+            }
+        });
+        let total = threads * per_thread;
+        for key in 0..total {
+            assert_eq!(&s.get(key).unwrap()[..], format!("value-{key}").as_bytes());
+        }
+        assert!(s.stats().overflow_in_use > 0, "overflow exercised");
+        assert_eq!(s.len(), total);
+        assert_eq!(s.audit_item_bitmaps(), Ok(total));
+        assert_eq!(s.audit_charged_bytes(), s.mempool().used_bytes());
     }
 }

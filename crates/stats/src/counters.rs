@@ -86,8 +86,13 @@ impl CoreStats {
 /// Atomic counters owned by one core, snapshot-readable by the harness.
 ///
 /// All updates use `Ordering::Relaxed`: the counters are monotonic and
-/// only read for statistics, never for synchronization.
+/// only read for statistics, never for synchronization. Servers keep one
+/// per core side by side, each written on every request its core serves,
+/// so each sits alone in a 128-byte block (a pair of 64-byte lines, the
+/// unit the adjacent-line prefetcher moves) and no two cores write to
+/// one line.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 pub struct SharedCoreStats {
     ops: AtomicU64,
     get_ops: AtomicU64,
@@ -205,6 +210,12 @@ mod tests {
         assert_eq!(snap.handoffs, 1);
         assert_eq!(snap.steals, 1);
         assert_eq!(snap.packets(), 5);
+    }
+
+    #[test]
+    fn neighbours_share_no_cache_line() {
+        assert_eq!(std::mem::align_of::<SharedCoreStats>(), 128);
+        assert_eq!(std::mem::size_of::<SharedCoreStats>(), 128);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! store's index (`store.index_bytes`), plus a small fixed remainder.
 //! Spawns the binary with `--cores 4 --items 200000 --json`, reads its
 //! peak RSS (`VmHWM`) once it answers, then interrupts it and reads the
-//! gauges from the exit snapshot.
+//! gauges from the exit snapshot. The index holds only what is built
+//! before the first item arrives.
 #![cfg(target_os = "linux")]
 
 use minos::net::testport::TestPorts;
@@ -18,6 +19,13 @@ use std::time::{Duration, Instant};
 static PORTS: TestPorts = TestPorts::new(20_000, 21_000);
 
 const CORES: usize = 4;
+
+const ITEMS: usize = 200_000;
+
+/// The index an idle server has built, per `--items` slot: the primary
+/// buckets, their locks and the item bitmaps. Item slots and overflow
+/// buckets are built as items arrive.
+const IDLE_INDEX_BYTES_PER_ITEM: f64 = 28.0;
 
 /// Everything an idle server holds beyond its rings and its index:
 /// code, thread stacks, the touched part of the RX pools.
@@ -69,7 +77,7 @@ fn idle_footprint(discipline: &str) -> (f64, f64, f64) {
     const SIGINT: i32 = 2;
     let port = PORTS.alloc(CORES as u16);
     let child = Command::new(env!("CARGO_BIN_EXE_minos-server"))
-        .args(["--cores", &CORES.to_string(), "--items", "200000"])
+        .args(["--cores", &CORES.to_string(), "--items", &ITEMS.to_string()])
         .args(["--port", &port.to_string(), "--discipline", discipline])
         .args(["--duration", "60", "--json"])
         .stdout(Stdio::piped())
@@ -102,6 +110,10 @@ fn assert_footprint(discipline: &str, shared_queue: bool) {
     let soft = 1 << 16;
     let rings = CORES * ring_bytes(soft) + usize::from(shared_queue) * ring_bytes(CORES * soft);
     assert_eq!(queue_bytes, rings as f64, "{discipline}");
+    assert!(
+        index_bytes <= IDLE_INDEX_BYTES_PER_ITEM * ITEMS as f64,
+        "{discipline}: an idle index of {index_bytes} B for {ITEMS} items"
+    );
     assert!(
         hwm <= queue_bytes + index_bytes + REMAINDER,
         "{discipline}: VmHWM {hwm} B over rings {queue_bytes} + index {index_bytes} + {REMAINDER}"
