@@ -70,9 +70,9 @@ pub struct MinosConfig {
     pub discard_quota_per_source: u32,
     /// The queue discipline placing decoded requests onto cores. The
     /// default is the paper's size-aware sharding; the alternatives
-    /// (the paper's hkh and sho baselines, cfcfs, dfcfs, jsq,
-    /// round-robin, random) exist so the figures can compare against
-    /// them on identical plumbing.
+    /// (the paper's hkh and sho baselines, and cfcfs and dfcfs, the
+    /// M/G/k and keyhash nxM/G/1 models of its §2.2) exist so the
+    /// figures can compare against them on identical plumbing.
     pub discipline: DisciplineKind,
     /// ZygOS-style work stealing: an idle core pops one request from
     /// the longest peer software queue, and — under a discipline where

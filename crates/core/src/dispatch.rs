@@ -17,9 +17,9 @@
 //! decision — which RX queues a core reads and whether it pulls the
 //! shared queue — extracted behind a trait so the same server core loop
 //! can run the paper's size-aware sharding, the designs it is evaluated
-//! against (HKH, HKH+WS, SHO; §5.2), or the classical alternatives
-//! (cFCFS, dFCFS, JSQ, round-robin, random). Every placement and drain
-//! rule is written here once, and every design shares one KV store and
+//! against (HKH, HKH+WS, SHO; §5.2), or the two queueing models of its
+//! §2.2 (cFCFS, M/G/k; dFCFS, the keyhash nxM/G/1). Every placement and
+//! drain rule is written here once, and every design shares one KV store and
 //! one network stack, as the paper's comparison requires. `minos-figures
 //! --disciplines size-aware,hkh,sho,...` sweeps the same workload over
 //! every policy and the committed figures show where size-aware wins.
@@ -31,9 +31,6 @@
 //! | `sho`        | everything → one shared queue only workers pull | `handoff` dispatch cores drain RX, M/G/n workers |
 //! | `cfcfs`      | everything → one shared queue, any core pulls | single M/G/k queue |
 //! | `dfcfs`      | key-hash → fixed owner core              | partitioned nxM/G/1 |
-//! | `jsq`        | shortest soft queue at decision time     | per-core soft queues |
-//! | `round-robin`| strict rotation over cores               | per-core soft queues |
-//! | `random`     | uniform random core                      | per-core soft queues |
 //!
 //! Only `size-aware` consults the [`ShardingPlan`] to place (and
 //! therefore needs the item's size, [`Discipline::needs_size`]). Only
@@ -44,7 +41,6 @@
 //! ([`Discipline::own_rx_only`]).
 
 use crate::plan::{Destination, ShardingPlan};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// How many packets one small core takes from one large core's RX queue
 /// per polling round, given batch size `B` and `n_small` small cores.
@@ -107,12 +103,6 @@ pub enum DisciplineKind {
     Cfcfs,
     /// Distributed FCFS (nxM/G/1): key-hash partitioned per core.
     Dfcfs,
-    /// Join-shortest-queue over the live soft-queue depth gauges.
-    Jsq,
-    /// Strict rotation over cores.
-    RoundRobin,
-    /// Uniform random core.
-    Random,
     /// Hardware keyhash sharding (HKH, nxM/G/1, as MICA): every request
     /// executes on the core whose RX queue it arrived on.
     Hkh,
@@ -128,13 +118,10 @@ pub enum DisciplineKind {
 impl DisciplineKind {
     /// Every kind, in the order the shoot-out figure sweeps them; `sho`
     /// with the one dispatch core its name parses to.
-    pub const ALL: [DisciplineKind; 8] = [
+    pub const ALL: [DisciplineKind; 5] = [
         DisciplineKind::SizeAware,
         DisciplineKind::Cfcfs,
         DisciplineKind::Dfcfs,
-        DisciplineKind::Jsq,
-        DisciplineKind::RoundRobin,
-        DisciplineKind::Random,
         DisciplineKind::Hkh,
         DisciplineKind::Sho { handoff: 1 },
     ];
@@ -145,9 +132,6 @@ impl DisciplineKind {
             DisciplineKind::SizeAware => "size-aware",
             DisciplineKind::Cfcfs => "cfcfs",
             DisciplineKind::Dfcfs => "dfcfs",
-            DisciplineKind::Jsq => "jsq",
-            DisciplineKind::RoundRobin => "round-robin",
-            DisciplineKind::Random => "random",
             DisciplineKind::Hkh => "hkh",
             DisciplineKind::Sho { .. } => "sho",
         }
@@ -159,15 +143,12 @@ impl DisciplineKind {
         DisciplineKind::ALL.into_iter().find(|k| k.name() == name)
     }
 
-    /// Builds the discipline's (possibly stateful) implementation.
+    /// Builds the discipline's implementation.
     pub fn build(self) -> Box<dyn Discipline> {
         match self {
             DisciplineKind::SizeAware => Box::new(SizeAware),
             DisciplineKind::Cfcfs => Box::new(Cfcfs),
             DisciplineKind::Dfcfs => Box::new(Dfcfs),
-            DisciplineKind::Jsq => Box::new(Jsq),
-            DisciplineKind::RoundRobin => Box::new(RoundRobin::new()),
-            DisciplineKind::Random => Box::new(Random::seeded(0x9E37_79B9_7F4A_7C15)),
             DisciplineKind::Hkh => Box::new(Hkh),
             DisciplineKind::Sho { handoff } => Box::new(Sho { handoff }),
         }
@@ -189,7 +170,8 @@ pub enum Placement {
 }
 
 /// Live per-core software-queue depths, supplied by the server at
-/// decision time (JSQ reads these; everything else ignores them).
+/// decision time (a fragment placed [`Placement::Shared`] goes to the
+/// shortest; nothing else reads them).
 pub trait QueueDepths {
     /// Requests currently queued for core `core`.
     fn depth(&self, core: usize) -> usize;
@@ -224,7 +206,8 @@ pub struct PlaceCtx<'a> {
     pub size: Option<u64>,
     /// The sharding plan in force (only size-aware reads it).
     pub plan: &'a ShardingPlan,
-    /// Live soft-queue depth gauges (only JSQ reads them).
+    /// Live soft-queue depth gauges (only [`Discipline::place_fragment`]'s
+    /// shared-queue fallback reads them).
     pub depths: &'a dyn QueueDepths,
 }
 
@@ -448,92 +431,6 @@ impl Discipline for Dfcfs {
     }
 }
 
-/// Join-shortest-queue over the live depth gauges; ties prefer the RX
-/// core (no pointless handoff hop).
-pub struct Jsq;
-
-impl Discipline for Jsq {
-    fn kind(&self) -> DisciplineKind {
-        DisciplineKind::Jsq
-    }
-
-    fn place(&self, ctx: &PlaceCtx) -> Placement {
-        let pick = ctx.shortest_queue();
-        if pick == ctx.rx_core {
-            Placement::Local
-        } else {
-            Placement::Core(pick)
-        }
-    }
-}
-
-/// Strict rotation over cores via one shared atomic counter.
-pub struct RoundRobin {
-    next: AtomicUsize,
-}
-
-impl RoundRobin {
-    fn new() -> Self {
-        RoundRobin {
-            next: AtomicUsize::new(0),
-        }
-    }
-}
-
-impl Discipline for RoundRobin {
-    fn kind(&self) -> DisciplineKind {
-        DisciplineKind::RoundRobin
-    }
-
-    fn place(&self, ctx: &PlaceCtx) -> Placement {
-        let pick = self.next.fetch_add(1, Ordering::Relaxed) % ctx.n_cores;
-        if pick == ctx.rx_core {
-            Placement::Local
-        } else {
-            Placement::Core(pick)
-        }
-    }
-}
-
-/// Uniform random core from a lock-free splitmix64 stream.
-pub struct Random {
-    state: AtomicU64,
-}
-
-impl Random {
-    fn seeded(seed: u64) -> Self {
-        Random {
-            state: AtomicU64::new(seed),
-        }
-    }
-
-    fn next(&self) -> u64 {
-        let x = self
-            .state
-            .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed)
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
-
-impl Discipline for Random {
-    fn kind(&self) -> DisciplineKind {
-        DisciplineKind::Random
-    }
-
-    fn place(&self, ctx: &PlaceCtx) -> Placement {
-        let pick = (self.next() % ctx.n_cores as u64) as usize;
-        if pick == ctx.rx_core {
-            Placement::Local
-        } else {
-            Placement::Core(pick)
-        }
-    }
-}
-
 /// Mixes a source endpoint and message id into the pseudo-key fragments
 /// are placed by (the real key only travels in fragment 0, and placement
 /// must agree across all fragments of one message).
@@ -732,61 +629,9 @@ mod tests {
     }
 
     #[test]
-    fn jsq_picks_shortest_preferring_local_on_ties() {
-        let plan = test_plan(4, 1000);
-        let d = DisciplineKind::Jsq.build();
-        let depths = [5usize, 2, 9, 2];
-        // Unique minimum wins ... (cores 1 and 3 tie; lowest index wins
-        // among non-local ties).
-        let c = ctx(&plan, &depths, 0, 7, None);
-        assert_eq!(d.place(&c), Placement::Core(1));
-        // ... but an equally short local queue means no handoff.
-        let c = ctx(&plan, &depths, 3, 7, None);
-        assert_eq!(d.place(&c), Placement::Local);
-        let flat = [4usize; 4];
-        let c = ctx(&plan, &flat, 2, 7, None);
-        assert_eq!(d.place(&c), Placement::Local);
-    }
-
-    #[test]
-    fn round_robin_cycles_every_core() {
-        let plan = test_plan(4, 1000);
-        let depths = [0usize; 4];
-        let d = DisciplineKind::RoundRobin.build();
-        let mut picks = Vec::new();
-        for i in 0..8 {
-            let c = ctx(&plan, &depths, 0, i, None);
-            picks.push(match d.place(&c) {
-                Placement::Local => 0,
-                Placement::Core(t) => t,
-                Placement::Shared => unreachable!(),
-            });
-        }
-        assert_eq!(picks, vec![0, 1, 2, 3, 0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn random_covers_all_cores() {
-        let plan = test_plan(4, 1000);
-        let depths = [0usize; 4];
-        let d = DisciplineKind::Random.build();
-        let mut hit = [0usize; 4];
-        for i in 0..512 {
-            let c = ctx(&plan, &depths, 0, i, None);
-            match d.place(&c) {
-                Placement::Local => hit[0] += 1,
-                Placement::Core(t) => hit[t] += 1,
-                Placement::Shared => unreachable!(),
-            }
-        }
-        // Uniform enough: every core sees a healthy share of 512 picks.
-        assert!(hit.iter().all(|&h| h > 64), "skewed picks: {hit:?}");
-    }
-
-    #[test]
     fn fragment_key_spreads_sources() {
         // Distinct (src, msg_id) pairs must not collapse onto a few
-        // pseudo-keys (that would hot-spot dfcfs/random placement).
+        // pseudo-keys (that would hot-spot dfcfs placement).
         let mut owners = [0usize; 4];
         for src in 0..16u64 {
             for msg in 0..16u64 {

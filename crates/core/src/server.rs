@@ -278,14 +278,11 @@ impl FlowPins {
     }
 }
 
-/// Live soft-queue depths as the [`QueueDepths`] view disciplines
-/// consume (JSQ reads them at placement time; `len()` on an
-/// [`ArrayQueue`] is a pair of relaxed loads).
-struct SoftQueueDepths<'a>(&'a [HandoffRing]);
-
-impl QueueDepths for SoftQueueDepths<'_> {
+/// The live soft queues as the [`QueueDepths`] view disciplines consume
+/// (`len()` on an [`ArrayQueue`] is a pair of relaxed loads).
+impl QueueDepths for Vec<HandoffRing> {
     fn depth(&self, core: usize) -> usize {
-        self.0[core].len()
+        self[core].len()
     }
 }
 
@@ -347,8 +344,101 @@ struct Shared<T: Transport> {
 }
 
 impl<T: Transport> Shared<T> {
+    /// Everything the cores share, built from `config` over `transport`
+    /// (which must expose exactly one RX/TX queue pair per core): the
+    /// store, the initial plan, the queues, the counters. No thread runs
+    /// and no collector is registered yet.
+    fn new(config: &ServerConfig, transport: Arc<T>) -> Self {
+        config.minos.validate().expect("invalid Minos config");
+        let n = config.minos.n_cores;
+        assert_eq!(
+            transport.num_queues(),
+            n as u16,
+            "transport must have one queue per core"
+        );
+        let controller = ThresholdController::new(
+            config.minos.threshold_mode,
+            config.minos.threshold_percentile,
+            config.minos.alpha,
+            config.minos.cost_fn,
+        );
+        // The initial plan honours the controller's seed decision, so a
+        // `Static(t)` threshold is in force from the first packet (it
+        // used to be overwritten by the bootstrap plan until the first
+        // dynamic epoch — which never came in static mode). In dynamic
+        // mode `current()` *is* the bootstrap decision.
+        let initial = {
+            let decision = controller.current();
+            ShardingPlan {
+                epoch_id: 0,
+                allocation: allocate(n, decision.small_cost_share),
+                ranges: LargeRanges::single(),
+                decision,
+            }
+        };
+        let registry = Arc::new(MetricsRegistry::new());
+        let discipline = config.minos.discipline.build();
+        let capacity = config.minos.soft_queue_capacity;
+        // The shared queue stands in for *all* per-core queues, so it
+        // gets their aggregate capacity — equal total backlog before
+        // tail-drop, whatever the discipline.
+        let shared_queue = (0..n)
+            .any(|core| discipline.pulls_shared(core))
+            .then(|| HandoffRing::new(capacity * n));
+        Shared {
+            store: Arc::new(Store::new(config.store.clone())),
+            plan: RwLock::new(Arc::new(initial)),
+            plan_version: AtomicU64::new(0),
+            discipline,
+            soft_queues: (0..n).map(|_| HandoffRing::new(capacity)).collect(),
+            shared_queue,
+            stats: (0..n).map(|_| SharedCoreStats::new()).collect(),
+            size_hists: (0..n).map(|_| AtomicSizeHistogram::new()).collect(),
+            controller: Mutex::new(controller),
+            shutdown: AtomicBool::new(false),
+            start: registry.start(),
+            telemetry: (0..n)
+                .map(|core| CoreTelemetry::register(&registry, core))
+                .collect(),
+            soft_drops: registry.counter("engine.soft_queue_drops"),
+            epochs: registry.counter("engine.epochs"),
+            malformed: registry.counter("engine.malformed"),
+            reassembly_evictions: registry.counter("ingest.reassembly_evictions"),
+            queue_picks: registry.counter("dispatch.queue_picks"),
+            shared_picks: registry.counter("dispatch.shared_picks"),
+            steal_picks: registry.counter("dispatch.steals"),
+            sheds: registry.counter("dispatch.sheds"),
+            epoch_deadline_ns: AtomicU64::new(config.minos.epoch_ns),
+            flow_pins: FlowPins::new(4096),
+            discard_quota: DiscardQuota::new(config.minos.discard_quota_per_source),
+            config: config.minos.clone(),
+            transport,
+            registry,
+        }
+    }
+
     fn now_ns(&self) -> u64 {
         self.start.elapsed().as_nanos() as u64
+    }
+
+    /// What the discipline sees to place a request for `key` (of `size`
+    /// bytes, when known without a lookup) that core `rx_core` decoded
+    /// under `plan`.
+    fn place_ctx<'p>(
+        &'p self,
+        rx_core: usize,
+        plan: &'p ShardingPlan,
+        key: u64,
+        size: Option<u64>,
+    ) -> PlaceCtx<'p> {
+        PlaceCtx {
+            rx_core,
+            n_cores: self.config.n_cores,
+            key,
+            size,
+            plan,
+            depths: &self.soft_queues,
+        }
     }
 
     /// Every ring: the soft queues, then the shared queue if it exists.
@@ -468,83 +558,18 @@ impl<T: Transport + 'static> MinosServer<T> {
     /// transport. The transport must expose exactly one RX/TX queue
     /// pair per configured core.
     pub fn start_with_transport(config: ServerConfig, transport: Arc<T>) -> Self {
-        config.minos.validate().expect("invalid Minos config");
-        let n = config.minos.n_cores;
-        assert_eq!(
-            transport.num_queues(),
-            n as u16,
-            "transport must have one queue per core"
-        );
-        let controller = ThresholdController::new(
-            config.minos.threshold_mode,
-            config.minos.threshold_percentile,
-            config.minos.alpha,
-            config.minos.cost_fn,
-        );
-        // The initial plan honours the controller's seed decision, so a
-        // `Static(t)` threshold is in force from the first packet (it
-        // used to be overwritten by the bootstrap plan until the first
-        // dynamic epoch — which never came in static mode). In dynamic
-        // mode `current()` *is* the bootstrap decision.
-        let initial = {
-            let decision = controller.current();
-            ShardingPlan {
-                epoch_id: 0,
-                allocation: allocate(n, decision.small_cost_share),
-                ranges: LargeRanges::single(),
-                decision,
-            }
-        };
-        let registry = Arc::new(MetricsRegistry::new());
-        let store = Arc::new(Store::new(config.store.clone()));
-        let discipline = config.minos.discipline.build();
-        let capacity = config.minos.soft_queue_capacity;
-        // The shared queue stands in for *all* per-core queues, so it
-        // gets their aggregate capacity — equal total backlog before
-        // tail-drop, whatever the discipline.
-        let shared_queue = (0..n)
-            .any(|core| discipline.pulls_shared(core))
-            .then(|| HandoffRing::new(capacity * n));
-        let shared = Arc::new(Shared {
-            store: Arc::clone(&store),
-            plan: RwLock::new(Arc::new(initial)),
-            plan_version: AtomicU64::new(0),
-            discipline,
-            soft_queues: (0..n).map(|_| HandoffRing::new(capacity)).collect(),
-            shared_queue,
-            stats: (0..n).map(|_| SharedCoreStats::new()).collect(),
-            size_hists: (0..n).map(|_| AtomicSizeHistogram::new()).collect(),
-            controller: Mutex::new(controller),
-            shutdown: AtomicBool::new(false),
-            start: registry.start(),
-            telemetry: (0..n)
-                .map(|core| CoreTelemetry::register(&registry, core))
-                .collect(),
-            soft_drops: registry.counter("engine.soft_queue_drops"),
-            epochs: registry.counter("engine.epochs"),
-            malformed: registry.counter("engine.malformed"),
-            reassembly_evictions: registry.counter("ingest.reassembly_evictions"),
-            queue_picks: registry.counter("dispatch.queue_picks"),
-            shared_picks: registry.counter("dispatch.shared_picks"),
-            steal_picks: registry.counter("dispatch.steals"),
-            sheds: registry.counter("dispatch.sheds"),
-            epoch_deadline_ns: AtomicU64::new(config.minos.epoch_ns),
-            flow_pins: FlowPins::new(4096),
-            discard_quota: DiscardQuota::new(config.minos.discard_quota_per_source),
-            config: config.minos,
-            transport: Arc::clone(&transport),
-            registry: Arc::clone(&registry),
-        });
+        let shared = Arc::new(Shared::new(&config, transport));
         // Snapshot-time collectors: the store (store.* / mempool.*), the
         // transport backend (transport.* / pool.* / nic.*), and the
         // engine itself (core.* counters, plan.*, dispatch.*, ingest.*).
         // The engine collector holds a Weak so the registry — which
         // callers may keep past shutdown — never cycles with Shared.
-        registry.register_collector(Box::new(store));
-        registry.register_collector(Box::new(TransportCollector(transport)));
+        let registry = &shared.registry;
+        registry.register_collector(Box::new(Arc::clone(&shared.store)));
+        registry.register_collector(Box::new(TransportCollector(Arc::clone(&shared.transport))));
         registry.register_collector(Box::new(EngineCollector(Arc::downgrade(&shared))));
         let pin_cpus = config.pin_cpus.filter(|cpus| !cpus.is_empty());
-        let threads = (0..n)
+        let threads = (0..shared.config.n_cores)
             .map(|core| {
                 let shared = Arc::clone(&shared);
                 let pin = pin_cpus.as_ref().map(|cpus| cpus[core % cpus.len()]);
@@ -556,7 +581,7 @@ impl<T: Transport + 'static> MinosServer<T> {
                                 eprintln!("minos-core-{core}: pinning to cpu {cpu} failed: {e}");
                             }
                         }
-                        core_loop(&shared, core)
+                        Core::new(&shared, core).run()
                     })
                     .expect("spawn core thread")
             })
@@ -731,180 +756,198 @@ struct Core<'a, T: Transport> {
     /// The counter half of this core's next reply message id (the
     /// client's fragment reassembly key).
     next_msg_id: u64,
+    /// The packets of the RX burst being processed. Empty between poll
+    /// rounds; its capacity is kept, so a round allocates nothing.
+    rx_buf: Vec<Packet>,
+    /// Rounds run, for [`Core::housekeeping`]'s 1-in-64 cadence.
+    rounds: u32,
+    /// When the stale-partial clock next closes a reassembly round.
+    next_reassembly_round: u64,
+    /// Evictions already folded into the shared gauge; the
+    /// reassembler's own counter covers *every* eviction cause (stale
+    /// round, capacity, geometry mismatch), all of which drop a live
+    /// reservation and must be visible.
+    reported_evictions: u64,
 }
 
-fn core_loop<T: Transport>(shared: &Shared<T>, core: usize) {
-    Core {
-        shared,
-        id: core,
-        clock: CoreClock::starting_at(shared.start),
-        local: shared.transport.local_endpoint(core as u16),
-        reassembler: StreamingReassembler::new(1024),
-        tx: TxBurst::with_capacity(shared.config.batch_size),
-        next_msg_id: 0,
+impl<'a, T: Transport> Core<'a, T> {
+    fn new(shared: &'a Shared<T>, id: usize) -> Self {
+        Core {
+            shared,
+            id,
+            clock: CoreClock::starting_at(shared.start),
+            local: shared.transport.local_endpoint(id as u16),
+            reassembler: StreamingReassembler::new(1024),
+            tx: TxBurst::with_capacity(shared.config.batch_size),
+            next_msg_id: 0,
+            rx_buf: Vec::with_capacity(shared.config.batch_size * 2),
+            rounds: 0,
+            next_reassembly_round: shared.config.reassembly_round_ns,
+            reported_evictions: 0,
+        }
     }
-    .run()
-}
 
-impl<T: Transport> Core<'_, T> {
-    /// The run-to-completion loop: read a burst, execute it, transmit
-    /// the burst of replies (paper §4.1), then serve the software
-    /// queues the same way.
+    /// Polls until shutdown: one [`Core::step`] per round, under the
+    /// plan this core last loaded, and [`idle`] after a round that found
+    /// no work.
     fn run(mut self) {
         let (shared, core) = (self.shared, self.id);
-        let mut rx_buf: Vec<Packet> = Vec::with_capacity(shared.config.batch_size * 2);
         let mut cached = PlanCache::load(shared, core);
         let mut idle_rounds = 0u32;
-        let mut loop_count = 0u32;
-        let mut next_reassembly_round = shared.config.reassembly_round_ns;
-        // Evictions already folded into the shared gauge; the
-        // reassembler's own counter covers *every* eviction cause (stale
-        // round, capacity, geometry mismatch), all of which drop a live
-        // reservation and must be visible.
-        let mut reported_evictions = 0u64;
-
         while !shared.shutdown.load(Ordering::Relaxed) {
             if shared.plan_version.load(Ordering::Acquire) != cached.version {
                 cached = PlanCache::load(shared, core);
             }
-            let mut did_work = false;
-
-            // Everything that needs the time of day rides one cadence
-            // (checked only every few iterations to keep the hot loop
-            // free of timestamp reads).
-            loop_count = loop_count.wrapping_add(1);
-            if loop_count & 0x3F == 0 {
-                let now = shared.now_ns();
-                // Capacity housekeeping: advance the store clock, sweep
-                // this core's share of the partitions for expired keys,
-                // and run an eviction pass if occupancy sits above the
-                // high watermark. No-ops entirely when TTLs were never
-                // used and no eviction policy is configured.
-                shared.store.capacity_tick(core, shared.config.n_cores, now);
-                // The stale-partial eviction clock: a partial untouched
-                // for two completed rounds lost a fragment, and holding
-                // its reservation any longer just starves the mempool —
-                // §4.1 leaves the retry to the client anyway.
-                if self.reassembler.pending() == 0 {
-                    // Nothing can go stale; keep the clock re-armed so
-                    // the first partial after an idle stretch still gets
-                    // its full two-round grace period rather than
-                    // hitting a long-expired deadline immediately.
-                    next_reassembly_round = now + shared.config.reassembly_round_ns;
-                } else if now >= next_reassembly_round {
-                    next_reassembly_round = now + shared.config.reassembly_round_ns;
-                    self.reassembler.advance_round();
-                }
-                // Core 0 drives the epoch control loop — in static mode
-                // too: the threshold stays pinned but the cost share
-                // (and with it the small/large core split) still tracks
-                // the observed size mix.
-                if core == 0 {
-                    let deadline = shared.epoch_deadline_ns.load(Ordering::Relaxed);
-                    if now >= deadline
-                        && shared
-                            .epoch_deadline_ns
-                            .compare_exchange(
-                                deadline,
-                                now + shared.config.epoch_ns,
-                                Ordering::Relaxed,
-                                Ordering::Relaxed,
-                            )
-                            .is_ok()
-                    {
-                        run_epoch(shared);
-                    }
-                }
-            }
-            if self.reassembler.evicted != reported_evictions {
-                shared
-                    .reassembly_evictions
-                    .add(self.reassembler.evicted - reported_evictions);
-                reported_evictions = self.reassembler.evicted;
-            }
-
-            if let Some(schedule) = &cached.schedule {
-                rx_buf.clear();
-                let mut total =
-                    shared
-                        .transport
-                        .rx_burst(schedule.own.0 as u16, &mut rx_buf, schedule.own.1);
-                for &(q, quota) in &schedule.others {
-                    total += shared.transport.rx_burst(q as u16, &mut rx_buf, quota);
-                }
-                if total > 0 {
-                    did_work = true;
-                    // One rx-dequeue stamp per burst: the packets left
-                    // the NIC ring together, and per-packet clock reads
-                    // would only smear the same instant across a few
-                    // hundred ns.
-                    let arrival_ns = self.clock.now_ns();
-                    for pkt in rx_buf.drain(..) {
-                        self.process_rx_packet(&cached.plan, arrival_ns, pkt);
-                    }
-                    // The burst's replies leave together, and before
-                    // the software queue is served: a small reply never
-                    // waits behind a large request's execution.
-                    self.flush_tx();
-                }
-            }
-
-            // Every core drains its own software queue: dedicated large
-            // cores live off it, the standby core serves it alongside
-            // small work, a core that just flipped large -> small still
-            // flushes stragglers, and fragments wait here for the core
-            // that owns their reassembly.
-            for _ in 0..shared.config.batch_size {
-                match shared.soft_queues[core].pop() {
-                    Some(item) => {
-                        did_work = true;
-                        self.execute_queued(item);
-                    }
-                    None => break,
-                }
-            }
-
-            // The shared queue: every core pulls it under cFCFS (the
-            // M/G/k system the paper argues against), the workers under
-            // SHO.
-            if let Some(queue) = shared.shared_queue.as_ref().filter(|_| cached.pulls_shared) {
-                for _ in 0..shared.config.batch_size {
-                    match queue.pop() {
-                        Some(item) => {
-                            did_work = true;
-                            self.execute_queued(item);
-                        }
-                        None => break,
-                    }
-                }
-            }
-
-            // Work stealing (opt-in): an idle core takes one request
-            // from the longest peer software queue, or a peer's RX burst,
-            // before spinning.
-            if !did_work && shared.config.steal {
-                did_work = self.try_steal(&cached, &mut rx_buf);
-            }
-
-            // What the queued work staged leaves now, so every round
-            // ends with the burst empty — shutdown, observed only at the
-            // top of a round, can never strand a staged reply.
-            self.flush_tx();
-
-            if did_work {
+            if self.step(&cached) {
                 idle_rounds = 0;
             } else {
-                idle_rounds = idle_rounds.saturating_add(1);
-                if idle_rounds > 64 {
-                    // Be a polite busy-poller on shared test machines:
-                    // the real deployment would pin cores and spin.
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
+                idle(&mut idle_rounds);
             }
         }
         debug_assert!(self.tx.is_empty(), "every round ends flushed");
+    }
+
+    /// One run-to-completion poll round under `cached`'s plan: read a
+    /// burst, execute it, transmit the burst of replies (paper §4.1),
+    /// then serve this core's software queue and the shared queue the
+    /// same way; an idle round may steal. Returns whether the round
+    /// found work.
+    fn step(&mut self, cached: &PlanCache) -> bool {
+        let shared = self.shared;
+        // Everything that needs the time of day rides one cadence
+        // (checked only every few rounds to keep the hot loop free of
+        // timestamp reads).
+        self.rounds = self.rounds.wrapping_add(1);
+        if self.rounds & 0x3F == 0 {
+            self.housekeeping(shared.now_ns());
+        }
+        if self.reassembler.evicted != self.reported_evictions {
+            shared
+                .reassembly_evictions
+                .add(self.reassembler.evicted - self.reported_evictions);
+            self.reported_evictions = self.reassembler.evicted;
+        }
+
+        let mut did_work = false;
+        if let Some(schedule) = &cached.schedule {
+            let (own, batch) = schedule.own;
+            let mut total = shared
+                .transport
+                .rx_burst(own as u16, &mut self.rx_buf, batch);
+            for &(q, quota) in &schedule.others {
+                total += shared.transport.rx_burst(q as u16, &mut self.rx_buf, quota);
+            }
+            if total > 0 {
+                did_work = true;
+                self.process_burst(&cached.plan);
+                // The burst's replies leave together, and before the
+                // software queue is served: a small reply never waits
+                // behind a large request's execution.
+                self.flush_tx();
+            }
+        }
+
+        // Every core drains its own software queue: dedicated large
+        // cores live off it, the standby core serves it alongside small
+        // work, a core that just flipped large -> small still flushes
+        // stragglers, and fragments wait here for the core that owns
+        // their reassembly.
+        did_work |= self.serve(&shared.soft_queues[self.id]);
+
+        // The shared queue: every core pulls it under cFCFS (the M/G/k
+        // system the paper argues against), the workers under SHO.
+        if let Some(queue) = shared.shared_queue.as_ref().filter(|_| cached.pulls_shared) {
+            did_work |= self.serve(queue);
+        }
+
+        // Work stealing (opt-in): an idle core takes one request from
+        // the longest peer software queue, or a peer's RX burst, before
+        // going idle.
+        if !did_work && shared.config.steal {
+            did_work = self.try_steal(cached);
+        }
+
+        // What the queued work staged leaves now, so every round ends
+        // with the burst empty — shutdown, observed only between rounds,
+        // can never strand a staged reply.
+        self.flush_tx();
+        did_work
+    }
+
+    /// The work that needs the time of day, run every 64th round at
+    /// `now` (nanoseconds on the server's clock): the store's capacity
+    /// tick, the stale-partial clock and, on core 0, the epoch control
+    /// loop.
+    fn housekeeping(&mut self, now: u64) {
+        let (shared, core) = (self.shared, self.id);
+        // Capacity housekeeping: advance the store clock, sweep this
+        // core's share of the partitions for expired keys, and run an
+        // eviction pass if occupancy sits above the high watermark.
+        // No-ops entirely when TTLs were never used and no eviction
+        // policy is configured.
+        shared.store.capacity_tick(core, shared.config.n_cores, now);
+        // The stale-partial eviction clock: a partial untouched for two
+        // completed rounds lost a fragment, and holding its reservation
+        // any longer just starves the mempool — §4.1 leaves the retry
+        // to the client anyway.
+        if self.reassembler.pending() == 0 {
+            // Nothing can go stale; keep the clock re-armed so the first
+            // partial after an idle stretch still gets its full
+            // two-round grace period rather than hitting a long-expired
+            // deadline immediately.
+            self.next_reassembly_round = now + shared.config.reassembly_round_ns;
+        } else if now >= self.next_reassembly_round {
+            self.next_reassembly_round = now + shared.config.reassembly_round_ns;
+            self.reassembler.advance_round();
+        }
+        // Core 0 drives the epoch control loop — in static mode too: the
+        // threshold stays pinned but the cost share (and with it the
+        // small/large core split) still tracks the observed size mix.
+        if core == 0 {
+            let deadline = shared.epoch_deadline_ns.load(Ordering::Relaxed);
+            if now >= deadline
+                && shared
+                    .epoch_deadline_ns
+                    .compare_exchange(
+                        deadline,
+                        now + shared.config.epoch_ns,
+                        Ordering::Relaxed,
+                        Ordering::Relaxed,
+                    )
+                    .is_ok()
+            {
+                run_epoch(shared);
+            }
+        }
+    }
+
+    /// Executes up to a batch of items popped off `queue` (this core's
+    /// software queue or the shared queue); returns whether it found
+    /// any.
+    fn serve(&mut self, queue: &HandoffRing) -> bool {
+        let mut served = false;
+        for _ in 0..self.shared.config.batch_size {
+            let Some(item) = queue.pop() else {
+                break;
+            };
+            served = true;
+            self.execute_queued(item);
+        }
+        served
+    }
+
+    /// Processes the RX burst in `rx_buf` (drained by this core's
+    /// schedule, or stolen from a peer) as this core's arrivals, and
+    /// leaves the buffer empty. One rx-dequeue stamp covers the burst:
+    /// the packets left the NIC ring together, and per-packet clock
+    /// reads would only smear the same instant across a few hundred ns.
+    fn process_burst(&mut self, plan: &ShardingPlan) {
+        let arrival_ns = self.clock.now_ns();
+        let mut rx_buf = std::mem::take(&mut self.rx_buf);
+        for pkt in rx_buf.drain(..) {
+            self.process_rx_packet(plan, arrival_ns, pkt);
+        }
+        self.rx_buf = rx_buf;
     }
 
     /// Hands the staged burst to the transport in one
@@ -927,7 +970,7 @@ impl<T: Transport> Core<'_, T> {
     /// the core's next reply message id — the single place the per-core
     /// `(core << 48) | counter` id scheme lives on the server. The
     /// burst leaves at the end of the poll round's RX or queue phase
-    /// ([`Core::run`]), or right here when waiting would cost more than
+    /// ([`Core::step`]), or right here when waiting would cost more than
     /// it saves: a multi-fragment reply is already a burst of its own
     /// (and is fragmented exactly once, into the burst), and a burst
     /// that has reached the RX batch size `B` has its syscall's worth.
@@ -968,16 +1011,7 @@ impl<T: Transport> Core<'_, T> {
     fn execute_queued(&mut self, item: Handoff) {
         match item {
             Handoff::Request(req) => self.execute_queued_request(req),
-            Handoff::Fragment(pkt, arrival_ns) => {
-                let t0 = self.clock.now_ns();
-                let wait = t0.saturating_sub(arrival_ns);
-                self.stream_put_fragment(pkt);
-                self.shared.telemetry[self.id].record(
-                    ReqClass::Large,
-                    wait,
-                    self.clock.now_ns().saturating_sub(t0),
-                );
-            }
+            Handoff::Fragment(pkt, arrival_ns) => self.execute_fragment(pkt, arrival_ns),
         }
     }
 
@@ -988,7 +1022,7 @@ impl<T: Transport> Core<'_, T> {
     /// straight back and the attempt abandoned. When every peer software
     /// queue is empty, the attempt moves to the peers' RX queues where
     /// the discipline allows it ([`PlanCache::steal_rx`]).
-    fn try_steal(&mut self, cached: &PlanCache, rx_buf: &mut Vec<Packet>) -> bool {
+    fn try_steal(&mut self, cached: &PlanCache) -> bool {
         let (shared, core) = (self.shared, self.id);
         let mut victim = None;
         let mut longest = 0;
@@ -999,7 +1033,7 @@ impl<T: Transport> Core<'_, T> {
             }
         }
         let Some(victim) = victim else {
-            return cached.steal_rx && self.steal_rx_burst(&cached.plan, rx_buf);
+            return cached.steal_rx && self.steal_rx_burst(&cached.plan);
         };
         match shared.soft_queues[victim].pop() {
             Some(Handoff::Request(req)) => {
@@ -1025,24 +1059,21 @@ impl<T: Transport> Core<'_, T> {
     /// first peer RX queue holding one, and process it as this core's
     /// own arrivals. A stolen fragment of a message whose first-seen
     /// fragment another core took still reaches that core's reassembler
-    /// ([`FlowPins`]). `rx_buf` is the round's empty receive buffer.
-    fn steal_rx_burst(&mut self, plan: &ShardingPlan, rx_buf: &mut Vec<Packet>) -> bool {
+    /// ([`FlowPins`]).
+    fn steal_rx_burst(&mut self, plan: &ShardingPlan) -> bool {
         let (shared, core) = (self.shared, self.id);
         let n = shared.config.n_cores;
         for victim in (1..n).map(|d| (core + d) % n) {
             if shared
                 .transport
-                .rx_burst(victim as u16, rx_buf, shared.config.batch_size)
+                .rx_burst(victim as u16, &mut self.rx_buf, shared.config.batch_size)
                 == 0
             {
                 continue;
             }
             shared.stats[core].record_steal();
             shared.steal_picks.inc();
-            let arrival_ns = self.clock.now_ns();
-            for pkt in rx_buf.drain(..) {
-                self.process_rx_packet(plan, arrival_ns, pkt);
-            }
+            self.process_burst(plan);
             return true;
         }
         false
@@ -1054,8 +1085,17 @@ impl<T: Transport> Core<'_, T> {
     /// the fragment's pooled RX buffer is released immediately. On
     /// completion the reservation is committed under the bucket lock
     /// and the reply staged.
-    fn stream_put_fragment(&mut self, pkt: Packet) {
+    ///
+    /// A fragment is one unit of large-class work wherever it executes
+    /// — popped off a software queue, or on the RX core itself (standby
+    /// mode, or a large-skewed threshold) — and is recorded per
+    /// fragment: its wait since `arrival_ns` is exactly the queueing
+    /// delay the paper decomposes, so a k-fragment PUT contributes k
+    /// large-class samples.
+    fn execute_fragment(&mut self, pkt: Packet, arrival_ns: u64) {
         let shared = self.shared;
+        let t0 = self.clock.now_ns();
+        let wait = t0.saturating_sub(arrival_ns);
         let src = pkt.source_endpoint();
         let reply_to = endpoint_of(&pkt);
         // Cheap refcount clone: keeps the chunk reachable for the
@@ -1102,6 +1142,11 @@ impl<T: Transport> Core<'_, T> {
                 shared.malformed.inc();
             }
         }
+        shared.telemetry[self.id].record(
+            ReqClass::Large,
+            wait,
+            self.clock.now_ns().saturating_sub(t0),
+        );
     }
 
     /// Commits a fully streamed PUT and stages its reply.
@@ -1192,15 +1237,13 @@ impl<T: Transport> Core<'_, T> {
         let src = pkt.source_endpoint();
         let watermark = shared.config.shed_watermark;
         let target = shared.flow_pins.pin(src, fh.msg_id, fh.count, || {
-            let depths = SoftQueueDepths(&shared.soft_queues);
-            let t = shared.discipline.place_fragment(&PlaceCtx {
-                rx_core: core,
-                n_cores: shared.config.n_cores,
-                key: fragment_key(src, fh.msg_id),
-                size: Some(item_size),
+            let key = fragment_key(src, fh.msg_id);
+            let t = shared.discipline.place_fragment(&shared.place_ctx(
+                core,
                 plan,
-                depths: &depths,
-            });
+                key,
+                Some(item_size),
+            ));
             // The shed valve, decided once per message at pin time
             // so every fragment of a shed PUT is dropped
             // consistently: a multi-fragment message is by
@@ -1227,17 +1270,7 @@ impl<T: Transport> Core<'_, T> {
             return;
         }
         if target == core {
-            // Large work executing on the RX-draining core itself
-            // (standby mode, or a large-skewed threshold): still
-            // large-class — the class records the execution route.
-            let t0 = self.clock.now_ns();
-            let wait = t0.saturating_sub(arrival_ns);
-            self.stream_put_fragment(pkt);
-            shared.telemetry[core].record(
-                ReqClass::Large,
-                wait,
-                self.clock.now_ns().saturating_sub(t0),
-            );
+            self.execute_fragment(pkt, arrival_ns);
         } else if shared.soft_queues[target]
             .push(Handoff::Fragment(pkt, arrival_ns))
             .is_err()
@@ -1280,15 +1313,9 @@ impl<T: Transport> Core<'_, T> {
             shared.telemetry[core].record(ReqClass::Small, wait, clock.now_ns().saturating_sub(t0));
         };
         let place = |key: u64, size: u64| {
-            let depths = SoftQueueDepths(&shared.soft_queues);
-            shared.discipline.place(&PlaceCtx {
-                rx_core: core,
-                n_cores: shared.config.n_cores,
-                key,
-                size: Some(size),
-                plan,
-                depths: &depths,
-            })
+            shared
+                .discipline
+                .place(&shared.place_ctx(core, plan, key, Some(size)))
         };
         match &req.msg.body {
             Body::Get { key } => match shared.store.get(*key) {
@@ -1372,18 +1399,10 @@ impl<T: Transport> Core<'_, T> {
         if let Some(size) = size {
             shared.size_hists[core].record(size);
         }
-        let placement = {
-            let depths = SoftQueueDepths(&shared.soft_queues);
-            shared.discipline.place(&PlaceCtx {
-                rx_core: core,
-                n_cores: shared.config.n_cores,
-                key,
-                size,
-                plan,
-                depths: &depths,
-            })
-        };
-        match placement {
+        match shared
+            .discipline
+            .place(&shared.place_ctx(core, plan, key, size))
+        {
             Placement::Local => {
                 let large = self.execute_and_reply(req);
                 let class = if large.unwrap_or(false) {
@@ -1497,6 +1516,19 @@ fn queued_class<T: Transport>(shared: &Shared<T>, large: Option<bool>) -> ReqCla
         ReqClass::Large
     } else {
         ReqClass::Small
+    }
+}
+
+/// What a core does after a poll round that found no work: spin for 64
+/// such rounds in a row, then yield its CPU once per round. A polite
+/// busy-poller on shared machines; a deployment that pins one core per
+/// thread would spin.
+fn idle(idle_rounds: &mut u32) {
+    *idle_rounds = idle_rounds.saturating_add(1);
+    if *idle_rounds > 64 {
+        std::thread::yield_now();
+    } else {
+        std::hint::spin_loop();
     }
 }
 
@@ -1758,7 +1790,68 @@ pub fn transmit_message<T: Transport + ?Sized>(
 
 #[cfg(test)]
 mod tests {
-    use super::FlowPins;
+    use super::{Core, FlowPins, PlanCache, ServerConfig, Shared, SERVER_HOST_ID};
+    use minos_net::VirtualTransport;
+    use minos_nic::{NicConfig, VirtualNic};
+    use minos_wire::frag::fragment_with_id;
+    use minos_wire::message::{Body, Message};
+    use minos_wire::packet::{build_frame, Endpoint};
+    use minos_wire::udp::UdpHeader;
+    use std::sync::Arc;
+
+    #[test]
+    fn stale_partial_is_evicted_two_rounds_after_the_clock_is_armed() {
+        const R: u64 = 1_000_000;
+        let mut config = ServerConfig::for_test(1, 1_000);
+        config.minos.reassembly_round_ns = R;
+        let nic = Arc::new(VirtualNic::new(NicConfig::new(1)));
+        let shared = Shared::new(&config, Arc::new(VirtualTransport::new(Arc::clone(&nic))));
+        let cached = PlanCache::load(&shared, 0);
+        let mut core = Core::new(&shared, 0);
+
+        // `armed` is a housekeeping pass that finds nothing pending. Two
+        // of a three-fragment PUT's fragments then arrive and one round
+        // opens the partial; the third fragment is lost.
+        let mut lose_a_fragment = |armed: u64, msg_id: u64, evictions: u64| {
+            core.housekeeping(armed);
+            let msg = Message {
+                client_id: 1,
+                request_id: msg_id,
+                client_ts_ns: 0,
+                body: Body::Put {
+                    key: msg_id,
+                    value: bytes::Bytes::from(vec![7u8; 2 * minos_wire::MAX_FRAG_CHUNK]),
+                    ttl_ms: 0,
+                },
+            };
+            let frags = fragment_with_id(msg_id, &msg.encode());
+            assert_eq!(frags.len(), 3);
+            let src = Endpoint::host(100, 20_000);
+            let dst = Endpoint::host(SERVER_HOST_ID, UdpHeader::port_for_queue(0));
+            for frag in &frags[..2] {
+                nic.deliver_frame(build_frame(src, dst, frag));
+            }
+            assert!(core.step(&cached), "the round found the fragments");
+            assert_eq!(core.reassembler.pending(), 1);
+            assert!(shared.store.mempool().used_bytes() > 0, "reserved");
+
+            // Every pass before two rounds have passed keeps it...
+            for t in (armed..armed + 2 * R).step_by(R as usize / 4) {
+                core.housekeeping(t);
+                assert_eq!(core.reassembler.pending(), 1, "evicted at {t}");
+            }
+            // ...and the first at two rounds evicts it.
+            core.housekeeping(armed + 2 * R);
+            assert_eq!(core.reassembler.pending(), 0, "kept at two rounds");
+            assert_eq!(shared.store.mempool().used_bytes(), 0, "released");
+            assert!(!core.step(&cached), "nothing left to do");
+            assert_eq!(shared.reassembly_evictions.get(), evictions);
+        };
+        lose_a_fragment(0, 1, 1);
+        // After a long idle stretch the clock re-arms at the idle pass,
+        // so the next partial still gets its full grace period.
+        lose_a_fragment(100 * R, 2, 2);
+    }
 
     #[test]
     fn flow_pins_evict_the_oldest_live_pin() {

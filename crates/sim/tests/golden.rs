@@ -107,26 +107,3 @@ fn dfcfs() {
     // the owner's RX queue at arrival, at no cost).
     kind(DisciplineKind::Dfcfs, 0xffa5_106f_990f_035f);
 }
-
-#[test]
-fn jsq() {
-    // Placed at pickup by software-queue depth, through a hop when not
-    // local (it was the shortest RX queue at arrival, at no cost). From
-    // empty software queues the server's rule never leaves the RX core,
-    // so this equals hkh's digest.
-    kind(DisciplineKind::Jsq, 0xc5be_b609_638d_c446);
-}
-
-#[test]
-fn round_robin() {
-    // Placed at pickup through a software hop to the next core (it was
-    // the next RX queue at arrival, at no cost).
-    kind(DisciplineKind::RoundRobin, 0xd5b4_0de8_fae5_e563);
-}
-
-#[test]
-fn random() {
-    // Placed at pickup through a software hop to a random core (it was a
-    // random RX queue at arrival, at no cost).
-    kind(DisciplineKind::Random, 0x753e_c019_1818_2afb);
-}

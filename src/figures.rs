@@ -238,6 +238,11 @@ impl SweepConfig {
 /// for pre-discipline sweep files.
 pub const BUILTIN_DISCIPLINE: &str = "builtin";
 
+/// The discipline labels of points written by kinds the server no longer
+/// runs: `jsq` (it placed exactly as `hkh`), `round-robin` and `random`.
+/// Older shoot-out files hold such points.
+pub const RETIRED_DISCIPLINES: [&str; 3] = ["jsq", "round-robin", "random"];
+
 /// The eviction label of a classic (non-churn) sweep point, and the
 /// parse default for pre-capacity sweep files.
 pub const NO_EVICTION: &str = "none";

@@ -9,7 +9,7 @@
 
 use minos::core::dispatch::DisciplineKind;
 use minos::driver::RunSummary;
-use minos::figures::{SweepPoint, BUILTIN_DISCIPLINE, POLICY};
+use minos::figures::{SweepPoint, BUILTIN_DISCIPLINE, POLICY, RETIRED_DISCIPLINES};
 use minos::obs::JsonValue;
 use minos::stats::Quantiles;
 use proptest::prelude::*;
@@ -43,6 +43,7 @@ const POLICIES: [&str; 3] = [POLICY, "hkh", "sho"];
 fn discipline_names() -> Vec<&'static str> {
     let mut names = vec![BUILTIN_DISCIPLINE];
     names.extend(DisciplineKind::ALL.map(DisciplineKind::name));
+    names.extend(RETIRED_DISCIPLINES);
     names
 }
 
@@ -60,7 +61,7 @@ fn point_strategy() -> impl Strategy<Value = SweepPoint> {
     (
         (
             0usize..POLICIES.len(),
-            0usize..DisciplineKind::ALL.len() + 1,
+            0usize..discipline_names().len(),
             0usize..3,
             (0u32..u32::MAX),
             any::<u64>(),
