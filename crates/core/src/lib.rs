@@ -23,7 +23,8 @@
 //! * [`plan`] — the combined, atomically-published [`plan::ShardingPlan`].
 //! * [`dispatch`] — batch-draining quotas and the queue disciplines:
 //!   size-aware sharding, the paper's HKH/HKH+WS/SHO baselines, and
-//!   the classical alternatives, each one placement-and-drain rule.
+//!   its cFCFS/dFCFS queueing models, each one placement-and-drain
+//!   rule.
 //!
 //! **Runtime (threads, rings, the real store):**
 //! * [`server`] — one busy-polling thread per simulated core; small

@@ -1002,12 +1002,7 @@ impl<'a, T: Transport> Core<'a, T> {
         );
     }
 
-    /// Executes one item popped off a software queue. Fragments are
-    /// always large-class (only large PUTs fragment) and are recorded
-    /// per *fragment*, not per message: each fragment is one unit of
-    /// queue work, and its wait is exactly the software-queue delay the
-    /// paper decomposes — a k-fragment PUT contributes k large-class
-    /// samples.
+    /// Executes one item popped off a software queue.
     fn execute_queued(&mut self, item: Handoff) {
         match item {
             Handoff::Request(req) => self.execute_queued_request(req),
@@ -1086,12 +1081,13 @@ impl<'a, T: Transport> Core<'a, T> {
     /// completion the reservation is committed under the bucket lock
     /// and the reply staged.
     ///
-    /// A fragment is one unit of large-class work wherever it executes
-    /// — popped off a software queue, or on the RX core itself (standby
-    /// mode, or a large-skewed threshold) — and is recorded per
-    /// fragment: its wait since `arrival_ns` is exactly the queueing
-    /// delay the paper decomposes, so a k-fragment PUT contributes k
-    /// large-class samples.
+    /// Fragments are always large-class (only large PUTs fragment),
+    /// wherever they execute: popped off a software queue, or on the RX
+    /// core itself (standby mode, or a large-skewed threshold). Each is
+    /// recorded per *fragment*, not per message: a fragment is one unit
+    /// of queue work, and its wait since `arrival_ns` is exactly the
+    /// software-queue delay the paper decomposes — a k-fragment PUT
+    /// contributes k large-class samples.
     fn execute_fragment(&mut self, pkt: Packet, arrival_ns: u64) {
         let shared = self.shared;
         let t0 = self.clock.now_ns();
@@ -1849,8 +1845,11 @@ mod tests {
         };
         lose_a_fragment(0, 1, 1);
         // After a long idle stretch the clock re-arms at the idle pass,
-        // so the next partial still gets its full grace period.
+        // so the next partial still gets its full grace period...
         lose_a_fragment(100 * R, 2, 2);
+        // ...and so it does when the idle pass comes before the round
+        // left standing by the last eviction (due at 103 R) would close.
+        lose_a_fragment(102 * R + R / 2, 3, 3);
     }
 
     #[test]

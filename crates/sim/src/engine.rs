@@ -5,7 +5,7 @@
 //! slab and the event loop. Where a request runs and what an idle core
 //! polls come from the server's own [`Discipline`], built from
 //! [`SystemConfig::discipline`], so the paper's systems (size-aware
-//! sharding, HKH, HKH+WS, SHO) and the classical alternatives are
+//! sharding, HKH, HKH+WS, SHO) and the cFCFS/dFCFS queueing models are
 //! placed by the rule the server runs, written once in `minos-core`:
 //!
 //! * **Arrival.** The client picks an RX queue uniformly (GETs are
@@ -274,7 +274,6 @@ pub struct SystemSim {
     measure_start_ns: u64,
     measure_end_ns: u64,
     hist: LatencyHistogram,
-    hist_small: LatencyHistogram,
     hist_large: LatencyHistogram,
     window_ns: u64,
     windows: Vec<WindowAccum>,
@@ -375,7 +374,6 @@ impl SystemSim {
             measure_start_ns: 0,
             measure_end_ns: u64::MAX,
             hist: LatencyHistogram::new(),
-            hist_small: LatencyHistogram::new(),
             hist_large: LatencyHistogram::new(),
             window_ns,
             windows: Vec::new(),
@@ -722,8 +720,6 @@ impl SystemSim {
             self.hist.record_ns(latency);
             if r.is_large_class {
                 self.hist_large.record_ns(latency);
-            } else {
-                self.hist_small.record_ns(latency);
             }
             if let Some(window) = r.arrival_ns.checked_div(self.window_ns) {
                 let w = window as usize;
@@ -764,12 +760,6 @@ impl SystemSim {
     /// The overall latency histogram.
     pub fn latency(&self) -> &LatencyHistogram {
         &self.hist
-    }
-
-    /// The small-request latency histogram — the tail the paper
-    /// protects and the one the discipline shoot-out compares.
-    pub fn latency_small(&self) -> &LatencyHistogram {
-        &self.hist_small
     }
 
     /// The large-request latency histogram (Figure 4).

@@ -1,5 +1,5 @@
 //! Every queue discipline — the paper's size-aware sharding, its HKH,
-//! HKH+WS and SHO baselines, and the classical alternatives — serves the
+//! HKH+WS and SHO baselines, and its cFCFS and dFCFS models — serves the
 //! same mixed-size burst on one Minos server, through the same client,
 //! store and wire stack: the functional counterpart of the paper's
 //! "same codebase" comparison (absolute timing on a laptop is not the
