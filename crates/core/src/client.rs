@@ -306,14 +306,10 @@ pub struct Client {
     server_bundles: bool,
     /// Streams multi-fragment reply chunks straight into their final
     /// contiguous buffer; stale partials (a lost reply fragment) are
-    /// evicted by the round clock below instead of lingering until the
-    /// capacity bound forces them out.
+    /// evicted by its round clock, ticked each [`Client::poll`] with
+    /// rounds of [`CLIENT_REASSEMBLY_ROUND_NS`], instead of lingering
+    /// until the capacity bound forces them out.
     reassembler: StreamingReassembler<ReplySink>,
-    /// Length of one reassembly round; a partial untouched for two
-    /// completed rounds is evicted.
-    reassembly_round_ns: u64,
-    /// When the current reassembly round closes.
-    next_round_ns: u64,
     rng: Rng,
     clock: Instant,
     next_request_id: u64,
@@ -412,8 +408,6 @@ impl Client {
             open: vec![None; usize::from(server_queues)],
             server_bundles: false,
             reassembler: StreamingReassembler::new(1024),
-            reassembly_round_ns: CLIENT_REASSEMBLY_ROUND_NS,
-            next_round_ns: CLIENT_REASSEMBLY_ROUND_NS,
             rng: Rng::new(seed),
             clock: Instant::now(),
             next_request_id: 1,
@@ -440,16 +434,6 @@ impl Client {
         assert!(!queues.is_empty());
         assert!(queues.end <= self.server_queues);
         self.target_queues = queues;
-        self
-    }
-
-    /// Overrides the reassembly-round length (stale-partial eviction
-    /// cadence; see [`CLIENT_REASSEMBLY_ROUND_NS`]). Tests use short
-    /// rounds to observe evictions quickly.
-    pub fn with_reassembly_round(mut self, round: Duration) -> Self {
-        assert!(!round.is_zero());
-        self.reassembly_round_ns = round.as_nanos() as u64;
-        self.next_round_ns = self.now_ns() + self.reassembly_round_ns;
         self
     }
 
@@ -939,27 +923,13 @@ impl Client {
             }
         }
         self.rx_scratch = pkts;
-        self.advance_reassembly_round();
+        // A lost reply fragment no longer strands its buffer; its
+        // pending-map entry stays for loss accounting.
+        let now = self.now_ns();
+        self.reassembler.tick(now, CLIENT_REASSEMBLY_ROUND_NS);
         self.scan_pending();
         self.flush();
         out
-    }
-
-    /// Drives the stale-partial eviction clock: closes the reassembly
-    /// round when it expires, evicting partials untouched for two
-    /// completed rounds — a lost reply fragment no longer strands its
-    /// buffer (and its pending-map entry stays for loss accounting,
-    /// exactly as before). With no partials in flight the round is just
-    /// re-armed, so a fresh partial always gets its full grace period.
-    fn advance_reassembly_round(&mut self) {
-        let now = self.now_ns();
-        if now < self.next_round_ns {
-            return;
-        }
-        self.next_round_ns = now + self.reassembly_round_ns;
-        if self.reassembler.pending() > 0 {
-            self.reassembler.advance_round();
-        }
     }
 
     /// Stale reply partials evicted by the round clock (plus capacity

@@ -69,7 +69,7 @@ use minos_kv::{PutError, Store, StoreConfig};
 use minos_net::{Transport, VirtualTransport};
 use minos_nic::{NicConfig, VirtualNic};
 use minos_obs::{
-    Collector, CoreClock, CoreTelemetry, Counter, MetricValue, MetricsRegistry, ReqClass,
+    Clock, Collector, CoreTelemetry, Counter, MetricValue, MetricsRegistry, ReqClass, WallClock,
 };
 use minos_stats::{AtomicSizeHistogram, CoreStats, SharedCoreStats, SizeHistogram};
 use minos_wire::frag::{
@@ -286,7 +286,7 @@ impl QueueDepths for Vec<HandoffRing> {
     }
 }
 
-struct Shared<T: Transport> {
+struct Shared<T: Transport, C: Clock> {
     config: MinosConfig,
     transport: Arc<T>,
     store: Arc<Store>,
@@ -310,10 +310,10 @@ struct Shared<T: Transport> {
     size_hists: Vec<AtomicSizeHistogram>,
     controller: Mutex<ThresholdController>,
     shutdown: AtomicBool,
-    start: Instant,
-    /// The unified metric registry every subsystem reports into; shares
-    /// its zero instant with `start` so hot-path timestamps line up with
-    /// snapshot `elapsed_ms`.
+    /// The engine's one time source: every stamp and timer a core
+    /// reads goes through its clone of it ([`Core::clock`]).
+    clock: C,
+    /// The unified metric registry every subsystem reports into.
     registry: Arc<MetricsRegistry>,
     /// Per-core request-lifecycle histograms (queue wait + service time,
     /// split small/large — the paper's Fig. 5/6 decomposition).
@@ -343,12 +343,12 @@ struct Shared<T: Transport> {
     discard_quota: Arc<DiscardQuota>,
 }
 
-impl<T: Transport> Shared<T> {
+impl<T: Transport, C: Clock> Shared<T, C> {
     /// Everything the cores share, built from `config` over `transport`
-    /// (which must expose exactly one RX/TX queue pair per core): the
-    /// store, the initial plan, the queues, the counters. No thread runs
-    /// and no collector is registered yet.
-    fn new(config: &ServerConfig, transport: Arc<T>) -> Self {
+    /// (which must expose exactly one RX/TX queue pair per core) and
+    /// read through `clock`: the store, the initial plan, the queues,
+    /// the counters. No thread runs and no collector is registered yet.
+    fn new(config: &ServerConfig, transport: Arc<T>, clock: C) -> Self {
         config.minos.validate().expect("invalid Minos config");
         let n = config.minos.n_cores;
         assert_eq!(
@@ -396,7 +396,7 @@ impl<T: Transport> Shared<T> {
             size_hists: (0..n).map(|_| AtomicSizeHistogram::new()).collect(),
             controller: Mutex::new(controller),
             shutdown: AtomicBool::new(false),
-            start: registry.start(),
+            clock,
             telemetry: (0..n)
                 .map(|core| CoreTelemetry::register(&registry, core))
                 .collect(),
@@ -415,10 +415,6 @@ impl<T: Transport> Shared<T> {
             transport,
             registry,
         }
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
     }
 
     /// What the discipline sees to place a request for `key` (of `size`
@@ -463,9 +459,9 @@ impl<T: Transport + 'static> Collector for TransportCollector<T> {
 /// a `Weak` so the registry (which callers may outlive the server with)
 /// never keeps the engine alive, and never cycles with [`Shared`]'s own
 /// `registry` field.
-struct EngineCollector<T: Transport>(Weak<Shared<T>>);
+struct EngineCollector<T: Transport, C: Clock>(Weak<Shared<T, C>>);
 
-impl<T: Transport + 'static> Collector for EngineCollector<T> {
+impl<T: Transport + 'static, C: Clock> Collector for EngineCollector<T, C> {
     fn collect(&self, out: &mut Vec<(String, MetricValue)>) {
         let Some(shared) = self.0.upgrade() else {
             return; // server gone: its owned metrics retain final values
@@ -522,11 +518,23 @@ impl<T: Transport + 'static> Collector for EngineCollector<T> {
     }
 }
 
+/// Registers `shared`'s snapshot-time collectors: the store (store.* /
+/// mempool.*), the transport backend (transport.* / pool.* / nic.*),
+/// and the engine itself (core.* counters, plan.*, dispatch.*,
+/// ingest.*). The engine collector holds a Weak so the registry — which
+/// callers may keep past shutdown — never cycles with `Shared`.
+fn register_collectors<T: Transport + 'static, C: Clock>(shared: &Arc<Shared<T, C>>) {
+    let registry = &shared.registry;
+    registry.register_collector(Box::new(Arc::clone(&shared.store)));
+    registry.register_collector(Box::new(TransportCollector(Arc::clone(&shared.transport))));
+    registry.register_collector(Box::new(EngineCollector(Arc::downgrade(shared))));
+}
+
 /// The running Minos server, generic over its packet [`Transport`]
 /// (defaulting to the pooled-gather adapter over the in-process virtual
 /// NIC).
 pub struct MinosServer<T: Transport = VirtualTransport> {
-    shared: Arc<Shared<T>>,
+    shared: Arc<Shared<T, WallClock>>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -558,16 +566,12 @@ impl<T: Transport + 'static> MinosServer<T> {
     /// transport. The transport must expose exactly one RX/TX queue
     /// pair per configured core.
     pub fn start_with_transport(config: ServerConfig, transport: Arc<T>) -> Self {
-        let shared = Arc::new(Shared::new(&config, transport));
-        // Snapshot-time collectors: the store (store.* / mempool.*), the
-        // transport backend (transport.* / pool.* / nic.*), and the
-        // engine itself (core.* counters, plan.*, dispatch.*, ingest.*).
-        // The engine collector holds a Weak so the registry — which
-        // callers may keep past shutdown — never cycles with Shared.
-        let registry = &shared.registry;
-        registry.register_collector(Box::new(Arc::clone(&shared.store)));
-        registry.register_collector(Box::new(TransportCollector(Arc::clone(&shared.transport))));
-        registry.register_collector(Box::new(EngineCollector(Arc::downgrade(&shared))));
+        let mut shared = Shared::new(&config, transport, WallClock::new());
+        // Engine time starts with the registry, so a stamp lines up with
+        // snapshot `elapsed_ms`.
+        shared.clock = WallClock::starting_at(shared.registry.start());
+        let shared = Arc::new(shared);
+        register_collectors(&shared);
         let pin_cpus = config.pin_cpus.filter(|cpus| !cpus.is_empty());
         let threads = (0..shared.config.n_cores)
             .map(|core| {
@@ -717,7 +721,7 @@ struct PlanCache {
 }
 
 impl PlanCache {
-    fn load<T: Transport>(shared: &Shared<T>, core: usize) -> Self {
+    fn load<T: Transport, C: Clock>(shared: &Shared<T, C>, core: usize) -> Self {
         // Version before plan: a publication racing this load leaves a
         // stale version beside a fresh plan, and the next round reloads.
         let version = shared.plan_version.load(Ordering::Acquire);
@@ -735,16 +739,18 @@ impl PlanCache {
 
 /// One polling core: the state its thread owns outright and the request
 /// path mutates without synchronization.
-struct Core<'a, T: Transport> {
-    shared: &'a Shared<T>,
+struct Core<'a, T: Transport, C: Clock> {
+    shared: &'a Shared<T, C>,
     /// This core's index: its RX/TX queue pair, its software queue, its
     /// stats and telemetry slots.
     id: usize,
-    /// Lifecycle clock, zeroed at the registry's start so queue-wait /
-    /// service stamps are directly comparable across cores and with
-    /// snapshot `elapsed_ms`. One monotonic read per event, no syscalls
-    /// beyond `clock_gettime` (vDSO), no allocation.
-    clock: CoreClock,
+    /// This core's clone of [`Shared::clock`], the only time this core
+    /// reads: the queue-wait / service stamps (directly comparable
+    /// across cores, since clones share a zero) and the `now` of
+    /// [`Core::housekeeping`]. Owned, so a read touches no shared cache
+    /// line; on a [`WallClock`] one monotonic read per event, no
+    /// syscalls beyond `clock_gettime` (vDSO), no allocation.
+    clock: C,
     /// The source address of this core's replies.
     local: Endpoint,
     /// Streaming large-PUT ingest: fragments are copied straight into
@@ -761,8 +767,6 @@ struct Core<'a, T: Transport> {
     rx_buf: Vec<Packet>,
     /// Rounds run, for [`Core::housekeeping`]'s 1-in-64 cadence.
     rounds: u32,
-    /// When the stale-partial clock next closes a reassembly round.
-    next_reassembly_round: u64,
     /// Evictions already folded into the shared gauge; the
     /// reassembler's own counter covers *every* eviction cause (stale
     /// round, capacity, geometry mismatch), all of which drop a live
@@ -770,19 +774,18 @@ struct Core<'a, T: Transport> {
     reported_evictions: u64,
 }
 
-impl<'a, T: Transport> Core<'a, T> {
-    fn new(shared: &'a Shared<T>, id: usize) -> Self {
+impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
+    fn new(shared: &'a Shared<T, C>, id: usize) -> Self {
         Core {
             shared,
             id,
-            clock: CoreClock::starting_at(shared.start),
+            clock: shared.clock.clone(),
             local: shared.transport.local_endpoint(id as u16),
             reassembler: StreamingReassembler::new(1024),
             tx: TxBurst::with_capacity(shared.config.batch_size),
             next_msg_id: 0,
             rx_buf: Vec::with_capacity(shared.config.batch_size * 2),
             rounds: 0,
-            next_reassembly_round: shared.config.reassembly_round_ns,
             reported_evictions: 0,
         }
     }
@@ -819,7 +822,7 @@ impl<'a, T: Transport> Core<'a, T> {
         // timestamp reads).
         self.rounds = self.rounds.wrapping_add(1);
         if self.rounds & 0x3F == 0 {
-            self.housekeeping(shared.now_ns());
+            self.housekeeping(self.clock.now_ns());
         }
         if self.reassembler.evicted != self.reported_evictions {
             shared
@@ -890,16 +893,8 @@ impl<'a, T: Transport> Core<'a, T> {
         // completed rounds lost a fragment, and holding its reservation
         // any longer just starves the mempool — §4.1 leaves the retry
         // to the client anyway.
-        if self.reassembler.pending() == 0 {
-            // Nothing can go stale; keep the clock re-armed so the first
-            // partial after an idle stretch still gets its full
-            // two-round grace period rather than hitting a long-expired
-            // deadline immediately.
-            self.next_reassembly_round = now + shared.config.reassembly_round_ns;
-        } else if now >= self.next_reassembly_round {
-            self.next_reassembly_round = now + shared.config.reassembly_round_ns;
-            self.reassembler.advance_round();
-        }
+        self.reassembler
+            .tick(now, shared.config.reassembly_round_ns);
         // Core 0 drives the epoch control loop — in static mode too: the
         // threshold stays pinned but the cost share (and with it the
         // small/large core split) still tracks the observed size mix.
@@ -1304,7 +1299,7 @@ impl<'a, T: Transport> Core<'a, T> {
         wait: u64,
         req: ServerRequest,
     ) {
-        let (shared, core, clock) = (self.shared, self.id, self.clock);
+        let (shared, core, clock) = (self.shared, self.id, self.clock.clone());
         let record_small = || {
             shared.telemetry[core].record(ReqClass::Small, wait, clock.now_ns().saturating_sub(t0));
         };
@@ -1507,7 +1502,7 @@ impl<'a, T: Transport> Core<'a, T> {
 /// Under every other discipline smalls and larges share the queues, so
 /// requests class by what they turned out to be (`large` from
 /// [`execute`]; a malformed request classes small).
-fn queued_class<T: Transport>(shared: &Shared<T>, large: Option<bool>) -> ReqClass {
+fn queued_class<T: Transport, C: Clock>(shared: &Shared<T, C>, large: Option<bool>) -> ReqClass {
     if shared.discipline.kind() == DisciplineKind::SizeAware || large.unwrap_or(false) {
         ReqClass::Large
     } else {
@@ -1530,7 +1525,7 @@ fn idle(idle_rounds: &mut u32) {
 
 /// The epoch control step (paper §3, "How to find the threshold" +
 /// "How to choose the number of small cores").
-fn run_epoch<T: Transport>(shared: &Shared<T>) {
+fn run_epoch<T: Transport, C: Clock>(shared: &Shared<T, C>) {
     let mut aggregate = SizeHistogram::new();
     for hist in &shared.size_hists {
         // Draining swaps each atomic bucket to zero: concurrent records
@@ -1786,14 +1781,92 @@ pub fn transmit_message<T: Transport + ?Sized>(
 
 #[cfg(test)]
 mod tests {
-    use super::{Core, FlowPins, PlanCache, ServerConfig, Shared, SERVER_HOST_ID};
+    use super::{
+        register_collectors, Core, FlowPins, PlanCache, ServerConfig, Shared, SERVER_HOST_ID,
+    };
+    use crate::config::ThresholdMode;
     use minos_net::VirtualTransport;
     use minos_nic::{NicConfig, VirtualNic};
+    use minos_obs::{HistSummary, ManualClock, MetricValue};
+    use minos_stats::AtomicLogHistogram;
     use minos_wire::frag::fragment_with_id;
     use minos_wire::message::{Body, Message};
     use minos_wire::packet::{build_frame, Endpoint};
     use minos_wire::udp::UdpHeader;
     use std::sync::Arc;
+
+    /// A single-frame PUT of `len` bytes under `key`, as it reaches RX
+    /// queue 0.
+    fn put_frame(key: u64, len: usize) -> bytes::Bytes {
+        let msg = Message {
+            client_id: 1,
+            request_id: key,
+            client_ts_ns: 0,
+            body: Body::Put {
+                key,
+                value: bytes::Bytes::from(vec![7u8; len]),
+                ttl_ms: 0,
+            },
+        };
+        let frags = fragment_with_id(key, &msg.encode());
+        assert_eq!(frags.len(), 1);
+        let src = Endpoint::host(100, 20_000);
+        let dst = Endpoint::host(SERVER_HOST_ID, UdpHeader::port_for_queue(0));
+        build_frame(src, dst, &frags[0])
+    }
+
+    #[test]
+    fn a_stepped_core_is_a_function_of_its_inputs() {
+        const T0: u64 = 1_000_000;
+        const T1: u64 = T0 + 37_000;
+        // Two cores in standby under a 512 B static threshold: core 0
+        // executes a small PUT inline and hands a 1 000 B one to core 1.
+        let script = || {
+            let mut config = ServerConfig::for_test(2, 1_000);
+            config.minos.threshold_mode = ThresholdMode::Static(512);
+            let nic = Arc::new(VirtualNic::new(NicConfig::new(2)));
+            let clock = ManualClock::default();
+            let transport = Arc::new(VirtualTransport::new(Arc::clone(&nic)));
+            let shared = Arc::new(Shared::new(&config, transport, clock.clone()));
+            register_collectors(&shared);
+            let (cached0, cached1) = (PlanCache::load(&*shared, 0), PlanCache::load(&*shared, 1));
+            let (mut core0, mut core1) = (Core::new(&*shared, 0), Core::new(&*shared, 1));
+
+            clock.set(T0);
+            nic.deliver_frame(put_frame(1, 100));
+            nic.deliver_frame(put_frame(2, 1_000));
+            assert!(core0.step(&cached0));
+            clock.set(T1);
+            assert!(core1.step(&cached1));
+            shared.registry.snapshot().entries
+        };
+
+        let entries = script();
+        let metric = |name: &str| {
+            entries
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| v.clone())
+                .unwrap_or_else(|| panic!("no {name}"))
+        };
+        assert_eq!(metric("core.0.handoffs"), MetricValue::Counter(1));
+        let one_sample = |ns: u64| {
+            let h = AtomicLogHistogram::latency();
+            h.record(ns);
+            MetricValue::Hist(HistSummary::from_hist(&h.load()))
+        };
+        assert_eq!(metric("core.0.small.queue_wait_ns"), one_sample(0));
+        assert_eq!(metric("core.1.large.queue_wait_ns"), one_sample(T1 - T0));
+        // The clock does not move during a step: every service and
+        // flush time is 0.
+        for (name, value) in &entries {
+            if name.ends_with(".service_ns") || name.ends_with(".tx_flush_ns") {
+                let h = value.as_hist().expect("a histogram");
+                assert_eq!(h.max, 0, "{name}");
+            }
+        }
+        assert_eq!(entries, script(), "a rerun reads the same metrics");
+    }
 
     #[test]
     fn stale_partial_is_evicted_two_rounds_after_the_clock_is_armed() {
@@ -1801,7 +1874,11 @@ mod tests {
         let mut config = ServerConfig::for_test(1, 1_000);
         config.minos.reassembly_round_ns = R;
         let nic = Arc::new(VirtualNic::new(NicConfig::new(1)));
-        let shared = Shared::new(&config, Arc::new(VirtualTransport::new(Arc::clone(&nic))));
+        let shared = Shared::new(
+            &config,
+            Arc::new(VirtualTransport::new(Arc::clone(&nic))),
+            ManualClock::default(),
+        );
         let cached = PlanCache::load(&shared, 0);
         let mut core = Core::new(&shared, 0);
 

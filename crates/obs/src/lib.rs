@@ -18,8 +18,8 @@
 //! * [`CoreTelemetry`] — per-core, per-class (small/large) queue-wait
 //!   and service-time histograms under stable dotted names
 //!   (`core.3.small.queue_wait_ns`, …).
-//! * [`CoreClock`] — a cheap monotonic nanosecond clock for lifecycle
-//!   timestamps (rx-dequeue, dispatch-enqueue, service start/end).
+//! * [`Clock`] — the engine's one time source ([`WallClock`], or a test's
+//!   [`ManualClock`]) for lifecycle timestamps and timers.
 //! * [`Snapshot`] — a point-in-time copy of every metric, serializable
 //!   as a single JSON line ([`Snapshot::to_json_line`]) and parseable
 //!   back ([`Snapshot::parse_json_line`]) without any serde dependency.
@@ -37,7 +37,7 @@ pub mod snapshot;
 pub mod telemetry;
 pub mod value;
 
-pub use clock::CoreClock;
+pub use clock::{Clock, ManualClock, WallClock};
 pub use json::{JsonValue, Number};
 pub use registry::{Collector, Counter, Gauge, Histogram, MetricsRegistry};
 pub use snapshot::Snapshot;

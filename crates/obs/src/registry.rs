@@ -213,8 +213,9 @@ impl MetricsRegistry {
         self.start.elapsed().as_millis() as u64
     }
 
-    /// The registry's creation instant — the zero point hot-path clocks
-    /// ([`crate::CoreClock`]) should share so timestamps are comparable.
+    /// The registry's creation instant — the zero point of a server's
+    /// [`crate::WallClock`], so engine timestamps line up with snapshot
+    /// `elapsed_ms`.
     pub fn start(&self) -> Instant {
         self.start
     }

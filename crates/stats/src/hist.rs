@@ -543,11 +543,6 @@ impl SmoothedHistogram {
         }
     }
 
-    /// Creates a smoothed histogram with the paper's default `alpha = 0.9`.
-    pub fn with_default_alpha() -> Self {
-        Self::new(0.9)
-    }
-
     /// Folds the new epoch aggregate `h` into the moving average.
     ///
     /// The first update bootstraps the average with `h` directly, so the
@@ -599,11 +594,6 @@ impl SmoothedHistogram {
         self.alpha
     }
 
-    /// Whether at least one epoch has been folded in.
-    pub fn is_initialized(&self) -> bool {
-        self.initialized
-    }
-
     /// Iterator over `(bucket_upper_bound, smoothed_weight)` pairs of
     /// non-empty buckets — consumed by the Minos controller to split
     /// cost mass between small and large cores.
@@ -613,11 +603,6 @@ impl SmoothedHistogram {
             .enumerate()
             .filter(|(_, &w)| w > 0.0)
             .map(|(i, &w)| (self.template.upper_bound(i), w))
-    }
-
-    /// Total smoothed weight (≈ requests per epoch).
-    pub fn total_weight(&self) -> f64 {
-        self.weights.iter().sum()
     }
 }
 

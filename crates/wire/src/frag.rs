@@ -113,11 +113,6 @@ impl Fragmenter {
         self.next_msg_id = self.next_msg_id.wrapping_add(1);
         fragment_with_id(msg_id, message)
     }
-
-    /// Number of fragments `len` message bytes will produce.
-    pub fn fragment_count(len: usize) -> u32 {
-        crate::packets_for_payload(len)
-    }
 }
 
 /// Splits `message` into fragments with an explicit message id.
@@ -420,16 +415,20 @@ pub enum Streamed<W> {
 /// Entries are keyed by `(source, msg_id)` and bounded by `max_partial`
 /// with stalest-first eviction. In addition,
 /// [`StreamingReassembler::advance_round`] implements round-based stale
-/// eviction: a partial untouched for two completed rounds (driven by the
-/// caller's clock, e.g. the server's reassembly-round timer) is dropped,
+/// eviction: a partial untouched for two completed rounds is dropped,
 /// releasing its writer — and with it any mempool reservation the writer
-/// holds — instead of stranding it forever after fragment loss.
+/// holds — instead of stranding it forever after fragment loss. The
+/// rounds run on the caller's clock through
+/// [`StreamingReassembler::tick`], the one stale-partial rule of both
+/// the server and the client.
 #[derive(Debug)]
 pub struct StreamingReassembler<W> {
     partials: HashMap<(u64, u64), StreamingPartial<W>>,
     max_partial: usize,
     clock: u64,
     round: u64,
+    /// When [`StreamingReassembler::tick`] next closes a round.
+    deadline: u64,
     /// Completed-message count (observability).
     pub completed: u64,
     /// Evicted-partial count, capacity and staleness combined
@@ -447,6 +446,7 @@ impl<W: FragmentWriter> StreamingReassembler<W> {
             max_partial,
             clock: 0,
             round: 0,
+            deadline: 0,
             completed: 0,
             evicted: 0,
         }
@@ -574,6 +574,20 @@ impl<W: FragmentWriter> StreamingReassembler<W> {
         let evicted = before - self.partials.len();
         self.evicted += evicted as u64;
         evicted
+    }
+
+    /// Drives the round clock at `now` (any monotonic nanoseconds):
+    /// with nothing pending the deadline re-arms at `now + round_ns`, so
+    /// the first partial after an idle stretch gets its full grace
+    /// period; otherwise a tick at or past the deadline re-arms it and
+    /// closes a round ([`StreamingReassembler::advance_round`]).
+    pub fn tick(&mut self, now: u64, round_ns: u64) {
+        if self.partials.is_empty() {
+            self.deadline = now + round_ns;
+        } else if now >= self.deadline {
+            self.deadline = now + round_ns;
+            self.advance_round();
+        }
     }
 
     fn evict_stalest(&mut self) {
@@ -964,6 +978,39 @@ mod tests {
             Streamed::Incomplete => {} // re-opened as a new partial
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn tick_evicts_a_stale_partial_two_rounds_after_the_clock_is_armed() {
+        const R: u64 = 1_000_000;
+        let m = message(MAX_FRAG_CHUNK * 3);
+        let mut r = StreamingReassembler::new(8);
+        // `armed` is a tick that finds nothing pending; the first of a
+        // three-fragment message then arrives and the rest are lost.
+        let mut lose_a_fragment = |armed: u64, msg_id: u64, evictions: u64| {
+            r.tick(armed, R);
+            let frags = fragment_with_id(msg_id, &m);
+            assert!(matches!(
+                r.push(0, frags[0].clone(), VecSink::open),
+                Streamed::Incomplete
+            ));
+            // Every tick before two rounds have passed keeps it...
+            for t in (armed..armed + 2 * R).step_by(R as usize / 4) {
+                r.tick(t, R);
+                assert_eq!(r.pending(), 1, "evicted at {t}");
+            }
+            // ...and the first at two rounds evicts it.
+            r.tick(armed + 2 * R, R);
+            assert_eq!(r.pending(), 0, "kept at two rounds");
+            assert_eq!(r.evicted, evictions);
+        };
+        lose_a_fragment(0, 1, 1);
+        // After a long idle stretch the clock re-arms at the idle tick,
+        // so the next partial still gets its full grace period...
+        lose_a_fragment(100 * R, 2, 2);
+        // ...and so it does when the idle tick comes before the round
+        // left standing by the last eviction (due at 103 R) would close.
+        lose_a_fragment(102 * R + R / 2, 3, 3);
     }
 
     #[test]

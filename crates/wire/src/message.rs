@@ -41,14 +41,6 @@ impl OpKind {
             _ => return None,
         })
     }
-
-    /// True for the request kinds.
-    pub fn is_request(self) -> bool {
-        matches!(
-            self,
-            OpKind::GetRequest | OpKind::PutRequest | OpKind::DeleteRequest
-        )
-    }
 }
 
 /// Status code on replies.
