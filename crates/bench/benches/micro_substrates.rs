@@ -1,5 +1,6 @@
 //! Criterion microbenchmarks of the substrates on the datapath:
-//! KV GET/PUT, zipfian sampling, histogram updates,
+//! KV GET/PUT (replacements of one length and of lengths that cross
+//! block classes), zipfian sampling, histogram updates,
 //! fragmentation round trips, NIC ring bursts, a handoff through a
 //! software queue and real-UDP loopback sends and receives (one
 //! datagram; eight small replies sent one by one, as one burst and as
@@ -42,6 +43,23 @@ fn bench_kv(c: &mut Criterion) {
         b.iter(|| {
             key = (key + 1) % 50_000;
             store.put(black_box(key), black_box(&value)).unwrap()
+        })
+    });
+    // Replacements whose lengths cycle through 14–1 400 B, so a key's
+    // new block is mostly of another class than its old one. Seventeen
+    // lengths against 50 000 keys: each pass gives a key the next one.
+    let lengths = [
+        14, 20, 28, 40, 56, 80, 112, 160, 224, 320, 448, 640, 900, 1000, 1100, 1250, 1400,
+    ];
+    let bytes = vec![0x5Au8; 1400];
+    let mut i = 0usize;
+    g.bench_function("put_replace_mixed", |b| {
+        b.iter(|| {
+            i += 1;
+            let value = &bytes[..lengths[i % lengths.len()]];
+            store
+                .put(black_box((i % 50_000) as u64), black_box(value))
+                .unwrap()
         })
     });
     g.finish();

@@ -13,6 +13,19 @@
 //!   MICA-style extension the paper mentions);
 //! * **O(1) alloc/free** on the hot path once a class is warm.
 //!
+//! A value is sized on two scales:
+//!
+//! * its **charge**, what it debits from the capacity: the value
+//!   rounded up to a power of two of at least 64 B
+//!   ([`Mempool::charged_bytes`]). Occupancy, the watermarks and the
+//!   eviction accounting all move in charges;
+//! * its **block**, the memory it actually holds: the value rounded up
+//!   to a finer class — 16, 32, 48 and 64 B, then four classes per
+//!   doubling (`p/2 + i·p/8` for `i = 1..=4`: 80, 96, 112, 128, 160,
+//!   192, …), so a block above 64 B is at most 25 % over its value.
+//!   A block never exceeds its charge. Freelists are kept per block
+//!   class.
+//!
 //! Values are handed out as [`PoolBytes`]: cheaply clonable,
 //! reference-counted, read-only buffers that return their block to the
 //! pool when the last reference drops. This is what makes MICA-style
@@ -24,8 +37,17 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Smallest block class, bytes.
+/// Smallest charge class, bytes.
 const MIN_CLASS: usize = 64;
+
+/// Step of the block classes up to [`MIN_CLASS`], bytes.
+const MIN_BLOCK: usize = 16;
+
+/// Block classes from [`MIN_BLOCK`] up to [`MIN_CLASS`].
+const SMALL_BLOCK_CLASSES: usize = MIN_CLASS / MIN_BLOCK;
+
+/// Block classes per doubling above [`MIN_CLASS`].
+const BLOCKS_PER_DOUBLING: usize = 4;
 
 /// Statistics for a [`Mempool`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -44,20 +66,55 @@ pub struct MempoolStats {
     /// one-copy moves exactly `value_len` bytes through this counter per
     /// successful PUT, which the server surfaces as `put_copied_bytes`.
     pub copied_bytes: u64,
-    /// Bytes currently charged against the capacity.
+    /// Bytes currently charged against the capacity: the sum of the
+    /// power-of-two charges of every live block and reservation.
     pub used_bytes: usize,
     /// Configured capacity in bytes.
     pub capacity_bytes: usize,
+    /// Bytes of every block the pool has taken from the system
+    /// allocator, live or on a freelist: the pool's physical footprint.
+    /// A recycled block adds nothing.
+    pub held_bytes: usize,
+    /// Bytes of the blocks on the freelists, summed when the snapshot is
+    /// taken. `held_bytes - free_bytes` is what live values hold, which
+    /// never exceeds `used_bytes`.
+    pub free_bytes: usize,
+}
+
+/// The block class of a value of `len` bytes (see the module doc).
+fn block_class_of(len: usize) -> usize {
+    if len <= MIN_CLASS {
+        return len.max(1).div_ceil(MIN_BLOCK) - 1;
+    }
+    let p = len.next_power_of_two();
+    let doublings = (p / (2 * MIN_CLASS)).trailing_zeros() as usize;
+    let step = p / (2 * BLOCKS_PER_DOUBLING);
+    let i = (len - p / 2).div_ceil(step);
+    SMALL_BLOCK_CLASSES + doublings * BLOCKS_PER_DOUBLING + i - 1
+}
+
+/// Bytes of a block of class `class`.
+fn block_bytes(class: usize) -> usize {
+    if class < SMALL_BLOCK_CLASSES {
+        return (class + 1) * MIN_BLOCK;
+    }
+    let (doublings, i) = (
+        (class - SMALL_BLOCK_CLASSES) / BLOCKS_PER_DOUBLING,
+        (class - SMALL_BLOCK_CLASSES) % BLOCKS_PER_DOUBLING + 1,
+    );
+    let p = (2 * MIN_CLASS) << doublings;
+    p / 2 + i * p / (2 * BLOCKS_PER_DOUBLING)
 }
 
 #[derive(Debug)]
 struct Inner {
-    /// Freelists per size class; class `i` holds blocks of
-    /// `MIN_CLASS << i` bytes.
-    classes: Vec<Mutex<Vec<Box<[u8]>>>>,
+    /// Freelists per block class; class `b` holds blocks of
+    /// `block_bytes(b)` bytes.
+    blocks: Vec<Mutex<Vec<Box<[u8]>>>>,
     max_class_bytes: usize,
     capacity: usize,
     used: AtomicUsize,
+    held: AtomicUsize,
     allocs: AtomicU64,
     reuses: AtomicU64,
     failures: AtomicU64,
@@ -66,6 +123,8 @@ struct Inner {
 }
 
 impl Inner {
+    /// The charge class of a value of `len` bytes: class `i` charges
+    /// `MIN_CLASS << i` bytes.
     fn class_of(&self, len: usize) -> Option<usize> {
         let block = len.max(1).next_power_of_two().max(MIN_CLASS);
         if block > self.max_class_bytes {
@@ -78,11 +137,13 @@ impl Inner {
         MIN_CLASS << class
     }
 
+    /// Returns `block` to the freelist its length names and credits
+    /// back the charge of `class`.
     fn release(&self, block: Box<[u8]>, class: usize) {
         self.frees.fetch_add(1, Ordering::Relaxed);
         self.used
             .fetch_sub(Self::class_bytes(class), Ordering::Relaxed);
-        let mut freelist = self.classes[class].lock();
+        let mut freelist = self.blocks[block_class_of(block.len())].lock();
         freelist.push(block);
     }
 }
@@ -95,16 +156,18 @@ pub struct Mempool {
 
 impl Mempool {
     /// Creates a pool with a budget of `capacity_bytes` and a maximum
-    /// block size of `max_item_bytes` (rounded up to a power of two).
+    /// value size of `max_item_bytes` (rounded up to a power of two, the
+    /// largest charge and the largest block).
     pub fn new(capacity_bytes: usize, max_item_bytes: usize) -> Self {
         let max_class_bytes = max_item_bytes.max(MIN_CLASS).next_power_of_two();
-        let num_classes = (max_class_bytes / MIN_CLASS).trailing_zeros() as usize + 1;
+        let num_blocks = block_class_of(max_class_bytes) + 1;
         Mempool {
             inner: Arc::new(Inner {
-                classes: (0..num_classes).map(|_| Mutex::new(Vec::new())).collect(),
+                blocks: (0..num_blocks).map(|_| Mutex::new(Vec::new())).collect(),
                 max_class_bytes,
                 capacity: capacity_bytes,
                 used: AtomicUsize::new(0),
+                held: AtomicUsize::new(0),
                 allocs: AtomicU64::new(0),
                 reuses: AtomicU64::new(0),
                 failures: AtomicU64::new(0),
@@ -149,13 +212,18 @@ impl Mempool {
             return None;
         }
 
-        let recycled = inner.classes[class].lock().pop();
+        let block_class = block_class_of(len);
+        let recycled = inner.blocks[block_class].lock().pop();
         let block = match recycled {
             Some(b) => {
                 inner.reuses.fetch_add(1, Ordering::Relaxed);
                 b
             }
-            None => vec![0u8; class_bytes].into_boxed_slice(),
+            None => {
+                let bytes = block_bytes(block_class);
+                inner.held.fetch_add(bytes, Ordering::Relaxed);
+                vec![0u8; bytes].into_boxed_slice()
+            }
         };
         inner.allocs.fetch_add(1, Ordering::Relaxed);
         Some(PoolBytesMut {
@@ -171,11 +239,12 @@ impl Mempool {
         self.inner.used.load(Ordering::Relaxed)
     }
 
-    /// The capacity charge for a value of `len` bytes: its size class
-    /// rounded up, exactly what [`Mempool::reserve`] debits and what a
-    /// free credits back. `None` if `len` exceeds the maximum block
-    /// size. This is the unit the eviction accounting cross-check sums
-    /// in — occupancy moves in class-rounded steps, never raw lengths.
+    /// The capacity charge for a value of `len` bytes: its power-of-two
+    /// class, exactly what [`Mempool::reserve`] debits and what a free
+    /// credits back (the block it holds may be smaller). `None` if
+    /// `len` exceeds the maximum value size. This is the unit the
+    /// eviction accounting cross-check sums in — occupancy moves in
+    /// class-rounded steps, never raw lengths.
     pub fn charged_bytes(&self, len: usize) -> Option<usize> {
         self.inner.class_of(len).map(Inner::class_bytes)
     }
@@ -196,6 +265,13 @@ impl Mempool {
             copied_bytes: i.copied.load(Ordering::Relaxed),
             used_bytes: i.used.load(Ordering::Relaxed),
             capacity_bytes: i.capacity,
+            held_bytes: i.held.load(Ordering::Relaxed),
+            free_bytes: i
+                .blocks
+                .iter()
+                .enumerate()
+                .map(|(class, freelist)| freelist.lock().len() * block_bytes(class))
+                .sum(),
         }
     }
 }
@@ -219,6 +295,7 @@ pub struct PoolBytesMut {
     /// `Some` until sealed or dropped.
     block: Option<Box<[u8]>>,
     len: usize,
+    /// The charge class; the block's length names its block class.
     class: usize,
     pool: Arc<Inner>,
 }
@@ -259,11 +336,10 @@ impl PoolBytesMut {
     }
 
     /// Shrinks the reservation to `new_len` bytes. The capacity charge
-    /// is unchanged (the block keeps its size class); only the sealed
-    /// value's visible length shrinks. Used by the streaming PUT ingest
-    /// to strip a wire-level trailer (the optional TTL extension) that
-    /// rode along inside the reserved range but is not part of the
-    /// value.
+    /// and the block are unchanged; only the sealed value's visible
+    /// length shrinks. Used by the streaming PUT ingest to strip a
+    /// wire-level trailer (the optional TTL extension) that rode along
+    /// inside the reserved range but is not part of the value.
     ///
     /// # Panics
     ///
@@ -306,6 +382,7 @@ struct PoolBuf {
     /// `Some` until dropped; taken in `Drop` to return to the pool.
     block: Option<Box<[u8]>>,
     len: usize,
+    /// The charge class; the block's length names its block class.
     class: usize,
     pool: std::sync::Weak<Inner>,
 }
@@ -339,7 +416,7 @@ impl PoolBytes {
     }
 
     /// The capacity charge this buffer holds against its pool: the
-    /// block's class size, which can exceed
+    /// charge class recorded at reservation, which can exceed
     /// [`Mempool::charged_bytes`]`(len)` when the reservation was
     /// [`PoolBytesMut::truncate`]d after being sized. Accounting
     /// cross-checks must sum this, not recompute from `len`.
@@ -530,6 +607,70 @@ mod tests {
         let pool = Mempool::new(1 << 20, 1 << 16);
         let _v = pool.alloc_from(&[7u8; 1000]).unwrap();
         assert_eq!(pool.stats().copied_bytes, 1000);
+    }
+
+    #[test]
+    fn every_length_gets_the_smallest_block_that_fits() {
+        let max = 1 << 20;
+        let pool = Mempool::new(1 << 30, max);
+        assert_eq!(pool.inner.blocks.len(), 60, "block classes at 1 MiB");
+        for len in 1..=max {
+            let class = block_class_of(len);
+            let block = block_bytes(class);
+            assert!(block >= len, "{len} B in a {block} B block");
+            if class > 0 {
+                assert!(
+                    block_bytes(class - 1) < len,
+                    "{len} B fits class {}",
+                    class - 1
+                );
+            }
+            if len > MIN_CLASS {
+                assert!(
+                    4 * block <= 5 * len,
+                    "{len} B in a {block} B block is over 25 %"
+                );
+            }
+            assert!(
+                block <= pool.charged_bytes(len).unwrap(),
+                "{len} B: block over charge"
+            );
+        }
+        assert_eq!(block_class_of(max), pool.inner.blocks.len() - 1);
+    }
+
+    #[test]
+    fn charge_and_block_are_separate_scales() {
+        let pool = Mempool::new(1 << 20, 1 << 16);
+        let mut r = pool.reserve(1040).unwrap();
+        assert_eq!(pool.used_bytes(), 2048, "charged its power of two");
+        assert_eq!(pool.stats().held_bytes, 1280, "held in its block");
+        r.write_at(0, &[3u8; 1040]);
+        r.truncate(1024);
+        let sealed = r.seal();
+        assert_eq!(sealed.charged_bytes(), 2048);
+        assert_eq!(sealed.0.block.as_ref().unwrap().len(), 1280);
+        assert_eq!(pool.used_bytes(), 2048);
+        drop(sealed);
+        let s = pool.stats();
+        assert_eq!((s.used_bytes, s.held_bytes, s.free_bytes), (0, 1280, 1280));
+    }
+
+    #[test]
+    fn a_freed_block_serves_only_its_block_class() {
+        let pool = Mempool::new(1 << 20, 1 << 16);
+        drop(pool.alloc_from(&[1u8; 1280]).unwrap());
+        let bigger = pool.alloc_from(&[2u8; 1300]).unwrap();
+        assert_eq!(pool.stats().reuses, 0, "1 300 B needs a 1 536 B block");
+        let smaller = pool.alloc_from(&[3u8; 1100]).unwrap();
+        assert_eq!(pool.stats().reuses, 1, "1 100 B takes the 1 280 B block");
+        assert_eq!(bigger.charged_bytes(), 2048);
+        assert_eq!(smaller.charged_bytes(), 2048);
+        let s = pool.stats();
+        assert_eq!(
+            (s.used_bytes, s.held_bytes, s.free_bytes),
+            (4096, 1280 + 1536, 0)
+        );
     }
 
     #[test]

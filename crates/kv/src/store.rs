@@ -925,6 +925,8 @@ impl minos_obs::Collector for Store {
         out.push(("mempool.frees".to_string(), Counter(m.frees)));
         out.push(("mempool.copied_bytes".to_string(), Counter(m.copied_bytes)));
         out.push(("mempool.used_bytes".to_string(), Gauge(m.used_bytes as f64)));
+        out.push(("mempool.held_bytes".to_string(), Gauge(m.held_bytes as f64)));
+        out.push(("mempool.free_bytes".to_string(), Gauge(m.free_bytes as f64)));
         out.push((
             "mempool.capacity_bytes".to_string(),
             Gauge(m.capacity_bytes as f64),

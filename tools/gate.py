@@ -306,6 +306,11 @@ GATES = {
                     f"{r['srv']['store.accounting_warnings']} warnings, {r['srv']['store.expired_keys']} expiries")),
         ("occupancy", "mempool.occupancy",
          lambda r: (0.0 <= r["srv"]["mempool.occupancy"] <= 1.0, f"occupancy {r['srv']['mempool.occupancy']:.3f} in [0, 1]")),
+        ("blocks-in-charges", "mempool.held_bytes mempool.free_bytes mempool.used_bytes",
+         lambda r: (r["srv"]["mempool.held_bytes"] - r["srv"]["mempool.free_bytes"] <= r["srv"]["mempool.used_bytes"],
+                    f"live blocks {r['srv']['mempool.held_bytes'] - r['srv']['mempool.free_bytes']:.0f} B "
+                    f"(held {r['srv']['mempool.held_bytes']:.0f} - free {r['srv']['mempool.free_bytes']:.0f}) "
+                    f"<= charged {r['srv']['mempool.used_bytes']:.0f} B")),
     ] + hygiene("srv")),
 }
 
