@@ -26,15 +26,35 @@
 //!   A block never exceeds its charge. Freelists are kept per block
 //!   class.
 //!
+//! Every length in a block class has the same charge (the classes
+//! above 64 B lie inside one `(p/2, p]`), so a block's class alone
+//! names the charge it carries.
+//!
+//! As in `rte_mempool`, a block's bookkeeping lives in the block's own
+//! memory: each block is one allocation, a 24 B header (reference
+//! count, block class, value length, pool pointer)
+//! followed by the block's bytes. The freelists keep these whole
+//! allocations, so a recycled value costs no allocator call, and
+//! [`MempoolStats::held_bytes`] counts the block bytes only.
+//!
 //! Values are handed out as [`PoolBytes`]: cheaply clonable,
 //! reference-counted, read-only buffers that return their block to the
-//! pool when the last reference drops. This is what makes MICA-style
-//! optimistic GETs safe in Rust: a reader that won the epoch validation
-//! holds a reference, so a concurrent PUT replacing the item can never
-//! free the bytes under the reader.
+//! pool when the last reference drops. A [`PoolBytes`] is one pointer to
+//! that allocation. This is what makes MICA-style optimistic GETs safe
+//! in Rust: a reader that won the epoch validation holds a reference,
+//! so a concurrent PUT replacing the item can never free the bytes
+//! under the reader.
+//!
+//! A reserved or sealed block's header owns one strong reference to its
+//! pool, taken at reservation and dropped after the block is back on
+//! its freelist; a block on a freelist holds none, and the pool frees
+//! those when it drops. A value therefore outlives its pool, and there
+//! is no cycle.
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::alloc::{self, Layout};
+use std::ptr::{self, NonNull};
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Smallest charge class, bytes.
@@ -48,6 +68,14 @@ const SMALL_BLOCK_CLASSES: usize = MIN_CLASS / MIN_BLOCK;
 
 /// Block classes per doubling above [`MIN_CLASS`].
 const BLOCKS_PER_DOUBLING: usize = 4;
+
+/// Bytes of bookkeeping ahead of every block's bytes, in the same
+/// allocation: not part of [`MempoolStats::held_bytes`].
+const BLOCK_HEADER_BYTES: usize = std::mem::size_of::<Header>();
+
+/// Most [`PoolBytes`] handles one value may have; past it a clone
+/// aborts, as `Arc`'s does.
+const MAX_REFS: u32 = i32::MAX as u32;
 
 /// Statistics for a [`Mempool`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -72,8 +100,9 @@ pub struct MempoolStats {
     /// Configured capacity in bytes.
     pub capacity_bytes: usize,
     /// Bytes of every block the pool has taken from the system
-    /// allocator, live or on a freelist: the pool's physical footprint.
-    /// A recycled block adds nothing.
+    /// allocator, live or on a freelist: the pool's physical footprint,
+    /// less the 24 B header each block carries. A recycled block adds
+    /// nothing.
     pub held_bytes: usize,
     /// Bytes of the blocks on the freelists, summed when the snapshot is
     /// taken. `held_bytes - free_bytes` is what live values hold, which
@@ -106,11 +135,132 @@ fn block_bytes(class: usize) -> usize {
     p / 2 + i * p / (2 * BLOCKS_PER_DOUBLING)
 }
 
+/// The charge every value held in a block of class `class` carries.
+fn block_charge(class: usize) -> usize {
+    block_bytes(class).next_power_of_two().max(MIN_CLASS)
+}
+
+/// What a block's allocation holds ahead of its bytes.
+#[repr(C)]
+struct Header {
+    /// Live [`PoolBytes`] handles once sealed.
+    refs: AtomicU32,
+    /// The block class, fixed when the block is allocated.
+    class: u32,
+    /// The value's length; written only while the block has one owner
+    /// (a reservation).
+    len: usize,
+    /// One strong reference to the pool (from `Arc::into_raw`) while the
+    /// block is reserved or sealed; null on a freelist.
+    pool: *const Inner,
+}
+
+/// A pointer to one block's allocation: a [`Header`] followed by
+/// `block_bytes(class)` bytes. Who owns it is the holder's business: a
+/// freelist, a [`PoolBytesMut`], or the [`PoolBytes`] handles together.
+#[derive(Clone, Copy, Debug)]
+struct Block(NonNull<Header>);
+
+impl Block {
+    fn layout(class: usize) -> Layout {
+        Layout::from_size_align(
+            BLOCK_HEADER_BYTES + block_bytes(class),
+            std::mem::align_of::<Header>(),
+        )
+        .expect("block layout")
+    }
+
+    /// Allocates a zeroed block of class `class`, owned by the caller
+    /// and holding no pool reference.
+    fn alloc(class: usize) -> Block {
+        let layout = Self::layout(class);
+        // SAFETY: the layout is never zero-sized: it includes the header.
+        let raw = unsafe { alloc::alloc_zeroed(layout) }.cast::<Header>();
+        let Some(header) = NonNull::new(raw) else {
+            alloc::handle_alloc_error(layout)
+        };
+        // SAFETY: `header` is a fresh allocation sized and aligned for a
+        // `Header` at its start, and nothing else points to it.
+        unsafe {
+            header.as_ptr().write(Header {
+                refs: AtomicU32::new(0),
+                class: class as u32,
+                len: 0,
+                pool: ptr::null(),
+            })
+        };
+        Block(header)
+    }
+
+    /// Frees the allocation.
+    ///
+    /// # Safety
+    ///
+    /// The caller owns the block alone, and never uses it again.
+    unsafe fn dealloc(self) {
+        let layout = Self::layout(self.class());
+        // SAFETY: the block was allocated by `Block::alloc` with this
+        // layout (its class never changes), and the caller owns it.
+        unsafe { alloc::dealloc(self.0.as_ptr().cast(), layout) }
+    }
+
+    fn header(&self) -> &Header {
+        // SAFETY: a `Block` points to a live allocation that starts with
+        // an initialised `Header`, whose non-atomic fields change only
+        // while one owner holds the block and no reference to it exists.
+        unsafe { self.0.as_ref() }
+    }
+
+    fn class(&self) -> usize {
+        self.header().class as usize
+    }
+
+    /// The first of the block's `block_bytes(class)` bytes.
+    fn bytes(&self) -> *mut u8 {
+        // SAFETY: the block's bytes start right after the header, inside
+        // the same allocation.
+        unsafe { self.0.as_ptr().add(1).cast() }
+    }
+
+    /// Records the value's length and the pool reference the block now
+    /// holds.
+    ///
+    /// # Safety
+    ///
+    /// The caller owns the block alone.
+    unsafe fn set(self, len: usize, pool: *const Inner) {
+        // SAFETY: the caller owns the block, so no reference to the
+        // header is alive.
+        unsafe {
+            let header = self.0.as_ptr();
+            (*header).len = len;
+            (*header).pool = pool;
+        }
+    }
+
+    /// Puts a block whose last owner is done with it back on its pool's
+    /// freelist, then drops the pool reference its header held (which
+    /// may drop the pool, and with it the block).
+    ///
+    /// # Safety
+    ///
+    /// The caller owns the block alone, its header holds a pool
+    /// reference, and the caller never uses the block again.
+    unsafe fn give_back(self) {
+        // SAFETY: the header holds one strong reference from
+        // `Arc::into_raw`, which this takes over.
+        let pool = unsafe { Arc::from_raw(self.header().pool) };
+        // SAFETY: the caller owns the block alone.
+        unsafe { self.set(0, ptr::null()) };
+        pool.release(self);
+    }
+}
+
 #[derive(Debug)]
 struct Inner {
     /// Freelists per block class; class `b` holds blocks of
-    /// `block_bytes(b)` bytes.
-    blocks: Vec<Mutex<Vec<Box<[u8]>>>>,
+    /// `block_bytes(b)` bytes, each owned by its list.
+    blocks: Vec<Mutex<Vec<Block>>>,
     max_class_bytes: usize,
     capacity: usize,
     used: AtomicUsize,
@@ -121,6 +271,17 @@ struct Inner {
     frees: AtomicU64,
     copied: AtomicU64,
 }
+
+// SAFETY: `blocks` holds raw block pointers, each owned by its freelist
+// alone and moved in and out only under that list's mutex; a popped
+// block goes to one reservation. Every other field (`max_class_bytes`,
+// `capacity`, and the atomic counters `used`, `held`, `allocs`,
+// `reuses`, `failures`, `frees`, `copied`) is plain data or an atomic,
+// safe to send and to share.
+unsafe impl Send for Inner {}
+// SAFETY: as for `Send`: shared access reaches the freelists only
+// through their mutexes, and the other fields are immutable or atomic.
+unsafe impl Sync for Inner {}
 
 impl Inner {
     /// The charge class of a value of `len` bytes: class `i` charges
@@ -137,14 +298,27 @@ impl Inner {
         MIN_CLASS << class
     }
 
-    /// Returns `block` to the freelist its length names and credits
-    /// back the charge of `class`.
-    fn release(&self, block: Box<[u8]>, class: usize) {
+    /// Returns `block`, which holds no pool reference, to the freelist
+    /// of its class and credits back its charge.
+    fn release(&self, block: Block) {
         self.frees.fetch_add(1, Ordering::Relaxed);
-        self.used
-            .fetch_sub(Self::class_bytes(class), Ordering::Relaxed);
-        let mut freelist = self.blocks[block_class_of(block.len())].lock();
-        freelist.push(block);
+        let class = block.class();
+        self.used.fetch_sub(block_charge(class), Ordering::Relaxed);
+        self.blocks[class].lock().push(block);
+    }
+}
+
+impl Drop for Inner {
+    fn drop(&mut self) {
+        for freelist in &mut self.blocks {
+            for block in freelist.get_mut().drain(..) {
+                // SAFETY: a block on a freelist is owned by that list
+                // alone, and draining takes it off for good. Reserved
+                // and sealed blocks hold a pool reference, so none is
+                // alive while the pool drops.
+                unsafe { block.dealloc() }
+            }
+        }
     }
 }
 
@@ -220,18 +394,17 @@ impl Mempool {
                 b
             }
             None => {
-                let bytes = block_bytes(block_class);
-                inner.held.fetch_add(bytes, Ordering::Relaxed);
-                vec![0u8; bytes].into_boxed_slice()
+                inner
+                    .held
+                    .fetch_add(block_bytes(block_class), Ordering::Relaxed);
+                Block::alloc(block_class)
             }
         };
+        // SAFETY: the block came off a freelist or out of the allocator,
+        // so this reservation owns it alone.
+        unsafe { block.set(len, Arc::into_raw(Arc::clone(inner))) };
         inner.allocs.fetch_add(1, Ordering::Relaxed);
-        Some(PoolBytesMut {
-            block: Some(block),
-            len,
-            class,
-            pool: Arc::clone(inner),
-        })
+        Some(PoolBytesMut { block, len })
     }
 
     /// Bytes currently charged against the capacity.
@@ -292,13 +465,18 @@ impl Mempool {
 /// exactly that).
 #[derive(Debug)]
 pub struct PoolBytesMut {
-    /// `Some` until sealed or dropped.
-    block: Option<Box<[u8]>>,
+    /// Owned alone until sealed or dropped.
+    block: Block,
     len: usize,
-    /// The charge class; the block's length names its block class.
-    class: usize,
-    pool: Arc<Inner>,
 }
+
+// SAFETY: `block` is owned by this reservation alone: its bytes and
+// header are reached only through it, and the pool it points to is
+// `Send + Sync`. `len` is plain data.
+unsafe impl Send for PoolBytesMut {}
+// SAFETY: `&PoolBytesMut` only reads `len`; writing the block (`block`)
+// takes `&mut self`.
+unsafe impl Sync for PoolBytesMut {}
 
 impl PoolBytesMut {
     /// Length of the reserved value in bytes (not the block size).
@@ -328,11 +506,15 @@ impl PoolBytesMut {
             data.len(),
             self.len
         );
-        let block = self.block.as_mut().expect("live until consumed");
-        block[offset..end].copy_from_slice(data);
-        self.pool
-            .copied
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
+        // SAFETY: `[offset, end)` lies within the reserved length, which
+        // fits the block, and this reservation owns the block alone, so
+        // nothing else reads or writes those bytes.
+        unsafe {
+            ptr::copy_nonoverlapping(data.as_ptr(), self.block.bytes().add(offset), data.len())
+        };
+        // SAFETY: a reserved block's header holds a pool reference.
+        let pool = unsafe { &*self.block.header().pool };
+        pool.copied.fetch_add(data.len() as u64, Ordering::Relaxed);
     }
 
     /// Shrinks the reservation to `new_len` bytes. The capacity charge
@@ -355,15 +537,16 @@ impl PoolBytesMut {
 
     /// Seals the reservation into an immutable, refcounted
     /// [`PoolBytes`] — the second phase of a two-phase PUT, ready for
-    /// [`crate::Store::put_reserved`]. No bytes are copied.
-    pub fn seal(mut self) -> PoolBytes {
-        let block = self.block.take().expect("live until consumed");
-        PoolBytes(Arc::new(PoolBuf {
-            block: Some(block),
-            len: self.len,
-            class: self.class,
-            pool: Arc::downgrade(&self.pool),
-        }))
+    /// [`crate::Store::put_reserved`]. No bytes are copied, and the
+    /// reservation's pool reference passes to the value.
+    pub fn seal(self) -> PoolBytes {
+        let (block, pool) = (self.block, self.block.header().pool);
+        // SAFETY: this reservation owns the block alone; the pool
+        // reference stays in the header.
+        unsafe { block.set(self.len, pool) };
+        block.header().refs.store(1, Ordering::Relaxed);
+        std::mem::forget(self);
+        PoolBytes(block)
     }
 }
 
@@ -371,57 +554,73 @@ impl Drop for PoolBytesMut {
     fn drop(&mut self) {
         // An unsealed reservation was never published: its block (and
         // capacity charge) go straight back to the pool.
-        if let Some(block) = self.block.take() {
-            self.pool.release(block, self.class);
-        }
-    }
-}
-
-#[derive(Debug)]
-struct PoolBuf {
-    /// `Some` until dropped; taken in `Drop` to return to the pool.
-    block: Option<Box<[u8]>>,
-    len: usize,
-    /// The charge class; the block's length names its block class.
-    class: usize,
-    pool: std::sync::Weak<Inner>,
-}
-
-impl Drop for PoolBuf {
-    fn drop(&mut self) {
-        if let Some(block) = self.block.take() {
-            if let Some(pool) = self.pool.upgrade() {
-                pool.release(block, self.class);
-            }
-            // If the pool is gone the block just drops normally.
-        }
+        // SAFETY: this reservation owns the block alone, its header
+        // holds the pool reference taken at reservation, and it is
+        // dropping.
+        unsafe { self.block.give_back() }
     }
 }
 
 /// A reference-counted, read-only value buffer backed by a [`Mempool`]
-/// block. Cloning is O(1); the block returns to the pool when the last
+/// block: one pointer to the block's allocation, whose header holds the
+/// count. Cloning is O(1); the block returns to the pool when the last
 /// clone drops.
-#[derive(Clone, Debug)]
-pub struct PoolBytes(Arc<PoolBuf>);
+#[derive(Debug)]
+pub struct PoolBytes(Block);
+
+// SAFETY: the handles of one block share it read-only: its bytes and
+// its header's `class` and `len` are written only before it is sealed,
+// `refs` is atomic, and `pool` points to a `Send + Sync` pool whose
+// reference only the last handle's drop releases. So handles may move
+// to and be shared between threads, as `Arc<[u8]>` may.
+unsafe impl Send for PoolBytes {}
+// SAFETY: as for `Send`.
+unsafe impl Sync for PoolBytes {}
 
 impl PoolBytes {
     /// Length of the value in bytes (not the block size).
     pub fn len(&self) -> usize {
-        self.0.len
+        self.0.header().len
     }
 
     /// True if the value is empty.
     pub fn is_empty(&self) -> bool {
-        self.0.len == 0
+        self.len() == 0
     }
 
     /// The capacity charge this buffer holds against its pool: the
-    /// charge class recorded at reservation, which can exceed
+    /// charge of the block class chosen at reservation, which can exceed
     /// [`Mempool::charged_bytes`]`(len)` when the reservation was
     /// [`PoolBytesMut::truncate`]d after being sized. Accounting
     /// cross-checks must sum this, not recompute from `len`.
     pub fn charged_bytes(&self) -> usize {
-        Inner::class_bytes(self.0.class)
+        block_charge(self.0.class())
+    }
+}
+
+impl Clone for PoolBytes {
+    fn clone(&self) -> Self {
+        // As `Arc::clone`: a new handle is made from an existing one, so
+        // no ordering is needed, only a stop before the count overflows.
+        if self.0.header().refs.fetch_add(1, Ordering::Relaxed) > MAX_REFS {
+            std::process::abort();
+        }
+        PoolBytes(self.0)
+    }
+}
+
+impl Drop for PoolBytes {
+    fn drop(&mut self) {
+        // As `Arc`'s drop: release our uses of the bytes, and acquire
+        // every other handle's before the block is reused.
+        if self.0.header().refs.fetch_sub(1, Ordering::Release) != 1 {
+            return;
+        }
+        fence(Ordering::Acquire);
+        // SAFETY: this was the last handle, so it owns the block alone;
+        // a sealed block's header holds the pool reference its
+        // reservation took.
+        unsafe { self.0.give_back() }
     }
 }
 
@@ -429,7 +628,10 @@ impl std::ops::Deref for PoolBytes {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.0.block.as_ref().expect("live buffer")[..self.0.len]
+        // SAFETY: the first `len` bytes of the block were initialised
+        // (zeroed at allocation, or written) and are not written again
+        // while a handle lives.
+        unsafe { std::slice::from_raw_parts(self.0.bytes(), self.len()) }
     }
 }
 
@@ -635,6 +837,11 @@ mod tests {
                 block <= pool.charged_bytes(len).unwrap(),
                 "{len} B: block over charge"
             );
+            assert_eq!(
+                block_charge(class),
+                pool.charged_bytes(len).unwrap(),
+                "{len} B: the block class names the charge"
+            );
         }
         assert_eq!(block_class_of(max), pool.inner.blocks.len() - 1);
     }
@@ -649,7 +856,7 @@ mod tests {
         r.truncate(1024);
         let sealed = r.seal();
         assert_eq!(sealed.charged_bytes(), 2048);
-        assert_eq!(sealed.0.block.as_ref().unwrap().len(), 1280);
+        assert_eq!(block_bytes(sealed.0.class()), 1280);
         assert_eq!(pool.used_bytes(), 2048);
         drop(sealed);
         let s = pool.stats();
@@ -671,6 +878,53 @@ mod tests {
             (s.used_bytes, s.held_bytes, s.free_bytes),
             (4096, 1280 + 1536, 0)
         );
+    }
+
+    #[test]
+    fn a_value_handle_is_one_pointer() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<PoolBytes>(), 8);
+        assert_eq!(size_of::<Option<PoolBytes>>(), 8);
+        assert_eq!(BLOCK_HEADER_BYTES, 24);
+    }
+
+    #[test]
+    fn concurrent_clones_release_the_block_once() {
+        let pool = Mempool::new(1 << 20, 1 << 16);
+        let v = pool.alloc_from(&[9u8; 1000]).unwrap();
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let v = v.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..10_000 {
+                        let c = v.clone();
+                        assert_eq!(c[999], 9);
+                    }
+                })
+            })
+            .collect();
+        drop(v);
+        for h in handles {
+            h.join().unwrap();
+        }
+        let s = pool.stats();
+        assert_eq!((s.allocs, s.frees, s.used_bytes), (1, 1, 0));
+        assert_eq!(s.free_bytes, 1024, "the block is on its freelist once");
+        assert_eq!(s.held_bytes, 1024);
+    }
+
+    #[test]
+    fn a_value_dropped_on_another_thread_outlives_the_pool() {
+        let pool = Mempool::new(1 << 20, 1 << 16);
+        drop(pool.alloc_from(b"on a freelist").unwrap());
+        let v = pool.alloc_from(b"orphan").unwrap();
+        drop(pool);
+        std::thread::spawn(move || {
+            assert_eq!(&v[..], b"orphan");
+            drop(v); // the last pool reference: frees both blocks
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

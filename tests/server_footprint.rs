@@ -86,7 +86,7 @@ fn spawn_server(cores: usize, extra: &[&str]) -> (Child, u16) {
 }
 
 /// Interrupts the server and returns a reader of its exit snapshot's
-/// gauges.
+/// gauges and counters.
 fn stop_server(child: Child) -> impl Fn(&str) -> f64 {
     extern "C" {
         fn kill(pid: i32, sig: i32) -> i32;
@@ -97,7 +97,11 @@ fn stop_server(child: Child) -> impl Fn(&str) -> f64 {
     assert!(out.status.success(), "minos-server exited {}", out.status);
     let stdout = String::from_utf8(out.stdout).unwrap();
     let snap = Snapshot::parse_json_line(&stdout).expect("the --json exit snapshot");
-    move |name| snap.gauge(name).unwrap_or_else(|| panic!("{name} missing"))
+    move |name| {
+        snap.gauge(name)
+            .or_else(|| snap.counter(name).map(|n| n as f64))
+            .unwrap_or_else(|| panic!("{name} missing"))
+    }
 }
 
 /// Runs an idle server under `discipline`; returns its peak RSS and its
@@ -152,9 +156,10 @@ const LOADED_KEYS: u64 = 20_000;
 /// (1 280 B, its block class) differ.
 const LOADED_VALUE: usize = 1_040;
 
-/// What a stored item holds beyond its block: the value handle's
-/// 80 B allocation, its 32 B item slot and a 16 B malloc header.
-const PER_ITEM_BYTES: f64 = 128.0;
+/// What a stored item holds beyond its block: the block's 24 B header
+/// and the allocator's 8 B chunk header, rounded up to 16 B, in the
+/// block's own allocation, and its 32 B item slot.
+const PER_ITEM_BYTES: f64 = 64.0;
 
 /// A PUT unanswered for this long is sent again.
 const RESEND_AFTER: Duration = Duration::from_millis(50);
@@ -258,6 +263,11 @@ fn a_loaded_server_holds_blocks_sized_to_its_values() {
     if resent == 0 {
         assert_eq!(held, keys * 1280.0);
     }
+    assert_eq!(
+        gauge("mempool.allocs") - gauge("mempool.frees"),
+        gauge("store.items"),
+        "one live block per stored item"
+    );
     let (queue_bytes, index_bytes) = (gauge("dispatch.queue_bytes"), gauge("store.index_bytes"));
     let bound = queue_bytes + index_bytes + held + keys * PER_ITEM_BYTES + REMAINDER;
     assert!(

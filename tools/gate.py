@@ -311,6 +311,11 @@ GATES = {
                     f"live blocks {r['srv']['mempool.held_bytes'] - r['srv']['mempool.free_bytes']:.0f} B "
                     f"(held {r['srv']['mempool.held_bytes']:.0f} - free {r['srv']['mempool.free_bytes']:.0f}) "
                     f"<= charged {r['srv']['mempool.used_bytes']:.0f} B")),
+        ("live-blocks", "mempool.allocs mempool.frees store.items",
+         lambda r: (r["srv"]["mempool.allocs"] - r["srv"]["mempool.frees"] == r["srv"]["store.items"],
+                    f"{r['srv']['mempool.allocs'] - r['srv']['mempool.frees']:.0f} blocks out "
+                    f"(allocs {r['srv']['mempool.allocs']:.0f} - frees {r['srv']['mempool.frees']:.0f}) "
+                    f"== {r['srv']['store.items']:.0f} items")),
     ] + hygiene("srv")),
 }
 
