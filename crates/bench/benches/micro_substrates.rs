@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks of the substrates on the datapath:
-//! KV GET/PUT (replacements of one length and of lengths that cross
-//! block classes), zipfian sampling, histogram updates,
-//! fragmentation round trips, NIC ring bursts, a handoff through a
+//! KV GET/PUT (replacements of one length, of lengths that cross
+//! block classes, and of lengths whose own class is empty), zipfian
+//! sampling, histogram updates, fragmentation round trips, NIC ring bursts, a handoff through a
 //! software queue and real-UDP loopback sends and receives (one
 //! datagram; eight small replies sent one by one, as one burst and as
 //! one burst of bundles; a 500 KB reply's 344 fragments).
@@ -63,6 +63,44 @@ fn bench_kv(c: &mut Criterion) {
         })
     });
     g.finish();
+}
+
+/// PUTs whose own block class is always empty while the next class up
+/// holds free blocks: each replacement borrows a 1 120 B block through
+/// the freelist bitmap, and the replaced value's 1 120 B block goes back
+/// to its own class. Five lengths (1 030–1 100 B, classes 1 040–1 104 B)
+/// against 10 000 keys, with 64 spare blocks freed up front.
+fn bench_kv_bestfit(c: &mut Criterion) {
+    const KEYS: u64 = 10_000;
+    let store = Store::new(StoreConfig::for_items(8, 20_000, 256 << 20));
+    let bytes = vec![0xA5u8; 1120];
+    for k in 0..KEYS + 64 {
+        store.put(k, &bytes).unwrap();
+    }
+    for k in KEYS..KEYS + 64 {
+        store.delete(k);
+    }
+    let lengths = [1030, 1050, 1070, 1090, 1100];
+    let reuses = store.mempool().stats().reuses;
+    let mut i = 0usize;
+    let mut g = c.benchmark_group("kv");
+    g.bench_function("put_bestfit_mixed", |b| {
+        b.iter(|| {
+            i += 1;
+            let value = &bytes[..lengths[i % lengths.len()]];
+            store
+                .put(black_box(i as u64 % KEYS), black_box(value))
+                .unwrap()
+        })
+    });
+    g.finish();
+    let s = store.mempool().stats();
+    assert_eq!(s.reuses - reuses, i as u64, "every PUT borrowed a block");
+    assert_eq!(
+        s.held_bytes,
+        (KEYS as usize + 64) * 1120,
+        "no block allocated"
+    );
 }
 
 /// One housekeeping eviction pass (`tick_victims` = 64 victims) over a
@@ -328,7 +366,7 @@ fn bench_nic(c: &mut Criterion) {
 criterion_group!(
     name = micro;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_kv, bench_zipf, bench_hist, bench_wire, bench_nic, bench_handoff_ring, bench_net_loopback
+    targets = bench_kv, bench_kv_bestfit, bench_zipf, bench_hist, bench_wire, bench_nic, bench_handoff_ring, bench_net_loopback
 );
 // Only the routine is timed, and the eviction benches' untimed setup is
 // a hundred times their routine: 20 ms of passes is ~2 s of wall time.

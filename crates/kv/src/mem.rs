@@ -20,15 +20,26 @@
 //!   ([`Mempool::charged_bytes`]). Occupancy, the watermarks and the
 //!   eviction accounting all move in charges;
 //! * its **block**, the memory it actually holds: the value rounded up
-//!   to a finer class — 16, 32, 48 and 64 B, then four classes per
-//!   doubling (`p/2 + i·p/8` for `i = 1..=4`: 80, 96, 112, 128, 160,
-//!   192, …), so a block above 64 B is at most 25 % over its value.
-//!   A block never exceeds its charge. Freelists are kept per block
-//!   class.
+//!   to a finer class — steps of 16 B up to 4 KiB (16, 32, 48, …,
+//!   4 096: 256 classes), then four classes per doubling (`p/2 + i·p/8`
+//!   for `i = 1..=4`: 5 120, 6 144, 7 168, 8 192, 10 240, …). Up to
+//!   4 KiB a block is less than 16 B over its value; above it, at most
+//!   25 %. The steps stop at one page because 16 B steps past it would
+//!   be hundreds of classes per doubling. A block never exceeds its
+//!   charge. Freelists are kept per block class.
 //!
-//! Every length in a block class has the same charge (the classes
-//! above 64 B lie inside one `(p/2, p]`), so a block's class alone
-//! names the charge it carries.
+//! Every length in a block class has the same charge (a class above
+//! 64 B lies inside one `(p/2, p]`), so a block's class alone names the
+//! charge it carries.
+//!
+//! Fine classes strand freed blocks: a block serves only the lengths of
+//! its own class. So when a value's class has no free block,
+//! [`Mempool::reserve`] takes the smallest free block that is at most
+//! 25 % over the value **and carries the same charge**, so that what the
+//! value debits is what its block credits back. A bitmap with one bit
+//! per non-empty freelist finds that block with a few word loads, not a
+//! lock per class. A borrowed block goes back to its own class's
+//! freelist.
 //!
 //! As in `rte_mempool`, a block's bookkeeping lives in the block's own
 //! memory: each block is one allocation, a 24 B header (reference
@@ -60,13 +71,16 @@ use std::sync::Arc;
 /// Smallest charge class, bytes.
 const MIN_CLASS: usize = 64;
 
-/// Step of the block classes up to [`MIN_CLASS`], bytes.
+/// Step of the block classes up to [`PAGE_BLOCK`], bytes.
 const MIN_BLOCK: usize = 16;
 
-/// Block classes from [`MIN_BLOCK`] up to [`MIN_CLASS`].
-const SMALL_BLOCK_CLASSES: usize = MIN_CLASS / MIN_BLOCK;
+/// The largest block class reached in [`MIN_BLOCK`] steps: one page.
+const PAGE_BLOCK: usize = 4096;
 
-/// Block classes per doubling above [`MIN_CLASS`].
+/// Block classes from [`MIN_BLOCK`] up to [`PAGE_BLOCK`].
+const STEP_BLOCK_CLASSES: usize = PAGE_BLOCK / MIN_BLOCK;
+
+/// Block classes per doubling above [`PAGE_BLOCK`].
 const BLOCKS_PER_DOUBLING: usize = 4;
 
 /// Bytes of bookkeeping ahead of every block's bytes, in the same
@@ -104,35 +118,52 @@ pub struct MempoolStats {
     /// less the 24 B header each block carries. A recycled block adds
     /// nothing.
     pub held_bytes: usize,
-    /// Bytes of the blocks on the freelists, summed when the snapshot is
-    /// taken. `held_bytes - free_bytes` is what live values hold, which
-    /// never exceeds `used_bytes`.
+    /// Bytes of the blocks on the freelists, counted as blocks are
+    /// pushed and popped. `held_bytes - free_bytes` is what live values
+    /// hold, which never exceeds `used_bytes`.
     pub free_bytes: usize,
+    /// The lengths of the live values, counted when a value is sealed
+    /// and when its last handle drops. A block is at most 25 % plus
+    /// 16 B over the length it was reserved for, so unless values were
+    /// truncated, live blocks are at most `1.25 × value_bytes` plus 16 B
+    /// per live value.
+    pub value_bytes: usize,
 }
 
 /// The block class of a value of `len` bytes (see the module doc).
 fn block_class_of(len: usize) -> usize {
-    if len <= MIN_CLASS {
+    if len <= PAGE_BLOCK {
         return len.max(1).div_ceil(MIN_BLOCK) - 1;
     }
     let p = len.next_power_of_two();
-    let doublings = (p / (2 * MIN_CLASS)).trailing_zeros() as usize;
+    let doublings = (p / (2 * PAGE_BLOCK)).trailing_zeros() as usize;
     let step = p / (2 * BLOCKS_PER_DOUBLING);
     let i = (len - p / 2).div_ceil(step);
-    SMALL_BLOCK_CLASSES + doublings * BLOCKS_PER_DOUBLING + i - 1
+    STEP_BLOCK_CLASSES + doublings * BLOCKS_PER_DOUBLING + i - 1
 }
 
 /// Bytes of a block of class `class`.
 fn block_bytes(class: usize) -> usize {
-    if class < SMALL_BLOCK_CLASSES {
+    if class < STEP_BLOCK_CLASSES {
         return (class + 1) * MIN_BLOCK;
     }
     let (doublings, i) = (
-        (class - SMALL_BLOCK_CLASSES) / BLOCKS_PER_DOUBLING,
-        (class - SMALL_BLOCK_CLASSES) % BLOCKS_PER_DOUBLING + 1,
+        (class - STEP_BLOCK_CLASSES) / BLOCKS_PER_DOUBLING,
+        (class - STEP_BLOCK_CLASSES) % BLOCKS_PER_DOUBLING + 1,
     );
-    let p = (2 * MIN_CLASS) << doublings;
+    let p = (2 * PAGE_BLOCK) << doublings;
     p / 2 + i * p / (2 * BLOCKS_PER_DOUBLING)
+}
+
+/// The block classes that may hold a value of `len` bytes charged
+/// `charge`: its own class, then every larger one whose blocks are at
+/// most 25 % over the value and inside the same charge.
+fn fitting_classes(len: usize, charge: usize) -> std::ops::RangeInclusive<usize> {
+    let own = block_class_of(len);
+    let limit = charge.min(len + len / 4);
+    // The largest class whose blocks are at most `limit` bytes.
+    let last = block_class_of(limit + 1).saturating_sub(1);
+    own..=last.max(own)
 }
 
 /// The charge every value held in a block of class `class` carries.
@@ -261,10 +292,18 @@ struct Inner {
     /// Freelists per block class; class `b` holds blocks of
     /// `block_bytes(b)` bytes, each owned by its list.
     blocks: Vec<Mutex<Vec<Block>>>,
+    /// One bit per block class (bit `b % 64` of word `b / 64`), set
+    /// while its freelist is non-empty; written only under that list's
+    /// mutex, read without it.
+    nonempty: Box<[AtomicU64]>,
     max_class_bytes: usize,
     capacity: usize,
     used: AtomicUsize,
     held: AtomicUsize,
+    /// Bytes of the blocks on the freelists; moved under their mutexes.
+    free: AtomicUsize,
+    /// Lengths of the sealed values alive.
+    values: AtomicUsize,
     allocs: AtomicU64,
     reuses: AtomicU64,
     failures: AtomicU64,
@@ -274,10 +313,10 @@ struct Inner {
 
 // SAFETY: `blocks` holds raw block pointers, each owned by its freelist
 // alone and moved in and out only under that list's mutex; a popped
-// block goes to one reservation. Every other field (`max_class_bytes`,
-// `capacity`, and the atomic counters `used`, `held`, `allocs`,
-// `reuses`, `failures`, `frees`, `copied`) is plain data or an atomic,
-// safe to send and to share.
+// block goes to one reservation. Every other field (`nonempty`,
+// `max_class_bytes`, `capacity`, and the atomic counters `used`,
+// `held`, `free`, `values`, `allocs`, `reuses`, `failures`, `frees`,
+// `copied`) is plain data or an atomic, safe to send and to share.
 unsafe impl Send for Inner {}
 // SAFETY: as for `Send`: shared access reaches the freelists only
 // through their mutexes, and the other fields are immutable or atomic.
@@ -303,8 +342,43 @@ impl Inner {
     fn release(&self, block: Block) {
         self.frees.fetch_add(1, Ordering::Relaxed);
         let class = block.class();
+        let mut freelist = self.blocks[class].lock();
+        freelist.push(block);
+        if freelist.len() == 1 {
+            self.nonempty[class / 64].fetch_or(1 << (class % 64), Ordering::Relaxed);
+        }
+        self.free.fetch_add(block_bytes(class), Ordering::Relaxed);
+        drop(freelist);
         self.used.fetch_sub(block_charge(class), Ordering::Relaxed);
-        self.blocks[class].lock().push(block);
+    }
+
+    /// Pops a block off the first non-empty freelist among `classes`,
+    /// skipping the empty ones by their bits. A bit read stale costs a
+    /// lock that finds the list empty, or a block not reused.
+    fn pop_first(&self, classes: std::ops::RangeInclusive<usize>) -> Option<Block> {
+        let (mut class, last) = classes.into_inner();
+        while class <= last {
+            let word =
+                self.nonempty[class / 64].load(Ordering::Relaxed) & (u64::MAX << (class % 64));
+            if word == 0 {
+                class = (class / 64 + 1) * 64;
+                continue;
+            }
+            class = class / 64 * 64 + word.trailing_zeros() as usize;
+            if class > last {
+                break;
+            }
+            let mut freelist = self.blocks[class].lock();
+            if let Some(block) = freelist.pop() {
+                if freelist.is_empty() {
+                    self.nonempty[class / 64].fetch_and(!(1 << (class % 64)), Ordering::Relaxed);
+                }
+                self.free.fetch_sub(block_bytes(class), Ordering::Relaxed);
+                return Some(block);
+            }
+            class += 1;
+        }
+        None
     }
 }
 
@@ -338,10 +412,15 @@ impl Mempool {
         Mempool {
             inner: Arc::new(Inner {
                 blocks: (0..num_blocks).map(|_| Mutex::new(Vec::new())).collect(),
+                nonempty: (0..num_blocks.div_ceil(64))
+                    .map(|_| AtomicU64::new(0))
+                    .collect(),
                 max_class_bytes,
                 capacity: capacity_bytes,
                 used: AtomicUsize::new(0),
                 held: AtomicUsize::new(0),
+                free: AtomicUsize::new(0),
+                values: AtomicUsize::new(0),
                 allocs: AtomicU64::new(0),
                 reuses: AtomicU64::new(0),
                 failures: AtomicU64::new(0),
@@ -386,9 +465,9 @@ impl Mempool {
             return None;
         }
 
-        let block_class = block_class_of(len);
-        let recycled = inner.blocks[block_class].lock().pop();
-        let block = match recycled {
+        let classes = fitting_classes(len, class_bytes);
+        let block_class = *classes.start();
+        let block = match inner.pop_first(classes) {
             Some(b) => {
                 inner.reuses.fetch_add(1, Ordering::Relaxed);
                 b
@@ -439,12 +518,8 @@ impl Mempool {
             used_bytes: i.used.load(Ordering::Relaxed),
             capacity_bytes: i.capacity,
             held_bytes: i.held.load(Ordering::Relaxed),
-            free_bytes: i
-                .blocks
-                .iter()
-                .enumerate()
-                .map(|(class, freelist)| freelist.lock().len() * block_bytes(class))
-                .sum(),
+            free_bytes: i.free.load(Ordering::Relaxed),
+            value_bytes: i.values.load(Ordering::Relaxed),
         }
     }
 }
@@ -544,6 +619,10 @@ impl PoolBytesMut {
         // SAFETY: this reservation owns the block alone; the pool
         // reference stays in the header.
         unsafe { block.set(self.len, pool) };
+        // SAFETY: a reserved block's header holds a pool reference.
+        unsafe { &*pool }
+            .values
+            .fetch_add(self.len, Ordering::Relaxed);
         block.header().refs.store(1, Ordering::Relaxed);
         std::mem::forget(self);
         PoolBytes(block)
@@ -617,9 +696,14 @@ impl Drop for PoolBytes {
             return;
         }
         fence(Ordering::Acquire);
-        // SAFETY: this was the last handle, so it owns the block alone;
-        // a sealed block's header holds the pool reference its
+        let header = self.0.header();
+        // SAFETY: a sealed block's header holds the pool reference its
         // reservation took.
+        unsafe { &*header.pool }
+            .values
+            .fetch_sub(header.len, Ordering::Relaxed);
+        // SAFETY: this was the last handle, so it owns the block alone,
+        // and its header still holds that pool reference.
         unsafe { self.0.give_back() }
     }
 }
@@ -815,7 +899,8 @@ mod tests {
     fn every_length_gets_the_smallest_block_that_fits() {
         let max = 1 << 20;
         let pool = Mempool::new(1 << 30, max);
-        assert_eq!(pool.inner.blocks.len(), 60, "block classes at 1 MiB");
+        assert_eq!(pool.inner.blocks.len(), 288, "block classes at 1 MiB");
+        assert_eq!(pool.inner.nonempty.len(), 5, "one bit per class");
         for len in 1..=max {
             let class = block_class_of(len);
             let block = block_bytes(class);
@@ -827,7 +912,9 @@ mod tests {
                     class - 1
                 );
             }
-            if len > MIN_CLASS {
+            if len <= PAGE_BLOCK {
+                assert_eq!(block, len.next_multiple_of(16), "{len} B in 16 B steps");
+            } else {
                 assert!(
                     4 * block <= 5 * len,
                     "{len} B in a {block} B block is over 25 %"
@@ -837,10 +924,26 @@ mod tests {
                 block <= pool.charged_bytes(len).unwrap(),
                 "{len} B: block over charge"
             );
+            let charge = pool.charged_bytes(len).unwrap();
             assert_eq!(
                 block_charge(class),
-                pool.charged_bytes(len).unwrap(),
+                charge,
                 "{len} B: the block class names the charge"
+            );
+            // It may borrow a larger block only of its charge and at most
+            // 25 % over it, and every such class is in its range.
+            let classes = fitting_classes(len, charge);
+            assert_eq!(*classes.start(), class);
+            for borrowed in classes.clone().skip(1) {
+                assert!(4 * block_bytes(borrowed) <= 5 * len, "{len} B: {borrowed}");
+                assert_eq!(block_charge(borrowed), charge, "{len} B: {borrowed}");
+            }
+            let next = classes.end() + 1;
+            assert!(
+                next == pool.inner.blocks.len()
+                    || 4 * block_bytes(next) > 5 * len
+                    || block_charge(next) != charge,
+                "{len} B could borrow class {next} too"
             );
         }
         assert_eq!(block_class_of(max), pool.inner.blocks.len() - 1);
@@ -851,33 +954,69 @@ mod tests {
         let pool = Mempool::new(1 << 20, 1 << 16);
         let mut r = pool.reserve(1040).unwrap();
         assert_eq!(pool.used_bytes(), 2048, "charged its power of two");
-        assert_eq!(pool.stats().held_bytes, 1280, "held in its block");
+        assert_eq!(pool.stats().held_bytes, 1040, "held in its block");
         r.write_at(0, &[3u8; 1040]);
         r.truncate(1024);
         let sealed = r.seal();
         assert_eq!(sealed.charged_bytes(), 2048);
-        assert_eq!(block_bytes(sealed.0.class()), 1280);
+        assert_eq!(block_bytes(sealed.0.class()), 1040);
         assert_eq!(pool.used_bytes(), 2048);
+        assert_eq!(pool.stats().value_bytes, 1024, "the sealed length");
         drop(sealed);
         let s = pool.stats();
-        assert_eq!((s.used_bytes, s.held_bytes, s.free_bytes), (0, 1280, 1280));
+        assert_eq!(
+            (s.used_bytes, s.held_bytes, s.free_bytes, s.value_bytes),
+            (0, 1040, 1040, 0)
+        );
     }
 
     #[test]
-    fn a_freed_block_serves_only_its_block_class() {
+    fn a_freed_block_serves_values_of_its_charge_within_a_quarter() {
         let pool = Mempool::new(1 << 20, 1 << 16);
-        drop(pool.alloc_from(&[1u8; 1280]).unwrap());
-        let bigger = pool.alloc_from(&[2u8; 1300]).unwrap();
-        assert_eq!(pool.stats().reuses, 0, "1 300 B needs a 1 536 B block");
-        let smaller = pool.alloc_from(&[3u8; 1100]).unwrap();
-        assert_eq!(pool.stats().reuses, 1, "1 100 B takes the 1 280 B block");
-        assert_eq!(bigger.charged_bytes(), 2048);
-        assert_eq!(smaller.charged_bytes(), 2048);
+        drop(pool.alloc_from(&[1u8; 1040]).unwrap());
+        let bigger = pool.alloc_from(&[2u8; 1050]).unwrap();
+        assert_eq!(pool.stats().reuses, 0, "1 050 B needs a 1 056 B block");
+        let other_charge = pool.alloc_from(&[3u8; 1000]).unwrap();
+        assert_eq!(pool.stats().reuses, 0, "1 000 B is charged 1 024 B");
+        let smaller = pool.alloc_from(&[4u8; 1030]).unwrap();
+        assert_eq!(pool.stats().reuses, 1, "1 030 B takes the 1 040 B block");
+        assert_eq!(block_bytes(smaller.0.class()), 1040);
+        assert_eq!(
+            (bigger.charged_bytes(), other_charge.charged_bytes()),
+            (2048, 1024)
+        );
         let s = pool.stats();
         assert_eq!(
             (s.used_bytes, s.held_bytes, s.free_bytes),
-            (4096, 1280 + 1536, 0)
+            (2048 + 2048 + 1024, 1040 + 1056 + 1008, 0)
         );
+    }
+
+    #[test]
+    fn an_empty_class_borrows_the_smallest_fitting_block() {
+        let pool = Mempool::new(1 << 24, 1 << 16);
+        let (a, b) = (
+            pool.alloc_from(&[1u8; 1280]).unwrap(),
+            pool.alloc_from(&[1u8; 1120]).unwrap(),
+        );
+        drop((a, b));
+        let v = pool.alloc_from(&[2u8; 1100]).unwrap();
+        assert_eq!(block_bytes(v.0.class()), 1120, "the smaller of two fits");
+        assert_eq!(v.charged_bytes(), 2048);
+        assert_eq!(pool.used_bytes(), 2048);
+        drop(v);
+        let home = |bytes| pool.inner.blocks[block_class_of(bytes)].lock().len();
+        assert_eq!((home(1104), home(1120), home(1280)), (0, 1, 1), "back home");
+        // Above 4 KiB the same 25 % bound holds: 5 000 B may take a
+        // 6 144 B block, 4 500 B may not.
+        drop(pool.alloc_from(&[3u8; 6144]).unwrap());
+        let _small = pool.alloc_from(&[4u8; 4500]).unwrap();
+        assert_eq!(home(6144), 1, "6 144 B is over 4 500 B by 36 %");
+        let large = pool.alloc_from(&[5u8; 5000]).unwrap();
+        assert_eq!((home(6144), block_bytes(large.0.class())), (0, 6144));
+        let s = pool.stats();
+        assert_eq!((s.allocs, s.reuses), (6, 2));
+        assert_eq!(s.held_bytes, 1280 + 1120 + 6144 + 5120);
     }
 
     #[test]
@@ -909,8 +1048,8 @@ mod tests {
         }
         let s = pool.stats();
         assert_eq!((s.allocs, s.frees, s.used_bytes), (1, 1, 0));
-        assert_eq!(s.free_bytes, 1024, "the block is on its freelist once");
-        assert_eq!(s.held_bytes, 1024);
+        assert_eq!(s.free_bytes, 1008, "the block is on its freelist once");
+        assert_eq!(s.held_bytes, 1008);
     }
 
     #[test]
@@ -949,5 +1088,98 @@ mod tests {
         let s = pool.stats();
         assert_eq!(s.allocs, 8000);
         assert_eq!(s.frees, 8000);
+    }
+
+    /// Four threads reserve, seal, truncate, abandon and drop values of
+    /// lengths bunched so that a class is often empty while a neighbour
+    /// holds blocks; between rounds, with every thread parked, the pool's
+    /// books must agree with the values alive.
+    #[test]
+    fn four_threads_reserving_and_dropping_keep_the_books() {
+        use std::sync::Barrier;
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 12;
+        let pool = Mempool::new(1 << 30, 1 << 16);
+        let live: Arc<Vec<Mutex<Vec<PoolBytes>>>> =
+            Arc::new((0..THREADS).map(|_| Mutex::new(Vec::new())).collect());
+        let barrier = Arc::new(Barrier::new(THREADS + 1));
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (pool, live, barrier) = (pool.clone(), live.clone(), barrier.clone());
+                std::thread::spawn(move || {
+                    let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ t as u64;
+                    let mut rng = move || {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state
+                    };
+                    for _ in 0..ROUNDS {
+                        for _ in 0..400 {
+                            let mut mine = live[t].lock();
+                            let r = rng();
+                            if r % 5 < 2 && !mine.is_empty() {
+                                let i = (r >> 8) as usize % mine.len();
+                                drop(mine.swap_remove(i));
+                                continue;
+                            }
+                            let base = [1, 1000, 4000, 30_000][(r >> 8) as usize % 4];
+                            let len = base + (r >> 16) as usize % (base / 8 + 64);
+                            let mut v = pool.reserve(len).unwrap();
+                            v.write_at(len - 1, &[t as u8]);
+                            match r >> 40 & 7 {
+                                0 => drop(v),
+                                1 => mine.push({
+                                    v.truncate(len - 1);
+                                    v.seal()
+                                }),
+                                _ => mine.push(v.seal()),
+                            }
+                        }
+                        barrier.wait();
+                        barrier.wait();
+                    }
+                })
+            })
+            .collect();
+        for round in 0..ROUNDS {
+            barrier.wait();
+            let guards: Vec<_> = live.iter().map(|l| l.lock()).collect();
+            let (mut count, mut charged, mut blocks, mut lengths) = (0, 0, 0, 0);
+            for v in guards.iter().flat_map(|l| l.iter()) {
+                count += 1;
+                charged += v.charged_bytes();
+                blocks += block_bytes(v.0.class());
+                lengths += v.len();
+            }
+            let s = pool.stats();
+            assert_eq!(charged, s.used_bytes, "round {round}: audit == used");
+            assert_eq!(s.held_bytes - s.free_bytes, blocks, "round {round}");
+            assert!(blocks <= s.used_bytes, "round {round}: held - free <= used");
+            assert_eq!(
+                s.allocs - s.frees,
+                count,
+                "round {round}: one block a value"
+            );
+            assert_eq!(s.value_bytes, lengths, "round {round}");
+            let mut walked = 0;
+            for (class, freelist) in pool.inner.blocks.iter().enumerate() {
+                let n = freelist.lock().len();
+                walked += n * block_bytes(class);
+                let bit =
+                    pool.inner.nonempty[class / 64].load(Ordering::Relaxed) >> (class % 64) & 1;
+                assert_eq!(bit == 1, n > 0, "round {round}: class {class} holds {n}");
+            }
+            assert_eq!(
+                s.free_bytes, walked,
+                "round {round}: the counter is the walk"
+            );
+            drop(guards);
+            barrier.wait();
+        }
+        for w in workers {
+            w.join().unwrap();
+        }
+        assert!(pool.stats().reuses > 0);
     }
 }

@@ -928,6 +928,10 @@ impl minos_obs::Collector for Store {
         out.push(("mempool.held_bytes".to_string(), Gauge(m.held_bytes as f64)));
         out.push(("mempool.free_bytes".to_string(), Gauge(m.free_bytes as f64)));
         out.push((
+            "mempool.value_bytes".to_string(),
+            Gauge(m.value_bytes as f64),
+        ));
+        out.push((
             "mempool.capacity_bytes".to_string(),
             Gauge(m.capacity_bytes as f64),
         ));

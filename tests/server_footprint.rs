@@ -153,8 +153,11 @@ fn cfcfs_adds_the_shared_ring() {
 const LOADED_KEYS: u64 = 20_000;
 
 /// A value length whose charge (2 048 B, its power of two) and block
-/// (1 280 B, its block class) differ.
+/// (1 040 B: itself, a multiple of the 16 B block step) differ.
 const LOADED_VALUE: usize = 1_040;
+
+/// The block each loaded value is held in.
+const LOADED_BLOCK: f64 = 1_040.0;
 
 /// What a stored item holds beyond its block: the block's 24 B header
 /// and the allocator's 8 B chunk header, rounded up to 16 B, in the
@@ -255,13 +258,17 @@ fn a_loaded_server_holds_blocks_sized_to_its_values() {
     // A resent PUT that had already landed replaces its value: the new
     // block is fresh and the old one waits on a freelist. Live blocks
     // are exactly one per key either way.
-    assert_eq!(held - free, keys * 1280.0, "each value is held in 1 280 B");
+    assert_eq!(
+        held - free,
+        keys * LOADED_BLOCK,
+        "each value is held in 1 040 B"
+    );
     assert!(
-        free <= resent as f64 * 1280.0,
+        free <= resent as f64 * LOADED_BLOCK,
         "{free} B free after {resent} resends"
     );
     if resent == 0 {
-        assert_eq!(held, keys * 1280.0);
+        assert_eq!(held, keys * LOADED_BLOCK);
     }
     assert_eq!(
         gauge("mempool.allocs") - gauge("mempool.frees"),

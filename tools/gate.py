@@ -311,6 +311,12 @@ GATES = {
                     f"live blocks {r['srv']['mempool.held_bytes'] - r['srv']['mempool.free_bytes']:.0f} B "
                     f"(held {r['srv']['mempool.held_bytes']:.0f} - free {r['srv']['mempool.free_bytes']:.0f}) "
                     f"<= charged {r['srv']['mempool.used_bytes']:.0f} B")),
+        ("blocks-fit-values", "mempool.held_bytes mempool.free_bytes mempool.value_bytes store.items",
+         lambda r: (r["srv"]["mempool.held_bytes"] - r["srv"]["mempool.free_bytes"]
+                    <= 1.25 * r["srv"]["mempool.value_bytes"] + 16 * r["srv"]["store.items"],
+                    f"live blocks {r['srv']['mempool.held_bytes'] - r['srv']['mempool.free_bytes']:.0f} B "
+                    f"<= 1.25 x values {r['srv']['mempool.value_bytes']:.0f} B "
+                    f"+ 16 B x {r['srv']['store.items']:.0f} items")),
         ("live-blocks", "mempool.allocs mempool.frees store.items",
          lambda r: (r["srv"]["mempool.allocs"] - r["srv"]["mempool.frees"] == r["srv"]["store.items"],
                     f"{r['srv']['mempool.allocs'] - r['srv']['mempool.frees']:.0f} blocks out "
