@@ -119,7 +119,7 @@ fn main() {
         ("bytes", CostFn::Bytes),
         ("const+bytes", CostFn::ConstantPlusBytes { constant: 1_000 }),
     ] {
-        let mut c = ThresholdController::new(ThresholdMode::Dynamic, 99.0, 0.9, cost_fn);
+        let mut c = ThresholdController::new(ThresholdMode::Dynamic, cost_fn);
         let d = c.epoch_update(&hist);
         let a = allocate(8, d.small_cost_share);
         println!(

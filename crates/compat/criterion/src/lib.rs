@@ -11,6 +11,10 @@
 //! criterion's other statistics, on two stdout lines: a human one and
 //! one JSON object,
 //! `{"bench":NAME,"median_ns":M,"q1_ns":Q1,"q3_ns":Q3,"samples":N,"iters":I}`.
+//!
+//! As in criterion, the first command-line argument that is not a flag
+//! filters the rows: `cargo bench --bench B -- put_bestfit` runs only
+//! the rows whose full id (`group/name`) contains `put_bestfit`.
 
 use std::time::{Duration, Instant};
 
@@ -142,9 +146,27 @@ impl Default for Config {
 }
 
 /// The benchmark manager.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Criterion {
     config: Config,
+    /// Only rows whose id contains this run (the first non-flag
+    /// argument, if any).
+    filter: Option<String>,
+}
+
+impl Default for Criterion {
+    fn default() -> Self {
+        Criterion {
+            config: Config::default(),
+            filter: std::env::args().skip(1).find(|arg| !arg.starts_with('-')),
+        }
+    }
+}
+
+/// True when the row `id` passes `filter`: no filter, or `id` contains
+/// it.
+fn selected(filter: Option<&str>, id: &str) -> bool {
+    filter.is_none_or(|f| id.contains(f))
 }
 
 impl Criterion {
@@ -167,11 +189,14 @@ impl Criterion {
         self
     }
 
-    /// Runs one named benchmark.
+    /// Runs one named benchmark, unless the filter leaves it out.
     pub fn bench_function<F>(&mut self, name: &str, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
+        if !selected(self.filter.as_deref(), name) {
+            return self;
+        }
         let mut b = Bencher {
             config: &self.config,
             name: name.to_string(),
@@ -249,4 +274,40 @@ macro_rules! criterion_main {
             $($group();)+
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_filter_matches_any_part_of_the_full_id() {
+        let id = "kv/put_bestfit_mixed";
+        for filter in [None, Some("put_bestfit"), Some("kv/put"), Some(id)] {
+            assert!(selected(filter, id), "{filter:?}");
+        }
+        assert!(!selected(Some("put_bestfit"), "kv/get_hit"));
+        assert!(!selected(Some("net/"), id));
+    }
+
+    #[test]
+    fn a_filtered_out_row_never_runs_its_routine() {
+        let mut c = Criterion {
+            config: Config {
+                warm_up_time: Duration::ZERO,
+                measurement_time: Duration::from_millis(1),
+                samples: MIN_SAMPLES,
+            },
+            filter: Some("put_bestfit".into()),
+        };
+        let mut ran = Vec::new();
+        let mut group = c.benchmark_group("kv");
+        for name in ["get_hit", "put_bestfit_mixed"] {
+            group.bench_function(name, |b| {
+                ran.push(name);
+                b.iter(|| 1 + 1);
+            });
+        }
+        assert_eq!(ran, ["put_bestfit_mixed"]);
+    }
 }

@@ -1,14 +1,24 @@
 //! Configuration of the Minos engine.
 
-use crate::cost::CostFn;
 use crate::dispatch::DisciplineKind;
+
+/// RX batch size `B`: the requests a core takes from one RX queue per
+/// poll round, and the most datagrams a TX burst stages before it is
+/// sent (32 in the paper, §5.2).
+pub const BATCH: usize = 32;
+
+/// Capacity of each core's software queue, in requests, in every server
+/// (the queue is a tail-drop bound: a full queue drops the handoff and
+/// counts it in `engine.soft_queue_drops`), deep enough for the bursts
+/// of unpaced clients such as the tests'.
+pub const SOFT_QUEUE_CAPACITY: usize = 65_536;
 
 /// How the size threshold between small and large is chosen.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ThresholdMode {
     /// The paper's control loop: every epoch, core 0 aggregates the
     /// per-core size histograms, smooths them, and sets the threshold to
-    /// the configured percentile of request sizes.
+    /// the [`crate::threshold::THRESHOLD_PERCENTILE`] of request sizes.
     Dynamic,
     /// A fixed threshold, for workloads profiled off-line (the variant
     /// §6.2 describes to reclaim the profiling overhead under
@@ -38,36 +48,16 @@ pub enum AllocationPolicy {
 pub struct MinosConfig {
     /// Server cores (and NIC queue pairs). The paper's testbed has 8.
     pub n_cores: usize,
-    /// RX batch size `B` (32 in the paper).
-    pub batch_size: usize,
     /// Statistics epoch in nanoseconds (1 s in the paper).
     pub epoch_ns: u64,
-    /// EWMA discount factor for epoch smoothing (0.9 in the paper).
-    pub alpha: f64,
-    /// The percentile of request sizes that defines the threshold
-    /// (99.0: "finds the size corresponding to the 99th percentile,
-    /// declares that size to be the threshold").
-    pub threshold_percentile: f64,
     /// Threshold selection mode.
     pub threshold_mode: ThresholdMode,
-    /// The per-request cost function.
-    pub cost_fn: CostFn,
-    /// Capacity of each large core's software queue, in requests.
-    pub soft_queue_capacity: usize,
     /// Length of one reassembly round in nanoseconds. A partially
     /// reassembled message that receives no fragment for two completed
     /// rounds is evicted and its mempool reservation released (the
     /// counterpart of client retransmission: a lost fragment means a
     /// lost request, and the server must not strand memory for it).
     pub reassembly_round_ns: u64,
-    /// Maximum concurrent *discard-mode* ingests (large PUTs accepted
-    /// without a mempool reservation, purely to answer `OutOfMemory`)
-    /// one source endpoint may hold. Under memory pressure a malicious
-    /// client could otherwise open unbounded partial-ingest state and
-    /// monopolize the reassembler; over-quota opens are rejected with an
-    /// immediate `OutOfMemory` and counted in
-    /// `ingest.discard_quota_rejects`.
-    pub discard_quota_per_source: u32,
     /// The queue discipline placing decoded requests onto cores. The
     /// default is the paper's size-aware sharding; the alternatives
     /// (the paper's hkh and sho baselines, and cfcfs and dfcfs, the
@@ -98,15 +88,9 @@ impl Default for MinosConfig {
     fn default() -> Self {
         MinosConfig {
             n_cores: 8,
-            batch_size: 32,
             epoch_ns: 1_000_000_000,
-            alpha: 0.9,
-            threshold_percentile: 99.0,
             threshold_mode: ThresholdMode::Dynamic,
-            cost_fn: CostFn::Packets,
-            soft_queue_capacity: 4096,
             reassembly_round_ns: 1_000_000_000,
-            discard_quota_per_source: 8,
             discipline: DisciplineKind::SizeAware,
             steal: false,
             shed_watermark: 0,
@@ -120,29 +104,16 @@ impl MinosConfig {
         if self.n_cores == 0 {
             return Err("n_cores must be positive".into());
         }
-        if self.batch_size == 0 {
-            return Err("batch_size must be positive".into());
-        }
-        if !(0.0..=1.0).contains(&self.alpha) {
-            return Err("alpha must be in [0, 1]".into());
-        }
-        if !(0.0..=100.0).contains(&self.threshold_percentile) {
-            return Err("threshold_percentile must be in [0, 100]".into());
-        }
         if self.epoch_ns == 0 {
             return Err("epoch_ns must be positive".into());
-        }
-        if self.soft_queue_capacity == 0 {
-            return Err("soft_queue_capacity must be positive".into());
         }
         if self.reassembly_round_ns == 0 {
             return Err("reassembly_round_ns must be positive".into());
         }
-        if self.discard_quota_per_source == 0 {
-            return Err("discard_quota_per_source must be positive".into());
-        }
-        if self.shed_watermark > self.soft_queue_capacity {
-            return Err("shed_watermark above soft_queue_capacity would never fire".into());
+        if self.shed_watermark > SOFT_QUEUE_CAPACITY {
+            return Err(format!(
+                "shed_watermark above the software queue capacity ({SOFT_QUEUE_CAPACITY}) would never fire"
+            ));
         }
         if let DisciplineKind::Sho { handoff } = self.discipline {
             if handoff == 0 || handoff >= self.n_cores {
@@ -159,14 +130,19 @@ mod tests {
 
     #[test]
     fn default_matches_paper() {
+        use crate::ingest::DISCARD_QUOTA_PER_SOURCE;
+        use crate::server::NIC_QUEUE_CAPACITY;
+        use crate::threshold::{ALPHA, THRESHOLD_PERCENTILE};
+        assert_eq!(BATCH, 32);
+        assert_eq!(ALPHA, 0.9);
+        assert_eq!(THRESHOLD_PERCENTILE, 99.0);
+        assert_eq!(SOFT_QUEUE_CAPACITY, 65_536);
+        assert_eq!(NIC_QUEUE_CAPACITY, 65_536);
+        assert_eq!(DISCARD_QUOTA_PER_SOURCE, 8);
         let c = MinosConfig::default();
         assert_eq!(c.n_cores, 8);
-        assert_eq!(c.batch_size, 32);
         assert_eq!(c.epoch_ns, 1_000_000_000);
-        assert_eq!(c.alpha, 0.9);
-        assert_eq!(c.threshold_percentile, 99.0);
         assert_eq!(c.threshold_mode, ThresholdMode::Dynamic);
-        assert_eq!(c.cost_fn, CostFn::Packets);
         assert_eq!(c.discipline, DisciplineKind::SizeAware);
         assert!(!c.steal);
         assert_eq!(c.shed_watermark, 0, "shedding is opt-in");
@@ -177,16 +153,6 @@ mod tests {
     fn validation_catches_bad_configs() {
         let c = MinosConfig {
             n_cores: 0,
-            ..MinosConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = MinosConfig {
-            alpha: 2.0,
-            ..MinosConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = MinosConfig {
-            batch_size: 0,
             ..MinosConfig::default()
         };
         assert!(c.validate().is_err());

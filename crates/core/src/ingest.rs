@@ -36,6 +36,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Discard-mode ingests (large PUTs accepted without a mempool
+/// reservation, only to answer `OutOfMemory`) one source endpoint may
+/// hold at once in a server's [`DiscardQuota`]. Over-quota opens get an
+/// immediate `OutOfMemory` and count in `ingest.discard_quota_rejects`.
+pub const DISCARD_QUOTA_PER_SOURCE: u32 = 8;
+
 /// Caps how many discard-mode ingests one source endpoint may hold
 /// concurrently. Discard mode exists so a PUT that finds the mempool
 /// full still completes with an honest `OutOfMemory` reply — but each

@@ -56,11 +56,14 @@
 //! `minos-server` binary).
 
 use crate::allocation::allocate;
-use crate::config::MinosConfig;
+use crate::config::{MinosConfig, BATCH, SOFT_QUEUE_CAPACITY};
+use crate::cost::CostFn;
 use crate::dispatch::{
     fragment_key, Discipline, DisciplineKind, DrainSchedule, PlaceCtx, Placement, QueueDepths,
 };
-use crate::ingest::{rejected_put_reply, DiscardQuota, OpenOutcome, PutIngest};
+use crate::ingest::{
+    rejected_put_reply, DiscardQuota, OpenOutcome, PutIngest, DISCARD_QUOTA_PER_SOURCE,
+};
 use crate::plan::ShardingPlan;
 use crate::ranges::LargeRanges;
 use crate::threshold::ThresholdController;
@@ -86,6 +89,12 @@ use std::time::Instant;
 /// must differ).
 pub const SERVER_HOST_ID: u32 = 1;
 
+/// Ring capacity per queue of the virtual NIC that
+/// [`MinosServer::start`] builds: as deep as a software queue
+/// ([`SOFT_QUEUE_CAPACITY`]), so an unpaced in-process client's burst
+/// waits in the ring instead of being dropped at it.
+pub const NIC_QUEUE_CAPACITY: usize = SOFT_QUEUE_CAPACITY;
+
 /// Server configuration: engine policy plus store sizing.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -93,8 +102,6 @@ pub struct ServerConfig {
     pub minos: MinosConfig,
     /// Store geometry.
     pub store: StoreConfig,
-    /// NIC ring capacity per queue.
-    pub nic_queue_capacity: usize,
     /// CPUs to pin polling threads to: the thread for core `i` is pinned
     /// to `pin_cpus[i % len]` (the paper pins one thread per physical
     /// core, §5.1). `None` (the default) leaves scheduling to the OS;
@@ -103,19 +110,19 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// A config sized for functional tests: `n_cores` cores and room
-    /// for `n_items` items.
+    /// The config every server is built from, not only test servers:
+    /// `minos-server`, `minos-figures`, the examples and the tests all
+    /// start here with `n_cores` cores and room for `n_items` items,
+    /// then set the policy they want.
     pub fn for_test(n_cores: usize, n_items: usize) -> Self {
         let minos = MinosConfig {
             n_cores,
-            epoch_ns: 50_000_000,        // 50 ms epochs so tests adapt fast
-            soft_queue_capacity: 65_536, // bursty unpaced test clients
+            epoch_ns: 50_000_000, // 50 ms epochs so tests adapt fast
             ..MinosConfig::default()
         };
         ServerConfig {
             minos,
             store: StoreConfig::for_items(n_cores * 4, n_items, 1 << 30),
-            nic_queue_capacity: 65_536,
             pin_cpus: None,
         }
     }
@@ -193,25 +200,6 @@ impl HandoffRing {
     fn bytes(&self) -> usize {
         (self.ring.capacity() + self.spare.capacity()) * 2 * std::mem::size_of::<usize>()
     }
-}
-
-/// Counters specific to the Minos engine.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EngineCounters {
-    /// Requests dropped because a software queue was full.
-    pub soft_queue_drops: u64,
-    /// Epochs the controller has published.
-    pub epochs: u64,
-    /// Malformed payloads dropped.
-    pub malformed: u64,
-    /// Value bytes copied into store-mempool blocks — the one wire →
-    /// pool copy of the ingest path, small and large PUTs alike
-    /// (mirrors `tx_copied_bytes` on the reply path). A one-copy ingest
-    /// keeps this exactly `Σ value_len` over all successful PUTs.
-    pub put_copied_bytes: u64,
-    /// Stale partial reassemblies evicted (their mempool reservations
-    /// released). Non-zero means fragments were lost on the wire.
-    pub reassembly_evictions: u64,
 }
 
 /// Pins every fragment of one in-flight multi-packet message to the core
@@ -356,12 +344,7 @@ impl<T: Transport, C: Clock> Shared<T, C> {
             n as u16,
             "transport must have one queue per core"
         );
-        let controller = ThresholdController::new(
-            config.minos.threshold_mode,
-            config.minos.threshold_percentile,
-            config.minos.alpha,
-            config.minos.cost_fn,
-        );
+        let controller = ThresholdController::new(config.minos.threshold_mode, CostFn::Packets);
         // The initial plan honours the controller's seed decision, so a
         // `Static(t)` threshold is in force from the first packet (it
         // used to be overwritten by the bootstrap plan until the first
@@ -378,19 +361,20 @@ impl<T: Transport, C: Clock> Shared<T, C> {
         };
         let registry = Arc::new(MetricsRegistry::new());
         let discipline = config.minos.discipline.build();
-        let capacity = config.minos.soft_queue_capacity;
         // The shared queue stands in for *all* per-core queues, so it
         // gets their aggregate capacity — equal total backlog before
         // tail-drop, whatever the discipline.
         let shared_queue = (0..n)
             .any(|core| discipline.pulls_shared(core))
-            .then(|| HandoffRing::new(capacity * n));
+            .then(|| HandoffRing::new(SOFT_QUEUE_CAPACITY * n));
         Shared {
             store: Arc::new(Store::new(config.store.clone())),
             plan: RwLock::new(Arc::new(initial)),
             plan_version: AtomicU64::new(0),
             discipline,
-            soft_queues: (0..n).map(|_| HandoffRing::new(capacity)).collect(),
+            soft_queues: (0..n)
+                .map(|_| HandoffRing::new(SOFT_QUEUE_CAPACITY))
+                .collect(),
             shared_queue,
             stats: (0..n).map(|_| SharedCoreStats::new()).collect(),
             size_hists: (0..n).map(|_| AtomicSizeHistogram::new()).collect(),
@@ -410,7 +394,7 @@ impl<T: Transport, C: Clock> Shared<T, C> {
             sheds: registry.counter("dispatch.sheds"),
             epoch_deadline_ns: AtomicU64::new(config.minos.epoch_ns),
             flow_pins: FlowPins::new(4096),
-            discard_quota: DiscardQuota::new(config.minos.discard_quota_per_source),
+            discard_quota: DiscardQuota::new(DISCARD_QUOTA_PER_SOURCE),
             config: config.minos.clone(),
             transport,
             registry,
@@ -530,10 +514,8 @@ fn register_collectors<T: Transport + 'static, C: Clock>(shared: &Arc<Shared<T, 
     registry.register_collector(Box::new(EngineCollector(Arc::downgrade(shared))));
 }
 
-/// The running Minos server, generic over its packet [`Transport`]
-/// (defaulting to the pooled-gather adapter over the in-process virtual
-/// NIC).
-pub struct MinosServer<T: Transport = VirtualTransport> {
+/// The running Minos server, generic over its packet [`Transport`].
+pub struct MinosServer<T: Transport> {
     shared: Arc<Shared<T, WallClock>>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
@@ -547,8 +529,7 @@ impl MinosServer<VirtualTransport> {
     /// [`minos_net::TransportStats::tx_copied_bytes`].
     pub fn start(config: ServerConfig) -> Self {
         let nic = Arc::new(VirtualNic::new(
-            NicConfig::new(config.minos.n_cores as u16)
-                .with_queue_capacity(config.nic_queue_capacity),
+            NicConfig::new(config.minos.n_cores as u16).with_queue_capacity(NIC_QUEUE_CAPACITY),
         ));
         Self::start_with_transport(config, Arc::new(VirtualTransport::new(nic)))
     }
@@ -621,17 +602,6 @@ impl<T: Transport + 'static> MinosServer<T> {
     /// Per-core statistics snapshot.
     pub fn core_stats(&self) -> Vec<CoreStats> {
         self.shared.stats.iter().map(|s| s.snapshot()).collect()
-    }
-
-    /// Engine-specific counters.
-    pub fn counters(&self) -> EngineCounters {
-        EngineCounters {
-            soft_queue_drops: self.shared.soft_drops.get(),
-            epochs: self.shared.epochs.get(),
-            malformed: self.shared.malformed.get(),
-            put_copied_bytes: self.shared.store.mempool().stats().copied_bytes,
-            reassembly_evictions: self.shared.reassembly_evictions.get(),
-        }
     }
 
     /// The unified metric registry: every subsystem's counters, gauges
@@ -726,12 +696,12 @@ impl PlanCache {
         // stale version beside a fresh plan, and the next round reloads.
         let version = shared.plan_version.load(Ordering::Acquire);
         let plan = shared.plan.read().clone();
-        let (discipline, batch) = (&shared.discipline, shared.config.batch_size);
+        let discipline = &shared.discipline;
         PlanCache {
             version,
-            schedule: discipline.rx_drain(core, &plan, batch),
+            schedule: discipline.rx_drain(core, &plan, BATCH),
             pulls_shared: discipline.pulls_shared(core),
-            steal_rx: shared.config.steal && discipline.own_rx_only(&plan, batch),
+            steal_rx: shared.config.steal && discipline.own_rx_only(&plan, BATCH),
             plan,
         }
     }
@@ -782,9 +752,9 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
             clock: shared.clock.clone(),
             local: shared.transport.local_endpoint(id as u16),
             reassembler: StreamingReassembler::new(1024),
-            tx: TxBurst::with_capacity(shared.config.batch_size),
+            tx: TxBurst::with_capacity(BATCH),
             next_msg_id: 0,
-            rx_buf: Vec::with_capacity(shared.config.batch_size * 2),
+            rx_buf: Vec::with_capacity(BATCH * 2),
             rounds: 0,
             reported_evictions: 0,
         }
@@ -921,7 +891,7 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
     /// any.
     fn serve(&mut self, queue: &HandoffRing) -> bool {
         let mut served = false;
-        for _ in 0..self.shared.config.batch_size {
+        for _ in 0..BATCH {
             let Some(item) = queue.pop() else {
                 break;
             };
@@ -978,7 +948,7 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
         let datagrams = self
             .tx
             .stage(self.local, reply_to, reply, msg_id, accepts_bundles);
-        if datagrams > 1 || self.tx.len() >= self.shared.config.batch_size {
+        if datagrams > 1 || self.tx.len() >= BATCH {
             self.flush_tx();
         }
     }
@@ -1056,7 +1026,7 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
         for victim in (1..n).map(|d| (core + d) % n) {
             if shared
                 .transport
-                .rx_burst(victim as u16, &mut self.rx_buf, shared.config.batch_size)
+                .rx_burst(victim as u16, &mut self.rx_buf, BATCH)
                 == 0
             {
                 continue;
@@ -1541,7 +1511,7 @@ fn run_epoch<T: Transport, C: Clock>(shared: &Shared<T, C>) {
         shared.config.n_cores,
         decision,
         controller.smoothed_buckets(),
-        shared.config.cost_fn,
+        CostFn::Packets,
     );
     *shared.plan.write() = Arc::new(plan);
     // Release: a core that sees the new version re-reads the plan

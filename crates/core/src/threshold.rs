@@ -12,6 +12,15 @@ use crate::config::ThresholdMode;
 use crate::cost::CostFn;
 use minos_stats::{SizeHistogram, SmoothedHistogram};
 
+/// The percentile of request sizes that becomes the threshold (§3:
+/// "finds the size corresponding to the 99th percentile, declares that
+/// size to be the threshold").
+pub const THRESHOLD_PERCENTILE: f64 = 99.0;
+
+/// EWMA weight of the newest epoch's histogram when it is folded into
+/// the smoothed one (0.9 in the paper, §3).
+pub const ALPHA: f64 = 0.9;
+
 /// The controller's per-epoch output.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ThresholdDecision {
@@ -47,7 +56,6 @@ impl ThresholdDecision {
 #[derive(Clone, Debug)]
 pub struct ThresholdController {
     mode: ThresholdMode,
-    percentile: f64,
     cost_fn: CostFn,
     smoothed: SmoothedHistogram,
     current: ThresholdDecision,
@@ -55,8 +63,8 @@ pub struct ThresholdController {
 }
 
 impl ThresholdController {
-    /// Creates a controller.
-    pub fn new(mode: ThresholdMode, percentile: f64, alpha: f64, cost_fn: CostFn) -> Self {
+    /// Creates a controller that weighs requests by `cost_fn`.
+    pub fn new(mode: ThresholdMode, cost_fn: CostFn) -> Self {
         let current = match mode {
             ThresholdMode::Dynamic => ThresholdDecision::bootstrap(),
             ThresholdMode::Static(t) => ThresholdDecision {
@@ -67,9 +75,8 @@ impl ThresholdController {
         };
         ThresholdController {
             mode,
-            percentile,
             cost_fn,
-            smoothed: SmoothedHistogram::new(alpha),
+            smoothed: SmoothedHistogram::new(ALPHA),
             current,
             epochs: 0,
         }
@@ -101,7 +108,7 @@ impl ThresholdController {
             ThresholdMode::Static(t) => t,
             ThresholdMode::Dynamic => self
                 .smoothed
-                .percentile(self.percentile)
+                .percentile(THRESHOLD_PERCENTILE)
                 .unwrap_or(ThresholdDecision::bootstrap().threshold),
         };
         let small_cost_share = self.small_cost_share(threshold);
@@ -154,7 +161,7 @@ mod tests {
     }
 
     fn dynamic() -> ThresholdController {
-        ThresholdController::new(ThresholdMode::Dynamic, 99.0, 0.9, CostFn::Packets)
+        ThresholdController::new(ThresholdMode::Dynamic, CostFn::Packets)
     }
 
     #[test]
@@ -201,8 +208,7 @@ mod tests {
 
     #[test]
     fn static_mode_pins_threshold_but_tracks_share() {
-        let mut c =
-            ThresholdController::new(ThresholdMode::Static(1_400), 99.0, 0.9, CostFn::Packets);
+        let mut c = ThresholdController::new(ThresholdMode::Static(1_400), CostFn::Packets);
         let d1 = c.epoch_update(&epoch_hist(10_000, 100, 0, 0));
         assert_eq!(d1.threshold, 1_400);
         assert_eq!(d1.small_cost_share, 1.0);

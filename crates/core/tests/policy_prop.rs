@@ -77,7 +77,7 @@ proptest! {
         h in arb_histogram(),
         n_cores in 1usize..16,
     ) {
-        let mut c = ThresholdController::new(ThresholdMode::Dynamic, 99.0, 0.9, CostFn::Packets);
+        let mut c = ThresholdController::new(ThresholdMode::Dynamic, CostFn::Packets);
         let decision = c.epoch_update(&h);
         prop_assert!((0.0..=1.0).contains(&decision.small_cost_share));
         let plan = ShardingPlan::from_decision(
@@ -103,7 +103,7 @@ proptest! {
     /// moving).
     #[test]
     fn controller_converges_on_steady_input(h in arb_histogram()) {
-        let mut c = ThresholdController::new(ThresholdMode::Dynamic, 99.0, 0.9, CostFn::Packets);
+        let mut c = ThresholdController::new(ThresholdMode::Dynamic, CostFn::Packets);
         let mut last = 0u64;
         for _ in 0..12 {
             last = c.epoch_update(&h).threshold;

@@ -2,8 +2,10 @@
 //! NIC rings, real wire encoding, real store.
 
 use minos_core::client::Client;
+use minos_core::ingest::DISCARD_QUOTA_PER_SOURCE;
 use minos_core::plan::Destination;
 use minos_core::server::{MinosServer, ServerConfig};
+use minos_net::VirtualTransport;
 use minos_wire::message::{OpKind, ReplyStatus};
 use std::time::Duration;
 
@@ -49,7 +51,12 @@ fn lost_fragment_reservation_is_evicted_and_released() {
     }
 
     // ...and two 20 ms rounds later the eviction must have released it.
-    while server.counters().reassembly_evictions == 0 {
+    while server
+        .registry()
+        .counter("ingest.reassembly_evictions")
+        .get()
+        == 0
+    {
         assert!(
             std::time::Instant::now() < deadline,
             "stale partial evicted within the deadline"
@@ -68,7 +75,7 @@ fn lost_fragment_reservation_is_evicted_and_released() {
     server.shutdown();
 }
 
-fn start_server(cores: usize) -> MinosServer {
+fn start_server(cores: usize) -> MinosServer<VirtualTransport> {
     MinosServer::start(ServerConfig::for_test(cores, 10_000))
 }
 
@@ -82,21 +89,24 @@ fn start_server(cores: usize) -> MinosServer {
 fn over_quota_discard_puts_still_get_oom_replies() {
     let mut config = ServerConfig::for_test(2, 10_000);
     // A mempool too small for any large value: every large PUT wants
-    // discard mode. One discard slot per source.
+    // discard mode.
     config.store.mempool_bytes = 1024;
-    config.minos.discard_quota_per_source = 1;
     let mut server = MinosServer::start(config);
     let mut client = Client::new(&server, 1, 45);
 
-    // Pin the client's only discard slot, exactly as a still-draining
-    // discard ingest from the same source would hold it. (Racing real
-    // concurrent PUTs cannot guarantee overlap on a small machine: the
-    // cores may serialize them, closing each ingest before the next
-    // opens.)
+    // Pin every one of the client's discard slots, exactly as
+    // still-draining discard ingests from the same source would hold
+    // them. (Racing real concurrent PUTs cannot guarantee overlap on a
+    // small machine: the cores may serialize them, closing each ingest
+    // before the next opens.)
     let quota = server.discard_quota();
-    let token = quota
-        .try_acquire(client.source_key())
-        .expect("slot initially free");
+    let mut tokens: Vec<_> = (0..DISCARD_QUOTA_PER_SOURCE)
+        .map(|_| {
+            quota
+                .try_acquire(client.source_key())
+                .expect("slot initially free")
+        })
+        .collect();
 
     let value = vec![3u8; 60_000];
     client.send_put(0, &value, true);
@@ -111,8 +121,9 @@ fn over_quota_discard_puts_still_get_oom_replies() {
         "over-quota opens must be counted, got {rejects}"
     );
 
-    // Slot released: the next PUT drains through a discard-mode ingest.
-    drop(token);
+    // One slot released: the next PUT drains through a discard-mode
+    // ingest.
+    drop(tokens.pop());
     client.send_put(1, &value, true);
     assert!(
         client.drain(Duration::from_secs(20)),
@@ -790,10 +801,10 @@ mod burst {
             (stats[0].packets_tx, stats[0].frames_tx),
             (3 + K as u64, 2 * K as u64)
         );
-        assert_eq!(server.counters().malformed, 0);
         let calls = transport.tx_calls();
         assert_eq!(calls.len(), 2, "a datagram of requests, a burst of replies");
         let snap = server.registry().snapshot();
+        assert_eq!(snap.counter("engine.malformed"), Some(0));
         assert_eq!(snap.counter("core.0.frames_tx"), Some(2 * K as u64));
         assert_eq!(snap.counter("core.0.frames_rx"), Some(2 * K as u64));
     }

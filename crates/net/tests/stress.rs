@@ -569,7 +569,8 @@ fn fragmented_puts_keep_rx_pool_bounded() {
             assert_eq!(v.len(), LARGE_LEN);
             assert!(v.iter().all(|&b| b == (5_000 + m) as u8 % 251));
         }
-        assert_eq!(server.counters().reassembly_evictions, 0);
+        let snap = server.registry().snapshot();
+        assert_eq!(snap.counter("ingest.reassembly_evictions"), Some(0));
         server.drain(Duration::from_secs(10));
         assert_eq!(
             transport.io_stats().pool_outstanding,

@@ -29,11 +29,10 @@
 //! over the paper's 16 M-key dataset.
 
 use crate::cost_model::CostModel;
-use minos_core::config::{AllocationPolicy, ThresholdMode};
+use minos_core::config::{AllocationPolicy, ThresholdMode, BATCH};
 use minos_core::dispatch::{Discipline, DisciplineKind, PlaceCtx, Placement, QueueDepths};
 use minos_core::plan::ShardingPlan;
 use minos_core::threshold::ThresholdController;
-use minos_core::MinosConfig;
 use minos_queue_sim::EventQueue;
 use minos_stats::{LatencyHistogram, SizeHistogram};
 use minos_workload::{AccessGenerator, OpenLoop, Operation, PhaseSchedule, Rng};
@@ -45,7 +44,7 @@ pub struct SystemConfig {
     /// The queue discipline the server runs (`SizeAware` is the paper's
     /// Minos; `Hkh` and `Sho` its baselines).
     pub discipline: DisciplineKind,
-    /// Work stealing, as the server's [`MinosConfig::steal`]: `hkh`
+    /// Work stealing, as the server's [`minos_core::MinosConfig::steal`]: `hkh`
     /// with it is the paper's HKH+WS.
     pub steal: bool,
     /// Server cores (8 in the paper).
@@ -256,8 +255,6 @@ pub struct SystemSim {
     drain: Vec<Vec<usize>>,
     /// An idle stealing core may take a batch from a peer's RX queue.
     steal_rx: bool,
-    /// The server's RX batch size: a stolen RX burst's length.
-    batch: usize,
     /// Per-request profiling cost of a size-aware core (0 without it).
     profile_ns: f64,
 
@@ -327,12 +324,8 @@ impl SystemSim {
         }
         let mut rng = Rng::new(seed);
         let arrivals = OpenLoop::new(rate_mops * 1e6, 0);
-        let controller = ThresholdController::new(
-            cfg.threshold_mode,
-            99.0,
-            0.9,
-            minos_core::cost::CostFn::Packets,
-        );
+        let controller =
+            ThresholdController::new(cfg.threshold_mode, minos_core::cost::CostFn::Packets);
         let discipline = cfg.discipline.build();
         let mut events = EventQueue::new();
         events.push(0, Ev::Arrival);
@@ -364,7 +357,6 @@ impl SystemSim {
             busy: vec![None; n],
             drain: Vec::new(),
             steal_rx: false,
-            batch: MinosConfig::default().batch_size,
             profile_ns,
             controller,
             plan: ShardingPlan::bootstrap(n),
@@ -389,11 +381,11 @@ impl SystemSim {
 
     /// Re-reads what the discipline says under the plan in force.
     fn load_plan(&mut self) {
-        let (plan, batch) = (&self.plan, self.batch);
+        let plan = &self.plan;
         self.drain = (0..self.cfg.n_cores)
             .map(|core| {
                 self.discipline
-                    .rx_drain(core, plan, batch)
+                    .rx_drain(core, plan, BATCH)
                     .map_or_else(Vec::new, |s| {
                         std::iter::once(s.own.0)
                             .chain(s.others.iter().map(|&(q, _)| q))
@@ -401,7 +393,7 @@ impl SystemSim {
                     })
             })
             .collect();
-        self.steal_rx = self.cfg.steal && self.discipline.own_rx_only(plan, batch);
+        self.steal_rx = self.cfg.steal && self.discipline.own_rx_only(plan, BATCH);
     }
 
     /// Sets the measurement window (requests generated inside it are
@@ -617,7 +609,7 @@ impl SystemSim {
         };
         // `own_rx_only` means this core drains exactly its own RX queue,
         // which it just found empty: the burst lands there in order.
-        for _ in 0..self.rx[v].len().min(self.batch) {
+        for _ in 0..self.rx[v].len().min(BATCH) {
             let req = self.rx[v].pop_front().expect("non-empty");
             self.rx[core].push_back(req);
         }

@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use minos::core::client::Client;
-use minos::core::server::{MinosServer, ServerConfig};
+use minos::core::server::{MinosServer, ServerConfig, NIC_QUEUE_CAPACITY};
 use minos::driver::RunConfig;
 use minos::net::{Transport, UdpConfig, UdpTransport, VirtualClientTransport, VirtualTransport};
 use minos::nic::{NicConfig, VirtualNic};
@@ -27,7 +27,7 @@ fn main() {
     // wiring for you.
     let config = ServerConfig::for_test(4, 10_000);
     let nic = Arc::new(VirtualNic::new(
-        NicConfig::new(4).with_queue_capacity(config.nic_queue_capacity),
+        NicConfig::new(4).with_queue_capacity(NIC_QUEUE_CAPACITY),
     ));
     let transport = Arc::new(VirtualTransport::new(Arc::clone(&nic)));
     let mut server = MinosServer::start_with_transport(config, Arc::clone(&transport));

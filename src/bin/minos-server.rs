@@ -458,7 +458,7 @@ fn main() {
                 s.rx_packets,
                 s.tx_packets,
                 s.tx_dropped,
-                server.counters().epochs,
+                registry.counter("engine.epochs").get(),
             );
             last_stats = s;
             last_report = Instant::now();
