@@ -17,7 +17,7 @@ use minos_nic::{NicConfig, VirtualNic};
 use minos_stats::SizeHistogram;
 use minos_wire::frag::{fragment_frame_with_id, fragment_with_id};
 use minos_wire::message::{Body, Message, ReplyStatus};
-use minos_wire::packet::{build_frame, parse_frame, synthesize_frame, Endpoint, Packet, TxPacket};
+use minos_wire::packet::{synthesize, synthesize_frame, Endpoint, Packet, TxPacket};
 use minos_wire::TxFrame;
 use minos_workload::{Rng, Zipf};
 use std::hint::black_box;
@@ -103,7 +103,7 @@ fn bench_kv_bestfit(c: &mut Criterion) {
     );
 }
 
-/// One housekeeping eviction pass (`tick_victims` = 64 victims) over a
+/// One housekeeping eviction pass (`VICTIMS_PER_TICK` = 64 victims) over a
 /// single partition of `slots` item slots holding `live` 1 KiB items,
 /// in the state a read-heavy store keeps it in: every item referenced
 /// except the 64 the last pass made room for.
@@ -169,14 +169,6 @@ fn bench_hist(c: &mut Criterion) {
 }
 
 fn bench_wire(c: &mut Criterion) {
-    let src = Endpoint::host(1, 100);
-    let dst = Endpoint::host(2, 9000);
-    c.bench_function("wire/frame_roundtrip_small", |b| {
-        b.iter(|| {
-            let f = build_frame(black_box(src), black_box(dst), black_box(b"hello world!"));
-            black_box(parse_frame(f))
-        })
-    });
     let big = vec![0u8; 100_000];
     c.bench_function("wire/fragment_100kb", |b| {
         b.iter(|| black_box(fragment_with_id(black_box(1), black_box(&big))))
@@ -347,8 +339,9 @@ fn bench_handoff_ring(c: &mut Criterion) {
 
 fn bench_nic(c: &mut Criterion) {
     let nic = VirtualNic::new(NicConfig::new(8));
-    let frame = build_frame(Endpoint::host(1, 100), Endpoint::host(2, 9003), &[0u8; 64]);
-    let pkt = parse_frame(frame).unwrap();
+    // A 64-byte payload: a fragment header and 48 bytes.
+    let payload = fragment_with_id(1, &[0u8; 48]).remove(0);
+    let pkt = synthesize(Endpoint::host(1, 100), Endpoint::host(2, 9003), payload);
     c.bench_function("nic/deliver_and_burst", |b| {
         b.iter_batched(
             || pkt.clone(),

@@ -1663,7 +1663,7 @@ impl TxBurst {
     /// straight into the burst (a bundle takes the segment as it is),
     /// and the flush hands header-iovec + value-iovec pairs to the
     /// transport — the value bytes are never copied (nor, since the
-    /// datagram's checksum is its serializer's job, even read) on this
+    /// datagram's checksum is the kernel's job, even read) on this
     /// path, an invariant the transport's `tx_copied_bytes` gauge
     /// asserts.
     pub fn stage(
@@ -1761,13 +1761,13 @@ mod tests {
     use minos_stats::AtomicLogHistogram;
     use minos_wire::frag::fragment_with_id;
     use minos_wire::message::{Body, Message};
-    use minos_wire::packet::{build_frame, Endpoint};
+    use minos_wire::packet::{synthesize, Endpoint, Packet};
     use minos_wire::udp::UdpHeader;
     use std::sync::Arc;
 
     /// A single-frame PUT of `len` bytes under `key`, as it reaches RX
     /// queue 0.
-    fn put_frame(key: u64, len: usize) -> bytes::Bytes {
+    fn put_packet(key: u64, len: usize) -> Packet {
         let msg = Message {
             client_id: 1,
             request_id: key,
@@ -1782,7 +1782,7 @@ mod tests {
         assert_eq!(frags.len(), 1);
         let src = Endpoint::host(100, 20_000);
         let dst = Endpoint::host(SERVER_HOST_ID, UdpHeader::port_for_queue(0));
-        build_frame(src, dst, &frags[0])
+        synthesize(src, dst, frags[0].clone())
     }
 
     #[test]
@@ -1803,8 +1803,8 @@ mod tests {
             let (mut core0, mut core1) = (Core::new(&*shared, 0), Core::new(&*shared, 1));
 
             clock.set(T0);
-            nic.deliver_frame(put_frame(1, 100));
-            nic.deliver_frame(put_frame(2, 1_000));
+            nic.deliver_packet(put_packet(1, 100));
+            nic.deliver_packet(put_packet(2, 1_000));
             assert!(core0.step(&cached0));
             clock.set(T1);
             assert!(core1.step(&cached1));
@@ -1872,7 +1872,7 @@ mod tests {
             let src = Endpoint::host(100, 20_000);
             let dst = Endpoint::host(SERVER_HOST_ID, UdpHeader::port_for_queue(0));
             for frag in &frags[..2] {
-                nic.deliver_frame(build_frame(src, dst, frag));
+                nic.deliver_packet(synthesize(src, dst, frag.clone()));
             }
             assert!(core.step(&cached), "the round found the fragments");
             assert_eq!(core.reassembler.pending(), 1);

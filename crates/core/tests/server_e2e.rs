@@ -17,7 +17,7 @@ use std::time::Duration;
 fn lost_fragment_reservation_is_evicted_and_released() {
     use minos_wire::frag::fragment_with_id;
     use minos_wire::message::{Body, Message};
-    use minos_wire::packet::{build_frame, Endpoint};
+    use minos_wire::packet::{synthesize, Endpoint};
     use minos_wire::udp::UdpHeader;
 
     let mut config = ServerConfig::for_test(2, 10_000);
@@ -40,7 +40,7 @@ fn lost_fragment_reservation_is_evicted_and_released() {
     let src = Endpoint::host(100, 20_000);
     for frag in &frags[..frags.len() - 1] {
         let dst = Endpoint::host(1, UdpHeader::port_for_queue(0));
-        nic.deliver_frame(build_frame(src, dst, frag));
+        nic.deliver_packet(synthesize(src, dst, frag.clone()));
     }
 
     // The partial's reservation charges the mempool now...

@@ -128,15 +128,16 @@ pub struct CapacityConfig {
     /// most two sweeps of its *live* words — the hand wraps at the
     /// table's allocation high-water mark, not at its end.
     pub candidate_window: usize,
-    /// Item slots each TTL sweep scans per partition per capacity tick.
-    pub sweep_budget: usize,
-    /// Victim budget per capacity tick: bounds how long one tick can
-    /// stall its core evicting, so reclaim is spread across ticks
-    /// instead of draining `high − low` bytes in one latency spike.
-    /// The reservation path is not budgeted — it evicts until the
-    /// failed PUT fits.
-    pub tick_victims: usize,
 }
+
+/// Live items each TTL sweep visits per partition per capacity tick.
+pub const TTL_SWEEP_ITEMS: usize = 128;
+
+/// Victim budget per capacity tick: bounds how long one tick can stall
+/// its core evicting, so reclaim is spread across ticks instead of
+/// draining `high − low` bytes in one latency spike. The reservation
+/// path is not budgeted — it evicts until the failed PUT fits.
+pub const VICTIMS_PER_TICK: u64 = 64;
 
 impl Default for CapacityConfig {
     fn default() -> Self {
@@ -147,8 +148,6 @@ impl Default for CapacityConfig {
             min_headroom_bytes: 0,
             admission_cutoff_bytes: 64 << 10,
             candidate_window: 32,
-            sweep_budget: 128,
-            tick_victims: 64,
         }
     }
 }

@@ -16,7 +16,7 @@
 
 use crate::bucket::{Bucket, Slot, NO_OVERFLOW, SLOTS_PER_BUCKET};
 use crate::chunked::Chunked;
-use crate::evict::{CapacityConfig, EvictionPolicy, Watermarks};
+use crate::evict::{CapacityConfig, EvictionPolicy, Watermarks, TTL_SWEEP_ITEMS, VICTIMS_PER_TICK};
 use crate::items::{ClockHand, ItemRead, ItemTable};
 use crate::keyhash::{keyhash, split};
 use crate::mem::{Mempool, PoolBytes};
@@ -41,7 +41,7 @@ pub struct StoreConfig {
     pub mempool_bytes: usize,
     /// Largest storable value, in bytes.
     pub max_value_bytes: usize,
-    /// Capacity tiering: eviction policy, watermarks, TTL sweep budget.
+    /// Capacity tiering: eviction policy, watermarks, admission cutoff.
     /// Defaults to eviction off (the seed behavior).
     pub capacity: CapacityConfig,
 }
@@ -590,8 +590,8 @@ impl Store {
         if self.mempool.used_bytes() <= self.watermarks.high_bytes {
             return;
         }
-        let budget = self.capacity.tick_victims.max(1) as u64;
         let low = self.watermarks.low_bytes;
+        let budget = VICTIMS_PER_TICK;
         let passes = &self.evict_passes_tick;
         let mut evicted = self.evict_until(low, Some((core, n_cores)), budget, passes);
         if evicted == 0 {
@@ -680,16 +680,15 @@ impl Store {
             .sort_unstable_by_key(|&(_, charge)| std::cmp::Reverse(charge));
     }
 
-    /// Visits the next [`CapacityConfig::sweep_budget`] live items
-    /// behind partition `p`'s rotating cursor, reclaiming every expired
-    /// one (the active half of TTL expiry).
+    /// Visits the next [`TTL_SWEEP_ITEMS`] live items behind partition
+    /// `p`'s rotating cursor, reclaiming every expired one (the active
+    /// half of TTL expiry).
     fn sweep_expired(&self, p: usize, now_ns: u64) {
         let partition = &self.partitions[p];
         let start = partition.sweep_cursor.load(Ordering::Relaxed);
-        let budget = self.capacity.sweep_budget;
         let resume = partition
             .items
-            .sweep_live(start, budget, |key, expires_at| {
+            .sweep_live(start, TTL_SWEEP_ITEMS, |key, expires_at| {
                 if is_expired(expires_at, now_ns) {
                     self.remove_victim(key, RemoveCause::Expire { now: now_ns });
                 }

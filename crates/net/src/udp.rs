@@ -13,10 +13,10 @@
 //! On the wire each datagram carries exactly the UDP payload of the
 //! virtual world (fragment header + message chunk); Ethernet/IP framing
 //! is the kernel's business here. Received datagrams are re-synthesized
-//! into [`Packet`]s (real peer address → [`Endpoint`]; the checksum
-//! recorded as verified by the kernel rather than recomputed) so
-//! everything above the transport — reassembly, classification,
-//! handoff — sees the same payloads on every backend.
+//! into [`Packet`]s (real peer address → [`Endpoint`]; the kernel
+//! already checked the checksum) so everything above the transport —
+//! reassembly, classification, handoff — sees the same payloads on
+//! every backend.
 //!
 //! # Syscall batching and segmentation offload
 //!
@@ -66,7 +66,7 @@ use crate::pool::{BufferPool, PoolStats, PooledBuf};
 use crate::sys;
 use crate::transport::{Transport, TransportStats};
 use minos_wire::frame::MacAddr;
-use minos_wire::packet::{synthesize_rx_verified, Endpoint, Packet, TxPacket};
+use minos_wire::packet::{synthesize, Endpoint, Packet, TxPacket};
 use std::collections::VecDeque;
 use std::io::ErrorKind;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
@@ -74,6 +74,11 @@ use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// How long one `tx_frames` call may retry a send that hits a full
+/// socket buffer before tail-dropping. Mirrors a NIC TX ring absorbing
+/// a burst.
+const SEND_BACKOFF: Duration = Duration::from_millis(20);
 
 /// Default maximum datagrams moved per batched syscall — the paper's RX
 /// batch size `B` (§4.1).
@@ -91,10 +96,6 @@ pub struct UdpConfig {
     /// Socket send/receive buffer size, bytes. Large fragmented replies
     /// burst hundreds of datagrams; defaults to 4 MiB.
     pub socket_buffer_bytes: usize,
-    /// How long `tx_frames` may retry a send that hits a full socket
-    /// buffer before tail-dropping. Mirrors a NIC TX ring absorbing a
-    /// burst; 0 drops immediately.
-    pub tx_backoff: Duration,
     /// Maximum datagrams moved per `recvmmsg`/`sendmmsg` syscall; values
     /// `<= 1` disable batching (one `recv_from`/`send_to` per datagram).
     pub batch: usize,
@@ -116,7 +117,6 @@ impl UdpConfig {
             base_port,
             num_queues,
             socket_buffer_bytes: 4 << 20,
-            tx_backoff: Duration::from_millis(20),
             batch: DEFAULT_SYSCALL_BATCH,
             pool_slots: 0,
         }
@@ -124,14 +124,13 @@ impl UdpConfig {
 
     /// A single-queue client config on an ephemeral port: what
     /// [`UdpTransport::bind_client`] uses, exposed so callers can adjust
-    /// the socket buffer, batch size, or backoff first.
+    /// the socket buffer or batch size first.
     pub fn client(ip: Ipv4Addr) -> Self {
         UdpConfig {
             ip,
             base_port: 0, // ephemeral
             num_queues: 1,
             socket_buffer_bytes: 4 << 20,
-            tx_backoff: Duration::from_millis(20),
             batch: DEFAULT_SYSCALL_BATCH,
             pool_slots: 0,
         }
@@ -223,7 +222,6 @@ pub struct UdpTransport {
     batch: usize,
     ip: Ipv4Addr,
     base_port: u16,
-    tx_backoff: Duration,
     rx_packets: AtomicU64,
     rx_bytes: AtomicU64,
     tx_packets: AtomicU64,
@@ -239,27 +237,20 @@ pub struct UdpTransport {
 }
 
 /// The full-socket-buffer backoff of one `tx_frames` call: up to
-/// [`UdpConfig::tx_backoff`] of 50 µs sleeps, counted from the first
+/// [`SEND_BACKOFF`] of 50 µs sleeps, counted from the first
 /// time the kernel pushes back — a send that never meets back-pressure
 /// never reads the clock.
+#[derive(Default)]
 struct TxBackoff {
-    budget: Duration,
     deadline: Option<Instant>,
 }
 
 impl TxBackoff {
-    fn new(budget: Duration) -> Self {
-        TxBackoff {
-            budget,
-            deadline: None,
-        }
-    }
-
     /// Sleeps one backoff step; `false` once the budget is spent (the
     /// caller tail-drops).
     fn wait(&mut self) -> bool {
         let now = Instant::now();
-        if now >= *self.deadline.get_or_insert(now + self.budget) {
+        if now >= *self.deadline.get_or_insert(now + SEND_BACKOFF) {
             return false;
         }
         std::thread::sleep(Duration::from_micros(50));
@@ -385,7 +376,6 @@ impl UdpTransport {
             batch,
             ip,
             base_port,
-            tx_backoff: config.tx_backoff,
             rx_packets: AtomicU64::new(0),
             rx_bytes: AtomicU64::new(0),
             tx_packets: AtomicU64::new(0),
@@ -468,7 +458,7 @@ impl UdpTransport {
                 // `payload` is a window into the pooled buffer the
                 // kernel filled — no copy, no allocation on this path.
                 let src = endpoint_for(*peer.ip(), peer.port());
-                let pkt = synthesize_rx_verified(src, local, payload);
+                let pkt = synthesize(src, local, payload);
                 received += 1;
                 bytes += pkt.wire_len() as u64;
                 if moved < max {
@@ -540,7 +530,7 @@ impl UdpTransport {
                 Ok((len, SocketAddr::V4(peer))) => {
                     let payload = staged.take().expect("staged above").freeze(len);
                     let src = endpoint_for(*peer.ip(), peer.port());
-                    let pkt = synthesize_rx_verified(src, local, payload);
+                    let pkt = synthesize(src, local, payload);
                     bytes += pkt.wire_len() as u64;
                     out.push(pkt);
                     moved += 1;
@@ -578,7 +568,7 @@ impl UdpTransport {
         let mut bytes = 0u64;
         let mut trains = 0u64;
         let mut train_packets = 0u64;
-        let mut backoff = TxBackoff::new(self.tx_backoff);
+        let mut backoff = TxBackoff::default();
         while sent < total {
             self.tx_syscalls.fetch_add(1, Ordering::Relaxed);
             match arena.send_frames(fd, &frames[sent..]) {
@@ -638,7 +628,7 @@ impl UdpTransport {
         let total = frames.len();
         let mut sent = 0usize;
         let mut bytes = 0u64;
-        let mut backoff = TxBackoff::new(self.tx_backoff);
+        let mut backoff = TxBackoff::default();
         'frames: while sent < total {
             let pkt = &frames[sent];
             let dst = SocketAddrV4::new(Ipv4Addr::from(pkt.meta.ip.dst), pkt.meta.udp.dst_port);

@@ -2,32 +2,28 @@
 //! server's [`VirtualTransport`] and the client's
 //! [`VirtualClientTransport`].
 //!
-//! The virtual wire is the one backend that must *materialize*
-//! contiguous frames: the NIC's rings and checksum verification
-//! operate on serialized packets, exactly as hardware DMA engines
-//! consume contiguous descriptors. Scatter-gather [`TxPacket`]s are
-//! therefore *gathered* here — into pooled slots, so the gather
-//! allocates nothing in steady state — and each transport counts the
-//! segment bytes it gathered in its own
-//! [`TransportStats::tx_copied_bytes`], keeping the zero-copy
+//! The NIC's rings carry [`Packet`]s with contiguous payloads, as
+//! hardware DMA engines consume contiguous descriptors. Scatter-gather
+//! [`TxPacket`]s are therefore *gathered* here, in both directions —
+//! into pooled slots, so the gather allocates nothing in steady state
+//! — and each transport counts the segment bytes it gathered in its
+//! own [`TransportStats::tx_copied_bytes`], keeping the zero-copy
 //! accounting honest across backends.
 
 use crate::pool::{BufferPool, PoolStats};
 use crate::transport::{Transport, TransportStats};
 use minos_nic::{Delivery, VirtualNic};
-use minos_wire::packet::{build_frame, build_frame_into_frame, Endpoint, Packet, TxPacket};
+use minos_wire::packet::{Endpoint, Packet, TxPacket};
 use minos_wire::udp::UdpHeader;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Bytes per pooled frame slot: a full MTU-sized frame with Ethernet
-/// framing and the FCS trailer.
-const FRAME_SLOT_LEN: usize =
-    minos_wire::ETH_HEADER_LEN + minos_wire::MTU + minos_wire::ETH_FCS_LEN;
+/// Bytes per pooled gather slot: the largest UDP payload under the MTU.
+const GATHER_SLOT_LEN: usize = minos_wire::MAX_UDP_PAYLOAD;
 
-/// Frame slots in a [`VirtualClientTransport`]'s pool — sized like a
-/// client-side UDP transport's RX pool.
-const CLIENT_FRAME_SLOTS: usize = 512;
+/// Payload-gather slots in a [`VirtualClientTransport`]'s pool — sized
+/// like a client-side UDP transport's RX pool.
+const CLIENT_GATHER_SLOTS: usize = 512;
 
 /// Payload-gather slots per queue in a [`VirtualTransport`]'s pool.
 const SERVER_GATHER_SLOTS_PER_QUEUE: usize = 64;
@@ -35,29 +31,35 @@ const SERVER_GATHER_SLOTS_PER_QUEUE: usize = 64;
 /// Host id servers use in the virtual world (clients must differ).
 const VIRTUAL_SERVER_HOST: u32 = 1;
 
-/// Gathers one frame into a contiguous payload, preferring a pooled
-/// slot from `shard` (the sending queue, so concurrent queues use
-/// their own freelists; allocation-free in steady state, an exhausted
-/// pool falls back to the allocating gather). Returns the payload and
-/// the number of segment bytes copied.
-fn gather_payload(pool: &BufferPool, shard: usize, pkt: &TxPacket) -> (bytes::Bytes, u64) {
-    // A frame that is already one contiguous segment (a packet wrapped
-    // by `TxPacket::from_packet`) needs no gather at all.
+/// Gathers one packet's frame into a contiguous payload, preferring a
+/// pooled slot from `shard` (the sending queue, so concurrent queues
+/// use their own freelists; allocation-free in steady state, an
+/// exhausted pool falls back to the allocating gather), and adds the
+/// segment bytes it copied to `copied`.
+fn gather(pool: &BufferPool, shard: usize, pkt: TxPacket, copied: &AtomicU64) -> Packet {
     let mut regions = pkt.frame.regions();
-    if let (Some(minos_wire::Region::Segment(only)), None) = (regions.next(), regions.next()) {
-        return (only.clone(), 0);
-    }
-    let copied = pkt.frame.segment_len() as u64;
-    let mut slot = pool.take_on(shard);
-    match pkt.frame.gather_into(slot.as_mut_slice()) {
-        Some(len) => {
-            let payload = slot.freeze(len);
-            (payload, copied)
+    let payload = match (regions.next(), regions.next()) {
+        // A frame that is already one contiguous segment (a packet
+        // wrapped by `TxPacket::from_packet`) needs no gather at all.
+        (Some(minos_wire::Region::Segment(only)), None) => only.clone(),
+        _ => {
+            let mut slot = pool.take_on(shard);
+            match pkt.frame.gather_into(slot.as_mut_slice()) {
+                Some(len) => {
+                    copied.fetch_add(pkt.frame.segment_len() as u64, Ordering::Relaxed);
+                    slot.freeze(len)
+                }
+                None => {
+                    let (payload, n) = pkt.frame.to_contiguous();
+                    copied.fetch_add(n as u64, Ordering::Relaxed);
+                    payload
+                }
+            }
         }
-        None => {
-            let (payload, copied) = pkt.frame.to_contiguous();
-            (payload, copied as u64)
-        }
+    };
+    Packet {
+        meta: pkt.meta,
+        payload,
     }
 }
 
@@ -68,7 +70,7 @@ fn gather_payload(pool: &BufferPool, shard: usize, pkt: &TxPacket) -> (bytes::By
 #[derive(Debug)]
 pub struct VirtualTransport {
     nic: Arc<VirtualNic>,
-    /// Pooled payload buffers for TX gathers, so serializing a reply
+    /// Pooled payload buffers for TX gathers, so gathering a reply
     /// burst recycles slots instead of allocating.
     pool: BufferPool,
     /// Segment bytes this transport gathered.
@@ -81,7 +83,7 @@ impl VirtualTransport {
         let queues = nic.num_queues() as usize;
         let slots = queues * SERVER_GATHER_SLOTS_PER_QUEUE;
         VirtualTransport {
-            pool: BufferPool::sharded(slots, FRAME_SLOT_LEN, queues),
+            pool: BufferPool::sharded(slots, GATHER_SLOT_LEN, queues),
             nic,
             tx_copied_bytes: AtomicU64::new(0),
         }
@@ -110,15 +112,8 @@ impl Transport for VirtualTransport {
     fn tx_frames(&self, queue: u16, frames: &mut Vec<TxPacket>) -> usize {
         let mut sent = 0;
         for pkt in frames.drain(..) {
-            let (payload, copied) = gather_payload(&self.pool, queue as usize, &pkt);
-            self.tx_copied_bytes.fetch_add(copied, Ordering::Relaxed);
-            if !self.nic.tx_push(
-                queue,
-                Packet {
-                    meta: pkt.meta,
-                    payload,
-                },
-            ) {
+            let packet = gather(&self.pool, queue as usize, pkt, &self.tx_copied_bytes);
+            if !self.nic.tx_push(queue, packet) {
                 break;
             }
             sent += 1;
@@ -153,18 +148,18 @@ impl Transport for VirtualTransport {
 }
 
 /// The client-side adapter over a server's [`VirtualNic`]: a
-/// single-queue transport whose TX encodes full frames and delivers
-/// them through the NIC's receive path (checksums, steering — the
-/// whole wire), and whose RX drains the server's TX rings, which is
-/// where replies appear in the in-process world.
+/// single-queue transport whose TX gathers each packet and delivers it
+/// through the NIC's receive path (steering onto an RX ring), and
+/// whose RX drains the server's TX rings, which is where replies
+/// appear in the in-process world.
 #[derive(Debug)]
 pub struct VirtualClientTransport {
     nic: Arc<VirtualNic>,
     /// The endpoint this client claims (replies are addressed to it).
     endpoint: Endpoint,
-    /// Pooled frame buffers for TX encoding: the virtual wire's analog
-    /// of the UDP backend's RX pool, so the per-packet frame
-    /// serialization recycles slots instead of allocating.
+    /// Pooled payload buffers for TX gathers: the virtual wire's analog
+    /// of the UDP backend's RX pool, so gathering a request recycles
+    /// slots instead of allocating.
     pool: BufferPool,
     /// Segment bytes this transport gathered.
     tx_copied_bytes: AtomicU64,
@@ -176,7 +171,7 @@ impl VirtualClientTransport {
         VirtualClientTransport {
             nic,
             endpoint,
-            pool: BufferPool::new(CLIENT_FRAME_SLOTS, FRAME_SLOT_LEN),
+            pool: BufferPool::new(CLIENT_GATHER_SLOTS, GATHER_SLOT_LEN),
             tx_copied_bytes: AtomicU64::new(0),
         }
     }
@@ -198,29 +193,8 @@ impl Transport for VirtualClientTransport {
     fn tx_frames(&self, _queue: u16, frames: &mut Vec<TxPacket>) -> usize {
         let mut sent = 0;
         for pkt in frames.drain(..) {
-            let src = Endpoint {
-                mac: pkt.meta.eth.src,
-                ip: pkt.meta.ip.src,
-                port: pkt.meta.udp.src_port,
-            };
-            let dst = Endpoint {
-                mac: pkt.meta.eth.dst,
-                ip: pkt.meta.ip.dst,
-                port: pkt.meta.udp.dst_port,
-            };
-            // Serialize the full Ethernet frame into a pooled slot,
-            // gathering the payload regions exactly once (counted);
-            // only a payload too large for one MTU-sized slot —
-            // impossible for fragmenter output — falls back to the
-            // allocating encoders.
-            self.tx_copied_bytes
-                .fetch_add(pkt.frame.segment_len() as u64, Ordering::Relaxed);
-            let mut slot = self.pool.take();
-            let frame = match build_frame_into_frame(src, dst, &pkt.frame, slot.as_mut_slice()) {
-                Some(len) => slot.freeze(len),
-                None => build_frame(src, dst, &pkt.frame.to_contiguous().0),
-            };
-            if !matches!(self.nic.deliver_frame(frame), Delivery::Queued(_)) {
+            let packet = gather(&self.pool, 0, pkt, &self.tx_copied_bytes);
+            if !matches!(self.nic.deliver_packet(packet), Delivery::Queued(_)) {
                 break;
             }
             sent += 1;
@@ -315,10 +289,7 @@ mod tests {
     }
 
     #[test]
-    fn offloaded_tx_checksums_are_filled_in_on_the_wire_image() {
-        // `synthesize_frame` leaves the UDP checksum to the serializer;
-        // the wire image the client transport builds must carry a real
-        // one, or the NIC's `parse_frame` would drop the frame here.
+    fn client_tx_gathers_multi_segment_requests_and_counts_them() {
         let nic = Arc::new(VirtualNic::new(NicConfig::new(1)));
         let client_ep = Endpoint::host(103, 23_000);
         let client = VirtualClientTransport::new(Arc::clone(&nic), client_ep);
@@ -326,21 +297,17 @@ mod tests {
 
         let mut frame = TxFrame::new();
         bytes::BufMut::put_slice(&mut frame, b"hdr:");
-        frame.push_segment(Bytes::from_static(b"checksummed where it is serialized"));
+        frame.push_segment(Bytes::from_static(b"gathered where it is sent"));
         let request = synthesize_frame(client_ep, Transport::local_endpoint(&server, 0), frame);
-        assert_eq!(request.meta.udp.checksum, 0, "recorded as offloaded");
         assert_eq!(Transport::tx_frames(&client, 0, &mut vec![request]), 1);
 
         let mut out = Vec::new();
         assert_eq!(Transport::rx_burst(&server, 0, &mut out, 32), 1);
-        assert_eq!(
-            &out[0].payload[..],
-            b"hdr:checksummed where it is serialized"
-        );
-        assert!(out[0].meta.udp.verify_payload(&out[0].payload));
+        assert_eq!(&out[0].payload[..], b"hdr:gathered where it is sent");
+        assert_eq!(out[0].meta.udp.src_port, client_ep.port);
         assert_eq!(nic.stats().rx_malformed, 0);
         // The gather is the client's, and counted there only.
-        let gathered = b"checksummed where it is serialized".len() as u64;
+        let gathered = b"gathered where it is sent".len() as u64;
         assert_eq!(Transport::stats(&client).tx_copied_bytes, gathered);
         assert_eq!(Transport::stats(&server).tx_copied_bytes, 0);
     }

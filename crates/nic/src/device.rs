@@ -1,8 +1,7 @@
 //! The virtual NIC device: destination-port steering, rings and statistics.
 
-use bytes::Bytes;
 use crossbeam::queue::ArrayQueue;
-use minos_wire::packet::{parse_frame, Packet};
+use minos_wire::packet::Packet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of a [`VirtualNic`].
@@ -30,13 +29,12 @@ impl NicConfig {
     }
 }
 
-/// Outcome of delivering one frame to the NIC.
+/// Outcome of delivering one packet to the NIC.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Delivery {
     /// Enqueued on the given RX queue.
     Queued(u16),
-    /// Dropped: the frame failed parsing or checksum verification, or
-    /// its destination port names no queue.
+    /// Dropped: the packet's destination port names no queue.
     DroppedMalformed,
     /// Dropped: the target RX ring was full.
     DroppedFull(u16),
@@ -45,16 +43,15 @@ pub enum Delivery {
 /// Device-level statistics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NicStats {
-    /// Frames delivered to an RX ring.
+    /// Packets delivered to an RX ring.
     pub rx_delivered: u64,
-    /// Frames dropped as malformed or addressed to a port that names no
-    /// queue.
+    /// Packets dropped because their destination port names no queue.
     pub rx_malformed: u64,
-    /// Frames dropped on full rings.
+    /// Packets dropped on full rings.
     pub rx_ring_full: u64,
-    /// Frames transmitted (drained from TX rings).
+    /// Packets transmitted (drained from TX rings).
     pub tx_sent: u64,
-    /// Bytes received (wire bytes of delivered frames).
+    /// Bytes received (wire bytes of delivered packets).
     pub rx_bytes: u64,
     /// Bytes transmitted.
     pub tx_bytes: u64,
@@ -62,7 +59,7 @@ pub struct NicStats {
 
 /// An in-process multi-queue NIC.
 ///
-/// `deliver_frame` runs on the *sender's* context — steering costs the
+/// `deliver_packet` runs on the *sender's* context — steering costs the
 /// receiving cores nothing, the defining property of hardware dispatch.
 /// The rings are multi-producer/multi-consumer: each RX ring has one
 /// primary consumer (its owning core), but other cores may steal from
@@ -112,20 +109,7 @@ impl VirtualNic {
         self.num_queues
     }
 
-    /// Delivers one raw frame: parse + checksum verification, steering,
-    /// RX enqueue.
-    pub fn deliver_frame(&self, frame: Bytes) -> Delivery {
-        match parse_frame(frame) {
-            None => {
-                self.rx_malformed.fetch_add(1, Ordering::Relaxed);
-                Delivery::DroppedMalformed
-            }
-            Some(packet) => self.deliver_packet(packet),
-        }
-    }
-
-    /// Delivers an already-parsed packet (checksums assumed verified) to
-    /// the RX queue its destination port names.
+    /// Delivers one packet to the RX queue its destination port names.
     pub fn deliver_packet(&self, packet: Packet) -> Delivery {
         let Some(q) = packet.meta.udp.target_queue(self.num_queues) else {
             self.rx_malformed.fetch_add(1, Ordering::Relaxed);
@@ -185,22 +169,27 @@ impl VirtualNic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minos_wire::packet::{build_frame, Endpoint};
+    use bytes::Bytes;
+    use minos_wire::packet::{synthesize, Endpoint};
     use minos_wire::udp::UdpHeader;
 
-    fn frame_to_queue(q: u16) -> Bytes {
-        build_frame(
+    fn packet_to_port(port: u16, payload: &[u8]) -> Packet {
+        synthesize(
             Endpoint::host(1, 1000),
-            Endpoint::host(2, UdpHeader::port_for_queue(q)),
-            b"hello",
+            Endpoint::host(2, port),
+            Bytes::copy_from_slice(payload),
         )
+    }
+
+    fn packet_to_queue(q: u16) -> Packet {
+        packet_to_port(UdpHeader::port_for_queue(q), b"hello")
     }
 
     #[test]
     fn destination_port_names_the_queue() {
         let nic = VirtualNic::new(NicConfig::new(8));
         for q in 0..8u16 {
-            assert_eq!(nic.deliver_frame(frame_to_queue(q)), Delivery::Queued(q));
+            assert_eq!(nic.deliver_packet(packet_to_queue(q)), Delivery::Queued(q));
         }
         for q in 0..8u16 {
             let mut out = Vec::new();
@@ -218,46 +207,20 @@ mod tests {
             UdpHeader::port_for_queue(0) - 1,
             UdpHeader::port_for_queue(8),
         ] {
-            let frame = build_frame(Endpoint::host(1, 1234), Endpoint::host(2, port), b"x");
-            assert_eq!(nic.deliver_frame(frame), Delivery::DroppedMalformed);
+            let packet = packet_to_port(port, b"x");
+            assert_eq!(nic.deliver_packet(packet), Delivery::DroppedMalformed);
         }
         assert_eq!(nic.stats().rx_malformed, 3);
         assert_eq!(nic.stats().rx_delivered, 0);
     }
 
     #[test]
-    fn malformed_frame_dropped() {
-        let nic = VirtualNic::new(NicConfig::new(2));
-        assert_eq!(
-            nic.deliver_frame(Bytes::from_static(&[0u8; 30])),
-            Delivery::DroppedMalformed
-        );
-        assert_eq!(nic.stats().rx_malformed, 1);
-    }
-
-    #[test]
-    fn corruption_is_caught_by_checksums() {
-        let nic = VirtualNic::new(NicConfig::new(2));
-        // One byte flipped per frame, at every offset in turn: every
-        // frame must fail parsing, never silently deliver wrong bytes.
-        for i in 0..100 {
-            let mut raw = frame_to_queue(0).to_vec();
-            let offset = i % raw.len();
-            raw[offset] ^= 1 << (i % 8);
-            let d = nic.deliver_frame(Bytes::from(raw));
-            assert_eq!(d, Delivery::DroppedMalformed);
-        }
-        assert_eq!(nic.stats().rx_malformed, 100);
-        assert_eq!(nic.stats().rx_delivered, 0);
-    }
-
-    #[test]
     fn ring_full_tail_drops() {
         let nic = VirtualNic::new(NicConfig::new(1).with_queue_capacity(2));
-        assert_eq!(nic.deliver_frame(frame_to_queue(0)), Delivery::Queued(0));
-        assert_eq!(nic.deliver_frame(frame_to_queue(0)), Delivery::Queued(0));
+        assert_eq!(nic.deliver_packet(packet_to_queue(0)), Delivery::Queued(0));
+        assert_eq!(nic.deliver_packet(packet_to_queue(0)), Delivery::Queued(0));
         assert_eq!(
-            nic.deliver_frame(frame_to_queue(0)),
+            nic.deliver_packet(packet_to_queue(0)),
             Delivery::DroppedFull(0)
         );
         assert_eq!(nic.stats().rx_ring_full, 1);
@@ -266,10 +229,9 @@ mod tests {
     #[test]
     fn tx_ring_full_tail_drops() {
         let nic = VirtualNic::new(NicConfig::new(1).with_queue_capacity(2));
-        let pkt = || parse_frame(frame_to_queue(0)).unwrap();
-        assert!(nic.tx_push(0, pkt()));
-        assert!(nic.tx_push(0, pkt()));
-        assert!(!nic.tx_push(0, pkt()));
+        assert!(nic.tx_push(0, packet_to_queue(0)));
+        assert!(nic.tx_push(0, packet_to_queue(0)));
+        assert!(!nic.tx_push(0, packet_to_queue(0)));
         let mut out = Vec::new();
         assert_eq!(nic.tx_drain(0, &mut out, 32), 2);
         assert_eq!(nic.stats().tx_sent, 2);
@@ -278,8 +240,7 @@ mod tests {
     #[test]
     fn tx_roundtrip() {
         let nic = VirtualNic::new(NicConfig::new(2));
-        let pkt = minos_wire::packet::parse_frame(frame_to_queue(1)).unwrap();
-        assert!(nic.tx_push(1, pkt));
+        assert!(nic.tx_push(1, packet_to_queue(1)));
         let mut out = Vec::new();
         assert_eq!(nic.tx_drain(1, &mut out, 32), 1);
         assert_eq!(nic.stats().tx_sent, 1);
@@ -290,7 +251,7 @@ mod tests {
     fn rx_burst_respects_batch_size() {
         let nic = VirtualNic::new(NicConfig::new(1));
         for _ in 0..50 {
-            nic.deliver_frame(frame_to_queue(0));
+            nic.deliver_packet(packet_to_queue(0));
         }
         let mut out = Vec::new();
         assert_eq!(nic.rx_burst(0, &mut out, 32), 32);
@@ -301,12 +262,8 @@ mod tests {
     fn rx_ring_is_fifo_across_bursts() {
         let nic = VirtualNic::new(NicConfig::new(1).with_queue_capacity(16));
         for tag in 0..10u8 {
-            let frame = build_frame(
-                Endpoint::host(1, 1000),
-                Endpoint::host(2, UdpHeader::port_for_queue(0)),
-                &[tag; 8],
-            );
-            assert_eq!(nic.deliver_frame(frame), Delivery::Queued(0));
+            let packet = packet_to_port(UdpHeader::port_for_queue(0), &[tag; 8]);
+            assert_eq!(nic.deliver_packet(packet), Delivery::Queued(0));
         }
         let mut out = Vec::new();
         assert_eq!(nic.rx_burst(0, &mut out, 4), 4);

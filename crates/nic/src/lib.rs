@@ -12,14 +12,15 @@
 //! real-UDP backend gets the same rule from the kernel's port
 //! demultiplexing, so both backends steer identically.
 //!
-//! [`VirtualNic::deliver_frame`] parses the frame and verifies its
-//! checksums, steers it and enqueues it on a lock-free RX ring; cores
-//! take packets off the rings in bursts ([`VirtualNic::rx_burst`]), and
-//! replies wait on TX rings until the in-process client drains them
-//! ([`VirtualNic::tx_drain`]).
+//! The NIC takes packets, not frame images: framing and checksums are
+//! a real NIC's job, and nothing on the in-process wire corrupts a
+//! byte. [`VirtualNic::deliver_packet`] steers a packet and enqueues it
+//! on a lock-free RX ring; cores take packets off the rings in bursts
+//! ([`VirtualNic::rx_burst`]), and replies wait on TX rings until the
+//! in-process client drains them ([`VirtualNic::tx_drain`]).
 //!
 //! The property preserved from real hardware: **steering costs no server
-//! CPU** — `deliver_frame` runs on the sender's (client's) context, and a
+//! CPU** — `deliver_packet` runs on the sender's (client's) context, and a
 //! server core only ever touches packets that are already in its RX ring.
 //! That is what "hardware dispatch" means for Minos small requests.
 

@@ -1,15 +1,16 @@
 //! Property tests on the NIC: steering follows the destination port
 //! alone; fault-free delivery must conserve packets.
 
+use bytes::Bytes;
 use minos_nic::{Delivery, NicConfig, VirtualNic};
-use minos_wire::packet::{build_frame, Endpoint};
+use minos_wire::packet::{synthesize, Endpoint};
 use minos_wire::udp::{UdpHeader, QUEUE_PORT_BASE};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A frame to port `QUEUE_PORT_BASE + q` with `q` in range always
+    /// A packet to port `QUEUE_PORT_BASE + q` with `q` in range always
     /// lands on exactly queue `q`; any other port is dropped and
     /// counted in `rx_malformed`.
     #[test]
@@ -23,13 +24,13 @@ proptest! {
         let nic = VirtualNic::new(NicConfig::new(n_queues));
         let src = Endpoint::host(100 + host, src_port);
         let dst = Endpoint::host(1, dst_port);
-        let frame = build_frame(src, dst, &payload);
+        let packet = synthesize(src, dst, Bytes::from(payload));
         let named = dst_port
             .checked_sub(QUEUE_PORT_BASE)
             .filter(|&q| q < n_queues);
         for _ in 0..2 {
             let want = named.map_or(Delivery::DroppedMalformed, Delivery::Queued);
-            prop_assert_eq!(nic.deliver_frame(frame.clone()), want);
+            prop_assert_eq!(nic.deliver_packet(packet.clone()), want);
         }
         for q in 0..n_queues {
             let mut out = Vec::new();
@@ -57,7 +58,7 @@ proptest! {
         for &(q, tag) in &frames {
             let src = Endpoint::host(100, 5000 + tag as u16);
             let dst = Endpoint::host(1, UdpHeader::port_for_queue(q));
-            match nic.deliver_frame(build_frame(src, dst, &[tag])) {
+            match nic.deliver_packet(synthesize(src, dst, Bytes::from(vec![tag]))) {
                 Delivery::Queued(qq) => {
                     prop_assert_eq!(qq, q);
                     sent_per_queue[q as usize] += 1;

@@ -25,16 +25,12 @@
 #![warn(missing_docs)]
 
 pub mod counters;
-pub mod ewma;
 pub mod hist;
 pub mod percentile;
-pub mod running;
 
 pub use counters::{CoreStats, SharedCoreStats};
-pub use ewma::Ewma;
 pub use hist::{
     AtomicLogHistogram, AtomicSizeHistogram, LatencyHistogram, LogHistogram, SizeHistogram,
     SmoothedHistogram,
 };
 pub use percentile::{exact_percentile, exact_percentile_f64, Quantiles};
-pub use running::Running;

@@ -1,15 +1,10 @@
-//! Ethernet II framing.
-
-use bytes::{Buf, BufMut};
+//! Ethernet addressing.
 
 /// A 48-bit Ethernet MAC address.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xFF; 6]);
-
     /// A locally-administered unicast address derived from a host id,
     /// mirroring the `02-00-00-00-00-xx` convention used in the guides'
     /// examples.
@@ -30,102 +25,23 @@ impl std::fmt::Display for MacAddr {
     }
 }
 
-/// EtherType values understood by this stack.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u16)]
-pub enum EtherType {
-    /// IPv4 (0x0800) — the only payload Minos carries.
-    Ipv4 = 0x0800,
-}
-
-impl EtherType {
-    /// Parses a raw EtherType.
-    pub fn from_u16(v: u16) -> Option<Self> {
-        match v {
-            0x0800 => Some(EtherType::Ipv4),
-            _ => None,
-        }
-    }
-}
-
-/// An Ethernet II header (14 bytes on the wire).
+/// The addresses of an Ethernet II header (14 bytes on the wire).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EthernetHeader {
     /// Destination MAC.
     pub dst: MacAddr,
     /// Source MAC.
     pub src: MacAddr,
-    /// Payload EtherType.
-    pub ethertype: EtherType,
 }
 
 impl EthernetHeader {
-    /// Encoded size in bytes.
+    /// Size on the wire in bytes.
     pub const LEN: usize = 14;
-
-    /// Appends the encoded header to `buf`.
-    pub fn encode<B: BufMut>(&self, buf: &mut B) {
-        buf.put_slice(&self.dst.0);
-        buf.put_slice(&self.src.0);
-        buf.put_u16(self.ethertype as u16);
-    }
-
-    /// Decodes a header from the front of `buf`, advancing it.
-    ///
-    /// Returns `None` if the buffer is too short or the EtherType is not
-    /// supported.
-    pub fn decode<B: Buf>(buf: &mut B) -> Option<Self> {
-        if buf.remaining() < Self::LEN {
-            return None;
-        }
-        let mut dst = [0u8; 6];
-        let mut src = [0u8; 6];
-        buf.copy_to_slice(&mut dst);
-        buf.copy_to_slice(&mut src);
-        let ethertype = EtherType::from_u16(buf.get_u16())?;
-        Some(EthernetHeader {
-            dst: MacAddr(dst),
-            src: MacAddr(src),
-            ethertype,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
-
-    #[test]
-    fn roundtrip() {
-        let h = EthernetHeader {
-            dst: MacAddr::from_host_id(1),
-            src: MacAddr::from_host_id(2),
-            ethertype: EtherType::Ipv4,
-        };
-        let mut buf = BytesMut::new();
-        h.encode(&mut buf);
-        assert_eq!(buf.len(), EthernetHeader::LEN);
-        let mut rd = buf.freeze();
-        let parsed = EthernetHeader::decode(&mut rd).unwrap();
-        assert_eq!(parsed, h);
-        assert_eq!(rd.remaining(), 0);
-    }
-
-    #[test]
-    fn short_buffer_fails() {
-        let mut buf = bytes::Bytes::from_static(&[0u8; 8]);
-        assert!(EthernetHeader::decode(&mut buf).is_none());
-    }
-
-    #[test]
-    fn unknown_ethertype_fails() {
-        let mut buf = BytesMut::new();
-        buf.put_slice(&[0u8; 12]);
-        buf.put_u16(0x86DD); // IPv6: unsupported
-        let mut rd = buf.freeze();
-        assert!(EthernetHeader::decode(&mut rd).is_none());
-    }
 
     #[test]
     fn mac_display() {

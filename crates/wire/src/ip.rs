@@ -1,123 +1,19 @@
-//! A minimal IPv4 header.
+//! IPv4 addressing.
 //!
-//! Only the fields the Minos datapath needs are modelled (no options, no
-//! IP-level fragmentation — fragmentation happens at the UDP layer per the
-//! paper). The header checksum is computed and verified for realism and
-//! so that the NIC's fault injector can corrupt packets detectably.
+//! Only the addresses are modelled: there are no options and no
+//! IP-level fragmentation (fragmentation happens at the UDP layer per
+//! the paper), and the kernel, or the NIC, owns the rest of the header.
 
-use crate::checksum::{internet_checksum, verify};
-use bytes::{Buf, BufMut};
-
-/// IP protocol number for UDP.
-pub const PROTO_UDP: u8 = 17;
-
-/// A fixed-size (20-byte) IPv4 header.
+/// The addresses of a fixed-size (20-byte) IPv4 header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Ipv4Header {
     /// Source address (host order).
     pub src: u32,
     /// Destination address (host order).
     pub dst: u32,
-    /// Payload protocol; always [`PROTO_UDP`] in this stack.
-    pub protocol: u8,
-    /// Time to live.
-    pub ttl: u8,
-    /// Total length: header + payload, in bytes.
-    pub total_len: u16,
 }
 
 impl Ipv4Header {
-    /// Encoded size in bytes.
+    /// Size on the wire in bytes.
     pub const LEN: usize = 20;
-
-    /// Creates a UDP-carrying header with the default TTL of 64.
-    pub fn udp(src: u32, dst: u32, payload_len: usize) -> Self {
-        let total = Self::LEN + payload_len;
-        assert!(total <= u16::MAX as usize, "IP packet too large: {total}");
-        Ipv4Header {
-            src,
-            dst,
-            protocol: PROTO_UDP,
-            ttl: 64,
-            total_len: total as u16,
-        }
-    }
-
-    /// Appends the encoded header (with checksum) to `buf`.
-    pub fn encode<B: BufMut>(&self, buf: &mut B) {
-        let mut raw = [0u8; Self::LEN];
-        raw[0] = 0x45; // version 4, IHL 5
-        raw[1] = 0; // DSCP/ECN
-        raw[2..4].copy_from_slice(&self.total_len.to_be_bytes());
-        // identification (4..6) and flags/fragment offset (6..8) unused:
-        // UDP-level fragmentation only.
-        raw[8] = self.ttl;
-        raw[9] = self.protocol;
-        // checksum (10..12) computed below
-        raw[12..16].copy_from_slice(&self.src.to_be_bytes());
-        raw[16..20].copy_from_slice(&self.dst.to_be_bytes());
-        let ck = internet_checksum(&raw);
-        raw[10..12].copy_from_slice(&ck.to_be_bytes());
-        buf.put_slice(&raw);
-    }
-
-    /// Decodes and checksum-verifies a header from the front of `buf`.
-    pub fn decode<B: Buf>(buf: &mut B) -> Option<Self> {
-        if buf.remaining() < Self::LEN {
-            return None;
-        }
-        let mut raw = [0u8; Self::LEN];
-        buf.copy_to_slice(&mut raw);
-        if raw[0] != 0x45 || !verify(&raw) {
-            return None;
-        }
-        Some(Ipv4Header {
-            src: u32::from_be_bytes(raw[12..16].try_into().unwrap()),
-            dst: u32::from_be_bytes(raw[16..20].try_into().unwrap()),
-            protocol: raw[9],
-            ttl: raw[8],
-            total_len: u16::from_be_bytes(raw[2..4].try_into().unwrap()),
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bytes::BytesMut;
-
-    #[test]
-    fn roundtrip() {
-        let h = Ipv4Header::udp(0x0A000001, 0x0A000002, 100);
-        let mut buf = BytesMut::new();
-        h.encode(&mut buf);
-        assert_eq!(buf.len(), Ipv4Header::LEN);
-        let mut rd = buf.freeze();
-        let parsed = Ipv4Header::decode(&mut rd).unwrap();
-        assert_eq!(parsed, h);
-        assert_eq!(parsed.total_len as usize, Ipv4Header::LEN + 100);
-    }
-
-    #[test]
-    fn corrupted_header_rejected() {
-        let h = Ipv4Header::udp(1, 2, 64);
-        let mut buf = BytesMut::new();
-        h.encode(&mut buf);
-        let mut raw = buf.to_vec();
-        raw[14] ^= 0x01; // flip a bit in the source address
-        let mut rd = bytes::Bytes::from(raw);
-        assert!(Ipv4Header::decode(&mut rd).is_none());
-    }
-
-    #[test]
-    fn short_buffer_rejected() {
-        let mut rd = bytes::Bytes::from_static(&[0x45, 0, 0]);
-        assert!(Ipv4Header::decode(&mut rd).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "too large")]
-    fn oversized_payload_panics() {
-        let _ = Ipv4Header::udp(1, 2, 70_000);
-    }
 }

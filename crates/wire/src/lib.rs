@@ -6,20 +6,21 @@
 //! large GET replies) are *fragmented and reassembled at the UDP level*,
 //! and retransmission is left to the client.
 //!
-//! This crate implements that stack from scratch:
+//! This crate implements the layers above the NIC; framing and
+//! checksums are the NIC's job, here the kernel's:
 //!
-//! * [`frame`] — Ethernet II framing.
-//! * [`ip`] — a minimal IPv4 header with internet checksum.
-//! * [`udp`] — UDP header; the destination port doubles as the RX-queue
-//!   selector (`UdpHeader::target_queue`, the virtual NIC's one steering
-//!   rule; see `minos-nic`).
+//! * [`frame`], [`ip`], [`udp`] — the addresses of a datagram's
+//!   Ethernet, IPv4 and UDP headers; the UDP destination port doubles
+//!   as the RX-queue selector (`UdpHeader::target_queue`, the virtual
+//!   NIC's one steering rule; see `minos-nic`).
 //! * [`frag`] — a datagram as a sequence of frames: fragmentation of
 //!   application messages into MTU-sized datagrams, small messages
 //!   sharing one, and a reassembler with bounded memory.
 //! * [`message`] — the KV application protocol: GET/PUT/DELETE requests
 //!   and replies, with the client send-timestamp piggybacked on replies
 //!   exactly as the paper's measurement methodology requires (§5.4).
-//! * [`packet`] — a full frame builder/parser combining all layers.
+//! * [`packet`] — a datagram's addressing plus its payload, on the
+//!   receive ([`Packet`]) and the transmit ([`TxPacket`]) path.
 //! * [`txframe`] — the scatter-gather transmit frame ([`TxFrame`]):
 //!   inline header region plus refcounted value segments, so encoding
 //!   and fragmentation never copy value bytes on the send path.
@@ -34,7 +35,6 @@
 
 #![warn(missing_docs)]
 
-pub mod checksum;
 pub mod frag;
 pub mod frame;
 pub mod ip;
@@ -44,7 +44,7 @@ pub mod txframe;
 pub mod udp;
 
 pub use frag::{FragHeader, FragmentWriter, Fragmenter, Streamed, StreamingReassembler};
-pub use frame::{EtherType, EthernetHeader, MacAddr};
+pub use frame::{EthernetHeader, MacAddr};
 pub use ip::Ipv4Header;
 pub use message::{Message, OpKind, ReplyStatus};
 pub use packet::{Packet, PacketMeta, TxPacket};
@@ -63,9 +63,8 @@ pub const UDP_HEADER_LEN: usize = 8;
 /// Bytes of Ethernet II header.
 pub const ETH_HEADER_LEN: usize = 14;
 
-/// Bytes of the Ethernet frame check sequence (CRC-32 trailer). The
-/// virtual NIC verifies it exactly as hardware does, so corruption
-/// anywhere in a frame is detected and the frame dropped.
+/// Bytes of the Ethernet frame check sequence (CRC-32 trailer), which
+/// NIC byte accounting charges to every frame.
 pub const ETH_FCS_LEN: usize = 4;
 
 /// Maximum UDP payload per datagram under the MTU.

@@ -1,16 +1,17 @@
-//! Full-frame construction and parsing: Ethernet + IPv4 + UDP + payload.
+//! Packets: the addressing of an Ethernet + IPv4 + UDP datagram plus
+//! its payload.
 //!
-//! A [`Packet`] is the currency between the virtual NIC and the cores:
-//! parsed header metadata plus the UDP payload (which itself carries a
-//! fragment of an application [`crate::Message`]).
+//! A [`Packet`] is the currency between the NIC and the cores: header
+//! metadata plus the UDP payload (which itself carries a sequence of
+//! frames of application [`crate::Message`]s).
 
-use crate::frame::{EtherType, EthernetHeader, MacAddr};
-use crate::ip::{Ipv4Header, PROTO_UDP};
+use crate::frame::{EthernetHeader, MacAddr};
+use crate::ip::Ipv4Header;
 use crate::txframe::TxFrame;
 use crate::udp::UdpHeader;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
-/// Parsed headers of a received frame.
+/// The headers of a datagram: who sent it and where it goes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PacketMeta {
     /// Ethernet header.
@@ -21,10 +22,10 @@ pub struct PacketMeta {
     pub udp: UdpHeader,
 }
 
-/// A received (or to-be-sent) frame: parsed metadata plus UDP payload.
+/// A received (or to-be-sent) datagram: header metadata plus UDP payload.
 #[derive(Clone, Debug)]
 pub struct Packet {
-    /// Parsed headers.
+    /// Headers (addressing).
     pub meta: PacketMeta,
     /// UDP payload (fragment header + application chunk).
     pub payload: Bytes,
@@ -76,43 +77,32 @@ impl Endpoint {
     }
 }
 
-/// Builds a parsed [`Packet`] directly from endpoints and a UDP payload,
-/// skipping wire encoding — the zero-copy TX path: the server transmits
-/// parsed packets into its TX rings and the in-process "wire" hands them
-/// to the peer as-is, exactly like DPDK hands descriptors around without
-/// copying. Equivalent to `parse_frame(build_frame(src, dst, payload))`.
+/// Builds a [`Packet`] from endpoints and a UDP payload: the in-process
+/// wire hands packets from sender to receiver as-is, exactly like DPDK
+/// hands descriptors around without copying, and the kernel-UDP backend
+/// describes each datagram it received this way.
 pub fn synthesize(src: Endpoint, dst: Endpoint, payload: Bytes) -> Packet {
-    let udp = UdpHeader::for_payload(src.port, dst.port, &payload);
     Packet {
-        meta: synthesized_meta(src, dst, udp),
+        meta: synthesized_meta(src, dst),
         payload,
     }
 }
 
-/// The headers a frame from `src` to `dst` carrying `udp` parses to.
-fn synthesized_meta(src: Endpoint, dst: Endpoint, udp: UdpHeader) -> PacketMeta {
+/// The headers of a datagram from `src` to `dst`.
+fn synthesized_meta(src: Endpoint, dst: Endpoint) -> PacketMeta {
     PacketMeta {
         eth: EthernetHeader {
             dst: dst.mac,
             src: src.mac,
-            ethertype: EtherType::Ipv4,
         },
-        ip: Ipv4Header::udp(src.ip, dst.ip, udp.length as usize),
-        udp,
-    }
-}
-
-/// [`synthesize`] for a payload that arrived through a NIC which
-/// already verified its checksum — the kernel-UDP backend, where the
-/// kernel checked the real datagram before handing it over. Identical
-/// metadata except that the UDP checksum is recorded as offloaded
-/// ([`UdpHeader::checksum_offloaded`]) instead of recomputed over the
-/// whole payload, which nothing downstream would ever check.
-pub fn synthesize_rx_verified(src: Endpoint, dst: Endpoint, payload: Bytes) -> Packet {
-    let udp = UdpHeader::checksum_offloaded(src.port, dst.port, payload.len());
-    Packet {
-        meta: synthesized_meta(src, dst, udp),
-        payload,
+        ip: Ipv4Header {
+            src: src.ip,
+            dst: dst.ip,
+        },
+        udp: UdpHeader {
+            src_port: src.port,
+            dst_port: dst.port,
+        },
     }
 }
 
@@ -124,8 +114,7 @@ pub fn synthesize_rx_verified(src: Endpoint, dst: Endpoint, payload: Bytes) -> P
 /// regions to `sendmsg`/`sendmmsg` as iovecs).
 #[derive(Clone, Debug)]
 pub struct TxPacket {
-    /// Parsed headers (addressing; the UDP checksum is left to whoever
-    /// serializes the frame — see [`synthesize_frame`]).
+    /// Headers (addressing).
     pub meta: PacketMeta,
     /// Scatter-gather UDP payload.
     pub frame: TxFrame,
@@ -152,168 +141,23 @@ impl TxPacket {
             + crate::ETH_FCS_LEN
     }
 
-    /// Appends `frame` behind this datagram's payload, keeping the
-    /// length fields of the headers in step, and says so — `false`,
-    /// with nothing changed, when the payload would outgrow
+    /// Appends `frame` behind this datagram's payload and says so —
+    /// `false`, with nothing changed, when the payload would outgrow
     /// [`crate::MAX_UDP_PAYLOAD`] or the [`TxFrame`]'s own capacity
     /// ([`TxFrame::try_append`]).
     pub fn try_append(&mut self, frame: &TxFrame) -> bool {
-        let added = frame.len();
-        if self.frame.len() + added > crate::MAX_UDP_PAYLOAD || !self.frame.try_append(frame) {
-            return false;
-        }
-        // At most MAX_UDP_PAYLOAD in all: far inside the u16 fields.
-        self.meta.udp.length += added as u16;
-        self.meta.ip.total_len += added as u16;
-        true
+        self.frame.len() + frame.len() <= crate::MAX_UDP_PAYLOAD && self.frame.try_append(frame)
     }
 }
 
-/// Builds a parsed [`TxPacket`] from endpoints and a scatter-gather
-/// payload — the frame analog of [`synthesize`], except that the UDP
-/// checksum is recorded as offloaded
-/// ([`UdpHeader::checksum_offloaded`]), the transmit half of
-/// [`synthesize_rx_verified`]: whoever puts the frame on a wire
-/// checksums it there — the kernel for a real datagram,
-/// [`build_frame_into_frame`] while it gathers for the virtual NIC — so
-/// a pass over the payload here (500 KB per large GET reply) would be
-/// computed and never read. Every other header field equals
-/// `synthesize(src, dst, gather(f))`'s (tested).
+/// Builds a [`TxPacket`] from endpoints and a scatter-gather payload —
+/// the transmit analog of [`synthesize`], with the same headers as
+/// `synthesize(src, dst, gather(frame))` (tested).
 pub fn synthesize_frame(src: Endpoint, dst: Endpoint, frame: TxFrame) -> TxPacket {
-    let udp = UdpHeader::checksum_offloaded(src.port, dst.port, frame.len());
     TxPacket {
-        meta: synthesized_meta(src, dst, udp),
+        meta: synthesized_meta(src, dst),
         frame,
     }
-}
-
-/// Encodes one full frame (with FCS trailer) carrying `udp_payload` from
-/// `src` to `dst`.
-pub fn build_frame(src: Endpoint, dst: Endpoint, udp_payload: &[u8]) -> Bytes {
-    let udp = UdpHeader::for_payload(src.port, dst.port, udp_payload);
-    let ip = Ipv4Header::udp(src.ip, dst.ip, UdpHeader::LEN + udp_payload.len());
-    let eth = EthernetHeader {
-        dst: dst.mac,
-        src: src.mac,
-        ethertype: EtherType::Ipv4,
-    };
-    let mut buf = BytesMut::with_capacity(
-        EthernetHeader::LEN
-            + Ipv4Header::LEN
-            + UdpHeader::LEN
-            + udp_payload.len()
-            + crate::ETH_FCS_LEN,
-    );
-    eth.encode(&mut buf);
-    ip.encode(&mut buf);
-    udp.encode(&mut buf);
-    buf.extend_from_slice(udp_payload);
-    let fcs = crate::checksum::crc32(&buf);
-    buf.extend_from_slice(&fcs.to_be_bytes());
-    buf.freeze()
-}
-
-/// Encodes one full frame (with FCS trailer) into `out` without
-/// allocating — the pooled-buffer analog of [`build_frame`]. Returns
-/// the frame length, or `None` when `out` is too small to hold it.
-pub fn build_frame_into(
-    src: Endpoint,
-    dst: Endpoint,
-    udp_payload: &[u8],
-    out: &mut [u8],
-) -> Option<usize> {
-    let body_len = EthernetHeader::LEN + Ipv4Header::LEN + UdpHeader::LEN + udp_payload.len();
-    let total = body_len + crate::ETH_FCS_LEN;
-    if out.len() < total {
-        return None;
-    }
-    let udp = UdpHeader::for_payload(src.port, dst.port, udp_payload);
-    let ip = Ipv4Header::udp(src.ip, dst.ip, UdpHeader::LEN + udp_payload.len());
-    let eth = EthernetHeader {
-        dst: dst.mac,
-        src: src.mac,
-        ethertype: EtherType::Ipv4,
-    };
-    let mut cursor = &mut out[..body_len];
-    eth.encode(&mut cursor);
-    ip.encode(&mut cursor);
-    udp.encode(&mut cursor);
-    cursor.put_slice(udp_payload);
-    debug_assert!(cursor.is_empty(), "body length accounts for every field");
-    let fcs = crate::checksum::crc32(&out[..body_len]);
-    out[body_len..total].copy_from_slice(&fcs.to_be_bytes());
-    Some(total)
-}
-
-/// Encodes one full Ethernet frame (with FCS trailer) carrying a
-/// scatter-gather `payload` into `out` — the [`TxFrame`] analog of
-/// [`build_frame_into`], gathering the payload's regions exactly once
-/// while serializing. Returns the frame length, or `None` when `out` is
-/// too small. Byte-identical to `build_frame_into` over the gathered
-/// payload (tested).
-pub fn build_frame_into_frame(
-    src: Endpoint,
-    dst: Endpoint,
-    payload: &TxFrame,
-    out: &mut [u8],
-) -> Option<usize> {
-    let body_len = EthernetHeader::LEN + Ipv4Header::LEN + UdpHeader::LEN + payload.len();
-    let total = body_len + crate::ETH_FCS_LEN;
-    if out.len() < total {
-        return None;
-    }
-    let udp = UdpHeader::for_frame(src.port, dst.port, payload);
-    let ip = Ipv4Header::udp(src.ip, dst.ip, UdpHeader::LEN + payload.len());
-    let eth = EthernetHeader {
-        dst: dst.mac,
-        src: src.mac,
-        ethertype: EtherType::Ipv4,
-    };
-    let mut cursor = &mut out[..body_len];
-    eth.encode(&mut cursor);
-    ip.encode(&mut cursor);
-    udp.encode(&mut cursor);
-    for region in payload.regions() {
-        cursor.put_slice(region.as_slice());
-    }
-    debug_assert!(cursor.is_empty(), "body length accounts for every field");
-    let fcs = crate::checksum::crc32(&out[..body_len]);
-    out[body_len..total].copy_from_slice(&fcs.to_be_bytes());
-    Some(total)
-}
-
-/// Parses and validates a full frame. Returns `None` for anything that is
-/// not a well-formed UDP-in-IPv4-in-Ethernet frame with an intact FCS and
-/// intact checksums — exactly what NIC hardware silently discards.
-pub fn parse_frame(frame: Bytes) -> Option<Packet> {
-    // FCS check first, as the hardware does.
-    if frame.len() < crate::ETH_FCS_LEN {
-        return None;
-    }
-    let (body, trailer) = frame.split_at(frame.len() - crate::ETH_FCS_LEN);
-    let stored = u32::from_be_bytes(trailer.try_into().unwrap());
-    if crate::checksum::crc32(body) != stored {
-        return None;
-    }
-    let mut rd = frame.slice(0..frame.len() - crate::ETH_FCS_LEN);
-    let eth = EthernetHeader::decode(&mut rd)?;
-    let ip = Ipv4Header::decode(&mut rd)?;
-    if ip.protocol != PROTO_UDP {
-        return None;
-    }
-    let udp = UdpHeader::decode(&mut rd)?;
-    let payload_len = (udp.length as usize).checked_sub(UdpHeader::LEN)?;
-    if rd.len() < payload_len {
-        return None;
-    }
-    let payload = rd.slice(0..payload_len);
-    if !udp.verify_payload(&payload) {
-        return None;
-    }
-    Some(Packet {
-        meta: PacketMeta { eth, ip, udp },
-        payload,
-    })
 }
 
 #[cfg(test)]
@@ -321,11 +165,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frame_roundtrip() {
+    fn synthesize_addresses_every_layer() {
         let src = Endpoint::host(1, 5555);
         let dst = Endpoint::host(2, UdpHeader::port_for_queue(3));
-        let frame = build_frame(src, dst, b"payload");
-        let pkt = parse_frame(frame).unwrap();
+        let pkt = synthesize(src, dst, Bytes::from_static(b"payload"));
         assert_eq!(&pkt.payload[..], b"payload");
         assert_eq!(pkt.meta.ip.src, src.ip);
         assert_eq!(pkt.meta.ip.dst, dst.ip);
@@ -336,87 +179,21 @@ mod tests {
 
     #[test]
     fn wire_len_accounts_all_layers() {
-        let src = Endpoint::host(1, 1);
-        let dst = Endpoint::host(2, 2);
-        let frame = build_frame(src, dst, &[0u8; 100]);
-        let pkt = parse_frame(frame.clone()).unwrap();
-        assert_eq!(pkt.wire_len(), frame.len());
+        let pkt = synthesize(
+            Endpoint::host(1, 1),
+            Endpoint::host(2, 2),
+            Bytes::from(vec![0u8; 100]),
+        );
         assert_eq!(pkt.wire_len(), 14 + 20 + 8 + 100 + 4);
     }
 
     #[test]
-    fn corrupt_payload_rejected() {
-        let src = Endpoint::host(1, 1);
-        let dst = Endpoint::host(2, 2);
-        let frame = build_frame(src, dst, b"data!");
-        let mut raw = frame.to_vec();
-        let n = raw.len();
-        raw[n - 1] ^= 0xFF;
-        assert!(parse_frame(Bytes::from(raw)).is_none());
-    }
-
-    #[test]
     fn source_endpoint_distinguishes_ports() {
-        let a = parse_frame(build_frame(
-            Endpoint::host(1, 10),
-            Endpoint::host(2, 1),
-            b"",
-        ))
-        .unwrap();
-        let b = parse_frame(build_frame(
-            Endpoint::host(1, 11),
-            Endpoint::host(2, 1),
-            b"",
-        ))
-        .unwrap();
-        assert_ne!(a.source_endpoint(), b.source_endpoint());
-    }
-
-    #[test]
-    fn garbage_rejected() {
-        assert!(parse_frame(Bytes::from_static(&[0u8; 10])).is_none());
-        assert!(parse_frame(Bytes::from_static(&[0xFFu8; 60])).is_none());
-    }
-
-    #[test]
-    fn synthesize_equals_encode_parse() {
-        let src = Endpoint::host(3, 1111);
-        let dst = Endpoint::host(4, 9002);
-        let payload = Bytes::from_static(b"synthesized payload");
-        let direct = synthesize(src, dst, payload.clone());
-        let parsed = parse_frame(build_frame(src, dst, &payload)).unwrap();
-        assert_eq!(direct.meta, parsed.meta);
-        assert_eq!(direct.payload, parsed.payload);
-        assert_eq!(direct.wire_len(), parsed.wire_len());
-    }
-
-    #[test]
-    fn rx_verified_skips_only_the_checksum() {
-        let src = Endpoint::host(3, 1111);
-        let dst = Endpoint::host(4, 9002);
-        let payload = Bytes::from_static(b"the kernel checked this one");
-        let full = synthesize(src, dst, payload.clone());
-        let verified = synthesize_rx_verified(src, dst, payload);
-        assert_eq!(verified.meta.udp.checksum, 0);
-        assert_eq!(verified.meta.eth, full.meta.eth);
-        assert_eq!(verified.meta.ip, full.meta.ip);
-        assert_eq!(verified.meta.udp.length, full.meta.udp.length);
-        assert_eq!(verified.payload, full.payload);
-        assert_eq!(verified.wire_len(), full.wire_len());
-        assert_eq!(verified.source_endpoint(), full.source_endpoint());
-    }
-
-    #[test]
-    fn build_frame_into_matches_build_frame() {
-        let src = Endpoint::host(7, 4242);
-        let dst = Endpoint::host(8, 9003);
-        let payload = b"no-alloc frame encoding";
-        let allocated = build_frame(src, dst, payload);
-        let mut buf = [0u8; 256];
-        let len = build_frame_into(src, dst, payload, &mut buf).unwrap();
-        assert_eq!(&buf[..len], &allocated[..]);
-        // And an undersized buffer is refused, not truncated.
-        let mut tiny = [0u8; 16];
-        assert_eq!(build_frame_into(src, dst, payload, &mut tiny), None);
+        let from = |port| synthesize(Endpoint::host(1, port), Endpoint::host(2, 1), Bytes::new());
+        assert_ne!(from(10).source_endpoint(), from(11).source_endpoint());
+        assert_eq!(
+            from(10).source_endpoint(),
+            Endpoint::host(1, 10).source_key()
+        );
     }
 }

@@ -1,13 +1,13 @@
 //! Property tests: end-to-end wire invariants.
 //!
-//! * Any message survives encode → fragment → frame → parse → reassemble →
+//! * Any message survives encode → fragment → packet → reassemble →
 //!   decode, under arbitrary fragment permutations.
 //! * The fragment count always equals the cost function's packet count.
 
 use bytes::Bytes;
 use minos_wire::frag::{fragment_with_id, FragHeader, Streamed, StreamingReassembler};
 use minos_wire::message::{Body, Message, ReplyStatus};
-use minos_wire::packet::{build_frame, parse_frame, Endpoint};
+use minos_wire::packet::{synthesize, Endpoint};
 use proptest::prelude::*;
 
 /// Opens a plain `Vec` writer of the message's length.
@@ -85,14 +85,13 @@ proptest! {
             frags.swap(i, j);
         }
 
-        // Send every fragment through a full frame encode/parse.
+        // Send every fragment as a packet from one source.
         let src = Endpoint::host(1, 777);
         let dst = Endpoint::host(2, 9000);
         let mut reasm = StreamingReassembler::new(4);
         let mut complete = None;
         for f in &frags {
-            let frame = build_frame(src, dst, f);
-            let pkt = parse_frame(frame).unwrap();
+            let pkt = synthesize(src, dst, f.clone());
             match reasm.push(pkt.source_endpoint(), pkt.payload, vec_open) {
                 Streamed::Complete(b) => complete = Some(b),
                 Streamed::Incomplete => {}

@@ -32,9 +32,9 @@ fn main() {
     let transport = Arc::new(VirtualTransport::new(Arc::clone(&nic)));
     let mut server = MinosServer::start_with_transport(config, Arc::clone(&transport));
 
-    // The client rides the same Transport trait: its adapter feeds
-    // frames through the NIC's checksummed receive path and drains
-    // replies from the server's TX rings.
+    // The client rides the same Transport trait: its adapter delivers
+    // packets to the NIC, which steers each by its destination port,
+    // and drains replies from the server's TX rings.
     let client_endpoint = minos::wire::packet::Endpoint::host(101, 20_001);
     let client_transport: Arc<dyn Transport> = Arc::new(VirtualClientTransport::new(
         Arc::clone(&nic),
