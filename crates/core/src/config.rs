@@ -4,8 +4,9 @@ use crate::dispatch::DisciplineKind;
 
 /// RX batch size `B`: the requests a core takes from one RX queue per
 /// poll round, and the most datagrams a TX burst stages before it is
-/// sent (32 in the paper, §5.2).
-pub const BATCH: usize = 32;
+/// sent (32 in the paper, §4.1 and §5.2). Written down once, as the
+/// UDP transport's syscall batch.
+pub const BATCH: usize = minos_net::BATCH;
 
 /// Capacity of each core's software queue, in requests, in every server
 /// (the queue is a tail-drop bound: a full queue drops the handoff and

@@ -1,9 +1,9 @@
 //! Churn stress over real UDP: the dataset outgrows the mempool.
 //!
 //! A working set at least 4x the server's mempool is churned through a
-//! live threaded server on both UDP syscall paths (batched `recvmmsg`/
-//! `sendmmsg` and one-datagram fallback). With capacity tiering on, the
-//! server must shed cold items instead of failing writes:
+//! live threaded server over UDP, once per eviction policy. With
+//! capacity tiering on, the server must shed cold items instead of
+//! failing writes:
 //!
 //! * **zero OutOfMemory PUT replies** — eviction runs at reservation
 //!   time, so even the fill phase never bounces a write (there is no
@@ -34,13 +34,9 @@ const MEMPOOL_BYTES: usize = 256 << 10;
 const NUM_KEYS: u64 = 1024;
 const OPS: u64 = 4_000;
 
-fn bind_server(batch: usize) -> Arc<UdpTransport> {
+fn bind_server() -> Arc<UdpTransport> {
     loop {
-        let config = UdpConfig {
-            batch,
-            ..UdpConfig::loopback(PORTS.alloc(QUEUES), QUEUES)
-        };
-        if let Ok(t) = UdpTransport::bind(config) {
+        if let Ok(t) = UdpTransport::bind(UdpConfig::loopback(PORTS.alloc(QUEUES), QUEUES)) {
             return Arc::new(t);
         }
     }
@@ -80,9 +76,9 @@ fn drain_counting(client: &mut Client, timeout: Duration, oom_puts: &mut u64) ->
     true
 }
 
-/// One churn run: `OPS` zipfian operations over a working set >= 4x the
-/// mempool, on the given syscall path and eviction policy.
-fn churn_run(batch: usize, policy: EvictionPolicy, ttl_ms: u64) {
+/// One churn run: `OPS` zipfian operations drawn from `seed` over a
+/// working set >= 4x the mempool, under the given eviction policy.
+fn churn_run(seed: u64, policy: EvictionPolicy, ttl_ms: u64) {
     let generator = ChurnGenerator::new(ChurnConfig {
         num_keys: NUM_KEYS,
         value_min: 64,
@@ -98,7 +94,7 @@ fn churn_run(batch: usize, policy: EvictionPolicy, ttl_ms: u64) {
         MEMPOOL_BYTES
     );
 
-    let transport = bind_server(batch);
+    let transport = bind_server();
     let mut config = ServerConfig::for_test(QUEUES as usize, NUM_KEYS as usize);
     config.store = StoreConfig::for_items(QUEUES as usize * 4, NUM_KEYS as usize, MEMPOOL_BYTES);
     config.store.capacity = CapacityConfig {
@@ -108,7 +104,7 @@ fn churn_run(batch: usize, policy: EvictionPolicy, ttl_ms: u64) {
     let mut server = MinosServer::start_with_transport(config, Arc::clone(&transport));
     let mut client = udp_client(&transport);
 
-    let mut rng = Rng::new(0x5EED ^ batch as u64);
+    let mut rng = Rng::new(seed);
     let mut oom_puts = 0u64;
     for _ in 0..OPS {
         let op = generator.next_op(&mut rng);
@@ -123,13 +119,13 @@ fn churn_run(batch: usize, policy: EvictionPolicy, ttl_ms: u64) {
     }
     assert!(
         drain_counting(&mut client, Duration::from_secs(60), &mut oom_puts),
-        "batch {batch}: churn lost replies"
+        "{policy:?}: churn lost replies"
     );
     let totals = client.totals();
-    assert_eq!(totals.outstanding(), 0, "batch {batch}: zero loss");
+    assert_eq!(totals.outstanding(), 0, "{policy:?}: zero loss");
     assert_eq!(
         oom_puts, 0,
-        "batch {batch}: capacity tiering must absorb every PUT \
+        "{policy:?}: capacity tiering must absorb every PUT \
          ({oom_puts} OutOfMemory replies over {OPS} ops)"
     );
     assert!(server.drain(Duration::from_secs(10)));
@@ -140,17 +136,17 @@ fn churn_run(batch: usize, policy: EvictionPolicy, ttl_ms: u64) {
     let expired = snap.counter("store.expired_keys").unwrap_or(0);
     assert!(
         evictions + expired > 0,
-        "batch {batch}: a 4x-overcommitted run must evict or expire \
+        "{policy:?}: a 4x-overcommitted run must evict or expire \
          (evictions {evictions}, expired {expired})"
     );
     if ttl_ms == 0 {
-        assert!(evictions > 0, "batch {batch}: pure-eviction run must evict");
+        assert!(evictions > 0, "{policy:?}: pure-eviction run must evict");
     }
     assert_eq!(
         snap.counter("store.accounting_warnings")
             .unwrap_or(u64::MAX),
         0,
-        "batch {batch}: watermark enforcement never claimed an undrainable pool"
+        "{policy:?}: watermark enforcement never claimed an undrainable pool"
     );
     // The accounting invariant, cross-checked against the store once
     // its cores have stopped: a TTL sweep still running between the two
@@ -160,12 +156,12 @@ fn churn_run(batch: usize, policy: EvictionPolicy, ttl_ms: u64) {
     assert_eq!(
         store.audit_charged_bytes(),
         store.mempool().used_bytes(),
-        "batch {batch}: bytes charged to live items == pool used bytes"
+        "{policy:?}: bytes charged to live items == pool used bytes"
     );
-    assert_eq!(store.audit_item_bitmaps(), Ok(store.len()), "batch {batch}");
+    assert_eq!(store.audit_item_bitmaps(), Ok(store.len()), "{policy:?}");
     assert!(
         store.mempool().used_bytes() <= MEMPOOL_BYTES,
-        "batch {batch}: the pool never overcommits"
+        "{policy:?}: the pool never overcommits"
     );
 
     // Hot-path invariants under churn: zero-copy TX, allocation-free RX.
@@ -173,32 +169,32 @@ fn churn_run(batch: usize, policy: EvictionPolicy, ttl_ms: u64) {
     if cfg!(target_os = "linux") {
         assert_eq!(
             io.tx_copied_bytes, 0,
-            "batch {batch}: eviction churn must not reintroduce TX copies"
+            "{policy:?}: eviction churn must not reintroduce TX copies"
         );
     }
     assert!(
         io.pool_hit_rate() >= 0.95,
-        "batch {batch}: RX pool stays warm under churn (hits {}, misses {}, rate {:.4})",
+        "{policy:?}: RX pool stays warm under churn (hits {}, misses {}, rate {:.4})",
         io.pool_hits,
         io.pool_misses,
         io.pool_hit_rate()
     );
     assert_eq!(
         io.pool_outstanding, 0,
-        "batch {batch}: every RX slot is home after the drain"
+        "{policy:?}: every RX slot is home after the drain"
     );
 }
 
-/// Batched syscall path (`recvmmsg`/`sendmmsg`), size-aware CLOCK, no
-/// TTLs: pure eviction absorbs a 4x-overcommitted working set.
+/// Size-aware CLOCK, no TTLs: pure eviction absorbs a
+/// 4x-overcommitted working set.
 #[test]
 fn churn_4x_mempool_batched_path_size_aware() {
-    churn_run(32, EvictionPolicy::SizeAwareClock, 0);
+    churn_run(0x5EED ^ 32, EvictionPolicy::SizeAwareClock, 0);
 }
 
-/// One-datagram syscall path, plain CLOCK, with 25 ms TTLs riding on
-/// every PUT: expiry and eviction share the shedding.
+/// Plain CLOCK with 25 ms TTLs riding on every PUT: expiry and eviction
+/// share the shedding.
 #[test]
-fn churn_4x_mempool_single_syscall_path_clock_with_ttl() {
-    churn_run(1, EvictionPolicy::Clock, 25);
+fn churn_4x_mempool_clock_with_ttl() {
+    churn_run(0x5EED ^ 1, EvictionPolicy::Clock, 25);
 }

@@ -27,7 +27,9 @@ pub use preload::{preload, PreloadStalled};
 pub use report::{quantiles_json, ClientRun, JsonObj, RunReport, RunSummary, NO_FAULTS};
 
 use minos_core::client::{Client, HedgePolicy, RetryPolicy};
-use minos_net::{endpoint_for, FaultProfile, FaultTransport, Transport, UdpConfig, UdpTransport};
+use minos_net::{
+    endpoint_for, FaultProfile, FaultTransport, Transport, UdpConfig, UdpTransport, BATCH,
+};
 use minos_workload::{
     AccessGenerator, ChurnGenerator, Dataset, OpSpec, OpenLoop, Operation, Profile, Rng,
 };
@@ -69,17 +71,13 @@ pub struct RunConfig {
     pub fault: Option<FaultProfile>,
     /// Client socket buffer size, bytes.
     pub socket_buffer_bytes: usize,
-    /// Most datagrams per `recvmmsg`/`sendmmsg`; also caps how many due
-    /// arrivals one loop iteration coalesces into a burst.
-    pub batch: usize,
     /// Pin measured client `c` to CPU `pin_base + c` (best effort).
     pub pin_base: Option<usize>,
 }
 
 impl RunConfig {
     /// One client at 20 000 requests/s for 10 s against `target`, in
-    /// zero-loss mode, with the UDP client's default socket buffer and
-    /// syscall batch.
+    /// zero-loss mode, with the UDP client's default socket buffer.
     pub fn new(target: SocketAddrV4, queues: u16) -> Self {
         let udp = UdpConfig::client(Ipv4Addr::UNSPECIFIED);
         RunConfig {
@@ -94,7 +92,6 @@ impl RunConfig {
             hedge: None,
             fault: None,
             socket_buffer_bytes: udp.socket_buffer_bytes,
-            batch: udp.batch,
             pin_base: None,
         }
     }
@@ -105,7 +102,6 @@ impl RunConfig {
     pub fn client(&self, id: u16, measured: bool) -> std::io::Result<DriverClient> {
         let udp = Arc::new(UdpTransport::bind_client_with(UdpConfig {
             socket_buffer_bytes: self.socket_buffer_bytes,
-            batch: self.batch,
             pool_slots: CLIENT_POOL_SLOTS,
             ..UdpConfig::client(Ipv4Addr::UNSPECIFIED)
         })?);
@@ -280,8 +276,7 @@ fn run_client(
             eprintln!("driver: client {index}: pinning to cpu {cpu} failed: {e}");
         }
     }
-    let cap = cfg.batch.max(1);
-    let mut due: Vec<(OpSpec, u64)> = Vec::with_capacity(cap);
+    let mut due: Vec<(OpSpec, u64)> = Vec::with_capacity(BATCH);
     let mut run = ClientRun::default();
     start.wait();
     // The schedule runs on the client's clock, so each deadline can ride
@@ -292,11 +287,11 @@ fn run_client(
     let started = Instant::now();
     while started.elapsed() < cfg.duration {
         let now = client.now_ns();
-        // Every arrival whose time has come leaves in one burst; the cap
+        // Every arrival whose time has come leaves in one burst; BATCH
         // keeps a burst inside one sendmmsg, and whatever is still due
         // leaves on the next iteration with its own deadline.
         due.clear();
-        while now >= schedule.peek() && due.len() < cap {
+        while now >= schedule.peek() && due.len() < BATCH {
             let (spec, deadline) = schedule.next().expect("the schedule never ends");
             run.behind_max_ns = run.behind_max_ns.max(now - deadline);
             if spec.op == Operation::Put {

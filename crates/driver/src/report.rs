@@ -113,7 +113,6 @@ fn add_io(a: &mut UdpIoStats, b: &UdpIoStats) {
     a.tx_syscalls += b.tx_syscalls;
     a.rx_packets += b.rx_packets;
     a.tx_packets += b.tx_packets;
-    a.batched |= b.batched;
     a.offload |= b.offload;
     a.tx_trains += b.tx_trains;
     a.tx_train_packets += b.tx_train_packets;
@@ -232,7 +231,6 @@ impl RunReport {
             reg.counter(name).add(v);
         }
         let flag = |on: bool| if on { 1.0 } else { 0.0 };
-        reg.gauge("transport.batched").set(flag(io.batched));
         reg.gauge("transport.offload").set(flag(io.offload));
         reg.gauge("pool.outstanding")
             .set(io.pool_outstanding as f64);
@@ -630,13 +628,13 @@ mod tests {
         b.behind_max_ns = 5;
         b.coalesced_max = 4;
         b.latency.record_ns(2_000);
-        b.io.batched = true;
+        b.io.offload = true;
         let report = RunReport::merge(vec![a, b]);
         let t = &report.total;
         assert_eq!((t.totals.sent, t.totals.completed), (30, 30));
         assert_eq!((t.behind_max_ns, t.coalesced_max), (7, 4));
         assert_eq!(t.latency.total(), 2);
-        assert!(t.io.batched);
+        assert!(t.io.offload);
         assert!(report.zero_loss());
     }
 }

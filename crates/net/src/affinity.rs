@@ -7,9 +7,9 @@
 
 use std::io;
 
-/// Pins the calling thread to `cpu` (Linux `sched_setaffinity`; an
-/// `Unsupported` error elsewhere). Callers treat failure as best-effort:
-/// an unpinned poller is slower, not wrong.
+/// Pins the calling thread to `cpu` (`sched_setaffinity`). Callers
+/// treat failure as best-effort: an unpinned poller is slower, not
+/// wrong.
 pub fn pin_current_thread(cpu: usize) -> io::Result<()> {
     crate::sys::pin_current_thread(cpu)
 }
@@ -19,7 +19,6 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg(target_os = "linux")]
     fn pin_to_cpu0_succeeds() {
         // CPU 0 exists on every machine.
         pin_current_thread(0).expect("pin to cpu 0");

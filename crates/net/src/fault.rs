@@ -11,11 +11,10 @@
 //!
 //! Every fault decision is a pure function of `(seed, direction, queue,
 //! packet sequence number)`. The sequence number counts packets in
-//! arrival order, which both UDP syscall paths
-//! (`recvmmsg`/`sendmmsg` and the one-datagram fallback) preserve, so
+//! arrival order, which `recvmmsg`/`sendmmsg` bursts preserve, so
 //! **the same seed and the same packet schedule produce the same fault
-//! decisions regardless of batch geometry** — a chaos CI failure seen
-//! on the batched path reproduces under `--batch 1` and vice versa
+//! decisions regardless of batch geometry** — a chaos CI failure
+//! reproduces from its seed, however the packets were cut into bursts
 //! (property-tested in `tests/fault_determinism.rs`).
 //!
 //! Reordering is likewise count-based, not time-based: a packet

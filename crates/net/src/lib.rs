@@ -21,10 +21,11 @@
 //!   through batched `recvmmsg`/`sendmmsg` syscalls ([`batch`]) — the
 //!   kernel-sockets analog of the paper's §4.1 DPDK bursts — and runs
 //!   of equal-length fragments cross the stack as single
-//!   `UDP_SEGMENT`/`UDP_GRO` trains, each with a runtime-detected
-//!   fallback (one datagram per message, one datagram per syscall).
-//! * [`pool`] — the slab-backed RX buffer pool: `recvmmsg`/`recv_from`
-//!   land datagrams directly in pooled, refcounted buffers that return
+//!   `UDP_SEGMENT`/`UDP_GRO` trains, with a runtime-detected fallback
+//!   to one datagram per message. Batched syscalls are the only UDP
+//!   path, of [`BATCH`] messages each, and Linux the only target.
+//! * [`pool`] — the slab-backed RX buffer pool: `recvmmsg` lands
+//!   datagrams directly in pooled, refcounted buffers that return
 //!   to the slab when the engine drops the payload, making the
 //!   steady-state receive path allocation-free end to end.
 //! * [`affinity`] — thread→core pinning (`sched_setaffinity`), used by
@@ -40,7 +41,7 @@
 //!
 //! The primary send method is [`Transport::tx_frames`]: scatter-gather
 //! [`minos_wire::TxPacket`]s whose header regions and refcounted value
-//! segments reach the kernel as iovecs (`sendmsg`/`sendmmsg`), so value
+//! segments reach the kernel as iovecs (`sendmmsg`), so value
 //! bytes are never copied between the store and the wire — the
 //! `tx_copied_bytes` gauges ([`TransportStats`], [`UdpIoStats`]) assert
 //! the invariant at runtime.
@@ -63,5 +64,5 @@ pub use pool::{BufferPool, PoolStats, PooledBuf};
 #[doc(hidden)]
 pub use sys::set_offload_available;
 pub use transport::{Transport, TransportStats};
-pub use udp::{endpoint_for, UdpConfig, UdpIoStats, UdpTransport, DEFAULT_SYSCALL_BATCH};
+pub use udp::{endpoint_for, UdpConfig, UdpIoStats, UdpTransport, BATCH};
 pub use virt::{VirtualClientTransport, VirtualTransport};

@@ -40,8 +40,8 @@ pub struct TransportStats {
 ///   further limit overhead").
 /// * The one send path is [`Transport::tx_frames`]: scatter-gather
 ///   [`TxPacket`]s whose value segments the backend forwards without
-///   copying wherever the underlying I/O allows (`sendmsg`/`sendmmsg`
-///   iovecs on the UDP backend). A contiguous [`Packet`] rides as a
+///   copying wherever the underlying I/O allows (`sendmmsg` iovecs on
+///   the UDP backend). A contiguous [`Packet`] rides as a
 ///   single-segment frame ([`TxPacket::from_packet`], an `O(1)`
 ///   refcount bump, no copy).
 /// * Sends route by each packet's *destination* metadata

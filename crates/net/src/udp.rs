@@ -22,20 +22,21 @@
 //!
 //! The paper's prototype moves requests in DPDK bursts and sends a
 //! large reply as a multi-packet train the NIC takes in one go (§3,
-//! §4.1). The kernel-sockets analog has two layers, both on by default
-//! and both chosen by what the code can observe, never by a setting:
+//! §4.1). The kernel-sockets analog has two layers, neither of them a
+//! setting:
 //!
-//! * `recvmmsg`/`sendmmsg` move up to [`UdpConfig::batch`] messages per
-//!   syscall through preallocated per-queue arenas ([`crate::batch`]).
-//!   Where the batched calls are unavailable (non-Linux, seccomp) or
-//!   `batch <= 1`, every datagram pays its own syscall.
+//! * `recvmmsg`/`sendmmsg` move up to [`BATCH`] messages per syscall
+//!   through preallocated per-queue arenas ([`crate::batch`]). They are
+//!   the only syscall path: a kernel that refuses them (a seccomp
+//!   filter's `ENOSYS`) meets the ordinary error handling, a bounded
+//!   skip on receive and a counted tail-drop on send.
 //! * On top of that, a *message* need not be one datagram. On send,
 //!   every run of same-destination, equal-length frames (the last may
 //!   be shorter; at most 44 frames / 65 507 bytes) is one `mmsghdr`
 //!   with a `UDP_SEGMENT` record: the kernel walks its stack once per
-//!   train and cuts it into datagrams at the bottom. On receive, a
-//!   socket drained by `recvmmsg` sets `UDP_GRO`, takes a whole train
-//!   per slot, and splits it back into the per-datagram [`Packet`]s
+//!   train and cuts it into datagrams at the bottom. On receive, every
+//!   socket sets `UDP_GRO` when it is bound, takes a whole train per
+//!   slot, and splits it back into the per-datagram [`Packet`]s
 //!   the engine sees on every backend. A single frame goes out exactly
 //!   as before, and a peer that never asked for trains receives each
 //!   fragment as its own datagram (the kernel segments on its behalf).
@@ -53,16 +54,14 @@
 //!
 //! The primary send method is [`Transport::tx_frames`]: each
 //! [`TxPacket`] reaches the kernel as a multi-iovec gather list (inline
-//! header iovec + one iovec per refcounted value segment), through
-//! `sendmmsg` on the batched path and `sendmsg` on the one-datagram
-//! path; a train is the gather lists of its frames back to back. So
-//! value bytes flow from the store's mempool to the wire with zero
-//! copies in this layer, an invariant the
-//! [`UdpIoStats::tx_copied_bytes`] gauge asserts (it moves only on the
-//! no-scatter-gather fallback, i.e. off Linux).
+//! header iovec + one iovec per refcounted value segment) through
+//! `sendmmsg`; a train is the gather lists of its frames back to back.
+//! So value bytes flow from the store's mempool to the wire with zero
+//! copies in this layer: [`UdpIoStats::tx_copied_bytes`] reads 0 by
+//! construction.
 
 use crate::batch::{RxArena, TxArena, RX_SLOT_LEN, RX_SPILL_LEN};
-use crate::pool::{BufferPool, PoolStats, PooledBuf};
+use crate::pool::{BufferPool, PoolStats};
 use crate::sys;
 use crate::transport::{Transport, TransportStats};
 use minos_wire::frame::MacAddr;
@@ -80,9 +79,11 @@ use std::time::{Duration, Instant};
 /// a burst.
 const SEND_BACKOFF: Duration = Duration::from_millis(20);
 
-/// Default maximum datagrams moved per batched syscall — the paper's RX
-/// batch size `B` (§4.1).
-pub const DEFAULT_SYSCALL_BATCH: usize = 32;
+/// The paper's burst size `B` (§4.1, "requests are moved in batches"):
+/// the most messages one `recvmmsg`/`sendmmsg` call moves, and the
+/// engine's per-poll batch (`minos_core::config::BATCH` names this
+/// constant).
+pub const BATCH: usize = 32;
 
 /// Configuration for [`UdpTransport::bind`].
 #[derive(Clone, Debug)]
@@ -96,12 +97,9 @@ pub struct UdpConfig {
     /// Socket send/receive buffer size, bytes. Large fragmented replies
     /// burst hundreds of datagrams; defaults to 4 MiB.
     pub socket_buffer_bytes: usize,
-    /// Maximum datagrams moved per `recvmmsg`/`sendmmsg` syscall; values
-    /// `<= 1` disable batching (one `recv_from`/`send_to` per datagram).
-    pub batch: usize,
     /// Slots in the RX buffer pool shared by all queues (each slot holds
     /// one MTU-sized datagram). `0` auto-sizes to
-    /// `num_queues * batch * 16`, floored at 256 — enough for the
+    /// `num_queues * BATCH * 16`, floored at 256 — enough for the
     /// in-flight bursts plus payloads the engine briefly holds. An
     /// exhausted pool falls back to per-datagram allocation and counts a
     /// miss ([`UdpIoStats::pool_misses`]); it never fails.
@@ -117,21 +115,19 @@ impl UdpConfig {
             base_port,
             num_queues,
             socket_buffer_bytes: 4 << 20,
-            batch: DEFAULT_SYSCALL_BATCH,
             pool_slots: 0,
         }
     }
 
     /// A single-queue client config on an ephemeral port: what
     /// [`UdpTransport::bind_client`] uses, exposed so callers can adjust
-    /// the socket buffer or batch size first.
+    /// the socket buffer or pool size first.
     pub fn client(ip: Ipv4Addr) -> Self {
         UdpConfig {
             ip,
             base_port: 0, // ephemeral
             num_queues: 1,
             socket_buffer_bytes: 4 << 20,
-            batch: DEFAULT_SYSCALL_BATCH,
             pool_slots: 0,
         }
     }
@@ -141,27 +137,25 @@ impl UdpConfig {
         if self.pool_slots > 0 {
             self.pool_slots
         } else {
-            (self.num_queues as usize * self.batch.max(1) * 16).max(256)
+            (self.num_queues as usize * BATCH * 16).max(256)
         }
     }
 }
 
-/// Syscall-level I/O statistics of a [`UdpTransport`]: how many batched
-/// or singleton syscalls moved how many datagrams. `rx_packets /
+/// Syscall-level I/O statistics of a [`UdpTransport`]: how many
+/// `recvmmsg`/`sendmmsg` calls moved how many datagrams. `rx_packets /
 /// rx_syscalls` is the achieved RX batching factor.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UdpIoStats {
-    /// Receive syscalls issued (`recvmmsg` or `recv_from`).
+    /// Receive syscalls issued (`recvmmsg`).
     pub rx_syscalls: u64,
-    /// Transmit syscalls issued (`sendmmsg` or `send_to`).
+    /// Transmit syscalls issued (`sendmmsg`).
     pub tx_syscalls: u64,
     /// Datagrams received (mirror of [`TransportStats::rx_packets`]).
     pub rx_packets: u64,
     /// Datagrams transmitted (mirror of [`TransportStats::tx_packets`]).
     pub tx_packets: u64,
-    /// Whether the batched syscall path is in use.
-    pub batched: bool,
-    /// Whether segmentation offload is in use on top of it: runs of
+    /// Whether segmentation offload is in use: runs of
     /// equal-length frames leave as one `UDP_SEGMENT` train per
     /// `mmsghdr`, and receive sockets coalesce (`UDP_GRO`). False once
     /// the kernel has refused a train.
@@ -186,11 +180,10 @@ pub struct UdpIoStats {
     /// it is home).
     pub pool_outstanding: u64,
     /// Payload *segment* bytes the TX path had to copy to reach the
-    /// wire. Both syscall paths hand segment iovecs straight to the
-    /// kernel (`sendmmsg` batched, `sendmsg` singly), so on Linux this
-    /// stays 0 — the asserted "GET replies reach the wire with zero
-    /// value-byte copies" invariant. Only the no-scatter-gather
-    /// fallback (non-Linux, exotic sandboxes) gathers, and counts here.
+    /// wire: 0 by construction, because `sendmmsg` takes every segment
+    /// as its own iovec — the asserted "GET replies reach the wire with
+    /// zero value-byte copies" invariant, read from the same gauge on
+    /// every backend (the in-process ones do gather, and count there).
     pub tx_copied_bytes: u64,
 }
 
@@ -208,18 +201,13 @@ pub struct UdpTransport {
     sockets: Vec<UdpSocket>,
     rx_queues: Vec<Mutex<RxQueue>>,
     tx_arenas: Vec<Mutex<TxArena>>,
-    /// Slab of RX payload buffers shared by all queues; both receive
-    /// paths draw from it, so the hot path allocates nothing.
+    /// Slab of RX payload buffers shared by all queues, so the hot path
+    /// allocates nothing.
     pool: BufferPool,
     /// Slab of train spill buffers ([`RX_SPILL_LEN`] bytes each): the
     /// second buffer of every `recvmmsg` slot on a coalescing socket.
     /// Its counters are reported summed into the `pool.*` gauges.
     spill_pool: BufferPool,
-    /// The per-datagram path's staged slot, one per queue: kept across
-    /// calls (like the batched arena's slots) so an idle poll neither
-    /// touches the pool freelist nor inflates the hit gauge.
-    singly_staged: Vec<Mutex<Option<PooledBuf>>>,
-    batch: usize,
     ip: Ipv4Addr,
     base_port: u16,
     rx_packets: AtomicU64,
@@ -229,7 +217,6 @@ pub struct UdpTransport {
     tx_dropped: AtomicU64,
     rx_syscalls: AtomicU64,
     tx_syscalls: AtomicU64,
-    tx_copied_bytes: AtomicU64,
     tx_trains: AtomicU64,
     tx_train_packets: AtomicU64,
     rx_trains: AtomicU64,
@@ -258,7 +245,7 @@ impl TxBackoff {
     }
 }
 
-/// The batched receive state of one queue.
+/// The receive state of one queue.
 struct RxQueue {
     arena: RxArena,
     /// Datagrams of a train that did not fit the caller's `max`: a
@@ -317,15 +304,14 @@ impl UdpTransport {
 
     /// Binds a single-queue client transport on an ephemeral port with
     /// default buffering; see [`UdpTransport::bind_client_with`] to
-    /// control the socket buffer size and batching.
+    /// control the socket buffer size.
     pub fn bind_client(ip: Ipv4Addr) -> std::io::Result<Self> {
         Self::bind_client_with(UdpConfig::client(ip))
     }
 
     /// Binds a single-queue client transport honoring `config`'s socket
-    /// buffer size, syscall batch, TX backoff, and bind address
-    /// (`config.base_port` of 0 picks an ephemeral port;
-    /// `config.num_queues` must be 1).
+    /// buffer size, pool size and bind address (`config.base_port` of 0
+    /// picks an ephemeral port; `config.num_queues` must be 1).
     pub fn bind_client_with(config: UdpConfig) -> std::io::Result<Self> {
         assert_eq!(config.num_queues, 1, "client transports are single-queue");
         let socket = sys::bind_reuseport_udp(
@@ -347,7 +333,6 @@ impl UdpTransport {
         base_port: u16,
         config: &UdpConfig,
     ) -> Self {
-        let batch = config.batch.max(1);
         // One freelist shard per queue: concurrently polling cores take
         // from (and recycle to) their own shard, stealing on empty.
         let pool = BufferPool::sharded(config.effective_pool_slots(), RX_SLOT_LEN, sockets.len());
@@ -355,25 +340,26 @@ impl UdpTransport {
         // again may be out with the engine. (The slab is address space
         // until a train is written into it; see `pool::Slab`.)
         let spill_pool =
-            BufferPool::sharded(sockets.len() * batch * 2, RX_SPILL_LEN, sockets.len());
+            BufferPool::sharded(sockets.len() * BATCH * 2, RX_SPILL_LEN, sockets.len());
         UdpTransport {
-            rx_queues: (0..sockets.len())
-                .map(|q| {
+            rx_queues: sockets
+                .iter()
+                .enumerate()
+                .map(|(q, socket)| {
+                    let fd = socket.as_raw_fd();
                     Mutex::new(RxQueue {
-                        arena: RxArena::new(batch, pool.clone(), spill_pool.clone(), q),
+                        arena: RxArena::new(fd, pool.clone(), spill_pool.clone(), q),
                         pending: VecDeque::new(),
                     })
                 })
                 .collect(),
             tx_arenas: sockets
                 .iter()
-                .map(|_| Mutex::new(TxArena::new(batch)))
+                .map(|_| Mutex::new(TxArena::default()))
                 .collect(),
-            singly_staged: sockets.iter().map(|_| Mutex::new(None)).collect(),
             pool,
             spill_pool,
             sockets,
-            batch,
             ip,
             base_port,
             rx_packets: AtomicU64::new(0),
@@ -383,7 +369,6 @@ impl UdpTransport {
             tx_dropped: AtomicU64::new(0),
             rx_syscalls: AtomicU64::new(0),
             tx_syscalls: AtomicU64::new(0),
-            tx_copied_bytes: AtomicU64::new(0),
             tx_trains: AtomicU64::new(0),
             tx_train_packets: AtomicU64::new(0),
             rx_trains: AtomicU64::new(0),
@@ -404,14 +389,12 @@ impl UdpTransport {
     /// Syscall-level I/O statistics.
     pub fn io_stats(&self) -> UdpIoStats {
         let pool = self.pool_stats();
-        let batched = self.batch > 1 && sys::mmsg_available();
         UdpIoStats {
             rx_syscalls: self.rx_syscalls.load(Ordering::Relaxed),
             tx_syscalls: self.tx_syscalls.load(Ordering::Relaxed),
             rx_packets: self.rx_packets.load(Ordering::Relaxed),
             tx_packets: self.tx_packets.load(Ordering::Relaxed),
-            batched,
-            offload: batched && sys::offload_available(),
+            offload: sys::offload_available(),
             tx_trains: self.tx_trains.load(Ordering::Relaxed),
             tx_train_packets: self.tx_train_packets.load(Ordering::Relaxed),
             rx_trains: self.rx_trains.load(Ordering::Relaxed),
@@ -419,7 +402,7 @@ impl UdpTransport {
             pool_hits: pool.hits,
             pool_misses: pool.misses,
             pool_outstanding: pool.outstanding,
-            tx_copied_bytes: self.tx_copied_bytes.load(Ordering::Relaxed),
+            tx_copied_bytes: 0,
         }
     }
 
@@ -429,12 +412,30 @@ impl UdpTransport {
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats().merged(self.spill_pool.stats())
     }
+}
 
-    /// Batched receive: one `recvmmsg` per up-to-`batch` slots, each
-    /// slot a datagram or (on a coalescing socket) a whole train.
-    /// `None` means the syscall is unsupported here and nothing was
-    /// moved — the caller falls back to the one-datagram path.
-    fn rx_burst_mmsg(&self, queue: u16, out: &mut Vec<Packet>, max: usize) -> Option<usize> {
+/// Maps a real IPv4 address + port into the wire stack's [`Endpoint`]
+/// plane: the IP becomes both the `Endpoint::ip` and the host id the
+/// synthetic MAC derives from. The single source of truth for how real
+/// peers appear to the engine — `minos-loadgen` uses it to address a
+/// remote server.
+pub fn endpoint_for(ip: Ipv4Addr, port: u16) -> Endpoint {
+    let ip_u32 = u32::from(ip);
+    Endpoint {
+        mac: MacAddr::from_host_id(ip_u32),
+        ip: ip_u32,
+        port,
+    }
+}
+
+impl Transport for UdpTransport {
+    fn num_queues(&self) -> u16 {
+        self.sockets.len() as u16
+    }
+
+    /// One `recvmmsg` per up-to-[`BATCH`] slots, each slot a datagram
+    /// or (on a coalescing socket) a whole train.
+    fn rx_burst(&self, queue: u16, out: &mut Vec<Packet>, max: usize) -> usize {
         let fd = self.sockets[queue as usize].as_raw_fd();
         let local = self.local_endpoint(queue);
         let mut guard = self.rx_queues[queue as usize]
@@ -452,7 +453,7 @@ impl UdpTransport {
         // cannot wedge the polling core inside one burst.
         let mut error_rounds = 0usize;
         while moved < max {
-            let want = (max - moved).min(self.batch);
+            let want = (max - moved).min(BATCH);
             self.rx_syscalls.fetch_add(1, Ordering::Relaxed);
             let result = arena.recv_batch(fd, want, |peer, payload| {
                 // `payload` is a window into the pooled buffer the
@@ -478,13 +479,7 @@ impl UdpTransport {
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    if sys::note_mmsg_error(&e) {
-                        if moved == 0 {
-                            return None;
-                        }
-                        break;
-                    }
+                Err(_) => {
                     // Transient ICMP-driven errors (connection refused on
                     // a prior send) surface on recv; skip them, bounded.
                     error_rounds += 1;
@@ -503,62 +498,19 @@ impl UdpTransport {
             self.rx_train_packets
                 .fetch_add(train_packets, Ordering::Relaxed);
         }
-        Some(moved)
-    }
-
-    /// Portable receive: one `recv_from` syscall per datagram, still
-    /// landing in a pooled buffer (no per-datagram allocation).
-    fn rx_burst_singly(&self, queue: u16, out: &mut Vec<Packet>, max: usize) -> usize {
-        let socket = &self.sockets[queue as usize];
-        let local = self.local_endpoint(queue);
-        let mut moved = 0;
-        let mut bytes = 0u64;
-        // Bound non-datagram outcomes too, so a persistently erroring
-        // socket cannot wedge the polling core inside one burst.
-        let mut skips = 0;
-        // The staged slot persists across calls, so an empty poll costs
-        // no pool traffic at all; it is only replaced once the kernel
-        // has actually filled it.
-        let mut staged_cell = self.singly_staged[queue as usize]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let mut staged: Option<PooledBuf> = staged_cell.take();
-        while moved < max && skips < max {
-            let buf = staged.get_or_insert_with(|| self.pool.take_on(queue as usize));
-            self.rx_syscalls.fetch_add(1, Ordering::Relaxed);
-            match socket.recv_from(buf.as_mut_slice()) {
-                Ok((len, SocketAddr::V4(peer))) => {
-                    let payload = staged.take().expect("staged above").freeze(len);
-                    let src = endpoint_for(*peer.ip(), peer.port());
-                    let pkt = synthesize(src, local, payload);
-                    bytes += pkt.wire_len() as u64;
-                    out.push(pkt);
-                    moved += 1;
-                }
-                Ok((_, SocketAddr::V6(_))) => skips += 1,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => skips += 1,
-                // Transient ICMP-driven errors (connection refused on a
-                // prior send) surface on recv; skip them, bounded.
-                Err(_) => skips += 1,
-            }
-        }
-        *staged_cell = staged;
-        if moved > 0 {
-            self.rx_packets.fetch_add(moved as u64, Ordering::Relaxed);
-            self.rx_bytes.fetch_add(bytes, Ordering::Relaxed);
-        }
         moved
     }
 
-    /// Batched transmit of `frames[..]`: one `sendmmsg` per
-    /// up-to-`batch` messages — each a datagram or, with segmentation
-    /// offload, a train of up to 44 — every frame carried as a
-    /// multi-iovec gather list (header iovec + value iovecs; zero
-    /// segment-byte copies), with a brief full-buffer backoff. Returns
-    /// `None` (nothing sent) when the syscall is unsupported here;
-    /// accounting is then left to the caller's fallback.
-    fn tx_frames_mmsg(&self, queue: u16, frames: &[TxPacket]) -> Option<usize> {
+    /// One `sendmmsg` per up-to-[`BATCH`] messages — each a datagram
+    /// or, with segmentation offload, a train of up to 44 — every frame
+    /// carried as a multi-iovec gather list (header iovec + value
+    /// iovecs; zero segment-byte copies), with a brief full-buffer
+    /// backoff. What the kernel does not take is tail-dropped and
+    /// counted in `tx_dropped`.
+    fn tx_frames(&self, queue: u16, frames: &mut Vec<TxPacket>) -> usize {
+        if frames.is_empty() {
+            return 0;
+        }
         let fd = self.sockets[queue as usize].as_raw_fd();
         let mut arena = self.tx_arenas[queue as usize]
             .lock()
@@ -591,14 +543,9 @@ impl UdpTransport {
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    if sys::note_mmsg_error(&e) && sent == 0 {
-                        return None;
-                    }
-                    // Hard error on the head datagram: tail-drop the
-                    // rest, preserving FIFO order on the wire.
-                    break;
-                }
+                // Hard error on the head datagram: tail-drop the rest,
+                // preserving FIFO order on the wire.
+                Err(_) => break,
             }
         }
         if sent > 0 {
@@ -614,116 +561,6 @@ impl UdpTransport {
             self.tx_dropped
                 .fetch_add((total - sent) as u64, Ordering::Relaxed);
         }
-        Some(sent)
-    }
-
-    /// One-datagram-per-syscall transmit of `frames[..]`: `sendmsg`
-    /// with a per-frame gather list where available (still zero
-    /// segment-byte copies), gather + `send_to` where not (counted in
-    /// [`UdpIoStats::tx_copied_bytes`]). Same FIFO tail-drop and
-    /// backoff contract as the batched path.
-    fn tx_frames_singly(&self, queue: u16, frames: &[TxPacket]) -> usize {
-        let socket = &self.sockets[queue as usize];
-        let fd = socket.as_raw_fd();
-        let total = frames.len();
-        let mut sent = 0usize;
-        let mut bytes = 0u64;
-        let mut backoff = TxBackoff::default();
-        'frames: while sent < total {
-            let pkt = &frames[sent];
-            let dst = SocketAddrV4::new(Ipv4Addr::from(pkt.meta.ip.dst), pkt.meta.udp.dst_port);
-            loop {
-                self.tx_syscalls.fetch_add(1, Ordering::Relaxed);
-                let result = if sys::sendmsg_available() {
-                    crate::batch::send_frame_singly(fd, dst, &pkt.frame)
-                } else {
-                    // No scatter-gather syscall on this platform:
-                    // materialize the datagram and account every copied
-                    // segment byte honestly.
-                    let (payload, copied) = pkt.frame.to_contiguous();
-                    self.tx_copied_bytes
-                        .fetch_add(copied as u64, Ordering::Relaxed);
-                    socket.send_to(&payload, dst)
-                };
-                match result {
-                    Ok(_) => {
-                        sent += 1;
-                        bytes += pkt.wire_len() as u64;
-                        continue 'frames;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        // Full socket buffer: back off briefly, then
-                        // tail-drop the rest of the burst.
-                        if !backoff.wait() {
-                            break 'frames;
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(e) => {
-                        if sys::note_sendmsg_error(&e) {
-                            // sendmsg itself is unsupported here; retry
-                            // this frame on the gather fallback.
-                            continue;
-                        }
-                        break 'frames;
-                    }
-                }
-            }
-        }
-        if sent > 0 {
-            self.tx_packets.fetch_add(sent as u64, Ordering::Relaxed);
-            self.tx_bytes.fetch_add(bytes, Ordering::Relaxed);
-        }
-        if sent < total {
-            self.tx_dropped
-                .fetch_add((total - sent) as u64, Ordering::Relaxed);
-        }
-        sent
-    }
-}
-
-/// Maps a real IPv4 address + port into the wire stack's [`Endpoint`]
-/// plane: the IP becomes both the `Endpoint::ip` and the host id the
-/// synthetic MAC derives from. The single source of truth for how real
-/// peers appear to the engine — `minos-loadgen` uses it to address a
-/// remote server.
-pub fn endpoint_for(ip: Ipv4Addr, port: u16) -> Endpoint {
-    let ip_u32 = u32::from(ip);
-    Endpoint {
-        mac: MacAddr::from_host_id(ip_u32),
-        ip: ip_u32,
-        port,
-    }
-}
-
-impl Transport for UdpTransport {
-    fn num_queues(&self) -> u16 {
-        self.sockets.len() as u16
-    }
-
-    fn rx_burst(&self, queue: u16, out: &mut Vec<Packet>, max: usize) -> usize {
-        if self.batch > 1 && sys::mmsg_available() {
-            if let Some(moved) = self.rx_burst_mmsg(queue, out, max) {
-                return moved;
-            }
-        }
-        self.rx_burst_singly(queue, out, max)
-    }
-
-    fn tx_frames(&self, queue: u16, frames: &mut Vec<TxPacket>) -> usize {
-        if frames.is_empty() {
-            return 0;
-        }
-        let sent = if self.batch > 1 && sys::mmsg_available() {
-            match self.tx_frames_mmsg(queue, frames) {
-                Some(sent) => sent,
-                // sendmmsg unsupported here (nothing was sent or
-                // accounted): fall through to one syscall per datagram.
-                None => self.tx_frames_singly(queue, frames),
-            }
-        } else {
-            self.tx_frames_singly(queue, frames)
-        };
         frames.clear();
         sent
     }
@@ -739,7 +576,7 @@ impl Transport for UdpTransport {
             tx_packets: self.tx_packets.load(Ordering::Relaxed),
             tx_bytes: self.tx_bytes.load(Ordering::Relaxed),
             tx_dropped: self.tx_dropped.load(Ordering::Relaxed),
-            tx_copied_bytes: self.tx_copied_bytes.load(Ordering::Relaxed),
+            tx_copied_bytes: 0,
         }
     }
 
@@ -754,7 +591,6 @@ impl Transport for UdpTransport {
         };
         out.push(counter("transport.rx_syscalls", io.rx_syscalls));
         out.push(counter("transport.tx_syscalls", io.tx_syscalls));
-        out.push(flag("transport.batched", io.batched));
         out.push(flag("transport.offload", io.offload));
         out.push(counter("transport.tx_trains", io.tx_trains));
         out.push(counter("transport.tx_train_packets", io.tx_train_packets));
@@ -776,17 +612,9 @@ mod tests {
     static PORTS: crate::testport::TestPorts = crate::testport::TestPorts::new(60_000, 65_000);
 
     fn bind_free(num_queues: u16) -> UdpTransport {
-        bind_free_with(num_queues, DEFAULT_SYSCALL_BATCH)
-    }
-
-    fn bind_free_with(num_queues: u16, batch: usize) -> UdpTransport {
         loop {
             let base = PORTS.alloc(num_queues.max(8));
-            let config = UdpConfig {
-                batch,
-                ..UdpConfig::loopback(base, num_queues)
-            };
-            if let Ok(t) = UdpTransport::bind(config) {
+            if let Ok(t) = UdpTransport::bind(UdpConfig::loopback(base, num_queues)) {
                 return t;
             }
         }
@@ -904,8 +732,8 @@ mod tests {
         assert!(batch.is_empty());
         assert_eq!(client.stats().tx_packets, N as u64);
 
-        // Everything queued before the first rx_burst, so batched
-        // receive must move multiple datagrams per syscall.
+        // Everything queued before the first rx_burst, so recvmmsg
+        // must move multiple datagrams per syscall.
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut out = Vec::new();
         while out.len() < N {
@@ -918,46 +746,13 @@ mod tests {
         }
         let io = server.io_stats();
         assert_eq!(io.rx_packets, N as u64);
-        if io.batched {
-            assert!(
-                io.rx_syscalls < N as u64,
-                "batched path must use fewer syscalls than packets ({} vs {N})",
-                io.rx_syscalls
-            );
-            let tx = client.io_stats();
-            assert!(tx.tx_syscalls < N as u64, "{} tx syscalls", tx.tx_syscalls);
-        }
-    }
-
-    #[test]
-    fn batch_of_one_uses_portable_path() {
-        let server = bind_free_with(1, 1);
-        let client_cfg = UdpConfig {
-            batch: 1,
-            ..UdpConfig::client(Ipv4Addr::LOCALHOST)
-        };
-        let client = UdpTransport::bind_client_with(client_cfg).unwrap();
-        assert!(!client.io_stats().batched);
-        assert!(!server.io_stats().batched);
-
-        let mut batch: Vec<TxPacket> = (0..8)
-            .map(|i| {
-                TxPacket::from_packet(synthesize(
-                    client.local_endpoint(0),
-                    server.local_endpoint(0),
-                    Bytes::from(vec![i as u8; 16]),
-                ))
-            })
-            .collect();
-        assert_eq!(client.tx_frames(0, &mut batch), 8);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut out = Vec::new();
-        while out.len() < 8 {
-            assert!(Instant::now() < deadline);
-            server.rx_burst(0, &mut out, 32);
-        }
-        // One syscall per datagram (plus the final empty poll).
-        assert!(server.io_stats().rx_syscalls >= 8);
+        assert!(
+            io.rx_syscalls < N as u64,
+            "recvmmsg must use fewer syscalls than packets ({} vs {N})",
+            io.rx_syscalls
+        );
+        let tx = client.io_stats();
+        assert!(tx.tx_syscalls < N as u64, "{} tx syscalls", tx.tx_syscalls);
     }
 
     #[test]

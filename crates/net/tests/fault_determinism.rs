@@ -2,8 +2,7 @@
 //! the same per-queue packet schedule must produce the same fault
 //! decisions — delivered packets, delivered order, and fault counters —
 //! regardless of batch geometry. This is the contract that makes a
-//! chaos CI failure seen on the `recvmmsg`/`sendmmsg` path reproduce
-//! under `--batch 1` (and vice versa): both syscall paths present
+//! chaos CI failure reproduce from its seed: bursts of any size present
 //! packets in arrival order, and arrival order is the only input the
 //! fault pipeline reads.
 

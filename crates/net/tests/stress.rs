@@ -1,5 +1,5 @@
 //! Loopback stress: socket-buffer pressure, honest loss accounting,
-//! retry convergence, and the syscall economics of the batched path.
+//! retry convergence, and the syscall economics of `recvmmsg`.
 //!
 //! The paper only reports zero-loss runs (§5.4) and leaves
 //! retransmission to the client (§4.1). These tests pin down both
@@ -215,75 +215,50 @@ fn many_client_threads_converge_against_a_multi_queue_server() {
     server.shutdown();
 }
 
-/// The acceptance demonstration: on loopback, the batched path moves
-/// the same traffic in far fewer syscalls than the per-datagram path at
-/// equal (zero) loss, and its throughput is printed for comparison.
+/// The acceptance demonstration: on loopback, `recvmmsg` moves a
+/// backlog at zero loss in a fraction of a syscall per datagram, and
+/// its throughput is printed.
 #[test]
 fn batched_path_cuts_syscalls_at_equal_loss() {
     const N: usize = 4_096;
     const CHUNK: usize = 256;
-    let mut measured = Vec::new();
-    for batch in [32usize, 1] {
-        let server = loop {
-            let config = UdpConfig {
-                batch,
-                ..UdpConfig::loopback(alloc_base(1), 1)
-            };
-            if let Ok(t) = UdpTransport::bind(config) {
-                break t;
-            }
-        };
-        let client = UdpTransport::bind_client_with(UdpConfig {
-            batch,
-            ..UdpConfig::client(Ipv4Addr::LOCALHOST)
-        })
-        .unwrap();
-
-        let src = client.local_endpoint(0);
-        let dst = server.local_endpoint(0);
-        let start = Instant::now();
-        let mut received = Vec::with_capacity(N);
-        // Interleave sends and drains so the receive buffer never
-        // overflows: equal loss (zero) on both paths by construction.
-        for chunk_base in (0..N).step_by(CHUNK) {
-            let mut burst: Vec<TxPacket> = (chunk_base..chunk_base + CHUNK)
-                .map(|i| synthesize(src, dst, bytes::Bytes::from(vec![i as u8; 64])))
-                .map(TxPacket::from_packet)
-                .collect();
-            assert_eq!(client.tx_frames(0, &mut burst), CHUNK, "no tx loss");
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while received.len() < chunk_base + CHUNK {
-                assert!(Instant::now() < deadline, "rx stalled");
-                server.rx_burst(0, &mut received, CHUNK);
-            }
+    let server = bind_server(1);
+    let client = UdpTransport::bind_client(Ipv4Addr::LOCALHOST).unwrap();
+    let src = client.local_endpoint(0);
+    let dst = server.local_endpoint(0);
+    let start = Instant::now();
+    let mut received = Vec::with_capacity(N);
+    // Interleave sends and drains so the receive buffer never
+    // overflows: zero loss by construction.
+    for chunk_base in (0..N).step_by(CHUNK) {
+        let mut burst: Vec<TxPacket> = (chunk_base..chunk_base + CHUNK)
+            .map(|i| synthesize(src, dst, bytes::Bytes::from(vec![i as u8; 64])))
+            .map(TxPacket::from_packet)
+            .collect();
+        assert_eq!(client.tx_frames(0, &mut burst), CHUNK, "no tx loss");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while received.len() < chunk_base + CHUNK {
+            assert!(Instant::now() < deadline, "rx stalled");
+            server.rx_burst(0, &mut received, CHUNK);
         }
-        let elapsed = start.elapsed();
-        assert_eq!(received.len(), N, "zero loss");
-        let io = server.io_stats();
-        assert_eq!(io.rx_packets, N as u64);
-        println!(
-            "batch={batch:>2}: {N} datagrams in {:>9.3?} ({:>7.0} pkts/s), {} rx syscalls ({:.1} pkts/syscall)",
-            elapsed,
-            N as f64 / elapsed.as_secs_f64(),
-            io.rx_syscalls,
-            io.rx_packets as f64 / io.rx_syscalls as f64,
-        );
-        measured.push((batch, elapsed, io));
     }
-    let (_, _, batched_io) = &measured[0];
-    let (_, _, singly_io) = &measured[1];
-    if batched_io.batched {
-        assert!(
-            batched_io.rx_syscalls * 4 <= batched_io.rx_packets,
-            "recvmmsg must average >= 4 datagrams per syscall under backlog \
-             ({} syscalls for {} packets)",
-            batched_io.rx_syscalls,
-            batched_io.rx_packets
-        );
-    }
+    let elapsed = start.elapsed();
+    assert_eq!(received.len(), N, "zero loss");
+    let io = server.io_stats();
+    assert_eq!(io.rx_packets, N as u64);
+    println!(
+        "{N} datagrams in {:>9.3?} ({:>7.0} pkts/s), {} rx syscalls ({:.1} pkts/syscall)",
+        elapsed,
+        N as f64 / elapsed.as_secs_f64(),
+        io.rx_syscalls,
+        io.rx_packets as f64 / io.rx_syscalls as f64,
+    );
     assert!(
-        singly_io.rx_syscalls >= singly_io.rx_packets,
-        "the per-datagram path pays at least one syscall per packet"
+        io.rx_syscalls * 4 <= io.rx_packets,
+        "recvmmsg must average >= 4 datagrams per syscall under backlog \
+         ({} syscalls for {} packets)",
+        io.rx_syscalls,
+        io.rx_packets
     );
 }
 
@@ -291,70 +266,56 @@ fn batched_path_cuts_syscalls_at_equal_loss() {
 /// pool serves (essentially) every datagram from the slab — a hit rate
 /// of at least 99% — and once every received payload is dropped the
 /// outstanding gauge returns to zero: no slot leaks across heavy
-/// churn, on both the batched and the per-datagram receive path.
+/// churn.
 #[test]
 fn rx_pool_sustains_backlog_without_allocating() {
     const N: usize = 8_192;
     const CHUNK: usize = 256;
-    for batch in [32usize, 1] {
-        let server = loop {
-            let config = UdpConfig {
-                batch,
-                ..UdpConfig::loopback(alloc_base(1), 1)
-            };
-            if let Ok(t) = UdpTransport::bind(config) {
-                break t;
-            }
-        };
-        let client = UdpTransport::bind_client_with(UdpConfig {
-            batch,
-            ..UdpConfig::client(Ipv4Addr::LOCALHOST)
-        })
-        .unwrap();
+    let server = bind_server(1);
+    let client = UdpTransport::bind_client(Ipv4Addr::LOCALHOST).unwrap();
 
-        let src = client.local_endpoint(0);
-        let dst = server.local_endpoint(0);
-        // Interleave sends and drains: the receiver always has a backlog
-        // of a full chunk, and every received payload is dropped at the
-        // end of its chunk — steady-state churn through the slab.
-        for chunk_base in (0..N).step_by(CHUNK) {
-            let mut burst: Vec<TxPacket> = (chunk_base..chunk_base + CHUNK)
-                .map(|i| synthesize(src, dst, bytes::Bytes::from(vec![i as u8; 128])))
-                .map(TxPacket::from_packet)
-                .collect();
-            assert_eq!(client.tx_frames(0, &mut burst), CHUNK, "no tx loss");
-            let mut received = Vec::with_capacity(CHUNK);
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while received.len() < CHUNK {
-                assert!(Instant::now() < deadline, "rx stalled (batch {batch})");
-                server.rx_burst(0, &mut received, CHUNK);
-            }
-            for (i, pkt) in received.iter().enumerate() {
-                assert_eq!(&pkt.payload[..], &[(chunk_base + i) as u8; 128][..]);
-            }
-            // `received` drops here: all slots return to the slab.
+    let src = client.local_endpoint(0);
+    let dst = server.local_endpoint(0);
+    // Interleave sends and drains: the receiver always has a backlog
+    // of a full chunk, and every received payload is dropped at the
+    // end of its chunk — steady-state churn through the slab.
+    for chunk_base in (0..N).step_by(CHUNK) {
+        let mut burst: Vec<TxPacket> = (chunk_base..chunk_base + CHUNK)
+            .map(|i| synthesize(src, dst, bytes::Bytes::from(vec![i as u8; 128])))
+            .map(TxPacket::from_packet)
+            .collect();
+        assert_eq!(client.tx_frames(0, &mut burst), CHUNK, "no tx loss");
+        let mut received = Vec::with_capacity(CHUNK);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while received.len() < CHUNK {
+            assert!(Instant::now() < deadline, "rx stalled");
+            server.rx_burst(0, &mut received, CHUNK);
         }
-
-        let io = server.io_stats();
-        assert_eq!(io.rx_packets, N as u64);
-        assert!(
-            io.pool_hit_rate() >= 0.99,
-            "batch {batch}: steady-state RX must be allocation-free \
-             ({} hits, {} misses = {:.4} hit rate)",
-            io.pool_hits,
-            io.pool_misses,
-            io.pool_hit_rate()
-        );
-        assert_eq!(
-            io.pool_outstanding, 0,
-            "batch {batch}: every dropped payload must return its slot"
-        );
+        for (i, pkt) in received.iter().enumerate() {
+            assert_eq!(&pkt.payload[..], &[(chunk_base + i) as u8; 128][..]);
+        }
+        // `received` drops here: all slots return to the slab.
     }
+
+    let io = server.io_stats();
+    assert_eq!(io.rx_packets, N as u64);
+    assert!(
+        io.pool_hit_rate() >= 0.99,
+        "steady-state RX must be allocation-free \
+         ({} hits, {} misses = {:.4} hit rate)",
+        io.pool_hits,
+        io.pool_misses,
+        io.pool_hit_rate()
+    );
+    assert_eq!(
+        io.pool_outstanding, 0,
+        "every dropped payload must return its slot"
+    );
 }
 
 /// The scatter-gather acceptance gate: GET replies of every size class
 /// — small single-datagram and large fragmented — reach the wire with
-/// **zero value-byte copies** on both UDP syscall paths. A full Minos
+/// **zero value-byte copies** over UDP. A full Minos
 /// server serves real GETs over loopback; afterwards the server
 /// transport's `tx_copied_bytes` gauge (which counts every segment byte
 /// the TX path had to gather) must still read zero: the value went from
@@ -367,85 +328,65 @@ fn get_replies_are_zero_copy_on_both_syscall_paths() {
     // exercises multi-fragment frames with sliced value segments.
     const LARGE_LEN: usize = 7_000;
     const LARGE_KEYS: u64 = 8;
-    for batch in [32usize, 1] {
-        let transport = loop {
-            let config = UdpConfig {
-                batch,
-                ..UdpConfig::loopback(alloc_base(QUEUES), QUEUES)
-            };
-            if let Ok(t) = UdpTransport::bind(config) {
-                break Arc::new(t);
-            }
-        };
-        let mut server = MinosServer::start_with_transport(
-            ServerConfig::for_test(QUEUES as usize, 10_000),
-            Arc::clone(&transport),
-        );
+    let transport = bind_server(QUEUES);
+    let mut server = MinosServer::start_with_transport(
+        ServerConfig::for_test(QUEUES as usize, 10_000),
+        Arc::clone(&transport),
+    );
 
-        let mut client = udp_client(&transport, QUEUES, 42, 4 << 20, None);
-        for key in 0..SMALL_KEYS {
-            client.send_put(key, &vec![(key % 251) as u8; VALUE_LEN], false);
-            while client.totals().outstanding() > 16 {
-                client.poll();
-            }
+    let mut client = udp_client(&transport, QUEUES, 42, 4 << 20, None);
+    for key in 0..SMALL_KEYS {
+        client.send_put(key, &vec![(key % 251) as u8; VALUE_LEN], false);
+        while client.totals().outstanding() > 16 {
+            client.poll();
         }
-        for key in 0..LARGE_KEYS {
-            client.send_put(1_000 + key, &vec![(key % 251) as u8; LARGE_LEN], true);
-            while client.totals().outstanding() > 4 {
-                client.poll();
-            }
-        }
-        assert!(
-            client.drain(Duration::from_secs(30)),
-            "preload lost replies"
-        );
-
-        // GET-heavy measured phase over both size classes.
-        let mut completions = 0u64;
-        for i in 0..400u64 {
-            if i % 4 == 3 {
-                client.send_get(1_000 + (i % LARGE_KEYS), true);
-            } else {
-                client.send_get(i % SMALL_KEYS, false);
-            }
-            while client.totals().outstanding() > 32 {
-                completions += client.poll().len() as u64;
-            }
-        }
-        assert!(
-            client.drain(Duration::from_secs(30)),
-            "batch {batch}: GET replies lost"
-        );
-        completions += client.poll().len() as u64;
-        let _ = completions;
-
-        let io = transport.io_stats();
-        assert!(io.tx_packets > 400, "replies actually went out");
-        if cfg!(target_os = "linux") {
-            // Both syscall paths are scatter-gather on Linux (sendmmsg
-            // batched, sendmsg singly): not one value byte may have
-            // been copied by the transport.
-            assert_eq!(
-                io.tx_copied_bytes, 0,
-                "batch {batch}: the reply path copied value bytes"
-            );
-            assert_eq!(transport.stats().tx_copied_bytes, 0);
-        }
-        server.shutdown();
     }
+    for key in 0..LARGE_KEYS {
+        client.send_put(1_000 + key, &vec![(key % 251) as u8; LARGE_LEN], true);
+        while client.totals().outstanding() > 4 {
+            client.poll();
+        }
+    }
+    assert!(
+        client.drain(Duration::from_secs(30)),
+        "preload lost replies"
+    );
+
+    // GET-heavy measured phase over both size classes.
+    let mut completions = 0u64;
+    for i in 0..400u64 {
+        if i % 4 == 3 {
+            client.send_get(1_000 + (i % LARGE_KEYS), true);
+        } else {
+            client.send_get(i % SMALL_KEYS, false);
+        }
+        while client.totals().outstanding() > 32 {
+            completions += client.poll().len() as u64;
+        }
+    }
+    assert!(client.drain(Duration::from_secs(30)), "GET replies lost");
+    completions += client.poll().len() as u64;
+    let _ = completions;
+
+    let io = transport.io_stats();
+    assert!(io.tx_packets > 400, "replies actually went out");
+    // sendmmsg is scatter-gather: not one value byte may have been
+    // copied by the transport.
+    assert_eq!(io.tx_copied_bytes, 0, "the reply path copied value bytes");
+    assert_eq!(transport.stats().tx_copied_bytes, 0);
+    server.shutdown();
 }
 
-/// The streaming-ingest acceptance gate (the ROADMAP "RX-pool misses
-/// under large-PUT reassembly" close-out): many concurrently
+/// The streaming-ingest acceptance gate: many concurrently
 /// reassembling large PUTs must NOT accumulate pooled RX buffers. Each
 /// fragment's slot is released the moment its chunk is streamed into
-/// the store-mempool reservation, so with fragments arriving paced
-/// (every in-flight message permanently open, none complete until the
-/// very end) the server's `outstanding` gauge stays bounded by the
-/// in-flight burst — while the old hold-until-complete reassembly
-/// would retain every delivered fragment of every open partial
-/// (~hundreds here). The steady-state hit rate stays ≥ 99 % and every
-/// slot returns after the run. Exercised on both UDP syscall paths.
+/// the store-mempool reservation. Fragments arrive in rounds that keep
+/// every message open until the last one; once the server has received
+/// a round, the `outstanding` gauge must fall to at most one round's
+/// fragments, whereas a hold-until-complete reassembler would keep
+/// every delivered fragment of every open partial (96 after the second
+/// round, ~hundreds by the end). The steady-state hit rate stays
+/// >= 99 % and every slot returns after the run.
 #[test]
 fn fragmented_puts_keep_rx_pool_bounded() {
     use minos_wire::frag::fragment_with_id;
@@ -454,134 +395,122 @@ fn fragmented_puts_keep_rx_pool_bounded() {
     const QUEUES: u16 = 2;
     const MESSAGES: u64 = 6;
     const LARGE_LEN: usize = 100_000; // 69 fragments per PUT
-                                      // Fragments sent per message per pacing round. Peak pool occupancy
-                                      // on the streaming path is O(one round) = 6 x 8 = 48 delivered
-                                      // buffers (plus scheduling slack); the old reassembler would hold
-                                      // all ~414 delivered fragments of the 6 open partials at once.
+    /// Fragments sent per message per round.
     const PACE: usize = 8;
-    const OUTSTANDING_BOUND: u64 = 192;
-    for batch in [32usize, 1] {
-        let transport = loop {
-            let config = UdpConfig {
-                batch,
-                ..UdpConfig::loopback(alloc_base(QUEUES), QUEUES)
+    /// One round's fragments, 6 x 8: what the server may still hold
+    /// once it has received everything sent so far.
+    const ROUND: u64 = PACE as u64 * MESSAGES;
+    let transport = bind_server(QUEUES);
+    let mut server = MinosServer::start_with_transport(
+        ServerConfig::for_test(QUEUES as usize, 10_000),
+        Arc::clone(&transport),
+    );
+    let client = UdpTransport::bind_client(Ipv4Addr::LOCALHOST).unwrap();
+    let src = client.local_endpoint(0);
+
+    // Pre-fragment 6 large PUTs, one per key, distinct msg ids.
+    let fragment_sets: Vec<Vec<bytes::Bytes>> = (0..MESSAGES)
+        .map(|m| {
+            let msg = Message {
+                client_id: 1,
+                request_id: m,
+                client_ts_ns: 0,
+                body: Body::Put {
+                    key: 5_000 + m,
+                    value: bytes::Bytes::from(vec![(5_000 + m) as u8 % 251; LARGE_LEN]),
+                    ttl_ms: 0,
+                },
             };
-            if let Ok(t) = UdpTransport::bind(config) {
-                break Arc::new(t);
+            fragment_with_id(0xF00 + m, &msg.encode())
+        })
+        .collect();
+    let per_message = fragment_sets[0].len();
+    assert!(per_message * MESSAGES as usize > ROUND as usize * 2);
+
+    // 8 fragments of EVERY message per round, so all 6 reassemblies
+    // stay open until the last round.
+    let evictions = server.registry().counter("ingest.reassembly_evictions");
+    let mut sent = 0u64;
+    for round in 0..per_message.div_ceil(PACE) {
+        let mut burst: Vec<TxPacket> = Vec::with_capacity(PACE * MESSAGES as usize);
+        for (m, frags) in fragment_sets.iter().enumerate() {
+            let dst = transport.local_endpoint((m % QUEUES as usize) as u16);
+            let lo = round * PACE;
+            for frag in &frags[lo.min(frags.len())..(lo + PACE).min(frags.len())] {
+                burst.push(TxPacket::from_packet(synthesize(src, dst, frag.clone())));
             }
-        };
-        let mut server = MinosServer::start_with_transport(
-            ServerConfig::for_test(QUEUES as usize, 10_000),
-            Arc::clone(&transport),
-        );
-        let client = UdpTransport::bind_client(Ipv4Addr::LOCALHOST).unwrap();
-        let src = client.local_endpoint(0);
-
-        // Pre-fragment 6 large PUTs, one per key, distinct msg ids.
-        let fragment_sets: Vec<Vec<bytes::Bytes>> = (0..MESSAGES)
-            .map(|m| {
-                let msg = Message {
-                    client_id: 1,
-                    request_id: m,
-                    client_ts_ns: 0,
-                    body: Body::Put {
-                        key: 5_000 + m,
-                        value: bytes::Bytes::from(vec![(5_000 + m) as u8 % 251; LARGE_LEN]),
-                        ttl_ms: 0,
-                    },
-                };
-                fragment_with_id(0xF00 + m, &msg.encode())
-            })
-            .collect();
-        let per_message = fragment_sets[0].len();
-        assert!(per_message * MESSAGES as usize > OUTSTANDING_BOUND as usize * 2);
-
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let max_outstanding = std::thread::scope(|scope| {
-            // Sampler: tracks the high-water mark of delivered pooled
-            // buffers while the interleaved reassemblies are open.
-            let sampler = {
-                let transport = Arc::clone(&transport);
-                let stop = Arc::clone(&stop);
-                scope.spawn(move || {
-                    let mut max = 0u64;
-                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        max = max.max(transport.io_stats().pool_outstanding);
-                        std::thread::sleep(Duration::from_micros(100));
-                    }
-                    max
-                })
-            };
-
-            // Pace rounds: 8 fragments of EVERY message per round, so
-            // all 6 reassemblies stay open until the last round.
-            for round in 0..per_message.div_ceil(PACE) {
-                let mut burst: Vec<TxPacket> = Vec::with_capacity(PACE * MESSAGES as usize);
-                for (m, frags) in fragment_sets.iter().enumerate() {
-                    let dst = transport.local_endpoint((m % QUEUES as usize) as u16);
-                    let lo = round * PACE;
-                    for frag in &frags[lo.min(frags.len())..(lo + PACE).min(frags.len())] {
-                        burst.push(TxPacket::from_packet(synthesize(src, dst, frag.clone())));
-                    }
-                }
-                let n = burst.len();
-                assert_eq!(client.tx_frames(0, &mut burst), n, "no tx loss");
-                // Rounds ~3 ms apart: a server core descheduled for a
-                // few ms on a loaded host then finds one or two rounds
-                // waiting, not the four the bound allows.
-                std::thread::sleep(Duration::from_millis(3));
-            }
-
-            // All fragments sent: every message must now commit.
-            let store = server.store();
-            let deadline = Instant::now() + Duration::from_secs(30);
-            for m in 0..MESSAGES {
-                while store.get(5_000 + m).is_none() {
-                    assert!(
-                        Instant::now() < deadline,
-                        "batch {batch}: PUT {m} never committed"
-                    );
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            }
-            stop.store(true, std::sync::atomic::Ordering::Relaxed);
-            sampler.join().unwrap()
-        });
-
-        let io = transport.io_stats();
-        assert!(
-            max_outstanding <= OUTSTANDING_BOUND,
-            "batch {batch}: streaming reassembly must not hold fragments \
-             (peak {max_outstanding} pooled buffers > {OUTSTANDING_BOUND} \
-             for {} delivered fragments)",
-            per_message * MESSAGES as usize,
-        );
-        assert!(
-            io.pool_hit_rate() >= 0.99,
-            "batch {batch}: fragmented-PUT ingest must stay allocation-free \
-             ({} hits, {} misses = {:.4} hit rate)",
-            io.pool_hits,
-            io.pool_misses,
-            io.pool_hit_rate()
-        );
-        // Values arrived intact through the streaming path, nothing was
-        // evicted, and once the engine quiesces every slot is home.
-        let store = server.store();
-        for m in 0..MESSAGES {
-            let v = store.get(5_000 + m).expect("stored");
-            assert_eq!(v.len(), LARGE_LEN);
-            assert!(v.iter().all(|&b| b == (5_000 + m) as u8 % 251));
         }
-        let snap = server.registry().snapshot();
-        assert_eq!(snap.counter("ingest.reassembly_evictions"), Some(0));
-        server.drain(Duration::from_secs(10));
-        assert_eq!(
-            transport.io_stats().pool_outstanding,
-            0,
-            "batch {batch}: every fragment slot must be back in the slab"
-        );
-        server.shutdown();
+        let n = burst.len();
+        assert_eq!(client.tx_frames(0, &mut burst), n, "no tx loss");
+        sent += n as u64;
+        // The server has received every datagram sent so far ...
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while transport.stats().rx_packets < sent {
+            assert!(Instant::now() < deadline, "round {round} never arrived");
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        // ... and streams them into their reservations: what it holds
+        // falls to at most one round, however late its cores ran — and
+        // not because it gave up on open partials (the stale-partial
+        // rule would release a hoarding reassembler's buffers too).
+        loop {
+            let outstanding = transport.io_stats().pool_outstanding;
+            assert_eq!(
+                evictions.get(),
+                0,
+                "after round {round}, open partials were evicted ({outstanding} \
+                 pooled buffers held): streaming must release fragments, \
+                 not the stale-partial rule"
+            );
+            if outstanding <= ROUND {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "streaming reassembly must not hold fragments: after round \
+                 {round}, {outstanding} pooled buffers > {ROUND} with all \
+                 {sent} sent fragments received"
+            );
+            std::thread::sleep(Duration::from_micros(50));
+        }
     }
+
+    // All fragments sent: every message must now commit.
+    let store = server.store();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    for m in 0..MESSAGES {
+        while store.get(5_000 + m).is_none() {
+            assert!(Instant::now() < deadline, "PUT {m} never committed");
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+
+    let io = transport.io_stats();
+    assert!(
+        io.pool_hit_rate() >= 0.99,
+        "fragmented-PUT ingest must stay allocation-free \
+         ({} hits, {} misses = {:.4} hit rate)",
+        io.pool_hits,
+        io.pool_misses,
+        io.pool_hit_rate()
+    );
+    // Values arrived intact through the streaming path, nothing was
+    // evicted, and once the engine quiesces every slot is home.
+    let store = server.store();
+    for m in 0..MESSAGES {
+        let v = store.get(5_000 + m).expect("stored");
+        assert_eq!(v.len(), LARGE_LEN);
+        assert!(v.iter().all(|&b| b == (5_000 + m) as u8 % 251));
+    }
+    let snap = server.registry().snapshot();
+    assert_eq!(snap.counter("ingest.reassembly_evictions"), Some(0));
+    server.drain(Duration::from_secs(10));
+    assert_eq!(
+        transport.io_stats().pool_outstanding,
+        0,
+        "every fragment slot must be back in the slab"
+    );
+    server.shutdown();
 }
 
 /// Pool exhaustion is graceful: with a deliberately tiny slab and every

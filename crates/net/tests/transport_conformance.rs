@@ -1,8 +1,8 @@
 //! Backend-parametrized conformance suite for the [`Transport`]
 //! contract: one generic harness run against the in-process
-//! [`VirtualNic`] adapters and against real-UDP [`UdpTransport`] (both
-//! the batched `recvmmsg`/`sendmmsg` path and the one-datagram
-//! fallback), so the two backends can never drift apart behaviorally.
+//! [`VirtualNic`] adapters and against real-UDP [`UdpTransport`]
+//! (`recvmmsg`/`sendmmsg`), so the two backends can never drift apart
+//! behaviorally.
 //!
 //! Covered: rx/tx burst semantics, `max` truncation, empty-burst
 //! behavior, per-queue isolation and FIFO order, stats monotonicity,
@@ -16,8 +16,7 @@ use minos_net::{
 };
 use minos_nic::{NicConfig, VirtualNic};
 use minos_wire::frag::{
-    fragment_frame_with_id, fragment_with_id, FragHeader, Fragmenter, Streamed,
-    StreamingReassembler,
+    fragment_frame_with_id, fragment_with_id, FragHeader, Streamed, StreamingReassembler,
 };
 use minos_wire::message::{Body, Message, ReplyStatus};
 use minos_wire::packet::{synthesize, synthesize_frame, Endpoint, Packet, TxPacket};
@@ -46,16 +45,12 @@ struct Backend {
 /// between the two, silently stealing traffic.
 static PORTS: minos_net::testport::TestPorts = minos_net::testport::TestPorts::new(45_000, 59_000);
 
-fn bind_udp_server(num_queues: u16, batch: usize) -> UdpTransport {
+fn bind_udp_server(num_queues: u16) -> UdpTransport {
     loop {
         let base = PORTS.alloc(num_queues.max(8));
-        let config = UdpConfig {
-            batch,
-            ..UdpConfig::loopback(base, num_queues)
-        };
         // A bind can still fail if an ephemeral client socket landed on
         // the range; the allocator just moves on.
-        if let Ok(t) = UdpTransport::bind(config) {
+        if let Ok(t) = UdpTransport::bind(UdpConfig::loopback(base, num_queues)) {
             return t;
         }
     }
@@ -72,26 +67,18 @@ fn virtual_backend(num_queues: u16) -> Backend {
     }
 }
 
-fn udp_backend(name: &'static str, num_queues: u16, batch: usize) -> Backend {
-    let client = UdpTransport::bind_client_with(UdpConfig {
-        batch,
-        ..UdpConfig::client(Ipv4Addr::LOCALHOST)
-    })
-    .expect("bind client");
+fn udp_backend(name: &'static str, num_queues: u16) -> Backend {
+    let client = UdpTransport::bind_client(Ipv4Addr::LOCALHOST).expect("bind client");
     Backend {
         name,
-        server: Arc::new(bind_udp_server(num_queues, batch)),
+        server: Arc::new(bind_udp_server(num_queues)),
         client: Arc::new(client),
         asynchronous: true,
     }
 }
 
 fn backends(num_queues: u16) -> Vec<Backend> {
-    vec![
-        virtual_backend(num_queues),
-        udp_backend("udp-batched", num_queues, 32),
-        udp_backend("udp-singly", num_queues, 1),
-    ]
+    vec![virtual_backend(num_queues), udp_backend("udp", num_queues)]
 }
 
 /// Opens a plain `Vec` writer of the message's length.
@@ -320,11 +307,9 @@ fn large_message_fragmentation_roundtrips_both_directions() {
         // Request direction: client fragments a large message, the
         // server reassembles it from RX bursts.
         let message: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
-        let mut fragmenter = Fragmenter::new(7);
         let dst = backend.server.local_endpoint(1);
         let src = backend.client.local_endpoint(0);
-        let mut burst: Vec<TxPacket> = fragmenter
-            .fragment(&message)
+        let mut burst: Vec<TxPacket> = fragment_with_id(7, &message)
             .into_iter()
             .map(|frag| synthesize(src, dst, frag))
             .map(TxPacket::from_packet)
@@ -351,8 +336,7 @@ fn large_message_fragmentation_roundtrips_both_directions() {
 
         // Reply direction: the server fragments back to the client.
         let reply_msg: Vec<u8> = (0..64_000u32).map(|i| (i % 13) as u8).collect();
-        let mut burst: Vec<TxPacket> = fragmenter
-            .fragment(&reply_msg)
+        let mut burst: Vec<TxPacket> = fragment_with_id(8, &reply_msg)
             .into_iter()
             .map(|frag| synthesize(dst, src, frag))
             .map(TxPacket::from_packet)
@@ -519,27 +503,25 @@ fn coalesced_multi_request_burst_fans_out_across_queues() {
     }
 }
 
-/// The four send/receive paths a fragment burst can take. Built one at
-/// a time by [`for_each_path`], because the third needs the
+/// The three send/receive paths a fragment burst can take. Built one at
+/// a time by [`for_each_path`], because the second needs the
 /// process-wide offload latch off while it runs.
-const PATHS: [&str; 4] = ["virtual", "udp-singly", "udp-mmsg", "udp-offload"];
+const PATHS: [&str; 3] = ["virtual", "udp-mmsg", "udp-offload"];
 
 /// Serializes the tests that move the offload latch (the others pass
 /// whichever way it points).
 static OFFLOAD_LATCH: Mutex<()> = Mutex::new(());
 
-/// Runs `scenario` once per entry of [`PATHS`]: the virtual NIC, UDP one
-/// datagram per syscall, UDP `sendmmsg`/`recvmmsg` with segmentation
-/// offload latched off (the parent's wire behaviour), and UDP with
-/// offload.
+/// Runs `scenario` once per entry of [`PATHS`]: the virtual NIC, UDP
+/// `sendmmsg`/`recvmmsg` with segmentation offload latched off (one
+/// datagram per message), and UDP with offload.
 fn for_each_path(num_queues: u16, scenario: impl Fn(&Backend)) {
     let _latch = OFFLOAD_LATCH.lock().unwrap_or_else(|e| e.into_inner());
     for path in PATHS {
         minos_net::set_offload_available(path != "udp-mmsg");
         scenario(&match path {
             "virtual" => virtual_backend(num_queues),
-            "udp-singly" => udp_backend(path, num_queues, 1),
-            _ => udp_backend(path, num_queues, 32),
+            _ => udp_backend(path, num_queues),
         });
     }
     minos_net::set_offload_available(true);
@@ -568,7 +550,7 @@ fn assert_train_counters(backend: &Backend, sender: &dyn Transport, trains: u64,
     let offload = transport_metric(sender, "offload") == 1;
     assert_eq!(
         offload,
-        backend.name == "udp-offload" && transport_metric(sender, "batched") == 1,
+        backend.name == "udp-offload",
         "{}: the offload gauge follows the latch",
         backend.name
     );
@@ -807,14 +789,12 @@ fn a_mixed_destination_burst_of_unequal_singles_arrives_intact() {
                 plan.len() as u64
             );
             assert_eq!(transport_metric(&*backend.client, "tx_copied_bytes"), 0);
-            if transport_metric(&*backend.client, "batched") == 1 {
-                assert_eq!(
-                    transport_metric(&*backend.client, "tx_syscalls"),
-                    1,
-                    "{}: the whole burst is one sendmmsg",
-                    backend.name
-                );
-            }
+            assert_eq!(
+                transport_metric(&*backend.client, "tx_syscalls"),
+                1,
+                "{}: the whole burst is one sendmmsg",
+                backend.name
+            );
         }
     });
 }
@@ -822,8 +802,8 @@ fn a_mixed_destination_burst_of_unequal_singles_arrives_intact() {
 #[test]
 fn trains_reach_receivers_that_never_asked_for_them() {
     // Offload is the sender's business: a peer that never enabled
-    // UDP_GRO — a plain std socket, a batch = 1 transport — still gets
-    // every fragment as its own datagram.
+    // UDP_GRO — a plain std socket — still gets every fragment as its
+    // own datagram.
     let _latch = OFFLOAD_LATCH.lock().unwrap_or_else(|e| e.into_inner());
     minos_net::set_offload_available(true);
     let message: Vec<u8> = (0..100_000u32).map(|i| (i % 241) as u8).collect();
@@ -836,11 +816,6 @@ fn trains_reach_receivers_that_never_asked_for_them() {
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
     let plain_ep = minos_net::endpoint_for(Ipv4Addr::LOCALHOST, plain.local_addr().unwrap().port());
-    let singly = UdpTransport::bind_client_with(UdpConfig {
-        batch: 1,
-        ..UdpConfig::client(Ipv4Addr::LOCALHOST)
-    })
-    .expect("bind singly");
 
     let burst_to = |dst: Endpoint| -> Vec<TxPacket> {
         frags
@@ -869,19 +844,7 @@ fn trains_reach_receivers_that_never_asked_for_them() {
         assert_eq!(&rx.join().expect("std receiver")[..], &message[..]);
     });
 
-    assert_eq!(
-        sender.tx_frames(0, &mut burst_to(singly.local_endpoint(0))),
-        frags.len()
-    );
-    let got = rx_collect(&singly, 0, frags.len(), 32, "udp-singly receiver");
-    for (pkt, want) in got.iter().zip(&frags) {
-        assert_eq!(&pkt.payload[..], &want[..]);
-    }
-    assert_eq!(singly.io_stats().rx_trains, 0);
     if sender.io_stats().offload {
-        assert!(
-            sender.io_stats().tx_trains >= 4,
-            "both bursts left as trains"
-        );
+        assert!(sender.io_stats().tx_trains >= 2, "the burst left as trains");
     }
 }

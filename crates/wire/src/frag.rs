@@ -91,30 +91,6 @@ impl FragHeader {
     }
 }
 
-/// Splits messages into MTU-sized fragments, assigning message ids.
-#[derive(Debug)]
-pub struct Fragmenter {
-    next_msg_id: u64,
-}
-
-impl Fragmenter {
-    /// Creates a fragmenter whose message ids start at `seed` (use a
-    /// distinct seed space per sender if ids must be globally unique —
-    /// the reassembler keys on (source, msg_id), so per-sender uniqueness
-    /// suffices).
-    pub fn new(seed: u64) -> Self {
-        Self { next_msg_id: seed }
-    }
-
-    /// Splits `message` into UDP payloads (frag header + chunk), each at
-    /// most [`crate::MAX_UDP_PAYLOAD`] bytes.
-    pub fn fragment(&mut self, message: &[u8]) -> Vec<Bytes> {
-        let msg_id = self.next_msg_id;
-        self.next_msg_id = self.next_msg_id.wrapping_add(1);
-        fragment_with_id(msg_id, message)
-    }
-}
-
 /// Splits `message` into fragments with an explicit message id.
 pub fn fragment_with_id(msg_id: u64, message: &[u8]) -> Vec<Bytes> {
     let count = crate::packets_for_payload(message.len()) as usize;
@@ -1032,18 +1008,5 @@ mod tests {
             Streamed::Complete(_)
         ));
         assert_eq!(r.evicted, 0);
-    }
-
-    #[test]
-    fn fragmenter_assigns_unique_ids() {
-        let mut f = Fragmenter::new(100);
-        let a = f.fragment(&message(10));
-        let b = f.fragment(&message(10));
-        let mut ra = a[0].clone();
-        let mut rb = b[0].clone();
-        let ha = FragHeader::decode(&mut ra).unwrap();
-        let hb = FragHeader::decode(&mut rb).unwrap();
-        assert_eq!(ha.msg_id, 100);
-        assert_eq!(hb.msg_id, 101);
     }
 }

@@ -43,7 +43,7 @@ pub mod packet;
 pub mod txframe;
 pub mod udp;
 
-pub use frag::{FragHeader, FragmentWriter, Fragmenter, Streamed, StreamingReassembler};
+pub use frag::{FragHeader, FragmentWriter, Streamed, StreamingReassembler};
 pub use frame::{EthernetHeader, MacAddr};
 pub use ip::Ipv4Header;
 pub use message::{Message, OpKind, ReplyStatus};

@@ -111,7 +111,7 @@ fn synthesized_meta(src: Endpoint, dst: Endpoint) -> PacketMeta {
 /// contiguous payload because that is what arrives off the wire; the TX
 /// side keeps header and value regions separate all the way to the
 /// socket so value bytes are never copied (the UDP backend hands the
-/// regions to `sendmsg`/`sendmmsg` as iovecs).
+/// regions to `sendmmsg` as iovecs).
 #[derive(Clone, Debug)]
 pub struct TxPacket {
     /// Headers (addressing).

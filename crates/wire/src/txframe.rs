@@ -2,7 +2,7 @@
 //!
 //! The old send path serialized every message into one contiguous
 //! buffer (`Message::encode`) and then copied it again per fragment
-//! (`Fragmenter::fragment`) — two full passes over the value on the GET
+//! (`fragment_with_id`) — two full passes over the value on the GET
 //! latency path the paper measures (§4.1 moves requests in batches
 //! precisely to keep per-request overhead off the critical path). A
 //! `TxFrame` instead describes a datagram as a small *inline* header
@@ -10,7 +10,7 @@
 //! headers are written once into the inline region and the value rides
 //! along as an `O(1)` clone/slice, so value bytes are never copied
 //! between the store and the socket. The UDP backend hands the regions
-//! to the kernel as one iovec array per datagram (`sendmsg`/`sendmmsg`
+//! to the kernel as one iovec array per datagram (`sendmmsg`
 //! scatter-gather); only backends that must materialize a contiguous
 //! wire image (the in-process virtual NIC) gather — and they count
 //! every gathered segment byte so the zero-copy invariant stays an

@@ -116,10 +116,6 @@ OPTIONS:
     --pin BASECPU          pin client thread c to cpu BASECPU+c
                            (sched_setaffinity; best-effort)
     --sockbuf BYTES        client socket buffer size (default 4 MiB)
-    --batch N              max datagrams per recvmmsg/sendmmsg syscall
-                           (default 32; 1 = one syscall per datagram);
-                           also caps how many due arrivals one loop
-                           iteration coalesces into a single send burst
     --server-stats PATH    merge the final server snapshot from PATH (a
                            server --stats-file JSONL timeline; the last
                            line is taken) into the --json report under
@@ -200,7 +196,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--pin" => run.pin_base = Some(value(flag, it.next())?),
             "--sockbuf" => run.socket_buffer_bytes = value(flag, it.next())?,
-            "--batch" => run.batch = value(flag, it.next())?,
             "--server-stats" => args.server_stats = Some(value(flag, it.next())?),
             "--json" => args.json = true,
             "-h" | "--help" => {
@@ -404,7 +399,6 @@ fn print_report(args: &Args, report: &RunReport, summary: &RunSummary) {
         rx_packets,
         rx_syscalls,
         tx_syscalls,
-        batched,
         pool_hits,
         pool_misses,
         pool_outstanding,
@@ -506,12 +500,7 @@ fn print_report(args: &Args, report: &RunReport, summary: &RunSummary) {
     }
     human!(
         args,
-        "client transport: tx {tx_packets} rx {rx_packets} packets carrying {frames_tx} / {frames_rx} frames ({tx_dropped} tx drops); {} — {rx_syscalls} rx / {tx_syscalls} tx syscalls",
-        if batched {
-            "recvmmsg/sendmmsg"
-        } else {
-            "recv_from/send_to"
-        },
+        "client transport: tx {tx_packets} rx {rx_packets} packets carrying {frames_tx} / {frames_rx} frames ({tx_dropped} tx drops); recvmmsg/sendmmsg — {rx_syscalls} rx / {tx_syscalls} tx syscalls",
     );
     human!(
         args,

@@ -51,7 +51,6 @@ struct Args {
     /// The `--fault-profile` spec as given.
     fault_spec: Option<String>,
     duration: Option<Duration>,
-    batch: usize,
     sockbuf: usize,
     pin_base: Option<usize>,
     stats_interval: Option<Duration>,
@@ -138,8 +137,6 @@ OPTIONS:
                        swallow one RX queue. Injected faults are
                        counted under fault.*
     --duration SECS    exit after SECS instead of waiting for Ctrl-C
-    --batch N          max datagrams per recvmmsg/sendmmsg syscall
-                       (default 32; 1 = one syscall per datagram)
     --sockbuf BYTES    socket send/receive buffer per queue (default 4 MiB)
     --pin BASECPU      pin core q's polling thread to cpu BASECPU+q
                        (sched_setaffinity; best-effort)
@@ -182,7 +179,6 @@ fn parse_args() -> Result<Args, String> {
         fault: FaultProfile::default(),
         fault_spec: None,
         duration: None,
-        batch: minos::net::DEFAULT_SYSCALL_BATCH,
         sockbuf: 4 << 20,
         pin_base: None,
         stats_interval: None,
@@ -229,7 +225,6 @@ fn parse_args() -> Result<Args, String> {
                 args.fault_spec = Some(spec);
             }
             "--duration" => args.duration = Some(Duration::from_secs_f64(value(flag, it.next())?)),
-            "--batch" => args.batch = value(flag, it.next())?,
             "--sockbuf" => args.sockbuf = value(flag, it.next())?,
             "--pin" => args.pin_base = Some(value(flag, it.next())?),
             "--stats-interval-ms" => {
@@ -313,7 +308,6 @@ fn main() {
 
     let transport = match UdpTransport::bind(UdpConfig {
         ip: args.bind,
-        batch: args.batch,
         socket_buffer_bytes: args.sockbuf,
         ..UdpConfig::loopback(args.base_port, args.cores as u16)
     }) {
@@ -363,7 +357,7 @@ fn main() {
         if args.steal { " + steal" } else { "" },
         args.threshold,
         args.items,
-        args.batch,
+        minos::net::BATCH,
         match args.pin_base {
             Some(base) => format!(", pinned to cpus {}..{}", base, base + args.cores),
             None => String::new(),
@@ -490,12 +484,7 @@ fn main() {
     );
     human!(
         args,
-        "syscall batching: {} — {} rx syscalls for {} packets, {} tx syscalls for {} packets",
-        if g("transport.batched") != 0.0 {
-            "recvmmsg/sendmmsg"
-        } else {
-            "recv_from/send_to"
-        },
+        "syscall batching: recvmmsg/sendmmsg — {} rx syscalls for {} packets, {} tx syscalls for {} packets",
         c("transport.rx_syscalls"),
         c("transport.rx_packets"),
         c("transport.tx_syscalls"),

@@ -19,9 +19,6 @@
 //!   watermark, large PUTs bounce with `Overloaded` (never partially
 //!   applied), small traffic still completes, and `dispatch.sheds`
 //!   tells the story.
-//!
-//! Both syscall paths run the same chaos: `recvmmsg`/`sendmmsg`
-//! batching and one-datagram-per-syscall (`batch == 1`).
 
 use minos::core::client::{Client, Completion, HedgePolicy, RetryPolicy};
 use minos::core::config::ThresholdMode;
@@ -41,14 +38,10 @@ static PORTS: TestPorts = TestPorts::new(28_100, 29_900);
 
 const QUEUES: u16 = 2;
 
-fn bind_server(num_queues: u16, batch: usize) -> Arc<UdpTransport> {
+fn bind_server(num_queues: u16) -> Arc<UdpTransport> {
     loop {
         let base = PORTS.alloc(num_queues);
-        let config = UdpConfig {
-            batch,
-            ..UdpConfig::loopback(base, num_queues)
-        };
-        if let Ok(t) = UdpTransport::bind(config) {
+        if let Ok(t) = UdpTransport::bind(UdpConfig::loopback(base, num_queues)) {
             return Arc::new(t);
         }
     }
@@ -59,12 +52,7 @@ fn bind_server(num_queues: u16, batch: usize) -> Arc<UdpTransport> {
 /// hedge delay (<= 3 ms) sits far below the retry timeout (40 ms), so a
 /// dropped small request is recovered by its hedge long before the
 /// retransmit path would fire.
-fn chaos_client(
-    server: &UdpTransport,
-    id: u16,
-    batch: usize,
-    fault: Option<FaultProfile>,
-) -> DriverClient {
+fn chaos_client(server: &UdpTransport, id: u16, fault: Option<FaultProfile>) -> DriverClient {
     let hedge = HedgePolicy {
         percentile: 99.0,
         min_delay: Duration::from_micros(500),
@@ -72,7 +60,6 @@ fn chaos_client(
     };
     let target = SocketAddrV4::new(Ipv4Addr::LOCALHOST, server.base_port());
     let run = RunConfig {
-        batch,
         seed: 0x00C1_1A05,
         retry: Some(RetryPolicy::new(Duration::from_millis(40), 64)),
         hedge: fault.map(|_| hedge),
@@ -110,22 +97,23 @@ fn drain_collect(client: &mut Client, timeout: Duration, sink: &mut Vec<Completi
     true
 }
 
-/// The full chaos roundtrip on one syscall path: unique-key small PUTs
-/// plus a handful of multi-fragment large PUTs through the injector,
-/// then a GET for every acknowledged write.
-fn chaos_roundtrip(batch: usize) {
+/// The full chaos roundtrip: unique-key small PUTs plus a handful of
+/// multi-fragment large PUTs through the injector, then a GET for every
+/// acknowledged write.
+#[test]
+fn chaos_roundtrip_batched_syscalls() {
     const SMALL_PUTS: u64 = 600;
     const LARGE_PUTS: u64 = 8;
     const SMALL_LEN: usize = 120;
     const LARGE_LEN: usize = 4_000; // > MAX_FRAG_CHUNK: fragments on the wire
 
-    let transport = bind_server(QUEUES, batch);
+    let transport = bind_server(QUEUES);
     let mut server = MinosServer::start_with_transport(
         ServerConfig::for_test(QUEUES as usize, 10_000),
         Arc::clone(&transport),
     );
     let registry = server.registry();
-    let chaos = chaos_client(&transport, 1, batch, Some(chaos_profile()));
+    let chaos = chaos_client(&transport, 1, Some(chaos_profile()));
     let (mut client, fault) = (chaos.client, chaos.fault.expect("a fault layer"));
 
     // ---- Phase 1: writes through the weather. ----
@@ -242,16 +230,6 @@ fn chaos_roundtrip(batch: usize) {
     assert!(drained);
 }
 
-#[test]
-fn chaos_roundtrip_batched_syscalls() {
-    chaos_roundtrip(32);
-}
-
-#[test]
-fn chaos_roundtrip_one_datagram_per_syscall() {
-    chaos_roundtrip(1);
-}
-
 /// The overload valve: with a 1-deep watermark and a burst of large
 /// PUTs, placements find the large queue occupied and shed with
 /// `Overloaded`. A shed PUT is never partially applied, the client
@@ -259,7 +237,7 @@ fn chaos_roundtrip_one_datagram_per_syscall() {
 #[test]
 fn shed_valve_bounces_large_puts_cleanly() {
     const LARGE: u64 = 400;
-    let transport = bind_server(QUEUES, 32);
+    let transport = bind_server(QUEUES);
     let mut config = ServerConfig::for_test(QUEUES as usize, 10_000);
     // A fixed threshold makes "large" deterministic for the assert, and
     // the 1-deep watermark makes collisions in a burst unavoidable.
@@ -267,7 +245,7 @@ fn shed_valve_bounces_large_puts_cleanly() {
     config.minos.shed_watermark = 1;
     let mut server = MinosServer::start_with_transport(config, Arc::clone(&transport));
     let registry = server.registry();
-    let mut client = chaos_client(&transport, 2, 32, None).client;
+    let mut client = chaos_client(&transport, 2, None).client;
 
     // Burst single-fragment large PUTs (1 KiB > threshold) at unique
     // keys; the tight loop keeps the large queue pressurized.

@@ -221,10 +221,9 @@ GATES = {
          lambda r: (None, "no offload") if not r["srv"]["transport.offload"] else
          (r["srv"]["transport.rx_trains"] > 0,
           f"{r['srv']['transport.rx_trains']} trains received ({r['srv']['transport.rx_train_packets']} packets)")),
-        ("burst", "transport.batched transport.tx_packets transport.tx_syscalls",
-         lambda r: (None, "per-datagram syscalls") if not r["srv"]["transport.batched"] else
-         (per(r["srv"]["transport.tx_packets"], r["srv"]["transport.tx_syscalls"]) >= 1.5,
-          f"{per(r['srv']['transport.tx_packets'], r['srv']['transport.tx_syscalls']):.2f} packets per tx syscall (>= 1.5)")),
+        ("burst", "transport.tx_packets transport.tx_syscalls",
+         lambda r: (per(r["srv"]["transport.tx_packets"], r["srv"]["transport.tx_syscalls"]) >= 1.5,
+                    f"{per(r['srv']['transport.tx_packets'], r['srv']['transport.tx_syscalls']):.2f} packets per tx syscall (>= 1.5)")),
         ("core-accounting", "core.N.packets_tx transport.tx_packets",
          lambda r: (r["srv"].core_sum("packets_tx") == r["srv"]["transport.tx_packets"],
                     f"cores counted {r['srv'].core_sum('packets_tx')} packets sent, the transport {r['srv']['transport.tx_packets']}")),
