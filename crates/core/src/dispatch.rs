@@ -71,6 +71,11 @@ impl DrainSchedule {
             others: Vec::new(),
         }
     }
+
+    /// Every RX queue the schedule drains, its own first.
+    pub fn queues(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::once(self.own.0).chain(self.others.iter().map(|&(q, _)| q))
+    }
 }
 
 /// Builds the drain schedule for small core `core` under the allocation

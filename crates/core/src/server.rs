@@ -43,6 +43,13 @@
 //! paper's baselines (`hkh`, `hkh --steal`, `sho`) run on this same
 //! engine, store and network stack.
 //!
+//! A core that finds no work polls on for 64 rounds and then gives its
+//! CPU back (`Core::idle`). A core whose RX queues are all drained by a
+//! peer too — the handoff cores under size-aware sharding, sho's
+//! workers — parks until the core that pushes work onto its queue wakes
+//! it; the only drainer of an RX queue yields instead, since nothing
+//! wakes it when a packet arrives.
+//!
 //! Lifecycle telemetry follows the same split: a request's `service_ns`
 //! ends when its reply is staged, and the send is the burst's
 //! (`core.N.tx_flush_ns`, `core.N.tx_flushes`); `core.N.packets_tx` /
@@ -81,9 +88,10 @@ use minos_wire::frag::{
 use minos_wire::message::{Body, Message, ReplyStatus, MSG_HEADER_LEN};
 use minos_wire::packet::{Endpoint, Packet, TxPacket};
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
-use std::time::Instant;
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 /// Host id the server's endpoints use in the virtual world (clients
 /// must differ).
@@ -94,6 +102,17 @@ pub const SERVER_HOST_ID: u32 = 1;
 /// ([`SOFT_QUEUE_CAPACITY`]), so an unpaced in-process client's burst
 /// waits in the ring instead of being dropped at it.
 pub const NIC_QUEUE_CAPACITY: usize = SOFT_QUEUE_CAPACITY;
+
+/// Idle rounds a core polls through before it gives its CPU back
+/// ([`Core::idle`]): a burst that arrives within them finds the core
+/// still polling.
+const SPIN_ROUNDS: u32 = 64;
+
+/// The longest a parked core sleeps without a wake. It then runs
+/// [`Core::housekeeping`] — its share of the TTL sweep and eviction, the
+/// stale-partial clock — and polls one round, so what no wake covers
+/// (an arrival on an RX queue a peer also drains) waits at most this.
+const PARK_TIMEOUT: Duration = Duration::from_millis(2);
 
 /// Server configuration: engine policy plus store sizing.
 #[derive(Clone, Debug)]
@@ -196,6 +215,10 @@ impl HandoffRing {
         self.ring.len()
     }
 
+    fn is_empty(&self) -> bool {
+        self.ring.is_empty()
+    }
+
     /// Bytes preallocated: a slot is a box handle and a sequence word.
     fn bytes(&self) -> usize {
         (self.ring.capacity() + self.spare.capacity()) * 2 * std::mem::size_of::<usize>()
@@ -266,6 +289,52 @@ impl FlowPins {
     }
 }
 
+/// Where a core that may park ([`PlanCache::parks`]) sleeps: an
+/// eventcount over [`std::thread::park_timeout`]. The parker sets
+/// `parked`, fences and re-checks everything that would wake it before
+/// it parks; a waker makes its work visible, fences and, finding
+/// `parked` set, clears it and unparks the thread ([`Shared::wake`]).
+/// With both fences, either the parker sees the work or the waker sees
+/// the flag. On a 128-byte block of its own, like [`SharedCoreStats`],
+/// since peers write it.
+#[derive(Default)]
+#[repr(align(128))]
+struct Parking {
+    parked: AtomicBool,
+    /// The core's thread, registered when it starts polling; unset for
+    /// a core stepped without one.
+    thread: OnceLock<Thread>,
+}
+
+/// Whether `core` parks when idle under `plan`, instead of yielding its
+/// CPU: every RX queue it drains ([`Discipline::rx_drain`]) is drained
+/// by another core too, so no arrival waits on it alone, and what only
+/// it serves — its software queue, the shared queue if it pulls it —
+/// wakes it when pushed. A core that is the only drainer of an RX queue
+/// keeps polling, since nothing wakes it on an arrival; so does every
+/// core when stealing is on, since an idle core is the thief.
+fn parks(
+    discipline: &dyn Discipline,
+    plan: &ShardingPlan,
+    n_cores: usize,
+    steal: bool,
+    core: usize,
+) -> bool {
+    if steal {
+        return false;
+    }
+    let Some(own) = discipline.rx_drain(core, plan, BATCH) else {
+        return true;
+    };
+    let peers: Vec<DrainSchedule> = (0..n_cores)
+        .filter(|&peer| peer != core)
+        .filter_map(|peer| discipline.rx_drain(peer, plan, BATCH))
+        .collect();
+    let drained_by_a_peer = |q| peers.iter().any(|peer| peer.queues().any(|p| p == q));
+    let alone = own.queues().any(|q| !drained_by_a_peer(q));
+    !alone
+}
+
 /// The live soft queues as the [`QueueDepths`] view disciplines consume
 /// (`len()` on an [`ArrayQueue`] is a pair of relaxed loads).
 impl QueueDepths for Vec<HandoffRing> {
@@ -324,6 +393,19 @@ struct Shared<T: Transport, C: Clock> {
     /// (`dispatch.sheds`; only moves when the watermark is set).
     sheds: Counter,
     epoch_deadline_ns: AtomicU64,
+    /// One parking spot per core.
+    parking: Vec<Parking>,
+    /// Some core parks under the initial plan ([`parks`]). For every
+    /// discipline that is whether one parks under any plan: size-aware
+    /// always has a handoff core on two cores or more, sho's workers
+    /// are fixed, and the others drain only their own RX queue. Pushes
+    /// mark their target for a wake only when this is set, and a core
+    /// parks only when it is, so wakers and parkers agree.
+    may_park: bool,
+    /// The cores that pull the shared queue
+    /// ([`Discipline::pulls_shared`]): the parked ones are woken after a
+    /// round that pushed onto it.
+    shared_pullers: Vec<usize>,
     /// Fragment-to-core pinning for in-flight multi-packet messages.
     flow_pins: FlowPins,
     /// Per-source cap on concurrent discard-mode ingests (memory-
@@ -361,12 +443,16 @@ impl<T: Transport, C: Clock> Shared<T, C> {
         };
         let registry = Arc::new(MetricsRegistry::new());
         let discipline = config.minos.discipline.build();
+        let may_park =
+            (0..n).any(|core| parks(&*discipline, &initial, n, config.minos.steal, core));
+        let shared_pullers: Vec<usize> = (0..n)
+            .filter(|&core| discipline.pulls_shared(core))
+            .collect();
         // The shared queue stands in for *all* per-core queues, so it
         // gets their aggregate capacity — equal total backlog before
         // tail-drop, whatever the discipline.
-        let shared_queue = (0..n)
-            .any(|core| discipline.pulls_shared(core))
-            .then(|| HandoffRing::new(SOFT_QUEUE_CAPACITY * n));
+        let shared_queue =
+            (!shared_pullers.is_empty()).then(|| HandoffRing::new(SOFT_QUEUE_CAPACITY * n));
         Shared {
             store: Arc::new(Store::new(config.store.clone())),
             plan: RwLock::new(Arc::new(initial)),
@@ -393,6 +479,9 @@ impl<T: Transport, C: Clock> Shared<T, C> {
             steal_picks: registry.counter("dispatch.steals"),
             sheds: registry.counter("dispatch.sheds"),
             epoch_deadline_ns: AtomicU64::new(config.minos.epoch_ns),
+            parking: (0..n).map(|_| Parking::default()).collect(),
+            may_park,
+            shared_pullers,
             flow_pins: FlowPins::new(4096),
             discard_quota: DiscardQuota::new(DISCARD_QUOTA_PER_SOURCE),
             config: config.minos.clone(),
@@ -424,6 +513,28 @@ impl<T: Transport, C: Clock> Shared<T, C> {
     /// Every ring: the soft queues, then the shared queue if it exists.
     fn rings(&self) -> impl Iterator<Item = &HandoffRing> {
         self.soft_queues.iter().chain(&self.shared_queue)
+    }
+
+    /// Wakes `core` if it is parked: clears its flag and unparks its
+    /// thread. The caller has made its work visible and fenced
+    /// ([`Parking`]). Allocates nothing; only the waker that clears the
+    /// flag pays for the unpark.
+    fn wake(&self, core: usize) {
+        let spot = &self.parking[core];
+        if spot.parked.load(Ordering::Relaxed) && spot.parked.swap(false, Ordering::Relaxed) {
+            if let Some(thread) = spot.thread.get() {
+                thread.unpark();
+            }
+        }
+    }
+
+    /// Wakes every parked core: after a plan publication, which may
+    /// change what a parked core polls, and at shutdown.
+    fn wake_all(&self) {
+        fence(Ordering::SeqCst);
+        for core in 0..self.config.n_cores {
+            self.wake(core);
+        }
     }
 }
 
@@ -460,6 +571,8 @@ impl<T: Transport + 'static, C: Clock> Collector for EngineCollector<T, C> {
             out.push(counter("large_ops", c.large_ops));
             out.push(counter("handoffs", c.handoffs));
             out.push(counter("steals", c.steals));
+            out.push(counter("parks", c.parks));
+            out.push(counter("wakes", c.wakes));
             out.push(counter("packets_rx", c.packets_rx));
             out.push(counter("packets_tx", c.packets_tx));
             out.push(counter("frames_rx", c.frames_rx));
@@ -659,6 +772,7 @@ impl<T: Transport> MinosServer<T> {
     /// Stops the polling threads and joins them. Idempotent.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.wake_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -688,6 +802,8 @@ struct PlanCache {
     /// every core drains only its own RX queue
     /// ([`Discipline::own_rx_only`]).
     steal_rx: bool,
+    /// This core parks when idle instead of yielding its CPU ([`parks`]).
+    parks: bool,
 }
 
 impl PlanCache {
@@ -696,12 +812,13 @@ impl PlanCache {
         // stale version beside a fresh plan, and the next round reloads.
         let version = shared.plan_version.load(Ordering::Acquire);
         let plan = shared.plan.read().clone();
-        let discipline = &shared.discipline;
+        let (discipline, config) = (&*shared.discipline, &shared.config);
         PlanCache {
             version,
             schedule: discipline.rx_drain(core, &plan, BATCH),
             pulls_shared: discipline.pulls_shared(core),
-            steal_rx: shared.config.steal && discipline.own_rx_only(&plan, BATCH),
+            steal_rx: config.steal && discipline.own_rx_only(&plan, BATCH),
+            parks: shared.may_park && parks(discipline, &plan, config.n_cores, config.steal, core),
             plan,
         }
     }
@@ -737,6 +854,13 @@ struct Core<'a, T: Transport, C: Clock> {
     rx_buf: Vec<Packet>,
     /// Rounds run, for [`Core::housekeeping`]'s 1-in-64 cadence.
     rounds: u32,
+    /// Idle rounds in a row, for [`Core::idle`].
+    idle_rounds: u32,
+    /// The cores this round pushed work to, one bit each, and bit
+    /// `n_cores` for the shared queue: woken after the round's next
+    /// flush ([`Core::wake_marked`]). Marked only where a core may
+    /// park ([`Shared::may_park`]).
+    wake: Vec<u64>,
     /// Evictions already folded into the shared gauge; the
     /// reassembler's own counter covers *every* eviction cause (stale
     /// round, capacity, geometry mismatch), all of which drop a live
@@ -756,25 +880,27 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
             next_msg_id: 0,
             rx_buf: Vec::with_capacity(BATCH * 2),
             rounds: 0,
+            idle_rounds: 0,
+            wake: vec![0; (shared.config.n_cores + 1).div_ceil(64)],
             reported_evictions: 0,
         }
     }
 
     /// Polls until shutdown: one [`Core::step`] per round, under the
-    /// plan this core last loaded, and [`idle`] after a round that found
-    /// no work.
+    /// plan this core last loaded, and [`Core::idle`] after a round that
+    /// found no work.
     fn run(mut self) {
         let (shared, core) = (self.shared, self.id);
+        let _ = shared.parking[core].thread.set(std::thread::current());
         let mut cached = PlanCache::load(shared, core);
-        let mut idle_rounds = 0u32;
         while !shared.shutdown.load(Ordering::Relaxed) {
             if shared.plan_version.load(Ordering::Acquire) != cached.version {
                 cached = PlanCache::load(shared, core);
             }
             if self.step(&cached) {
-                idle_rounds = 0;
+                self.idle_rounds = 0;
             } else {
-                idle(&mut idle_rounds);
+                self.idle(&cached);
             }
         }
         debug_assert!(self.tx.is_empty(), "every round ends flushed");
@@ -815,8 +941,10 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
                 self.process_burst(&cached.plan);
                 // The burst's replies leave together, and before the
                 // software queue is served: a small reply never waits
-                // behind a large request's execution.
+                // behind a large request's execution. Then the cores the
+                // burst handed work to are woken.
                 self.flush_tx();
+                self.wake_marked();
             }
         }
 
@@ -844,7 +972,86 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
         // with the burst empty — shutdown, observed only between rounds,
         // can never strand a staged reply.
         self.flush_tx();
+        self.wake_marked();
         did_work
+    }
+
+    /// What a core does after a poll round that found no work. For
+    /// [`SPIN_ROUNDS`] such rounds in a row it polls on. Then a core
+    /// that may park ([`PlanCache::parks`]) parks until woken or
+    /// [`PARK_TIMEOUT`], and any other core yields its CPU once per
+    /// round — the only drainer of an RX queue has nothing to wake it on
+    /// an arrival. A parkable core never yields: a yield on a shared
+    /// host leaves it off-CPU when its next handoff arrives.
+    fn idle(&mut self, cached: &PlanCache) {
+        self.idle_rounds = self.idle_rounds.saturating_add(1);
+        if self.idle_rounds <= SPIN_ROUNDS {
+            std::hint::spin_loop();
+        } else if cached.parks {
+            self.park(cached);
+        } else {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Parks this core's thread unless work showed up meanwhile: sets
+    /// the parked flag, fences, re-checks its software queue, the shared
+    /// queue if it pulls it, the plan version and shutdown, and parks
+    /// for at most [`PARK_TIMEOUT`] only when all are quiet. After a
+    /// park, woken or timed out, it runs [`Core::housekeeping`].
+    fn park(&mut self, cached: &PlanCache) {
+        let shared = self.shared;
+        let spot = &shared.parking[self.id];
+        spot.parked.store(true, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        let quiet = shared.soft_queues[self.id].is_empty()
+            && !(cached.pulls_shared
+                && shared.shared_queue.as_ref().is_some_and(|q| !q.is_empty()))
+            && shared.plan_version.load(Ordering::Relaxed) == cached.version
+            && !shared.shutdown.load(Ordering::Relaxed);
+        if !quiet {
+            spot.parked.store(false, Ordering::Relaxed);
+            return;
+        }
+        shared.stats[self.id].record_park();
+        std::thread::park_timeout(PARK_TIMEOUT);
+        // A waker that found the flag set cleared it; a timeout (or a
+        // spurious return) leaves it set.
+        if !spot.parked.swap(false, Ordering::Relaxed) {
+            shared.stats[self.id].record_wake();
+        }
+        self.housekeeping(self.clock.now_ns());
+    }
+
+    /// Marks `core` for a wake after this round's next flush.
+    fn mark_wake(&mut self, core: usize) {
+        if self.shared.may_park {
+            self.wake[core / 64] |= 1 << (core % 64);
+        }
+    }
+
+    /// Wakes the parked cores this round pushed work to, and the parked
+    /// pullers of the shared queue if it pushed there. Called after a
+    /// flush, so the round's replies have left before the wake's
+    /// syscall.
+    fn wake_marked(&mut self) {
+        if self.wake.iter().all(|&bits| bits == 0) {
+            return;
+        }
+        fence(Ordering::SeqCst);
+        let shared = self.shared;
+        for w in 0..self.wake.len() {
+            let mut bits = std::mem::take(&mut self.wake[w]);
+            while bits != 0 {
+                let core = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if core == shared.config.n_cores {
+                    shared.shared_pullers.iter().for_each(|&t| shared.wake(t));
+                } else {
+                    shared.wake(core);
+                }
+            }
+        }
     }
 
     /// The work that needs the time of day, run every 64th round at
@@ -1008,6 +1215,8 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
                 // still a drop.
                 if shared.soft_queues[victim].push(frag).is_err() {
                     shared.soft_drops.inc();
+                } else {
+                    self.mark_wake(victim);
                 }
                 false
             }
@@ -1239,6 +1448,7 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
             shared.soft_drops.inc();
         } else {
             shared.stats[core].record_handoff();
+            self.mark_wake(target);
         }
     }
 
@@ -1399,14 +1609,16 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
     /// the backlog until tail-drop loses it silently.
     fn enqueue_placed(&mut self, placement: Placement, req: ServerRequest, sheddable: bool) {
         let shared = self.shared;
-        let (queue, pick) = match placement {
-            Placement::Core(target) => (&shared.soft_queues[target], &shared.queue_picks),
+        // The shared queue's wake bit is the one past the last core's.
+        let (queue, pick, wake) = match placement {
+            Placement::Core(target) => (&shared.soft_queues[target], &shared.queue_picks, target),
             Placement::Shared => (
                 shared
                     .shared_queue
                     .as_ref()
                     .expect("a discipline placing Shared pulls the shared queue"),
                 &shared.shared_picks,
+                shared.config.n_cores,
             ),
             Placement::Local => unreachable!("local placement executes inline"),
         };
@@ -1429,6 +1641,7 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
             shared.soft_drops.inc();
         } else {
             shared.stats[self.id].record_handoff();
+            self.mark_wake(wake);
         }
     }
 
@@ -1480,19 +1693,6 @@ fn queued_class<T: Transport, C: Clock>(shared: &Shared<T, C>, large: Option<boo
     }
 }
 
-/// What a core does after a poll round that found no work: spin for 64
-/// such rounds in a row, then yield its CPU once per round. A polite
-/// busy-poller on shared machines; a deployment that pins one core per
-/// thread would spin.
-fn idle(idle_rounds: &mut u32) {
-    *idle_rounds = idle_rounds.saturating_add(1);
-    if *idle_rounds > 64 {
-        std::thread::yield_now();
-    } else {
-        std::hint::spin_loop();
-    }
-}
-
 /// The epoch control step (paper §3, "How to find the threshold" +
 /// "How to choose the number of small cores").
 fn run_epoch<T: Transport, C: Clock>(shared: &Shared<T, C>) {
@@ -1518,6 +1718,8 @@ fn run_epoch<T: Transport, C: Clock>(shared: &Shared<T, C>) {
     // (`PlanCache::load`) and must find this one.
     shared.plan_version.fetch_add(1, Ordering::Release);
     shared.epochs.set(epoch_id);
+    // A parked core re-derives what it polls under the new plan.
+    shared.wake_all();
 }
 
 fn endpoint_of(pkt: &Packet) -> Endpoint {
@@ -1754,7 +1956,10 @@ mod tests {
     use super::{
         register_collectors, Core, FlowPins, PlanCache, ServerConfig, Shared, SERVER_HOST_ID,
     };
+    use crate::allocation::{allocate, CoreAllocation};
     use crate::config::ThresholdMode;
+    use crate::dispatch::DisciplineKind;
+    use crate::plan::ShardingPlan;
     use minos_net::VirtualTransport;
     use minos_nic::{NicConfig, VirtualNic};
     use minos_obs::{HistSummary, ManualClock, MetricValue};
@@ -1763,6 +1968,7 @@ mod tests {
     use minos_wire::message::{Body, Message};
     use minos_wire::packet::{synthesize, Endpoint, Packet};
     use minos_wire::udp::UdpHeader;
+    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
     /// A single-frame PUT of `len` bytes under `key`, as it reaches RX
@@ -1897,6 +2103,75 @@ mod tests {
         // ...and so it does when the idle pass comes before the round
         // left standing by the last eviction (due at 103 R) would close.
         lose_a_fragment(102 * R + R / 2, 3, 3);
+    }
+
+    /// The cores that park when idle, under `edit`'s config of `n` cores
+    /// and, if given, the allocation `alloc` published as a plan; with
+    /// the allocation in force.
+    fn parkers(
+        n: usize,
+        alloc: Option<CoreAllocation>,
+        edit: impl FnOnce(&mut ServerConfig),
+    ) -> (CoreAllocation, Vec<usize>) {
+        let mut config = ServerConfig::for_test(n, 1_000);
+        edit(&mut config);
+        let nic = Arc::new(VirtualNic::new(NicConfig::new(n as u16)));
+        let transport = Arc::new(VirtualTransport::new(nic));
+        let shared = Shared::new(&config, transport, ManualClock::default());
+        if let Some(allocation) = alloc {
+            let plan = ShardingPlan {
+                allocation,
+                ..(**shared.plan.read()).clone()
+            };
+            *shared.plan.write() = Arc::new(plan);
+            shared.plan_version.fetch_add(1, Ordering::Release);
+        }
+        let cached: Vec<PlanCache> = (0..n).map(|core| PlanCache::load(&shared, core)).collect();
+        let parking = (0..n).filter(|&core| cached[core].parks).collect();
+        (cached[0].plan.allocation, parking)
+    }
+
+    #[test]
+    fn cores_park_only_where_a_peer_drains_their_rx_queues() {
+        let standby = |c: &mut ServerConfig| c.minos.threshold_mode = ThresholdMode::Static(512);
+        let none = Vec::<usize>::new();
+        // Standby: core 0 also drains the standby core's RX queue, at
+        // quota B/n_s; core 0's own queue is its alone.
+        let (alloc, parking) = parkers(2, None, standby);
+        assert!(alloc.standby);
+        assert_eq!(parking, vec![1]);
+        // Dedicated large cores never touch RX.
+        let (alloc, parking) = parkers(2, Some(allocate(2, 0.5)), standby);
+        assert_eq!((alloc.n_large, parking), (1, vec![1]));
+        let (alloc, parking) = parkers(4, Some(allocate(4, 0.5)), |_| {});
+        assert_eq!((alloc.n_large, parking), (2, vec![2, 3]));
+        // A lone core is the only drainer of its queue.
+        assert_eq!(parkers(1, None, |_| {}).1, none);
+        // sho: the workers.
+        let sho = |c: &mut ServerConfig| c.minos.discipline = DisciplineKind::Sho { handoff: 1 };
+        assert_eq!(parkers(3, None, sho).1, vec![1, 2]);
+        // Every core of hkh, dfcfs and cfcfs drains its own queue alone.
+        for kind in [
+            DisciplineKind::Hkh,
+            DisciplineKind::Dfcfs,
+            DisciplineKind::Cfcfs,
+        ] {
+            assert_eq!(
+                parkers(3, None, |c| c.minos.discipline = kind).1,
+                none,
+                "{kind:?}"
+            );
+        }
+        // Stealing keeps every core polling, under every discipline.
+        for kind in DisciplineKind::ALL {
+            for alloc in [None, Some(allocate(4, 0.5))] {
+                let stealing = |c: &mut ServerConfig| {
+                    c.minos.discipline = kind;
+                    c.minos.steal = true;
+                };
+                assert_eq!(parkers(4, alloc, stealing).1, none, "{kind:?} {alloc:?}");
+            }
+        }
     }
 
     #[test]

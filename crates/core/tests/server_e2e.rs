@@ -75,6 +75,157 @@ fn lost_fragment_reservation_is_evicted_and_released() {
     server.shutdown();
 }
 
+/// A handoff core that parked is woken by the handoff: rounds of one
+/// large PUT and a GET of the same key, each sent to core 0's RX queue
+/// once core 1 (the standby core, which parks) has parked again, are
+/// answered exactly once with the bytes written, at least one park ends
+/// in a wake (no epoch runs, so nothing else wakes it), and shutdown
+/// joins the parked core.
+#[test]
+fn a_parked_handoff_core_is_woken_by_its_handoffs_and_joined_at_shutdown() {
+    use minos_core::config::ThresholdMode;
+    use minos_net::{Transport, VirtualClientTransport};
+    use minos_wire::frag::{fragment_frame_each, frames};
+    use minos_wire::message::{Body, Message};
+    use minos_wire::packet::{synthesize_frame, Endpoint, Packet};
+    use minos_wire::udp::UdpHeader;
+    use std::collections::HashMap;
+
+    const ROUNDS: u64 = 12;
+    let mut config = ServerConfig::for_test(2, 10_000);
+    config.minos.threshold_mode = ThresholdMode::Static(512);
+    // No epoch publishes a plan, so only a handoff wakes core 1.
+    config.minos.epoch_ns = u64::MAX;
+    let server = MinosServer::start(config);
+    let registry = server.registry();
+    let counter = |name: &str| registry.snapshot().counter(name).unwrap_or(0);
+    let peer_at = Endpoint::host(100, 20_000);
+    let peer = VirtualClientTransport::new(server.nic(), peer_at);
+    let queue_0 = Endpoint::host(1, UdpHeader::port_for_queue(0));
+
+    // Every reply by request id, multi-fragment ones reassembled (keyed
+    // by the reply's message id); returns the datagrams it drained.
+    let mut replies: HashMap<u64, Vec<Message>> = HashMap::new();
+    let mut partials: HashMap<u64, Vec<(u16, bytes::Bytes)>> = HashMap::new();
+    let mut pkts: Vec<Packet> = Vec::new();
+    let mut receive = |replies: &mut HashMap<u64, Vec<Message>>| {
+        let received = peer.rx_burst(0, &mut pkts, 64);
+        for pkt in pkts.drain(..) {
+            for frame in frames(pkt.payload) {
+                let frame = frame.expect("a well-formed reply datagram");
+                let fh = frame.header;
+                let whole = if fh.count == 1 {
+                    frame.into_chunk()
+                } else {
+                    let parts = partials.entry(fh.msg_id).or_default();
+                    parts.push((fh.index, frame.into_chunk()));
+                    if parts.len() < usize::from(fh.count) {
+                        continue;
+                    }
+                    let mut parts = partials.remove(&fh.msg_id).unwrap();
+                    parts.sort_by_key(|&(index, _)| index);
+                    let bytes: Vec<u8> = parts.iter().flat_map(|(_, c)| c.to_vec()).collect();
+                    bytes::Bytes::from(bytes)
+                };
+                let reply = Message::decode(whole).expect("a reply");
+                replies.entry(reply.request_id).or_default().push(reply);
+            }
+        }
+        received
+    };
+    let send = |request_id: u64, body: Body| {
+        let msg = Message {
+            client_id: 1,
+            request_id,
+            client_ts_ns: 0,
+            body,
+        };
+        let mut datagrams = Vec::new();
+        fragment_frame_each(request_id, false, &msg.encode_frame(), |frame| {
+            datagrams.push(synthesize_frame(peer_at, queue_0, frame))
+        });
+        let n = datagrams.len();
+        assert_eq!(peer.tx_frames(0, &mut datagrams), n);
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    let parked_since = |parks: u64| {
+        while counter("core.1.parks") <= parks {
+            assert!(std::time::Instant::now() < deadline, "core 1 parks");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+
+    // Sends one request once core 1 has parked again, and waits for its
+    // reply.
+    let mut ask = |request_id: u64, body: Body, replies: &mut HashMap<u64, Vec<Message>>| {
+        parked_since(counter("core.1.parks"));
+        send(request_id, body);
+        while !replies.contains_key(&request_id) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{request_id} answered"
+            );
+            receive(replies);
+        }
+    };
+    for round in 0..ROUNDS {
+        let key = 1_000 + round;
+        let value: Vec<u8> = (0..6_000u64).map(|b| (b * 7 + round) as u8).collect();
+        let put = Body::Put {
+            key,
+            value: bytes::Bytes::from(value.clone()),
+            ttl_ms: 0,
+        };
+        ask(2 * round, put, &mut replies);
+        ask(2 * round + 1, Body::Get { key }, &mut replies);
+        match &replies[&(2 * round + 1)][0].body {
+            Body::GetReply {
+                status: ReplyStatus::Ok,
+                value: got,
+                ..
+            } => assert_eq!(&got[..], &value[..], "round {round}"),
+            other => panic!("round {round}: {other:?}"),
+        }
+    }
+    let (parks, wakes) = (counter("core.1.parks"), counter("core.1.wakes"));
+    assert!(
+        wakes >= 1,
+        "a handoff woke the parked core: {wakes} of {parks} parks"
+    );
+    assert!(wakes <= parks);
+
+    // Shutdown joins the cores, the parked one included; the timeout
+    // only turns a hang into a failure.
+    let (joined, done) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        let mut server = server;
+        server.shutdown();
+        joined.send(()).unwrap();
+        server
+    });
+    done.recv_timeout(Duration::from_secs(60))
+        .expect("shutdown returns");
+    let server = stopper.join().unwrap();
+
+    // Nothing is left in flight: every request was answered once.
+    while receive(&mut replies) > 0 {}
+    assert!(partials.is_empty());
+    assert_eq!(replies.len() as u64, 2 * ROUNDS);
+    for (id, answers) in &replies {
+        assert_eq!(answers.len(), 1, "request {id} answered once");
+        let kind = if id % 2 == 0 {
+            OpKind::PutReply
+        } else {
+            OpKind::GetReply
+        };
+        assert_eq!(answers[0].body.kind(), kind);
+    }
+    assert!(
+        server.core_stats()[1].large_ops >= 2 * ROUNDS,
+        "core 1 executed the rounds"
+    );
+}
+
 fn start_server(cores: usize) -> MinosServer<VirtualTransport> {
     MinosServer::start(ServerConfig::for_test(cores, 10_000))
 }

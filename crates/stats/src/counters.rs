@@ -38,6 +38,11 @@ pub struct CoreStats {
     pub handoffs: u64,
     /// Requests this core stole from another core (HKH+WS only).
     pub steals: u64,
+    /// Times this core parked its thread after a run of idle rounds.
+    pub parks: u64,
+    /// Parks ended by a wake (a push onto this core's queue, a plan
+    /// publication or shutdown) rather than by the park's timeout.
+    pub wakes: u64,
 }
 
 impl CoreStats {
@@ -61,6 +66,8 @@ impl CoreStats {
         self.bytes_tx += other.bytes_tx;
         self.handoffs += other.handoffs;
         self.steals += other.steals;
+        self.parks += other.parks;
+        self.wakes += other.wakes;
         self
     }
 
@@ -79,6 +86,8 @@ impl CoreStats {
             bytes_tx: self.bytes_tx - earlier.bytes_tx,
             handoffs: self.handoffs - earlier.handoffs,
             steals: self.steals - earlier.steals,
+            parks: self.parks - earlier.parks,
+            wakes: self.wakes - earlier.wakes,
         }
     }
 }
@@ -106,6 +115,8 @@ pub struct SharedCoreStats {
     bytes_tx: AtomicU64,
     handoffs: AtomicU64,
     steals: AtomicU64,
+    parks: AtomicU64,
+    wakes: AtomicU64,
 }
 
 impl SharedCoreStats {
@@ -164,6 +175,18 @@ impl SharedCoreStats {
         self.steals.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records one park of this core's thread.
+    #[inline]
+    pub fn record_park(&self) {
+        self.parks.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records a park that a wake, not the timeout, ended.
+    #[inline]
+    pub fn record_wake(&self) {
+        self.wakes.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Takes a consistent-enough snapshot for statistics purposes.
     pub fn snapshot(&self) -> CoreStats {
         CoreStats {
@@ -179,6 +202,8 @@ impl SharedCoreStats {
             bytes_tx: self.bytes_tx.load(Ordering::Relaxed),
             handoffs: self.handoffs.load(Ordering::Relaxed),
             steals: self.steals.load(Ordering::Relaxed),
+            parks: self.parks.load(Ordering::Relaxed),
+            wakes: self.wakes.load(Ordering::Relaxed),
         }
     }
 }
@@ -197,6 +222,9 @@ mod tests {
         s.record_tx(2, 5, 1500);
         s.record_handoff();
         s.record_steal();
+        s.record_park();
+        s.record_park();
+        s.record_wake();
         let snap = s.snapshot();
         assert_eq!(snap.ops, 3);
         assert_eq!(snap.get_ops, 2);
@@ -209,6 +237,7 @@ mod tests {
         assert_eq!(snap.bytes_tx, 1500);
         assert_eq!(snap.handoffs, 1);
         assert_eq!(snap.steals, 1);
+        assert_eq!((snap.parks, snap.wakes), (2, 1));
         assert_eq!(snap.packets(), 5);
     }
 

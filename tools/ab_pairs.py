@@ -1,0 +1,181 @@
+#!/usr/bin/env python3
+"""Alternated A/B pairs of two ``minos-server`` binaries, in the form
+ROADMAP's perf claims use: per metric, each side's median and quartiles
+and how many pairs B won.
+
+Closed loop (the benchmark's harness, one run per side and pair):
+
+    python3 tools/ab_pairs.py A_SERVER B_SERVER --seeds 101-110 \\
+        --workloads etc_read,large_heavy [--seconds 20] [--out DIR]
+
+runs ``target/release/minos-benchmark --server BIN --root . --out DIR
+--workload W --seed S --seconds 20 --trace 0`` for every seed x
+workload, A and B alternately (which side goes first alternates with the
+pair), and reads the end-to-end metrics the harness prints on its last
+line. Which direction is better comes from ``BENCHMARK.json``.
+
+Open loop (``--open-loop RATE``): each side is ``minos-server --cores 2
+--port P --json`` driven by ``minos-loadgen --target 127.0.0.1:P
+--queues 2 --rate RATE --duration D --seed S --json``; the metrics are
+the small and large class p50/p99 (µs) and the loss rate.
+
+Every run's raw result goes to ``DIR/pairs.jsonl``, one JSON object per
+line; ``--report DIR/pairs.jsonl`` prints the tables again from it
+(then A and B may be left out). Build both servers first (``cargo build
+--release``, and the harness with ``CARGO_TARGET_DIR=target cargo build
+--release --manifest-path benchmark/Cargo.toml``); for the parent,
+``git clone`` it elsewhere and build it there. Run nothing else on the
+host meanwhile.
+"""
+
+import argparse
+import json
+import os
+import signal
+import statistics
+import subprocess
+import sys
+import time
+
+OPEN_LOOP_METRICS = [
+    ("small_p50_us", "lower"),
+    ("small_p99_us", "lower"),
+    ("large_p50_us", "lower"),
+    ("large_p99_us", "lower"),
+    ("loss_rate", "lower"),
+]
+
+
+def seeds(spec):
+    """``101-110`` or ``3,5,8``."""
+    out = []
+    for part in spec.split(","):
+        lo, _, hi = part.partition("-")
+        out += range(int(lo), int(hi or lo) + 1)
+    return out
+
+
+def quartiles(xs):
+    xs = sorted(xs)
+    if len(xs) == 1:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def closed_loop(args, server, workload, seed, side):
+    out = os.path.join(args.out, f"{side}-{workload}-{seed}")
+    cmd = [args.bench, "--server", server, "--root", args.root, "--out", out,
+           "--workload", workload, "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
+    run = subprocess.run(cmd, capture_output=True, text=True)
+    lines = [line for line in run.stdout.splitlines() if line.startswith("{")]
+    if not lines:
+        sys.stderr.write(run.stderr[-2000:])
+        raise SystemExit(f"{side} {workload} seed {seed}: no result (exit {run.returncode})")
+    doc = json.loads(lines[-1])
+    metrics = {name: m["value"] for name, m in doc["metrics"].items()}
+    return {"failed": doc["failed"], "attempted": doc["attempted"], "metrics": metrics}
+
+
+def open_loop(args, server, workload, seed, side):
+    port = args.base_port + 10 * (seed % 500)
+    srv = subprocess.Popen([server, "--cores", "2", "--port", str(port), "--json"],
+                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    try:
+        time.sleep(1.0)
+        cmd = [args.loadgen, "--target", f"127.0.0.1:{port}", "--queues", "2", "--rate", str(args.open_loop),
+               "--duration", str(args.duration), "--keys", str(args.keys), "--seed", str(seed), "--json"]
+        run = subprocess.run(cmd, capture_output=True, text=True)
+    finally:
+        srv.send_signal(signal.SIGINT)
+        srv.communicate(timeout=60)
+    try:
+        doc = json.loads(run.stdout)
+    except json.JSONDecodeError:
+        sys.stderr.write(run.stderr[-2000:])
+        raise SystemExit(f"{side} open loop seed {seed}: no report (exit {run.returncode})")
+    pick = lambda cls, q: (doc.get(f"latency_{cls}_us") or {}).get(f"{q}_us", 0.0)
+    metrics = {f"{cls}_{q}_us": pick(cls, q) for cls in ("small", "large") for q in ("p50", "p99")}
+    metrics["loss_rate"] = doc["loss_rate"]
+    return {"failed": 0 if doc["zero_loss"] else 1, "attempted": doc["sent"], "metrics": metrics}
+
+
+def report(results, better, label):
+    """One table per workload: each metric's per-side median and
+    quartiles, B's median change and B's wins."""
+    for workload in sorted({r["workload"] for r in results}):
+        pairs = {}
+        for r in results:
+            if r["workload"] == workload:
+                pairs.setdefault(r["seed"], {})[r["side"]] = r
+        pairs = [p for p in pairs.values() if len(p) == 2]
+        print(f"\n{label} {workload}: {len(pairs)} pairs; "
+              f"failed A {sum(p['A']['failed'] for p in pairs)}, B {sum(p['B']['failed'] for p in pairs)}")
+        print(f"{'metric':<24} {'A median [q1, q3]':>32} {'B median [q1, q3]':>32} {'B vs A':>8} {'B wins':>7}"
+              "  |B-A| > A's IQR")
+        for name, direction in better:
+            a = [p["A"]["metrics"].get(name) for p in pairs]
+            b = [p["B"]["metrics"].get(name) for p in pairs]
+            if not pairs or None in a or None in b:
+                continue
+            wins = sum((y < x) if direction == "lower" else (y > x) for x, y in zip(a, b))
+            (a1, a2, a3), (b1, b2, b3) = quartiles(a), quartiles(b)
+            change = f"{100 * (b2 - a2) / a2:+.1f}%" if a2 else "n/a"
+            beyond = "yes" if abs(b2 - a2) > a3 - a1 else "no"
+            print(f"{name:<24} {a2:>12.4g} [{a1:.4g}, {a3:.4g}]".ljust(57)
+                  + f" {b2:>12.4g} [{b1:.4g}, {b3:.4g}]".ljust(33)
+                  + f" {change:>8} {wins:>3}/{len(pairs)}  {beyond}")
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("a", nargs="?", help="the A (parent) minos-server binary")
+    p.add_argument("b", nargs="?", help="the B (change) minos-server binary")
+    p.add_argument("--seeds", default="101-110", help="seeds, e.g. 101-110 or 3,5,8")
+    p.add_argument("--workloads", default="etc_read", help="closed loop: comma-separated workloads")
+    p.add_argument("--seconds", type=int, default=20, help="closed loop: measured seconds per run")
+    p.add_argument("--open-loop", type=float, metavar="RATE", help="open loop at RATE requests/s")
+    p.add_argument("--duration", type=int, default=5, help="open loop: measured seconds per run")
+    p.add_argument("--keys", type=int, default=100000, help="open loop: dataset size in keys")
+    p.add_argument("--base-port", type=int, default=9600, help="open loop: first server port")
+    p.add_argument("--root", default=".", help="the repo root the harness reads")
+    p.add_argument("--bench", default="target/release/minos-benchmark")
+    p.add_argument("--loadgen", default="target/release/minos-loadgen")
+    p.add_argument("--out", default="ab-pairs")
+    p.add_argument("--report", metavar="PAIRS_JSONL", help="only print the tables of an earlier run")
+    args = p.parse_args()
+
+    with open(os.path.join(args.root, "BENCHMARK.json")) as f:
+        closed_better = [(m["name"], m["better"]) for m in json.load(f)["end_to_end"]]
+    if args.report:
+        with open(args.report) as f:
+            results = [json.loads(line) for line in f if line.strip()]
+        for label, better, is_open in (("closed loop", closed_better, False), ("open loop", OPEN_LOOP_METRICS, True)):
+            report([r for r in results if r["workload"].startswith("open_loop") == is_open], better, label)
+        return
+
+    os.makedirs(args.out, exist_ok=True)
+    if args.open_loop:
+        runner, workloads, label = open_loop, [f"open_loop@{args.open_loop:g}"], "open loop"
+        better = OPEN_LOOP_METRICS
+    else:
+        runner, workloads, label = closed_loop, args.workloads.split(","), "closed loop"
+        better = closed_better
+
+    results = []
+    with open(os.path.join(args.out, "pairs.jsonl"), "a") as log:
+        for i, (seed, workload) in enumerate((s, w) for s in seeds(args.seeds) for w in workloads):
+            order = [("A", args.a), ("B", args.b)]
+            for side, server in order if i % 2 == 0 else order[::-1]:
+                r = runner(args, server, workload, seed, side)
+                r.update(side=side, seed=seed, workload=workload, server=server)
+                results.append(r)
+                log.write(json.dumps(r) + "\n")
+                log.flush()
+                print(f"{workload} seed {seed} {side}: " + ", ".join(
+                    f"{n} {r['metrics'].get(n, float('nan')):.4g}" for n, _ in better[:6]), flush=True)
+    report(results, better, label)
+
+
+if __name__ == "__main__":
+    main()

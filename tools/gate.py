@@ -54,11 +54,16 @@ class Report:
             return 0  # a metric nothing recorded reads as 0
         return metric.get("value", metric)
 
+    def per_core(self, leaf):
+        """``core.N.<leaf>`` by core N."""
+        self._read(f"core.N.{leaf}")
+        pattern = re.compile(r"core\.(\d+)\." + re.escape(leaf))
+        matches = ((pattern.fullmatch(n), m) for n, m in self.doc["metrics"].items())
+        return {int(k.group(1)): m["value"] for k, m in matches if k}
+
     def core_sum(self, leaf):
         """Sum of ``core.N.<leaf>`` over every core N."""
-        self._read(f"core.N.{leaf}")
-        pattern = re.compile(r"core\.\d+\." + re.escape(leaf))
-        return sum(m["value"] for n, m in self.doc["metrics"].items() if pattern.fullmatch(n))
+        return sum(self.per_core(leaf).values())
 
 
 def per(n, d):
@@ -164,6 +169,18 @@ def queue_wait(snaps, cls):
     return samples > 0 and all(m["type"] == "hist" for m in hists), f"{samples} {cls}-class samples"
 
 
+def wakes_within_parks(r):
+    """``core.N.wakes <= core.N.parks`` for every core, in every
+    timeline snapshot and in the server's final report."""
+    reports = [Report(snap) for snap in r["tl"]] + [r["srv"]]
+    bad = []
+    for report in reports:
+        parks, wakes = report.per_core("parks"), report.per_core("wakes")
+        bad += [f"core {n}: {w} wakes > {parks.get(n, 0)} parks" for n, w in wakes.items() if w > parks.get(n, 0)]
+    most = max((max(rep.per_core("parks").values(), default=0) for rep in reports), default=0)
+    return not bad, "; ".join(bad) if bad else f"{len(reports)} reports, at most {most} parks on one core"
+
+
 def merged(r):
     stats, last = r["lg"]["server_stats"], r["tl"][-1]["seq"]
     if stats is None:
@@ -236,6 +253,7 @@ GATES = {
         ("monotone", "seq elapsed_ms", lambda r: monotone(r["tl"])),
         ("small-queue-wait", "core.N.small.queue_wait_ns", lambda r: queue_wait(r["tl"], "small")),
         ("large-queue-wait", "core.N.large.queue_wait_ns", lambda r: queue_wait(r["tl"], "large")),
+        ("wakes-within-parks", "core.N.parks core.N.wakes", wakes_within_parks),
         ("merged", "server_stats seq", merged),
         ("final-puts", "store.puts client.puts_sent",
          lambda r: (r["srv"]["store.puts"] == r["lg"]["client.puts_sent"],
