@@ -46,9 +46,11 @@
 //! A core that finds no work polls on for 64 rounds and then gives its
 //! CPU back (`Core::idle`). A core whose RX queues are all drained by a
 //! peer too — the handoff cores under size-aware sharding, sho's
-//! workers — parks until the core that pushes work onto its queue wakes
-//! it; the only drainer of an RX queue yields instead, since nothing
-//! wakes it when a packet arrives.
+//! workers — may park until the core that pushes work onto its queue
+//! wakes it. It parks while handed nothing if it has no RX queue to
+//! poll, and every other window while the work handed to it waits for
+//! a CPU; otherwise it yields like the only drainer of an RX queue,
+//! which nothing wakes when a packet arrives.
 //!
 //! Lifecycle telemetry follows the same split: a request's `service_ns`
 //! ends when its reply is staged, and the send is the burst's
@@ -113,6 +115,17 @@ const SPIN_ROUNDS: u32 = 64;
 /// stale-partial clock — and polls one round, so what no wake covers
 /// (an arrival on an RX queue a peer also drains) waits at most this.
 const PARK_TIMEOUT: Duration = Duration::from_millis(2);
+
+/// The window over which a core that may park measures how long its
+/// work waits, and how long it then parks for ([`Core::parks_now`]).
+const PARK_WINDOW_NS: u64 = 50_000_000;
+
+/// A queue wait past which work handed to a polling core counts as
+/// waiting for a CPU ([`Core::parks_now`]). A core polling on a CPU of
+/// its own takes a handoff within a few µs of the push; on 2 shared
+/// vCPUs a yielding handoff core kept the median handoff of the
+/// benchmark's `etc_read` and `large_heavy` waiting 1.3-1.9 ms.
+const LONG_WAIT_NS: u64 = 100_000;
 
 /// Server configuration: engine policy plus store sizing.
 #[derive(Clone, Debug)]
@@ -293,7 +306,8 @@ impl FlowPins {
 /// eventcount over [`std::thread::park_timeout`]. The parker sets
 /// `parked`, fences and re-checks everything that would wake it before
 /// it parks; a waker makes its work visible, fences and, finding
-/// `parked` set, clears it and unparks the thread ([`Shared::wake`]).
+/// `parked` set and work waiting for the core, clears the flag and
+/// unparks the thread ([`Shared::wake`]).
 /// With both fences, either the parker sees the work or the waker sees
 /// the flag. On a 128-byte block of its own, like [`SharedCoreStats`],
 /// since peers write it.
@@ -398,14 +412,10 @@ struct Shared<T: Transport, C: Clock> {
     /// Some core parks under the initial plan ([`parks`]). For every
     /// discipline that is whether one parks under any plan: size-aware
     /// always has a handoff core on two cores or more, sho's workers
-    /// are fixed, and the others drain only their own RX queue. Pushes
-    /// mark their target for a wake only when this is set, and a core
-    /// parks only when it is, so wakers and parkers agree.
+    /// are fixed, and the others drain only their own RX queue. A round
+    /// that pushed looks for parked cores only when this is set, and a
+    /// core parks only when it is, so wakers and parkers agree.
     may_park: bool,
-    /// The cores that pull the shared queue
-    /// ([`Discipline::pulls_shared`]): the parked ones are woken after a
-    /// round that pushed onto it.
-    shared_pullers: Vec<usize>,
     /// Fragment-to-core pinning for in-flight multi-packet messages.
     flow_pins: FlowPins,
     /// Per-source cap on concurrent discard-mode ingests (memory-
@@ -445,14 +455,12 @@ impl<T: Transport, C: Clock> Shared<T, C> {
         let discipline = config.minos.discipline.build();
         let may_park =
             (0..n).any(|core| parks(&*discipline, &initial, n, config.minos.steal, core));
-        let shared_pullers: Vec<usize> = (0..n)
-            .filter(|&core| discipline.pulls_shared(core))
-            .collect();
         // The shared queue stands in for *all* per-core queues, so it
         // gets their aggregate capacity — equal total backlog before
         // tail-drop, whatever the discipline.
-        let shared_queue =
-            (!shared_pullers.is_empty()).then(|| HandoffRing::new(SOFT_QUEUE_CAPACITY * n));
+        let shared_queue = (0..n)
+            .any(|core| discipline.pulls_shared(core))
+            .then(|| HandoffRing::new(SOFT_QUEUE_CAPACITY * n));
         Shared {
             store: Arc::new(Store::new(config.store.clone())),
             plan: RwLock::new(Arc::new(initial)),
@@ -481,7 +489,6 @@ impl<T: Transport, C: Clock> Shared<T, C> {
             epoch_deadline_ns: AtomicU64::new(config.minos.epoch_ns),
             parking: (0..n).map(|_| Parking::default()).collect(),
             may_park,
-            shared_pullers,
             flow_pins: FlowPins::new(4096),
             discard_quota: DiscardQuota::new(DISCARD_QUOTA_PER_SOURCE),
             config: config.minos.clone(),
@@ -856,11 +863,20 @@ struct Core<'a, T: Transport, C: Clock> {
     rounds: u32,
     /// Idle rounds in a row, for [`Core::idle`].
     idle_rounds: u32,
-    /// The cores this round pushed work to, one bit each, and bit
-    /// `n_cores` for the shared queue: woken after the round's next
-    /// flush ([`Core::wake_marked`]). Marked only where a core may
-    /// park ([`Shared::may_park`]).
-    wake: Vec<u64>,
+    /// Items this core took off its queues in the current
+    /// [`PARK_WINDOW_NS`] window, and how many of them had waited there
+    /// longer than [`LONG_WAIT_NS`]. Counted only where a core may park
+    /// ([`Shared::may_park`]).
+    taken: u32,
+    waited: u32,
+    window_start_ns: u64,
+    /// This window parks rather than polls ([`Core::parks_now`]).
+    parking: bool,
+    /// This round pushed work onto a software queue or the shared
+    /// queue; the parked cores with work waiting are woken after the
+    /// round's next flush ([`Core::wake_pushed`]). Set only where a core
+    /// may park ([`Shared::may_park`]).
+    pushed: bool,
     /// Evictions already folded into the shared gauge; the
     /// reassembler's own counter covers *every* eviction cause (stale
     /// round, capacity, geometry mismatch), all of which drop a live
@@ -881,7 +897,11 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
             rx_buf: Vec::with_capacity(BATCH * 2),
             rounds: 0,
             idle_rounds: 0,
-            wake: vec![0; (shared.config.n_cores + 1).div_ceil(64)],
+            taken: 0,
+            waited: 0,
+            window_start_ns: 0,
+            parking: false,
+            pushed: false,
             reported_evictions: 0,
         }
     }
@@ -944,7 +964,7 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
                 // behind a large request's execution. Then the cores the
                 // burst handed work to are woken.
                 self.flush_tx();
-                self.wake_marked();
+                self.wake_pushed();
             }
         }
 
@@ -972,26 +992,50 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
         // with the burst empty — shutdown, observed only between rounds,
         // can never strand a staged reply.
         self.flush_tx();
-        self.wake_marked();
+        self.wake_pushed();
         did_work
     }
 
     /// What a core does after a poll round that found no work. For
     /// [`SPIN_ROUNDS`] such rounds in a row it polls on. Then a core
     /// that may park ([`PlanCache::parks`]) parks until woken or
-    /// [`PARK_TIMEOUT`], and any other core yields its CPU once per
-    /// round — the only drainer of an RX queue has nothing to wake it on
-    /// an arrival. A parkable core never yields: a yield on a shared
-    /// host leaves it off-CPU when its next handoff arrives.
+    /// [`PARK_TIMEOUT`] in the windows [`Core::parks_now`] picks, and
+    /// yields its CPU once per round in the others; every other core
+    /// always yields — the only drainer of an RX queue has nothing to
+    /// wake it on an arrival. A core that parks never yields first: a
+    /// yield on a shared host leaves it off-CPU when its next handoff
+    /// arrives.
     fn idle(&mut self, cached: &PlanCache) {
         self.idle_rounds = self.idle_rounds.saturating_add(1);
         if self.idle_rounds <= SPIN_ROUNDS {
             std::hint::spin_loop();
-        } else if cached.parks {
+        } else if cached.parks && self.parks_now(cached) {
             self.park(cached);
         } else {
             std::thread::yield_now();
         }
+    }
+
+    /// Whether this core, which may park, parks in the current
+    /// [`PARK_WINDOW_NS`] window rather than polls, re-judged once a
+    /// window has passed. A core handed nothing in the last window
+    /// parks if it has no RX queue to poll (a dedicated large core, a
+    /// sho worker) and polls if it has one (the standby core, a small
+    /// core too). A core handed work polls the next window after a
+    /// parked one, to measure, since a parked core's work waits little
+    /// by design; after a polled one it parks if more than half of what
+    /// it took off its queues had waited there longer than
+    /// [`LONG_WAIT_NS`]. Under a steady stream of handoffs that waited
+    /// it parks every other window.
+    fn parks_now(&mut self, cached: &PlanCache) -> bool {
+        let now = self.clock.now_ns();
+        if now.saturating_sub(self.window_start_ns) >= PARK_WINDOW_NS {
+            let idle = self.taken == 0 && cached.schedule.is_none();
+            let waited = !self.parking && self.waited.saturating_mul(2) > self.taken;
+            self.parking = idle || waited;
+            (self.taken, self.waited, self.window_start_ns) = (0, 0, now);
+        }
+        self.parking
     }
 
     /// Parks this core's thread unless work showed up meanwhile: sets
@@ -1023,33 +1067,28 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
         self.housekeeping(self.clock.now_ns());
     }
 
-    /// Marks `core` for a wake after this round's next flush.
-    fn mark_wake(&mut self, core: usize) {
-        if self.shared.may_park {
-            self.wake[core / 64] |= 1 << (core % 64);
-        }
+    /// Notes a successful push, for [`Core::wake_pushed`].
+    fn note_push(&mut self) {
+        self.pushed |= self.shared.may_park;
     }
 
-    /// Wakes the parked cores this round pushed work to, and the parked
-    /// pullers of the shared queue if it pushed there. Called after a
-    /// flush, so the round's replies have left before the wake's
-    /// syscall.
-    fn wake_marked(&mut self) {
-        if self.wake.iter().all(|&bits| bits == 0) {
+    /// After a round that pushed work, wakes every parked core that has
+    /// work waiting: its software queue, or the shared queue if it
+    /// pulls it. Called after a flush, so the round's replies have left
+    /// before the wake's syscall.
+    fn wake_pushed(&mut self) {
+        if !std::mem::take(&mut self.pushed) {
             return;
         }
         fence(Ordering::SeqCst);
         let shared = self.shared;
-        for w in 0..self.wake.len() {
-            let mut bits = std::mem::take(&mut self.wake[w]);
-            while bits != 0 {
-                let core = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if core == shared.config.n_cores {
-                    shared.shared_pullers.iter().for_each(|&t| shared.wake(t));
-                } else {
-                    shared.wake(core);
-                }
+        let shared_waiting = shared.shared_queue.as_ref().is_some_and(|q| !q.is_empty());
+        for (core, spot) in shared.parking.iter().enumerate() {
+            if spot.parked.load(Ordering::Relaxed)
+                && (!shared.soft_queues[core].is_empty()
+                    || shared_waiting && shared.discipline.pulls_shared(core))
+            {
+                shared.wake(core);
             }
         }
     }
@@ -1174,11 +1213,27 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
         );
     }
 
+    /// Counts an item taken off a queue that arrived at `arrival_ns`,
+    /// for [`Core::parks_now`].
+    fn note_wait(&mut self, arrival_ns: u64) {
+        if self.shared.may_park {
+            let long = self.clock.now_ns().saturating_sub(arrival_ns) > LONG_WAIT_NS;
+            self.taken = self.taken.saturating_add(1);
+            self.waited = self.waited.saturating_add(u32::from(long));
+        }
+    }
+
     /// Executes one item popped off a software queue.
     fn execute_queued(&mut self, item: Handoff) {
         match item {
-            Handoff::Request(req) => self.execute_queued_request(req),
-            Handoff::Fragment(pkt, arrival_ns) => self.execute_fragment(pkt, arrival_ns),
+            Handoff::Request(req) => {
+                self.note_wait(req.arrival_ns);
+                self.execute_queued_request(req)
+            }
+            Handoff::Fragment(pkt, arrival_ns) => {
+                self.note_wait(arrival_ns);
+                self.execute_fragment(pkt, arrival_ns)
+            }
         }
     }
 
@@ -1215,8 +1270,6 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
                 // still a drop.
                 if shared.soft_queues[victim].push(frag).is_err() {
                     shared.soft_drops.inc();
-                } else {
-                    self.mark_wake(victim);
                 }
                 false
             }
@@ -1448,7 +1501,7 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
             shared.soft_drops.inc();
         } else {
             shared.stats[core].record_handoff();
-            self.mark_wake(target);
+            self.note_push();
         }
     }
 
@@ -1609,16 +1662,14 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
     /// the backlog until tail-drop loses it silently.
     fn enqueue_placed(&mut self, placement: Placement, req: ServerRequest, sheddable: bool) {
         let shared = self.shared;
-        // The shared queue's wake bit is the one past the last core's.
-        let (queue, pick, wake) = match placement {
-            Placement::Core(target) => (&shared.soft_queues[target], &shared.queue_picks, target),
+        let (queue, pick) = match placement {
+            Placement::Core(target) => (&shared.soft_queues[target], &shared.queue_picks),
             Placement::Shared => (
                 shared
                     .shared_queue
                     .as_ref()
                     .expect("a discipline placing Shared pulls the shared queue"),
                 &shared.shared_picks,
-                shared.config.n_cores,
             ),
             Placement::Local => unreachable!("local placement executes inline"),
         };
@@ -1641,7 +1692,7 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
             shared.soft_drops.inc();
         } else {
             shared.stats[self.id].record_handoff();
-            self.mark_wake(wake);
+            self.note_push();
         }
     }
 
@@ -1954,7 +2005,8 @@ pub fn transmit_message<T: Transport + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::{
-        register_collectors, Core, FlowPins, PlanCache, ServerConfig, Shared, SERVER_HOST_ID,
+        register_collectors, Core, FlowPins, PlanCache, ServerConfig, Shared, LONG_WAIT_NS,
+        PARK_WINDOW_NS, SERVER_HOST_ID,
     };
     use crate::allocation::{allocate, CoreAllocation};
     use crate::config::ThresholdMode;
@@ -2129,6 +2181,76 @@ mod tests {
         let cached: Vec<PlanCache> = (0..n).map(|core| PlanCache::load(&shared, core)).collect();
         let parking = (0..n).filter(|&core| cached[core].parks).collect();
         (cached[0].plan.allocation, parking)
+    }
+
+    #[test]
+    fn the_standby_core_parks_only_after_a_window_whose_handoffs_waited() {
+        // Two cores in standby under a 512 B static threshold: every
+        // 1 000 B PUT core 0 reads is handed to core 1.
+        let mut config = ServerConfig::for_test(2, 1_000);
+        config.minos.threshold_mode = ThresholdMode::Static(512);
+        let nic = Arc::new(VirtualNic::new(NicConfig::new(2)));
+        let clock = ManualClock::default();
+        let transport = Arc::new(VirtualTransport::new(Arc::clone(&nic)));
+        let shared = Shared::new(&config, transport, clock.clone());
+        let (cached0, cached1) = (PlanCache::load(&shared, 0), PlanCache::load(&shared, 1));
+        assert!(cached1.parks);
+        let (mut core0, mut core1) = (Core::new(&shared, 0), Core::new(&shared, 1));
+        let (mut key, mut verdict, mut start) = (0, false, 0);
+        // One window: a PUT handed over per wait in `waits`, each taken
+        // off the queue that long after core 0 read it; then the verdict
+        // for the next window.
+        let mut window = |waits: &[u64], parks: bool| {
+            for &wait in waits {
+                key += 1;
+                nic.deliver_packet(put_packet(key, 1_000));
+                assert!(core0.step(&cached0));
+                clock.advance(wait);
+                assert!(core1.step(&cached1));
+                assert_eq!(core1.parks_now(&cached1), verdict, "judged once a window");
+            }
+            start += PARK_WINDOW_NS;
+            clock.set(start);
+            verdict = core1.parks_now(&cached1);
+            assert_eq!(verdict, parks, "after {waits:?}");
+        };
+        let (long, short) = (LONG_WAIT_NS + 1, LONG_WAIT_NS);
+        // The standby core drains an RX queue: handed nothing, it polls.
+        window(&[], false);
+        // Polling served at least half of its work promptly: poll on.
+        window(&[short, short, long], false);
+        window(&[long, short, long, short], false);
+        // Most of it waited: park a window, then poll one to measure,
+        // whatever waited meanwhile.
+        window(&[long, short, long], true);
+        window(&[long, long], false);
+        window(&[long], true);
+        window(&[], false);
+        assert_eq!(shared.stats[1].snapshot().ops, 13);
+    }
+
+    #[test]
+    fn a_core_without_an_rx_queue_parks_while_handed_nothing() {
+        // sho on two cores: core 1 is the worker, which never reads RX.
+        let mut config = ServerConfig::for_test(2, 1_000);
+        config.minos.discipline = DisciplineKind::Sho { handoff: 1 };
+        let nic = Arc::new(VirtualNic::new(NicConfig::new(2)));
+        let clock = ManualClock::default();
+        let transport = Arc::new(VirtualTransport::new(Arc::clone(&nic)));
+        let shared = Shared::new(&config, transport, clock.clone());
+        let (cached0, cached1) = (PlanCache::load(&shared, 0), PlanCache::load(&shared, 1));
+        assert!(cached1.parks && cached1.schedule.is_none());
+        let (mut core0, mut core1) = (Core::new(&shared, 0), Core::new(&shared, 1));
+        clock.set(PARK_WINDOW_NS);
+        assert!(core1.parks_now(&cached1), "handed nothing");
+        // Handed work while parked: poll the next window to measure.
+        nic.deliver_packet(put_packet(1, 100));
+        assert!(core0.step(&cached0));
+        assert!(core1.step(&cached1));
+        clock.set(2 * PARK_WINDOW_NS);
+        assert!(!core1.parks_now(&cached1), "handed work");
+        clock.set(3 * PARK_WINDOW_NS);
+        assert!(core1.parks_now(&cached1), "handed nothing again");
     }
 
     #[test]

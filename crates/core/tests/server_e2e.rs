@@ -77,13 +77,16 @@ fn lost_fragment_reservation_is_evicted_and_released() {
 
 /// A handoff core that parked is woken by the handoff: rounds of one
 /// large PUT and a GET of the same key, each sent to core 0's RX queue
-/// once core 1 (the standby core, which parks) has parked again, are
-/// answered exactly once with the bytes written, at least one park ends
-/// in a wake (no epoch runs, so nothing else wakes it), and shutdown
-/// joins the parked core.
+/// once core 1 has parked again, are answered exactly once with the
+/// bytes written, at least one park ends in a wake (no epoch runs, so
+/// nothing else wakes it), and shutdown joins the parked core. Core 1
+/// is sho's one worker: it drains no RX queue, so it parks whenever it
+/// was handed nothing for a window (`Core::parks_now`), and both wake
+/// paths run — the PUT's fragments are pinned to its software queue,
+/// the GET goes through the shared queue.
 #[test]
 fn a_parked_handoff_core_is_woken_by_its_handoffs_and_joined_at_shutdown() {
-    use minos_core::config::ThresholdMode;
+    use minos_core::dispatch::DisciplineKind;
     use minos_net::{Transport, VirtualClientTransport};
     use minos_wire::frag::{fragment_frame_each, frames};
     use minos_wire::message::{Body, Message};
@@ -93,7 +96,7 @@ fn a_parked_handoff_core_is_woken_by_its_handoffs_and_joined_at_shutdown() {
 
     const ROUNDS: u64 = 12;
     let mut config = ServerConfig::for_test(2, 10_000);
-    config.minos.threshold_mode = ThresholdMode::Static(512);
+    config.minos.discipline = DisciplineKind::Sho { handoff: 1 };
     // No epoch publishes a plan, so only a handoff wakes core 1.
     config.minos.epoch_ns = u64::MAX;
     let server = MinosServer::start(config);
