@@ -124,14 +124,12 @@ fn snapshots_stay_monotone_and_hot_path_invariants_hold_under_perturbation() {
 
     // The hot-path invariants, read back through the final snapshot.
     let last = registry.snapshot();
-    if cfg!(target_os = "linux") {
-        assert_eq!(
-            last.counter("transport.tx_copied_bytes")
-                .unwrap_or(u64::MAX),
-            0,
-            "snapshotting must not disturb the zero-copy reply path"
-        );
-    }
+    assert_eq!(
+        last.counter("transport.tx_copied_bytes")
+            .unwrap_or(u64::MAX),
+        0,
+        "snapshotting must not disturb the zero-copy reply path"
+    );
     assert!(
         last.gauge("pool.hit_rate").unwrap_or(0.0) >= 0.99,
         "RX pool stays allocation-free under perturbed churn (hit rate {:?})",

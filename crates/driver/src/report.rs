@@ -239,8 +239,7 @@ impl RunReport {
     }
 }
 
-/// The fault-profile label of a run over a clean transport, and the
-/// parse default for reports written before fault injection existed.
+/// The fault-profile label of a run over a clean transport.
 pub const NO_FAULTS: &str = "none";
 
 /// One run's verdict: the run-level fields of `minos-loadgen --json` and
@@ -387,9 +386,8 @@ impl RunSummary {
 
     /// Reads the summary's fields out of a report object
     /// ([`RunSummary::write`]'s inverse, up to the writer's fixed decimal
-    /// precision). Reports written before fault injection have none of
-    /// the fault, hedging or accounting fields; they read back as clean,
-    /// unhedged, warning-free runs.
+    /// precision). A report missing any field but the latency
+    /// quantiles (`null` when nothing completed) is malformed (`None`).
     pub fn parse(v: &JsonValue) -> Option<RunSummary> {
         let u64_of = |k: &str| v.get(k)?.as_num()?.as_u64();
         let f64_of = |k: &str| v.get(k).and_then(|x| x.as_num()).map(|n| n.as_f64());
@@ -405,17 +403,13 @@ impl RunSummary {
             sent: u64_of("sent")?,
             completed: u64_of("completed")?,
             outstanding: u64_of("outstanding")?,
-            timed_out: u64_of("timed_out").unwrap_or(0),
+            timed_out: u64_of("timed_out")?,
             errors: u64_of("errors")?,
-            fault_profile: v
-                .get("fault_profile")
-                .and_then(|x| x.as_str())
-                .unwrap_or(NO_FAULTS)
-                .to_string(),
-            hedging: bool_of("hedging").unwrap_or(false),
-            hedges_sent: u64_of("hedges_sent").unwrap_or(0),
-            hedge_wins: u64_of("hedge_wins").unwrap_or(0),
-            accounting_warnings: u64_of("accounting_warnings").unwrap_or(0),
+            fault_profile: v.get("fault_profile")?.as_str()?.to_string(),
+            hedging: bool_of("hedging")?,
+            hedges_sent: u64_of("hedges_sent")?,
+            hedge_wins: u64_of("hedge_wins")?,
+            accounting_warnings: u64_of("accounting_warnings")?,
             achieved_rate: f64_of("achieved_rate")?,
             loss_rate: f64_of("loss_rate")?,
             zero_loss: bool_of("zero_loss")?,

@@ -4,23 +4,19 @@
 //! the mempool filled — every churn-heavy scenario died at a cliff.
 //! This module holds the *policy* side of the capacity subsystem: which
 //! victim-selection scheme runs ([`EvictionPolicy`]), and where the
-//! watermarks sit ([`CapacityConfig`] → [`Watermarks`]). The
+//! watermarks sit ([`Watermarks`]). The
 //! *mechanism* — clock hands, victim removal, the per-core capacity
 //! tick — lives in [`crate::store`], because it needs the partition
 //! internals.
 //!
 //! ## Dual watermarks
 //!
-//! Eviction is driven by two thresholds over mempool occupancy plus an
-//! absolute floor (the relative + absolute pattern of disk-pressure
-//! eviction tasks):
+//! Eviction is driven by two thresholds over mempool occupancy,
+//! [`HIGH_WATERMARK`] and [`LOW_WATERMARK`] of the capacity:
 //!
 //! ```text
 //!  0 ───────────────── low ──────── high ───────── capacity
-//!                       ▲            ▲    ▲
-//!                       │            │    └ min_headroom_bytes can pull
-//!                       │            │      `high` further left: at least
-//!                       │            │      that many bytes stay free
+//!                       ▲            ▲
 //!                       │            └ occupancy > high ⇒ start evicting
 //!                       └ evict down to here, then stop (hysteresis:
 //!                         the gap keeps eviction from thrashing at one
@@ -100,17 +96,6 @@ pub struct CapacityConfig {
     /// Victim-selection scheme; `None` disables eviction and admission
     /// control entirely.
     pub policy: EvictionPolicy,
-    /// Relative high watermark: occupancy above
-    /// `high_fraction * capacity` triggers eviction.
-    pub high_fraction: f64,
-    /// Relative low watermark: eviction stops once occupancy is back
-    /// under `low_fraction * capacity`.
-    pub low_fraction: f64,
-    /// Absolute floor: at least this many bytes stay free regardless of
-    /// the fractions (pulls the high watermark down on small pools
-    /// where a fraction alone leaves too little room for one large
-    /// value).
-    pub min_headroom_bytes: usize,
     /// Admission control: while occupancy sits at or above the high
     /// watermark, a PUT of at least this many bytes is rejected
     /// *before* reservation (and before any fragment is streamed)
@@ -143,17 +128,22 @@ impl Default for CapacityConfig {
     fn default() -> Self {
         CapacityConfig {
             policy: EvictionPolicy::None,
-            high_fraction: 0.90,
-            low_fraction: 0.80,
-            min_headroom_bytes: 0,
             admission_cutoff_bytes: 64 << 10,
             candidate_window: 32,
         }
     }
 }
 
-/// The watermarks of a [`CapacityConfig`] resolved against a concrete
-/// mempool capacity, in bytes.
+/// High watermark as a fraction of the mempool capacity: occupancy above
+/// it triggers eviction.
+pub const HIGH_WATERMARK: f64 = 0.90;
+
+/// Low watermark as a fraction of the mempool capacity: eviction stops
+/// once occupancy is back under it.
+pub const LOW_WATERMARK: f64 = 0.80;
+
+/// The watermarks resolved against a concrete mempool capacity, in
+/// bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Watermarks {
     /// Occupancy above this starts an eviction pass.
@@ -162,19 +152,13 @@ pub struct Watermarks {
     pub low_bytes: usize,
 }
 
-impl CapacityConfig {
-    /// Resolves the relative fractions and the absolute floor against
-    /// `capacity_bytes`. The floor caps the high watermark at
-    /// `capacity − min_headroom_bytes`; the low watermark is clamped to
-    /// never exceed the high one.
-    pub fn watermarks(&self, capacity_bytes: usize) -> Watermarks {
-        let frac = |f: f64| (capacity_bytes as f64 * f.clamp(0.0, 1.0)) as usize;
-        let floor_cap = capacity_bytes.saturating_sub(self.min_headroom_bytes);
-        let high_bytes = frac(self.high_fraction).min(floor_cap);
-        let low_bytes = frac(self.low_fraction).min(high_bytes);
+impl Watermarks {
+    /// [`HIGH_WATERMARK`] and [`LOW_WATERMARK`] of `capacity_bytes`.
+    pub(crate) fn of(capacity_bytes: usize) -> Watermarks {
+        let frac = |f: f64| (capacity_bytes as f64 * f) as usize;
         Watermarks {
-            high_bytes,
-            low_bytes,
+            high_bytes: frac(HIGH_WATERMARK),
+            low_bytes: frac(LOW_WATERMARK),
         }
     }
 }
@@ -197,31 +181,17 @@ mod tests {
 
     #[test]
     fn watermarks_from_fractions() {
-        let cfg = CapacityConfig::default();
-        let wm = cfg.watermarks(1000);
+        let wm = Watermarks::of(1000);
         assert_eq!(wm.high_bytes, 900);
         assert_eq!(wm.low_bytes, 800);
     }
 
     #[test]
-    fn absolute_floor_pulls_high_down() {
-        let cfg = CapacityConfig {
-            min_headroom_bytes: 300,
-            ..CapacityConfig::default()
-        };
-        let wm = cfg.watermarks(1000);
-        assert_eq!(wm.high_bytes, 700, "floor beats the 90% fraction");
-        assert_eq!(wm.low_bytes, 700, "low clamped to high");
-    }
-
-    #[test]
     fn degenerate_fractions_stay_ordered() {
-        let cfg = CapacityConfig {
-            high_fraction: 0.5,
-            low_fraction: 0.9,
-            ..CapacityConfig::default()
-        };
-        let wm = cfg.watermarks(1000);
-        assert!(wm.low_bytes <= wm.high_bytes);
+        // Truncation never puts low above high, down to an empty pool.
+        for capacity in [0, 1, 7, 9, 10, 999, 1 << 20, usize::MAX] {
+            let wm = Watermarks::of(capacity);
+            assert!(wm.low_bytes <= wm.high_bytes && wm.high_bytes <= capacity);
+        }
     }
 }

@@ -252,7 +252,7 @@ impl Store {
     pub fn new(config: StoreConfig) -> Self {
         assert!(config.partitions > 0);
         let num_buckets = config.buckets_per_partition.next_power_of_two();
-        let watermarks = config.capacity.watermarks(config.mempool_bytes);
+        let watermarks = Watermarks::of(config.mempool_bytes);
         Store {
             partitions: (0..config.partitions)
                 .map(|_| Partition::new(&config))

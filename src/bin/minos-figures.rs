@@ -16,9 +16,8 @@
 
 use minos::core::client::RetryPolicy;
 use minos::core::dispatch::DisciplineKind;
-use minos::figures::{run_sweep_resuming, ChurnSweepSpec, SweepConfig, SweepPoint};
+use minos::figures::{run_sweep_resuming, SweepConfig, SweepPoint, CHURN_EVICTIONS};
 use minos::flag_value as value;
-use minos::kv::EvictionPolicy;
 use minos::net::FaultProfile;
 use minos::obs::JsonValue;
 use minos::workload::{profiles, DEFAULT_PROFILE};
@@ -35,7 +34,6 @@ OPTIONS:
                           server instance each ({disciplines};
                           default size-aware,hkh,sho)
     --cores N             server cores = UDP queues per server (default 2)
-    --sho-handoff N       dispatch cores of the sho discipline (default 1)
     --clients N           client threads per point (default 1)
     --duration SECS       measured window per point (default 2)
     --keys N              dataset keys (default 2000)
@@ -50,16 +48,11 @@ OPTIONS:
                           (discipline x eviction) enumeration binds
                           cores ports from P + i*cores
     --churn-mem BYTES     churn mode: replace the paper profile with the
-                          churn workload (zipfian reuse, --keys
-                          population) against a BYTES-sized mempool that
-                          the working set outgrows
-    --evictions LIST      comma list of eviction policies the churn
-                          sweep compares, one server instance each
-                          (none,clock,size-aware-clock; default
-                          clock,size-aware-clock); needs --churn-mem
-    --churn-value-min B   smallest churn value in bytes (default 64)
-    --churn-value-max B   largest churn value in bytes (default 4096)
-    --churn-ttl-ms MS     TTL stamped on every churn PUT (default 0)
+                          churn workload (zipfian reuse of 64 B to 4 KiB
+                          values, --keys population) against a
+                          BYTES-sized mempool that the working set
+                          outgrows, one server instance per eviction
+                          policy (clock, size-aware-clock)
     --fault-profile SPEC  chaos mode: wrap every measured client's
                           transport in a deterministic fault injector,
                           e.g. 'drop=0.01,reorder=8,seed=42' (the
@@ -103,12 +96,6 @@ fn parse() -> Result<(SweepConfig, Option<String>, bool), String> {
     let mut resume = false;
     let mut p_large_override: Option<f64> = None;
     let mut s_large_override: Option<u64> = None;
-    let mut churn_mem: Option<usize> = None;
-    let mut evictions = vec![EvictionPolicy::Clock, EvictionPolicy::SizeAwareClock];
-    let mut evictions_given = false;
-    let mut churn_value_min = 64u64;
-    let mut churn_value_max = 4096u64;
-    let mut churn_ttl_ms = 0u64;
     let mut retry_timeout_ms: Option<u64> = None;
     let mut max_retries = 8u32;
     let mut it = std::env::args().skip(1);
@@ -132,7 +119,6 @@ fn parse() -> Result<(SweepConfig, Option<String>, bool), String> {
                     .collect::<Result<_, _>>()?;
             }
             "--cores" => cfg.cores = value(flag, it.next())?,
-            "--sho-handoff" => cfg.sho_handoff = value(flag, it.next())?,
             "--clients" => cfg.clients = value(flag, it.next())?,
             "--duration" => cfg.duration = Duration::from_secs_f64(value(flag, it.next())?),
             "--keys" => cfg.keys = value(flag, it.next())?,
@@ -148,21 +134,7 @@ fn parse() -> Result<(SweepConfig, Option<String>, bool), String> {
             "--s-large" => s_large_override = Some(value(flag, it.next())?),
             "--seed" => cfg.seed = value(flag, it.next())?,
             "--base-port" => cfg.base_port = value(flag, it.next())?,
-            "--churn-mem" => churn_mem = Some(value(flag, it.next())?),
-            "--evictions" => {
-                evictions_given = true;
-                evictions = value::<String>(flag, it.next())?
-                    .split(',')
-                    .map(|p| {
-                        EvictionPolicy::from_name(p.trim()).ok_or_else(|| {
-                            format!("unknown eviction policy: {p} (none|clock|size-aware-clock)")
-                        })
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--churn-value-min" => churn_value_min = value(flag, it.next())?,
-            "--churn-value-max" => churn_value_max = value(flag, it.next())?,
-            "--churn-ttl-ms" => churn_ttl_ms = value(flag, it.next())?,
+            "--churn-mem" => cfg.churn = Some(value(flag, it.next())?),
             "--fault-profile" => {
                 let spec: String = value(flag, it.next())?;
                 FaultProfile::parse(&spec).map_err(|e| format!("--fault-profile: {e}"))?;
@@ -210,21 +182,6 @@ fn parse() -> Result<(SweepConfig, Option<String>, bool), String> {
             return Err("--retry-timeout-ms must be positive".into());
         }
         cfg.retry = Some(RetryPolicy::new(Duration::from_millis(ms), max_retries));
-    }
-    match churn_mem {
-        Some(mempool_bytes) => {
-            cfg.churn = Some(ChurnSweepSpec {
-                mempool_bytes,
-                evictions,
-                value_min: churn_value_min,
-                value_max: churn_value_max,
-                ttl_ms: churn_ttl_ms,
-            });
-        }
-        None if evictions_given => {
-            return Err("--evictions needs --churn-mem (churn mode)".into());
-        }
-        None => {}
     }
     Ok((cfg, out, resume))
 }
@@ -289,19 +246,10 @@ fn main() {
             cfg.retry.map(|r| r.timeout),
         );
     }
-    if let Some(churn) = &cfg.churn {
+    if let Some(mempool_bytes) = cfg.churn {
         eprintln!(
-            "minos-figures: churn mode — {} byte mempool, values {}..{} B, ttl {} ms, evictions {}",
-            churn.mempool_bytes,
-            churn.value_min,
-            churn.value_max,
-            churn.ttl_ms,
-            churn
-                .evictions
-                .iter()
-                .map(|e| e.name())
-                .collect::<Vec<_>>()
-                .join(","),
+            "minos-figures: churn mode — {mempool_bytes} byte mempool, evictions {}",
+            CHURN_EVICTIONS.map(|e| e.name()).join(","),
         );
     }
 

@@ -75,17 +75,14 @@ OPTIONS:
     --keys N               dataset size in keys (default 100000)
     --large-keys N         number of large keys (default 100)
     --seed S               RNG seed (default 42)
-    --churn                churn mode: a zipfian-reuse working set meant
-                           to outgrow the server's mempool (pair with a
-                           small server --mem and an --eviction-policy).
-                           Replaces the paper profile; --keys sets the
-                           population, the profile's GET ratio and zipf
-                           skew still apply; no preload (the run builds
-                           its own working set)
-    --churn-value-min B    smallest churn value in bytes (default 64)
-    --churn-value-max B    largest churn value in bytes (default 4096;
-                           keep below the server's admission cutoff for
-                           a reject-free run)
+    --churn                churn mode: a zipfian-reuse working set of
+                           64 B to 4 KiB values meant to outgrow the
+                           server's mempool (pair with a small server
+                           --mem and an --eviction-policy). Replaces the
+                           paper profile; --keys sets the population,
+                           the profile's GET ratio and zipf skew still
+                           apply; no preload (the run builds its own
+                           working set)
     --churn-ttl-ms MS      TTL stamped on every churn PUT (default 0 =
                            never expires)
     --no-preload           skip the PUT preload phase
@@ -98,15 +95,11 @@ OPTIONS:
     --max-retries N        resend budget per request (default 8)
     --hedge                hedged requests: a small request unanswered
                            past the adaptive hedge delay (the p99 of
-                           observed service latency) is duplicated to
+                           observed service latency, within 0.5-100 ms;
+                           100 ms until enough samples) is duplicated to
                            another RX queue; first reply wins, the
                            loser is counted in wasted_replies. Hedges
                            never touch the open-loop schedule clock
-    --hedge-percentile P   service-latency percentile driving the hedge
-                           delay (default 99)
-    --hedge-min-delay-us N floor on the hedge delay (default 500)
-    --hedge-max-delay-us N cap on the hedge delay, also used until
-                           enough samples accumulate (default 100000)
     --fault-profile SPEC   wrap each measured client's transport in a
                            deterministic fault injector, e.g.
                            'drop=0.01,dup=0.001,reorder=8,seed=42'
@@ -141,12 +134,9 @@ fn parse_args() -> Result<Args, String> {
     let mut retry_timeout_ms = 0u64;
     let mut max_retries = 8u32;
     let mut hedge = false;
-    let mut hedge_policy = HedgePolicy::default();
     let mut p_large_override: Option<f64> = None;
     let mut s_large_override: Option<u64> = None;
     let mut churn = false;
-    let mut churn_value_min = 64u64;
-    let mut churn_value_max = 4096u64;
     let mut churn_ttl_ms = 0u64;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -175,20 +165,11 @@ fn parse_args() -> Result<Args, String> {
             "--large-keys" => args.large_keys = value(flag, it.next())?,
             "--seed" => run.seed = value(flag, it.next())?,
             "--churn" => churn = true,
-            "--churn-value-min" => churn_value_min = value(flag, it.next())?,
-            "--churn-value-max" => churn_value_max = value(flag, it.next())?,
             "--churn-ttl-ms" => churn_ttl_ms = value(flag, it.next())?,
             "--no-preload" => args.preload = false,
             "--retry-timeout-ms" => retry_timeout_ms = value(flag, it.next())?,
             "--max-retries" => max_retries = value(flag, it.next())?,
             "--hedge" => hedge = true,
-            "--hedge-percentile" => hedge_policy.percentile = value(flag, it.next())?,
-            "--hedge-min-delay-us" => {
-                hedge_policy.min_delay = Duration::from_micros(value(flag, it.next())?)
-            }
-            "--hedge-max-delay-us" => {
-                hedge_policy.max_delay = Duration::from_micros(value(flag, it.next())?)
-            }
             "--fault-profile" => {
                 let spec: String = value(flag, it.next())?;
                 run.fault = Some(FaultProfile::parse(&spec).map_err(|e| format!("{flag}: {e}"))?);
@@ -240,33 +221,19 @@ fn parse_args() -> Result<Args, String> {
         ));
     }
     if hedge {
-        if !(1.0..=100.0).contains(&hedge_policy.percentile) {
-            return Err("--hedge-percentile must be in [1, 100]".into());
-        }
-        if hedge_policy.max_delay.is_zero() || hedge_policy.min_delay > hedge_policy.max_delay {
-            return Err(
-                "hedge delays need 0 < --hedge-min-delay-us <= --hedge-max-delay-us".into(),
-            );
-        }
         if run.queues < 2 {
             return Err("--hedge needs >= 2 queues (the hedge copy goes to another queue)".into());
         }
-        run.hedge = Some(hedge_policy);
+        run.hedge = Some(HedgePolicy::default());
     }
     if churn {
-        if churn_value_min == 0 || churn_value_min > churn_value_max {
-            return Err(format!(
-                "churn needs 0 < --churn-value-min ({churn_value_min}) <= --churn-value-max ({churn_value_max})"
-            ));
-        }
         args.churn = Some(ChurnConfig {
             num_keys: args.keys,
-            value_min: churn_value_min,
-            value_max: churn_value_max,
             zipf_s: args.profile.zipf_s,
             get_ratio: args.profile.get_ratio,
             ttl_ms: churn_ttl_ms,
             salt: run.seed,
+            ..ChurnConfig::default()
         });
         args.preload = false;
     }

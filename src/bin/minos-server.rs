@@ -21,10 +21,10 @@
 //! stderr, or to `--stats-file PATH`. `SIGUSR1` forces an out-of-band
 //! snapshot line at any time.
 
-use minos::core::config::ThresholdMode;
 use minos::core::dispatch::DisciplineKind;
 use minos::core::server::{MinosServer, ServerConfig};
 use minos::flag_value as value;
+use minos::kv::evict::{HIGH_WATERMARK, LOW_WATERMARK};
 use minos::kv::{CapacityConfig, EvictionPolicy};
 use minos::net::{FaultProfile, FaultTransport, Transport, UdpConfig, UdpTransport};
 use std::io::Write;
@@ -40,10 +40,6 @@ struct Args {
     items: usize,
     mempool_bytes: usize,
     eviction: EvictionPolicy,
-    evict_high: f64,
-    evict_low: f64,
-    evict_headroom: usize,
-    threshold: ThresholdMode,
     discipline: DisciplineKind,
     steal: bool,
     shed_watermark: usize,
@@ -106,15 +102,6 @@ OPTIONS:
                        OutOfMemory), 'clock' (second-chance eviction to
                        the low watermark), or 'size-aware-clock' (clock,
                        preferring the largest unreferenced victim)
-    --evict-high F     high watermark as a fraction of --mem; eviction
-                       starts above it (default 0.90)
-    --evict-low F      low watermark: eviction passes drain occupancy
-                       down to this fraction (default 0.80)
-    --evict-headroom BYTES
-                       absolute floor: the high watermark never sits
-                       closer than BYTES below --mem (default 0)
-    --threshold MODE   'dynamic' (paper control loop, default) or a fixed
-                       byte threshold, e.g. '--threshold 1456'
     --discipline NAME  queue discipline placing decoded requests on
                        cores: {disciplines} (default size-aware, the
                        paper; hkh and sho are its baselines, sho with
@@ -169,10 +156,6 @@ fn parse_args() -> Result<Args, String> {
         items: 1_000_000,
         mempool_bytes: 2 << 30,
         eviction: EvictionPolicy::None,
-        evict_high: CapacityConfig::default().high_fraction,
-        evict_low: CapacityConfig::default().low_fraction,
-        evict_headroom: CapacityConfig::default().min_headroom_bytes,
-        threshold: ThresholdMode::Dynamic,
         discipline: DisciplineKind::SizeAware,
         steal: false,
         shed_watermark: 0,
@@ -199,17 +182,6 @@ fn parse_args() -> Result<Args, String> {
                 args.eviction = EvictionPolicy::from_name(&v).ok_or_else(|| {
                     format!("unknown eviction policy: {v} (none|clock|size-aware-clock)")
                 })?;
-            }
-            "--evict-high" => args.evict_high = value(flag, it.next())?,
-            "--evict-low" => args.evict_low = value(flag, it.next())?,
-            "--evict-headroom" => args.evict_headroom = value(flag, it.next())?,
-            "--threshold" => {
-                let v: String = value(flag, it.next())?;
-                args.threshold = if v == "dynamic" {
-                    ThresholdMode::Dynamic
-                } else {
-                    ThresholdMode::Static(value(flag, Some(v))?)
-                };
             }
             "--discipline" => {
                 let v: String = value(flag, it.next())?;
@@ -249,12 +221,6 @@ fn parse_args() -> Result<Args, String> {
             args.base_port, args.cores
         ));
     }
-    if !(0.0 < args.evict_low && args.evict_low <= args.evict_high && args.evict_high <= 1.0) {
-        return Err(format!(
-            "watermarks need 0 < --evict-low ({}) <= --evict-high ({}) <= 1",
-            args.evict_low, args.evict_high
-        ));
-    }
     Ok(args)
 }
 
@@ -267,7 +233,6 @@ mod signal {
     pub static INTERRUPTED: AtomicBool = AtomicBool::new(false);
     pub static DUMP_REQUESTED: AtomicBool = AtomicBool::new(false);
 
-    #[cfg(unix)]
     pub fn install() {
         extern "C" fn on_sigint(_sig: i32) {
             INTERRUPTED.store(true, Ordering::SeqCst);
@@ -287,9 +252,6 @@ mod signal {
             signal(SIGUSR1, on_sigusr1);
         }
     }
-
-    #[cfg(not(unix))]
-    pub fn install() {}
 
     /// Consumes a pending SIGUSR1 dump request, if any.
     pub fn take_dump_request() -> bool {
@@ -324,7 +286,6 @@ fn main() {
     };
 
     let mut config = ServerConfig::for_test(args.cores, args.items);
-    config.minos.threshold_mode = args.threshold;
     config.minos.discipline = args.discipline;
     config.minos.steal = args.steal;
     config.minos.shed_watermark = args.shed_watermark;
@@ -333,9 +294,6 @@ fn main() {
         minos::kv::StoreConfig::for_items(args.cores * 4, args.items, args.mempool_bytes);
     config.store.capacity = CapacityConfig {
         policy: args.eviction,
-        high_fraction: args.evict_high,
-        low_fraction: args.evict_low,
-        min_headroom_bytes: args.evict_headroom,
         ..CapacityConfig::default()
     };
     config.pin_cpus = args
@@ -355,7 +313,7 @@ fn main() {
         args.base_port + args.cores as u16 - 1,
         args.discipline.name(),
         if args.steal { " + steal" } else { "" },
-        args.threshold,
+        config.minos.threshold_mode,
         args.items,
         minos::net::BATCH,
         match args.pin_base {
@@ -366,16 +324,11 @@ fn main() {
     if args.eviction != EvictionPolicy::None {
         human!(
             args,
-            "capacity tiering: {} eviction, watermarks {:.0}%/{:.0}% of {} bytes{}",
+            "capacity tiering: {} eviction, watermarks {:.0}%/{:.0}% of {} bytes",
             args.eviction.name(),
-            args.evict_high * 100.0,
-            args.evict_low * 100.0,
+            HIGH_WATERMARK * 100.0,
+            LOW_WATERMARK * 100.0,
             args.mempool_bytes,
-            if args.evict_headroom > 0 {
-                format!(", headroom floor {} bytes", args.evict_headroom)
-            } else {
-                String::new()
-            },
         );
     }
     if args.shed_watermark > 0 {

@@ -36,8 +36,7 @@ use std::time::Duration;
 
 /// The engine label of every point this module writes
 /// (`SweepPoint.policy`): there is one engine, and what a point varies
-/// is its discipline. Files written before the baselines became
-/// disciplines also hold `hkh` and `sho` points.
+/// is its discipline.
 pub const POLICY: &str = "minos";
 
 /// One sweep's shape: which disciplines, which rates, and the fixed
@@ -53,9 +52,6 @@ pub struct SweepConfig {
     pub disciplines: Vec<DisciplineKind>,
     /// Server cores = UDP RX queues per server.
     pub cores: usize,
-    /// Dispatch cores of every `sho` instance
-    /// ([`DisciplineKind::Sho`]'s `handoff`).
-    pub sho_handoff: usize,
     /// Client threads; each runs an independent open loop at
     /// `rate / clients` on its own socket.
     pub clients: u16,
@@ -77,10 +73,12 @@ pub struct SweepConfig {
     /// How long each point may wait for in-flight replies after its
     /// measured window closes.
     pub drain_timeout: Duration,
-    /// Churn mode: when set, the sweep offers the churn workload (a
-    /// working set outgrowing `mempool_bytes`) to one instance per
-    /// (discipline, eviction policy) instead of the paper profile.
-    pub churn: Option<ChurnSweepSpec>,
+    /// Churn mode: the server mempool budget in bytes. When set, the
+    /// sweep offers the churn workload (64 B to 4 KiB values, a working
+    /// set sized to outgrow this budget) to one instance per
+    /// (discipline, eviction policy in [`CHURN_EVICTIONS`]) instead of
+    /// the paper profile.
+    pub churn: Option<usize>,
     /// Chaos mode: a [`FaultProfile`] grammar string (see
     /// [`FaultProfile::parse`]). When set, every *measured* client's
     /// transport is wrapped in a deterministic fault injector (the
@@ -98,23 +96,10 @@ pub struct SweepConfig {
     pub retry: Option<RetryPolicy>,
 }
 
-/// The churn-sweep dials: how tight the mempool is and which eviction
-/// policies compete over it.
-#[derive(Clone, Debug)]
-pub struct ChurnSweepSpec {
-    /// Server mempool budget in bytes — sized *below* the churn working
-    /// set, or there is nothing to evict.
-    pub mempool_bytes: usize,
-    /// Eviction policies to sweep; each gets its own server instance.
-    pub evictions: Vec<EvictionPolicy>,
-    /// Smallest churn value in bytes.
-    pub value_min: u64,
-    /// Largest churn value in bytes (inclusive; keep below the
-    /// admission cutoff for a reject-free run).
-    pub value_max: u64,
-    /// TTL stamped on every churn PUT (0 = never expires).
-    pub ttl_ms: u64,
-}
+/// The eviction policies a churn sweep compares, one server instance
+/// each: size-blind CLOCK against the size-aware hand.
+pub const CHURN_EVICTIONS: [EvictionPolicy; 2] =
+    [EvictionPolicy::Clock, EvictionPolicy::SizeAwareClock];
 
 impl SweepConfig {
     /// A small loopback sweep: 2 cores, 1 client, the default profile,
@@ -129,7 +114,6 @@ impl SweepConfig {
                 DisciplineKind::Sho { handoff: 1 },
             ],
             cores: 2,
-            sho_handoff: 1,
             clients: 1,
             duration: Duration::from_secs(2),
             keys: 2_000,
@@ -148,10 +132,6 @@ impl SweepConfig {
     fn validate(&self) {
         assert!(!self.rates.is_empty(), "at least one rate");
         assert!(!self.disciplines.is_empty(), "at least one discipline");
-        if let Some(churn) = &self.churn {
-            assert!(!churn.evictions.is_empty(), "at least one eviction policy");
-            assert!(churn.value_min > 0 && churn.value_min <= churn.value_max);
-        }
         assert!(self.cores >= 1, "at least one core");
         assert!(self.clients >= 1, "at least one client");
         for (discipline, _) in self.instances() {
@@ -197,54 +177,34 @@ impl SweepConfig {
 
     /// The request source every point offers.
     fn workload(&self) -> Workload {
-        match &self.churn {
-            Some(churn) => Workload::Churn(ChurnGenerator::new(ChurnConfig {
+        match self.churn {
+            Some(_) => Workload::Churn(ChurnGenerator::new(ChurnConfig {
                 num_keys: self.keys,
-                value_min: churn.value_min,
-                value_max: churn.value_max,
                 zipf_s: self.profile.zipf_s,
                 get_ratio: self.profile.get_ratio,
-                ttl_ms: churn.ttl_ms,
                 salt: self.seed,
+                ..ChurnConfig::default()
             })),
             None => Workload::etc(self.keys, self.large_keys, self.profile, self.seed),
         }
     }
 
     /// The server instances this sweep runs, in port order: every
-    /// configured discipline (`sho` with [`SweepConfig::sho_handoff`]
-    /// dispatch cores), crossed with every eviction policy in churn
-    /// mode.
+    /// configured discipline, crossed with every eviction policy in
+    /// churn mode.
     fn instances(&self) -> Vec<(DisciplineKind, EvictionPolicy)> {
-        let evictions: &[EvictionPolicy] = match &self.churn {
-            Some(c) => &c.evictions,
+        let evictions: &[EvictionPolicy] = match self.churn {
+            Some(_) => &CHURN_EVICTIONS,
             None => &[EvictionPolicy::None],
         };
         self.disciplines
             .iter()
-            .map(|&d| match d {
-                DisciplineKind::Sho { .. } => DisciplineKind::Sho {
-                    handoff: self.sho_handoff,
-                },
-                d => d,
-            })
-            .flat_map(|d| evictions.iter().map(move |&ev| (d, ev)))
+            .flat_map(|&d| evictions.iter().map(move |&ev| (d, ev)))
             .collect()
     }
 }
 
-/// The discipline label of the `hkh`/`sho` points written before the
-/// baselines became disciplines of this engine, and the parse default
-/// for pre-discipline sweep files.
-pub const BUILTIN_DISCIPLINE: &str = "builtin";
-
-/// The discipline labels of points written by kinds the server no longer
-/// runs: `jsq` (it placed exactly as `hkh`), `round-robin` and `random`.
-/// Older shoot-out files hold such points.
-pub const RETIRED_DISCIPLINES: [&str; 3] = ["jsq", "round-robin", "random"];
-
-/// The eviction label of a classic (non-churn) sweep point, and the
-/// parse default for pre-capacity sweep files.
+/// The eviction label of a classic (non-churn) sweep point.
 pub const NO_EVICTION: &str = "none";
 
 /// The identity of a sweep point under `--resume`: a point is skipped
@@ -280,10 +240,9 @@ pub fn point_key(
 /// the run's [`RunSummary`] (the schema `minos-loadgen --json` shares).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SweepPoint {
-    /// Engine name ([`POLICY`]; older files also hold `hkh` and `sho`).
+    /// Engine name ([`POLICY`]).
     pub policy: String,
-    /// Queue discipline name ([`DisciplineKind::name`];
-    /// [`BUILTIN_DISCIPLINE`] in older files' `hkh`/`sho` points).
+    /// Queue discipline name ([`DisciplineKind::name`]).
     pub discipline: String,
     /// Eviction policy name ([`EvictionPolicy::name`]) for churn-sweep
     /// points; [`NO_EVICTION`] for classic rate-sweep points.
@@ -305,22 +264,14 @@ impl SweepPoint {
     }
 
     /// Parses a point from a [`JsonValue`] object ([`SweepPoint::to_json`]'s
-    /// inverse, up to the fixed decimal precision the writer uses).
+    /// inverse, up to the fixed decimal precision the writer uses). A
+    /// point missing any label or summary field is malformed (`None`).
     pub fn parse(v: &JsonValue) -> Option<SweepPoint> {
-        let label = |k: &str, default: &str| {
-            v.get(k)
-                .and_then(|x| x.as_str())
-                .unwrap_or(default)
-                .to_string()
-        };
+        let label = |k: &str| Some(v.get(k)?.as_str()?.to_string());
         Some(SweepPoint {
-            policy: v.get("policy")?.as_str()?.to_string(),
-            // Pre-discipline sweep files (PR 7's rate sweep) have no
-            // discipline field; their points read back as builtin.
-            discipline: label("discipline", BUILTIN_DISCIPLINE),
-            // Pre-capacity sweep files (PRs 7–8) have no eviction
-            // field; their points read back as eviction-free.
-            eviction: label("eviction", NO_EVICTION),
+            policy: label("policy")?,
+            discipline: label("discipline")?,
+            eviction: label("eviction")?,
             summary: RunSummary::parse(v)?,
         })
     }
@@ -363,11 +314,10 @@ fn start_server(
     config.minos.epoch_ns = 1_000_000_000;
     config.minos.discipline = discipline;
     config.store.max_value_bytes = config.store.max_value_bytes.max(max_value);
-    if let Some(churn) = &cfg.churn {
+    if let Some(mempool_bytes) = cfg.churn {
         // The churn sweep's whole point: a mempool smaller than the
         // working set, with eviction to survive it.
-        config.store =
-            crate::kv::StoreConfig::for_items(cfg.cores * 4, n_items, churn.mempool_bytes);
+        config.store = crate::kv::StoreConfig::for_items(cfg.cores * 4, n_items, mempool_bytes);
         config.store.capacity = CapacityConfig {
             policy: eviction,
             ..CapacityConfig::default()
@@ -531,18 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_discipline_points_parse_as_builtin() {
-        // PR 7's committed rate sweep predates the discipline field;
-        // its points must still read back (as the builtin dispatch).
-        let mut p = sample_point();
-        p.discipline = BUILTIN_DISCIPLINE.into();
-        let json = p.to_json().replace("\"discipline\":\"builtin\",", "");
-        assert!(!json.contains("discipline"));
-        let parsed = SweepPoint::parse(&JsonValue::parse(&json).unwrap()).unwrap();
-        assert_eq!(parsed, p);
-    }
-
-    #[test]
     fn point_keys_compare_at_writer_precision() {
         let p = sample_point();
         assert_eq!(p.key(), "minos/size-aware@20000.0");
@@ -552,7 +490,7 @@ mod tests {
     }
 
     #[test]
-    fn eviction_points_get_distinct_keys_and_parse_tolerantly() {
+    fn eviction_points_get_distinct_keys_and_parse_strictly() {
         // Classic points keep their historical key; churn points of the
         // same (policy, discipline, rate) differ per eviction policy.
         let mut p = sample_point();
@@ -561,17 +499,16 @@ mod tests {
         assert_ne!(p.key(), sample_point().key());
         let round = SweepPoint::parse(&JsonValue::parse(&p.to_json()).unwrap()).unwrap();
         assert_eq!(round, p);
-        // Pre-capacity sweep files have no eviction field: they read
-        // back as eviction-free with an unchanged key.
-        let legacy = sample_point();
-        let json = legacy.to_json().replace("\"eviction\":\"none\",", "");
+        // A point without its eviction label is malformed.
+        let json = sample_point()
+            .to_json()
+            .replace("\"eviction\":\"none\",", "");
         assert!(!json.contains("eviction"));
-        let parsed = SweepPoint::parse(&JsonValue::parse(&json).unwrap()).unwrap();
-        assert_eq!(parsed, legacy);
+        assert_eq!(SweepPoint::parse(&JsonValue::parse(&json).unwrap()), None);
     }
 
     #[test]
-    fn chaos_points_get_distinct_keys_and_parse_tolerantly() {
+    fn chaos_points_get_distinct_keys_and_parse_strictly() {
         // A fault-injected, hedged point must not collide with the
         // clean run of the same (policy, discipline, rate) under
         // --resume, and must round-trip through JSON.
@@ -588,21 +525,21 @@ mod tests {
         assert_ne!(p.key(), sample_point().key());
         let round = SweepPoint::parse(&JsonValue::parse(&p.to_json()).unwrap()).unwrap();
         assert_eq!(round, p);
-        // Pre-chaos sweep files have none of the fields: they read back
-        // as clean, unhedged runs with an unchanged key.
-        let legacy = sample_point();
-        let json = legacy
-            .to_json()
-            .replace("\"timed_out\":0,", "")
-            .replace("\"fault_profile\":\"none\",", "")
-            .replace("\"hedging\":false,", "")
-            .replace("\"hedges_sent\":0,", "")
-            .replace("\"hedge_wins\":0,", "")
-            .replace("\"accounting_warnings\":0,", "");
-        assert!(!json.contains("fault_profile") && !json.contains("hedg"));
-        let parsed = SweepPoint::parse(&JsonValue::parse(&json).unwrap()).unwrap();
-        assert_eq!(parsed, legacy);
-        assert_eq!(parsed.key(), legacy.key());
+        // A point missing any one of the fault, hedging or accounting
+        // fields is malformed.
+        let json = sample_point().to_json();
+        for field in [
+            "\"timed_out\":0,",
+            "\"fault_profile\":\"none\",",
+            "\"hedging\":false,",
+            "\"hedges_sent\":0,",
+            "\"hedge_wins\":0,",
+            "\"accounting_warnings\":0,",
+        ] {
+            let cut = json.replace(field, "");
+            assert_ne!(cut, json, "{field} is in the rendering");
+            assert_eq!(SweepPoint::parse(&JsonValue::parse(&cut).unwrap()), None);
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use minos::core::dispatch::DisciplineKind;
 use minos::driver::RunSummary;
-use minos::figures::{SweepPoint, BUILTIN_DISCIPLINE, POLICY, RETIRED_DISCIPLINES};
+use minos::figures::{SweepPoint, POLICY};
 use minos::obs::JsonValue;
 use minos::stats::Quantiles;
 use proptest::prelude::*;
@@ -36,15 +36,8 @@ fn quantiles_strategy() -> impl Strategy<Value = Option<Quantiles>> {
     prop_oneof![Just(None), q.prop_map(Some)]
 }
 
-// Files written before the baselines became disciplines also hold
-// `hkh`/`sho` points labelled with the `builtin` discipline.
-const POLICIES: [&str; 3] = [POLICY, "hkh", "sho"];
-
-fn discipline_names() -> Vec<&'static str> {
-    let mut names = vec![BUILTIN_DISCIPLINE];
-    names.extend(DisciplineKind::ALL.map(DisciplineKind::name));
-    names.extend(RETIRED_DISCIPLINES);
-    names
+fn discipline_names() -> [&'static str; 5] {
+    DisciplineKind::ALL.map(DisciplineKind::name)
 }
 
 // NO_EVICTION first: classic points keep the historical resume key.
@@ -60,7 +53,6 @@ const FAULTS: [&str; 3] = [
 fn point_strategy() -> impl Strategy<Value = SweepPoint> {
     (
         (
-            0usize..POLICIES.len(),
             0usize..discipline_names().len(),
             0usize..3,
             (0u32..u32::MAX),
@@ -86,14 +78,14 @@ fn point_strategy() -> impl Strategy<Value = SweepPoint> {
     )
         .prop_map(
             |(
-                (policy_ix, discipline_ix, eviction_ix, rate_mhz, clients, cores),
+                (discipline_ix, eviction_ix, rate_mhz, clients, cores),
                 (sent, completed, outstanding, errors),
                 (zero_loss, behind_us, tx_copied_bytes, reply_copied_bytes),
                 (latency_us, latency_small_us, service_latency_us, latency_large_us),
                 (fault_ix, hedging, timed_out, hedges_sent, hedge_wins, accounting_warnings),
             )| {
                 SweepPoint {
-                    policy: POLICIES[policy_ix].to_string(),
+                    policy: POLICY.to_string(),
                     discipline: discipline_names()[discipline_ix].to_string(),
                     eviction: EVICTIONS[eviction_ix].to_string(),
                     summary: RunSummary {
@@ -200,7 +192,7 @@ fn committed_figures_parse_and_round_trip() {
         for (i, raw) in points.iter().enumerate() {
             let point =
                 SweepPoint::parse(raw).unwrap_or_else(|| panic!("{name}[{i}]: malformed point"));
-            assert!(POLICIES.contains(&point.policy.as_str()), "{name}[{i}]");
+            assert_eq!(point.policy, POLICY, "{name}[{i}]");
             assert!(
                 discipline_names().contains(&point.discipline.as_str()),
                 "{name}[{i}]: discipline {}",

@@ -6,7 +6,6 @@
 //! (idle) or once every PUT is acked (loaded), then interrupts it and
 //! reads the gauges from the exit snapshot. An idle index holds only
 //! what is built before the first item arrives.
-#![cfg(target_os = "linux")]
 
 use minos::net::testport::TestPorts;
 use minos::obs::Snapshot;

@@ -17,7 +17,17 @@ line. Which direction is better comes from ``BENCHMARK.json``.
 Open loop (``--open-loop RATE``): each side is ``minos-server --cores 2
 --port P --json`` driven by ``minos-loadgen --target 127.0.0.1:P
 --queues 2 --rate RATE --duration D --seed S --json``; the metrics are
-the small and large class p50/p99 (µs) and the loss rate.
+the small and large class p50/p99 (µs), the loss rate and the requests
+the server answered ``Overloaded`` (``client.overloaded``).
+
+Feature on/off pairs: ``--a-args`` and ``--b-args`` add ``minos-server``
+flags to one side (closed loop: through ``MINOS_BENCH_SERVER_ARGS``), so
+A and B may be one binary; ``--loadgen-args`` adds ``minos-loadgen``
+flags to both sides of an open-loop pair. The shed valve at 100 k/s:
+
+    python3 tools/ab_pairs.py target/release/minos-server \\
+        target/release/minos-server --open-loop 100000 --seeds 11-20 \\
+        --loadgen-args "--p-large 0.02" --b-args "--shed-watermark 8"
 
 Every run's raw result goes to ``DIR/pairs.jsonl``, one JSON object per
 line; ``--report DIR/pairs.jsonl`` prints the tables again from it
@@ -31,6 +41,7 @@ host meanwhile.
 import argparse
 import json
 import os
+import shlex
 import signal
 import statistics
 import subprocess
@@ -43,6 +54,7 @@ OPEN_LOOP_METRICS = [
     ("large_p50_us", "lower"),
     ("large_p99_us", "lower"),
     ("loss_rate", "lower"),
+    ("overloaded", "lower"),
 ]
 
 
@@ -63,11 +75,17 @@ def quartiles(xs):
     return q1, q2, q3
 
 
+def side_args(args, side):
+    """The extra ``minos-server`` flags of ``side``."""
+    return shlex.split(args.a_args if side == "A" else args.b_args)
+
+
 def closed_loop(args, server, workload, seed, side):
     out = os.path.join(args.out, f"{side}-{workload}-{seed}")
     cmd = [args.bench, "--server", server, "--root", args.root, "--out", out,
            "--workload", workload, "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
-    run = subprocess.run(cmd, capture_output=True, text=True)
+    env = dict(os.environ, MINOS_BENCH_SERVER_ARGS=" ".join(side_args(args, side)))
+    run = subprocess.run(cmd, capture_output=True, text=True, env=env)
     lines = [line for line in run.stdout.splitlines() if line.startswith("{")]
     if not lines:
         sys.stderr.write(run.stderr[-2000:])
@@ -79,12 +97,13 @@ def closed_loop(args, server, workload, seed, side):
 
 def open_loop(args, server, workload, seed, side):
     port = args.base_port + 10 * (seed % 500)
-    srv = subprocess.Popen([server, "--cores", "2", "--port", str(port), "--json"],
+    srv = subprocess.Popen([server, "--cores", "2", "--port", str(port), "--json"] + side_args(args, side),
                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
     try:
         time.sleep(1.0)
         cmd = [args.loadgen, "--target", f"127.0.0.1:{port}", "--queues", "2", "--rate", str(args.open_loop),
                "--duration", str(args.duration), "--keys", str(args.keys), "--seed", str(seed), "--json"]
+        cmd += shlex.split(args.loadgen_args)
         run = subprocess.run(cmd, capture_output=True, text=True)
     finally:
         srv.send_signal(signal.SIGINT)
@@ -97,6 +116,7 @@ def open_loop(args, server, workload, seed, side):
     pick = lambda cls, q: (doc.get(f"latency_{cls}_us") or {}).get(f"{q}_us", 0.0)
     metrics = {f"{cls}_{q}_us": pick(cls, q) for cls in ("small", "large") for q in ("p50", "p99")}
     metrics["loss_rate"] = doc["loss_rate"]
+    metrics["overloaded"] = (doc["metrics"].get("client.overloaded") or {}).get("value", 0)
     return {"failed": 0 if doc["zero_loss"] else 1, "attempted": doc["sent"], "metrics": metrics}
 
 
@@ -138,6 +158,9 @@ def main():
     p.add_argument("--duration", type=int, default=5, help="open loop: measured seconds per run")
     p.add_argument("--keys", type=int, default=100000, help="open loop: dataset size in keys")
     p.add_argument("--base-port", type=int, default=9600, help="open loop: first server port")
+    p.add_argument("--a-args", default="", help="extra minos-server flags of side A")
+    p.add_argument("--b-args", default="", help="extra minos-server flags of side B")
+    p.add_argument("--loadgen-args", default="", help="open loop: extra minos-loadgen flags of both sides")
     p.add_argument("--root", default=".", help="the repo root the harness reads")
     p.add_argument("--bench", default="target/release/minos-benchmark")
     p.add_argument("--loadgen", default="target/release/minos-loadgen")
@@ -154,6 +177,8 @@ def main():
             report([r for r in results if r["workload"].startswith("open_loop") == is_open], better, label)
         return
 
+    if args.loadgen_args and not args.open_loop:
+        p.error("--loadgen-args needs --open-loop")
     os.makedirs(args.out, exist_ok=True)
     if args.open_loop:
         runner, workloads, label = open_loop, [f"open_loop@{args.open_loop:g}"], "open loop"
@@ -168,7 +193,7 @@ def main():
             order = [("A", args.a), ("B", args.b)]
             for side, server in order if i % 2 == 0 else order[::-1]:
                 r = runner(args, server, workload, seed, side)
-                r.update(side=side, seed=seed, workload=workload, server=server)
+                r.update(side=side, seed=seed, workload=workload, server=server, server_args=side_args(args, side))
                 results.append(r)
                 log.write(json.dumps(r) + "\n")
                 log.flush()
