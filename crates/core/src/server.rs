@@ -43,14 +43,14 @@
 //! paper's baselines (`hkh`, `hkh --steal`, `sho`) run on this same
 //! engine, store and network stack.
 //!
-//! A core that finds no work polls on for 64 rounds and then gives its
-//! CPU back (`Core::idle`). A core whose RX queues are all drained by a
-//! peer too — the handoff cores under size-aware sharding, sho's
-//! workers — may park until the core that pushes work onto its queue
-//! wakes it. It parks while handed nothing if it has no RX queue to
-//! poll, and every other window while the work handed to it waits for
-//! a CPU; otherwise it yields like the only drainer of an RX queue,
-//! which nothing wakes when a packet arrives.
+//! A core that finds no work blocks in one `ppoll` (`Core::idle`) until
+//! a packet lands on an RX queue it watches, a peer that pushed work for
+//! it writes its wake eventfd, or 2 ms pass. The only drainer of an RX
+//! queue watches every queue it drains, and polls on for 64 idle rounds
+//! before it blocks; a core whose RX queues a peer drains too — the
+//! handoff cores under size-aware sharding, sho's workers — watches
+//! none and blocks at once, since only pushes bring it work. No core
+//! yields its CPU.
 //!
 //! Lifecycle telemetry follows the same split: a request's `service_ns`
 //! ends when its reply is staged, and the send is the burst's
@@ -78,7 +78,7 @@ use crate::ranges::LargeRanges;
 use crate::threshold::ThresholdController;
 use crossbeam::queue::ArrayQueue;
 use minos_kv::{PutError, Store, StoreConfig};
-use minos_net::{Transport, VirtualTransport};
+use minos_net::{EventFd, PollSet, Transport, VirtualTransport};
 use minos_nic::{NicConfig, VirtualNic};
 use minos_obs::{
     Clock, Collector, CoreTelemetry, Counter, MetricValue, MetricsRegistry, ReqClass, WallClock,
@@ -90,9 +90,9 @@ use minos_wire::frag::{
 use minos_wire::message::{Body, Message, ReplyStatus, MSG_HEADER_LEN};
 use minos_wire::packet::{Endpoint, Packet, TxPacket};
 use parking_lot::{Mutex, RwLock};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
-use std::thread::Thread;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Host id the server's endpoints use in the virtual world (clients
@@ -105,27 +105,17 @@ pub const SERVER_HOST_ID: u32 = 1;
 /// waits in the ring instead of being dropped at it.
 pub const NIC_QUEUE_CAPACITY: usize = SOFT_QUEUE_CAPACITY;
 
-/// Idle rounds a core polls through before it gives its CPU back
-/// ([`Core::idle`]): a burst that arrives within them finds the core
-/// still polling.
+/// Idle rounds a core that watches RX queues polls through before it
+/// blocks ([`Core::idle`]): a burst that arrives within them finds the
+/// core still polling.
 const SPIN_ROUNDS: u32 = 64;
 
-/// The longest a parked core sleeps without a wake. It then runs
+/// The longest a blocked core sleeps without a wake. It then runs
 /// [`Core::housekeeping`] — its share of the TTL sweep and eviction, the
-/// stale-partial clock — and polls one round, so what no wake covers
-/// (an arrival on an RX queue a peer also drains) waits at most this.
+/// stale-partial clock, core 0's epoch timer — and polls one round, so
+/// what no wake covers (an arrival on an RX queue it does not watch, on
+/// a transport without readiness fds) waits at most this.
 const PARK_TIMEOUT: Duration = Duration::from_millis(2);
-
-/// The window over which a core that may park measures how long its
-/// work waits, and how long it then parks for ([`Core::parks_now`]).
-const PARK_WINDOW_NS: u64 = 50_000_000;
-
-/// A queue wait past which work handed to a polling core counts as
-/// waiting for a CPU ([`Core::parks_now`]). A core polling on a CPU of
-/// its own takes a handoff within a few µs of the push; on 2 shared
-/// vCPUs a yielding handoff core kept the median handoff of the
-/// benchmark's `etc_read` and `large_heavy` waiting 1.3-1.9 ms.
-const LONG_WAIT_NS: u64 = 100_000;
 
 /// Server configuration: engine policy plus store sizing.
 #[derive(Clone, Debug)]
@@ -302,51 +292,60 @@ impl FlowPins {
     }
 }
 
-/// Where a core that may park ([`PlanCache::parks`]) sleeps: an
-/// eventcount over [`std::thread::park_timeout`]. The parker sets
-/// `parked`, fences and re-checks everything that would wake it before
-/// it parks; a waker makes its work visible, fences and, finding
-/// `parked` set and work waiting for the core, clears the flag and
-/// unparks the thread ([`Shared::wake`]).
-/// With both fences, either the parker sees the work or the waker sees
-/// the flag. On a 128-byte block of its own, like [`SharedCoreStats`],
+/// Where a core blocks ([`Core::block`]): an eventcount over its wake
+/// eventfd. The blocker sets `parked`, fences and re-checks everything
+/// that would wake it before it blocks; a waker makes its work visible,
+/// fences and, finding `parked` set and work waiting for the core,
+/// clears the flag and writes the eventfd ([`Shared::wake`]). With
+/// both fences, either the blocker sees the work or the waker sees the
+/// flag. On a 128-byte block of its own, like [`SharedCoreStats`],
 /// since peers write it.
-#[derive(Default)]
 #[repr(align(128))]
 struct Parking {
     parked: AtomicBool,
-    /// The core's thread, registered when it starts polling; unset for
-    /// a core stepped without one.
-    thread: OnceLock<Thread>,
+    wake: EventFd,
 }
 
-/// Whether `core` parks when idle under `plan`, instead of yielding its
-/// CPU: every RX queue it drains ([`Discipline::rx_drain`]) is drained
-/// by another core too, so no arrival waits on it alone, and what only
-/// it serves — its software queue, the shared queue if it pulls it —
-/// wakes it when pushed. A core that is the only drainer of an RX queue
-/// keeps polling, since nothing wakes it on an arrival; so does every
-/// core when stealing is on, since an idle core is the thief.
-fn parks(
+impl Parking {
+    fn new() -> Self {
+        Parking {
+            parked: AtomicBool::new(false),
+            wake: EventFd::new().expect("a wake eventfd per core"),
+        }
+    }
+}
+
+/// The RX queues `core` watches while it blocks under `plan`, beside its
+/// wake eventfd ([`Core::block`]). A core that is the only drainer of
+/// some queue in its [`Discipline::rx_drain`] schedule watches the whole
+/// schedule, since no peer polls that queue for it. A core whose every
+/// queue a peer drains too watches none: the peer takes what arrives,
+/// and what only this core serves — its software queue, the shared
+/// queue if it pulls it — wakes it when pushed. A core that may steal
+/// RX bursts (`steal_rx`) watches every queue, since a busy peer's
+/// arrivals are its work.
+fn watched(
     discipline: &dyn Discipline,
     plan: &ShardingPlan,
     n_cores: usize,
-    steal: bool,
+    steal_rx: bool,
     core: usize,
-) -> bool {
-    if steal {
-        return false;
+) -> Vec<u16> {
+    if steal_rx {
+        return (0..n_cores as u16).collect();
     }
     let Some(own) = discipline.rx_drain(core, plan, BATCH) else {
-        return true;
+        return Vec::new();
     };
     let peers: Vec<DrainSchedule> = (0..n_cores)
         .filter(|&peer| peer != core)
         .filter_map(|peer| discipline.rx_drain(peer, plan, BATCH))
         .collect();
     let drained_by_a_peer = |q| peers.iter().any(|peer| peer.queues().any(|p| p == q));
-    let alone = own.queues().any(|q| !drained_by_a_peer(q));
-    !alone
+    if own.queues().all(drained_by_a_peer) {
+        return Vec::new();
+    }
+    own.queues().map(|q| q as u16).collect()
 }
 
 /// The live soft queues as the [`QueueDepths`] view disciplines consume
@@ -409,13 +408,6 @@ struct Shared<T: Transport, C: Clock> {
     epoch_deadline_ns: AtomicU64,
     /// One parking spot per core.
     parking: Vec<Parking>,
-    /// Some core parks under the initial plan ([`parks`]). For every
-    /// discipline that is whether one parks under any plan: size-aware
-    /// always has a handoff core on two cores or more, sho's workers
-    /// are fixed, and the others drain only their own RX queue. A round
-    /// that pushed looks for parked cores only when this is set, and a
-    /// core parks only when it is, so wakers and parkers agree.
-    may_park: bool,
     /// Fragment-to-core pinning for in-flight multi-packet messages.
     flow_pins: FlowPins,
     /// Per-source cap on concurrent discard-mode ingests (memory-
@@ -453,8 +445,6 @@ impl<T: Transport, C: Clock> Shared<T, C> {
         };
         let registry = Arc::new(MetricsRegistry::new());
         let discipline = config.minos.discipline.build();
-        let may_park =
-            (0..n).any(|core| parks(&*discipline, &initial, n, config.minos.steal, core));
         // The shared queue stands in for *all* per-core queues, so it
         // gets their aggregate capacity — equal total backlog before
         // tail-drop, whatever the discipline.
@@ -487,8 +477,7 @@ impl<T: Transport, C: Clock> Shared<T, C> {
             steal_picks: registry.counter("dispatch.steals"),
             sheds: registry.counter("dispatch.sheds"),
             epoch_deadline_ns: AtomicU64::new(config.minos.epoch_ns),
-            parking: (0..n).map(|_| Parking::default()).collect(),
-            may_park,
+            parking: (0..n).map(|_| Parking::new()).collect(),
             flow_pins: FlowPins::new(4096),
             discard_quota: DiscardQuota::new(DISCARD_QUOTA_PER_SOURCE),
             config: config.minos.clone(),
@@ -522,21 +511,22 @@ impl<T: Transport, C: Clock> Shared<T, C> {
         self.soft_queues.iter().chain(&self.shared_queue)
     }
 
-    /// Wakes `core` if it is parked: clears its flag and unparks its
-    /// thread. The caller has made its work visible and fenced
+    /// Wakes `core` if it is blocked: clears its flag and writes its
+    /// wake eventfd. The caller has made its work visible and fenced
     /// ([`Parking`]). Allocates nothing; only the waker that clears the
-    /// flag pays for the unpark.
-    fn wake(&self, core: usize) {
+    /// flag pays for the write, and it returns whether it did.
+    fn wake(&self, core: usize) -> bool {
         let spot = &self.parking[core];
-        if spot.parked.load(Ordering::Relaxed) && spot.parked.swap(false, Ordering::Relaxed) {
-            if let Some(thread) = spot.thread.get() {
-                thread.unpark();
-            }
+        let woke =
+            spot.parked.load(Ordering::Relaxed) && spot.parked.swap(false, Ordering::Relaxed);
+        if woke {
+            spot.wake.notify();
         }
+        woke
     }
 
-    /// Wakes every parked core: after a plan publication, which may
-    /// change what a parked core polls, and at shutdown.
+    /// Wakes every blocked core: after a plan publication, which may
+    /// change what a blocked core polls and watches, and at shutdown.
     fn wake_all(&self) {
         fence(Ordering::SeqCst);
         for core in 0..self.config.n_cores {
@@ -809,8 +799,8 @@ struct PlanCache {
     /// every core drains only its own RX queue
     /// ([`Discipline::own_rx_only`]).
     steal_rx: bool,
-    /// This core parks when idle instead of yielding its CPU ([`parks`]).
-    parks: bool,
+    /// The RX queues this core watches while it blocks ([`watched`]).
+    watch: Vec<u16>,
 }
 
 impl PlanCache {
@@ -820,12 +810,13 @@ impl PlanCache {
         let version = shared.plan_version.load(Ordering::Acquire);
         let plan = shared.plan.read().clone();
         let (discipline, config) = (&*shared.discipline, &shared.config);
+        let steal_rx = config.steal && discipline.own_rx_only(&plan, BATCH);
         PlanCache {
             version,
             schedule: discipline.rx_drain(core, &plan, BATCH),
             pulls_shared: discipline.pulls_shared(core),
-            steal_rx: config.steal && discipline.own_rx_only(&plan, BATCH),
-            parks: shared.may_park && parks(discipline, &plan, config.n_cores, config.steal, core),
+            steal_rx,
+            watch: watched(discipline, &plan, config.n_cores, steal_rx, core),
             plan,
         }
     }
@@ -863,20 +854,17 @@ struct Core<'a, T: Transport, C: Clock> {
     rounds: u32,
     /// Idle rounds in a row, for [`Core::idle`].
     idle_rounds: u32,
-    /// Items this core took off its queues in the current
-    /// [`PARK_WINDOW_NS`] window, and how many of them had waited there
-    /// longer than [`LONG_WAIT_NS`]. Counted only where a core may park
-    /// ([`Shared::may_park`]).
-    taken: u32,
-    waited: u32,
-    window_start_ns: u64,
-    /// This window parks rather than polls ([`Core::parks_now`]).
-    parking: bool,
+    /// What [`Core::block`] waits on: its wake eventfd and the readiness
+    /// fds of the RX queues it watches. Sized for every queue at once,
+    /// so filling it allocates nothing.
+    poll: PollSet,
     /// This round pushed work onto a software queue or the shared
-    /// queue; the parked cores with work waiting are woken after the
-    /// round's next flush ([`Core::wake_pushed`]). Set only where a core
-    /// may park ([`Shared::may_park`]).
+    /// queue; the blocked cores with work waiting are woken after the
+    /// round's next flush ([`Core::wake_pushed`]).
     pushed: bool,
+    /// Of those pushes, the ones onto the shared queue: each wakes at
+    /// most one blocked puller.
+    shared_pushes: usize,
     /// Evictions already folded into the shared gauge; the
     /// reassembler's own counter covers *every* eviction cause (stale
     /// round, capacity, geometry mismatch), all of which drop a live
@@ -897,11 +885,9 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
             rx_buf: Vec::with_capacity(BATCH * 2),
             rounds: 0,
             idle_rounds: 0,
-            taken: 0,
-            waited: 0,
-            window_start_ns: 0,
-            parking: false,
+            poll: PollSet::with_capacity(shared.config.n_cores + 1),
             pushed: false,
+            shared_pushes: 0,
             reported_evictions: 0,
         }
     }
@@ -911,7 +897,6 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
     /// found no work.
     fn run(mut self) {
         let (shared, core) = (self.shared, self.id);
-        let _ = shared.parking[core].thread.set(std::thread::current());
         let mut cached = PlanCache::load(shared, core);
         while !shared.shutdown.load(Ordering::Relaxed) {
             if shared.plan_version.load(Ordering::Acquire) != cached.version {
@@ -996,59 +981,54 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
         did_work
     }
 
-    /// What a core does after a poll round that found no work. For
-    /// [`SPIN_ROUNDS`] such rounds in a row it polls on. Then a core
-    /// that may park ([`PlanCache::parks`]) parks until woken or
-    /// [`PARK_TIMEOUT`] in the windows [`Core::parks_now`] picks, and
-    /// yields its CPU once per round in the others; every other core
-    /// always yields — the only drainer of an RX queue has nothing to
-    /// wake it on an arrival. A core that parks never yields first: a
-    /// yield on a shared host leaves it off-CPU when its next handoff
-    /// arrives.
+    /// What a core does after a poll round that found no work: for
+    /// [`SPIN_ROUNDS`] such rounds in a row it polls on, then it blocks
+    /// ([`Core::block`]). A core that watches no RX queue blocks at
+    /// once: only a push brings it work, and the push wakes it, while
+    /// its spin would hold a CPU the pushing core and the clients need
+    /// (on 2 shared vCPUs, the standby core's spin after each handoff
+    /// raised `churn_evict`'s unloaded small median by half). No core
+    /// yields: on a shared host a yield leaves the core off-CPU for a
+    /// scheduler slice when its next request arrives, where a blocked
+    /// core is woken by the arrival. Until a round finds work again,
+    /// every idle round blocks.
     fn idle(&mut self, cached: &PlanCache) {
         self.idle_rounds = self.idle_rounds.saturating_add(1);
-        if self.idle_rounds <= SPIN_ROUNDS {
+        if self.idle_rounds <= SPIN_ROUNDS && !cached.watch.is_empty() {
             std::hint::spin_loop();
-        } else if cached.parks && self.parks_now(cached) {
-            self.park(cached);
         } else {
-            std::thread::yield_now();
+            self.block(cached);
         }
     }
 
-    /// Whether this core, which may park, parks in the current
-    /// [`PARK_WINDOW_NS`] window rather than polls, re-judged once a
-    /// window has passed. A core handed nothing in the last window
-    /// parks if it has no RX queue to poll (a dedicated large core, a
-    /// sho worker) and polls if it has one (the standby core, a small
-    /// core too). A core handed work polls the next window after a
-    /// parked one, to measure, since a parked core's work waits little
-    /// by design; after a polled one it parks if more than half of what
-    /// it took off its queues had waited there longer than
-    /// [`LONG_WAIT_NS`]. Under a steady stream of handoffs that waited
-    /// it parks every other window.
-    fn parks_now(&mut self, cached: &PlanCache) -> bool {
-        let now = self.clock.now_ns();
-        if now.saturating_sub(self.window_start_ns) >= PARK_WINDOW_NS {
-            let idle = self.taken == 0 && cached.schedule.is_none();
-            let waited = !self.parking && self.waited.saturating_mul(2) > self.taken;
-            self.parking = idle || waited;
-            (self.taken, self.waited, self.window_start_ns) = (0, 0, now);
-        }
-        self.parking
-    }
-
-    /// Parks this core's thread unless work showed up meanwhile: sets
-    /// the parked flag, fences, re-checks its software queue, the shared
-    /// queue if it pulls it, the plan version and shutdown, and parks
-    /// for at most [`PARK_TIMEOUT`] only when all are quiet. After a
-    /// park, woken or timed out, it runs [`Core::housekeeping`].
-    fn park(&mut self, cached: &PlanCache) {
+    /// Blocks this core in one `ppoll` until an RX queue it watches
+    /// ([`PlanCache::watch`]) holds packets, a peer writes its wake
+    /// eventfd ([`Shared::wake`]) or [`PARK_TIMEOUT`] passes, unless
+    /// work showed up meanwhile: it sets the parked flag, fences, and
+    /// re-checks its software queue, the shared queue if it pulls it,
+    /// the plan version and shutdown. A watched queue the transport
+    /// says is due sooner ([`minos_net::RxReadiness::due_in_ns`])
+    /// shortens the wait, and one due now cancels it. After a block,
+    /// woken or timed out, it runs [`Core::housekeeping`].
+    fn block(&mut self, cached: &PlanCache) {
         let shared = self.shared;
         let spot = &shared.parking[self.id];
         spot.parked.store(true, Ordering::Relaxed);
         fence(Ordering::SeqCst);
-        let quiet = shared.soft_queues[self.id].is_empty()
+        self.poll.clear();
+        let wake = self.poll.watch(spot.wake.as_raw_fd());
+        let mut timeout = PARK_TIMEOUT;
+        for &queue in &cached.watch {
+            let ready = shared.transport.rx_readiness(queue);
+            if let Some(fd) = ready.fd {
+                self.poll.watch(fd);
+            }
+            if let Some(ns) = ready.due_in_ns {
+                timeout = timeout.min(Duration::from_nanos(ns));
+            }
+        }
+        let quiet = !timeout.is_zero()
+            && shared.soft_queues[self.id].is_empty()
             && !(cached.pulls_shared
                 && shared.shared_queue.as_ref().is_some_and(|q| !q.is_empty()))
             && shared.plan_version.load(Ordering::Relaxed) == cached.version
@@ -1058,37 +1038,47 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
             return;
         }
         shared.stats[self.id].record_park();
-        std::thread::park_timeout(PARK_TIMEOUT);
-        // A waker that found the flag set cleared it; a timeout (or a
-        // spurious return) leaves it set.
-        if !spot.parked.swap(false, Ordering::Relaxed) {
+        let woken = self.poll.wait(timeout) > 0;
+        // A waker that found the flag set cleared it and wrote the
+        // eventfd; one racing this store may still write it, and the
+        // next block then returns at once, for one idle round.
+        spot.parked.store(false, Ordering::Relaxed);
+        if self.poll.is_ready(wake) {
+            spot.wake.drain();
+        }
+        if woken {
             shared.stats[self.id].record_wake();
         }
         self.housekeeping(self.clock.now_ns());
     }
 
-    /// Notes a successful push, for [`Core::wake_pushed`].
-    fn note_push(&mut self) {
-        self.pushed |= self.shared.may_park;
+    /// Notes a successful push onto a software queue, or onto the
+    /// shared queue, for [`Core::wake_pushed`].
+    fn note_push(&mut self, onto_shared: bool) {
+        self.pushed = true;
+        self.shared_pushes += usize::from(onto_shared);
     }
 
-    /// After a round that pushed work, wakes every parked core that has
-    /// work waiting: its software queue, or the shared queue if it
-    /// pulls it. Called after a flush, so the round's replies have left
-    /// before the wake's syscall.
+    /// After a round that pushed work, wakes every blocked core whose
+    /// software queue holds work, and as many blocked pullers of the
+    /// shared queue as the round pushed onto it (at most what it still
+    /// holds). Called after a flush, so the round's replies have left
+    /// before the wakes' syscalls.
     fn wake_pushed(&mut self) {
         if !std::mem::take(&mut self.pushed) {
             return;
         }
         fence(Ordering::SeqCst);
         let shared = self.shared;
-        let shared_waiting = shared.shared_queue.as_ref().is_some_and(|q| !q.is_empty());
+        let waiting = shared.shared_queue.as_ref().map_or(0, HandoffRing::len);
+        let mut pullers = std::mem::take(&mut self.shared_pushes).min(waiting);
         for (core, spot) in shared.parking.iter().enumerate() {
-            if spot.parked.load(Ordering::Relaxed)
-                && (!shared.soft_queues[core].is_empty()
-                    || shared_waiting && shared.discipline.pulls_shared(core))
-            {
-                shared.wake(core);
+            if !spot.parked.load(Ordering::Relaxed) {
+                continue;
+            }
+            let puller = pullers > 0 && shared.discipline.pulls_shared(core);
+            if (puller || !shared.soft_queues[core].is_empty()) && shared.wake(core) {
+                pullers -= usize::from(puller);
             }
         }
     }
@@ -1213,27 +1203,11 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
         );
     }
 
-    /// Counts an item taken off a queue that arrived at `arrival_ns`,
-    /// for [`Core::parks_now`].
-    fn note_wait(&mut self, arrival_ns: u64) {
-        if self.shared.may_park {
-            let long = self.clock.now_ns().saturating_sub(arrival_ns) > LONG_WAIT_NS;
-            self.taken = self.taken.saturating_add(1);
-            self.waited = self.waited.saturating_add(u32::from(long));
-        }
-    }
-
     /// Executes one item popped off a software queue.
     fn execute_queued(&mut self, item: Handoff) {
         match item {
-            Handoff::Request(req) => {
-                self.note_wait(req.arrival_ns);
-                self.execute_queued_request(req)
-            }
-            Handoff::Fragment(pkt, arrival_ns) => {
-                self.note_wait(arrival_ns);
-                self.execute_fragment(pkt, arrival_ns)
-            }
+            Handoff::Request(req) => self.execute_queued_request(req),
+            Handoff::Fragment(pkt, arrival_ns) => self.execute_fragment(pkt, arrival_ns),
         }
     }
 
@@ -1501,7 +1475,7 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
             shared.soft_drops.inc();
         } else {
             shared.stats[core].record_handoff();
-            self.note_push();
+            self.note_push(false);
         }
     }
 
@@ -1692,7 +1666,7 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
             shared.soft_drops.inc();
         } else {
             shared.stats[self.id].record_handoff();
-            self.note_push();
+            self.note_push(matches!(placement, Placement::Shared));
         }
     }
 
@@ -1769,7 +1743,8 @@ fn run_epoch<T: Transport, C: Clock>(shared: &Shared<T, C>) {
     // (`PlanCache::load`) and must find this one.
     shared.plan_version.fetch_add(1, Ordering::Release);
     shared.epochs.set(epoch_id);
-    // A parked core re-derives what it polls under the new plan.
+    // A blocked core re-derives what it polls and watches under the
+    // new plan.
     shared.wake_all();
 }
 
@@ -2005,8 +1980,8 @@ pub fn transmit_message<T: Transport + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::{
-        register_collectors, Core, FlowPins, PlanCache, ServerConfig, Shared, LONG_WAIT_NS,
-        PARK_WINDOW_NS, SERVER_HOST_ID,
+        register_collectors, watched, Core, FlowPins, PlanCache, ServerConfig, Shared, BATCH,
+        SERVER_HOST_ID,
     };
     use crate::allocation::{allocate, CoreAllocation};
     use crate::config::ThresholdMode;
@@ -2022,6 +1997,8 @@ mod tests {
     use minos_wire::udp::UdpHeader;
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
+
+    mod idle_alloc;
 
     /// A single-frame PUT of `len` bytes under `key`, as it reaches RX
     /// queue 0.
@@ -2157,14 +2134,14 @@ mod tests {
         lose_a_fragment(102 * R + R / 2, 3, 3);
     }
 
-    /// The cores that park when idle, under `edit`'s config of `n` cores
-    /// and, if given, the allocation `alloc` published as a plan; with
-    /// the allocation in force.
-    fn parkers(
+    /// The RX queues each core watches while it blocks, under `edit`'s
+    /// config of `n` cores and, if given, the allocation `alloc`
+    /// published as a plan; with the allocation in force.
+    fn watchers(
         n: usize,
         alloc: Option<CoreAllocation>,
         edit: impl FnOnce(&mut ServerConfig),
-    ) -> (CoreAllocation, Vec<usize>) {
+    ) -> (CoreAllocation, Vec<Vec<u16>>) {
         let mut config = ServerConfig::for_test(n, 1_000);
         edit(&mut config);
         let nic = Arc::new(VirtualNic::new(NicConfig::new(n as u16)));
@@ -2179,119 +2156,94 @@ mod tests {
             shared.plan_version.fetch_add(1, Ordering::Release);
         }
         let cached: Vec<PlanCache> = (0..n).map(|core| PlanCache::load(&shared, core)).collect();
-        let parking = (0..n).filter(|&core| cached[core].parks).collect();
-        (cached[0].plan.allocation, parking)
+        let watch = cached.iter().map(|c| c.watch.clone()).collect();
+        (cached[0].plan.allocation, watch)
     }
 
     #[test]
-    fn the_standby_core_parks_only_after_a_window_whose_handoffs_waited() {
-        // Two cores in standby under a 512 B static threshold: every
-        // 1 000 B PUT core 0 reads is handed to core 1.
-        let mut config = ServerConfig::for_test(2, 1_000);
-        config.minos.threshold_mode = ThresholdMode::Static(512);
-        let nic = Arc::new(VirtualNic::new(NicConfig::new(2)));
-        let clock = ManualClock::default();
-        let transport = Arc::new(VirtualTransport::new(Arc::clone(&nic)));
-        let shared = Shared::new(&config, transport, clock.clone());
-        let (cached0, cached1) = (PlanCache::load(&shared, 0), PlanCache::load(&shared, 1));
-        assert!(cached1.parks);
-        let (mut core0, mut core1) = (Core::new(&shared, 0), Core::new(&shared, 1));
-        let (mut key, mut verdict, mut start) = (0, false, 0);
-        // One window: a PUT handed over per wait in `waits`, each taken
-        // off the queue that long after core 0 read it; then the verdict
-        // for the next window.
-        let mut window = |waits: &[u64], parks: bool| {
-            for &wait in waits {
-                key += 1;
-                nic.deliver_packet(put_packet(key, 1_000));
-                assert!(core0.step(&cached0));
-                clock.advance(wait);
-                assert!(core1.step(&cached1));
-                assert_eq!(core1.parks_now(&cached1), verdict, "judged once a window");
-            }
-            start += PARK_WINDOW_NS;
-            clock.set(start);
-            verdict = core1.parks_now(&cached1);
-            assert_eq!(verdict, parks, "after {waits:?}");
-        };
-        let (long, short) = (LONG_WAIT_NS + 1, LONG_WAIT_NS);
-        // The standby core drains an RX queue: handed nothing, it polls.
-        window(&[], false);
-        // Polling served at least half of its work promptly: poll on.
-        window(&[short, short, long], false);
-        window(&[long, short, long, short], false);
-        // Most of it waited: park a window, then poll one to measure,
-        // whatever waited meanwhile.
-        window(&[long, short, long], true);
-        window(&[long, long], false);
-        window(&[long], true);
-        window(&[], false);
-        assert_eq!(shared.stats[1].snapshot().ops, 13);
-    }
-
-    #[test]
-    fn a_core_without_an_rx_queue_parks_while_handed_nothing() {
-        // sho on two cores: core 1 is the worker, which never reads RX.
-        let mut config = ServerConfig::for_test(2, 1_000);
-        config.minos.discipline = DisciplineKind::Sho { handoff: 1 };
-        let nic = Arc::new(VirtualNic::new(NicConfig::new(2)));
-        let clock = ManualClock::default();
-        let transport = Arc::new(VirtualTransport::new(Arc::clone(&nic)));
-        let shared = Shared::new(&config, transport, clock.clone());
-        let (cached0, cached1) = (PlanCache::load(&shared, 0), PlanCache::load(&shared, 1));
-        assert!(cached1.parks && cached1.schedule.is_none());
-        let (mut core0, mut core1) = (Core::new(&shared, 0), Core::new(&shared, 1));
-        clock.set(PARK_WINDOW_NS);
-        assert!(core1.parks_now(&cached1), "handed nothing");
-        // Handed work while parked: poll the next window to measure.
-        nic.deliver_packet(put_packet(1, 100));
-        assert!(core0.step(&cached0));
-        assert!(core1.step(&cached1));
-        clock.set(2 * PARK_WINDOW_NS);
-        assert!(!core1.parks_now(&cached1), "handed work");
-        clock.set(3 * PARK_WINDOW_NS);
-        assert!(core1.parks_now(&cached1), "handed nothing again");
-    }
-
-    #[test]
-    fn cores_park_only_where_a_peer_drains_their_rx_queues() {
+    fn cores_watch_their_rx_queues_only_where_they_drain_one_alone() {
         let standby = |c: &mut ServerConfig| c.minos.threshold_mode = ThresholdMode::Static(512);
-        let none = Vec::<usize>::new();
-        // Standby: core 0 also drains the standby core's RX queue, at
-        // quota B/n_s; core 0's own queue is its alone.
-        let (alloc, parking) = parkers(2, None, standby);
+        // Standby: core 0 drains its own queue alone and the standby
+        // core's at quota B/n_s, so it watches both; the standby core's
+        // one queue is core 0's too, and only pushes wake it.
+        let (alloc, watch) = watchers(2, None, standby);
         assert!(alloc.standby);
-        assert_eq!(parking, vec![1]);
+        assert_eq!(watch, [vec![0, 1], vec![]]);
         // Dedicated large cores never touch RX.
-        let (alloc, parking) = parkers(2, Some(allocate(2, 0.5)), standby);
-        assert_eq!((alloc.n_large, parking), (1, vec![1]));
-        let (alloc, parking) = parkers(4, Some(allocate(4, 0.5)), |_| {});
-        assert_eq!((alloc.n_large, parking), (2, vec![2, 3]));
+        let (alloc, watch) = watchers(2, Some(allocate(2, 0.5)), standby);
+        assert_eq!((alloc.n_large, watch), (1, vec![vec![0, 1], vec![]]));
+        let (alloc, watch) = watchers(4, Some(allocate(4, 0.5)), |_| {});
+        let small = |own| vec![own, 2, 3];
+        assert_eq!(
+            (alloc.n_large, watch),
+            (2, vec![small(0), small(1), vec![], vec![]])
+        );
         // A lone core is the only drainer of its queue.
-        assert_eq!(parkers(1, None, |_| {}).1, none);
-        // sho: the workers.
+        assert_eq!(watchers(1, None, |_| {}).1, [vec![0]]);
+        // sho: the dispatch core watches every queue, the workers none.
         let sho = |c: &mut ServerConfig| c.minos.discipline = DisciplineKind::Sho { handoff: 1 };
-        assert_eq!(parkers(3, None, sho).1, vec![1, 2]);
+        assert_eq!(watchers(3, None, sho).1, [vec![0, 1, 2], vec![], vec![]]);
         // Every core of hkh, dfcfs and cfcfs drains its own queue alone.
         for kind in [
             DisciplineKind::Hkh,
             DisciplineKind::Dfcfs,
             DisciplineKind::Cfcfs,
         ] {
+            let watch = watchers(3, None, |c| c.minos.discipline = kind).1;
+            assert_eq!(watch, [vec![0], vec![1], vec![2]], "{kind:?}");
+            // A thief watches every queue it may steal a burst from.
+            let stealing = |c: &mut ServerConfig| {
+                c.minos.discipline = kind;
+                c.minos.steal = true;
+            };
             assert_eq!(
-                parkers(3, None, |c| c.minos.discipline = kind).1,
-                none,
+                watchers(3, None, stealing).1,
+                vec![vec![0, 1, 2]; 3],
                 "{kind:?}"
             );
         }
-        // Stealing keeps every core polling, under every discipline.
+        // Stealing from soft queues alone changes no watch set.
+        let stealing = |c: &mut ServerConfig| c.minos.steal = true;
+        let (_, watch) = watchers(4, Some(allocate(4, 0.5)), stealing);
+        assert_eq!(watch, [small(0), small(1), vec![], vec![]]);
+    }
+
+    #[test]
+    fn every_rx_queue_is_watched_under_every_plan() {
+        // Every discipline, 1-8 cores, every allocation (standby
+        // included), stealing on and off: a packet on any RX queue wakes
+        // some blocked core, so none waits for a timeout. The watch sets
+        // are the ones `PlanCache::load` derives.
         for kind in DisciplineKind::ALL {
-            for alloc in [None, Some(allocate(4, 0.5))] {
-                let stealing = |c: &mut ServerConfig| {
-                    c.minos.discipline = kind;
-                    c.minos.steal = true;
-                };
-                assert_eq!(parkers(4, alloc, stealing).1, none, "{kind:?} {alloc:?}");
+            let discipline = kind.build();
+            for n in 1..=8usize {
+                if matches!(kind, DisciplineKind::Sho { handoff } if handoff >= n) {
+                    continue; // sho needs a worker
+                }
+                for n_small in 1..=n {
+                    let plan = ShardingPlan {
+                        allocation: CoreAllocation {
+                            n_cores: n,
+                            n_small,
+                            n_large: n - n_small,
+                            standby: n_small == n,
+                        },
+                        ..ShardingPlan::bootstrap(n)
+                    };
+                    for steal in [false, true] {
+                        let steal_rx = steal && discipline.own_rx_only(&plan, BATCH);
+                        let watch: Vec<Vec<u16>> = (0..n)
+                            .map(|core| watched(&*discipline, &plan, n, steal_rx, core))
+                            .collect();
+                        for queue in 0..n as u16 {
+                            assert!(
+                                watch.iter().any(|w| w.contains(&queue)),
+                                "{kind:?} {:?} steal={steal}: queue {queue} unwatched in {watch:?}",
+                                plan.allocation
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -47,7 +47,7 @@ fn lost_fragment_reservation_is_evicted_and_released() {
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while server.store().mempool().used_bytes() == 0 {
         assert!(std::time::Instant::now() < deadline, "reservation opened");
-        std::thread::yield_now();
+        std::thread::sleep(Duration::from_micros(100));
     }
 
     // ...and two 20 ms rounds later the eviction must have released it.
@@ -81,9 +81,9 @@ fn lost_fragment_reservation_is_evicted_and_released() {
 /// bytes written, at least one park ends in a wake (no epoch runs, so
 /// nothing else wakes it), and shutdown joins the parked core. Core 1
 /// is sho's one worker: it drains no RX queue, so it parks whenever it
-/// was handed nothing for a window (`Core::parks_now`), and both wake
-/// paths run — the PUT's fragments are pinned to its software queue,
-/// the GET goes through the shared queue.
+/// finds nothing to do, and both wake paths run — the PUT's fragments
+/// are pinned to its software queue, the GET goes through the shared
+/// queue.
 #[test]
 fn a_parked_handoff_core_is_woken_by_its_handoffs_and_joined_at_shutdown() {
     use minos_core::dispatch::DisciplineKind;
@@ -642,7 +642,7 @@ mod burst {
                     "server sent {} of {n} frames",
                     self.frames_sent()
                 );
-                std::thread::yield_now();
+                std::thread::sleep(Duration::from_micros(100));
             }
         }
     }

@@ -23,7 +23,7 @@
 //! stops). Counters for every injected fault are exported under
 //! `fault.*` through the standard [`Transport::collect_metrics`] hook.
 
-use crate::transport::{Transport, TransportStats};
+use crate::transport::{RxReadiness, Transport, TransportStats};
 use minos_wire::packet::{Endpoint, Packet, TxPacket};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -569,6 +569,40 @@ impl<T: Transport> Transport for FaultTransport<T> {
         self.inner.local_endpoint(queue)
     }
 
+    /// The wrapped transport's readiness, due no later than the first
+    /// packet held on the queue's lane may be released without a
+    /// further arrival: a delayed packet at its release time, a
+    /// reordered one once its quiescence grace is over. A poller that
+    /// blocks on it is back by then, so the fault layer adds no wait of
+    /// its own to a packet past its release.
+    fn rx_readiness(&self, queue: u16) -> RxReadiness {
+        let inner = self.inner.rx_readiness(queue);
+        if self.profile.rx.is_noop() || self.profile.blackhole == Some(queue) {
+            return inner;
+        }
+        let lane = self.rx_lanes[queue as usize].lock().expect("rx lane");
+        // Past the cap the oldest is released at once.
+        let overflow = lane.hold.len() > MAX_HELD_PER_LANE;
+        let releasable_at = lane
+            .hold
+            .iter()
+            .map(|h| match (overflow, h.rank <= lane.seq) {
+                (true, _) => 0,
+                (false, true) => h.release_at_ns,
+                (false, false) => h.release_at_ns.max(h.grace_ns),
+            })
+            .min();
+        drop(lane);
+        let Some(at) = releasable_at else {
+            return inner;
+        };
+        let due = at.saturating_sub(self.now_ns());
+        RxReadiness {
+            due_in_ns: Some(inner.due_in_ns.map_or(due, |d| d.min(due))),
+            ..inner
+        }
+    }
+
     fn stats(&self) -> TransportStats {
         self.inner.stats()
     }
@@ -650,6 +684,44 @@ mod tests {
         assert_ne!(a, decision(1, DIR_TX, 0, 10, KIND_DROP));
         assert_ne!(a, decision(1, DIR_RX, 1, 10, KIND_DROP));
         assert_ne!(a, decision(1, DIR_RX, 0, 10, KIND_DUP));
+    }
+
+    #[test]
+    fn a_held_packet_makes_its_queue_due_by_its_release() {
+        use crate::VirtualTransport;
+        use minos_nic::{NicConfig, VirtualNic};
+        use minos_wire::packet::synthesize;
+        use minos_wire::udp::UdpHeader;
+
+        let nic = Arc::new(VirtualNic::new(NicConfig::new(1)));
+        let inner = Arc::new(VirtualTransport::new(Arc::clone(&nic)));
+        let profile = FaultProfile::parse("rx.delay_us=5000,seed=3").unwrap();
+        let fault = FaultTransport::new(inner, profile);
+        let idle = fault.rx_readiness(0);
+        assert_eq!(
+            idle.fd,
+            Some(nic.rx_doorbell(0)),
+            "the wrapped transport's fd"
+        );
+        assert_eq!(idle.due_in_ns, None, "nothing held");
+
+        let dst = Endpoint::host(1, UdpHeader::port_for_queue(0));
+        let pkt = synthesize(
+            Endpoint::host(9, 20_000),
+            dst,
+            bytes::Bytes::from_static(b"x"),
+        );
+        nic.deliver_packet(pkt);
+        let mut out = Vec::new();
+        assert_eq!(fault.rx_burst(0, &mut out, 32), 0, "the delay holds it");
+        // The inner queue is empty now, so only the due time brings a
+        // blocked poller back for it.
+        let due = fault.rx_readiness(0).due_in_ns.expect("a held packet");
+        assert!((1..=5_000_000).contains(&due), "due in {due} ns");
+        std::thread::sleep(std::time::Duration::from_nanos(due));
+        assert_eq!(fault.rx_readiness(0).due_in_ns, Some(0), "due now");
+        assert_eq!(fault.rx_burst(0, &mut out, 32), 1, "released once due");
+        assert_eq!(fault.rx_readiness(0).due_in_ns, None, "nothing held");
     }
 
     #[test]

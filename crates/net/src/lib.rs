@@ -28,6 +28,10 @@
 //!   datagrams directly in pooled, refcounted buffers that return
 //!   to the slab when the engine drops the payload, making the
 //!   steady-state receive path allocation-free end to end.
+//! * [`PollSet`] — one `ppoll` over a core's RX readiness fds
+//!   ([`Transport::rx_readiness`]: the socket, or the virtual NIC
+//!   ring's doorbell) and its wake [`EventFd`], so an idle core blocks
+//!   until an arrival, a wake or a timeout instead of yielding.
 //! * [`affinity`] — thread→core pinning (`sched_setaffinity`), used by
 //!   the `minos-server` polling threads and `minos-loadgen` clients.
 //! * [`testport`] — PID-salted port-range allocation for test suites
@@ -58,11 +62,13 @@ pub mod testport;
 mod transport;
 mod udp;
 mod virt;
+mod wait;
 
 pub use fault::{DirectionFaults, FaultProfile, FaultStats, FaultTransport};
 pub use pool::{BufferPool, PoolStats, PooledBuf};
 #[doc(hidden)]
 pub use sys::set_offload_available;
-pub use transport::{Transport, TransportStats};
+pub use transport::{RxReadiness, Transport, TransportStats};
 pub use udp::{endpoint_for, UdpConfig, UdpIoStats, UdpTransport, BATCH};
 pub use virt::{VirtualClientTransport, VirtualTransport};
+pub use wait::{EventFd, PollSet};

@@ -216,6 +216,53 @@ extern "C" {
     ) -> i32;
     fn sendmmsg(fd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32) -> i32;
     fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+    fn ppoll(
+        fds: *mut PollFd,
+        nfds: std::os::raw::c_ulong,
+        timeout: *const Timespec,
+        sigmask: *const u8, // sigset_t*; always null here
+    ) -> i32;
+}
+
+/// `struct pollfd`.
+#[derive(Clone, Copy, Debug)]
+#[repr(C)]
+pub struct PollFd {
+    /// The watched descriptor.
+    pub fd: i32,
+    /// Requested events.
+    pub events: i16,
+    /// Returned events (kernel out-param).
+    pub revents: i16,
+}
+
+/// Readable-data event of [`PollFd`].
+pub const POLLIN: i16 = 0x1;
+
+/// `struct timespec`.
+#[repr(C)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
+/// One `ppoll` over `fds`, waiting at most `timeout`; returns how many
+/// entries have events, 0 on timeout or an interrupting signal.
+pub fn poll_fds(fds: &mut [PollFd], timeout: std::time::Duration) -> io::Result<usize> {
+    let ts = Timespec {
+        tv_sec: timeout.as_secs().min(i64::MAX as u64) as i64,
+        tv_nsec: i64::from(timeout.subsec_nanos()),
+    };
+    // SAFETY: `fds` is a live, writable slice for the whole call.
+    let rc = unsafe { ppoll(fds.as_mut_ptr(), fds.len() as _, &ts, std::ptr::null()) };
+    if rc >= 0 {
+        return Ok(rc as usize);
+    }
+    let err = io::Error::last_os_error();
+    match err.kind() {
+        io::ErrorKind::Interrupted => Ok(0),
+        _ => Err(err),
+    }
 }
 
 /// One non-blocking `recvmmsg` call over `hdrs`.

@@ -1,6 +1,7 @@
 //! The [`Transport`] trait: the multi-queue packet I/O contract.
 
 use minos_wire::packet::{Endpoint, Packet, TxPacket};
+use std::os::fd::RawFd;
 
 /// Aggregate transport statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -22,6 +23,23 @@ pub struct TransportStats {
     /// must materialize contiguous frames (its stand-in for DMA) and
     /// counts every gathered segment byte here honestly.
     pub tx_copied_bytes: u64,
+}
+
+/// How a poller that found an RX queue empty learns that it holds
+/// packets again, without polling it ([`Transport::rx_readiness`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RxReadiness {
+    /// An fd that polls readable (`POLLIN`) while the queue holds
+    /// packets: the UDP socket, or the virtual NIC ring's doorbell. It
+    /// may read readable once with nothing left to take. `None`: the
+    /// backend has no such fd, and a blocked poller notices an arrival
+    /// only when its own timeout ends the block.
+    pub fd: Option<RawFd>,
+    /// The queue yields packets within this many nanoseconds even if
+    /// nothing arrives: packets the backend already holds, such as a
+    /// fault layer's delayed ones. `Some(0)` means now. `None`: not
+    /// before the next arrival.
+    pub due_in_ns: Option<u64>,
 }
 
 /// Multi-queue packet I/O.
@@ -74,6 +92,14 @@ pub trait Transport: Send + Sync {
     /// writes as the source of packets it synthesizes, and what peers
     /// should address to reach this queue.
     fn local_endpoint(&self, queue: u16) -> Endpoint;
+
+    /// How a poller can wait for RX queue `queue` to hold packets
+    /// instead of polling it. The default offers nothing to wait on, so
+    /// a blocked poller finds that queue's packets only when its
+    /// timeout ends the block.
+    fn rx_readiness(&self, _queue: u16) -> RxReadiness {
+        RxReadiness::default()
+    }
 
     /// Statistics snapshot.
     fn stats(&self) -> TransportStats {

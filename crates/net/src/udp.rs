@@ -63,7 +63,7 @@
 use crate::batch::{RxArena, TxArena, RX_SLOT_LEN, RX_SPILL_LEN};
 use crate::pool::{BufferPool, PoolStats};
 use crate::sys;
-use crate::transport::{Transport, TransportStats};
+use crate::transport::{RxReadiness, Transport, TransportStats};
 use minos_wire::frame::MacAddr;
 use minos_wire::packet::{synthesize, Endpoint, Packet, TxPacket};
 use std::collections::VecDeque;
@@ -567,6 +567,19 @@ impl Transport for UdpTransport {
 
     fn local_endpoint(&self, queue: u16) -> Endpoint {
         endpoint_for(self.ip, self.base_port + queue)
+    }
+
+    /// The socket, which polls readable while datagrams are queued;
+    /// due now while an earlier burst left datagrams pending. A burst
+    /// holding the queue's lock will take its own pending ones.
+    fn rx_readiness(&self, queue: u16) -> RxReadiness {
+        let pending = self.rx_queues[queue as usize]
+            .try_lock()
+            .is_ok_and(|rx| !rx.pending.is_empty());
+        RxReadiness {
+            fd: Some(self.sockets[queue as usize].as_raw_fd()),
+            due_in_ns: pending.then_some(0),
+        }
     }
 
     fn stats(&self) -> TransportStats {

@@ -11,7 +11,7 @@
 //! accounting honest across backends.
 
 use crate::pool::{BufferPool, PoolStats};
-use crate::transport::{Transport, TransportStats};
+use crate::transport::{RxReadiness, Transport, TransportStats};
 use minos_nic::{Delivery, VirtualNic};
 use minos_wire::packet::{Endpoint, Packet, TxPacket};
 use minos_wire::udp::UdpHeader;
@@ -123,6 +123,15 @@ impl Transport for VirtualTransport {
 
     fn local_endpoint(&self, queue: u16) -> Endpoint {
         Endpoint::host(VIRTUAL_SERVER_HOST, UdpHeader::port_for_queue(queue))
+    }
+
+    /// The ring's doorbell, which the client side rings when it
+    /// delivers onto an idle ring.
+    fn rx_readiness(&self, queue: u16) -> RxReadiness {
+        RxReadiness {
+            fd: Some(self.nic.rx_doorbell(queue)),
+            due_in_ns: None,
+        }
     }
 
     fn stats(&self) -> TransportStats {

@@ -1,8 +1,10 @@
 //! The virtual NIC device: destination-port steering, rings and statistics.
 
+use crate::eventfd::EventFd;
 use crossbeam::queue::ArrayQueue;
 use minos_wire::packet::Packet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::os::fd::{AsRawFd, RawFd};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 
 /// Configuration of a [`VirtualNic`].
 #[derive(Clone, Debug)]
@@ -57,6 +59,55 @@ pub struct NicStats {
     pub tx_bytes: u64,
 }
 
+/// An RX ring's interrupt line: an [`EventFd`] that reads readable
+/// whenever the ring holds packets, as a socket does, so a consumer
+/// can block in `poll(2)` on an idle ring.
+///
+/// A delivery rings it unless `rung` says it already is. A consumer
+/// that finds the ring empty while `rung` is set clears it: it lowers
+/// `rung`, fences, drains the counter and looks at the ring again,
+/// ringing once more if a packet landed meanwhile. With the fences,
+/// either that look sees a racing delivery or the delivery sees `rung`
+/// lowered and rings, so a non-empty ring is never left silent. Both
+/// sides touch the fd once per busy-to-idle cycle, not per packet.
+#[derive(Debug)]
+struct Doorbell {
+    efd: EventFd,
+    rung: AtomicBool,
+}
+
+impl Doorbell {
+    fn new() -> Self {
+        Doorbell {
+            efd: EventFd::new().expect("an eventfd per RX queue"),
+            rung: AtomicBool::new(false),
+        }
+    }
+
+    /// After a packet was pushed onto the ring.
+    fn ring(&self) {
+        fence(Ordering::SeqCst);
+        if !self.rung.load(Ordering::Relaxed) {
+            self.efd.notify();
+            self.rung.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// After a burst found `ring` empty.
+    fn quiet(&self, ring: &ArrayQueue<Packet>) {
+        if !self.rung.load(Ordering::Relaxed) {
+            return;
+        }
+        self.rung.store(false, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        self.efd.drain();
+        if !ring.is_empty() {
+            self.efd.notify();
+            self.rung.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
 /// An in-process multi-queue NIC.
 ///
 /// `deliver_packet` runs on the *sender's* context — steering costs the
@@ -68,6 +119,8 @@ pub struct NicStats {
 pub struct VirtualNic {
     num_queues: u16,
     rx: Vec<ArrayQueue<Packet>>,
+    /// One per RX ring ([`VirtualNic::rx_doorbell`]).
+    doorbells: Vec<Doorbell>,
     tx: Vec<ArrayQueue<Packet>>,
     rx_delivered: AtomicU64,
     rx_malformed: AtomicU64,
@@ -94,6 +147,7 @@ impl VirtualNic {
         Self {
             num_queues: config.num_queues,
             rx: (0..config.num_queues).map(mk).collect(),
+            doorbells: (0..config.num_queues).map(|_| Doorbell::new()).collect(),
             tx: (0..config.num_queues).map(mk).collect(),
             rx_delivered: AtomicU64::new(0),
             rx_malformed: AtomicU64::new(0),
@@ -117,6 +171,7 @@ impl VirtualNic {
         };
         let bytes = packet.wire_len() as u64;
         if self.rx[q as usize].push(packet).is_ok() {
+            self.doorbells[q as usize].ring();
             self.rx_delivered.fetch_add(1, Ordering::Relaxed);
             self.rx_bytes.fetch_add(bytes, Ordering::Relaxed);
             Delivery::Queued(q)
@@ -128,7 +183,20 @@ impl VirtualNic {
 
     /// Burst-dequeues up to `max` packets from RX queue `queue`.
     pub fn rx_burst(&self, queue: u16, out: &mut Vec<Packet>, max: usize) -> usize {
-        burst(&self.rx[queue as usize], out, max)
+        let ring = &self.rx[queue as usize];
+        let moved = burst(ring, out, max);
+        if moved == 0 {
+            self.doorbells[queue as usize].quiet(ring);
+        }
+        moved
+    }
+
+    /// The fd of RX queue `queue`'s doorbell: it polls readable while
+    /// the ring holds packets, like a socket with datagrams queued. It
+    /// stays readable after the last packet leaves until a burst finds
+    /// the ring empty, so a poller may wake once for nothing.
+    pub fn rx_doorbell(&self, queue: u16) -> RawFd {
+        self.doorbells[queue as usize].efd.as_raw_fd()
     }
 
     /// Enqueues a packet for transmission on TX queue `queue`; `false`
@@ -224,6 +292,47 @@ mod tests {
             Delivery::DroppedFull(0)
         );
         assert_eq!(nic.stats().rx_ring_full, 1);
+    }
+
+    /// Whether `fd` polls readable right now.
+    fn readable(fd: RawFd) -> bool {
+        #[repr(C)]
+        struct PollFd {
+            fd: i32,
+            events: i16,
+            revents: i16,
+        }
+        extern "C" {
+            fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
+        }
+        let mut p = PollFd {
+            fd,
+            events: 1, // POLLIN
+            revents: 0,
+        };
+        // SAFETY: one live pollfd, no wait.
+        unsafe { poll(&mut p, 1, 0) == 1 }
+    }
+
+    #[test]
+    fn the_doorbell_reads_readable_while_the_ring_holds_packets() {
+        let nic = VirtualNic::new(NicConfig::new(2));
+        let (bell, other) = (nic.rx_doorbell(1), nic.rx_doorbell(0));
+        let mut out = Vec::new();
+        assert!(!readable(bell), "an idle ring");
+        for _ in 0..3 {
+            nic.deliver_packet(packet_to_queue(1));
+            assert!(readable(bell), "a packet waits");
+            assert!(!readable(other), "another queue's doorbell");
+        }
+        assert_eq!(nic.rx_burst(1, &mut out, 2), 2);
+        assert!(readable(bell), "one packet left");
+        assert_eq!(nic.rx_burst(1, &mut out, 2), 1);
+        // Until a burst finds the ring empty, the bell may still ring.
+        assert_eq!(nic.rx_burst(1, &mut out, 2), 0);
+        assert!(!readable(bell), "drained and found empty");
+        nic.deliver_packet(packet_to_queue(1));
+        assert!(readable(bell), "the next delivery rings again");
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! byte. [`VirtualNic::deliver_packet`] steers a packet and enqueues it
 //! on a lock-free RX ring; cores take packets off the rings in bursts
 //! ([`VirtualNic::rx_burst`]), and replies wait on TX rings until the
-//! in-process client drains them ([`VirtualNic::tx_drain`]).
+//! in-process client drains them ([`VirtualNic::tx_drain`]). Each RX
+//! ring has a doorbell, an [`EventFd`] that polls readable while the
+//! ring holds packets ([`VirtualNic::rx_doorbell`]), so a core can
+//! block on an idle ring as it would on a socket.
 //!
 //! The property preserved from real hardware: **steering costs no server
 //! CPU** — `deliver_packet` runs on the sender's (client's) context, and a
@@ -27,5 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod device;
+mod eventfd;
 
 pub use device::{Delivery, NicConfig, NicStats, VirtualNic};
+pub use eventfd::EventFd;

@@ -181,6 +181,17 @@ def wakes_within_parks(r):
     return not bad, "; ".join(bad) if bad else f"{len(reports)} reports, at most {most} parks on one core"
 
 
+def idle_cores_block(r):
+    """``core.N.parks > 0`` for every core N in the server's final
+    report: every core, the only drainer of an RX queue included,
+    blocks when idle rather than yielding."""
+    parks = r["srv"].per_core("parks")
+    idle = [f"core {n}: 0 parks" for n, p in sorted(parks.items()) if p == 0]
+    if not parks:
+        return False, "no core.N.parks in the final report"
+    return not idle, "; ".join(idle) if idle else f"{len(parks)} cores, at least {min(parks.values())} parks each"
+
+
 def merged(r):
     stats, last = r["lg"]["server_stats"], r["tl"][-1]["seq"]
     if stats is None:
@@ -254,6 +265,7 @@ GATES = {
         ("small-queue-wait", "core.N.small.queue_wait_ns", lambda r: queue_wait(r["tl"], "small")),
         ("large-queue-wait", "core.N.large.queue_wait_ns", lambda r: queue_wait(r["tl"], "large")),
         ("wakes-within-parks", "core.N.parks core.N.wakes", wakes_within_parks),
+        ("idle-cores-block", "core.N.parks", idle_cores_block),
         ("merged", "server_stats seq", merged),
         ("final-puts", "store.puts client.puts_sent",
          lambda r: (r["srv"]["store.puts"] == r["lg"]["client.puts_sent"],
