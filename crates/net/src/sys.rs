@@ -247,22 +247,16 @@ struct Timespec {
 }
 
 /// One `ppoll` over `fds`, waiting at most `timeout`; returns how many
-/// entries have events, 0 on timeout or an interrupting signal.
-pub fn poll_fds(fds: &mut [PollFd], timeout: std::time::Duration) -> io::Result<usize> {
+/// entries have events. A timeout, an interrupting signal and a failed
+/// call all return 0: the caller can only poll again.
+pub fn poll_fds(fds: &mut [PollFd], timeout: std::time::Duration) -> usize {
     let ts = Timespec {
         tv_sec: timeout.as_secs().min(i64::MAX as u64) as i64,
         tv_nsec: i64::from(timeout.subsec_nanos()),
     };
     // SAFETY: `fds` is a live, writable slice for the whole call.
     let rc = unsafe { ppoll(fds.as_mut_ptr(), fds.len() as _, &ts, std::ptr::null()) };
-    if rc >= 0 {
-        return Ok(rc as usize);
-    }
-    let err = io::Error::last_os_error();
-    match err.kind() {
-        io::ErrorKind::Interrupted => Ok(0),
-        _ => Err(err),
-    }
+    usize::try_from(rc).unwrap_or(0)
 }
 
 /// One non-blocking `recvmmsg` call over `hdrs`.

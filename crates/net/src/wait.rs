@@ -41,11 +41,10 @@ impl PollSet {
     }
 
     /// Blocks until some fd in the set is readable or `timeout` passes;
-    /// returns how many are readable (0: the timeout, or a signal,
-    /// ended the wait). An error of the call itself counts as 0, as the
-    /// caller can only poll again.
+    /// returns how many are readable (0: the timeout, a signal or a
+    /// failed call ended the wait).
     pub fn wait(&mut self, timeout: Duration) -> usize {
-        sys::poll_fds(&mut self.fds, timeout).unwrap_or(0)
+        sys::poll_fds(&mut self.fds, timeout)
     }
 
     /// Whether the fd at `index` read readable in the last
