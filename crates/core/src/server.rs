@@ -49,8 +49,11 @@
 //! queue watches every queue it drains, and polls on for 64 idle rounds
 //! before it blocks; a core whose RX queues a peer drains too — the
 //! handoff cores under size-aware sharding, sho's workers — watches
-//! none and blocks at once, since only pushes bring it work. No core
-//! yields its CPU.
+//! none and blocks at once, since only pushes bring it work. No idle
+//! core yields its CPU; a waker hands over once: a round that pushed
+//! work and woke a blocked core for it ends, after its last flush, in
+//! one `yield_now`, so the woken core runs on the waker's CPU instead
+//! of after a poller's scheduler slice (`core.N.handovers`).
 //!
 //! Lifecycle telemetry follows the same split: a request's `service_ns`
 //! ends when its reply is staged, and the send is the burst's
@@ -570,6 +573,7 @@ impl<T: Transport + 'static, C: Clock> Collector for EngineCollector<T, C> {
             out.push(counter("steals", c.steals));
             out.push(counter("parks", c.parks));
             out.push(counter("wakes", c.wakes));
+            out.push(counter("handovers", c.handovers));
             out.push(counter("packets_rx", c.packets_rx));
             out.push(counter("packets_tx", c.packets_tx));
             out.push(counter("frames_rx", c.frames_rx));
@@ -932,7 +936,7 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
             self.reported_evictions = self.reassembler.evicted;
         }
 
-        let mut did_work = false;
+        let (mut did_work, mut woke) = (false, false);
         if let Some(schedule) = &cached.schedule {
             let (own, batch) = schedule.own;
             let mut total = shared
@@ -949,7 +953,7 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
                 // behind a large request's execution. Then the cores the
                 // burst handed work to are woken.
                 self.flush_tx();
-                self.wake_pushed();
+                woke = self.wake_pushed();
             }
         }
 
@@ -977,7 +981,16 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
         // with the burst empty — shutdown, observed only between rounds,
         // can never strand a staged reply.
         self.flush_tx();
-        self.wake_pushed();
+        woke |= self.wake_pushed();
+
+        // A core this round woke finds no idle CPU on a host where
+        // every other thread polls, and would wait out a poller's
+        // scheduler slice: hand it this one. Every reply the round
+        // staged has left, so the yield delays none.
+        if woke {
+            shared.stats[self.id].record_handover();
+            std::thread::yield_now();
+        }
         did_work
     }
 
@@ -987,11 +1000,12 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
     /// once: only a push brings it work, and the push wakes it, while
     /// its spin would hold a CPU the pushing core and the clients need
     /// (on 2 shared vCPUs, the standby core's spin after each handoff
-    /// raised `churn_evict`'s unloaded small median by half). No core
-    /// yields: on a shared host a yield leaves the core off-CPU for a
-    /// scheduler slice when its next request arrives, where a blocked
-    /// core is woken by the arrival. Until a round finds work again,
-    /// every idle round blocks.
+    /// raised `churn_evict`'s unloaded small median by half). No idle
+    /// core yields: on a shared host a yield leaves the core off-CPU
+    /// for a scheduler slice when its next request arrives, where a
+    /// blocked core is woken by the arrival. Until a round finds work
+    /// again, every idle round blocks. (A waker hands over once: the
+    /// yield that ends a round which woke a peer, in [`Core::step`].)
     fn idle(&mut self, cached: &PlanCache) {
         self.idle_rounds = self.idle_rounds.saturating_add(1);
         if self.idle_rounds <= SPIN_ROUNDS && !cached.watch.is_empty() {
@@ -1063,15 +1077,16 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
     /// software queue holds work, and as many blocked pullers of the
     /// shared queue as the round pushed onto it (at most what it still
     /// holds). Called after a flush, so the round's replies have left
-    /// before the wakes' syscalls.
-    fn wake_pushed(&mut self) {
+    /// before the wakes' syscalls. Returns whether it woke a core.
+    fn wake_pushed(&mut self) -> bool {
         if !std::mem::take(&mut self.pushed) {
-            return;
+            return false;
         }
         fence(Ordering::SeqCst);
         let shared = self.shared;
         let waiting = shared.shared_queue.as_ref().map_or(0, HandoffRing::len);
         let mut pullers = std::mem::take(&mut self.shared_pushes).min(waiting);
+        let mut woke = false;
         for (core, spot) in shared.parking.iter().enumerate() {
             if !spot.parked.load(Ordering::Relaxed) {
                 continue;
@@ -1079,8 +1094,10 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
             let puller = pullers > 0 && shared.discipline.pulls_shared(core);
             if (puller || !shared.soft_queues[core].is_empty()) && shared.wake(core) {
                 pullers -= usize::from(puller);
+                woke = true;
             }
         }
+        woke
     }
 
     /// The work that needs the time of day, run every 64th round at
@@ -2071,6 +2088,87 @@ mod tests {
             }
         }
         assert_eq!(entries, script(), "a rerun reads the same metrics");
+    }
+
+    #[test]
+    fn a_round_that_wakes_a_parked_core_hands_it_the_cpu_once() {
+        // Two cores in standby under a 512 B static threshold: core 0
+        // hands a 1 000 B PUT to core 1 and runs a 100 B one inline.
+        let mut config = ServerConfig::for_test(2, 1_000);
+        config.minos.threshold_mode = ThresholdMode::Static(512);
+        let nic = Arc::new(VirtualNic::new(NicConfig::new(2)));
+        let transport = Arc::new(VirtualTransport::new(Arc::clone(&nic)));
+        let shared = Arc::new(Shared::new(&config, transport, ManualClock::default()));
+        register_collectors(&shared);
+        let (cached0, cached1) = (PlanCache::load(&*shared, 0), PlanCache::load(&*shared, 1));
+        let (mut core0, mut core1) = (Core::new(&*shared, 0), Core::new(&*shared, 1));
+        let spot = &shared.parking[1];
+        let handovers = || {
+            let entries = shared.registry.snapshot().entries;
+            match entries.iter().find(|(n, _)| n == "core.0.handovers") {
+                Some((_, MetricValue::Counter(v))) => *v,
+                other => panic!("core.0.handovers: {other:?}"),
+            }
+        };
+        let handoffs = || shared.stats[0].snapshot().handoffs;
+
+        // Core 1 blocked: the handoff clears its flag, writes its wake
+        // eventfd, and the round ends in one handover.
+        spot.parked.store(true, Ordering::Relaxed);
+        nic.deliver_packet(put_packet(1, 1_000));
+        assert!(core0.step(&cached0));
+        assert_eq!(handoffs(), 1);
+        assert!(
+            !spot.parked.load(Ordering::Relaxed),
+            "the wake cleared the flag"
+        );
+        assert!(spot.wake.drain(), "the wake wrote the eventfd");
+        assert_eq!(handovers(), 1);
+        assert!(core1.step(&cached1), "core 1 serves the handoff");
+        assert_eq!(shared.stats[1].snapshot().handovers, 0, "it woke nobody");
+
+        // Core 1 running: the same push wakes nobody and hands nothing
+        // over.
+        nic.deliver_packet(put_packet(2, 1_000));
+        assert!(core0.step(&cached0));
+        assert_eq!(handoffs(), 2);
+        assert!(!spot.wake.drain(), "no wake written");
+        assert_eq!(handovers(), 1);
+        assert!(core1.step(&cached1));
+
+        // A round that pushes nothing wakes nobody, blocked or not.
+        spot.parked.store(true, Ordering::Relaxed);
+        nic.deliver_packet(put_packet(3, 100));
+        assert!(core0.step(&cached0));
+        assert_eq!(handoffs(), 2, "executed inline");
+        assert!(spot.parked.load(Ordering::Relaxed), "still blocked");
+        assert!(!spot.wake.drain(), "no wake written");
+        assert_eq!(handovers(), 1);
+        assert!(!core0.step(&cached0), "an idle round hands nothing over");
+        assert_eq!(handovers(), 1);
+    }
+
+    #[test]
+    fn a_shared_queue_push_that_wakes_a_parked_puller_hands_over() {
+        // sho with one dispatch core: every request core 0 decodes goes
+        // onto the shared queue that core 1 pulls.
+        let mut config = ServerConfig::for_test(2, 1_000);
+        config.minos.discipline = DisciplineKind::Sho { handoff: 1 };
+        let nic = Arc::new(VirtualNic::new(NicConfig::new(2)));
+        let transport = Arc::new(VirtualTransport::new(Arc::clone(&nic)));
+        let shared = Shared::new(&config, transport, ManualClock::default());
+        let (cached0, cached1) = (PlanCache::load(&shared, 0), PlanCache::load(&shared, 1));
+        let (mut core0, mut core1) = (Core::new(&shared, 0), Core::new(&shared, 1));
+        let spot = &shared.parking[1];
+        for (round, parked) in [(1, true), (2, false), (3, true)] {
+            spot.parked.store(parked, Ordering::Relaxed);
+            nic.deliver_packet(put_packet(round, 100));
+            assert!(core0.step(&cached0));
+            assert_eq!(spot.wake.drain(), parked, "round {round}");
+            assert!(core1.step(&cached1), "round {round}: the worker pulls it");
+        }
+        assert_eq!(shared.stats[0].snapshot().handovers, 2);
+        assert_eq!(shared.stats[1].snapshot().ops, 3);
     }
 
     #[test]

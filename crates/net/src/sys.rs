@@ -371,15 +371,25 @@ fn set_opt(fd: i32, level: i32, opt: i32, value: i32) -> io::Result<()> {
     }
 }
 
-/// Creates, configures and binds a `SO_REUSEPORT` UDP socket.
-pub fn bind_reuseport_udp(addr: SocketAddrV4, buffer_bytes: usize) -> io::Result<UdpSocket> {
+/// Creates, configures and binds a UDP socket; `share_port` sets
+/// `SO_REUSEADDR` and `SO_REUSEPORT`, which a server queue socket wants
+/// (several processes may share its port) and a client socket must not
+/// have (the kernel could then hand two live clients one ephemeral port
+/// and deliver one's replies to the other).
+pub fn bind_udp(
+    addr: SocketAddrV4,
+    buffer_bytes: usize,
+    share_port: bool,
+) -> io::Result<UdpSocket> {
     let fd = unsafe { socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0) };
     if fd < 0 {
         return Err(io::Error::last_os_error());
     }
     let result = (|| {
-        set_opt(fd, SOL_SOCKET, SO_REUSEADDR, 1)?;
-        set_opt(fd, SOL_SOCKET, SO_REUSEPORT, 1)?;
+        if share_port {
+            set_opt(fd, SOL_SOCKET, SO_REUSEADDR, 1)?;
+            set_opt(fd, SOL_SOCKET, SO_REUSEPORT, 1)?;
+        }
         // Best-effort buffer sizing: the kernel clamps to
         // net.core.{r,w}mem_max, which is fine.
         let bytes = buffer_bytes.min(i32::MAX as usize) as i32;

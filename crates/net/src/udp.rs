@@ -290,7 +290,7 @@ impl UdpTransport {
         let mut sockets = Vec::with_capacity(config.num_queues as usize);
         for q in 0..config.num_queues {
             let addr = SocketAddrV4::new(config.ip, config.base_port + q);
-            let socket = sys::bind_reuseport_udp(addr, config.socket_buffer_bytes)?;
+            let socket = sys::bind_udp(addr, config.socket_buffer_bytes, true)?;
             socket.set_nonblocking(true)?;
             sockets.push(socket);
         }
@@ -311,12 +311,15 @@ impl UdpTransport {
 
     /// Binds a single-queue client transport honoring `config`'s socket
     /// buffer size, pool size and bind address (`config.base_port` of 0
-    /// picks an ephemeral port; `config.num_queues` must be 1).
+    /// picks an ephemeral port; `config.num_queues` must be 1). The
+    /// socket shares its port with no other, so every live client owns
+    /// its port and receives only its own replies.
     pub fn bind_client_with(config: UdpConfig) -> std::io::Result<Self> {
         assert_eq!(config.num_queues, 1, "client transports are single-queue");
-        let socket = sys::bind_reuseport_udp(
+        let socket = sys::bind_udp(
             SocketAddrV4::new(config.ip, config.base_port),
             config.socket_buffer_bytes,
+            false,
         )?;
         socket.set_nonblocking(true)?;
         let local = match socket.local_addr()? {

@@ -848,3 +848,40 @@ fn trains_reach_receivers_that_never_asked_for_them() {
         assert!(sender.io_stats().tx_trains >= 2, "the burst left as trains");
     }
 }
+
+extern "C" {
+    fn getsockopt(fd: i32, level: i32, optname: i32, optval: *mut i32, optlen: *mut u32) -> i32;
+}
+
+/// The value of the `SOL_SOCKET` option `opt` on queue 0's socket.
+fn socket_option(transport: &UdpTransport, opt: i32) -> i32 {
+    const SOL_SOCKET: i32 = 1;
+    let fd = transport
+        .rx_readiness(0)
+        .fd
+        .expect("a UDP queue has its socket");
+    let (mut value, mut len) = (-1i32, std::mem::size_of::<i32>() as u32);
+    // SAFETY: `fd` is a live socket the transport owns, and both out
+    // pointers address locals of the sizes passed.
+    let rc = unsafe { getsockopt(fd, SOL_SOCKET, opt, &mut value, &mut len) };
+    assert_eq!(rc, 0, "getsockopt: {}", std::io::Error::last_os_error());
+    value
+}
+
+#[test]
+fn client_sockets_own_their_ports_and_server_sockets_share_theirs() {
+    const SO_REUSEADDR: i32 = 2;
+    const SO_REUSEPORT: i32 = 15;
+    let server = bind_udp_server(1);
+    let clients: Vec<UdpTransport> = (0..64)
+        .map(|_| UdpTransport::bind_client(Ipv4Addr::LOCALHOST).expect("bind client"))
+        .collect();
+    for opt in [SO_REUSEADDR, SO_REUSEPORT] {
+        assert_eq!(socket_option(&server, opt), 1, "server option {opt}");
+        assert_eq!(socket_option(&clients[0], opt), 0, "client option {opt}");
+    }
+    // No two live clients share a port, so none receives another's
+    // replies.
+    let ports: std::collections::HashSet<u16> = clients.iter().map(|c| c.base_port()).collect();
+    assert_eq!(ports.len(), clients.len(), "distinct client ports");
+}

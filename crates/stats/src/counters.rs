@@ -43,6 +43,9 @@ pub struct CoreStats {
     /// Parks ended by a wake (a push onto this core's queue, a plan
     /// publication or shutdown) rather than by the park's timeout.
     pub wakes: u64,
+    /// Poll rounds after which this core, having woken a blocked peer
+    /// it pushed work to, yielded its CPU to it once.
+    pub handovers: u64,
 }
 
 impl CoreStats {
@@ -68,6 +71,7 @@ impl CoreStats {
         self.steals += other.steals;
         self.parks += other.parks;
         self.wakes += other.wakes;
+        self.handovers += other.handovers;
         self
     }
 
@@ -88,6 +92,7 @@ impl CoreStats {
             steals: self.steals - earlier.steals,
             parks: self.parks - earlier.parks,
             wakes: self.wakes - earlier.wakes,
+            handovers: self.handovers - earlier.handovers,
         }
     }
 }
@@ -117,6 +122,7 @@ pub struct SharedCoreStats {
     steals: AtomicU64,
     parks: AtomicU64,
     wakes: AtomicU64,
+    handovers: AtomicU64,
 }
 
 impl SharedCoreStats {
@@ -187,6 +193,12 @@ impl SharedCoreStats {
         self.wakes.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records a round that ended by yielding to a peer it woke.
+    #[inline]
+    pub fn record_handover(&self) {
+        self.handovers.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Takes a consistent-enough snapshot for statistics purposes.
     pub fn snapshot(&self) -> CoreStats {
         CoreStats {
@@ -204,6 +216,7 @@ impl SharedCoreStats {
             steals: self.steals.load(Ordering::Relaxed),
             parks: self.parks.load(Ordering::Relaxed),
             wakes: self.wakes.load(Ordering::Relaxed),
+            handovers: self.handovers.load(Ordering::Relaxed),
         }
     }
 }
@@ -225,6 +238,7 @@ mod tests {
         s.record_park();
         s.record_park();
         s.record_wake();
+        s.record_handover();
         let snap = s.snapshot();
         assert_eq!(snap.ops, 3);
         assert_eq!(snap.get_ops, 2);
@@ -237,7 +251,7 @@ mod tests {
         assert_eq!(snap.bytes_tx, 1500);
         assert_eq!(snap.handoffs, 1);
         assert_eq!(snap.steals, 1);
-        assert_eq!((snap.parks, snap.wakes), (2, 1));
+        assert_eq!((snap.parks, snap.wakes, snap.handovers), (2, 1, 1));
         assert_eq!(snap.packets(), 5);
     }
 

@@ -29,6 +29,14 @@ flags to both sides of an open-loop pair. The shed valve at 100 k/s:
         target/release/minos-server --open-loop 100000 --seeds 11-20 \\
         --loadgen-args "--p-large 0.02" --b-args "--shed-watermark 8"
 
+Per-layer rows from the same runs: ``--snapshot NAME`` (repeatable)
+reads one leaf of each run's final server snapshot (closed loop:
+``server-W.exit.json`` in the run's out dir; open loop: the server's
+``--json`` report) and tabulates it like the end-to-end rows, lower
+counted as better. ``NAME`` is a metric (its ``value``) or a metric and
+a field, e.g. ``core.0.handovers`` or
+``core.1.large.queue_wait_ns.p90``, or the snapshot's ``elapsed_ms``.
+
 Every run's raw result goes to ``DIR/pairs.jsonl``, one JSON object per
 line; ``--report DIR/pairs.jsonl`` prints the tables again from it
 (then A and B may be left out). Build both servers first (``cargo build
@@ -80,6 +88,23 @@ def side_args(args, side):
     return shlex.split(args.a_args if side == "A" else args.b_args)
 
 
+def snapshot_leaves(args, text):
+    """The ``--snapshot`` leaves of one server snapshot line (``None``
+    where the snapshot lacks one)."""
+    doc = json.loads(text) if text.strip() else {}
+    metrics = doc.get("metrics", {})
+    out = {}
+    for name in args.snapshot:
+        if name == "elapsed_ms":
+            out[name] = doc.get(name)
+        elif name in metrics:
+            out[name] = metrics[name].get("value")
+        else:
+            metric, _, field = name.rpartition(".")
+            out[name] = (metrics.get(metric) or {}).get(field)
+    return out
+
+
 def closed_loop(args, server, workload, seed, side):
     out = os.path.join(args.out, f"{side}-{workload}-{seed}")
     cmd = [args.bench, "--server", server, "--root", args.root, "--out", out,
@@ -92,6 +117,9 @@ def closed_loop(args, server, workload, seed, side):
         raise SystemExit(f"{side} {workload} seed {seed}: no result (exit {run.returncode})")
     doc = json.loads(lines[-1])
     metrics = {name: m["value"] for name, m in doc["metrics"].items()}
+    if args.snapshot:
+        with open(os.path.join(out, f"server-{workload}.exit.json")) as f:
+            metrics.update(snapshot_leaves(args, f.read()))
     return {"failed": doc["failed"], "attempted": doc["attempted"], "metrics": metrics}
 
 
@@ -107,7 +135,7 @@ def open_loop(args, server, workload, seed, side):
         run = subprocess.run(cmd, capture_output=True, text=True)
     finally:
         srv.send_signal(signal.SIGINT)
-        srv.communicate(timeout=60)
+        exit_report, _ = srv.communicate(timeout=60)
     try:
         doc = json.loads(run.stdout)
     except json.JSONDecodeError:
@@ -117,10 +145,12 @@ def open_loop(args, server, workload, seed, side):
     metrics = {f"{cls}_{q}_us": pick(cls, q) for cls in ("small", "large") for q in ("p50", "p99")}
     metrics["loss_rate"] = doc["loss_rate"]
     metrics["overloaded"] = (doc["metrics"].get("client.overloaded") or {}).get("value", 0)
+    if args.snapshot:
+        metrics.update(snapshot_leaves(args, exit_report))
     return {"failed": 0 if doc["zero_loss"] else 1, "attempted": doc["sent"], "metrics": metrics}
 
 
-def report(results, better, label):
+def report(args, results, better, label):
     """One table per workload: each metric's per-side median and
     quartiles, B's median change and B's wins."""
     for workload in sorted({r["workload"] for r in results}):
@@ -131,18 +161,24 @@ def report(results, better, label):
         pairs = [p for p in pairs.values() if len(p) == 2]
         print(f"\n{label} {workload}: {len(pairs)} pairs; "
               f"failed A {sum(p['A']['failed'] for p in pairs)}, B {sum(p['B']['failed'] for p in pairs)}")
-        print(f"{'metric':<24} {'A median [q1, q3]':>32} {'B median [q1, q3]':>32} {'B vs A':>8} {'B wins':>7}"
+        print(f"{'metric':<32} {'A median [q1, q3]':>32} {'B median [q1, q3]':>32} {'B vs A':>8} {'B wins':>7}"
               "  |B-A| > A's IQR")
         for name, direction in better:
             a = [p["A"]["metrics"].get(name) for p in pairs]
             b = [p["B"]["metrics"].get(name) for p in pairs]
+            if pairs and name in args.snapshot and None not in b and set(a) == {None}:
+                (b1, b2, b3) = quartiles(b)  # a counter A does not have
+                print(f"{name:<32} {'n/a':>12}".ljust(65) + f" {b2:>12.4g} [{b1:.4g}, {b3:.4g}]")
+                continue
             if not pairs or None in a or None in b:
+                if pairs and name in args.snapshot:
+                    print(f"{name:<32} missing from some snapshots")
                 continue
             wins = sum((y < x) if direction == "lower" else (y > x) for x, y in zip(a, b))
             (a1, a2, a3), (b1, b2, b3) = quartiles(a), quartiles(b)
             change = f"{100 * (b2 - a2) / a2:+.1f}%" if a2 else "n/a"
             beyond = "yes" if abs(b2 - a2) > a3 - a1 else "no"
-            print(f"{name:<24} {a2:>12.4g} [{a1:.4g}, {a3:.4g}]".ljust(57)
+            print(f"{name:<32} {a2:>12.4g} [{a1:.4g}, {a3:.4g}]".ljust(65)
                   + f" {b2:>12.4g} [{b1:.4g}, {b3:.4g}]".ljust(33)
                   + f" {change:>8} {wins:>3}/{len(pairs)}  {beyond}")
 
@@ -165,6 +201,8 @@ def main():
     p.add_argument("--bench", default="target/release/minos-benchmark")
     p.add_argument("--loadgen", default="target/release/minos-loadgen")
     p.add_argument("--out", default="ab-pairs")
+    p.add_argument("--snapshot", action="append", default=[], metavar="NAME",
+                   help="also tabulate this leaf of each run's final server snapshot (repeatable)")
     p.add_argument("--report", metavar="PAIRS_JSONL", help="only print the tables of an earlier run")
     args = p.parse_args()
 
@@ -174,7 +212,8 @@ def main():
         with open(args.report) as f:
             results = [json.loads(line) for line in f if line.strip()]
         for label, better, is_open in (("closed loop", closed_better, False), ("open loop", OPEN_LOOP_METRICS, True)):
-            report([r for r in results if r["workload"].startswith("open_loop") == is_open], better, label)
+            better = better + [(name, "lower") for name in args.snapshot]
+            report(args, [r for r in results if r["workload"].startswith("open_loop") == is_open], better, label)
         return
 
     if args.loadgen_args and not args.open_loop:
@@ -199,7 +238,7 @@ def main():
                 log.flush()
                 print(f"{workload} seed {seed} {side}: " + ", ".join(
                     f"{n} {r['metrics'].get(n, float('nan')):.4g}" for n, _ in better[:6]), flush=True)
-    report(results, better, label)
+    report(args, results, better + [(name, "lower") for name in args.snapshot], label)
 
 
 if __name__ == "__main__":

@@ -184,7 +184,9 @@ def wakes_within_parks(r):
 def idle_cores_block(r):
     """``core.N.parks > 0`` for every core N in the server's final
     report: every core, the only drainer of an RX queue included,
-    blocks when idle rather than yielding."""
+    blocks when idle rather than yielding. (No idle core yields; a
+    core that woke a blocked peer hands it its CPU with one yield,
+    ``core.N.handovers``.)"""
     parks = r["srv"].per_core("parks")
     idle = [f"core {n}: 0 parks" for n, p in sorted(parks.items()) if p == 0]
     if not parks:
