@@ -986,7 +986,8 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
         // A core this round woke finds no idle CPU on a host where
         // every other thread polls, and would wait out a poller's
         // scheduler slice: hand it this one. Every reply the round
-        // staged has left, so the yield delays none.
+        // staged has left, so the yield delays none; where a CPU is
+        // free, it finds nothing to run and returns at once.
         if woke {
             shared.stats[self.id].record_handover();
             std::thread::yield_now();
@@ -2092,83 +2093,67 @@ mod tests {
 
     #[test]
     fn a_round_that_wakes_a_parked_core_hands_it_the_cpu_once() {
-        // Two cores in standby under a 512 B static threshold: core 0
-        // hands a 1 000 B PUT to core 1 and runs a 100 B one inline.
-        let mut config = ServerConfig::for_test(2, 1_000);
-        config.minos.threshold_mode = ThresholdMode::Static(512);
-        let nic = Arc::new(VirtualNic::new(NicConfig::new(2)));
-        let transport = Arc::new(VirtualTransport::new(Arc::clone(&nic)));
-        let shared = Arc::new(Shared::new(&config, transport, ManualClock::default()));
-        register_collectors(&shared);
-        let (cached0, cached1) = (PlanCache::load(&*shared, 0), PlanCache::load(&*shared, 1));
-        let (mut core0, mut core1) = (Core::new(&*shared, 0), Core::new(&*shared, 1));
-        let spot = &shared.parking[1];
-        let handovers = || {
-            let entries = shared.registry.snapshot().entries;
-            match entries.iter().find(|(n, _)| n == "core.0.handovers") {
-                Some((_, MetricValue::Counter(v))) => *v,
-                other => panic!("core.0.handovers: {other:?}"),
-            }
-        };
-        let handoffs = || shared.stats[0].snapshot().handoffs;
-
-        // Core 1 blocked: the handoff clears its flag, writes its wake
-        // eventfd, and the round ends in one handover.
-        spot.parked.store(true, Ordering::Relaxed);
-        nic.deliver_packet(put_packet(1, 1_000));
-        assert!(core0.step(&cached0));
-        assert_eq!(handoffs(), 1);
-        assert!(
-            !spot.parked.load(Ordering::Relaxed),
-            "the wake cleared the flag"
-        );
-        assert!(spot.wake.drain(), "the wake wrote the eventfd");
-        assert_eq!(handovers(), 1);
-        assert!(core1.step(&cached1), "core 1 serves the handoff");
-        assert_eq!(shared.stats[1].snapshot().handovers, 0, "it woke nobody");
-
-        // Core 1 running: the same push wakes nobody and hands nothing
-        // over.
-        nic.deliver_packet(put_packet(2, 1_000));
-        assert!(core0.step(&cached0));
-        assert_eq!(handoffs(), 2);
-        assert!(!spot.wake.drain(), "no wake written");
-        assert_eq!(handovers(), 1);
-        assert!(core1.step(&cached1));
-
-        // A round that pushes nothing wakes nobody, blocked or not.
-        spot.parked.store(true, Ordering::Relaxed);
-        nic.deliver_packet(put_packet(3, 100));
-        assert!(core0.step(&cached0));
-        assert_eq!(handoffs(), 2, "executed inline");
-        assert!(spot.parked.load(Ordering::Relaxed), "still blocked");
-        assert!(!spot.wake.drain(), "no wake written");
-        assert_eq!(handovers(), 1);
-        assert!(!core0.step(&cached0), "an idle round hands nothing over");
-        assert_eq!(handovers(), 1);
-    }
-
-    #[test]
-    fn a_shared_queue_push_that_wakes_a_parked_puller_hands_over() {
-        // sho with one dispatch core: every request core 0 decodes goes
-        // onto the shared queue that core 1 pulls.
-        let mut config = ServerConfig::for_test(2, 1_000);
-        config.minos.discipline = DisciplineKind::Sho { handoff: 1 };
-        let nic = Arc::new(VirtualNic::new(NicConfig::new(2)));
-        let transport = Arc::new(VirtualTransport::new(Arc::clone(&nic)));
-        let shared = Shared::new(&config, transport, ManualClock::default());
-        let (cached0, cached1) = (PlanCache::load(&shared, 0), PlanCache::load(&shared, 1));
-        let (mut core0, mut core1) = (Core::new(&shared, 0), Core::new(&shared, 1));
-        let spot = &shared.parking[1];
-        for (round, parked) in [(1, true), (2, false), (3, true)] {
+        // Under standby (a 512 B static threshold) core 0 hands a
+        // 1 000 B PUT to core 1 and runs a 100 B one inline; under sho
+        // with one dispatch core it pushes every request onto the
+        // shared queue core 1 pulls. Each case steps one round of core
+        // 0 on a fresh server with core 1's parked flag set by hand:
+        // (discipline, PUT bytes, core 1 parked, the round pushes to it).
+        let standby: fn(&mut ServerConfig) =
+            |config| config.minos.threshold_mode = ThresholdMode::Static(512);
+        let sho: fn(&mut ServerConfig) =
+            |config| config.minos.discipline = DisciplineKind::Sho { handoff: 1 };
+        let cases = [
+            (standby, 1_000, true, true),
+            (standby, 1_000, false, true),
+            (standby, 100, true, false),
+            (sho, 100, true, true),
+            (sho, 100, false, true),
+        ];
+        for (case, (discipline, len, parked, pushes)) in cases.into_iter().enumerate() {
+            let mut config = ServerConfig::for_test(2, 1_000);
+            discipline(&mut config);
+            let nic = Arc::new(VirtualNic::new(NicConfig::new(2)));
+            let transport = Arc::new(VirtualTransport::new(Arc::clone(&nic)));
+            let shared = Arc::new(Shared::new(&config, transport, ManualClock::default()));
+            register_collectors(&shared);
+            let (cached0, cached1) = (PlanCache::load(&*shared, 0), PlanCache::load(&*shared, 1));
+            let (mut core0, mut core1) = (Core::new(&*shared, 0), Core::new(&*shared, 1));
+            let spot = &shared.parking[1];
+            let handovers = || {
+                let entries = shared.registry.snapshot().entries;
+                match entries.iter().find(|(n, _)| n == "core.0.handovers") {
+                    Some((_, MetricValue::Counter(v))) => *v,
+                    other => panic!("core.0.handovers: {other:?}"),
+                }
+            };
+            // Only a push to a blocked core wakes it: the wake clears
+            // its flag and writes its eventfd, and the round ends in
+            // one handover.
+            let woken = parked && pushes;
             spot.parked.store(parked, Ordering::Relaxed);
-            nic.deliver_packet(put_packet(round, 100));
-            assert!(core0.step(&cached0));
-            assert_eq!(spot.wake.drain(), parked, "round {round}");
-            assert!(core1.step(&cached1), "round {round}: the worker pulls it");
+            nic.deliver_packet(put_packet(1, len));
+            assert!(core0.step(&cached0), "case {case}");
+            assert_eq!(
+                spot.parked.load(Ordering::Relaxed),
+                parked && !pushes,
+                "case {case}: the wake cleared the flag"
+            );
+            assert_eq!(spot.wake.drain(), woken, "case {case}: eventfd written");
+            assert_eq!(handovers(), u64::from(woken), "case {case}");
+            assert_eq!(
+                core1.step(&cached1),
+                pushes,
+                "case {case}: core 1 serves it"
+            );
+            assert_eq!(shared.stats[1].snapshot().handovers, 0, "case {case}");
+            assert!(!core0.step(&cached0), "case {case}: an idle round");
+            assert_eq!(
+                handovers(),
+                u64::from(woken),
+                "case {case}: an idle round hands nothing over"
+            );
         }
-        assert_eq!(shared.stats[0].snapshot().handovers, 2);
-        assert_eq!(shared.stats[1].snapshot().ops, 3);
     }
 
     #[test]

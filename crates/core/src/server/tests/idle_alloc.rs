@@ -225,6 +225,13 @@ fn idle_block_and_wake_allocate_nothing() {
         2 * per_kind,
         "woken by a wake or a packet"
     );
+    // A packet lands late only when the waker thread is not scheduled
+    // within a block's 2 ms; an RX doorbell that failed to end a block
+    // would make every packet cycle late.
+    assert!(
+        late < per_kind / 10,
+        "{late} of {per_kind} packets ended no block"
+    );
     assert_eq!(stats.ops, per_kind, "one GET per packet cycle");
     // One PUT per handover cycle, and the warm-up's.
     assert_eq!(stats.handoffs, per_kind + 1, "a PUT per handover cycle");
