@@ -201,10 +201,6 @@ pub struct ClientTotals {
     /// already completed or abandoned — hedge losers and post-timeout
     /// stragglers (their buffers are dropped on the spot).
     pub wasted_replies: u64,
-    /// `Overloaded` replies: the server shed the request at placement
-    /// time; the client backs off hedges and stretches retry timeouts
-    /// for a short window after each one.
-    pub overloaded: u64,
     /// Wire frames staged for transmission: one per request fragment,
     /// retries and hedges included. Against the transport's
     /// `tx_packets` this is how many frames shared a datagram.
@@ -328,10 +324,6 @@ pub struct Client {
     /// Next time (ns) the pending map is scanned for due retransmits
     /// and hedges; scanning every poll would be O(pending) per packet.
     next_retry_scan_ns: u64,
-    /// End of the current overload-backoff window: while `now` is below
-    /// it, hedges are suppressed and retry timeouts doubled. Armed by
-    /// every [`ReplyStatus::Overloaded`] reply.
-    backoff_until_ns: u64,
     /// Recently completed-or-abandoned request ids that may still have
     /// a duplicate reply in flight (hedged, retried, or timed out), so
     /// a late reply counts as [`ClientTotals::wasted_replies`] instead
@@ -346,10 +338,6 @@ pub struct Client {
 
 /// Capacity of the duplicate-reply recognition ring.
 const DUP_RING_CAP: usize = 4096;
-
-/// How long one `Overloaded` reply suppresses hedging and stretches
-/// retry timeouts.
-const OVERLOAD_BACKOFF_NS: u64 = 2_000_000;
 
 /// Service-latency samples required before the hedge delay trusts the
 /// percentile estimate; below this the policy's `max_delay` is used.
@@ -422,7 +410,6 @@ impl Client {
             retry: None,
             hedge: None,
             next_retry_scan_ns: 0,
-            backoff_until_ns: 0,
             dup_ring: std::collections::VecDeque::new(),
             dup_set: std::collections::HashSet::new(),
             rx_scratch: Vec::new(),
@@ -713,17 +700,13 @@ impl Client {
     /// The jittered, backed-off timeout for attempt number `retries` of
     /// request `id`: `timeout × backoff^retries` capped at
     /// `max_timeout`, times a deterministic per-(request, attempt)
-    /// jitter in `[1.0, 1.25)`, doubled inside an overload-backoff
-    /// window.
-    fn retry_timeout_ns(&self, policy: &RetryPolicy, id: u64, retries: u32, now: u64) -> u64 {
+    /// jitter in `[1.0, 1.25)`.
+    fn retry_timeout_ns(policy: &RetryPolicy, id: u64, retries: u32) -> u64 {
         let base = policy.timeout.as_nanos() as f64;
         let cap = policy.max_timeout.as_nanos() as f64;
         let mut t = (base * policy.backoff.powi(retries as i32)).min(cap);
         let h = mix64(id ^ (u64::from(retries) << 48) ^ 0x7edc_a11e);
         t *= 1.0 + ((h >> 11) as f64 / (1u64 << 53) as f64) * 0.25;
-        if now < self.backoff_until_ns {
-            t *= 2.0;
-        }
         t as u64
     }
 
@@ -800,7 +783,7 @@ impl Client {
                 if p.resend.is_none() {
                     continue;
                 }
-                let t = self.retry_timeout_ns(&policy, id, p.retries, now);
+                let t = Self::retry_timeout_ns(&policy, id, p.retries);
                 if now.saturating_sub(p.last_tx_ns) < t {
                     continue;
                 }
@@ -837,8 +820,8 @@ impl Client {
         }
 
         // Hedges: one duplicate per request, small class only, to a
-        // different queue, suppressed inside an overload-backoff window.
-        if let (Some(delay), true) = (hedge_delay_ns, now >= self.backoff_until_ns) {
+        // different queue.
+        if let Some(delay) = hedge_delay_ns {
             let span = self.target_queues.len() as u16;
             if span > 1 {
                 let due: Vec<u64> = self
@@ -976,12 +959,6 @@ impl Client {
         self.totals.completed += 1;
         if status != ReplyStatus::Ok {
             self.totals.errors += 1;
-        }
-        if status == ReplyStatus::Overloaded {
-            // The shed valve spoke: suppress hedges and stretch retry
-            // timeouts for a beat instead of piling on.
-            self.totals.overloaded += 1;
-            self.backoff_until_ns = now + OVERLOAD_BACKOFF_NS;
         }
         self.latency.record_ns(latency_ns);
         self.service_latency.record_ns(service_ns);

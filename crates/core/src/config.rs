@@ -73,16 +73,6 @@ pub struct MinosConfig {
     /// deliberately violates the paper's small/large isolation (that is
     /// the experiment).
     pub steal: bool,
-    /// Overload shed watermark, in queued requests. When a placement
-    /// targets a software queue already holding at least this many
-    /// entries, *large* requests are shed with an immediate
-    /// [`minos_wire::message::ReplyStatus::Overloaded`] reply instead
-    /// of being enqueued — the size-aware insight inverted: under
-    /// overload, protect the small-class tail first (one shed large
-    /// request frees service time for thousands of small ones). `0`
-    /// (the default) disables the valve. Sheds are counted in
-    /// `dispatch.sheds`.
-    pub shed_watermark: usize,
 }
 
 impl Default for MinosConfig {
@@ -94,7 +84,6 @@ impl Default for MinosConfig {
             reassembly_round_ns: 1_000_000_000,
             discipline: DisciplineKind::SizeAware,
             steal: false,
-            shed_watermark: 0,
         }
     }
 }
@@ -110,11 +99,6 @@ impl MinosConfig {
         }
         if self.reassembly_round_ns == 0 {
             return Err("reassembly_round_ns must be positive".into());
-        }
-        if self.shed_watermark > SOFT_QUEUE_CAPACITY {
-            return Err(format!(
-                "shed_watermark above the software queue capacity ({SOFT_QUEUE_CAPACITY}) would never fire"
-            ));
         }
         if let DisciplineKind::Sho { handoff } = self.discipline {
             if handoff == 0 || handoff >= self.n_cores {
@@ -146,7 +130,6 @@ mod tests {
         assert_eq!(c.threshold_mode, ThresholdMode::Dynamic);
         assert_eq!(c.discipline, DisciplineKind::SizeAware);
         assert!(!c.steal);
-        assert_eq!(c.shed_watermark, 0, "shedding is opt-in");
         assert!(c.validate().is_ok());
     }
 

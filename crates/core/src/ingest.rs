@@ -357,15 +357,14 @@ fn parse_put_header(h: &[u8; MSG_HEADER_LEN]) -> Option<PutHeader> {
     })
 }
 
-/// Builds the immediate error reply (`OutOfMemory` for a discard-quota
-/// rejection, `Overloaded` for an overload shed) for a PUT refused
-/// before any ingest state was opened, straight from the raw chunk of
-/// its *first* fragment (fragment-header already stripped) — the one
-/// fragment that carries the application header. Returns `None` when
+/// Builds the immediate `OutOfMemory` reply for a PUT the discard
+/// quota refused before any ingest state was opened, straight from the
+/// raw chunk of its *first* fragment (fragment-header already stripped)
+/// — the one fragment that carries the application header. Returns `None` when
 /// the chunk doesn't hold a PUT header (a later fragment of the
 /// refused message, or not a PUT at all): those fragments are simply
 /// dropped, and the client's retransmission handles the rest (§4.1).
-pub fn rejected_put_reply(chunk: &[u8], status: ReplyStatus) -> Option<Message> {
+pub fn rejected_put_reply(chunk: &[u8]) -> Option<Message> {
     if chunk.len() < MSG_HEADER_LEN {
         return None;
     }
@@ -377,7 +376,7 @@ pub fn rejected_put_reply(chunk: &[u8], status: ReplyStatus) -> Option<Message> 
         request_id: put.request_id,
         client_ts_ns: put.client_ts_ns,
         body: Body::PutReply {
-            status,
+            status: ReplyStatus::OutOfMemory,
             key: put.key,
         },
     })
@@ -603,8 +602,7 @@ mod tests {
     #[test]
     fn rejected_put_reply_echoes_identifiers() {
         let enc = put_message(5, vec![1u8; 20_000]).encode();
-        let reply = rejected_put_reply(&enc, ReplyStatus::OutOfMemory)
-            .expect("fragment 0 carries the header");
+        let reply = rejected_put_reply(&enc).expect("fragment 0 carries the header");
         assert_eq!(reply.client_id, 3);
         assert_eq!(reply.request_id, 77);
         assert_eq!(reply.client_ts_ns, 123);
@@ -615,21 +613,12 @@ mod tests {
             }
             other => panic!("unexpected body {other:?}"),
         }
-        // The shed valve's flavor carries its own status.
-        let shed = rejected_put_reply(&enc, ReplyStatus::Overloaded).expect("same header");
-        assert!(matches!(
-            shed.body,
-            Body::PutReply {
-                status: ReplyStatus::Overloaded,
-                ..
-            }
-        ));
         // A later fragment's chunk (no header) and a non-PUT header
         // both yield no reply.
-        assert!(rejected_put_reply(&enc[..10], ReplyStatus::OutOfMemory).is_none());
+        assert!(rejected_put_reply(&enc[..10]).is_none());
         let mut get = enc.to_vec();
         get[0] = OpKind::GetRequest as u8;
-        assert!(rejected_put_reply(&get, ReplyStatus::OutOfMemory).is_none());
+        assert!(rejected_put_reply(&get).is_none());
     }
 
     #[test]

@@ -87,9 +87,7 @@ use minos_obs::{
     Clock, Collector, CoreTelemetry, Counter, MetricValue, MetricsRegistry, ReqClass, WallClock,
 };
 use minos_stats::{AtomicSizeHistogram, CoreStats, SharedCoreStats, SizeHistogram};
-use minos_wire::frag::{
-    frames, stage_message, FragHeader, Streamed, StreamingReassembler, FRAG_HEADER_LEN,
-};
+use minos_wire::frag::{frames, stage_message, FragHeader, Streamed, StreamingReassembler};
 use minos_wire::message::{Body, Message, ReplyStatus, MSG_HEADER_LEN};
 use minos_wire::packet::{Endpoint, Packet, TxPacket};
 use parking_lot::{Mutex, RwLock};
@@ -404,10 +402,6 @@ struct Shared<T: Transport, C: Clock> {
     /// is on): one per request taken from a peer's software queue, one
     /// per RX burst taken from a peer's RX queue.
     steal_picks: Counter,
-    /// Large requests shed with an `Overloaded` reply because their
-    /// target queue sat past [`MinosConfig::shed_watermark`]
-    /// (`dispatch.sheds`; only moves when the watermark is set).
-    sheds: Counter,
     epoch_deadline_ns: AtomicU64,
     /// One parking spot per core.
     parking: Vec<Parking>,
@@ -447,6 +441,9 @@ impl<T: Transport, C: Clock> Shared<T, C> {
             }
         };
         let registry = Arc::new(MetricsRegistry::new());
+        // Always 0: nothing sheds. Registered because the benchmark's
+        // `core.sheds` row reads it.
+        registry.counter("dispatch.sheds");
         let discipline = config.minos.discipline.build();
         // The shared queue stands in for *all* per-core queues, so it
         // gets their aggregate capacity — equal total backlog before
@@ -478,7 +475,6 @@ impl<T: Transport, C: Clock> Shared<T, C> {
             queue_picks: registry.counter("dispatch.queue_picks"),
             shared_picks: registry.counter("dispatch.shared_picks"),
             steal_picks: registry.counter("dispatch.steals"),
-            sheds: registry.counter("dispatch.sheds"),
             epoch_deadline_ns: AtomicU64::new(config.minos.epoch_ns),
             parking: (0..n).map(|_| Parking::new()).collect(),
             flow_pins: FlowPins::new(4096),
@@ -1347,7 +1343,7 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
                 let mut rd = payload;
                 if let Some(fh) = FragHeader::decode(&mut rd) {
                     if fh.index == 0 {
-                        if let Some(reply) = rejected_put_reply(&rd, ReplyStatus::OutOfMemory) {
+                        if let Some(reply) = rejected_put_reply(&rd) {
                             self.send_reply(reply_to, &reply, fh.accepts_bundles);
                         }
                     }
@@ -1450,40 +1446,12 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
         // threshold sits above the size — a heavily large-skewed
         // workload).
         let src = pkt.source_endpoint();
-        let watermark = shared.config.shed_watermark;
         let target = shared.flow_pins.pin(src, fh.msg_id, fh.count, || {
             let key = fragment_key(src, fh.msg_id);
-            let t = shared.discipline.place_fragment(&shared.place_ctx(
-                core,
-                plan,
-                key,
-                Some(item_size),
-            ));
-            // The shed valve, decided once per message at pin time
-            // so every fragment of a shed PUT is dropped
-            // consistently: a multi-fragment message is by
-            // construction large, exactly what degrades first under
-            // overload.
-            if watermark > 0 && t != core && shared.soft_queues[t].len() >= watermark {
-                SHED_TARGET
-            } else {
-                t
-            }
+            shared
+                .discipline
+                .place_fragment(&shared.place_ctx(core, plan, key, Some(item_size)))
         });
-        if target == SHED_TARGET {
-            // Every fragment of the shed message lands here via the
-            // pin; the one carrying the application header answers
-            // `Overloaded` (the client backs off), the rest just
-            // drop.
-            if fh.index == 0 {
-                shared.sheds.inc();
-                let chunk = &pkt.payload[FRAG_HEADER_LEN..];
-                if let Some(reply) = rejected_put_reply(chunk, ReplyStatus::Overloaded) {
-                    self.send_reply(endpoint_of(&pkt), &reply, fh.accepts_bundles);
-                }
-            }
-            return;
-        }
         if target == core {
             self.execute_fragment(pkt, arrival_ns);
         } else if shared.soft_queues[target]
@@ -1552,10 +1520,7 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
                         }
                         placement => {
                             drop(value);
-                            // A handed-off request is large by
-                            // definition under size-aware sharding:
-                            // sheddable.
-                            self.enqueue_placed(placement, req, true);
+                            self.enqueue_placed(placement, req);
                         }
                     }
                 }
@@ -1568,7 +1533,7 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
                         self.execute_and_reply(req);
                         record_small();
                     }
-                    placement => self.enqueue_placed(placement, req, true),
+                    placement => self.enqueue_placed(placement, req),
                 }
             }
             Body::Delete { .. } => {
@@ -1628,15 +1593,7 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
                 };
                 shared.telemetry[core].record(class, wait, self.clock.now_ns().saturating_sub(t0));
             }
-            placement => {
-                // Non-size-aware disciplines don't classify to place,
-                // but the shed valve still needs to know large from
-                // small: consult the advisory plan's threshold where the
-                // size is knowable without a lookup (PUTs;
-                // GETs/DELETEs pass).
-                let sheddable = size.is_some_and(|s| s >= plan.decision.threshold);
-                self.enqueue_placed(placement, req, sheddable);
-            }
+            placement => self.enqueue_placed(placement, req),
         }
     }
 
@@ -1644,15 +1601,7 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
     /// software queue or the shared queue — with the pick
     /// counters and tail-drop accounting. `Placement::Local` is the
     /// caller's job (the two paths reply with different state in hand).
-    ///
-    /// `sheddable` marks requests the overload valve may refuse: large
-    /// ones, per the size-aware insight inverted — under overload the
-    /// small-class tail is protected first, so a queue sitting past
-    /// [`MinosConfig::shed_watermark`] sheds the large request with an
-    /// immediate [`ReplyStatus::Overloaded`] reply (an error, not an
-    /// ack: nothing executes, nothing is stored) instead of deepening
-    /// the backlog until tail-drop loses it silently.
-    fn enqueue_placed(&mut self, placement: Placement, req: ServerRequest, sheddable: bool) {
+    fn enqueue_placed(&mut self, placement: Placement, req: ServerRequest) {
         let shared = self.shared;
         let (queue, pick) = match placement {
             Placement::Core(target) => (&shared.soft_queues[target], &shared.queue_picks),
@@ -1665,20 +1614,6 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
             ),
             Placement::Local => unreachable!("local placement executes inline"),
         };
-        let watermark = shared.config.shed_watermark;
-        if sheddable && watermark > 0 {
-            // The shared queue serves all cores and is sized n× a
-            // software queue; its watermark scales the same way.
-            let limit = match placement {
-                Placement::Shared => watermark * shared.config.n_cores,
-                _ => watermark,
-            };
-            if queue.len() >= limit {
-                shared.sheds.inc();
-                self.reply_direct(&req, ReplyStatus::Overloaded, None);
-                return;
-            }
-        }
         pick.inc();
         if queue.push(Handoff::Request(req)).is_err() {
             shared.soft_drops.inc();
@@ -1773,11 +1708,6 @@ fn endpoint_of(pkt: &Packet) -> Endpoint {
         port: pkt.meta.udp.src_port,
     }
 }
-
-/// The [`FlowPins`] target marking a multi-fragment message shed by the
-/// overload valve: every fragment observing it is dropped, fragment 0
-/// answers `Overloaded`.
-const SHED_TARGET: usize = usize::MAX;
 
 /// Executes `msg` against `store`, returning `(status, reply value,
 /// was_get, item_was_large)`; `None` for protocol violations (a reply

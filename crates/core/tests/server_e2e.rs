@@ -1241,22 +1241,18 @@ mod burst {
         }
     }
 
-    /// Error replies are replies: `NotFound`, `OutOfMemory` and the
-    /// overload valve's `Overloaded` ride the RX burst's flush.
+    /// Error replies are replies: `NotFound` and `OutOfMemory` ride the
+    /// RX burst's flush.
     #[test]
-    fn shed_not_found_and_out_of_memory_replies_ride_the_burst() {
-        const LARGE_A: u64 = 500;
-        const LARGE_B: u64 = 501;
+    fn not_found_and_out_of_memory_replies_ride_the_burst() {
+        const LARGE: u64 = 500;
         let (nic, transport) = virtual_server();
         let mut server = start_one_core(&transport, |c| {
             c.minos.threshold_mode = ThresholdMode::Static(1_000);
-            c.minos.shed_watermark = 1;
             c.store.mempool_bytes = 1 << 20;
         });
         let mut client = virtual_client(&nic, 1);
-        for key in [LARGE_A, LARGE_B] {
-            server.store().put(key, &[9u8; 1_200]).unwrap();
-        }
+        server.store().put(LARGE, &[9u8; 1_200]).unwrap();
         // Exhaust the value pool, so the small PUT below cannot be stored.
         let store = server.store();
         let mut hog = Vec::new();
@@ -1266,13 +1262,12 @@ mod burst {
             }
         }
 
-        transport.hold(5);
+        transport.hold(4);
         client.send_get(1, false); // NotFound
         client.send_put(2, &[1u8; 100], false); // OutOfMemory
-        client.send_get(LARGE_A, true); // queued (the queue was empty)
-        client.send_get(LARGE_B, true); // shed: the queue holds one
+        client.send_get(LARGE, true); // queued
         client.send_get(3, false); // NotFound
-        let done = collect(&mut client, 5);
+        let done = collect(&mut client, 4);
         assert_eq!(
             done.iter().filter(|d| d.status == ReplyStatus::Ok).count(),
             1
@@ -1281,7 +1276,7 @@ mod burst {
         let calls = transport.tx_calls();
         assert_eq!(
             frames_per_datagram(&calls[0]),
-            vec![4],
+            vec![3],
             "error replies bundle like any other"
         );
         let statuses: Vec<(u64, ReplyStatus)> = calls[0][0]
@@ -1298,19 +1293,14 @@ mod burst {
             vec![
                 (1, ReplyStatus::NotFound),
                 (2, ReplyStatus::OutOfMemory),
-                (LARGE_B, ReplyStatus::Overloaded),
                 (3, ReplyStatus::NotFound),
             ],
-            "the RX burst's four error replies leave together, in order"
+            "the RX burst's three error replies leave together, in order"
         );
         assert_eq!(calls.len(), 2, "then the queued large GET's reply");
-        assert_eq!(reply_keys(&calls[1]), vec![LARGE_A]);
+        assert_eq!(reply_keys(&calls[1]), vec![LARGE]);
         drop(hog);
         server.shutdown();
-        assert_eq!(
-            server.registry().snapshot().counter("dispatch.sheds"),
-            Some(1)
-        );
     }
 
     /// Shutdown is observed between poll rounds, and every round ends

@@ -103,7 +103,6 @@ fn add_totals(a: &mut ClientTotals, b: &ClientTotals) {
     a.hedges_sent += b.hedges_sent;
     a.hedge_wins += b.hedge_wins;
     a.wasted_replies += b.wasted_replies;
-    a.overloaded += b.overloaded;
     a.frames_tx += b.frames_tx;
     a.frames_rx += b.frames_rx;
 }
@@ -199,7 +198,6 @@ impl RunReport {
         let counters = [
             ("client.retransmits", t.totals.retransmits),
             ("client.wasted_replies", t.totals.wasted_replies),
-            ("client.overloaded", t.totals.overloaded),
             ("client.puts_sent", t.puts_sent),
             ("client.put_value_bytes", t.put_value_bytes),
             ("client.reassembly_evictions", t.reassembly_evictions),

@@ -5,9 +5,8 @@
 //! flow — drop probability, burst loss, duplication, a reordering
 //! window, a per-packet delay distribution, and a queue blackhole (a
 //! dead core whose RX ring is drained into the void) — so the zero-loss
-//! methodology, the client's retry/hedging machinery and the server's
-//! overload valve can be exercised over the *real* UDP datapath without
-//! a real bad network.
+//! methodology and the client's retry/hedging machinery can be
+//! exercised over the *real* UDP datapath without a real bad network.
 //!
 //! Every fault decision is a pure function of `(seed, direction, queue,
 //! packet sequence number)`. The sequence number counts packets in

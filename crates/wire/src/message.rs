@@ -53,12 +53,6 @@ pub enum ReplyStatus {
     NotFound = 1,
     /// PUT failed because the store is out of memory.
     OutOfMemory = 2,
-    /// The server shed this request at placement time because a queue
-    /// sat past its overload watermark. Nothing was executed or stored;
-    /// the client should back off before retrying. Large requests are
-    /// shed first — the size-aware insight inverted to protect the
-    /// small-class tail under overload.
-    Overloaded = 3,
 }
 
 impl ReplyStatus {
@@ -67,7 +61,6 @@ impl ReplyStatus {
             0 => ReplyStatus::Ok,
             1 => ReplyStatus::NotFound,
             2 => ReplyStatus::OutOfMemory,
-            3 => ReplyStatus::Overloaded,
             _ => return None,
         })
     }
@@ -483,15 +476,12 @@ mod tests {
     }
 
     #[test]
-    fn overloaded_status_roundtrips() {
+    fn unknown_reply_status_rejected() {
         let req = sample_put(16);
-        let rep = req.reply(ReplyStatus::Overloaded, None);
-        let enc = rep.encode();
-        assert_eq!(enc[1], 3, "Overloaded is status code 3 on the wire");
-        match Message::decode(enc).unwrap().body {
-            Body::PutReply { status, .. } => assert_eq!(status, ReplyStatus::Overloaded),
-            other => panic!("unexpected body {other:?}"),
-        }
+        let mut enc = req.reply(ReplyStatus::OutOfMemory, None).encode().to_vec();
+        assert_eq!(enc[1], 2, "OutOfMemory, the highest status, is code 2");
+        enc[1] = 3;
+        assert!(Message::decode(Bytes::from(enc)).is_none());
     }
 
     #[test]

@@ -356,7 +356,6 @@ fn print_report(args: &Args, report: &RunReport, summary: &RunSummary) {
         hedges_sent,
         hedge_wins,
         wasted_replies,
-        overloaded,
         frames_tx,
         frames_rx,
         ..
@@ -402,12 +401,6 @@ fn print_report(args: &Args, report: &RunReport, summary: &RunSummary) {
         human!(
             args,
             "hedging:          {hedges_sent} hedges sent, {hedge_wins} won, {wasted_replies} wasted replies"
-        );
-    }
-    if overloaded > 0 {
-        human!(
-            args,
-            "overloaded:       {overloaded} requests shed by the server (client backed off)"
         );
     }
     if run.fault.is_some() {

@@ -42,7 +42,6 @@ struct Args {
     eviction: EvictionPolicy,
     discipline: DisciplineKind,
     steal: bool,
-    shed_watermark: usize,
     fault: FaultProfile,
     /// The `--fault-profile` spec as given.
     fault_spec: Option<String>,
@@ -110,12 +109,6 @@ OPTIONS:
                        request from the longest peer software queue,
                        or under hkh (HKH+WS) a burst from a peer's RX
                        queue
-    --shed-watermark N overload valve: when a placement targets a
-                       software queue already holding >= N requests,
-                       *large* requests are answered Overloaded instead
-                       of enqueued (small-class tail protection under
-                       overload; counted in dispatch.sheds). 0 = off
-                       (default)
     --fault-profile SPEC
                        wrap the transport in a deterministic fault
                        injector, e.g. 'drop=0.01,dup=0.001,reorder=8,
@@ -158,7 +151,6 @@ fn parse_args() -> Result<Args, String> {
         eviction: EvictionPolicy::None,
         discipline: DisciplineKind::SizeAware,
         steal: false,
-        shed_watermark: 0,
         fault: FaultProfile::default(),
         fault_spec: None,
         duration: None,
@@ -190,7 +182,6 @@ fn parse_args() -> Result<Args, String> {
                 })?;
             }
             "--steal" => args.steal = true,
-            "--shed-watermark" => args.shed_watermark = value(flag, it.next())?,
             "--fault-profile" => {
                 let spec: String = value(flag, it.next())?;
                 args.fault = FaultProfile::parse(&spec).map_err(|e| format!("{flag}: {e}"))?;
@@ -288,7 +279,6 @@ fn main() {
     let mut config = ServerConfig::for_test(args.cores, args.items);
     config.minos.discipline = args.discipline;
     config.minos.steal = args.steal;
-    config.minos.shed_watermark = args.shed_watermark;
     config.minos.epoch_ns = 1_000_000_000; // the paper's 1 s epochs
     config.store =
         minos::kv::StoreConfig::for_items(args.cores * 4, args.items, args.mempool_bytes);
@@ -329,13 +319,6 @@ fn main() {
             HIGH_WATERMARK * 100.0,
             LOW_WATERMARK * 100.0,
             args.mempool_bytes,
-        );
-    }
-    if args.shed_watermark > 0 {
-        human!(
-            args,
-            "overload shedding: large requests answered Overloaded past {} queued per core",
-            args.shed_watermark,
         );
     }
     if let Some(spec) = &args.fault_spec {

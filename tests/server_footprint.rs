@@ -218,10 +218,6 @@ fn put_every_key(port: u16) -> u64 {
                     status: ReplyStatus::Ok,
                     key,
                 } => acked += u64::from(in_flight.remove(&key).is_some()),
-                Body::PutReply {
-                    status: ReplyStatus::Overloaded,
-                    ..
-                } => {} // resent below once it is overdue
                 other => panic!("not an acked PUT: {other:?}"),
             }
         }
