@@ -1,8 +1,10 @@
 //! Criterion microbenchmarks of the substrates on the datapath:
 //! KV GET/PUT (replacements of one length, of lengths that cross
 //! block classes, and of lengths whose own class is empty), zipfian
-//! sampling, histogram updates, fragmentation round trips, NIC ring bursts, a handoff through a
-//! software queue and real-UDP loopback sends and receives (one
+//! sampling, histogram updates, a transmit frame's construction, NIC
+//! ring bursts, a handoff through a software queue, a 500 KB GET
+//! reply's two user-space ends (a core staging it, a client
+//! reassembling it) and real-UDP loopback sends and receives (one
 //! datagram; eight small replies sent one by one, as one burst and as
 //! one burst of bundles; a 500 KB reply's 344 fragments).
 //!
@@ -10,6 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use crossbeam::queue::ArrayQueue;
+use minos_core::client::Client;
 use minos_core::server::{transmit_message, Handoff, ServerRequest, TxBurst};
 use minos_kv::{CapacityConfig, EvictionPolicy, Store, StoreConfig};
 use minos_net::{Transport, UdpConfig, UdpTransport};
@@ -21,6 +24,7 @@ use minos_wire::packet::{synthesize, synthesize_frame, Endpoint, Packet, TxPacke
 use minos_wire::TxFrame;
 use minos_workload::{Rng, Zipf};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_kv(c: &mut Criterion) {
     let store = Store::new(StoreConfig::for_items(8, 100_000, 256 << 20));
@@ -169,12 +173,85 @@ fn bench_hist(c: &mut Criterion) {
 }
 
 fn bench_wire(c: &mut Criterion) {
-    let big = vec![0u8; 100_000];
-    c.bench_function("wire/fragment_100kb", |b| {
-        b.iter(|| black_box(fragment_with_id(black_box(1), black_box(&big))))
-    });
     // Every request and every reply fragment starts from one of these.
     c.bench_function("wire/txframe_new", |b| b.iter(|| black_box(TxFrame::new())));
+}
+
+/// A transport that accepts and drops every frame it is handed, as a
+/// socket does once `sendmmsg` returns, and hands every RX burst a copy
+/// of `replay` (refcount bumps, no byte copies).
+struct Loop {
+    replay: Vec<Packet>,
+}
+
+impl Transport for Loop {
+    fn num_queues(&self) -> u16 {
+        1
+    }
+
+    fn rx_burst(&self, _queue: u16, out: &mut Vec<Packet>, _max: usize) -> usize {
+        out.extend(self.replay.iter().cloned());
+        self.replay.len()
+    }
+
+    fn tx_frames(&self, _queue: u16, frames: &mut Vec<TxPacket>) -> usize {
+        let sent = frames.len();
+        frames.clear();
+        sent
+    }
+
+    fn local_endpoint(&self, _queue: u16) -> Endpoint {
+        Endpoint::host(1, 9000)
+    }
+}
+
+/// The user-space ends of a 500 KB GET reply, with no kernel between
+/// them: a core staging the reply as a store hands it over
+/// (`TxBurst::stage`: the encode, 344 fragments and their datagrams,
+/// plus dropping them after a flush, as a send does), and a client
+/// taking its 344 datagrams in one `Client::poll` (frame walk,
+/// streaming reassembly into the value buffer, decode). Divide by 344
+/// for the cost per fragment.
+fn bench_large_reply(c: &mut Criterion) {
+    const FRAGMENTS: usize = 344;
+    let store = Store::new(StoreConfig::for_items(1, 16, 8 << 20));
+    let value: Vec<u8> = (0..500_000u32).map(|i| i as u8).collect();
+    store.put(1, &value).unwrap();
+    let reply = Message {
+        client_id: 1,
+        request_id: 1,
+        client_ts_ns: 0,
+        body: Body::GetReply {
+            status: ReplyStatus::Ok,
+            key: 1,
+            value: bytes::Bytes::from_owner(store.get(1).expect("stored")),
+        },
+    };
+    let (server, client_at) = (Endpoint::host(1, 9000), Endpoint::host(100, 20_001));
+    let sent = Loop { replay: Vec::new() };
+    let mut burst = TxBurst::with_capacity(512);
+    c.bench_function("core/tx_stage_500k_get", |b| {
+        b.iter(|| {
+            let datagrams = burst.stage(server, client_at, black_box(&reply), 1, true);
+            assert_eq!(datagrams, FRAGMENTS);
+            burst.flush(&sent, 0)
+        })
+    });
+
+    let replay: Vec<Packet> = fragment_frame_with_id(1, &reply.encode_frame())
+        .iter()
+        .map(|frag| synthesize(server, client_at, frag.to_contiguous().0))
+        .collect();
+    assert_eq!(replay.len(), FRAGMENTS);
+    let mut client = Client::with_transport(Arc::new(Loop { replay }), client_at, server, 1, 1, 7);
+    c.bench_function("core/client_reassemble_500k_get", |b| {
+        b.iter(|| black_box(client.poll()))
+    });
+    // Every poll reassembled the whole value (and, with no request
+    // pending, counted the reply unmatched).
+    let copied = client.reply_copied_bytes();
+    assert!(copied > 0 && copied.is_multiple_of(value.len() as u64));
+    assert_eq!(client.reassembly_evictions(), 0);
 }
 
 /// Polls `t` until `want` datagrams arrived. Loopback loses nothing
@@ -359,7 +436,7 @@ fn bench_nic(c: &mut Criterion) {
 criterion_group!(
     name = micro;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_kv, bench_kv_bestfit, bench_zipf, bench_hist, bench_wire, bench_nic, bench_handoff_ring, bench_net_loopback
+    targets = bench_kv, bench_kv_bestfit, bench_zipf, bench_hist, bench_wire, bench_large_reply, bench_nic, bench_handoff_ring, bench_net_loopback
 );
 // Only the routine is timed, and the eviction benches' untimed setup is
 // a hundred times their routine: 20 ms of passes is ~2 s of wall time.

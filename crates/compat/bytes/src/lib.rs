@@ -5,8 +5,14 @@
 //! [`Bytes`] (cheaply cloneable, sliceable, shared byte buffers),
 //! [`BytesMut`] (an append buffer that freezes into [`Bytes`]) and the
 //! big-endian [`Buf`]/[`BufMut`] cursor traits. Semantics follow the
-//! real crate; performance characteristics are close enough for this
-//! project (clone and slice are O(1) via `Arc`).
+//! real crate, and so do the costs the datapath leans on: clone and
+//! slice are O(1) via `Arc`, and `Bytes::from(Vec<u8>)` and
+//! [`BytesMut::freeze`] take the vector's buffer as it is, so a value
+//! built in a `Vec` (a reassembled reply, a synthesized PUT) is never
+//! copied again on its way into a `Bytes`. Where the real crate is
+//! cheaper still, the shim is not: [`Bytes::copy_from_slice`] and a
+//! `Vec` conversion allocate a small shared header the real crate
+//! defers until the first clone.
 
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
@@ -25,13 +31,14 @@ impl<T: AsRef<[u8]> + Send + Sync> ByteOwner for T {
 
 /// Storage behind a [`Bytes`] window: a borrowed `'static` slice (no
 /// allocation, no refcount — what [`Bytes::new`] and
-/// [`Bytes::from_static`] build), a plain shared slice, or a
-/// caller-supplied owner whose `Drop` reclaims the buffer (buffer
-/// pools use this to return slots when the last clone drops).
+/// [`Bytes::from_static`] build), a shared vector (the buffer a `Vec`
+/// arrived with, kept where it is), or a caller-supplied owner whose
+/// `Drop` reclaims the buffer (buffer pools use this to return slots
+/// when the last clone drops).
 #[derive(Clone)]
 enum Repr {
     Static(&'static [u8]),
-    Shared(Arc<[u8]>),
+    Shared(Arc<Vec<u8>>),
     Owned(Arc<dyn ByteOwner>),
 }
 
@@ -64,11 +71,7 @@ impl Bytes {
 
     /// Copies `s` into a new buffer.
     pub fn copy_from_slice(s: &[u8]) -> Self {
-        Bytes {
-            data: Repr::Shared(Arc::from(s)),
-            start: 0,
-            end: s.len(),
-        }
+        Bytes::from(s.to_vec())
     }
 
     /// Wraps a caller-owned buffer without copying. The `Bytes` (and
@@ -159,11 +162,13 @@ impl AsRef<[u8]> for Bytes {
     }
 }
 
+/// Takes the vector's buffer as it is: no byte is copied, and the
+/// window starts at the vector's own first byte.
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let len = v.len();
         Bytes {
-            data: Repr::Shared(Arc::from(v.into_boxed_slice())),
+            data: Repr::Shared(Arc::new(v)),
             start: 0,
             end: len,
         }
@@ -269,7 +274,8 @@ impl BytesMut {
         self.buf.reserve(additional);
     }
 
-    /// Converts into an immutable [`Bytes`].
+    /// Converts into an immutable [`Bytes`] over the same buffer,
+    /// without copying.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
     }
@@ -507,6 +513,27 @@ mod tests {
         let a = Bytes::from(vec![1, 2, 3]);
         let b = Bytes::copy_from_slice(&[0, 1, 2, 3]).slice(1..);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn vectors_and_frozen_buffers_keep_their_address() {
+        // The real crate's conversions move the buffer; a copy here
+        // would be a hidden whole-value pass on every reassembled reply
+        // and every frozen header.
+        let v: Vec<u8> = (0..200_000u32).map(|i| i as u8).collect();
+        let at = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), at);
+        assert_eq!(b.slice(7..).as_ptr(), at.wrapping_add(7));
+        let mut m = BytesMut::with_capacity(64);
+        m.put_slice(b"frozen in place");
+        let at = m.as_ptr();
+        let frozen = m.freeze();
+        assert_eq!(frozen.as_ptr(), at);
+        assert_eq!(&frozen[..], b"frozen in place");
+        let copied = Bytes::copy_from_slice(&frozen);
+        assert_ne!(copied.as_ptr(), at, "copy_from_slice copies");
+        assert_eq!(copied, frozen);
     }
 
     #[test]

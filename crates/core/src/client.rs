@@ -232,9 +232,18 @@ pub const CLIENT_REASSEMBLY_ROUND_NS: u64 = 1_000_000_000;
 /// completed sink decodes via [`Message::decode_streamed`] instead of a
 /// contiguous [`Message::decode`]. Single-fragment replies never
 /// construct one (their payload decodes in place).
+///
+/// The value buffer is reserved at its full length but not zeroed:
+/// fragments that arrive in order are appended, and only one that
+/// lands past the end written so far zero-fills the rest once, to be
+/// overwritten in place. Either way the reassembler's count, length and
+/// duplicate checks make the fragments cover the value exactly once by
+/// completion, so it never holds a byte no fragment wrote.
 struct ReplySink {
     header: [u8; MSG_HEADER_LEN],
     value: Vec<u8>,
+    /// The value's length, from the fragment header.
+    value_len: usize,
     /// Value bytes written through `write_at` — exactly one copy per
     /// value byte on this path, surfaced as `client.reply_copied_bytes`
     /// so tests can pin the single-copy property.
@@ -249,11 +258,19 @@ impl ReplySink {
         if msg_len < MSG_HEADER_LEN {
             return None;
         }
+        let value_len = msg_len - MSG_HEADER_LEN;
         Some(ReplySink {
             header: [0; MSG_HEADER_LEN],
-            value: vec![0; msg_len - MSG_HEADER_LEN],
+            value: Vec::with_capacity(value_len),
+            value_len,
             copied: 0,
         })
+    }
+
+    /// The reply the filled sink holds; its value is the sink's own
+    /// buffer.
+    fn into_message(self) -> Option<Message> {
+        Message::decode_streamed(&self.header, Bytes::from(self.value))
     }
 }
 
@@ -269,7 +286,14 @@ impl FragmentWriter for ReplySink {
         }
         if !chunk.is_empty() {
             let at = offset - MSG_HEADER_LEN;
-            self.value[at..at + chunk.len()].copy_from_slice(chunk);
+            if at == self.value.len() {
+                self.value.extend_from_slice(chunk);
+            } else {
+                // Out of order: zero the unwritten rest once (within
+                // the reserved capacity, so the buffer stays put).
+                self.value.resize(self.value_len, 0);
+                self.value[at..at + chunk.len()].copy_from_slice(chunk);
+            }
             self.copied += chunk.len() as u64;
         }
     }
@@ -551,8 +575,10 @@ impl Client {
                 let queue = self.pick_keyhash_queue(spec.key);
                 let body = Body::Put {
                     key: spec.key,
-                    // The synthesized value moves into the message —
-                    // no second copy on the loadgen hot path.
+                    // The synthesized value moves into the message:
+                    // `Bytes::from` keeps the vector's buffer, so
+                    // filling it is the only pass over the value on
+                    // the loadgen hot path.
                     value: Bytes::from(value),
                     ttl_ms: spec.ttl_ms,
                 };
@@ -893,7 +919,7 @@ impl Client {
                     {
                         Streamed::Complete(sink) => {
                             self.reply_copied_bytes += sink.copied;
-                            Message::decode_streamed(&sink.header, Bytes::from(sink.value))
+                            sink.into_message()
                         }
                         Streamed::Incomplete => continue,
                         _ => None,
@@ -1042,5 +1068,59 @@ impl Client {
     /// Totals snapshot.
     pub fn totals(&self) -> ClientTotals {
         self.totals
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use minos_wire::frag::fragment_frame_with_id;
+
+    /// A multi-fragment GET reply's value is reassembled into the
+    /// sink's own buffer and handed out as it is, whatever order its
+    /// fragments arrive in: the one copy per value byte the client
+    /// reports is the only one (the sink's buffer becomes the reply's
+    /// `Bytes` without a second pass).
+    #[test]
+    fn a_reassembled_reply_value_is_the_sinks_own_buffer() {
+        let value: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
+        let reply = Message {
+            client_id: 1,
+            request_id: 9,
+            client_ts_ns: 0,
+            body: Body::GetReply {
+                status: ReplyStatus::Ok,
+                key: 4,
+                value: Bytes::from(value.clone()),
+            },
+        };
+        let fragments: Vec<Bytes> = fragment_frame_with_id(3, &reply.encode_frame())
+            .iter()
+            .map(|frag| frag.to_contiguous().0)
+            .collect();
+        assert_eq!(fragments.len(), 7);
+        let in_order: Vec<usize> = (0..fragments.len()).collect();
+        let reversed: Vec<usize> = in_order.iter().rev().copied().collect();
+        let one_late = vec![0, 2, 1, 3, 4, 5, 6];
+        for order in [in_order, reversed, one_late] {
+            let mut reassembler = StreamingReassembler::new(4);
+            let mut completed = None;
+            for &i in &order {
+                match reassembler.push(1, fragments[i].clone(), ReplySink::open) {
+                    Streamed::Complete(sink) => completed = Some(sink),
+                    Streamed::Incomplete => {}
+                    _ => panic!("{order:?}: fragment {i} rejected"),
+                }
+            }
+            let sink = completed.expect("the reply completes");
+            assert_eq!(sink.copied, value.len() as u64, "{order:?}");
+            let buffer = sink.value.as_ptr();
+            let msg = sink.into_message().expect("a well-formed reply");
+            assert_eq!(msg, reply, "{order:?}");
+            let Body::GetReply { value: got, .. } = &msg.body else {
+                panic!("{order:?}: not a GET reply");
+            };
+            assert_eq!(got.as_ptr(), buffer, "{order:?}: the value was copied");
+        }
     }
 }

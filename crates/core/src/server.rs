@@ -53,7 +53,8 @@
 //! core yields its CPU; a waker hands over once: a round that pushed
 //! work and woke a blocked core for it ends, after its last flush, in
 //! one `yield_now`, so the woken core runs on the waker's CPU instead
-//! of after a poller's scheduler slice (`core.N.handovers`).
+//! of after a poller's scheduler slice (`core.N.handovers`; the time
+//! spent inside those yields, `core.N.handover_ns`).
 //!
 //! Lifecycle telemetry follows the same split: a request's `service_ns`
 //! ends when its reply is staged, and the send is the burst's
@@ -570,6 +571,7 @@ impl<T: Transport + 'static, C: Clock> Collector for EngineCollector<T, C> {
             out.push(counter("parks", c.parks));
             out.push(counter("wakes", c.wakes));
             out.push(counter("handovers", c.handovers));
+            out.push(counter("handover_ns", c.handover_ns));
             out.push(counter("packets_rx", c.packets_rx));
             out.push(counter("packets_tx", c.packets_tx));
             out.push(counter("frames_rx", c.frames_rx));
@@ -985,8 +987,10 @@ impl<'a, T: Transport, C: Clock> Core<'a, T, C> {
         // staged has left, so the yield delays none; where a CPU is
         // free, it finds nothing to run and returns at once.
         if woke {
-            shared.stats[self.id].record_handover();
+            let t0 = self.clock.now_ns();
             std::thread::yield_now();
+            let yielded = self.clock.now_ns().saturating_sub(t0);
+            shared.stats[self.id].record_handover(yielded);
         }
         did_work
     }
@@ -2021,6 +2025,17 @@ mod tests {
         assert_eq!(entries, script(), "a rerun reads the same metrics");
     }
 
+    /// A clock that moves 1 ns at every read, so a span between two
+    /// reads with none in between reads exactly 1.
+    #[derive(Clone, Default)]
+    struct TickingClock(Arc<std::sync::atomic::AtomicU64>);
+
+    impl minos_obs::Clock for TickingClock {
+        fn now_ns(&self) -> u64 {
+            self.0.fetch_add(1, Ordering::Relaxed)
+        }
+    }
+
     #[test]
     fn a_round_that_wakes_a_parked_core_hands_it_the_cpu_once() {
         // Under standby (a 512 B static threshold) core 0 hands a
@@ -2029,6 +2044,8 @@ mod tests {
         // shared queue core 1 pulls. Each case steps one round of core
         // 0 on a fresh server with core 1's parked flag set by hand:
         // (discipline, PUT bytes, core 1 parked, the round pushes to it).
+        // The clock ticks per read, so a handover's two reads around
+        // the yield add exactly 1 to `handover_ns`.
         let standby: fn(&mut ServerConfig) =
             |config| config.minos.threshold_mode = ThresholdMode::Static(512);
         let sho: fn(&mut ServerConfig) =
@@ -2045,17 +2062,19 @@ mod tests {
             discipline(&mut config);
             let nic = Arc::new(VirtualNic::new(NicConfig::new(2)));
             let transport = Arc::new(VirtualTransport::new(Arc::clone(&nic)));
-            let shared = Arc::new(Shared::new(&config, transport, ManualClock::default()));
+            let shared = Arc::new(Shared::new(&config, transport, TickingClock::default()));
             register_collectors(&shared);
             let (cached0, cached1) = (PlanCache::load(&*shared, 0), PlanCache::load(&*shared, 1));
             let (mut core0, mut core1) = (Core::new(&*shared, 0), Core::new(&*shared, 1));
             let spot = &shared.parking[1];
+            // (`core.0.handovers`, `core.0.handover_ns`)
             let handovers = || {
                 let entries = shared.registry.snapshot().entries;
-                match entries.iter().find(|(n, _)| n == "core.0.handovers") {
+                let counter = |name: &str| match entries.iter().find(|(n, _)| n == name) {
                     Some((_, MetricValue::Counter(v))) => *v,
-                    other => panic!("core.0.handovers: {other:?}"),
-                }
+                    other => panic!("{name}: {other:?}"),
+                };
+                (counter("core.0.handovers"), counter("core.0.handover_ns"))
             };
             // Only a push to a blocked core wakes it: the wake clears
             // its flag and writes its eventfd, and the round ends in
@@ -2070,18 +2089,24 @@ mod tests {
                 "case {case}: the wake cleared the flag"
             );
             assert_eq!(spot.wake.drain(), woken, "case {case}: eventfd written");
-            assert_eq!(handovers(), u64::from(woken), "case {case}");
+            let handed = (u64::from(woken), u64::from(woken));
+            assert_eq!(handovers(), handed, "case {case}");
             assert_eq!(
                 core1.step(&cached1),
                 pushes,
                 "case {case}: core 1 serves it"
             );
-            assert_eq!(shared.stats[1].snapshot().handovers, 0, "case {case}");
+            let core1_stats = shared.stats[1].snapshot();
+            assert_eq!(
+                (core1_stats.handovers, core1_stats.handover_ns),
+                (0, 0),
+                "case {case}"
+            );
             assert!(!core0.step(&cached0), "case {case}: an idle round");
             assert_eq!(
                 handovers(),
-                u64::from(woken),
-                "case {case}: an idle round hands nothing over"
+                handed,
+                "case {case}: an idle round hands nothing over and times no yield"
             );
         }
     }

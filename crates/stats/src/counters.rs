@@ -46,6 +46,9 @@ pub struct CoreStats {
     /// Poll rounds after which this core, having woken a blocked peer
     /// it pushed work to, yielded its CPU to it once.
     pub handovers: u64,
+    /// Nanoseconds those yields took, from the call to the return: the
+    /// time this core's thread left to the cores it woke.
+    pub handover_ns: u64,
 }
 
 impl CoreStats {
@@ -72,6 +75,7 @@ impl CoreStats {
         self.parks += other.parks;
         self.wakes += other.wakes;
         self.handovers += other.handovers;
+        self.handover_ns += other.handover_ns;
         self
     }
 
@@ -93,6 +97,7 @@ impl CoreStats {
             parks: self.parks - earlier.parks,
             wakes: self.wakes - earlier.wakes,
             handovers: self.handovers - earlier.handovers,
+            handover_ns: self.handover_ns - earlier.handover_ns,
         }
     }
 }
@@ -123,6 +128,7 @@ pub struct SharedCoreStats {
     parks: AtomicU64,
     wakes: AtomicU64,
     handovers: AtomicU64,
+    handover_ns: AtomicU64,
 }
 
 impl SharedCoreStats {
@@ -193,10 +199,12 @@ impl SharedCoreStats {
         self.wakes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a round that ended by yielding to a peer it woke.
+    /// Records a round that ended by yielding to a peer it woke, for
+    /// `ns` nanoseconds.
     #[inline]
-    pub fn record_handover(&self) {
+    pub fn record_handover(&self, ns: u64) {
         self.handovers.fetch_add(1, Ordering::Relaxed);
+        self.handover_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
     /// Takes a consistent-enough snapshot for statistics purposes.
@@ -217,6 +225,7 @@ impl SharedCoreStats {
             parks: self.parks.load(Ordering::Relaxed),
             wakes: self.wakes.load(Ordering::Relaxed),
             handovers: self.handovers.load(Ordering::Relaxed),
+            handover_ns: self.handover_ns.load(Ordering::Relaxed),
         }
     }
 }
@@ -238,7 +247,8 @@ mod tests {
         s.record_park();
         s.record_park();
         s.record_wake();
-        s.record_handover();
+        s.record_handover(250);
+        s.record_handover(1_000);
         let snap = s.snapshot();
         assert_eq!(snap.ops, 3);
         assert_eq!(snap.get_ops, 2);
@@ -251,7 +261,8 @@ mod tests {
         assert_eq!(snap.bytes_tx, 1500);
         assert_eq!(snap.handoffs, 1);
         assert_eq!(snap.steals, 1);
-        assert_eq!((snap.parks, snap.wakes, snap.handovers), (2, 1, 1));
+        assert_eq!((snap.parks, snap.wakes, snap.handovers), (2, 1, 2));
+        assert_eq!(snap.handover_ns, 1_250);
         assert_eq!(snap.packets(), 5);
     }
 

@@ -149,46 +149,80 @@ pub fn fragment_frame_each(
     message: &TxFrame,
     mut sink: impl FnMut(TxFrame),
 ) -> usize {
-    let total = message.len();
-    let count = crate::packets_for_payload(total) as usize;
-    assert!(count <= u16::MAX as usize, "message too large to fragment");
-    for index in 0..count {
-        let start = index * MAX_FRAG_CHUNK;
-        let end = ((index + 1) * MAX_FRAG_CHUNK).min(total);
+    let mut fragments = Fragments::new(msg_id, accepts_bundles, message);
+    let count = fragments.count;
+    for _ in 0..count {
         let mut frag = TxFrame::new();
-        FragHeader {
-            msg_id,
-            index: index as u16,
-            count: count as u16,
-            msg_len: total as u32,
-            accepts_bundles,
-        }
-        .encode(&mut frag);
-        // Walk the message's regions in wire order, taking each
-        // region's overlap with this chunk's [start, end) window.
-        let mut at = 0usize;
-        for region in message.regions() {
-            let len = region.as_slice().len();
-            let lo = start.max(at).min(at + len) - at;
-            let hi = end.max(at).min(at + len) - at;
-            if lo < hi {
-                match region {
-                    Region::Inline(bytes) => frag.put_slice(&bytes[lo..hi]),
-                    Region::Segment(segment) => frag.push_segment(segment.slice(lo..hi)),
-                }
-            }
-            at += len;
-        }
-        debug_assert_eq!(frag.len(), FRAG_HEADER_LEN + (end - start));
-        debug_assert!(frag.len() <= crate::MAX_UDP_PAYLOAD);
+        fragments.fill_next(&mut frag);
         sink(frag);
     }
     count
 }
 
+/// A message being cut into fragments, in index order.
+struct Fragments<'a> {
+    header: FragHeader,
+    count: usize,
+    /// The message's regions in wire order, walked once: each chunk
+    /// takes up where the one before it stopped, so a fragment costs
+    /// the regions it overlaps (one, but at a region's edge), not a
+    /// walk over all of them.
+    regions: crate::txframe::Regions<'a>,
+    region: Option<Region<'a>>,
+    /// Bytes of `region` already in earlier fragments.
+    taken: usize,
+}
+
+impl<'a> Fragments<'a> {
+    fn new(msg_id: u64, accepts_bundles: bool, message: &'a TxFrame) -> Self {
+        let total = message.len();
+        let count = crate::packets_for_payload(total) as usize;
+        assert!(count <= u16::MAX as usize, "message too large to fragment");
+        let mut regions = message.regions();
+        Fragments {
+            header: FragHeader {
+                msg_id,
+                index: 0,
+                count: count as u16,
+                msg_len: total as u32,
+                accepts_bundles,
+            },
+            count,
+            region: regions.next(),
+            regions,
+            taken: 0,
+        }
+    }
+
+    /// Writes the next fragment, header and chunk, into the empty
+    /// `frag`.
+    fn fill_next(&mut self, frag: &mut TxFrame) {
+        let start = usize::from(self.header.index) * MAX_FRAG_CHUNK;
+        self.header.encode(frag);
+        let mut want = MAX_FRAG_CHUNK.min(self.header.msg_len as usize - start);
+        while want > 0 {
+            let region = self.region.expect("the regions hold the message's bytes");
+            let len = region.as_slice().len();
+            let end = len.min(self.taken + want);
+            match region {
+                Region::Inline(bytes) => frag.put_slice(&bytes[self.taken..end]),
+                Region::Segment(segment) => frag.push_segment(segment.slice(self.taken..end)),
+            }
+            want -= end - self.taken;
+            self.taken = end;
+            if self.taken == len {
+                self.region = self.regions.next();
+                self.taken = 0;
+            }
+        }
+        debug_assert!(frag.len() <= crate::MAX_UDP_PAYLOAD);
+        self.header.index += 1;
+    }
+}
+
 /// Stages `message` from `src` to `dst` in the burst `out`, the way
 /// both senders pack: fragmented into datagrams of its own behind
-/// whatever `out` holds ([`fragment_frame_each`]) — or, when it is a
+/// whatever `out` holds, each built where it stays — or, when it is a
 /// single fragment and `open` names a datagram of `out` bound for the
 /// same `dst` with room left, appended to that datagram as one more
 /// frame. `open` is the caller's word that the receiver accepts
@@ -209,24 +243,29 @@ pub fn stage_message(
     accepts_bundles: bool,
     message: &TxFrame,
 ) -> (usize, Option<usize>) {
-    let single = crate::packets_for_payload(message.len()) == 1;
-    let mut candidate = open.filter(|&i| {
+    let mut fragments = Fragments::new(msg_id, accepts_bundles, message);
+    let single = fragments.count == 1;
+    let joinable = open.filter(|&i| {
         let meta = &out[i].meta;
         single && (meta.ip.dst, meta.udp.dst_port) == (dst.ip, dst.port)
     });
-    let mut joined = None;
-    let before = out.len();
-    fragment_frame_each(msg_id, accepts_bundles, message, |frag| {
-        if let Some(i) = candidate.take() {
-            if out[i].try_append(&frag) {
-                joined = Some(i);
-                return;
-            }
+    if let Some(i) = joinable {
+        let mut frag = TxFrame::new();
+        fragments.fill_next(&mut frag);
+        if out[i].try_append(&frag) {
+            return (0, Some(i));
         }
         out.push(synthesize_frame(src, dst, frag));
+        return (1, Some(out.len() - 1));
+    }
+    let first = out.len();
+    out.resize_with(first + fragments.count, || {
+        synthesize_frame(src, dst, TxFrame::new())
     });
-    let carrier = single.then(|| joined.unwrap_or(out.len() - 1));
-    (out.len() - before, carrier)
+    for packet in &mut out[first..] {
+        fragments.fill_next(&mut packet.frame);
+    }
+    (fragments.count, single.then(|| out.len() - 1))
 }
 
 /// One frame of a received datagram; see [`frames`].
@@ -389,16 +428,23 @@ pub enum Streamed<W> {
 ///   fix for RX-pool exhaustion under concurrent large-PUT bursts.
 ///
 /// Entries are keyed by `(source, msg_id)` and bounded by `max_partial`
-/// with stalest-first eviction. In addition,
-/// [`StreamingReassembler::advance_round`] implements round-based stale
-/// eviction: a partial untouched for two completed rounds is dropped,
-/// releasing its writer — and with it any mempool reservation the writer
-/// holds — instead of stranding it forever after fragment loss. The
-/// rounds run on the caller's clock through
+/// with stalest-first eviction. The partial the latest first-seen
+/// fragment opened sits in a slot of its own, so the fragments of a
+/// message that arrive back to back — a reply or a PUT alone on its
+/// path — are matched by comparing two words, not by hashing; the map
+/// holds the others, which interleaved arrivals leave in flight. In
+/// addition, [`StreamingReassembler::advance_round`] implements
+/// round-based stale eviction: a partial untouched for two completed
+/// rounds is dropped, releasing its writer — and with it any mempool
+/// reservation the writer holds — instead of stranding it forever
+/// after fragment loss. The rounds run on the caller's clock through
 /// [`StreamingReassembler::tick`], the one stale-partial rule of both
 /// the server and the client.
 #[derive(Debug)]
 pub struct StreamingReassembler<W> {
+    /// The partial the latest first-seen fragment opened.
+    last: Option<((u64, u64), StreamingPartial<W>)>,
+    /// Every other partial; with `last`, at most `max_partial`.
     partials: HashMap<(u64, u64), StreamingPartial<W>>,
     max_partial: usize,
     clock: u64,
@@ -418,6 +464,7 @@ impl<W: FragmentWriter> StreamingReassembler<W> {
     pub fn new(max_partial: usize) -> Self {
         assert!(max_partial > 0);
         Self {
+            last: None,
             partials: HashMap::new(),
             max_partial,
             clock: 0,
@@ -466,38 +513,52 @@ impl<W: FragmentWriter> StreamingReassembler<W> {
         }
 
         let key = (source, header.msg_id);
-        // Hot path — a later fragment of an in-flight message: one map
-        // probe, chunk streamed, done.
-        if let Some(partial) = self.partials.get_mut(&key) {
-            if partial.count != header.count || partial.msg_len != header.msg_len {
+        // Hot path — a later fragment of an in-flight message, most
+        // often the one in the `last` slot: chunk streamed, done.
+        let in_last = matches!(&self.last, Some((k, _)) if *k == key);
+        let partial = if in_last {
+            self.last.as_mut().map(|(_, p)| p)
+        } else {
+            self.partials.get_mut(&key)
+        };
+        if let Some(partial) = partial {
+            let consistent = partial.count == header.count && partial.msg_len == header.msg_len;
+            if consistent {
+                partial.last_touch = self.clock;
+                partial.last_round = self.round;
+                let (word, bit) = (header.index as usize / 64, header.index as usize % 64);
+                if partial.seen[word] & (1 << bit) != 0 {
+                    return Streamed::Duplicate;
+                }
+                partial.seen[word] |= 1 << bit;
+                partial.received += 1;
+                partial
+                    .writer
+                    .write_at(header.index as usize * MAX_FRAG_CHUNK, &chunk);
+                // `chunk` (the only reference into the fragment buffer)
+                // drops here: RX-pool occupancy never accumulates across
+                // fragments.
+                if partial.received < partial.count {
+                    return Streamed::Incomplete;
+                }
+            }
+            let partial = if in_last {
+                self.last.take().map(|(_, p)| p)
+            } else {
+                self.partials.remove(&key)
+            };
+            let partial = partial.expect("present");
+            if !consistent {
                 // Inconsistent with earlier fragments of the same id:
-                // drop the whole partial, it cannot complete correctly.
-                // This releases a live reservation, so it counts as an
-                // eviction — the gauge must see every dropped partial.
-                self.partials.remove(&key);
+                // the whole partial is dropped, it cannot complete
+                // correctly. This releases a live reservation, so it
+                // counts as an eviction — the gauge must see every
+                // dropped partial.
                 self.evicted += 1;
                 return Streamed::Rejected;
             }
-            partial.last_touch = self.clock;
-            partial.last_round = self.round;
-            let (word, bit) = (header.index as usize / 64, header.index as usize % 64);
-            if partial.seen[word] & (1 << bit) != 0 {
-                return Streamed::Duplicate;
-            }
-            partial.seen[word] |= 1 << bit;
-            partial.received += 1;
-            partial
-                .writer
-                .write_at(header.index as usize * MAX_FRAG_CHUNK, &chunk);
-            // `chunk` (the only reference into the fragment buffer)
-            // drops here: RX-pool occupancy never accumulates across
-            // fragments.
-            if partial.received == partial.count {
-                let partial = self.partials.remove(&key).expect("present");
-                self.completed += 1;
-                return Streamed::Complete(partial.writer);
-            }
-            return Streamed::Incomplete;
+            self.completed += 1;
+            return Streamed::Complete(partial.writer);
         }
 
         // First-seen fragment. Open the writer *before* making room: a
@@ -509,30 +570,30 @@ impl<W: FragmentWriter> StreamingReassembler<W> {
         };
         writer.write_at(header.index as usize * MAX_FRAG_CHUNK, &chunk);
         drop(chunk);
-        if self.partials.len() >= self.max_partial {
+        if self.pending() >= self.max_partial {
             self.evict_stalest();
         }
         let words = (header.count as usize).div_ceil(64);
         let mut seen = vec![0u64; words].into_boxed_slice();
         seen[header.index as usize / 64] |= 1 << (header.index as usize % 64);
-        self.partials.insert(
-            key,
-            StreamingPartial {
-                writer,
-                seen,
-                received: 1,
-                count: header.count,
-                msg_len: header.msg_len,
-                last_touch: self.clock,
-                last_round: self.round,
-            },
-        );
+        let partial = StreamingPartial {
+            writer,
+            seen,
+            received: 1,
+            count: header.count,
+            msg_len: header.msg_len,
+            last_touch: self.clock,
+            last_round: self.round,
+        };
+        if let Some((key, earlier)) = self.last.replace((key, partial)) {
+            self.partials.insert(key, earlier);
+        }
         Streamed::Incomplete
     }
 
     /// Number of in-flight partial messages.
     pub fn pending(&self) -> usize {
-        self.partials.len()
+        self.partials.len() + usize::from(self.last.is_some())
     }
 
     /// Closes the current reassembly round and evicts every partial
@@ -545,9 +606,16 @@ impl<W: FragmentWriter> StreamingReassembler<W> {
     pub fn advance_round(&mut self) -> usize {
         self.round += 1;
         let round = self.round;
-        let before = self.partials.len();
+        let before = self.pending();
         self.partials.retain(|_, p| round - p.last_round < 2);
-        let evicted = before - self.partials.len();
+        if self
+            .last
+            .as_ref()
+            .is_some_and(|(_, p)| round - p.last_round >= 2)
+        {
+            self.last = None;
+        }
+        let evicted = before - self.pending();
         self.evicted += evicted as u64;
         evicted
     }
@@ -558,7 +626,7 @@ impl<W: FragmentWriter> StreamingReassembler<W> {
     /// period; otherwise a tick at or past the deadline re-arms it and
     /// closes a round ([`StreamingReassembler::advance_round`]).
     pub fn tick(&mut self, now: u64, round_ns: u64) {
-        if self.partials.is_empty() {
+        if self.pending() == 0 {
             self.deadline = now + round_ns;
         } else if now >= self.deadline {
             self.deadline = now + round_ns;
@@ -567,15 +635,22 @@ impl<W: FragmentWriter> StreamingReassembler<W> {
     }
 
     fn evict_stalest(&mut self) {
-        if let Some(key) = self
+        let last = self.last.as_ref().map(|(key, p)| (key, p));
+        let Some(key) = self
             .partials
             .iter()
+            .chain(last)
             .min_by_key(|(_, p)| p.last_touch)
-            .map(|(k, _)| *k)
-        {
+            .map(|(key, _)| *key)
+        else {
+            return;
+        };
+        if self.last.as_ref().is_some_and(|(k, _)| *k == key) {
+            self.last = None;
+        } else {
             self.partials.remove(&key);
-            self.evicted += 1;
         }
+        self.evicted += 1;
     }
 }
 
@@ -921,6 +996,44 @@ mod tests {
         }
         assert_eq!(r.pending(), 2);
         assert_eq!(r.evicted, 1);
+    }
+
+    #[test]
+    fn the_last_opened_partial_is_evicted_when_it_is_the_stalest() {
+        // Capacity 2: `a` is opened, then `b` (which takes the
+        // last-partial slot), then `a` is touched again, so `b` is the
+        // stalest when `c` needs room.
+        let m = message(MAX_FRAG_CHUNK * 3);
+        let (a, b, c) = (
+            fragment_with_id(1, &m),
+            fragment_with_id(2, &m),
+            fragment_with_id(3, &m),
+        );
+        let mut r = StreamingReassembler::new(2);
+        for frag in [&a[0], &b[0], &a[1], &c[0]] {
+            assert!(matches!(
+                r.push(0, frag.clone(), VecSink::open),
+                Streamed::Incomplete
+            ));
+        }
+        assert_eq!((r.pending(), r.evicted), (2, 1));
+        // `b` is gone: its next fragment opens a partial of its own,
+        // evicting `a`, now the stalest, while `c` completes.
+        for frag in [&b[1], &c[1]] {
+            assert!(matches!(
+                r.push(0, frag.clone(), VecSink::open),
+                Streamed::Incomplete
+            ));
+        }
+        assert_eq!(r.evicted, 2);
+        assert!(matches!(
+            r.push(0, c[2].clone(), VecSink::open),
+            Streamed::Complete(_)
+        ));
+        assert!(matches!(
+            r.push(0, a[2].clone(), VecSink::open),
+            Streamed::Incomplete
+        ));
     }
 
     #[test]

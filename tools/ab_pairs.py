@@ -21,7 +21,14 @@ the small class p50/p99 and the large class p50/p90/p99 (µs), the loss
 rate, and the loadgen's ``behind_max_us``: the worst lag of a client
 behind its schedule, so a run where the client itself stalled shows.
 A 5 s run at 20 k/s holds ~125 large requests, so its large p99 is a
-run's second-worst; read the p90 there.
+run's second-worst; read the p90 there. Each open-loop run also
+records where lost requests went and what the host took, printed
+beside it and tabulated: ``outstanding`` and ``timed_out`` (the
+loadgen's requests never answered, and abandoned after retries), the
+server's ``soft_queue_drops`` (``engine.soft_queue_drops``) and
+``server_tx_dropped`` (its ``transport.tx_dropped``), the loadgen's
+``client_tx_dropped``, and ``steal_frac``, the host's share of CPU time
+stolen by the hypervisor over the loadgen's run (``/proc/stat``).
 
 Feature on/off pairs: ``--a-args`` and ``--b-args`` add ``minos-server``
 flags to one side (closed loop: through ``MINOS_BENCH_SERVER_ARGS``), so
@@ -67,7 +74,25 @@ OPEN_LOOP_METRICS = [
     ("large_p99_us", "lower"),
     ("loss_rate", "lower"),
     ("behind_max_us", "lower"),
+    ("outstanding", "lower"),
+    ("timed_out", "lower"),
+    ("soft_queue_drops", "lower"),
+    ("server_tx_dropped", "lower"),
+    ("client_tx_dropped", "lower"),
+    ("steal_frac", "lower"),
 ]
+
+# Where an open-loop run's lost requests went, and the host's steal.
+LOSS_FIELDS = OPEN_LOOP_METRICS[-6:]
+
+
+def host_cpu_ticks():
+    """Host-wide (steal, total) CPU ticks: the first line of ``/proc/stat``
+    (user nice system idle iowait irq softirq steal; the guest columns
+    are already inside user and nice)."""
+    with open("/proc/stat") as f:
+        fields = [float(x) for x in f.readline().split()[1:9]]
+    return fields[7], sum(fields)
 
 
 def seeds(spec):
@@ -136,7 +161,9 @@ def open_loop(args, server, workload, seed, side):
         cmd = [args.loadgen, "--target", f"127.0.0.1:{port}", "--queues", "2", "--rate", str(args.open_loop),
                "--duration", str(args.duration), "--keys", str(args.keys), "--seed", str(seed), "--json"]
         cmd += shlex.split(args.loadgen_args)
+        steal_before = host_cpu_ticks()
         run = subprocess.run(cmd, capture_output=True, text=True)
+        steal_after = host_cpu_ticks()
     finally:
         srv.send_signal(signal.SIGINT)
         exit_report, _ = srv.communicate(timeout=60)
@@ -150,6 +177,15 @@ def open_loop(args, server, workload, seed, side):
     metrics = {f"{cls}_{q}_us": pick(cls, q) for cls, q in quantiles}
     metrics["loss_rate"] = doc["loss_rate"]
     metrics["behind_max_us"] = doc["behind_max_us"]
+    metrics["outstanding"] = doc["outstanding"]
+    metrics["timed_out"] = doc["timed_out"]
+    server = (json.loads(exit_report) if exit_report.strip() else {}).get("metrics", {})
+    value = lambda snap, name: (snap.get(name) or {}).get("value")
+    metrics["soft_queue_drops"] = value(server, "engine.soft_queue_drops")
+    metrics["server_tx_dropped"] = value(server, "transport.tx_dropped")
+    metrics["client_tx_dropped"] = value(doc.get("metrics", {}), "transport.tx_dropped")
+    ticks = steal_after[1] - steal_before[1]
+    metrics["steal_frac"] = (steal_after[0] - steal_before[0]) / ticks if ticks > 0 else 0.0
     if args.snapshot:
         metrics.update(snapshot_leaves(args, exit_report))
     return {"failed": 0 if doc["zero_loss"] else 1, "attempted": doc["sent"], "metrics": metrics}
@@ -241,8 +277,10 @@ def main():
                 results.append(r)
                 log.write(json.dumps(r) + "\n")
                 log.flush()
+                shown = [n for n, _ in better[:6] + (LOSS_FIELDS if args.open_loop else [])]
+                values = [r["metrics"].get(n) for n in shown]
                 print(f"{workload} seed {seed} {side}: " + ", ".join(
-                    f"{n} {r['metrics'].get(n, float('nan')):.4g}" for n, _ in better[:6]), flush=True)
+                    f"{n} {'n/a' if v is None else f'{v:.4g}'}" for n, v in zip(shown, values)), flush=True)
     report(args, results, better + [(name, "lower") for name in args.snapshot], label)
 
 
