@@ -10,9 +10,8 @@
 //! [`BytesMut::freeze`] take the vector's buffer as it is, so a value
 //! built in a `Vec` (a reassembled reply, a synthesized PUT) is never
 //! copied again on its way into a `Bytes`. Where the real crate is
-//! cheaper still, the shim is not: [`Bytes::copy_from_slice`] and a
-//! `Vec` conversion allocate a small shared header the real crate
-//! defers until the first clone.
+//! cheaper still, the shim is not: a `Vec` conversion allocates a small
+//! shared header the real crate defers until the first clone.
 
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
@@ -31,14 +30,14 @@ impl<T: AsRef<[u8]> + Send + Sync> ByteOwner for T {
 
 /// Storage behind a [`Bytes`] window: a borrowed `'static` slice (no
 /// allocation, no refcount — what [`Bytes::new`] and
-/// [`Bytes::from_static`] build), a shared vector (the buffer a `Vec`
-/// arrived with, kept where it is), or a caller-supplied owner whose
-/// `Drop` reclaims the buffer (buffer pools use this to return slots
-/// when the last clone drops).
+/// [`Bytes::from_static`] build), a plain shared slice, or a
+/// caller-supplied owner whose `Drop` reclaims the buffer (buffer
+/// pools use this to return slots when the last clone drops; a `Vec`
+/// converted into a [`Bytes`] is kept where it is as such an owner).
 #[derive(Clone)]
 enum Repr {
     Static(&'static [u8]),
-    Shared(Arc<Vec<u8>>),
+    Shared(Arc<[u8]>),
     Owned(Arc<dyn ByteOwner>),
 }
 
@@ -71,7 +70,11 @@ impl Bytes {
 
     /// Copies `s` into a new buffer.
     pub fn copy_from_slice(s: &[u8]) -> Self {
-        Bytes::from(s.to_vec())
+        Bytes {
+            data: Repr::Shared(Arc::from(s)),
+            start: 0,
+            end: s.len(),
+        }
     }
 
     /// Wraps a caller-owned buffer without copying. The `Bytes` (and
@@ -166,12 +169,7 @@ impl AsRef<[u8]> for Bytes {
 /// window starts at the vector's own first byte.
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        let len = v.len();
-        Bytes {
-            data: Repr::Shared(Arc::new(v)),
-            start: 0,
-            end: len,
-        }
+        Bytes::from_owner(v)
     }
 }
 

@@ -32,6 +32,7 @@ use crate::txframe::{Region, TxFrame};
 use crate::{MAX_FRAG_CHUNK, MTU};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 /// Encoded size of [`FragHeader`].
 pub const FRAG_HEADER_LEN: usize = 16;
@@ -62,15 +63,19 @@ impl FragHeader {
     /// Appends the encoded header to `buf`.
     pub fn encode<B: BufMut>(&self, buf: &mut B) {
         debug_assert_eq!(self.msg_len & ACCEPTS_BUNDLES_BIT, 0);
-        buf.put_u64(self.msg_id);
-        buf.put_u16(self.index);
-        buf.put_u16(self.count);
         let flag = if self.accepts_bundles {
             ACCEPTS_BUNDLES_BIT
         } else {
             0
         };
-        buf.put_u32(self.msg_len | flag);
+        // One write, not four: every fragment of a large reply starts
+        // with one of these.
+        let mut bytes = [0u8; FRAG_HEADER_LEN];
+        bytes[..8].copy_from_slice(&self.msg_id.to_be_bytes());
+        bytes[8..10].copy_from_slice(&self.index.to_be_bytes());
+        bytes[10..12].copy_from_slice(&self.count.to_be_bytes());
+        bytes[12..].copy_from_slice(&(self.msg_len | flag).to_be_bytes());
+        buf.put_slice(&bytes);
     }
 
     /// Decodes a header from the front of `buf`.
@@ -202,7 +207,12 @@ impl<'a> Fragments<'a> {
         let mut want = MAX_FRAG_CHUNK.min(self.header.msg_len as usize - start);
         while want > 0 {
             let region = self.region.expect("the regions hold the message's bytes");
-            let len = region.as_slice().len();
+            // A segment's length is read from its window, not through
+            // its owner.
+            let len = match region {
+                Region::Inline(bytes) => bytes.len(),
+                Region::Segment(segment) => segment.len(),
+            };
             let end = len.min(self.taken + want);
             match region {
                 Region::Inline(bytes) => frag.put_slice(&bytes[self.taken..end]),
@@ -428,24 +438,19 @@ pub enum Streamed<W> {
 ///   fix for RX-pool exhaustion under concurrent large-PUT bursts.
 ///
 /// Entries are keyed by `(source, msg_id)` and bounded by `max_partial`
-/// with stalest-first eviction. The partial the latest first-seen
-/// fragment opened sits in a slot of its own, so the fragments of a
-/// message that arrive back to back — a reply or a PUT alone on its
-/// path — are matched by comparing two words, not by hashing; the map
-/// holds the others, which interleaved arrivals leave in flight. In
-/// addition, [`StreamingReassembler::advance_round`] implements
-/// round-based stale eviction: a partial untouched for two completed
-/// rounds is dropped, releasing its writer — and with it any mempool
-/// reservation the writer holds — instead of stranding it forever
-/// after fragment loss. The rounds run on the caller's clock through
+/// with stalest-first eviction; every fragment of a multi-fragment
+/// message costs one probe, its key hashed by a seeded multiply-fold
+/// rather than SipHash. In addition,
+/// [`StreamingReassembler::advance_round`] implements round-based stale
+/// eviction: a partial untouched for two completed rounds is dropped,
+/// releasing its writer — and with it any mempool reservation the writer
+/// holds — instead of stranding it forever after fragment loss. The
+/// rounds run on the caller's clock through
 /// [`StreamingReassembler::tick`], the one stale-partial rule of both
 /// the server and the client.
 #[derive(Debug)]
 pub struct StreamingReassembler<W> {
-    /// The partial the latest first-seen fragment opened.
-    last: Option<((u64, u64), StreamingPartial<W>)>,
-    /// Every other partial; with `last`, at most `max_partial`.
-    partials: HashMap<(u64, u64), StreamingPartial<W>>,
+    partials: HashMap<(u64, u64), StreamingPartial<W>, KeyHasher>,
     max_partial: usize,
     clock: u64,
     round: u64,
@@ -464,8 +469,7 @@ impl<W: FragmentWriter> StreamingReassembler<W> {
     pub fn new(max_partial: usize) -> Self {
         assert!(max_partial > 0);
         Self {
-            last: None,
-            partials: HashMap::new(),
+            partials: HashMap::with_hasher(KeyHasher::new()),
             max_partial,
             clock: 0,
             round: 0,
@@ -513,52 +517,38 @@ impl<W: FragmentWriter> StreamingReassembler<W> {
         }
 
         let key = (source, header.msg_id);
-        // Hot path — a later fragment of an in-flight message, most
-        // often the one in the `last` slot: chunk streamed, done.
-        let in_last = matches!(&self.last, Some((k, _)) if *k == key);
-        let partial = if in_last {
-            self.last.as_mut().map(|(_, p)| p)
-        } else {
-            self.partials.get_mut(&key)
-        };
-        if let Some(partial) = partial {
-            let consistent = partial.count == header.count && partial.msg_len == header.msg_len;
-            if consistent {
-                partial.last_touch = self.clock;
-                partial.last_round = self.round;
-                let (word, bit) = (header.index as usize / 64, header.index as usize % 64);
-                if partial.seen[word] & (1 << bit) != 0 {
-                    return Streamed::Duplicate;
-                }
-                partial.seen[word] |= 1 << bit;
-                partial.received += 1;
-                partial
-                    .writer
-                    .write_at(header.index as usize * MAX_FRAG_CHUNK, &chunk);
-                // `chunk` (the only reference into the fragment buffer)
-                // drops here: RX-pool occupancy never accumulates across
-                // fragments.
-                if partial.received < partial.count {
-                    return Streamed::Incomplete;
-                }
-            }
-            let partial = if in_last {
-                self.last.take().map(|(_, p)| p)
-            } else {
-                self.partials.remove(&key)
-            };
-            let partial = partial.expect("present");
-            if !consistent {
+        // Hot path — a later fragment of an in-flight message: one map
+        // probe, chunk streamed, done.
+        if let Some(partial) = self.partials.get_mut(&key) {
+            if partial.count != header.count || partial.msg_len != header.msg_len {
                 // Inconsistent with earlier fragments of the same id:
-                // the whole partial is dropped, it cannot complete
-                // correctly. This releases a live reservation, so it
-                // counts as an eviction — the gauge must see every
-                // dropped partial.
+                // drop the whole partial, it cannot complete correctly.
+                // This releases a live reservation, so it counts as an
+                // eviction — the gauge must see every dropped partial.
+                self.partials.remove(&key);
                 self.evicted += 1;
                 return Streamed::Rejected;
             }
-            self.completed += 1;
-            return Streamed::Complete(partial.writer);
+            partial.last_touch = self.clock;
+            partial.last_round = self.round;
+            let (word, bit) = (header.index as usize / 64, header.index as usize % 64);
+            if partial.seen[word] & (1 << bit) != 0 {
+                return Streamed::Duplicate;
+            }
+            partial.seen[word] |= 1 << bit;
+            partial.received += 1;
+            partial
+                .writer
+                .write_at(header.index as usize * MAX_FRAG_CHUNK, &chunk);
+            // `chunk` (the only reference into the fragment buffer)
+            // drops here: RX-pool occupancy never accumulates across
+            // fragments.
+            if partial.received == partial.count {
+                let partial = self.partials.remove(&key).expect("present");
+                self.completed += 1;
+                return Streamed::Complete(partial.writer);
+            }
+            return Streamed::Incomplete;
         }
 
         // First-seen fragment. Open the writer *before* making room: a
@@ -570,30 +560,30 @@ impl<W: FragmentWriter> StreamingReassembler<W> {
         };
         writer.write_at(header.index as usize * MAX_FRAG_CHUNK, &chunk);
         drop(chunk);
-        if self.pending() >= self.max_partial {
+        if self.partials.len() >= self.max_partial {
             self.evict_stalest();
         }
         let words = (header.count as usize).div_ceil(64);
         let mut seen = vec![0u64; words].into_boxed_slice();
         seen[header.index as usize / 64] |= 1 << (header.index as usize % 64);
-        let partial = StreamingPartial {
-            writer,
-            seen,
-            received: 1,
-            count: header.count,
-            msg_len: header.msg_len,
-            last_touch: self.clock,
-            last_round: self.round,
-        };
-        if let Some((key, earlier)) = self.last.replace((key, partial)) {
-            self.partials.insert(key, earlier);
-        }
+        self.partials.insert(
+            key,
+            StreamingPartial {
+                writer,
+                seen,
+                received: 1,
+                count: header.count,
+                msg_len: header.msg_len,
+                last_touch: self.clock,
+                last_round: self.round,
+            },
+        );
         Streamed::Incomplete
     }
 
     /// Number of in-flight partial messages.
     pub fn pending(&self) -> usize {
-        self.partials.len() + usize::from(self.last.is_some())
+        self.partials.len()
     }
 
     /// Closes the current reassembly round and evicts every partial
@@ -606,16 +596,9 @@ impl<W: FragmentWriter> StreamingReassembler<W> {
     pub fn advance_round(&mut self) -> usize {
         self.round += 1;
         let round = self.round;
-        let before = self.pending();
+        let before = self.partials.len();
         self.partials.retain(|_, p| round - p.last_round < 2);
-        if self
-            .last
-            .as_ref()
-            .is_some_and(|(_, p)| round - p.last_round >= 2)
-        {
-            self.last = None;
-        }
-        let evicted = before - self.pending();
+        let evicted = before - self.partials.len();
         self.evicted += evicted as u64;
         evicted
     }
@@ -626,7 +609,7 @@ impl<W: FragmentWriter> StreamingReassembler<W> {
     /// period; otherwise a tick at or past the deadline re-arms it and
     /// closes a round ([`StreamingReassembler::advance_round`]).
     pub fn tick(&mut self, now: u64, round_ns: u64) {
-        if self.pending() == 0 {
+        if self.partials.is_empty() {
             self.deadline = now + round_ns;
         } else if now >= self.deadline {
             self.deadline = now + round_ns;
@@ -635,22 +618,60 @@ impl<W: FragmentWriter> StreamingReassembler<W> {
     }
 
     fn evict_stalest(&mut self) {
-        let last = self.last.as_ref().map(|(key, p)| (key, p));
-        let Some(key) = self
+        if let Some(key) = self
             .partials
             .iter()
-            .chain(last)
             .min_by_key(|(_, p)| p.last_touch)
-            .map(|(key, _)| *key)
-        else {
-            return;
-        };
-        if self.last.as_ref().is_some_and(|(k, _)| *k == key) {
-            self.last = None;
-        } else {
+            .map(|(k, _)| *k)
+        {
             self.partials.remove(&key);
+            self.evicted += 1;
         }
-        self.evicted += 1;
+    }
+}
+
+/// Hasher of the reassembler's `(source, msg_id)` keys: a seeded
+/// multiply-fold per word, a few cycles where SipHash costs tens of
+/// nanoseconds on every fragment. The seed is drawn once per
+/// reassembler from the standard library's random keys, so a sender
+/// that picks its own message ids cannot aim them at one bucket from
+/// outside; and `max_partial` bounds what a collision could cost.
+#[derive(Clone, Copy, Debug)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn new() -> Self {
+        KeyHasher(std::collections::hash_map::RandomState::new().hash_one(0u64))
+    }
+}
+
+impl BuildHasher for KeyHasher {
+    type Hasher = KeyHasher;
+
+    fn build_hasher(&self) -> KeyHasher {
+        *self
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        // The 64×64→128 product folded onto itself spreads every input
+        // bit over both halves, so the map's bucket (low) bits and tag
+        // (high) bits each see the whole key.
+        let product = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -1000,9 +1021,9 @@ mod tests {
 
     #[test]
     fn the_last_opened_partial_is_evicted_when_it_is_the_stalest() {
-        // Capacity 2: `a` is opened, then `b` (which takes the
-        // last-partial slot), then `a` is touched again, so `b` is the
-        // stalest when `c` needs room.
+        // Capacity 2: `a` is opened, then `b`, then `a` is touched
+        // again, so the later-opened `b` is the stalest when `c` needs
+        // room.
         let m = message(MAX_FRAG_CHUNK * 3);
         let (a, b, c) = (
             fragment_with_id(1, &m),

@@ -4,8 +4,7 @@
 //!   decode, under arbitrary fragment permutations.
 //! * The fragment count always equals the cost function's packet count.
 //! * Messages whose fragments interleave all complete, byte for byte,
-//!   whichever of them the reassembler serves from its last-partial
-//!   slot and whichever from its map.
+//!   each matched to its own partial by its `(source, msg_id)` key.
 
 use bytes::Bytes;
 use minos_wire::frag::{fragment_with_id, FragHeader, Streamed, StreamingReassembler};

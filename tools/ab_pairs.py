@@ -8,11 +8,13 @@ Closed loop (the benchmark's harness, one run per side and pair):
     python3 tools/ab_pairs.py A_SERVER B_SERVER --seeds 101-110 \\
         --workloads etc_read,large_heavy [--seconds 20] [--out DIR]
 
-runs ``target/release/minos-benchmark --server BIN --root . --out DIR
---workload W --seed S --seconds 20 --trace 0`` for every seed x
-workload, A and B alternately (which side goes first alternates with the
-pair), and reads the end-to-end metrics the harness prints on its last
-line. Which direction is better comes from ``BENCHMARK.json``.
+runs ``minos-benchmark --server BIN --root . --out DIR --workload W
+--seed S --seconds 20 --trace 0`` for every seed x workload, A and B
+alternately (which side goes first alternates with the pair), and reads
+the end-to-end metrics the harness prints on its last line. Each side
+runs the harness that sits beside its own ``minos-server``, so a pair of
+checkouts compares each one's client code as well as its server. Which
+direction is better comes from ``BENCHMARK.json``.
 
 Open loop (``--open-loop RATE``): each side is ``minos-server --cores 2
 --port P --json`` driven by ``minos-loadgen --target 127.0.0.1:P
@@ -50,9 +52,9 @@ a field, e.g. ``core.0.handovers`` or
 Every run's raw result goes to ``DIR/pairs.jsonl``, one JSON object per
 line; ``--report DIR/pairs.jsonl`` prints the tables again from it
 (then A and B may be left out). Build both servers first (``cargo build
---release``, and the harness with ``CARGO_TARGET_DIR=target cargo build
---release --manifest-path benchmark/Cargo.toml``); for the parent,
-``git clone`` it elsewhere and build it there. Run nothing else on the
+--release``, and the harness beside it with ``CARGO_TARGET_DIR=target
+cargo build --release --manifest-path benchmark/Cargo.toml``); for the
+parent, ``git clone`` it elsewhere and build both there. Run nothing else on the
 host meanwhile.
 """
 
@@ -136,7 +138,8 @@ def snapshot_leaves(args, text):
 
 def closed_loop(args, server, workload, seed, side):
     out = os.path.join(args.out, f"{side}-{workload}-{seed}")
-    cmd = [args.bench, "--server", server, "--root", args.root, "--out", out,
+    bench = os.path.join(os.path.dirname(server), "minos-benchmark")
+    cmd = [bench, "--server", server, "--root", args.root, "--out", out,
            "--workload", workload, "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
     env = dict(os.environ, MINOS_BENCH_SERVER_ARGS=" ".join(side_args(args, side)))
     run = subprocess.run(cmd, capture_output=True, text=True, env=env)
@@ -239,7 +242,6 @@ def main():
     p.add_argument("--b-args", default="", help="extra minos-server flags of side B")
     p.add_argument("--loadgen-args", default="", help="open loop: extra minos-loadgen flags of both sides")
     p.add_argument("--root", default=".", help="the repo root the harness reads")
-    p.add_argument("--bench", default="target/release/minos-benchmark")
     p.add_argument("--loadgen", default="target/release/minos-loadgen")
     p.add_argument("--out", default="ab-pairs")
     p.add_argument("--snapshot", action="append", default=[], metavar="NAME",
